@@ -11,7 +11,7 @@
 use criterion::{black_box, criterion_group, Criterion};
 use qcdoc_bench::{min_seconds, BenchRun};
 use qcdoc_core::des::{run_with_faults, DesConfig};
-use qcdoc_core::functional::FunctionalMachine;
+use qcdoc_core::ShardedMachine;
 use qcdoc_fault::{FaultClock, FaultEvent, FaultPlan, NodeTap};
 use qcdoc_geometry::{Axis, TorusShape};
 use qcdoc_scu::dma::DmaDescriptor;
@@ -68,18 +68,19 @@ fn functional_shift(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_overhead");
     group.sample_size(10);
     let shift = |plan: FaultPlan| {
-        let machine = FunctionalMachine::new(TorusShape::new(&[4])).with_faults(plan);
-        machine.run(|ctx| {
+        let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
+        machine.run(async |ctx| {
             for i in 0..64u64 {
                 ctx.mem
                     .write_word(0x100 + i * 8, ctx.id.0 as u64 + i)
                     .unwrap();
             }
-            ctx.shift(
+            ctx.shift_async(
                 Axis(0).plus(),
                 DmaDescriptor::contiguous(0x100, 64),
                 DmaDescriptor::contiguous(0x4000, 64),
-            );
+            )
+            .await;
             ctx.mem.read_word(0x4000).unwrap()
         })
     };

@@ -1,12 +1,11 @@
 //! E5 — global operations (§2.2): hop counts `Nx+Ny+Nz+Nt−4` (halved in
 //! doubled mode), the 8-bit pass-through advantage over store-and-forward,
-//! and the functional dimension-ordered sum on the threads-as-nodes
-//! machine.
+//! and the functional dimension-ordered sum on the functional machine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcdoc_asic::clock::Clock;
-use qcdoc_core::comm::global_sum_f64;
-use qcdoc_core::functional::FunctionalMachine;
+use qcdoc_core::comm::global_sum_f64_async;
+use qcdoc_core::ShardedMachine;
 use qcdoc_geometry::TorusShape;
 use qcdoc_scu::global::{dimension_ordered_sum, dimension_sum_hops, GlobalTimingConfig};
 use std::hint::black_box;
@@ -66,8 +65,8 @@ fn bench(c: &mut Criterion) {
         group.bench_function(format!("machine_{label}"), |b| {
             let shape = TorusShape::new(&dims);
             b.iter(|| {
-                let machine = FunctionalMachine::new(shape.clone());
-                let r = machine.run(|ctx| global_sum_f64(ctx, ctx.id.0 as f64));
+                let machine = ShardedMachine::new(shape.clone());
+                let r = machine.run(async |ctx| global_sum_f64_async(ctx, ctx.id.0 as f64).await);
                 black_box(r)
             })
         });

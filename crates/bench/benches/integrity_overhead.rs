@@ -12,7 +12,7 @@
 use criterion::{black_box, criterion_group, Criterion};
 use qcdoc_asic::memory::NodeMemory;
 use qcdoc_bench::{min_seconds, BenchRun};
-use qcdoc_core::functional::FunctionalMachine;
+use qcdoc_core::ShardedMachine;
 use qcdoc_geometry::{Axis, TorusShape};
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc_lattice::solver::{solve_cgne, solve_cgne_abft, AbftParams, CgParams};
@@ -57,20 +57,21 @@ fn cg_abft(op: &WilsonDirac<'_>, b: &FermionField) -> f64 {
 /// A DMA-heavy functional-machine round: 8 × 256-word neighbour shifts
 /// on a 4-ring, with or without the end-to-end block checksums.
 fn shift_run(checked: bool) -> u64 {
-    let mut machine = FunctionalMachine::new(TorusShape::new(&[4]));
+    let mut machine = ShardedMachine::new(TorusShape::new(&[4]));
     if checked {
         machine = machine.with_block_checksums();
     }
-    let out = machine.run(|ctx| {
+    let out = machine.run(async |ctx| {
         for i in 0..256u64 {
             ctx.mem.write_word(0x100 + i * 8, i).unwrap();
         }
         for _ in 0..8 {
-            ctx.shift(
+            ctx.shift_async(
                 Axis(0).plus(),
                 DmaDescriptor::contiguous(0x100, 256),
                 DmaDescriptor::contiguous(0x8000, 256),
-            );
+            )
+            .await;
         }
         ctx.mem.read_word(0x8000).unwrap()
     });

@@ -1,19 +1,21 @@
-//! The functional execution engine: threads as nodes, channels as wires.
+//! The functional node: one [`NodeCtx`] per node, channels as wires.
 //!
-//! Every node of a (logical) machine runs as an OS thread with its own
-//! [`NodeMemory`] and [`Scu`]; each uni-directional wire is a channel
-//! carrying [`WireMsg`]s. All protocol behaviour — DMA descriptors, the
-//! three-in-the-air window, idle receive, parity rejects and resends,
-//! checksums, partition-interrupt flooding — is the real `qcdoc-scu` state
-//! machine; this module only moves messages and schedules threads.
+//! Every node of a (logical) machine owns a [`NodeMemory`] and an [`Scu`];
+//! each uni-directional wire is a channel carrying [`WireMsg`]s. All
+//! protocol behaviour — DMA descriptors, the three-in-the-air window, idle
+//! receive, parity rejects and resends, checksums, partition-interrupt
+//! flooding — is the real `qcdoc-scu` state machine; this module only
+//! moves messages. Node programs are `async` and wait on transfers with
+//! [`NodeCtx::complete_async`]; the one engine that schedules them is
+//! [`ShardedMachine`](crate::ShardedMachine).
 //!
 //! Fault injection: a seeded [`FaultPlan`] (from `qcdoc-fault`) corrupts
 //! chosen frames in flight through a per-node [`NodeTap`], exercising the
-//! automatic-resend path end to end; [`FunctionalMachine::run_with_health`]
+//! automatic-resend path end to end;
+//! [`ShardedMachine::run_with_health`](crate::ShardedMachine::run_with_health)
 //! additionally returns the machine-wide [`HealthLedger`] a host would
 //! read out over its diagnostics tree.
 
-use parking_lot::Mutex;
 use qcdoc_asic::memory::NodeMemory;
 use qcdoc_fault::{FaultClock, Liveness, NodeHealth, NodeTap};
 pub use qcdoc_fault::{FaultEvent, FaultPlan, HealthLedger};
@@ -24,28 +26,24 @@ use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg};
 use qcdoc_scu::timing::LinkTimingConfig;
 use qcdoc_scu::{RetryPolicy, WireVerdict};
 use qcdoc_telemetry::{
-    FlightEvent, FlightKind, MachineTelemetry, MetricsRegistry, NodeTelemetry, Phase, Span,
-    SpanToken,
+    FlightEvent, FlightKind, MetricsRegistry, NodeTelemetry, Phase, Span, SpanToken,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
-/// The channel ends owned by one node: senders for its 12 outgoing wires
-/// and receivers for its 12 incoming ones.
-type NodeWires = (Vec<Option<Sender<WireMsg>>>, Vec<Option<Receiver<WireMsg>>>);
+/// Idle pump rounds in [`NodeCtx::complete_async`] before a node declares
+/// its transfer wedged (a dead wire never delivers the data or the ack).
+/// The wait loop also requires 20 µs of wall-clock silence per round, so
+/// this is roughly a second — far beyond any healthy transfer on an
+/// oversubscribed host, and short enough that a dead-link run still fails
+/// fast.
+pub(crate) const WEDGE_IDLE_SPINS: u32 = 50_000;
 
-/// Idle pump rounds in [`NodeCtx::complete`] before a node declares its
-/// transfer wedged (a dead wire never delivers the data or the ack). At
-/// the post-yield backoff of 20 µs per round this is roughly a second of
-/// real silence — far beyond any healthy transfer on an oversubscribed
-/// host, and short enough that a dead-link run still fails fast.
-const WEDGE_IDLE_SPINS: u32 = 50_000;
-
-/// Telemetry knobs for a [`FunctionalMachine`] run.
+/// Telemetry knobs for a [`ShardedMachine`](crate::ShardedMachine) run.
 ///
-/// The functional engine has no global clock of its own (threads run at
+/// The functional engine has no global clock of its own (nodes run at
 /// host speed), so each node's telemetry clock is advanced by the *link
 /// timing model*: a completed transfer of `w` words costs
 /// `link.transfer_cycles(w)` logical cycles, the slowest armed link
@@ -79,7 +77,7 @@ pub struct NodeCtx {
     /// Node memory (EDRAM + DDR) — the SCU DMA engines address this.
     pub mem: NodeMemory,
     /// Per-node telemetry handle (disabled unless the machine was built
-    /// with [`FunctionalMachine::with_telemetry`]).
+    /// with [`ShardedMachine::with_telemetry`](crate::ShardedMachine::with_telemetry)).
     pub telem: NodeTelemetry,
     scu: Scu,
     tx: Vec<Option<Sender<WireMsg>>>,
@@ -89,7 +87,8 @@ pub struct NodeCtx {
     wedged: bool,
     mem_flips: u64,
     /// Whether DMA transfers carry end-to-end block checksums (machine
-    /// opt-in via [`FunctionalMachine::with_block_checksums`]).
+    /// opt-in via
+    /// [`ShardedMachine::with_block_checksums`](crate::ShardedMachine::with_block_checksums)).
     block_checksums: bool,
     /// Words armed per link since the last accounted completion, used to
     /// charge the telemetry clock with modeled transfer cycles.
@@ -98,18 +97,16 @@ pub struct NodeCtx {
     link_timing: LinkTimingConfig,
     wedge_spins: u32,
     /// SCU counter totals at the last flight check, so each
-    /// [`NodeCtx::complete`] logs only the retries it caused.
+    /// [`NodeCtx::complete_async`] logs only the retries it caused.
     flight_resends_seen: u64,
     flight_block_rejects_seen: u64,
     /// Shared wire-activity flag: set whenever [`NodeCtx::progress`] moves
-    /// anything. The sharded engine's workers read-and-clear it to decide
-    /// when a whole shard has gone idle and should back off; the
-    /// thread-per-node engine leaves it `None`.
+    /// anything. The engine's workers read-and-clear it to decide when a
+    /// whole shard has gone idle and should back off.
     pulse: Option<Arc<AtomicBool>>,
 }
 
-/// Everything both execution engines need to stamp out one node, minus the
-/// wires (which depend on how the engine builds its fabric).
+/// Everything the engine needs to stamp out one node, minus the wires.
 pub(crate) struct NodeCtxConfig {
     pub shape: TorusShape,
     pub ddr_bytes: u64,
@@ -276,32 +273,15 @@ impl NodeCtx {
         moved
     }
 
-    /// Pump until the given sends and receives complete. Spins with
-    /// `yield` at first, then backs off to short sleeps so a waiting node
-    /// doesn't starve the nodes doing real work on an oversubscribed host.
-    ///
-    /// A wire that has gone permanently silent (dead link, crashed
-    /// neighbour) would leave this loop spinning forever; after
-    /// `WEDGE_IDLE_SPINS` idle rounds the node gives up, marks itself
-    /// wedged, and returns so the run can finish and report the failure
-    /// through the health ledger instead of hanging.
-    pub fn complete(&mut self, sends: &[Direction], recvs: &[Direction]) {
-        if !self.telem.is_enabled() {
-            self.complete_inner(sends, recvs);
-            self.record_scu_flight();
-            return;
-        }
-        let token = self.telem.begin();
-        self.complete_inner(sends, recvs);
-        self.record_scu_flight();
-        self.account_complete(token, sends, recvs);
-    }
-
-    /// Cooperative twin of [`NodeCtx::complete`] for the sharded engine:
-    /// identical protocol behaviour, telemetry accounting and wedge
-    /// watchdog, but instead of spinning the OS thread it yields back to
+    /// Pump until the given sends and receives complete, yielding back to
     /// the shard worker between pump rounds so the other virtual nodes of
     /// the shard keep running.
+    ///
+    /// A wire that has gone permanently silent (dead link, crashed
+    /// neighbour) would leave this loop polling forever; after the wedge
+    /// timeout the node gives up, marks itself wedged, and returns so the
+    /// run can finish and report the failure through the health ledger
+    /// instead of hanging.
     ///
     /// ```no_run
     /// # use qcdoc_core::sharded::ShardedMachine;
@@ -383,9 +363,7 @@ impl NodeCtx {
     }
 
     /// One non-blocking completion attempt: pump the wires once, then
-    /// check whether every tracked transfer has retired. Both engines'
-    /// wait loops are built from this single primitive, so the protocol
-    /// behaviour cannot drift between them.
+    /// check whether every tracked transfer has retired.
     fn pump_step(&mut self, sends: &[Direction], recvs: &[Direction]) -> PumpStep {
         let moved = self.progress();
         let sends_done = sends.iter().all(|d| self.scu.send_complete(d.link_index()));
@@ -399,8 +377,8 @@ impl NodeCtx {
         }
     }
 
-    /// Wedge-watchdog bookkeeping shared by both wait loops: called after
-    /// an idle pump round, returns whether the node just gave up.
+    /// Wedge-watchdog bookkeeping: called after an idle pump round, returns
+    /// whether the node just gave up.
     fn wedge_after_idle(&mut self, idle_spins: u32, pending: usize) -> bool {
         if idle_spins < self.wedge_spins {
             return false;
@@ -415,45 +393,19 @@ impl NodeCtx {
         true
     }
 
-    fn complete_inner(&mut self, sends: &[Direction], recvs: &[Direction]) {
-        if self.wedged {
-            return;
-        }
-        let mut idle_spins = 0u32;
-        loop {
-            match self.pump_step(sends, recvs) {
-                PumpStep::Done => return,
-                PumpStep::Moved => idle_spins = 0,
-                PumpStep::Idle => {
-                    idle_spins += 1;
-                    if self.wedge_after_idle(idle_spins, sends.len() + recvs.len()) {
-                        return;
-                    }
-                }
-            }
-            if idle_spins < 256 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(20));
-            }
-        }
-    }
-
-    /// The cooperative wait loop: the same pump/wedge recurrence as
-    /// [`NodeCtx::complete_inner`], but idle rounds yield control back to
-    /// the shard worker (which backs off on our behalf once every virtual
-    /// node of the shard reports idle) instead of sleeping the thread.
+    /// The wait loop: idle rounds yield control back to the shard worker
+    /// (which backs off on our behalf once every virtual node of the shard
+    /// reports idle) instead of sleeping the thread.
     async fn complete_inner_async(&mut self, sends: &[Direction], recvs: &[Direction]) {
         if self.wedged {
             return;
         }
         let mut idle_spins = 0u32;
         let mut idle_since: Option<std::time::Instant> = None;
-        // The thread engine's watchdog implies ~20 µs of real time per idle
-        // round once it backs off; a shard whose other virtual nodes are
-        // still active sweeps much faster than that, so the cooperative
-        // loop additionally requires the same *wall-clock* silence before
-        // giving up on a wire.
+        // A backed-off shard spends ~20 µs of real time per idle round, but
+        // a shard whose other virtual nodes are still active sweeps much
+        // faster than that, so the loop additionally requires the same
+        // *wall-clock* silence before giving up on a wire.
         let quiet_needed = std::time::Duration::from_micros(20) * self.wedge_spins;
         loop {
             match self.pump_step(sends, recvs) {
@@ -477,20 +429,12 @@ impl NodeCtx {
         }
     }
 
-    /// Convenience: exchange one buffer with both neighbours of an axis
-    /// and wait for completion.
-    pub fn shift(&mut self, dir: Direction, send: DmaDescriptor, recv: DmaDescriptor) {
+    /// Convenience: send one buffer toward `dir`, receive one from the
+    /// opposite neighbour, and wait for completion.
+    pub async fn shift_async(&mut self, dir: Direction, send: DmaDescriptor, recv: DmaDescriptor) {
         // Data sent toward `dir` arrives at the neighbour from
         // `dir.opposite()`; symmetrically we receive from our own
         // `dir.opposite()` link.
-        let from = dir.opposite();
-        self.start_recv(from, recv);
-        self.start_send(dir, send);
-        self.complete(&[dir], &[from]);
-    }
-
-    /// Cooperative twin of [`NodeCtx::shift`] for the sharded engine.
-    pub async fn shift_async(&mut self, dir: Direction, send: DmaDescriptor, recv: DmaDescriptor) {
         let from = dir.opposite();
         self.start_recv(from, recv);
         self.start_send(dir, send);
@@ -548,9 +492,8 @@ impl NodeCtx {
         health
     }
 
-    /// Stamp out one node. Used by both engines so the per-node state
-    /// (SCU training, retry policy, tap, telemetry wiring) cannot differ
-    /// between the thread-per-node and sharded run loops.
+    /// Stamp out one node: SCU training, retry policy, tap, telemetry
+    /// wiring.
     pub(crate) fn build(
         node: u32,
         cfg: &NodeCtxConfig,
@@ -603,7 +546,7 @@ impl NodeCtx {
         }
     }
 
-    /// End-of-run epilogue shared by both engines: flight bookkeeping, the
+    /// End-of-run epilogue: flight bookkeeping, the
     /// ECC scrub over the touched footprint, memory-profile gauges, and
     /// the health snapshot the host's diagnostics sweep collects.
     pub(crate) fn finish_run(
@@ -691,7 +634,7 @@ impl std::future::Future for YieldOnce {
 
 /// Build the wire fabric for a logical shape: one unbounded channel per
 /// (node, outgoing direction); the receiver half goes to the neighbour's
-/// opposite-direction slot. Shared by both execution engines.
+/// opposite-direction slot.
 #[allow(clippy::type_complexity)]
 pub(crate) fn build_fabric(
     shape: &TorusShape,
@@ -716,321 +659,51 @@ pub(crate) fn build_fabric(
     (txs, rxs)
 }
 
-/// The functional machine.
-pub struct FunctionalMachine {
-    shape: TorusShape,
-    faults: FaultPlan,
-    ddr_bytes: u64,
-    telemetry: Option<TelemetryConfig>,
-    retry_policy: RetryPolicy,
-    wedge_spins: u32,
-    block_checksums: bool,
-}
-
-impl FunctionalMachine {
-    /// A machine with the given logical shape and 128 MB DIMMs.
-    pub fn new(shape: TorusShape) -> FunctionalMachine {
-        FunctionalMachine {
-            shape,
-            faults: FaultPlan::default(),
-            ddr_bytes: 128 * 1024 * 1024,
-            telemetry: None,
-            retry_policy: RetryPolicy::default(),
-            wedge_spins: WEDGE_IDLE_SPINS,
-            block_checksums: false,
-        }
-    }
-
-    /// Turn on end-to-end DMA block checksums: every [`NodeCtx::start_send`]
-    /// appends a trailing checksum word verified at the receiving SCU
-    /// before the block is retired, so multi-bit bursts that evade the
-    /// per-frame parity are caught mid-run and healed by a whole-block
-    /// replay instead of surfacing only in the end-of-run checksum
-    /// comparison (or not at all).
-    pub fn with_block_checksums(mut self) -> FunctionalMachine {
-        self.block_checksums = true;
-        self
-    }
-
-    /// Install a fault plan (compiled against this machine when a run
-    /// starts).
-    pub fn with_faults(mut self, plan: FaultPlan) -> FunctionalMachine {
-        self.faults = plan;
-        self
-    }
-
-    /// Install a link retry policy on every send unit: a bounded budget of
-    /// consecutive no-progress rewinds (with exponential backoff) after
-    /// which a link declares itself dead instead of resending forever.
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> FunctionalMachine {
-        self.retry_policy = policy;
-        self
-    }
-
-    /// Override the wedge watchdog: idle pump rounds a node waits on a
-    /// silent wire before giving up. Recovery tests use a short timeout so
-    /// a deliberately killed node fails in milliseconds, not a second.
-    pub fn with_wedge_timeout(mut self, spins: u32) -> FunctionalMachine {
-        self.wedge_spins = spins.max(1);
-        self
-    }
-
-    /// Enable telemetry: every node gets a cycle clock, a span ring and a
-    /// local metrics registry, collected by
-    /// [`FunctionalMachine::run_with_telemetry`].
-    pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> FunctionalMachine {
-        self.telemetry = Some(cfg);
-        self
-    }
-
-    /// The logical shape.
-    pub fn shape(&self) -> &TorusShape {
-        &self.shape
-    }
-
-    /// Swap the fabric under the machine — a recovery repartition: later
-    /// runs use the replacement shape and fault plan, keeping the retry
-    /// policy, wedge timeout and telemetry configuration.
-    pub(crate) fn replace_fabric(&mut self, shape: TorusShape, faults: FaultPlan) {
-        self.shape = shape;
-        self.faults = faults;
-    }
-
-    /// Run `app` on every node concurrently; returns per-node results in
-    /// rank order.
-    pub fn run<F, R>(&self, app: F) -> Vec<R>
-    where
-        F: Fn(&mut NodeCtx) -> R + Sync,
-        R: Send,
-    {
-        self.run_inner(app)
-            .into_iter()
-            .map(|(r, _, _, _)| r)
-            .collect()
-    }
-
-    /// Like [`FunctionalMachine::run`], but also collect every node's SCU
-    /// counters and checksums into a finalized [`HealthLedger`] — the
-    /// software analogue of the host sweeping its Ethernet/JTAG tree after
-    /// a job.
-    pub fn run_with_health<F, R>(&self, app: F) -> (Vec<R>, HealthLedger)
-    where
-        F: Fn(&mut NodeCtx) -> R + Sync,
-        R: Send,
-    {
-        let mut ledger = HealthLedger::new(self.shape.node_count());
-        let mut results = Vec::with_capacity(self.shape.node_count());
-        for (node, (r, health, _, _)) in self.run_inner(app).into_iter().enumerate() {
-            results.push(r);
-            *ledger.node_mut(node as u32) = health;
-        }
-        ledger.finalize(&self.shape);
-        (results, ledger)
-    }
-
-    /// Like [`FunctionalMachine::run_with_health`], but additionally
-    /// collect every node's metrics (stamped with `node="N"` labels) and
-    /// cycle-stamped spans. The finalized ledger is also exported into the
-    /// returned registry, so metrics and health present one view.
-    pub fn run_with_telemetry<F, R>(&self, app: F) -> (Vec<R>, HealthLedger, MachineTelemetry)
-    where
-        F: Fn(&mut NodeCtx) -> R + Sync,
-        R: Send,
-    {
-        let mut ledger = HealthLedger::new(self.shape.node_count());
-        let mut telemetry = MachineTelemetry::new();
-        let mut results = Vec::with_capacity(self.shape.node_count());
-        for (node, (r, health, (metrics, spans), flight)) in
-            self.run_inner(app).into_iter().enumerate()
-        {
-            results.push(r);
-            *ledger.node_mut(node as u32) = health;
-            telemetry.absorb_node(node as u32, metrics, spans);
-            telemetry.absorb_flight(flight);
-        }
-        ledger.finalize(&self.shape);
-        ledger.export_metrics(&mut telemetry.metrics);
-        (results, ledger, telemetry)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn run_inner<F, R>(
-        &self,
-        app: F,
-    ) -> Vec<(
-        R,
-        NodeHealth,
-        (MetricsRegistry, Vec<Span>),
-        Vec<FlightEvent>,
-    )>
-    where
-        F: Fn(&mut NodeCtx) -> R + Sync,
-        R: Send,
-    {
-        let n = self.shape.node_count();
-        let (mut txs, mut rxs) = build_fabric(&self.shape);
-        let clock = Arc::new(FaultClock::resolve(
-            &self.faults,
-            n as u32,
-            2 * self.shape.rank(),
-        ));
-        type NodeOutput<R> = (
-            R,
-            NodeHealth,
-            (MetricsRegistry, Vec<Span>),
-            Vec<FlightEvent>,
-        );
-        let results: Vec<Mutex<Option<NodeOutput<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let telemetry = self.telemetry;
-        // Nodes that finish keep pumping the wires until *everyone* has
-        // finished — otherwise a neighbour could stall waiting for an ack
-        // from a thread that already exited. The count must rise even when
-        // an application panics, or the surviving nodes pump forever and
-        // the panic never surfaces; the guard counts on unwind too.
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        struct DoneGuard<'a>(&'a std::sync::atomic::AtomicUsize);
-        impl Drop for DoneGuard<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-        let cfg = NodeCtxConfig {
-            shape: self.shape.clone(),
-            ddr_bytes: self.ddr_bytes,
-            telemetry,
-            retry_policy: self.retry_policy,
-            wedge_spins: self.wedge_spins,
-            block_checksums: self.block_checksums,
-        };
-        std::thread::scope(|scope| {
-            let mut pairs: Vec<NodeWires> = txs.drain(..).zip(rxs.drain(..)).collect();
-            for (node, (tx, rx)) in pairs.drain(..).enumerate().rev() {
-                let app = &app;
-                let results = &results;
-                let done = &done;
-                let cfg = &cfg;
-                let clock = Arc::clone(&clock);
-                scope.spawn(move || {
-                    let done_guard = DoneGuard(done);
-                    let mut ctx = NodeCtx::build(node as u32, cfg, tx, rx, clock, None);
-                    ctx.apply_mem_faults();
-                    let r = app(&mut ctx);
-                    let (snapshot, parts, flight) = ctx.finish_run();
-                    *results[node].lock() = Some((r, snapshot, parts, flight));
-                    drop(done_guard);
-                    let mut spins = 0u32;
-                    while done.load(std::sync::atomic::Ordering::SeqCst) < n {
-                        ctx.progress();
-                        spins += 1;
-                        if spins < 64 {
-                            std::thread::yield_now();
-                        } else {
-                            std::thread::sleep(std::time::Duration::from_micros(50));
-                        }
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("node produced no result"))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedMachine;
     use qcdoc_fault::FaultEvent;
 
     fn ring4() -> TorusShape {
         TorusShape::new(&[4])
     }
 
-    #[test]
-    fn ring_shift_moves_data_one_hop() {
-        // Every node writes its rank, shifts +x; each ends up with its -x
-        // neighbour's value.
-        let machine = FunctionalMachine::new(ring4());
-        let results = machine.run(|ctx| {
-            ctx.mem.write_word(0x100, 1000 + ctx.id.0 as u64).unwrap();
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 1),
-                DmaDescriptor::contiguous(0x200, 1),
-            );
-            ctx.mem.read_word(0x200).unwrap()
-        });
-        assert_eq!(results, vec![1003, 1000, 1001, 1002]);
+    /// Fill eight words with a rank-tagged pattern, shift them one hop +x,
+    /// and return what arrived.
+    async fn shift_eight_words(ctx: &mut NodeCtx) -> Vec<u64> {
+        for i in 0..8u64 {
+            ctx.mem
+                .write_word(0x100 + i * 8, ctx.id.0 as u64 * 100 + i)
+                .unwrap();
+        }
+        ctx.shift_async(
+            Axis(0).plus(),
+            DmaDescriptor::contiguous(0x100, 8),
+            DmaDescriptor::contiguous(0x400, 8),
+        )
+        .await;
+        ctx.mem.read_block(0x400, 8).unwrap()
     }
 
-    #[test]
-    fn bidirectional_shift_2d() {
-        let machine = FunctionalMachine::new(TorusShape::new(&[2, 2]));
-        let results = machine.run(|ctx| {
-            ctx.mem.write_word(0x0, ctx.id.0 as u64).unwrap();
-            // Send own rank both +x and +y; receive both.
-            ctx.start_recv(Axis(0).minus(), DmaDescriptor::contiguous(0x300, 1));
-            ctx.start_recv(Axis(1).minus(), DmaDescriptor::contiguous(0x308, 1));
-            ctx.start_send(Axis(0).plus(), DmaDescriptor::contiguous(0x0, 1));
-            ctx.start_send(Axis(1).plus(), DmaDescriptor::contiguous(0x0, 1));
-            ctx.complete(
-                &[Axis(0).plus(), Axis(1).plus()],
-                &[Axis(0).minus(), Axis(1).minus()],
-            );
-            (
-                ctx.mem.read_word(0x300).unwrap(),
-                ctx.mem.read_word(0x308).unwrap(),
-            )
-        });
-        // Node (x,y) receives from (x-1,y) on x and (x,y-1) on y.
-        let shape = TorusShape::new(&[2, 2]);
-        for (i, &(fx, fy)) in results.iter().enumerate() {
-            let c = shape.coord_of(NodeId(i as u32));
-            let xm = shape.rank_of(shape.neighbour(c, Axis(0).minus())).0 as u64;
-            let ym = shape.rank_of(shape.neighbour(c, Axis(1).minus())).0 as u64;
-            assert_eq!((fx, fy), (xm, ym), "node {i}");
+    /// Pump the wires for a fixed number of scheduler round trips — enough
+    /// for an interrupt to cross a small machine. Deterministic on one
+    /// worker, where a yield is exactly one sweep over every node.
+    async fn pump_rounds(ctx: &mut NodeCtx, rounds: usize) {
+        for _ in 0..rounds {
+            ctx.progress();
+            yield_once().await;
         }
     }
 
     #[test]
-    fn injected_fault_is_healed_by_resend() {
-        let plan = FaultPlan::new(0).with_event(FaultEvent::bit_flip(1, 0, 2, 30));
-        let machine = FunctionalMachine::new(ring4()).with_faults(plan);
-        let results = machine.run(|ctx| {
-            for i in 0..8u64 {
-                ctx.mem
-                    .write_word(0x100 + i * 8, ctx.id.0 as u64 * 100 + i)
-                    .unwrap();
-            }
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 8),
-                DmaDescriptor::contiguous(0x400, 8),
-            );
-            let data = ctx.mem.read_block(0x400, 8).unwrap();
-            (data, ctx.link_errors(), ctx.send_checksum(Axis(0).plus()))
-        });
-        // Node 2 receives node 1's data despite the corrupted frame.
-        let (data, errors, _) = &results[2];
-        assert_eq!(*data, (0..8).map(|i| 100 + i).collect::<Vec<_>>());
-        assert!(*errors >= 1, "the corrupted frame must have been rejected");
-        // Checksums: each node's send checksum equals its +x neighbour's
-        // receive checksum — verified inside shift by data equality here.
-    }
-
-    #[test]
     fn partition_interrupt_floods_the_machine() {
-        let machine = FunctionalMachine::new(TorusShape::new(&[2, 2, 2]));
-        let results = machine.run(|ctx| {
+        let machine = ShardedMachine::new(TorusShape::new(&[2, 2, 2])).with_workers(1);
+        let results = machine.run(async |ctx| {
             if ctx.id.0 == 5 {
                 ctx.raise_partition_irq(0b10);
             }
-            // Pump for a while to let the flood propagate.
-            for _ in 0..200 {
-                ctx.progress();
-                std::thread::yield_now();
-            }
+            pump_rounds(ctx, 200).await;
             ctx.partition_irq_state()
         });
         assert!(
@@ -1041,15 +714,12 @@ mod tests {
 
     #[test]
     fn supervisor_interrupt_reaches_neighbour() {
-        let machine = FunctionalMachine::new(ring4());
-        let results = machine.run(|ctx| {
+        let machine = ShardedMachine::new(ring4()).with_workers(1);
+        let results = machine.run(async |ctx| {
             if ctx.id.0 == 0 {
                 ctx.send_supervisor(Axis(0).plus(), 0xFEED_F00D);
             }
-            for _ in 0..200 {
-                ctx.progress();
-                std::thread::yield_now();
-            }
+            pump_rounds(ctx, 200).await;
             ctx.take_events()
         });
         assert!(results[1].contains(&ScuEvent::SupervisorInterrupt(0xFEED_F00D)));
@@ -1061,8 +731,8 @@ mod tests {
 
     #[test]
     fn neighbour_and_axis_span_queries() {
-        let machine = FunctionalMachine::new(TorusShape::new(&[4, 2]));
-        let results = machine.run(|ctx| {
+        let machine = ShardedMachine::new(TorusShape::new(&[4, 2]));
+        let results = machine.run(async |ctx| {
             (
                 ctx.neighbour(Axis(0).plus()).0,
                 ctx.neighbour(Axis(1).minus()).0,
@@ -1081,78 +751,17 @@ mod tests {
 
     #[test]
     fn events_drain_once() {
-        let machine = FunctionalMachine::new(ring4());
-        let results = machine.run(|ctx| {
+        let machine = ShardedMachine::new(ring4()).with_workers(1);
+        let results = machine.run(async |ctx| {
             if ctx.id.0 == 0 {
                 ctx.send_supervisor(Axis(0).plus(), 7);
             }
-            for _ in 0..200 {
-                ctx.progress();
-                std::thread::yield_now();
-            }
+            pump_rounds(ctx, 200).await;
             let first = ctx.take_events();
             let second = ctx.take_events();
             (first.len(), second.len())
         });
         assert_eq!(results[1], (1, 0), "take_events must drain");
-    }
-
-    #[test]
-    fn health_ledger_records_injection_and_clean_checksums() {
-        let plan = FaultPlan::new(42).with_event(FaultEvent::bit_flip(1, 0, 2, 30));
-        let machine = FunctionalMachine::new(ring4()).with_faults(plan);
-        let (results, ledger) = machine.run_with_health(|ctx| {
-            for i in 0..8u64 {
-                ctx.mem
-                    .write_word(0x100 + i * 8, ctx.id.0 as u64 * 100 + i)
-                    .unwrap();
-            }
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 8),
-                DmaDescriptor::contiguous(0x400, 8),
-            );
-            ctx.mem.read_block(0x400, 8).unwrap()
-        });
-        assert_eq!(results[2], (0..8).map(|i| 100 + i).collect::<Vec<_>>());
-        // The recoverable corruption shows up in the ledger...
-        assert_eq!(ledger.total_injected(), 1);
-        assert_eq!(ledger.nodes[1].links[0].injected, 1);
-        assert!(ledger.total_resends() >= 1);
-        // ...while every end-of-run checksum pairing still agrees: the
-        // resend healed the wire before the payload landed.
-        assert!(ledger.all_checksums_ok());
-        assert!(ledger.unhealthy_nodes().is_empty());
-        assert_eq!(ledger.nodes[0].links[0].sent_words, 8);
-        assert_eq!(ledger.nodes[1].links[1].received_words, 8);
-    }
-
-    #[test]
-    fn dead_link_wedges_instead_of_hanging() {
-        // Node 1's +x wire dies before the transfer starts: node 2 never
-        // receives, node 1 never gets acked. Both must give up and report
-        // rather than spin forever.
-        let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = FunctionalMachine::new(ring4()).with_faults(plan);
-        let (_, ledger) = machine.run_with_health(|ctx| {
-            ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 1),
-                DmaDescriptor::contiguous(0x200, 1),
-            );
-        });
-        assert_eq!(ledger.dead_links(), vec![(1, 0)]);
-        assert_eq!(ledger.nodes[1].liveness, qcdoc_fault::Liveness::Wedged);
-        let unhealthy = ledger.unhealthy_nodes();
-        assert!(
-            unhealthy.contains(&1),
-            "the dead wire's node must be flagged: {unhealthy:?}"
-        );
-        assert!(
-            !ledger.all_checksums_ok(),
-            "undelivered words must break the checksum pairing"
-        );
     }
 
     #[test]
@@ -1165,21 +774,22 @@ mod tests {
         // 1's hardware (not on the wedged bystanders).
         let plan = FaultPlan::new(7).with_event(FaultEvent::stuck_link(1, 0, 0));
         let policy = RetryPolicy::bounded(4, 2, 64);
-        let machine = FunctionalMachine::new(ring4())
+        let machine = ShardedMachine::new(ring4())
             .with_faults(plan)
             .with_retry_policy(policy)
             .with_wedge_timeout(10_000);
-        let (_, ledger) = machine.run_with_health(|ctx| {
+        let (_, ledger) = machine.run_with_health(async |ctx| {
             for i in 0..4u64 {
                 ctx.mem
                     .write_word(0x100 + i * 8, ctx.id.0 as u64 + i)
                     .unwrap();
             }
-            ctx.shift(
+            ctx.shift_async(
                 Axis(0).plus(),
                 DmaDescriptor::contiguous(0x100, 4),
                 DmaDescriptor::contiguous(0x200, 4),
-            );
+            )
+            .await;
         });
         let bad = &ledger.nodes[1].links[0];
         assert!(bad.retry_exhausted, "the budget must exhaust");
@@ -1195,26 +805,6 @@ mod tests {
     }
 
     #[test]
-    fn short_wedge_timeout_fails_fast() {
-        let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = FunctionalMachine::new(ring4())
-            .with_faults(plan)
-            .with_wedge_timeout(2_000);
-        let start = std::time::Instant::now();
-        let (_, ledger) = machine.run_with_health(|ctx| {
-            ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 1),
-                DmaDescriptor::contiguous(0x200, 1),
-            );
-        });
-        assert_eq!(ledger.nodes[1].liveness, qcdoc_fault::Liveness::Wedged);
-        // 2k spins at ≤20 µs each is well under a second even on a busy host.
-        assert!(start.elapsed() < std::time::Duration::from_secs(30));
-    }
-
-    #[test]
     fn wedged_node_refuses_new_transfers_instead_of_panicking() {
         // A real application keeps issuing collectives after a wedge (it
         // only checks `wedged()` at its own loop boundaries). Arming fresh
@@ -1222,10 +812,10 @@ mod tests {
         // idle-receive drain; a wedged node must go silent instead, so the
         // run still terminates and the ledger still reads out.
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 1));
-        let machine = FunctionalMachine::new(ring4())
+        let machine = ShardedMachine::new(ring4())
             .with_faults(plan)
             .with_wedge_timeout(2_000);
-        let (results, ledger) = machine.run_with_health(|ctx| {
+        let (results, ledger) = machine.run_with_health(async |ctx| {
             // Three rounds of 4-word shifts: the wire dies during the
             // first, the later rounds re-arm every unit regardless.
             for round in 0..3u64 {
@@ -1234,11 +824,12 @@ mod tests {
                         .write_word(0x100 + i * 8, round + ctx.id.0 as u64)
                         .unwrap();
                 }
-                ctx.shift(
+                ctx.shift_async(
                     Axis(0).plus(),
                     DmaDescriptor::contiguous(0x100, 4),
                     DmaDescriptor::contiguous(0x200, 4),
-                );
+                )
+                .await;
             }
             ctx.wedged()
         });
@@ -1254,22 +845,10 @@ mod tests {
         // word without a reject. Only the end-to-end block checksum
         // catches it — and a whole-block replay heals it.
         let plan = FaultPlan::new(0).with_event(FaultEvent::payload_burst(1, 0, 2, 10, 2));
-        let machine = FunctionalMachine::new(ring4())
+        let machine = ShardedMachine::new(ring4())
             .with_faults(plan)
             .with_block_checksums();
-        let (results, ledger) = machine.run_with_health(|ctx| {
-            for i in 0..8u64 {
-                ctx.mem
-                    .write_word(0x100 + i * 8, ctx.id.0 as u64 * 100 + i)
-                    .unwrap();
-            }
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 8),
-                DmaDescriptor::contiguous(0x400, 8),
-            );
-            ctx.mem.read_block(0x400, 8).unwrap()
-        });
+        let (results, ledger) = machine.run_with_health(shift_eight_words);
         assert_eq!(results[2], (0..8).map(|i| 100 + i).collect::<Vec<_>>());
         // The frame parity never fired; the block checksum did.
         assert_eq!(ledger.nodes[2].links[1].rejects, 0);
@@ -1285,20 +864,8 @@ mod tests {
         // Same fault, protection off: the wrong word lands in memory and
         // nothing complains until the end-of-run checksum pairing.
         let plan = FaultPlan::new(0).with_event(FaultEvent::payload_burst(1, 0, 2, 10, 2));
-        let machine = FunctionalMachine::new(ring4()).with_faults(plan);
-        let (results, ledger) = machine.run_with_health(|ctx| {
-            for i in 0..8u64 {
-                ctx.mem
-                    .write_word(0x100 + i * 8, ctx.id.0 as u64 * 100 + i)
-                    .unwrap();
-            }
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 8),
-                DmaDescriptor::contiguous(0x400, 8),
-            );
-            ctx.mem.read_block(0x400, 8).unwrap()
-        });
+        let machine = ShardedMachine::new(ring4()).with_faults(plan);
+        let (results, ledger) = machine.run_with_health(shift_eight_words);
         assert_ne!(
             results[2],
             (0..8).map(|i| 100 + i).collect::<Vec<_>>(),
@@ -1317,8 +884,8 @@ mod tests {
         // the application never reads the word, the end-of-run scrub
         // finds it and latches a machine check — casualty evidence.
         let plan = FaultPlan::new(0).with_event(FaultEvent::mem_double_flip(1, 0x100, 3, 41));
-        let machine = FunctionalMachine::new(ring4()).with_faults(plan);
-        let (_, ledger) = machine.run_with_health(|_ctx| {});
+        let machine = ShardedMachine::new(ring4()).with_faults(plan);
+        let (_, ledger) = machine.run_with_health(async |_ctx| {});
         assert_eq!(ledger.nodes[1].mem_flips, 2);
         assert!(ledger.nodes[1].machine_checks >= 1);
         assert_eq!(ledger.nodes[1].ecc_corrected, 0);
@@ -1331,8 +898,9 @@ mod tests {
         // A single flipped bit is corrected on read; the only evidence is
         // the counter. The node stays healthy.
         let plan = FaultPlan::new(0).with_event(FaultEvent::mem_bit_flip(1, 0x100, 17));
-        let machine = FunctionalMachine::new(ring4()).with_faults(plan);
-        let (values, ledger) = machine.run_with_health(|ctx| ctx.mem.read_word(0x100).unwrap());
+        let machine = ShardedMachine::new(ring4()).with_faults(plan);
+        let (values, ledger) =
+            machine.run_with_health(async |ctx| ctx.mem.read_word(0x100).unwrap());
         assert_eq!(values[1], 0, "the read must return the corrected value");
         assert_eq!(ledger.nodes[1].mem_flips, 1);
         assert!(ledger.nodes[1].ecc_corrected >= 1);
@@ -1343,14 +911,15 @@ mod tests {
     #[test]
     fn self_loop_on_extent_one_axis() {
         // A 1-extent axis wires a node to itself; a shift is a local copy.
-        let machine = FunctionalMachine::new(TorusShape::new(&[2, 1]));
-        let results = machine.run(|ctx| {
+        let machine = ShardedMachine::new(TorusShape::new(&[2, 1]));
+        let results = machine.run(async |ctx| {
             ctx.mem.write_word(0x0, 7 + ctx.id.0 as u64).unwrap();
-            ctx.shift(
+            ctx.shift_async(
                 Axis(1).plus(),
                 DmaDescriptor::contiguous(0x0, 1),
                 DmaDescriptor::contiguous(0x80, 1),
-            );
+            )
+            .await;
             ctx.mem.read_word(0x80).unwrap()
         });
         assert_eq!(results, vec![7, 8]);

@@ -1,16 +1,17 @@
-//! The integrated QCDOC machine: execution engines and the performance
-//! model that regenerates the paper's evaluation.
+//! The integrated QCDOC machine: the functional execution engine, the
+//! timing engine, and the performance model that regenerates the paper's
+//! evaluation.
 //!
 //! * [`config`] — machine configuration: 6-D shape, node parameters, link
 //!   timing;
-//! * [`functional`] — the thread-per-node engine: every node is an OS
-//!   thread running the real SCU link protocol over channels; used for
-//!   correctness, bit-reproducibility and fault-injection experiments at
-//!   small machine sizes;
-//! * [`sharded`] — the sharded engine: the same per-node state driven as
-//!   cooperative futures multiplexed onto a few worker threads, lifting
-//!   the thread-per-node ceiling so the functional protocol stack runs at
-//!   the paper's full 12,288-node scale;
+//! * [`functional`] — one node of the functional machine ([`functional::NodeCtx`]):
+//!   node memory plus the real SCU link protocol over channels, with the
+//!   one cooperative wait loop every transfer goes through;
+//! * [`sharded`] — the functional engine ([`ShardedMachine`]): node
+//!   programs are `async` and run as cooperative futures multiplexed onto
+//!   worker threads, from one node per worker at debug scale up to the
+//!   paper's full 12,288 nodes on a few cores; used for correctness,
+//!   bit-reproducibility and fault-injection experiments;
 //! * [`comm`] — the node-side communications API (the §3.3 "message
 //!   passing API that directly reflects the underlying hardware"),
 //!   including dimension-ordered global sums built from link transfers;
@@ -41,7 +42,6 @@ pub mod recovery;
 pub mod sharded;
 
 pub use config::MachineConfig;
-pub use functional::FunctionalMachine;
 pub use perf::{DiracPerf, EfficiencyReport, Precision};
 pub use recovery::{RecoveryConfig, RecoveryError, RecoveryReport, Replacement, SegmentVerdict};
 pub use sharded::ShardedMachine;

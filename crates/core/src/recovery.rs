@@ -6,7 +6,7 @@
 //! Ethernet/JTAG diagnostics network "allows the host computer to
 //! diagnose any fault" while the partitioned torus lets an operator carve
 //! the faulty daughterboard out and keep the campaign going. Here the
-//! host is [`run_with_recovery`](crate::FunctionalMachine::run_with_recovery):
+//! host is [`run_with_recovery`](crate::ShardedMachine::run_with_recovery):
 //! it runs the application one bounded *segment* at a time, sweeps the
 //! [`HealthLedger`] after each, and on evidence of hardware failure
 //! discards the tainted segment, asks a planner for a replacement
@@ -16,7 +16,7 @@
 //! that never faulted — the property `tests/recovery.rs` proves end to
 //! end.
 
-use crate::functional::{FaultPlan, FunctionalMachine, HealthLedger, NodeCtx};
+use crate::functional::{FaultPlan, HealthLedger, NodeCtx};
 use crate::sharded::ShardedMachine;
 use qcdoc_geometry::TorusShape;
 use qcdoc_telemetry::{MetricsRegistry, NodeTelemetry, Phase, Span};
@@ -101,108 +101,7 @@ pub struct RecoveryReport {
     pub spans: Vec<Span>,
 }
 
-/// What the recovery controller needs from an execution engine: run one
-/// segment under health surveillance, expose the current shape, and swap
-/// the fabric for a replacement. Both engines implement it, so a single
-/// controller body serves thread-per-node and sharded runs — they cannot
-/// drift apart.
-trait RecoverableMachine {
-    fn current_shape(&self) -> &TorusShape;
-    fn swap_fabric(&mut self, shape: TorusShape, faults: FaultPlan);
-}
-
-impl RecoverableMachine for FunctionalMachine {
-    fn current_shape(&self) -> &TorusShape {
-        self.shape()
-    }
-    fn swap_fabric(&mut self, shape: TorusShape, faults: FaultPlan) {
-        self.replace_fabric(shape, faults);
-    }
-}
-
-impl RecoverableMachine for ShardedMachine {
-    fn current_shape(&self) -> &TorusShape {
-        self.shape()
-    }
-    fn swap_fabric(&mut self, shape: TorusShape, faults: FaultPlan) {
-        self.replace_fabric(shape, faults);
-    }
-}
-
-/// The engine-agnostic quarantine-and-resume loop behind both
-/// `run_with_recovery` entry points.
-fn recovery_loop<M, S, T, R, G, H>(
-    machine: &mut M,
-    cfg: RecoveryConfig,
-    initial: S,
-    run_segment: impl Fn(&M, &S) -> (Vec<R>, HealthLedger),
-    mut reduce: G,
-    mut replan: H,
-) -> Result<(T, RecoveryReport), RecoveryError>
-where
-    M: RecoverableMachine,
-    G: FnMut(&TorusShape, Vec<R>) -> SegmentVerdict<S, T>,
-    H: FnMut(&HealthLedger) -> Option<Replacement>,
-{
-    let mut telem = NodeTelemetry::with_ring(0, 4096);
-    let mut state = initial;
-    let mut segments = 0usize;
-    let mut recoveries = 0usize;
-    let mut degraded = false;
-    loop {
-        let token = telem.begin();
-        let (results, ledger) = run_segment(machine, &state);
-        telem.advance(1);
-        telem.end_with(token, "recovery.segment", Phase::Host, 1);
-        if ledger.unhealthy_nodes().is_empty() {
-            segments += 1;
-            telem.counter_add("recovery_segments", 1);
-            match reduce(machine.current_shape(), results) {
-                SegmentVerdict::Done(result) => {
-                    telem.gauge_set("recovery_degraded", if degraded { 1.0 } else { 0.0 });
-                    let (metrics, spans) = telem.take_parts();
-                    return Ok((
-                        result,
-                        RecoveryReport {
-                            segments,
-                            recoveries,
-                            degraded,
-                            metrics,
-                            spans,
-                        },
-                    ));
-                }
-                SegmentVerdict::Continue(next) => {
-                    state = next;
-                    telem.counter_add("recovery_checkpoint_writes", 1);
-                }
-            }
-        } else {
-            // Tainted segment: drop the results on the floor.
-            drop(results);
-            if recoveries >= cfg.max_recoveries {
-                return Err(RecoveryError::Exhausted { recoveries });
-            }
-            let token = telem.begin();
-            telem.counter_add(
-                "recovery_quarantines",
-                ledger.culprit_nodes().len().max(1) as u64,
-            );
-            let Some(replacement) = replan(&ledger) else {
-                return Err(RecoveryError::Unreplaceable);
-            };
-            recoveries += 1;
-            degraded |= replacement.degraded;
-            machine.swap_fabric(replacement.shape, replacement.faults);
-            telem.counter_add("recovery_repartitions", 1);
-            telem.counter_add("recovery_checkpoint_restores", 1);
-            telem.advance(1);
-            telem.end_with(token, "recovery.repartition", Phase::Host, 1);
-        }
-    }
-}
-
-impl FunctionalMachine {
+impl ShardedMachine {
     /// Run `app` in bounded segments with quarantine-and-resume recovery.
     ///
     /// Each round runs `app(ctx, &state)` on every node of the current
@@ -220,39 +119,8 @@ impl FunctionalMachine {
         cfg: RecoveryConfig,
         initial: S,
         app: F,
-        reduce: G,
-        replan: H,
-    ) -> Result<(T, RecoveryReport), RecoveryError>
-    where
-        S: Sync,
-        R: Send,
-        F: Fn(&mut NodeCtx, &S) -> R + Sync,
-        G: FnMut(&TorusShape, Vec<R>) -> SegmentVerdict<S, T>,
-        H: FnMut(&HealthLedger) -> Option<Replacement>,
-    {
-        recovery_loop(
-            &mut self,
-            cfg,
-            initial,
-            |machine, state| machine.run_with_health(|ctx| app(ctx, state)),
-            reduce,
-            replan,
-        )
-    }
-}
-
-impl ShardedMachine {
-    /// Quarantine-and-resume recovery on the sharded engine — the same
-    /// controller as [`FunctionalMachine::run_with_recovery`] (identical
-    /// segment/ledger/repartition semantics and telemetry), driving an
-    /// async node program.
-    pub fn run_with_recovery<S, T, R, F, G, H>(
-        mut self,
-        cfg: RecoveryConfig,
-        initial: S,
-        app: F,
-        reduce: G,
-        replan: H,
+        mut reduce: G,
+        mut replan: H,
     ) -> Result<(T, RecoveryReport), RecoveryError>
     where
         S: Sync,
@@ -261,14 +129,62 @@ impl ShardedMachine {
         G: FnMut(&TorusShape, Vec<R>) -> SegmentVerdict<S, T>,
         H: FnMut(&HealthLedger) -> Option<Replacement>,
     {
-        recovery_loop(
-            &mut self,
-            cfg,
-            initial,
-            |machine, state| machine.run_with_health(async |ctx| app(ctx, state).await),
-            reduce,
-            replan,
-        )
+        let mut telem = NodeTelemetry::with_ring(0, 4096);
+        let mut state = initial;
+        let mut segments = 0usize;
+        let mut recoveries = 0usize;
+        let mut degraded = false;
+        loop {
+            let token = telem.begin();
+            let (results, ledger) = self.run_with_health(async |ctx| app(ctx, &state).await);
+            telem.advance(1);
+            telem.end_with(token, "recovery.segment", Phase::Host, 1);
+            if ledger.unhealthy_nodes().is_empty() {
+                segments += 1;
+                telem.counter_add("recovery_segments", 1);
+                match reduce(self.shape(), results) {
+                    SegmentVerdict::Done(result) => {
+                        telem.gauge_set("recovery_degraded", if degraded { 1.0 } else { 0.0 });
+                        let (metrics, spans) = telem.take_parts();
+                        return Ok((
+                            result,
+                            RecoveryReport {
+                                segments,
+                                recoveries,
+                                degraded,
+                                metrics,
+                                spans,
+                            },
+                        ));
+                    }
+                    SegmentVerdict::Continue(next) => {
+                        state = next;
+                        telem.counter_add("recovery_checkpoint_writes", 1);
+                    }
+                }
+            } else {
+                // Tainted segment: drop the results on the floor.
+                drop(results);
+                if recoveries >= cfg.max_recoveries {
+                    return Err(RecoveryError::Exhausted { recoveries });
+                }
+                let token = telem.begin();
+                telem.counter_add(
+                    "recovery_quarantines",
+                    ledger.culprit_nodes().len().max(1) as u64,
+                );
+                let Some(replacement) = replan(&ledger) else {
+                    return Err(RecoveryError::Unreplaceable);
+                };
+                recoveries += 1;
+                degraded |= replacement.degraded;
+                self.replace_fabric(replacement.shape, replacement.faults);
+                telem.counter_add("recovery_repartitions", 1);
+                telem.counter_add("recovery_checkpoint_restores", 1);
+                telem.advance(1);
+                telem.end_with(token, "recovery.repartition", Phase::Host, 1);
+            }
+        }
     }
 }
 
@@ -285,20 +201,21 @@ mod tests {
 
     /// One segment of a toy application: every node shifts its rank one
     /// hop +x and returns what arrived.
-    fn shift_app(ctx: &mut NodeCtx, _state: &usize) -> u64 {
+    async fn shift_app(ctx: &mut NodeCtx, _state: &usize) -> u64 {
         ctx.mem.write_word(0x100, 1000 + ctx.id.0 as u64).unwrap();
-        ctx.shift(
+        ctx.shift_async(
             Axis(0).plus(),
             DmaDescriptor::contiguous(0x100, 1),
             DmaDescriptor::contiguous(0x200, 1),
-        );
+        )
+        .await;
         ctx.mem.read_word(0x200).unwrap()
     }
 
     #[test]
     fn faulty_segment_is_discarded_and_rerun_on_the_replacement() {
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = FunctionalMachine::new(ring4())
+        let machine = ShardedMachine::new(ring4())
             .with_faults(plan)
             .with_wedge_timeout(2_000);
         let (rounds, report) = machine
@@ -341,7 +258,7 @@ mod tests {
 
     #[test]
     fn multi_segment_state_threads_through_checkpoints() {
-        let machine = FunctionalMachine::new(ring4());
+        let machine = ShardedMachine::new(ring4());
         let (total, report) = machine
             .run_with_recovery(
                 RecoveryConfig::default(),
@@ -370,7 +287,7 @@ mod tests {
     #[test]
     fn unreplaceable_fault_surfaces_as_an_error() {
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = FunctionalMachine::new(ring4())
+        let machine = ShardedMachine::new(ring4())
             .with_faults(plan)
             .with_wedge_timeout(2_000);
         let err = machine
@@ -388,7 +305,7 @@ mod tests {
     #[test]
     fn recovery_budget_exhausts_deterministically() {
         let bad_plan = || FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = FunctionalMachine::new(ring4())
+        let machine = ShardedMachine::new(ring4())
             .with_faults(bad_plan())
             .with_wedge_timeout(1_000);
         let err = machine

@@ -1,28 +1,27 @@
-//! The sharded execution engine: worker threads multiplex virtual nodes.
+//! The functional execution engine: worker threads multiplex virtual nodes.
 //!
-//! The thread-per-node [`FunctionalMachine`](crate::FunctionalMachine)
-//! tops out around a few hundred nodes — each OS thread costs a stack and
-//! a scheduler slot, and the paper's full machine is 12,288 nodes. This
-//! engine keeps the *exact same* per-node state ([`NodeCtx`]: real SCU
-//! state machine, node memory, fault tap, telemetry) but runs each node as
-//! a cooperative state machine — a compiler-generated future — and
-//! round-robins a contiguous shard of them on each worker thread.
+//! One OS thread per node tops out around a few hundred nodes — each
+//! thread costs a stack and a scheduler slot, and the paper's full machine
+//! is 12,288 nodes. This engine runs each node ([`NodeCtx`]: real SCU
+//! state machine, node memory, fault tap, telemetry) as a cooperative
+//! state machine — a compiler-generated future — and round-robins a
+//! contiguous shard of them on each worker thread. A thread-per-node run
+//! is the same engine with one node per shard:
+//! `ShardedMachine::new(shape).with_workers(shape.node_count())`.
 //!
-//! Node programs are `async` and must use the non-blocking waits
-//! ([`NodeCtx::complete_async`], [`NodeCtx::shift_async`], and the
-//! `*_async` collectives/solvers layered on them); the blocking forms
-//! would stall the whole shard. Everything below the wait loop — DMA
-//! descriptors, the three-in-the-air window, parity rejects and resends,
-//! block checksums, fault injection, flight recording — is byte-for-byte
-//! the same code both engines share, so a program produces bit-identical
-//! memory and telemetry on either engine.
+//! Node programs are `async` and wait on transfers with
+//! [`NodeCtx::complete_async`], [`NodeCtx::shift_async`], and the
+//! `*_async` collectives/solvers layered on them. Sharding is pure
+//! scheduling, invisible to the protocol: a program produces bit-identical
+//! memory and telemetry at any worker count
+//! ([`ShardedMachine::run_worker_sweep`] asserts it).
 //!
 //! Scheduling is polling-based: a worker sweeps its shard, polling every
 //! live future once, then checks the shard's shared *pulse* flag (set by
 //! any wire movement inside [`NodeCtx::progress`]). A sweeping shard whose
-//! wires are all silent backs off exactly like an idle node thread does —
-//! yields first, then 20 µs sleeps — so a wedged machine converges to
-//! sleeping workers instead of a spinning core.
+//! wires are all silent backs off — yields first, then 20 µs sleeps — so a
+//! wedged machine converges to sleeping workers instead of a spinning
+//! core.
 
 use parking_lot::Mutex;
 use qcdoc_fault::{FaultClock, FaultPlan, HealthLedger, NodeHealth};
@@ -35,13 +34,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-use crate::functional::{build_fabric, yield_once, NodeCtx, NodeCtxConfig, TelemetryConfig};
+use crate::functional::{
+    build_fabric, yield_once, NodeCtx, NodeCtxConfig, TelemetryConfig, WEDGE_IDLE_SPINS,
+};
 
-/// Idle pump rounds before a wedge, mirrored from the thread engine.
-const WEDGE_IDLE_SPINS: u32 = 50_000;
-
-/// The sharded machine: same builder surface as
-/// [`FunctionalMachine`](crate::FunctionalMachine), plus a worker count.
+/// The functional machine: a logical torus of [`NodeCtx`]s driven by a
+/// pool of worker threads.
 ///
 /// A tiny machine runs in a doctest — two workers multiplexing four
 /// virtual nodes, summing their ranks machine-wide over the real SCU
@@ -97,8 +95,12 @@ impl ShardedMachine {
         }
     }
 
-    /// Turn on end-to-end DMA block checksums (see
-    /// [`FunctionalMachine::with_block_checksums`](crate::FunctionalMachine::with_block_checksums)).
+    /// Turn on end-to-end DMA block checksums: every [`NodeCtx::start_send`]
+    /// appends a trailing checksum word verified at the receiving SCU
+    /// before the block is retired, so multi-bit bursts that evade the
+    /// per-frame parity are caught mid-run and healed by a whole-block
+    /// replay instead of surfacing only in the end-of-run checksum
+    /// comparison (or not at all).
     pub fn with_block_checksums(mut self) -> ShardedMachine {
         self.block_checksums = true;
         self
@@ -111,16 +113,19 @@ impl ShardedMachine {
         self
     }
 
-    /// Install a link retry policy on every send unit.
+    /// Install a link retry policy on every send unit: a bounded budget of
+    /// consecutive no-progress rewinds (with exponential backoff) after
+    /// which a link declares itself dead instead of resending forever.
     pub fn with_retry_policy(mut self, policy: RetryPolicy) -> ShardedMachine {
         self.retry_policy = policy;
         self
     }
 
-    /// Override the wedge watchdog (idle pump rounds on a silent wire
-    /// before a node gives up). The cooperative wait loop additionally
-    /// requires the equivalent wall-clock silence, so the effective
-    /// timeout matches the thread engine's.
+    /// Override the wedge watchdog: idle pump rounds a node waits on a
+    /// silent wire before giving up (the wait loop additionally requires
+    /// 20 µs of wall-clock silence per round). Recovery tests use a short
+    /// timeout so a deliberately killed node fails in milliseconds, not a
+    /// second.
     pub fn with_wedge_timeout(mut self, spins: u32) -> ShardedMachine {
         self.wedge_spins = spins.max(1);
         self
@@ -146,8 +151,9 @@ impl ShardedMachine {
         &self.shape
     }
 
-    /// Swap the fabric under the machine — a recovery repartition, same
-    /// contract as the thread engine's.
+    /// Swap the fabric under the machine — a recovery repartition: later
+    /// runs use the replacement shape and fault plan, keeping the retry
+    /// policy, wedge timeout and telemetry configuration.
     pub(crate) fn replace_fabric(&mut self, shape: TorusShape, faults: FaultPlan) {
         self.shape = shape;
         self.faults = faults;
@@ -167,7 +173,9 @@ impl ShardedMachine {
     }
 
     /// Like [`ShardedMachine::run`], but also collect every node's SCU
-    /// counters and checksums into a finalized [`HealthLedger`].
+    /// counters and checksums into a finalized [`HealthLedger`] — the
+    /// software analogue of the host sweeping its Ethernet/JTAG tree after
+    /// a job.
     pub fn run_with_health<F, R>(&self, app: F) -> (Vec<R>, HealthLedger)
     where
         F: AsyncFn(&mut NodeCtx) -> R + Sync,
@@ -184,7 +192,9 @@ impl ShardedMachine {
     }
 
     /// Like [`ShardedMachine::run_with_health`], but additionally collect
-    /// every node's metrics and cycle-stamped spans.
+    /// every node's metrics (stamped with `node="N"` labels) and
+    /// cycle-stamped spans. The finalized ledger is also exported into the
+    /// returned registry, so metrics and health present one view.
     pub fn run_with_telemetry<F, R>(&self, app: F) -> (Vec<R>, HealthLedger, MachineTelemetry)
     where
         F: AsyncFn(&mut NodeCtx) -> R + Sync,
@@ -204,6 +214,31 @@ impl ShardedMachine {
         ledger.finalize(&self.shape);
         ledger.export_metrics(&mut telemetry.metrics);
         (results, ledger, telemetry)
+    }
+
+    /// Test support for the scheduling-invariance contract: run `app` at
+    /// one worker, two workers and one worker per node, and panic unless
+    /// every run yields the same per-node results and the same
+    /// [`HealthLedger::fingerprint`]. Returns the one-per-node run.
+    pub fn run_worker_sweep<F, R>(mut self, app: F) -> (Vec<R>, HealthLedger)
+    where
+        F: AsyncFn(&mut NodeCtx) -> R + Sync,
+        R: Send + PartialEq + std::fmt::Debug,
+    {
+        self.workers = 1;
+        let mut last = self.run_with_health(&app);
+        for workers in [2, self.shape.node_count()] {
+            self.workers = workers;
+            let next = self.run_with_health(&app);
+            assert_eq!(next.0, last.0, "results differ at {workers} workers");
+            assert_eq!(
+                next.1.fingerprint(),
+                last.1.fingerprint(),
+                "health ledger differs at {workers} workers"
+            );
+            last = next;
+        }
+        last
     }
 
     #[allow(clippy::type_complexity)]
@@ -334,8 +369,7 @@ where
                 let (snapshot, parts, flight) = ctx.finish_run();
                 *results[node].lock() = Some((r, snapshot, parts, flight));
                 done.fetch_add(1, Ordering::SeqCst);
-                // Keep pumping until the whole machine has finished, like
-                // the thread engine's post-run pump loop.
+                // Keep pumping until the whole machine has finished.
                 while done.load(Ordering::SeqCst) < n {
                     ctx.progress();
                     yield_once().await;
@@ -371,8 +405,8 @@ where
                 }
             }
         }
-        // Same idle backoff a node thread uses, but for the whole shard:
-        // only when no wire anywhere in the shard moved during the sweep.
+        // Back off only when no wire anywhere in the shard moved during
+        // the sweep.
         if pulse.swap(false, Ordering::Relaxed) {
             idle_sweeps = 0;
         } else {
@@ -399,21 +433,20 @@ mod tests {
     }
 
     #[test]
-    fn ring_shift_matches_thread_engine() {
-        for workers in [1, 2, 3, 4] {
-            let machine = ShardedMachine::new(ring4()).with_workers(workers);
-            let results = machine.run(async |ctx| {
-                ctx.mem.write_word(0x100, 1000 + ctx.id.0 as u64).unwrap();
-                ctx.shift_async(
-                    Axis(0).plus(),
-                    DmaDescriptor::contiguous(0x100, 1),
-                    DmaDescriptor::contiguous(0x200, 1),
-                )
-                .await;
-                ctx.mem.read_word(0x200).unwrap()
-            });
-            assert_eq!(results, vec![1003, 1000, 1001, 1002], "workers={workers}");
-        }
+    fn ring_shift_is_worker_count_invariant() {
+        // Every node writes its rank, shifts +x; each ends up with its -x
+        // neighbour's value.
+        let (results, _) = ShardedMachine::new(ring4()).run_worker_sweep(async |ctx| {
+            ctx.mem.write_word(0x100, 1000 + ctx.id.0 as u64).unwrap();
+            ctx.shift_async(
+                Axis(0).plus(),
+                DmaDescriptor::contiguous(0x100, 1),
+                DmaDescriptor::contiguous(0x200, 1),
+            )
+            .await;
+            ctx.mem.read_word(0x200).unwrap()
+        });
+        assert_eq!(results, vec![1003, 1000, 1001, 1002]);
     }
 
     #[test]
@@ -447,61 +480,56 @@ mod tests {
     }
 
     #[test]
-    fn injected_fault_heals_and_ledger_matches_thread_engine() {
-        // Same plan, same program, both engines: the health ledgers must
-        // agree bit for bit (checksums included) — the sharding is pure
+    fn injected_fault_heals_and_ledger_is_worker_count_invariant() {
+        // Same plan, same program, every worker count: payloads and health
+        // ledgers must agree (checksums included) — the sharding is pure
         // scheduling, invisible to the protocol.
-        let app_body = |ctx: &mut NodeCtx| {
-            for i in 0..8u64 {
-                ctx.mem
-                    .write_word(0x100 + i * 8, ctx.id.0 as u64 * 100 + i)
-                    .unwrap();
-            }
-        };
-        let plan = || FaultPlan::new(42).with_event(FaultEvent::bit_flip(1, 0, 2, 30));
-        let sharded = ShardedMachine::new(ring4())
-            .with_faults(plan())
-            .with_workers(2);
-        let (s_results, s_ledger) = sharded.run_with_health(async |ctx| {
-            app_body(ctx);
-            ctx.shift_async(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 8),
-                DmaDescriptor::contiguous(0x400, 8),
-            )
-            .await;
-            ctx.mem.read_block(0x400, 8).unwrap()
-        });
-        let threaded = crate::FunctionalMachine::new(ring4()).with_faults(plan());
-        let (t_results, t_ledger) = threaded.run_with_health(|ctx| {
-            app_body(ctx);
-            ctx.shift(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 8),
-                DmaDescriptor::contiguous(0x400, 8),
-            );
-            ctx.mem.read_block(0x400, 8).unwrap()
-        });
-        assert_eq!(s_results, t_results);
-        assert_eq!(s_ledger.total_injected(), t_ledger.total_injected());
-        assert_eq!(s_ledger.total_resends(), t_ledger.total_resends());
-        assert!(s_ledger.all_checksums_ok());
-        for (s, t) in s_ledger.nodes.iter().zip(t_ledger.nodes.iter()) {
-            for (sl, tl) in s.links.iter().zip(t.links.iter()) {
-                assert_eq!(sl.sent_words, tl.sent_words);
-                assert_eq!(sl.send_checksum, tl.send_checksum);
-                assert_eq!(sl.recv_checksum, tl.recv_checksum);
-            }
-        }
+        let plan = FaultPlan::new(42).with_event(FaultEvent::bit_flip(1, 0, 2, 30));
+        let (results, ledger) = ShardedMachine::new(ring4())
+            .with_faults(plan)
+            .run_worker_sweep(async |ctx| {
+                for i in 0..8u64 {
+                    ctx.mem
+                        .write_word(0x100 + i * 8, ctx.id.0 as u64 * 100 + i)
+                        .unwrap();
+                }
+                ctx.shift_async(
+                    Axis(0).plus(),
+                    DmaDescriptor::contiguous(0x100, 8),
+                    DmaDescriptor::contiguous(0x400, 8),
+                )
+                .await;
+                ctx.mem.read_block(0x400, 8).unwrap()
+            });
+        // Node 2 receives node 1's data despite the corrupted frame.
+        assert_eq!(results[2], (0..8).map(|i| 100 + i).collect::<Vec<_>>());
+        assert!(
+            ledger.nodes[2].links[1].rejects >= 1,
+            "the corrupted frame must have been rejected"
+        );
+        // The recoverable corruption shows up in the ledger...
+        assert_eq!(ledger.total_injected(), 1);
+        assert_eq!(ledger.nodes[1].links[0].injected, 1);
+        assert!(ledger.total_resends() >= 1);
+        // ...while every end-of-run checksum pairing still agrees: the
+        // resend healed the wire before the payload landed.
+        assert!(ledger.all_checksums_ok());
+        assert!(ledger.unhealthy_nodes().is_empty());
+        assert_eq!(ledger.nodes[0].links[0].sent_words, 8);
+        assert_eq!(ledger.nodes[1].links[1].received_words, 8);
     }
 
     #[test]
     fn dead_link_wedges_the_shard_without_hanging() {
+        // Node 1's +x wire dies before the transfer starts: node 2 never
+        // receives, node 1 never gets acked. Both must give up and report
+        // rather than spin forever.
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
         let machine = ShardedMachine::new(ring4())
             .with_faults(plan)
             .with_wedge_timeout(2_000)
             .with_workers(1);
+        let start = std::time::Instant::now();
         let (_, ledger) = machine.run_with_health(async |ctx| {
             ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
             ctx.shift_async(
@@ -513,7 +541,18 @@ mod tests {
         });
         assert_eq!(ledger.dead_links(), vec![(1, 0)]);
         assert_eq!(ledger.nodes[1].liveness, qcdoc_fault::Liveness::Wedged);
-        assert!(!ledger.all_checksums_ok());
+        let unhealthy = ledger.unhealthy_nodes();
+        assert!(
+            unhealthy.contains(&1),
+            "the dead wire's node must be flagged: {unhealthy:?}"
+        );
+        assert!(
+            !ledger.all_checksums_ok(),
+            "undelivered words must break the checksum pairing"
+        );
+        // 2k idle rounds at 20 µs each is well under a second even on a
+        // busy host.
+        assert!(start.elapsed() < std::time::Duration::from_secs(30));
     }
 
     #[test]

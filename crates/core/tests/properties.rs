@@ -3,8 +3,9 @@
 //! collectives must be decomposition- and fault-independent.
 
 use proptest::prelude::*;
-use qcdoc_core::comm::global_sum_f64;
-use qcdoc_core::functional::{FaultEvent, FaultPlan, FunctionalMachine};
+use qcdoc_core::comm::global_sum_f64_async;
+use qcdoc_core::functional::{FaultEvent, FaultPlan};
+use qcdoc_core::ShardedMachine;
 use qcdoc_geometry::{Axis, TorusShape};
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_scu::global::dimension_ordered_sum;
@@ -35,17 +36,18 @@ proptest! {
             // Link 0 is the axis-0 plus direction.
             plan = plan.with_event(FaultEvent::bit_flip(node % n, 0, seq, bit));
         }
-        let machine = FunctionalMachine::new(shape.clone()).with_faults(plan);
+        let machine = ShardedMachine::new(shape.clone()).with_faults(plan);
         let w = words;
-        let results = machine.run(move |ctx| {
+        let results = machine.run(async move |ctx| {
             for i in 0..w as u64 {
                 ctx.mem.write_word(0x100 + i * 8, ctx.id.0 as u64 * 1_000 + i).unwrap();
             }
-            ctx.shift(
+            ctx.shift_async(
                 Axis(0).plus(),
                 DmaDescriptor::contiguous(0x100, w),
                 DmaDescriptor::contiguous(0x4000, w),
-            );
+            )
+            .await;
             ctx.mem.read_block(0x4000, w as usize).unwrap()
         });
         // Every node must hold its -x neighbour's payload, intact.
@@ -69,17 +71,18 @@ proptest! {
         let shape = TorusShape::new(&[4]);
         let plan = FaultPlan::new(seed).with_event(FaultEvent::bit_error_rate(1, 0, 0.05));
         let run = |p: FaultPlan| {
-            let machine = FunctionalMachine::new(shape.clone()).with_faults(p);
+            let machine = ShardedMachine::new(shape.clone()).with_faults(p);
             let w = words;
-            machine.run_with_health(move |ctx| {
+            machine.run_with_health(async move |ctx| {
                 for i in 0..w as u64 {
                     ctx.mem.write_word(0x100 + i * 8, ctx.id.0 as u64 * 777 + i).unwrap();
                 }
-                ctx.shift(
+                ctx.shift_async(
                     Axis(0).plus(),
                     DmaDescriptor::contiguous(0x100, w),
                     DmaDescriptor::contiguous(0x4000, w),
-                );
+                )
+                .await;
                 ctx.mem.read_block(0x4000, w as usize).unwrap()
             })
         };
@@ -106,9 +109,9 @@ proptest! {
             })
             .collect();
         let expect = dimension_ordered_sum(&shape, &values);
-        let machine = FunctionalMachine::new(shape);
+        let machine = ShardedMachine::new(shape);
         let vals = values.clone();
-        let results = machine.run(move |ctx| global_sum_f64(ctx, vals[ctx.id.index()]));
+        let results = machine.run(async move |ctx| global_sum_f64_async(ctx, vals[ctx.id.index()]).await);
         for (got, want) in results.iter().zip(&expect) {
             prop_assert_eq!(got.to_bits(), want.to_bits());
         }
@@ -118,9 +121,9 @@ proptest! {
     fn checksums_pair_up_on_every_axis(dims in small_shape(), words in 1u32..12) {
         let shape = TorusShape::new(&dims);
         let rank = shape.rank();
-        let machine = FunctionalMachine::new(shape.clone());
+        let machine = ShardedMachine::new(shape.clone());
         let w = words;
-        let results = machine.run(move |ctx| {
+        let results = machine.run(async move |ctx| {
             let mut sums = Vec::new();
             for a in 0..rank {
                 for i in 0..w as u64 {
@@ -128,11 +131,12 @@ proptest! {
                         .write_word(0x100 + i * 8, ctx.id.0 as u64 ^ (i << 8) ^ (a as u64) << 32)
                         .unwrap();
                 }
-                ctx.shift(
+                ctx.shift_async(
                     Axis(a as u8).plus(),
                     DmaDescriptor::contiguous(0x100, w),
                     DmaDescriptor::contiguous(0x6000, w),
-                );
+                )
+                .await;
                 sums.push((
                     ctx.send_checksum(Axis(a as u8).plus()),
                     ctx.recv_checksum(Axis(a as u8).minus()),

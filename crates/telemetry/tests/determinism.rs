@@ -5,8 +5,9 @@
 
 use proptest::prelude::*;
 use qcdoc_core::des::{run_traced, DesConfig, DesTelemetry};
-use qcdoc_core::distributed::{wilson_solve_cg, BlockGeom};
-use qcdoc_core::functional::{FunctionalMachine, TelemetryConfig};
+use qcdoc_core::distributed::{wilson_solve_cg_async, BlockGeom};
+use qcdoc_core::functional::TelemetryConfig;
+use qcdoc_core::ShardedMachine;
 use qcdoc_fault::{FaultEvent, FaultPlan};
 use qcdoc_geometry::TorusShape;
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
@@ -59,12 +60,12 @@ fn functional_exports() -> [String; 3] {
     let gauge = GaugeField::hot(global, 60);
     let b = FermionField::gaussian(global, 61);
     let machine =
-        FunctionalMachine::new(TorusShape::new(&[2, 2])).with_telemetry(TelemetryConfig::default());
-    let (_, _, telemetry) = machine.run_with_telemetry(|ctx| {
+        ShardedMachine::new(TorusShape::new(&[2, 2])).with_telemetry(TelemetryConfig::default());
+    let (_, _, telemetry) = machine.run_with_telemetry(async |ctx| {
         let geom = BlockGeom::new(ctx, global);
         let lg = geom.extract_gauge(&gauge);
         let lb = geom.extract_fermion(&b);
-        let (_, report) = wilson_solve_cg(ctx, &geom, &lg, &lb, 0.12, 1e-8, 500);
+        let (_, report) = wilson_solve_cg_async(ctx, &geom, &lg, &lb, 0.12, 1e-8, 500).await;
         assert!(report.converged);
     });
     [

@@ -14,8 +14,9 @@
 //! cargo run --release --example bit_repro
 //! ```
 
-use qcdoc::core::distributed::{block_fingerprint, wilson_solve_cg, BlockGeom};
-use qcdoc::core::functional::{FaultEvent, FaultPlan, FunctionalMachine};
+use qcdoc::core::distributed::{block_fingerprint, wilson_solve_cg_async, BlockGeom};
+use qcdoc::core::functional::{FaultEvent, FaultPlan};
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::TorusShape;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc::lattice::gauge::{average_plaquette, evolve, EvolveParams};
@@ -50,12 +51,12 @@ fn main() {
     );
 
     let solve = |plan: FaultPlan| {
-        let machine = FunctionalMachine::new(TorusShape::new(&[2, 2])).with_faults(plan);
-        machine.run(|ctx| {
+        let machine = ShardedMachine::new(TorusShape::new(&[2, 2])).with_faults(plan);
+        machine.run(async |ctx| {
             let geom = BlockGeom::new(ctx, global);
             let lg = geom.extract_gauge(&gauge);
             let lb = geom.extract_fermion(&b);
-            let (x, report) = wilson_solve_cg(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000);
+            let (x, report) = wilson_solve_cg_async(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000).await;
             (block_fingerprint(&x), report.iterations, report.link_errors)
         })
     };

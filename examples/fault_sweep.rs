@@ -21,11 +21,12 @@
 
 use qcdoc::core::des::{run_traced, DesConfig, DesTelemetry};
 use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment, BlockGeom, CgResume, CgSegmentOut,
+    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
 };
-use qcdoc::core::functional::{FunctionalMachine, NodeCtx};
+use qcdoc::core::functional::NodeCtx;
 use qcdoc::core::perf::DiracPerf;
 use qcdoc::core::recovery::{RecoveryConfig, Replacement, SegmentVerdict};
+use qcdoc::core::ShardedMachine;
 use qcdoc::fault::{FaultEvent, FaultPlan};
 use qcdoc::geometry::TorusShape;
 use qcdoc::lattice::checkpoint::CgCheckpoint;
@@ -123,7 +124,7 @@ fn main() {
 
 /// One recovery segment of the distributed Wilson CG (fresh or restored
 /// from the last checkpoint), shared by every severity below.
-fn cg_segment(
+async fn cg_segment(
     ctx: &mut NodeCtx,
     gauge: &GaugeField,
     b: &FermionField,
@@ -142,7 +143,7 @@ fn cg_segment(
         bref: ck.bref,
         iterations: ck.iterations,
     });
-    wilson_cg_segment(ctx, &geom, &lg, &lb, 0.12, 1e-7, 400, resume, 5)
+    wilson_cg_segment_async(ctx, &geom, &lg, &lb, 0.12, 1e-7, 400, resume, 5).await
 }
 
 /// Recovered-vs-unrecovered runs across fault severities: a healthy
@@ -174,14 +175,16 @@ fn recovery_demo(sweep: &mut MetricsRegistry) {
         ("dead-link-unrecovered", dead(), 0),
     ];
     for (severity, plan, max_recoveries) in cases {
-        let machine = FunctionalMachine::new(TorusShape::new(&[2, 2]))
+        let machine = ShardedMachine::new(TorusShape::new(&[2, 2]))
             .with_faults(plan)
             .with_wedge_timeout(5_000);
         let mut prior: Vec<f64> = Vec::new();
         let outcome = machine.run_with_recovery(
             RecoveryConfig { max_recoveries },
             None,
-            |ctx, state: &Option<CgCheckpoint>| cg_segment(ctx, &gauge, &b, global, state),
+            async |ctx, state: &Option<CgCheckpoint>| {
+                cg_segment(ctx, &gauge, &b, global, state).await
+            },
             |shape, outs: Vec<CgSegmentOut>| {
                 let ckpt = assemble_checkpoint(shape, global, &outs, &prior);
                 prior = ckpt.residuals.clone();
@@ -245,16 +248,16 @@ fn integrity_demo(sweep: &mut MetricsRegistry) {
     let global = Lattice::new([4, 4, 2, 2]);
     let gauge = GaugeField::hot(global, 81);
     let b = FermionField::gaussian(global, 82);
-    let solve = |machine: FunctionalMachine| {
-        machine.run_with_health(|ctx| {
+    let solve = |machine: ShardedMachine| {
+        machine.run_with_health(async |ctx| {
             let geom = BlockGeom::new(ctx, global);
             let lg = geom.extract_gauge(&gauge);
             let lb = geom.extract_fermion(&b);
-            wilson_cg_segment(ctx, &geom, &lg, &lb, 0.12, 1e-7, 400, None, usize::MAX)
+            wilson_cg_segment_async(ctx, &geom, &lg, &lb, 0.12, 1e-7, 400, None, usize::MAX).await
         })
     };
     let shape = TorusShape::new(&[2, 2]);
-    let (ref_outs, _) = solve(FunctionalMachine::new(shape.clone()));
+    let (ref_outs, _) = solve(ShardedMachine::new(shape.clone()));
     let reference = assemble_checkpoint(&shape, global, &ref_outs, &[]).digest();
 
     let bursts: Vec<FaultPlan> = (0..5)
@@ -272,7 +275,7 @@ fn integrity_demo(sweep: &mut MetricsRegistry) {
     let mut caught = 0u64;
     for plan in &bursts {
         for (def, defended) in [(0usize, false), (1, true)] {
-            let mut machine = FunctionalMachine::new(shape.clone()).with_faults(plan.clone());
+            let mut machine = ShardedMachine::new(shape.clone()).with_faults(plan.clone());
             if defended {
                 machine = machine.with_block_checksums();
             }

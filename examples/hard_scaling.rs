@@ -9,11 +9,10 @@
 //! Two sections: the analytic model's projection of the paper's machine,
 //! and a **measured** sweep that actually executes the solver on the
 //! functional engine — every node running the real SCU link protocol —
-//! up to the full 12,288-node machine. The thread-per-node engine capped
-//! this sweep at a few hundred nodes (a node cost an OS thread); the
-//! sharded virtual-node engine (`qcdoc::core::ShardedMachine`) multiplexes
-//! all 12,288 onto a handful of workers, so the full machine boots,
-//! partitions, and solves for real. The measured points are exported in
+//! up to the full 12,288-node machine. One OS thread per node would cap
+//! this sweep at a few hundred nodes; the sharded virtual-node engine
+//! (`qcdoc::core::ShardedMachine`) multiplexes all 12,288 onto a handful
+//! of workers, so the full machine boots, partitions, and solves for real. The measured points are exported in
 //! the v2 bench schema (`BENCH_full_machine.json`) and gated by the bench
 //! judge.
 //!

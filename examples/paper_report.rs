@@ -190,8 +190,7 @@ fn main() {
     // [8,8,6,4,4,2] torus to a logical [8,8,8,24], and run a bounded
     // Wilson-CG segment at one site per node on the sharded virtual-node
     // engine (real SCU link protocol on every one of the 49,152 mesh
-    // wires). The thread-per-node engine could not host this; the sharded
-    // engine multiplexes all 12,288 node programs onto a few workers.
+    // wires): all 12,288 node programs multiplexed onto a few workers.
     let physical = TorusShape::new(&[8, 8, 6, 4, 4, 2]);
     let mut q = Qdaemon::new(physical.clone());
     let boot = q.boot(&[]);

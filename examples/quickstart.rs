@@ -5,10 +5,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use qcdoc::core::comm::global_sum_f64;
-use qcdoc::core::distributed::{wilson_solve_cg, BlockGeom};
-use qcdoc::core::functional::FunctionalMachine;
+use qcdoc::core::comm::global_sum_f64_async;
+use qcdoc::core::distributed::{wilson_solve_cg_async, BlockGeom};
 use qcdoc::core::perf::DiracPerf;
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::{PartitionSpec, TorusShape};
 use qcdoc::host::qdaemon::Qdaemon;
 use qcdoc::lattice::counts::Action;
@@ -34,8 +34,8 @@ fn main() {
     println!("partition {id}: logical machine {logical} (dilation 1, no cables moved)");
 
     // --- 3. Run a distributed Wilson solve on a small functional machine
-    //        (thread-per-node engine, real SCU link protocol). 16 nodes keeps the
-    //        demo quick; the protocol path is identical at any size.
+    //        (async node programs over the real SCU link protocol). 16 nodes
+    //        keeps the demo quick; the protocol path is identical at any size.
     let demo_shape = TorusShape::new(&[2, 2, 2, 2]);
     let global = Lattice::new([4, 4, 4, 4]);
     let gauge = GaugeField::hot(global, 2004);
@@ -44,14 +44,14 @@ fn main() {
         "\nsolving M x = b (Wilson, kappa = 0.12) on a {} functional machine, lattice 4^4 ...",
         demo_shape
     );
-    let machine = FunctionalMachine::new(demo_shape);
-    let results = machine.run(|ctx| {
+    let machine = ShardedMachine::new(demo_shape);
+    let results = machine.run(async |ctx| {
         let geom = BlockGeom::new(ctx, global);
         let lg = geom.extract_gauge(&gauge);
         let lb = geom.extract_fermion(&b);
-        let (x, report) = wilson_solve_cg(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000);
+        let (x, report) = wilson_solve_cg_async(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000).await;
         let local_norm: f64 = x.iter().map(|s| s.norm_sqr()).sum();
-        let global_norm = global_sum_f64(ctx, local_norm);
+        let global_norm = global_sum_f64_async(ctx, local_norm).await;
         (report, global_norm)
     });
     let (report, norm) = &results[0];

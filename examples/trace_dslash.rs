@@ -11,8 +11,9 @@
 //! cargo run --release --example trace_dslash
 //! ```
 
-use qcdoc::core::distributed::{wilson_solve_cg, BlockGeom};
-use qcdoc::core::functional::{FunctionalMachine, TelemetryConfig};
+use qcdoc::core::distributed::{wilson_solve_cg_async, BlockGeom};
+use qcdoc::core::functional::TelemetryConfig;
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::TorusShape;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc::telemetry::Phase;
@@ -22,12 +23,12 @@ fn main() {
     let gauge = GaugeField::hot(global, 314);
     let b = FermionField::gaussian(global, 315);
     let machine =
-        FunctionalMachine::new(TorusShape::new(&[2, 2])).with_telemetry(TelemetryConfig::default());
-    let (reports, _ledger, telemetry) = machine.run_with_telemetry(|ctx| {
+        ShardedMachine::new(TorusShape::new(&[2, 2])).with_telemetry(TelemetryConfig::default());
+    let (reports, _ledger, telemetry) = machine.run_with_telemetry(async |ctx| {
         let geom = BlockGeom::new(ctx, global);
         let lg = geom.extract_gauge(&gauge);
         let lb = geom.extract_fermion(&b);
-        let (_, report) = wilson_solve_cg(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000);
+        let (_, report) = wilson_solve_cg_async(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000).await;
         report
     });
     let report = &reports[0];

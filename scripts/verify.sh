@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Verification gate: formatting, lints-as-errors, and the test suites.
+# Verification gate: formatting, lints-as-errors, the test suites, the
+# overhead smokes, the frozen end-to-end harness build, and the bench judge.
 # Run from anywhere; operates on the repository this script lives in.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -78,6 +79,10 @@ cargo bench -p qcdoc-bench --bench kernels
 
 echo "== full machine: 12,288-node partition-boot-solve on the sharded engine"
 cargo run -q --release --example hard_scaling
+
+echo "== bench/e2e: frozen end-to-end harness builds and unit-tests against the workspace API"
+cargo build --release --offline --quiet --manifest-path bench/e2e/Cargo.toml
+cargo test --offline --quiet --manifest-path bench/e2e/Cargo.toml
 
 echo "== bench judge: current exports vs committed baselines (bless with bench-judge --bless)"
 cargo run -q --release -p qcdoc-judge --bin bench-judge

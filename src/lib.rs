@@ -22,9 +22,10 @@
 //!   fair-share priorities with strict aging, and preemption via
 //!   exact-bits CG checkpoints;
 //! * [`machine`] — packaging hierarchy, power, footprint, and cost model;
-//! * [`core`] — the integrated machine: functional (threads-as-nodes) and
-//!   timing (discrete-event) engines, the communications API, and the
-//!   performance model that regenerates the paper's evaluation numbers.
+//! * [`core`] — the integrated machine: functional (async node programs
+//!   sharded over worker threads) and timing (discrete-event) engines, the
+//!   communications API, and the performance model that regenerates the
+//!   paper's evaluation numbers.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record.

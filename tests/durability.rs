@@ -12,10 +12,11 @@
 //! generation of replay, never the campaign.
 
 use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment, BlockGeom, CgResume, CgSegmentOut,
+    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
 };
-use qcdoc::core::functional::{FaultEvent, FaultPlan, FunctionalMachine, NodeCtx};
+use qcdoc::core::functional::{FaultEvent, FaultPlan, NodeCtx};
 use qcdoc::core::recovery::{RecoveryConfig, Replacement, SegmentVerdict};
+use qcdoc::core::ShardedMachine;
 use qcdoc::fault::{StorageFault, StorageFaultPlan};
 use qcdoc::geometry::{NodeCoord, PartitionSpec, TorusShape};
 use qcdoc::host::ckstore::{CheckpointStore, StoreConfig, VerifyMode};
@@ -38,7 +39,7 @@ fn global() -> Lattice {
 /// One recovery-segment of the distributed Wilson solve (the idiom of
 /// `tests/recovery.rs`): fresh when no checkpoint exists, restored from
 /// exact bits otherwise.
-fn cg_segment_app(
+async fn cg_segment_app(
     ctx: &mut NodeCtx,
     gauge: &GaugeField,
     b: &FermionField,
@@ -49,17 +50,20 @@ fn cg_segment_app(
     let lg = geom.extract_gauge(gauge);
     let lb = geom.extract_fermion(b);
     match state {
-        None => wilson_cg_segment(
-            ctx,
-            &geom,
-            &lg,
-            &lb,
-            KAPPA,
-            TOL,
-            MAX_ITERS,
-            None,
-            segment_iters,
-        ),
+        None => {
+            wilson_cg_segment_async(
+                ctx,
+                &geom,
+                &lg,
+                &lb,
+                KAPPA,
+                TOL,
+                MAX_ITERS,
+                None,
+                segment_iters,
+            )
+            .await
+        }
         Some(ckpt) => {
             let (x, r, p) = resume_blocks(&geom, ckpt);
             let resume = CgResume {
@@ -70,7 +74,7 @@ fn cg_segment_app(
                 bref: ckpt.bref,
                 iterations: ckpt.iterations,
             };
-            wilson_cg_segment(
+            wilson_cg_segment_async(
                 ctx,
                 &geom,
                 &lg,
@@ -81,6 +85,7 @@ fn cg_segment_app(
                 Some(resume),
                 segment_iters,
             )
+            .await
         }
     }
 }
@@ -101,8 +106,8 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
     let logical = TorusShape::new(&[2, 2, 2]);
 
     // Reference: the uninterrupted run.
-    let ref_outs = FunctionalMachine::new(logical.clone())
-        .run(|ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX));
+    let ref_outs = ShardedMachine::new(logical.clone())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(ref_outs.iter().all(|o| o.converged && !o.wedged));
     let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
 
@@ -122,8 +127,8 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
                 }),
             );
         }
-        let outs = FunctionalMachine::new(logical.clone())
-            .run(|ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS));
+        let outs = ShardedMachine::new(logical.clone())
+            .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS).await);
         let ckpt = assemble_checkpoint(&logical, global(), &outs, &prior_residuals);
         prior_residuals = ckpt.residuals.clone();
         assert!(!ckpt.converged, "campaign must outlive three segments");
@@ -145,8 +150,8 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
             keep: None,
         }),
     );
-    let outs = FunctionalMachine::new(logical.clone())
-        .run(|ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS));
+    let outs = ShardedMachine::new(logical.clone())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS).await);
     let ckpt3 = assemble_checkpoint(
         &logical,
         global(),
@@ -194,8 +199,8 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
     let mut state = Some(resumed);
     let mut prior_residuals = state.as_ref().unwrap().residuals.clone();
     let recovered = loop {
-        let outs = FunctionalMachine::new(logical.clone())
-            .run(|ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS));
+        let outs = ShardedMachine::new(logical.clone())
+            .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS).await);
         let ckpt = assemble_checkpoint(&logical, global(), &outs, &prior_residuals);
         prior_residuals = ckpt.residuals.clone();
         if ckpt.converged {
@@ -267,8 +272,8 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
     let b = FermionField::gaussian(global(), 22);
 
     let logical = TorusShape::new(&[2, 2, 2]);
-    let ref_outs = FunctionalMachine::new(logical.clone())
-        .run(|ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX));
+    let ref_outs = ShardedMachine::new(logical.clone())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
 
     let mut nfs = NfsServer::new(&["/data"], 1 << 24);
@@ -286,7 +291,7 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
     let mut planner =
         RecoveryPlanner::new(&mut qdaemon, half_spec(), machine_faults, false).unwrap();
 
-    let machine = FunctionalMachine::new(planner.partition().logical_shape().clone())
+    let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
         .with_faults(planner.local_faults())
         .with_wedge_timeout(5_000);
 
@@ -295,7 +300,9 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
         .run_with_recovery(
             RecoveryConfig::default(),
             None,
-            |ctx, state: &Option<CgCheckpoint>| cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS),
+            async |ctx, state: &Option<CgCheckpoint>| {
+                cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
+            },
             |shape, outs: Vec<CgSegmentOut>| {
                 let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
                 prior_residuals = ckpt.residuals.clone();

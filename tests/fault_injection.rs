@@ -3,7 +3,8 @@
 //! deterministically; an unrecoverable fault is detected and quarantined
 //! through the host diagnostics path instead of hanging the machine.
 
-use qcdoc::core::functional::{FaultEvent, FaultPlan, FunctionalMachine};
+use qcdoc::core::functional::{FaultEvent, FaultPlan};
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::{Axis, NodeId, TorusShape};
 use qcdoc::host::qdaemon::{NodeState, Qdaemon};
 use qcdoc::scu::dma::DmaDescriptor;
@@ -17,18 +18,19 @@ const SEED: u64 = 441;
 
 fn noisy_run() -> (Vec<Vec<u64>>, qcdoc::fault::HealthLedger) {
     let plan = FaultPlan::new(SEED).with_event(FaultEvent::bit_error_rate(1, 0, 1e-6));
-    let machine = FunctionalMachine::new(TorusShape::new(&[4])).with_faults(plan);
-    machine.run_with_health(|ctx| {
+    let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
+    machine.run_with_health(async |ctx| {
         for i in 0..WORDS as u64 {
             ctx.mem
                 .write_word(0x100 + i * 8, ctx.id.0 as u64 * 10_000 + i)
                 .unwrap();
         }
-        ctx.shift(
+        ctx.shift_async(
             Axis(0).plus(),
             DmaDescriptor::contiguous(0x100, WORDS),
             DmaDescriptor::contiguous(0x8000, WORDS),
-        );
+        )
+        .await;
         ctx.mem.read_block(0x8000, WORDS as usize).unwrap()
     })
 }
@@ -66,15 +68,16 @@ fn bit_error_rate_is_healed_and_ledgered_deterministically() {
 #[test]
 fn dead_link_is_quarantined_via_host_diagnostics_not_a_hang() {
     let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(2, 0, 0));
-    let machine = FunctionalMachine::new(TorusShape::new(&[4])).with_faults(plan);
+    let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
     // The run returns (the wedge watchdog fires) instead of hanging.
-    let (_, ledger) = machine.run_with_health(|ctx| {
+    let (_, ledger) = machine.run_with_health(async |ctx| {
         ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
-        ctx.shift(
+        ctx.shift_async(
             Axis(0).plus(),
             DmaDescriptor::contiguous(0x100, 1),
             DmaDescriptor::contiguous(0x200, 1),
-        );
+        )
+        .await;
     });
     assert_eq!(ledger.dead_links(), vec![(2, 0)]);
     // The host sweep quarantines the afflicted node and later allocations
@@ -99,8 +102,8 @@ fn dead_link_is_quarantined_via_host_diagnostics_not_a_hang() {
 #[test]
 fn memory_soft_error_is_corrected_and_visible_to_the_sweep() {
     let plan = FaultPlan::new(0).with_event(FaultEvent::mem_bit_flip(3, 0x100, 17));
-    let machine = FunctionalMachine::new(TorusShape::new(&[4])).with_faults(plan);
-    let (values, ledger) = machine.run_with_health(|ctx| {
+    let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
+    let (values, ledger) = machine.run_with_health(async |ctx| {
         // The flip strikes before the app runs; read what the app sees.
         ctx.mem.read_word(0x100).unwrap()
     });

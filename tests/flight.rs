@@ -5,7 +5,8 @@
 //! failing test scope leaves a dump artifact instead of a bare
 //! backtrace.
 
-use qcdoc::core::functional::{FaultEvent, FaultPlan, FunctionalMachine};
+use qcdoc::core::functional::{FaultEvent, FaultPlan};
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::{Axis, TorusShape};
 use qcdoc::host::qdaemon::Qdaemon;
 use qcdoc::scu::dma::DmaDescriptor;
@@ -19,18 +20,19 @@ const WORDS: u32 = 1000;
 const SEED: u64 = 441;
 
 fn shift_run(plan: FaultPlan) -> (qcdoc::fault::HealthLedger, MachineTelemetry) {
-    let machine = FunctionalMachine::new(TorusShape::new(&[4])).with_faults(plan);
-    let (_, ledger, telemetry) = machine.run_with_telemetry(|ctx| {
+    let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
+    let (_, ledger, telemetry) = machine.run_with_telemetry(async |ctx| {
         for i in 0..WORDS as u64 {
             ctx.mem
                 .write_word(0x100 + i * 8, ctx.id.0 as u64 * 10_000 + i)
                 .unwrap();
         }
-        ctx.shift(
+        ctx.shift_async(
             Axis(0).plus(),
             DmaDescriptor::contiguous(0x100, WORDS),
             DmaDescriptor::contiguous(0x8000, WORDS),
-        );
+        )
+        .await;
         ctx.mem.read_word(0x8000).unwrap()
     });
     (ledger, telemetry)
@@ -104,8 +106,9 @@ fn deterministic_faults_dump_bit_identically() {
             .with_event(FaultEvent::mem_bit_flip(2, 0x300, 41))
     };
     let run = |plan: FaultPlan| {
-        let machine = FunctionalMachine::new(TorusShape::new(&[4])).with_faults(plan);
-        let (_, _, telemetry) = machine.run_with_telemetry(|ctx| ctx.mem.read_word(0x200).unwrap());
+        let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
+        let (_, _, telemetry) =
+            machine.run_with_telemetry(async |ctx| ctx.mem.read_word(0x200).unwrap());
         telemetry.flight_dump(None)
     };
     let first = run(plan());
@@ -118,14 +121,15 @@ fn deterministic_faults_dump_bit_identically() {
 #[test]
 fn wedge_reaches_the_host_ring_next_to_its_quarantine() {
     let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(2, 0, 0));
-    let machine = FunctionalMachine::new(TorusShape::new(&[4])).with_faults(plan);
-    let (_, ledger, telemetry) = machine.run_with_telemetry(|ctx| {
+    let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
+    let (_, ledger, telemetry) = machine.run_with_telemetry(async |ctx| {
         ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
-        ctx.shift(
+        ctx.shift_async(
             Axis(0).plus(),
             DmaDescriptor::contiguous(0x100, 1),
             DmaDescriptor::contiguous(0x200, 1),
-        );
+        )
+        .await;
     });
     assert!(
         telemetry

@@ -10,10 +10,11 @@
 //! turns any detected corruption into a replay instead of a wrong answer.
 
 use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment, BlockGeom, CgResume, CgSegmentOut,
+    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
 };
-use qcdoc::core::functional::{FaultEvent, FaultPlan, FunctionalMachine, NodeCtx};
+use qcdoc::core::functional::{FaultEvent, FaultPlan, NodeCtx};
 use qcdoc::core::recovery::{RecoveryConfig, Replacement, SegmentVerdict};
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::{NodeCoord, PartitionSpec, TorusShape};
 use qcdoc::host::{Qdaemon, RecoveryPlanner};
 use qcdoc::lattice::checkpoint::CgCheckpoint;
@@ -40,7 +41,7 @@ fn logical() -> TorusShape {
 /// One segment of the distributed Wilson solve (same shape as the
 /// recovery suite): fresh when no checkpoint exists, restored from exact
 /// bits otherwise.
-fn cg_segment_app(
+async fn cg_segment_app(
     ctx: &mut NodeCtx,
     gauge: &GaugeField,
     b: &FermionField,
@@ -51,17 +52,20 @@ fn cg_segment_app(
     let lg = geom.extract_gauge(gauge);
     let lb = geom.extract_fermion(b);
     match state {
-        None => wilson_cg_segment(
-            ctx,
-            &geom,
-            &lg,
-            &lb,
-            KAPPA,
-            TOL,
-            MAX_ITERS,
-            None,
-            segment_iters,
-        ),
+        None => {
+            wilson_cg_segment_async(
+                ctx,
+                &geom,
+                &lg,
+                &lb,
+                KAPPA,
+                TOL,
+                MAX_ITERS,
+                None,
+                segment_iters,
+            )
+            .await
+        }
         Some(ckpt) => {
             let (x, r, p) = resume_blocks(&geom, ckpt);
             let resume = CgResume {
@@ -72,7 +76,7 @@ fn cg_segment_app(
                 bref: ckpt.bref,
                 iterations: ckpt.iterations,
             };
-            wilson_cg_segment(
+            wilson_cg_segment_async(
                 ctx,
                 &geom,
                 &lg,
@@ -83,14 +87,15 @@ fn cg_segment_app(
                 Some(resume),
                 segment_iters,
             )
+            .await
         }
     }
 }
 
 /// The fault-free reference solve and its checkpoint digest.
 fn reference(gauge: &GaugeField, b: &FermionField) -> CgCheckpoint {
-    let outs = FunctionalMachine::new(logical())
-        .run(|ctx| cg_segment_app(ctx, gauge, b, &None, usize::MAX));
+    let outs = ShardedMachine::new(logical())
+        .run(async |ctx| cg_segment_app(ctx, gauge, b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged && !o.wedged));
     assemble_checkpoint(&logical(), global(), &outs, &[])
 }
@@ -122,7 +127,7 @@ fn uncorrectable_memory_error_quarantines_and_recovers_bit_identically() {
         RecoveryPlanner::new(&mut qdaemon, half_spec(), machine_faults, false).unwrap();
     assert_eq!(planner.local_faults().events.len(), 1);
 
-    let machine = FunctionalMachine::new(planner.partition().logical_shape().clone())
+    let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
         .with_faults(planner.local_faults());
 
     let mut prior_residuals: Vec<f64> = Vec::new();
@@ -131,7 +136,9 @@ fn uncorrectable_memory_error_quarantines_and_recovers_bit_identically() {
         .run_with_recovery(
             RecoveryConfig::default(),
             None,
-            |ctx, state: &Option<CgCheckpoint>| cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS),
+            async |ctx, state: &Option<CgCheckpoint>| {
+                cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
+            },
             |shape, outs: Vec<CgSegmentOut>| {
                 let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
                 prior_residuals = ckpt.residuals.clone();
@@ -183,10 +190,10 @@ fn payload_burst_mid_cg_is_healed_in_flight_by_block_checksums() {
     // An even number of flips per parity class in the frame carrying data
     // word 50 on node 1's +x wire: frame parity decodes clean.
     let plan = FaultPlan::new(5).with_event(FaultEvent::payload_burst(1, 0, 50, 10, 2));
-    let (outs, ledger) = FunctionalMachine::new(logical())
+    let (outs, ledger) = ShardedMachine::new(logical())
         .with_faults(plan)
         .with_block_checksums()
-        .run_with_health(|ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX));
+        .run_with_health(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged && !o.wedged));
     let ckpt = assemble_checkpoint(&logical(), global(), &outs, &[]);
 
@@ -212,9 +219,9 @@ fn without_block_checksums_the_burst_is_silent_data_corruption() {
     let ref_ckpt = reference(&gauge, &b);
 
     let plan = FaultPlan::new(5).with_event(FaultEvent::payload_burst(1, 0, 50, 10, 2));
-    let (outs, ledger) = FunctionalMachine::new(logical())
+    let (outs, ledger) = ShardedMachine::new(logical())
         .with_faults(plan)
-        .run_with_health(|ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX));
+        .run_with_health(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| !o.wedged));
     let ckpt = assemble_checkpoint(&logical(), global(), &outs, &[]);
 
@@ -237,9 +244,9 @@ fn correctable_soft_error_leaves_only_counter_evidence() {
     let ref_ckpt = reference(&gauge, &b);
 
     let plan = FaultPlan::new(3).with_event(FaultEvent::mem_bit_flip(2, 0x100, 17));
-    let (outs, ledger) = FunctionalMachine::new(logical())
+    let (outs, ledger) = ShardedMachine::new(logical())
         .with_faults(plan)
-        .run_with_health(|ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX));
+        .run_with_health(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged && !o.wedged));
     let ckpt = assemble_checkpoint(&logical(), global(), &outs, &[]);
 

@@ -1,8 +1,8 @@
 //! Experiments E5/E6 end to end: software remapping of the 6-D mesh and
 //! collectives running on the remapped logical machines.
 
-use qcdoc::core::comm::{barrier, broadcast_u64, global_sum_f64};
-use qcdoc::core::functional::FunctionalMachine;
+use qcdoc::core::comm::{barrier_async, broadcast_u64_async, global_sum_f64_async};
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::{Partition, PartitionSpec, TorusShape};
 use qcdoc::scu::global::{all_nodes_agree, dimension_ordered_sum};
 
@@ -46,8 +46,9 @@ fn global_sum_on_a_remapped_machine() {
     let p = fold_to_rank(&physical, 3);
     let logical = p.logical_shape().clone();
     assert_eq!(logical.dims(), &[2, 2, 4]);
-    let machine = FunctionalMachine::new(logical.clone());
-    let results = machine.run(|ctx| global_sum_f64(ctx, (ctx.id.0 as f64 + 1.0).sqrt()));
+    let machine = ShardedMachine::new(logical.clone());
+    let results =
+        machine.run(async |ctx| global_sum_f64_async(ctx, (ctx.id.0 as f64 + 1.0).sqrt()).await);
     assert!(all_nodes_agree(&results));
     // Matches the closed-form algorithm bitwise.
     let values: Vec<f64> = (0..16).map(|i| (i as f64 + 1.0).sqrt()).collect();
@@ -61,11 +62,11 @@ fn collectives_on_each_logical_rank() {
     // machines of the same 8 nodes.
     for dims in [vec![8usize], vec![4, 2], vec![2, 2, 2]] {
         let shape = TorusShape::new(&dims);
-        let machine = FunctionalMachine::new(shape);
-        let results = machine.run(|ctx| {
-            barrier(ctx);
-            let sum = global_sum_f64(ctx, ctx.id.0 as f64);
-            let word = broadcast_u64(ctx, 0x5151, 3);
+        let machine = ShardedMachine::new(shape);
+        let results = machine.run(async |ctx| {
+            barrier_async(ctx).await;
+            let sum = global_sum_f64_async(ctx, ctx.id.0 as f64).await;
+            let word = broadcast_u64_async(ctx, 0x5151, 3).await;
             (sum, word)
         });
         for (i, &(sum, word)) in results.iter().enumerate() {
@@ -78,15 +79,15 @@ fn collectives_on_each_logical_rank() {
 #[test]
 fn partition_interrupt_covers_a_folded_partition() {
     // §2.2: partition interrupts must reach every node of the partition.
-    let machine = FunctionalMachine::new(TorusShape::new(&[4, 2]));
-    let results = machine.run(|ctx| {
+    let machine = ShardedMachine::new(TorusShape::new(&[4, 2]));
+    let results = machine.run(async |ctx| {
         if ctx.id.0 == 6 {
             ctx.raise_partition_irq(0b1);
         }
-        for _ in 0..300 {
-            ctx.progress();
-            std::thread::yield_now();
-        }
+        // Interrupt packets queue ahead of data on every wire, and a
+        // barrier cannot finish before node 6's contribution has crossed
+        // the machine — so the flood has landed everywhere by then.
+        barrier_async(ctx).await;
         ctx.partition_irq_state()
     });
     assert!(results.iter().all(|&s| s == 1), "{results:?}");

@@ -10,10 +10,9 @@
 //! unaffected.
 
 use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment, wilson_cg_segment_async, BlockGeom,
-    CgResume, CgSegmentOut,
+    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
 };
-use qcdoc::core::functional::{FaultEvent, FaultPlan, FunctionalMachine, NodeCtx};
+use qcdoc::core::functional::{FaultEvent, FaultPlan, NodeCtx};
 use qcdoc::core::recovery::{RecoveryConfig, RecoveryReport, Replacement, SegmentVerdict};
 use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::{NodeCoord, PartitionSpec, TorusShape};
@@ -33,57 +32,7 @@ fn global() -> Lattice {
 
 /// One recovery-segment of the distributed Wilson solve: fresh when no
 /// checkpoint exists, restored from exact bits otherwise.
-fn cg_segment_app(
-    ctx: &mut NodeCtx,
-    gauge: &GaugeField,
-    b: &FermionField,
-    state: &Option<CgCheckpoint>,
-    segment_iters: usize,
-) -> CgSegmentOut {
-    let geom = BlockGeom::new(ctx, global());
-    let lg = geom.extract_gauge(gauge);
-    let lb = geom.extract_fermion(b);
-    match state {
-        None => wilson_cg_segment(
-            ctx,
-            &geom,
-            &lg,
-            &lb,
-            KAPPA,
-            TOL,
-            MAX_ITERS,
-            None,
-            segment_iters,
-        ),
-        Some(ckpt) => {
-            let (x, r, p) = resume_blocks(&geom, ckpt);
-            let resume = CgResume {
-                x: &x,
-                r: &r,
-                p: &p,
-                rsq: ckpt.rsq,
-                bref: ckpt.bref,
-                iterations: ckpt.iterations,
-            };
-            wilson_cg_segment(
-                ctx,
-                &geom,
-                &lg,
-                &lb,
-                KAPPA,
-                TOL,
-                MAX_ITERS,
-                Some(resume),
-                segment_iters,
-            )
-        }
-    }
-}
-
-/// Async twin of [`cg_segment_app`] for the sharded engine. Restoration
-/// and segmenting logic are identical; only the solver entry point is the
-/// cooperative one.
-async fn cg_segment_app_async(
+async fn cg_segment_app(
     ctx: &mut NodeCtx,
     gauge: &GaugeField,
     b: &FermionField,
@@ -152,8 +101,8 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
     // Reference: the same segmented solve on a fault-free machine (the
     // distributed suite proves segmenting itself is bit-transparent).
     let logical = TorusShape::new(&[2, 2, 2]);
-    let ref_outs = FunctionalMachine::new(logical.clone())
-        .run(|ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX));
+    let ref_outs = ShardedMachine::new(logical.clone())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(ref_outs.iter().all(|o| o.converged && !o.wedged));
     let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
 
@@ -165,7 +114,7 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
         RecoveryPlanner::new(&mut qdaemon, half_spec(), machine_faults, false).unwrap();
     assert_eq!(planner.local_faults().events.len(), 1);
 
-    let machine = FunctionalMachine::new(planner.partition().logical_shape().clone())
+    let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
         .with_faults(planner.local_faults())
         .with_wedge_timeout(5_000);
 
@@ -174,7 +123,9 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
         .run_with_recovery(
             RecoveryConfig::default(),
             None,
-            |ctx, state: &Option<CgCheckpoint>| cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS),
+            async |ctx, state: &Option<CgCheckpoint>| {
+                cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
+            },
             |shape, outs: Vec<CgSegmentOut>| {
                 let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
                 prior_residuals = ckpt.residuals.clone();
@@ -244,105 +195,90 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
 }
 
 /// Run the standard faulted campaign — node 3's +x transmitter dies at
-/// cycle 300, the planner swaps in the spare half — on either engine:
-/// the thread-per-node engine when `sharded_workers` is `None`, the
-/// sharded virtual-node engine with that many workers otherwise.
+/// cycle 300, the planner swaps in the spare half — with the engine's
+/// virtual nodes spread over `workers` threads.
 fn faulted_recovery_on(
     gauge: &GaugeField,
     b: &FermionField,
-    sharded_workers: Option<usize>,
+    workers: usize,
 ) -> (CgCheckpoint, RecoveryReport) {
     let mut qdaemon = Qdaemon::new(TorusShape::new(&[2, 2, 2, 2]));
     qdaemon.boot(&[]);
     let machine_faults = FaultPlan::new(7).with_event(FaultEvent::dead_link(3, 0, 300));
     let mut planner =
         RecoveryPlanner::new(&mut qdaemon, half_spec(), machine_faults, false).unwrap();
-    let shape = planner.partition().logical_shape().clone();
-    let faults = planner.local_faults();
 
     let mut prior_residuals: Vec<f64> = Vec::new();
-    let mut reduce = |shape: &TorusShape, outs: Vec<CgSegmentOut>| {
-        let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
-        prior_residuals = ckpt.residuals.clone();
-        if ckpt.converged {
-            SegmentVerdict::Done(ckpt)
-        } else {
-            let bytes = write_checkpoint(&ckpt);
-            SegmentVerdict::Continue(Some(read_checkpoint(&bytes).unwrap()))
-        }
-    };
-    let mut replan = |ledger: &qcdoc::core::functional::HealthLedger| {
-        planner
-            .quarantine_and_replan(&mut qdaemon, ledger)
-            .map(|(part, faults, degraded)| Replacement {
-                shape: part.logical_shape().clone(),
-                faults,
-                degraded,
-            })
-    };
-
-    let out = match sharded_workers {
-        None => FunctionalMachine::new(shape)
-            .with_faults(faults)
-            .with_wedge_timeout(5_000)
-            .run_with_recovery(
-                RecoveryConfig::default(),
-                None,
-                |ctx, state: &Option<CgCheckpoint>| cg_segment_app(ctx, gauge, b, state, SEG_ITERS),
-                &mut reduce,
-                &mut replan,
-            ),
-        Some(workers) => ShardedMachine::new(shape)
-            .with_faults(faults)
-            .with_wedge_timeout(5_000)
-            .with_workers(workers)
-            .run_with_recovery(
-                RecoveryConfig::default(),
-                None,
-                async |ctx, state: &Option<CgCheckpoint>| {
-                    cg_segment_app_async(ctx, gauge, b, state, SEG_ITERS).await
-                },
-                &mut reduce,
-                &mut replan,
-            ),
-    };
-    out.expect("the spare half must carry the job home")
+    ShardedMachine::new(planner.partition().logical_shape().clone())
+        .with_faults(planner.local_faults())
+        .with_wedge_timeout(5_000)
+        .with_workers(workers)
+        .run_with_recovery(
+            RecoveryConfig::default(),
+            None,
+            async |ctx, state: &Option<CgCheckpoint>| {
+                cg_segment_app(ctx, gauge, b, state, SEG_ITERS).await
+            },
+            |shape, outs: Vec<CgSegmentOut>| {
+                let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
+                prior_residuals = ckpt.residuals.clone();
+                if ckpt.converged {
+                    SegmentVerdict::Done(ckpt)
+                } else {
+                    let bytes = write_checkpoint(&ckpt);
+                    SegmentVerdict::Continue(Some(read_checkpoint(&bytes).unwrap()))
+                }
+            },
+            |ledger| {
+                planner.quarantine_and_replan(&mut qdaemon, ledger).map(
+                    |(part, faults, degraded)| Replacement {
+                        shape: part.logical_shape().clone(),
+                        faults,
+                        degraded,
+                    },
+                )
+            },
+        )
+        .expect("the spare half must carry the job home")
 }
 
 #[test]
-fn sharded_recovery_reproduces_thread_engine_residual_bits() {
-    // Same fault, same planner, same checkpoints — one run on the
-    // thread-per-node engine, one multiplexed onto 3 worker threads.
-    // The whole point of the shared pump/controller plumbing is that the
-    // execution strategy is invisible to the physics: recovered solution
-    // bits, residual history, and archive digest must all agree.
+fn recovery_reproduces_fault_free_residual_bits_at_any_worker_count() {
+    // Same fault, same planner, same checkpoints — one run multiplexed
+    // onto a single worker, one with an OS thread per node. The execution
+    // strategy is invisible to the physics: recovered solution bits,
+    // residual history, and archive digest must equal the fault-free
+    // solve's at every worker count.
     let gauge = GaugeField::hot(global(), 21);
     let b = FermionField::gaussian(global(), 22);
 
-    let (thread_ckpt, thread_report) = faulted_recovery_on(&gauge, &b, None);
-    let (sharded_ckpt, sharded_report) = faulted_recovery_on(&gauge, &b, Some(3));
-
-    assert_eq!(sharded_report.recoveries, 1);
-    assert!(!sharded_report.degraded);
-    assert_eq!(sharded_report.segments, thread_report.segments);
-    assert!(sharded_ckpt.converged);
-
-    assert_eq!(sharded_ckpt.iterations, thread_ckpt.iterations);
-    assert_eq!(sharded_ckpt.x, thread_ckpt.x);
-    assert_eq!(
-        sharded_ckpt
-            .residuals
+    let logical = TorusShape::new(&[2, 2, 2]);
+    let ref_outs = ShardedMachine::new(logical.clone())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
+    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
+    let bits = |ckpt: &CgCheckpoint| {
+        ckpt.residuals
             .iter()
             .map(|r| r.to_bits())
-            .collect::<Vec<_>>(),
-        thread_ckpt
-            .residuals
-            .iter()
-            .map(|r| r.to_bits())
-            .collect::<Vec<_>>(),
-        "recovered residual history must match the thread engine bit-for-bit"
-    );
-    assert_eq!(sharded_ckpt.digest(), thread_ckpt.digest());
+            .collect::<Vec<_>>()
+    };
+
+    let runs = [1, logical.node_count()].map(|workers| faulted_recovery_on(&gauge, &b, workers));
+    assert_eq!(runs[0].1.segments, runs[1].1.segments);
+    for (ckpt, report) in &runs {
+        assert_eq!(report.recoveries, 1);
+        assert!(!report.degraded);
+        assert!(ckpt.converged);
+
+        assert_eq!(ckpt.iterations, ref_ckpt.iterations);
+        assert_eq!(ckpt.x, ref_ckpt.x);
+        assert_eq!(
+            bits(ckpt),
+            bits(&ref_ckpt),
+            "recovered residual history must match the fault-free run bit-for-bit"
+        );
+        assert_eq!(ckpt.digest(), ref_ckpt.digest());
+    }
 }
 
 #[test]
@@ -364,7 +300,7 @@ fn run_degrades_to_a_smaller_partition_when_no_spare_exists() {
     )
     .unwrap();
 
-    let machine = FunctionalMachine::new(planner.partition().logical_shape().clone())
+    let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
         .with_faults(planner.local_faults())
         .with_wedge_timeout(5_000);
 
@@ -373,7 +309,9 @@ fn run_degrades_to_a_smaller_partition_when_no_spare_exists() {
         .run_with_recovery(
             RecoveryConfig::default(),
             None,
-            |ctx, state: &Option<CgCheckpoint>| cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS),
+            async |ctx, state: &Option<CgCheckpoint>| {
+                cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
+            },
             |shape, outs: Vec<CgSegmentOut>| {
                 let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
                 prior_residuals = ckpt.residuals.clone();
@@ -414,15 +352,15 @@ fn checkpoints_are_portable_across_machine_shapes() {
     let b = FermionField::gaussian(global(), 42);
 
     let big = TorusShape::new(&[2, 2, 2]);
-    let outs =
-        FunctionalMachine::new(big.clone()).run(|ctx| cg_segment_app(ctx, &gauge, &b, &None, 5));
+    let outs = ShardedMachine::new(big.clone())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, 5).await);
     assert!(outs.iter().all(|o| !o.converged && o.iterations == 5));
     let ckpt = assemble_checkpoint(&big, global(), &outs, &[]);
 
     let small = TorusShape::new(&[2, 2]);
     let state = Some(ckpt);
-    let outs = FunctionalMachine::new(small.clone())
-        .run(|ctx| cg_segment_app(ctx, &gauge, &b, &state, usize::MAX));
+    let outs = ShardedMachine::new(small.clone())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged));
     let final_ckpt =
         assemble_checkpoint(&small, global(), &outs, &state.as_ref().unwrap().residuals);

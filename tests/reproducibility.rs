@@ -5,8 +5,11 @@
 //! identical in all bits. This was found to be the case. No hardware
 //! errors on the SCU links were reported."
 
-use qcdoc::core::distributed::{block_fingerprint, dslash_local, wilson_solve_cg, BlockGeom};
-use qcdoc::core::functional::{FaultEvent, FaultPlan, FunctionalMachine};
+use qcdoc::core::distributed::{
+    block_fingerprint, dslash_local_async, wilson_solve_cg_async, BlockGeom,
+};
+use qcdoc::core::functional::{FaultEvent, FaultPlan};
+use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::TorusShape;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc::lattice::gauge::{evolve, EvolveParams};
@@ -34,12 +37,12 @@ fn distributed_solve_identical_with_and_without_injected_faults() {
     let gauge = GaugeField::hot(global, 13);
     let b = FermionField::gaussian(global, 14);
     let solve = |plan: FaultPlan| {
-        let machine = FunctionalMachine::new(TorusShape::new(&[2, 2])).with_faults(plan);
-        machine.run(|ctx| {
+        let machine = ShardedMachine::new(TorusShape::new(&[2, 2])).with_faults(plan);
+        machine.run(async |ctx| {
             let geom = BlockGeom::new(ctx, global);
             let lg = geom.extract_gauge(&gauge);
             let lb = geom.extract_fermion(&b);
-            let (x, report) = wilson_solve_cg(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000);
+            let (x, report) = wilson_solve_cg_async(ctx, &geom, &lg, &lb, 0.12, 1e-8, 2000).await;
             (block_fingerprint(&x), report.iterations, report.link_errors)
         })
     };
@@ -74,12 +77,12 @@ fn decomposition_does_not_change_dslash_bits() {
         TorusShape::new(&[2, 2, 2]),
         TorusShape::new(&[4]),
     ] {
-        let machine = FunctionalMachine::new(shape.clone());
-        let ok = machine.run(|ctx| {
+        let machine = ShardedMachine::new(shape.clone());
+        let ok = machine.run(async |ctx| {
             let geom = BlockGeom::new(ctx, global);
             let lg = geom.extract_gauge(&gauge);
             let lp = geom.extract_fermion(&psi);
-            let out = dslash_local(ctx, &geom, &lg, &lp);
+            let out = dslash_local_async(ctx, &geom, &lg, &lp).await;
             geom.local.sites().all(|l| {
                 let want = reference.site(geom.global_site(l));
                 (0..4).all(|s| {
@@ -163,18 +166,19 @@ fn link_checksums_agree_after_a_noisy_run() {
     use qcdoc::geometry::Axis;
     use qcdoc::scu::dma::DmaDescriptor;
     let plan = FaultPlan::new(0).with_event(FaultEvent::bit_flip(0, 0, 1, 25));
-    let machine = FunctionalMachine::new(TorusShape::new(&[2])).with_faults(plan);
-    let results = machine.run(|ctx| {
+    let machine = ShardedMachine::new(TorusShape::new(&[2])).with_faults(plan);
+    let results = machine.run(async |ctx| {
         for i in 0..16u64 {
             ctx.mem
                 .write_word(0x100 + i * 8, ctx.id.0 as u64 * 1000 + i)
                 .unwrap();
         }
-        ctx.shift(
+        ctx.shift_async(
             Axis(0).plus(),
             DmaDescriptor::contiguous(0x100, 16),
             DmaDescriptor::contiguous(0x800, 16),
-        );
+        )
+        .await;
         // Report this node's send checksum (toward +x) and receive checksum
         // (from -x): on a 2-ring they pair up across the two nodes.
         (
