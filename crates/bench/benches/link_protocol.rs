@@ -3,14 +3,22 @@
 //! automatic resend.
 //!
 //! Prints the handshake-count series (the window amortizes the round trip)
-//! and benchmarks the protocol under fault injection.
+//! and benchmarks the protocol under fault injection. The smoke check is
+//! ROADMAP item 3's per-layer price list for the functional engine's
+//! per-word path — frame codec, wire hand-off, frames per delivered word —
+//! exported to `BENCH_link.json` for the judge.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use qcdoc_asic::clock::Clock;
 use qcdoc_asic::memory::NodeMemory;
+use qcdoc_bench::{min_seconds, BenchRun};
+use qcdoc_core::wire::wire;
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_scu::link::{RecvOutcome, RecvUnit, SendUnit, WINDOW};
+use qcdoc_scu::packet::{Frame, Packet};
+use qcdoc_scu::scu::WireMsg;
 use qcdoc_scu::timing::WORD_WIRE_BITS;
+use std::collections::VecDeque;
 use std::hint::black_box;
 
 /// Transfer `words` with an artificial window cap, counting "round trips"
@@ -98,5 +106,77 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
+/// Frame `words` data words and decode each again; returns the XOR of the
+/// decoded payloads so the work cannot be elided.
+fn codec_round(words: u64) -> u64 {
+    (0..words).fold(0, |acc, w| {
+        let frame = Frame::encode(Packet::Normal(black_box(w)));
+        match black_box(frame).decode() {
+            Ok(Packet::Normal(word)) => acc ^ word,
+            other => panic!("a clean frame decoded as {other:?}"),
+        }
+    })
+}
+
+/// Push `msgs` messages through one wire the way the engine does: a
+/// window's worth sent, then one drain on the consumer side. Returns how
+/// many arrived.
+fn wire_round(msgs: u64) -> u64 {
+    let (tx, rx) = wire();
+    let mut inbox = VecDeque::new();
+    let mut arrived = 0;
+    for seq in 0..msgs {
+        tx.send(WireMsg::Ack(seq));
+        if seq % WINDOW as u64 == WINDOW as u64 - 1 {
+            rx.drain(&mut inbox);
+            while let Some(msg) = inbox.pop_front() {
+                black_box(msg);
+                arrived += 1;
+            }
+        }
+    }
+    arrived
+}
+
+/// Export the per-word path's prices. The frame count is logical — the
+/// same on every host — so the judge gates it at 1%; the two timings ride
+/// host noise and are report-only.
+fn smoke_check() {
+    const WORDS: u64 = 100_000;
+    black_box(codec_round(1_000));
+    let codec_ns = min_seconds(
+        || {
+            black_box(codec_round(WORDS));
+        },
+        7,
+    ) / WORDS as f64
+        * 1e9;
+    const MSGS: u64 = 99_999; // a whole number of windows
+    assert_eq!(wire_round(MSGS), MSGS);
+    let wire_ns = min_seconds(
+        || {
+            black_box(wire_round(MSGS));
+        },
+        7,
+    ) / MSGS as f64
+        * 1e9;
+    let (frames, rejects) = faulty_transfer(256, 10);
+    assert!(rejects > 0, "the noisy transfer must exercise the resend");
+    println!(
+        "link_protocol: frame codec {codec_ns:.1} ns, wire {wire_ns:.1} ns/msg, \
+         {frames} frames per 256 words at 10% corruption"
+    );
+
+    let mut run = BenchRun::new("link");
+    run.gauge("link_frame_codec_ns", codec_ns);
+    run.gauge("wire_ns_per_msg", wire_ns);
+    run.gauge("link_frames_per_256_words", frames as f64);
+    run.export();
+}
+
 criterion_group!(benches, bench);
-criterion_main!(benches);
+
+fn main() {
+    smoke_check();
+    benches();
+}

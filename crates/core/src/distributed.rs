@@ -4,7 +4,7 @@
 //! "each processor becomes responsible for the local variables associated
 //! with a space-time hypercube"). A Wilson dslash then needs, from each of
 //! the eight neighbours, the spin-projected half-spinors of the adjacent
-//! face — 12 complex numbers per face site, staged into node memory and
+//! face — 6 complex numbers per face site, staged into node memory and
 //! moved by the SCU DMA engines over the real link protocol.
 //!
 //! The arithmetic is ordered so that the distributed operator is **bitwise
@@ -17,17 +17,20 @@
 
 use crate::comm::{global_sum_f64_async, COMM_SCRATCH_BASE};
 use crate::functional::NodeCtx;
+use qcdoc_asic::memory::NodeMemory;
 use qcdoc_geometry::{Axis, NodeId, TorusShape};
 use qcdoc_lattice::checkpoint::CgCheckpoint;
 use qcdoc_lattice::complex::C64;
+use qcdoc_lattice::counts::HALF_SPINOR_BYTES;
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc_lattice::spinor::{HalfSpinor, ProjSign, Spinor};
 use qcdoc_lattice::su3::Su3;
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_telemetry::Phase;
 
-/// Words per half-spinor on the wire (12 complex = 24 × u64).
-const HALF_WORDS: u64 = 24;
+/// Words per half-spinor on the wire (6 complex = 12 × u64): what
+/// `lattice::counts`, [`crate::perf`] and the paper charge per face site.
+const HALF_WORDS: u64 = HALF_SPINOR_BYTES / 8;
 
 /// Wilson hopping-term floating-point operations per site (§4: the
 /// familiar 1320-flop dslash figure — 8 directions of SU(3) half-spinor
@@ -166,12 +169,26 @@ impl BlockGeom {
 
 /// Staging layout inside EDRAM: 16 slots (8 send + 8 receive, one per
 /// signed direction), sized for the largest face, below the comm scratch.
-fn staging(geom: &BlockGeom, slot: usize) -> u64 {
-    let max_face = (0..4).map(|m| geom.face_sites(m)).max().unwrap() as u64;
-    let slot_bytes = max_face * HALF_WORDS * 8;
-    let total = 16 * slot_bytes;
-    let base = COMM_SCRATCH_BASE - total;
-    base + slot as u64 * slot_bytes
+struct Staging {
+    base: u64,
+    slot_bytes: u64,
+}
+
+impl Staging {
+    fn new(geom: &BlockGeom) -> Staging {
+        let max_face = (0..4).map(|m| geom.face_sites(m)).max().unwrap() as u64;
+        let slot_bytes = max_face * HALF_WORDS * 8;
+        Staging {
+            base: COMM_SCRATCH_BASE - 16 * slot_bytes,
+            slot_bytes,
+        }
+    }
+
+    /// Byte address of `slot`: `2μ`/`2μ+1` send the low/high face of axis
+    /// μ, `8+2μ`/`8+2μ+1` receive from its +μ/−μ neighbour.
+    fn slot(&self, slot: usize) -> u64 {
+        self.base + slot as u64 * self.slot_bytes
+    }
 }
 
 /// Pack both faces of every spanned axis into the staging slots and arm
@@ -187,6 +204,7 @@ fn arm_face_exchange(
     Vec<qcdoc_geometry::Direction>,
 ) {
     let ld = geom.local.dims();
+    let staging = Staging::new(geom);
     let mut sends = Vec::new();
     let mut recvs = Vec::new();
     for mu in 0..4 {
@@ -195,9 +213,9 @@ fn arm_face_exchange(
         }
         let faces = geom.face_sites(mu) as u64;
         // Pack the low face (x_mu = 0): P− ψ, wanted by the −μ neighbour.
-        let send_lo = staging(geom, 2 * mu);
+        let send_lo = staging.slot(2 * mu);
         // Pack the high face: U†_μ (1+γ_μ) ψ, wanted by the +μ neighbour.
-        let send_hi = staging(geom, 2 * mu + 1);
+        let send_hi = staging.slot(2 * mu + 1);
         for l in geom.local.sites() {
             let lc = geom.local.coord(l);
             if lc[mu] == 0 {
@@ -215,8 +233,8 @@ fn arm_face_exchange(
         }
         let axis = Axis(mu as u8);
         // Receives: from +μ (their low face) and from −μ (their high face).
-        let recv_plus = staging(geom, 8 + 2 * mu);
-        let recv_minus = staging(geom, 8 + 2 * mu + 1);
+        let recv_plus = staging.slot(8 + 2 * mu);
+        let recv_minus = staging.slot(8 + 2 * mu + 1);
         ctx.start_recv(
             axis.plus(),
             DmaDescriptor::contiguous(recv_plus, (faces * HALF_WORDS) as u32),
@@ -249,29 +267,33 @@ fn unpack_faces(
     ctx: &mut NodeCtx,
     geom: &BlockGeom,
 ) -> ([Vec<HalfSpinor>; 4], [Vec<HalfSpinor>; 4]) {
+    let staging = Staging::new(geom);
     let mut from_plus: [Vec<HalfSpinor>; 4] = Default::default();
     let mut from_minus: [Vec<HalfSpinor>; 4] = Default::default();
     for mu in 0..4 {
         if !geom.off_node(mu) {
             continue;
         }
-        let faces = geom.face_sites(mu);
-        let recv_plus = staging(geom, 8 + 2 * mu);
-        let recv_minus = staging(geom, 8 + 2 * mu + 1);
-        for f in 0..faces {
-            let wp: Vec<u64> = ctx
-                .mem
-                .read_block(recv_plus + f as u64 * HALF_WORDS * 8, 24)
-                .unwrap();
-            let wm: Vec<u64> = ctx
-                .mem
-                .read_block(recv_minus + f as u64 * HALF_WORDS * 8, 24)
-                .unwrap();
-            from_plus[mu].push(HalfSpinor::from_words(&wp.try_into().unwrap()));
-            from_minus[mu].push(HalfSpinor::from_words(&wm.try_into().unwrap()));
-        }
+        let faces = geom.face_sites(mu) as u64;
+        from_plus[mu] = read_face(&mut ctx.mem, staging.slot(8 + 2 * mu), faces);
+        from_minus[mu] = read_face(&mut ctx.mem, staging.slot(8 + 2 * mu + 1), faces);
     }
     (from_plus, from_minus)
+}
+
+/// Read the `faces` half-spinors staged from `base` on, each through a
+/// stack buffer.
+fn read_face(mem: &mut NodeMemory, base: u64, faces: u64) -> Vec<HalfSpinor> {
+    (0..faces * HALF_WORDS)
+        .step_by(HALF_WORDS as usize)
+        .map(|first| {
+            let mut words = [0u64; HALF_WORDS as usize];
+            for (i, word) in words.iter_mut().enumerate() {
+                *word = mem.read_word(base + (first + i as u64) * 8).unwrap();
+            }
+            HalfSpinor::from_words(&words)
+        })
+        .collect()
 }
 
 /// Exchange all faces of `psi`: returns, per axis, the half-spinors
@@ -694,6 +716,7 @@ pub async fn staggered_dslash_local(
     use qcdoc_lattice::staggered::eta;
     const VEC_WORDS: u64 = 6;
     let ld = geom.local.dims();
+    let staging = Staging::new(geom);
     // Exchange faces (raw low face, U†-multiplied high face).
     let mut sends = Vec::new();
     let mut recvs = Vec::new();
@@ -702,8 +725,8 @@ pub async fn staggered_dslash_local(
             continue;
         }
         let faces = geom.face_sites(mu) as u64;
-        let send_lo = staging(geom, 2 * mu);
-        let send_hi = staging(geom, 2 * mu + 1);
+        let send_lo = staging.slot(2 * mu);
+        let send_hi = staging.slot(2 * mu + 1);
         for l in geom.local.sites() {
             let lc = geom.local.coord(l);
             let pack = |v: &ColorVec| -> [u64; 6] {
@@ -725,8 +748,8 @@ pub async fn staggered_dslash_local(
             }
         }
         let axis = Axis(mu as u8);
-        let recv_plus = staging(geom, 8 + 2 * mu);
-        let recv_minus = staging(geom, 8 + 2 * mu + 1);
+        let recv_plus = staging.slot(8 + 2 * mu);
+        let recv_minus = staging.slot(8 + 2 * mu + 1);
         ctx.start_recv(
             axis.plus(),
             DmaDescriptor::contiguous(recv_plus, (faces * VEC_WORDS) as u32),
@@ -770,14 +793,14 @@ pub async fn staggered_dslash_local(
         for mu in 0..4 {
             let phase = eta(gc, mu) * 0.5;
             let fwd = if geom.off_node(mu) && lc[mu] == ld[mu] - 1 {
-                unpack(ctx, staging(geom, 8 + 2 * mu), geom.face_index(lc, mu))
+                unpack(ctx, staging.slot(8 + 2 * mu), geom.face_index(lc, mu))
             } else {
                 *chi.get(geom.local.neighbour(l, mu, true))
                     .expect("local site")
             };
             acc += gauge[l][mu].mul_vec(&fwd) * phase;
             let bwd = if geom.off_node(mu) && lc[mu] == 0 {
-                unpack(ctx, staging(geom, 8 + 2 * mu + 1), geom.face_index(lc, mu))
+                unpack(ctx, staging.slot(8 + 2 * mu + 1), geom.face_index(lc, mu))
             } else {
                 let xb = geom.local.neighbour(l, mu, false);
                 gauge[xb][mu].adj_mul_vec(&chi[xb])
@@ -913,6 +936,44 @@ mod tests {
             results.iter().all(|&ok| ok),
             "distributed dslash diverged from reference"
         );
+    }
+
+    #[test]
+    fn face_exchange_moves_the_bytes_lattice_counts_charges() {
+        // One Wilson face exchange on a fully spanned machine: each node
+        // sends both faces of every axis, one half-spinor per face site,
+        // and the DMA word counter must equal what the performance model
+        // prices (`lattice::counts::HALF_SPINOR_BYTES`), not a padded
+        // wire format.
+        let global = Lattice::new([4, 4, 4, 4]);
+        let gauge = GaugeField::hot(global, 271);
+        let psi = FermionField::gaussian(global, 272);
+        let shape = TorusShape::new(&[2, 2, 2, 2]);
+        let machine = ShardedMachine::new(shape.clone())
+            .with_telemetry(crate::functional::TelemetryConfig::default());
+        let (received, _, telemetry) = machine.run_with_telemetry(async |ctx| {
+            let geom = BlockGeom::new(ctx, global);
+            let lg = geom.extract_gauge(&gauge);
+            let lp = geom.extract_fermion(&psi);
+            let (plus, minus) = exchange_faces_async(ctx, &geom, &lg, &lp).await;
+            plus.iter().chain(minus.iter()).map(Vec::len).sum::<usize>()
+        });
+        let geom = BlockGeom::for_node(&shape, NodeId(0), global);
+        let face_sites: usize = (0..4).map(|mu| 2 * geom.face_sites(mu)).sum();
+        let words = face_sites as u64 * HALF_SPINOR_BYTES / 8;
+        assert_eq!(words, 64 * 12, "eight 2^3 faces of 12-word half-spinors");
+        assert_eq!(received.len(), shape.node_count());
+        for (node, &half_spinors) in received.iter().enumerate() {
+            assert_eq!(half_spinors, face_sites, "node {node}");
+            let labels = [("node", node.to_string())];
+            for counter in ["dma_send_words", "dma_recv_words"] {
+                assert_eq!(
+                    telemetry.metrics.counter(counter, &labels),
+                    words,
+                    "node {node} {counter}"
+                );
+            }
+        }
     }
 
     #[test]

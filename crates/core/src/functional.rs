@@ -1,7 +1,8 @@
-//! The functional node: one [`NodeCtx`] per node, channels as wires.
+//! The functional node: one [`NodeCtx`] per node, joined by [`wire`]s.
 //!
 //! Every node of a (logical) machine owns a [`NodeMemory`] and an [`Scu`];
-//! each uni-directional wire is a channel carrying [`WireMsg`]s. All
+//! each uni-directional wire is a single-producer/single-consumer queue
+//! of [`WireMsg`]s ([`crate::wire`]). All
 //! protocol behaviour — DMA descriptors, the three-in-the-air window, idle
 //! receive, parity rejects and resends, checksums, partition-interrupt
 //! flooding — is the real `qcdoc-scu` state machine; this module only
@@ -28,10 +29,11 @@ use qcdoc_scu::{RetryPolicy, WireVerdict};
 use qcdoc_telemetry::{
     FlightEvent, FlightKind, MetricsRegistry, NodeTelemetry, Phase, Span, SpanToken,
 };
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crate::wire::{wire, WireRx, WireTx};
 
 /// Idle pump rounds in [`NodeCtx::complete_async`] before a node declares
 /// its transfer wedged (a dead wire never delivers the data or the ack).
@@ -80,8 +82,10 @@ pub struct NodeCtx {
     /// with [`ShardedMachine::with_telemetry`](crate::ShardedMachine::with_telemetry)).
     pub telem: NodeTelemetry,
     scu: Scu,
-    tx: Vec<Option<Sender<WireMsg>>>,
-    rx: Vec<Option<Receiver<WireMsg>>>,
+    wires: NodeWires,
+    /// Messages drained off one wire and not yet handed to the SCU; empty
+    /// between [`NodeCtx::progress`] calls, kept for its buffer.
+    inbox: VecDeque<WireMsg>,
     events: Vec<ScuEvent>,
     tap: NodeTap,
     wedged: bool,
@@ -103,7 +107,15 @@ pub struct NodeCtx {
     /// Shared wire-activity flag: set whenever [`NodeCtx::progress`] moves
     /// anything. The engine's workers read-and-clear it to decide when a
     /// whole shard has gone idle and should back off.
-    pulse: Option<Arc<AtomicBool>>,
+    pulse: Arc<AtomicBool>,
+}
+
+/// One node's wire ends, indexed by link: `tx[l]` leaves toward direction
+/// `l`, `rx[l]` arrives from it. Links beyond the machine's rank are `None`.
+#[derive(Default)]
+pub(crate) struct NodeWires {
+    tx: [Option<WireTx<WireMsg>>; 12],
+    rx: [Option<WireRx<WireMsg>>; 12],
 }
 
 /// Everything the engine needs to stamp out one node, minus the wires.
@@ -207,9 +219,9 @@ impl NodeCtx {
     pub fn progress(&mut self) -> bool {
         let mut moved = false;
         for link in 0..12 {
-            if self.tx[link].is_none() {
+            let Some(tx) = &self.wires.tx[link] else {
                 continue;
-            }
+            };
             while let Some(mut msg) = self
                 .scu
                 .tx_next(link, &mut self.mem)
@@ -244,17 +256,17 @@ impl NodeCtx {
                         .flight(FlightKind::FaultInjected, "frame_drop", link as u64, 0);
                 }
                 if verdict == WireVerdict::Deliver {
-                    // Unbounded channel: never blocks the thread
-                    // (backpressure is the protocol's ack window, not the
-                    // transport).
-                    let _ = self.tx[link].as_ref().unwrap().send(msg);
+                    tx.send(msg);
                 }
                 moved = true;
             }
         }
         for link in 0..12 {
-            let Some(rx) = &self.rx[link] else { continue };
-            while let Ok(msg) = rx.try_recv() {
+            let Some(rx) = &self.wires.rx[link] else {
+                continue;
+            };
+            moved |= rx.drain(&mut self.inbox) > 0;
+            while let Some(msg) = self.inbox.pop_front() {
                 if let Some(ev) = self
                     .scu
                     .rx(link, msg, &mut self.mem)
@@ -262,13 +274,10 @@ impl NodeCtx {
                 {
                     self.events.push(ev);
                 }
-                moved = true;
             }
         }
         if moved {
-            if let Some(pulse) = &self.pulse {
-                pulse.store(true, Ordering::Relaxed);
-            }
+            self.pulse.store(true, Ordering::Relaxed);
         }
         moved
     }
@@ -497,10 +506,9 @@ impl NodeCtx {
     pub(crate) fn build(
         node: u32,
         cfg: &NodeCtxConfig,
-        tx: Vec<Option<Sender<WireMsg>>>,
-        rx: Vec<Option<Receiver<WireMsg>>>,
+        wires: NodeWires,
         clock: Arc<FaultClock>,
-        pulse: Option<Arc<AtomicBool>>,
+        pulse: Arc<AtomicBool>,
     ) -> NodeCtx {
         let mut scu = Scu::new();
         scu.train_all();
@@ -515,8 +523,8 @@ impl NodeCtx {
                 None => NodeTelemetry::disabled(node),
             },
             scu,
-            tx,
-            rx,
+            wires,
+            inbox: VecDeque::new(),
             events: Vec::new(),
             tap: NodeTap::new(clock, node),
             wedged: false,
@@ -632,31 +640,25 @@ impl std::future::Future for YieldOnce {
     }
 }
 
-/// Build the wire fabric for a logical shape: one unbounded channel per
-/// (node, outgoing direction); the receiver half goes to the neighbour's
-/// opposite-direction slot.
-#[allow(clippy::type_complexity)]
-pub(crate) fn build_fabric(
-    shape: &TorusShape,
-) -> (
-    Vec<Vec<Option<Sender<WireMsg>>>>,
-    Vec<Vec<Option<Receiver<WireMsg>>>>,
-) {
-    let n = shape.node_count();
-    let mut txs: Vec<Vec<Option<Sender<WireMsg>>>> = (0..n).map(|_| vec![None; 12]).collect();
-    let mut rxs: Vec<Vec<Option<Receiver<WireMsg>>>> = (0..n).map(|_| vec![None; 12]).collect();
-    for (node, tx_row) in txs.iter_mut().enumerate() {
+/// Build the wire fabric for a logical shape: one [`wire`] per (node,
+/// outgoing direction); the receiving end goes to the neighbour's
+/// opposite-direction slot. Returns every node's ends in rank order.
+pub(crate) fn build_fabric(shape: &TorusShape) -> Vec<NodeWires> {
+    let mut fabric: Vec<NodeWires> = (0..shape.node_count())
+        .map(|_| NodeWires::default())
+        .collect();
+    for node in 0..fabric.len() {
         let coord = shape.coord_of(NodeId(node as u32));
         for axis in 0..shape.rank() {
             for dir in [Axis(axis as u8).plus(), Axis(axis as u8).minus()] {
-                let (s, r) = unbounded();
+                let (tx, rx) = wire();
                 let nb = shape.rank_of(shape.neighbour(coord, dir));
-                tx_row[dir.link_index()] = Some(s);
-                rxs[nb.index()][dir.opposite().link_index()] = Some(r);
+                fabric[node].tx[dir.link_index()] = Some(tx);
+                fabric[nb.index()].rx[dir.opposite().link_index()] = Some(rx);
             }
         }
     }
-    (txs, rxs)
+    fabric
 }
 
 #[cfg(test)]

@@ -5,8 +5,11 @@
 //! * [`config`] — machine configuration: 6-D shape, node parameters, link
 //!   timing;
 //! * [`functional`] — one node of the functional machine ([`functional::NodeCtx`]):
-//!   node memory plus the real SCU link protocol over channels, with the
+//!   node memory plus the real SCU link protocol over [`wire`]s, with the
 //!   one cooperative wait loop every transfer goes through;
+//! * [`wire`] — the transport under it: one single-producer/single-consumer
+//!   queue per uni-directional link, lock-and-push to send, one atomic load
+//!   to poll an empty wire, no blocking and no wake-ups;
 //! * [`sharded`] — the functional engine ([`ShardedMachine`]): node
 //!   programs are `async` and run as cooperative futures multiplexed onto
 //!   worker threads, from one node per worker at debug scale up to the
@@ -40,6 +43,7 @@ pub mod functional;
 pub mod perf;
 pub mod recovery;
 pub mod sharded;
+pub mod wire;
 
 pub use config::MachineConfig;
 pub use perf::{DiracPerf, EfficiencyReport, Precision};

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use crate::functional::{
-    build_fabric, yield_once, NodeCtx, NodeCtxConfig, TelemetryConfig, WEDGE_IDLE_SPINS,
+    build_fabric, yield_once, NodeCtx, NodeCtxConfig, NodeWires, TelemetryConfig, WEDGE_IDLE_SPINS,
 };
 
 /// The functional machine: a logical torus of [`NodeCtx`]s driven by a
@@ -257,7 +257,7 @@ impl ShardedMachine {
     {
         let n = self.shape.node_count();
         let workers = self.workers.min(n).max(1);
-        let (mut txs, mut rxs) = build_fabric(&self.shape);
+        let fabric = build_fabric(&self.shape);
         let clock = Arc::new(FaultClock::resolve(
             &self.faults,
             n as u32,
@@ -291,8 +291,8 @@ impl ShardedMachine {
         let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
         // Contiguous shard boundaries: worker w drives [w*n/W, (w+1)*n/W).
         let mut shards: Vec<Vec<(usize, NodeWires)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (node, pair) in txs.drain(..).zip(rxs.drain(..)).enumerate() {
-            shards[node * workers / n].push((node, pair));
+        for (node, wires) in fabric.into_iter().enumerate() {
+            shards[node * workers / n].push((node, wires));
         }
         std::thread::scope(|scope| {
             for shard in shards.drain(..) {
@@ -319,18 +319,12 @@ impl ShardedMachine {
     }
 }
 
-/// One node's channel ends, as produced by `build_fabric`.
-type NodeWires = (
-    Vec<Option<crossbeam::channel::Sender<qcdoc_scu::scu::WireMsg>>>,
-    Vec<Option<crossbeam::channel::Receiver<qcdoc_scu::scu::WireMsg>>>,
-);
-
 /// Worker body: build one driver future per assigned node and poll them
 /// round-robin until every driver has retired. Returns the first caught
 /// node-program panic, if any, for the caller to re-raise.
 ///
 /// Driver futures are constructed *inside* the worker thread from `Send`
-/// seeds (rank + channel ends), so the futures themselves — which hold a
+/// seeds (rank + wire ends), so the futures themselves — which hold a
 /// `&mut NodeCtx` across await points — never need to be `Send`.
 #[allow(clippy::type_complexity)]
 fn drive_shard<F, R>(
@@ -359,11 +353,11 @@ where
     let pulse = Arc::new(AtomicBool::new(false));
     let mut drivers: Vec<Option<Pin<Box<dyn Future<Output = ()> + '_>>>> = shard
         .into_iter()
-        .map(|(node, (tx, rx))| {
+        .map(|(node, wires)| {
             let pulse = Arc::clone(&pulse);
             let clock = Arc::clone(clock);
             let fut = async move {
-                let mut ctx = NodeCtx::build(node as u32, cfg, tx, rx, clock, Some(pulse));
+                let mut ctx = NodeCtx::build(node as u32, cfg, wires, clock, pulse);
                 ctx.apply_mem_faults();
                 let r = app(&mut ctx).await;
                 let (snapshot, parts, flight) = ctx.finish_run();
@@ -382,8 +376,8 @@ where
     let mut live = drivers.len();
     let mut idle_sweeps = 0u32;
     // A panicked node program must not take its shard-mates down with it:
-    // catch the unwind, retire that driver (its NodeCtx drops, closing its
-    // wires, so neighbours wedge rather than hang), let the rest of the
+    // catch the unwind, retire that driver (its NodeCtx drops and its wires
+    // go silent, so neighbours wedge rather than hang), let the rest of the
     // machine drain, and hand the payload back for a post-scope re-raise.
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
     while live > 0 {

@@ -410,7 +410,7 @@ mod tests {
         let plan = FaultPlan::new(1).with_event(FaultEvent::burst(0, 0, 0, 70, 4));
         let clock = FaultClock::resolve(&plan, 1, 2);
         let mut wf = frame(0, 7);
-        let before = wf.frame.clone();
+        let before = wf.frame;
         assert!(clock.corrupt_fresh(0, 0, &mut wf));
         let differing: u32 = wf
             .frame

@@ -162,11 +162,13 @@ impl<T: Real> HalfSpinor<T> {
         HalfSpinor([a, b])
     }
 
-    /// Flatten to 12 complex numbers (the wire format of a face exchange).
+    /// Flatten to 6 complex numbers — 12 words, re then im, colour fastest
+    /// within spin (the wire format of a face exchange;
+    /// [`HALF_SPINOR_BYTES`](crate::counts::HALF_SPINOR_BYTES) in words).
     /// Values are carried as 64-bit IEEE words at both precisions so the
     /// exchange format is width-independent.
-    pub fn to_words(&self) -> [u64; 24] {
-        let mut out = [0u64; 24];
+    pub fn to_words(&self) -> [u64; 12] {
+        let mut out = [0u64; 12];
         let mut k = 0;
         for s in 0..2 {
             for c in 0..3 {
@@ -179,7 +181,7 @@ impl<T: Real> HalfSpinor<T> {
     }
 
     /// Inverse of [`HalfSpinor::to_words`].
-    pub fn from_words(words: &[u64; 24]) -> HalfSpinor<T> {
+    pub fn from_words(words: &[u64; 12]) -> HalfSpinor<T> {
         let mut h = HalfSpinor::default();
         let mut k = 0;
         for s in 0..2 {

@@ -7,7 +7,6 @@
 //! (even-position and odd-position bit parities). A parity mismatch at the
 //! receiver triggers an automatic hardware resend.
 
-use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
 /// 6-bit frame type codes. Pairwise Hamming distance ≥ 3 (see tests).
@@ -85,10 +84,18 @@ fn payload_parity(payload: &[u8]) -> u8 {
     (odd << 1) | even
 }
 
-/// A framed packet as it travels on the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Longest frame: the header byte plus a 64-bit payload.
+const MAX_FRAME_BYTES: usize = 9;
+
+/// A framed packet as it travels on the wire. The bytes live inline — one
+/// frame per data word makes this the hottest value in the machine, and it
+/// must cost no allocation to build, resend or drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Frame {
-    bytes: Vec<u8>,
+    /// Header, then the payload big-endian; the first `len` bytes are the
+    /// frame and the rest stay zero, so derived equality compares frames.
+    bytes: [u8; MAX_FRAME_BYTES],
+    len: u8,
 }
 
 /// Frame decode failures — all of them trigger the hardware resend path.
@@ -118,35 +125,37 @@ impl std::error::Error for FrameError {}
 impl Frame {
     /// Frame a packet for transmission.
     pub fn encode(pkt: Packet) -> Frame {
-        let mut payload = BytesMut::with_capacity(8);
+        let mut bytes = [0u8; MAX_FRAME_BYTES];
+        let len = 1 + pkt.payload_bytes();
         match pkt {
-            Packet::Normal(w) | Packet::Supervisor(w) => payload.put_u64(w),
-            Packet::PartitionIrq(b) | Packet::Train(b) => payload.put_u8(b),
+            Packet::Normal(w) | Packet::Supervisor(w) => {
+                bytes[1..].copy_from_slice(&w.to_be_bytes())
+            }
+            Packet::PartitionIrq(b) | Packet::Train(b) => bytes[1] = b,
             Packet::Ack | Packet::Idle => {}
         }
-        let header = (pkt.type_code() << 2) | payload_parity(&payload);
-        let mut bytes = Vec::with_capacity(1 + payload.len());
-        bytes.push(header);
-        bytes.extend_from_slice(&payload);
-        Frame { bytes }
+        bytes[0] = (pkt.type_code() << 2) | payload_parity(&bytes[1..len]);
+        Frame {
+            bytes,
+            len: len as u8,
+        }
     }
 
     /// Decode and validate a received frame.
     pub fn decode(&self) -> Result<Packet, FrameError> {
-        let header = *self.bytes.first().ok_or(FrameError::Truncated)?;
+        let (&header, payload) = self.as_bytes().split_first().ok_or(FrameError::Truncated)?;
         let type_code = header >> 2;
         let parity = header & 0b11;
-        let mut payload = &self.bytes[1..];
         let pkt = match type_code {
-            code::NORMAL => Packet::Normal(read_u64(&mut payload)?),
-            code::SUPERVISOR => Packet::Supervisor(read_u64(&mut payload)?),
-            code::PART_IRQ => Packet::PartitionIrq(read_u8(&mut payload)?),
+            code::NORMAL => Packet::Normal(read_u64(payload)?),
+            code::SUPERVISOR => Packet::Supervisor(read_u64(payload)?),
+            code::PART_IRQ => Packet::PartitionIrq(read_u8(payload)?),
             code::ACK => Packet::Ack,
             code::IDLE => Packet::Idle,
-            code::TRAIN => Packet::Train(read_u8(&mut payload)?),
+            code::TRAIN => Packet::Train(read_u8(payload)?),
             other => return Err(FrameError::BadTypeCode(other)),
         };
-        if payload_parity(&self.bytes[1..]) != parity {
+        if payload_parity(payload) != parity {
             return Err(FrameError::Parity);
         }
         Ok(pkt)
@@ -154,35 +163,32 @@ impl Frame {
 
     /// Size on the wire in bits.
     pub fn wire_bits(&self) -> u64 {
-        8 * self.bytes.len() as u64
+        8 * u64::from(self.len)
     }
 
     /// Raw frame bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+        &self.bytes[..usize::from(self.len)]
     }
 
     /// Flip bit `bit` of the frame — the fault-injection hook used by the
     /// E7/E10 experiments to exercise the hardware resend path.
     pub fn corrupt_bit(&mut self, bit: usize) {
         let byte = bit / 8;
-        assert!(byte < self.bytes.len(), "bit {bit} outside frame");
+        assert!(byte < usize::from(self.len), "bit {bit} outside frame");
         self.bytes[byte] ^= 1 << (bit % 8);
     }
 }
 
-fn read_u64(buf: &mut &[u8]) -> Result<u64, FrameError> {
-    if buf.len() < 8 {
-        return Err(FrameError::Truncated);
-    }
-    Ok(buf.get_u64())
+/// The payload's leading big-endian word.
+fn read_u64(payload: &[u8]) -> Result<u64, FrameError> {
+    let word = payload.first_chunk::<8>().ok_or(FrameError::Truncated)?;
+    Ok(u64::from_be_bytes(*word))
 }
 
-fn read_u8(buf: &mut &[u8]) -> Result<u8, FrameError> {
-    if buf.is_empty() {
-        return Err(FrameError::Truncated);
-    }
-    Ok(buf.get_u8())
+/// The payload's leading byte.
+fn read_u8(payload: &[u8]) -> Result<u8, FrameError> {
+    payload.first().copied().ok_or(FrameError::Truncated)
 }
 
 #[cfg(test)]
@@ -227,6 +233,34 @@ mod tests {
     }
 
     #[test]
+    fn frame_bytes_are_pinned_for_every_packet_kind() {
+        // Header = type code << 2 | odd-bit parity << 1 | even-bit parity,
+        // then the payload big-endian. The cases set each parity bit.
+        let golden: [(Packet, &[u8]); 6] = [
+            (
+                Packet::Normal(0x0123_4567_89AB_CDEF),
+                &[0x1C, 0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF],
+            ),
+            (Packet::Supervisor(2), &[0x66, 0, 0, 0, 0, 0, 0, 0, 2]),
+            (Packet::PartitionIrq(0x01), &[0xA9, 0x01]),
+            (Packet::Ack, &[0xD0]),
+            (Packet::Idle, &[0x00]),
+            (Packet::Train(0xA4), &[0xFD, 0xA4]),
+        ];
+        for (pkt, bytes) in golden {
+            let f0 = Frame::encode(pkt);
+            assert_eq!(f0.as_bytes(), bytes, "{pkt:?}");
+            assert_eq!(f0.wire_bits(), pkt.wire_bits(), "{pkt:?}");
+            assert_eq!(f0.decode(), Ok(pkt));
+            for bit in 0..bytes.len() * 8 {
+                let mut f = f0;
+                f.corrupt_bit(bit);
+                assert!(f.decode().is_err(), "{pkt:?}: bit {bit} flip decoded");
+            }
+        }
+    }
+
+    #[test]
     fn normal_frame_is_72_bits() {
         // 8-bit header + 64-bit word: the unit behind 1.3 GB/s and 3.3 us.
         assert_eq!(Packet::Normal(0).wire_bits(), 72);
@@ -239,7 +273,7 @@ mod tests {
         // two parity classes.
         let f0 = Frame::encode(Packet::Normal(0xDEAD_BEEF_0BAD_F00D));
         for bit in 8..72 {
-            let mut f = f0.clone();
+            let mut f = f0;
             f.corrupt_bit(bit);
             assert!(
                 f.decode().is_err(),
@@ -254,7 +288,7 @@ mod tests {
         // (distance >= 3), so the packet cannot be re-typed.
         let f0 = Frame::encode(Packet::Supervisor(42));
         for bit in 2..8 {
-            let mut f = f0.clone();
+            let mut f = f0;
             f.corrupt_bit(bit);
             match f.decode() {
                 Err(_) => {}
@@ -267,7 +301,7 @@ mod tests {
     fn header_parity_bit_error_is_detected() {
         let f0 = Frame::encode(Packet::Normal(123));
         for bit in 0..2 {
-            let mut f = f0.clone();
+            let mut f = f0;
             f.corrupt_bit(bit);
             assert_eq!(f.decode(), Err(FrameError::Parity));
         }
@@ -276,10 +310,14 @@ mod tests {
     #[test]
     fn truncated_frame_rejected() {
         let f = Frame {
-            bytes: vec![code::NORMAL << 2, 1, 2, 3],
+            bytes: [code::NORMAL << 2, 1, 2, 3, 0, 0, 0, 0, 0],
+            len: 4,
         };
         assert_eq!(f.decode(), Err(FrameError::Truncated));
-        let empty = Frame { bytes: vec![] };
+        let empty = Frame {
+            bytes: [0; MAX_FRAME_BYTES],
+            len: 0,
+        };
         assert_eq!(empty.decode(), Err(FrameError::Truncated));
     }
 

@@ -30,7 +30,7 @@ proptest! {
         let f0 = Frame::encode(pkt);
         let bits = f0.wire_bits() as usize;
         let bit = bit % bits;
-        let mut f = f0.clone();
+        let mut f = f0;
         f.corrupt_bit(bit);
         match f.decode() {
             // Detection is the requirement: a corrupted frame must never

@@ -53,6 +53,9 @@ cargo bench -p qcdoc-bench --bench sched_overhead
 echo "== fault: injection machinery smoke (idle tap price + deterministic DES cycles)"
 cargo bench -p qcdoc-bench --bench fault_overhead
 
+echo "== link: per-word path prices (frame codec, wire hand-off, frames per delivered word)"
+cargo bench -p qcdoc-bench --bench link_protocol
+
 echo "== flight recorder: black-box acceptance (schedule match, determinism, host ring)"
 cargo test -q --test flight
 
