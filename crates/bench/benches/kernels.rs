@@ -13,12 +13,23 @@
 //! All four kernels are bit-identical per precision (asserted here on the
 //! benchmark workload and in the lattice crate's test suite), so the
 //! comparison is pure layout, not algorithm.
+//!
+//! The scalar kernel is itself held to a reference first: `dslash`,
+//! `apply` and `apply_dagger` must reproduce, word for word, the
+//! table-driven oracle kept in the lattice test tree (E19). `M` and `M†`
+//! are then timed side by side — they are one site kernel in one sweep
+//! each, so their ratio is gated near 1.
 
 use criterion::{black_box, criterion_group, Criterion};
 use qcdoc_bench::{min_seconds, BenchRun};
 use qcdoc_lattice::aosoa::{dslash_aosoa, FermionBlocks, GaugeBlocks};
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice, NeighbourTable};
+use qcdoc_lattice::real::Real;
+use qcdoc_lattice::solver::{DiracOperator, KrylovVector};
 use qcdoc_lattice::wilson::WilsonDirac;
+
+#[path = "../../lattice/tests/oracle/mod.rs"]
+mod oracle;
 
 /// The seeded workload every number below is measured on: the paper's
 /// 8⁴ benchmark volume.
@@ -35,6 +46,8 @@ const REPS: usize = 5;
 
 struct KernelTimes {
     scalar_f64: f64,
+    apply_f64: f64,
+    apply_dagger_f64: f64,
     scalar_f32: f64,
     aosoa_f64: f64,
     aosoa_f32: f64,
@@ -62,6 +75,29 @@ fn measure() -> KernelTimes {
         },
         REPS,
     );
+    // M and M† alternate rep by rep, so a drifting host moves both sides
+    // of the gated ratio together.
+    let (mut apply_f64, mut apply_dagger_f64) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        let m = min_seconds(
+            || {
+                for _ in 0..APPLICATIONS {
+                    op.apply(&mut out, black_box(&psi));
+                }
+            },
+            1,
+        );
+        let mdag = min_seconds(
+            || {
+                for _ in 0..APPLICATIONS {
+                    op.apply_dagger(&mut out, black_box(&psi));
+                }
+            },
+            1,
+        );
+        apply_f64 = apply_f64.min(m);
+        apply_dagger_f64 = apply_dagger_f64.min(mdag);
+    }
     let mut out32 = FermionField::<f32>::zero(lat);
     let scalar_f32 = min_seconds(
         || {
@@ -92,17 +128,43 @@ fn measure() -> KernelTimes {
 
     KernelTimes {
         scalar_f64,
+        apply_f64,
+        apply_dagger_f64,
         scalar_f32,
         aosoa_f64,
         aosoa_f32,
     }
 }
 
+/// The scalar kernels against the table-driven oracle, on raw words.
+fn assert_scalar_matches_oracle<T: Real>(gauge: &GaugeField<T>, psi: &FermionField<T>) {
+    let lat = gauge.lattice();
+    let op = WilsonDirac::new(gauge, 0.12);
+    let table = oracle::TableWilson::new(gauge, 0.12);
+    let (mut got, mut want) = (FermionField::zero(lat), FermionField::zero(lat));
+    op.dslash(&mut got, psi);
+    table.dslash(&mut want, psi);
+    assert_eq!(got.to_bits(), want.to_bits(), "dslash vs table oracle");
+    op.apply(&mut got, psi);
+    table.apply(&mut want, psi);
+    assert_eq!(got.to_bits(), want.to_bits(), "apply vs table oracle");
+    op.apply_dagger(&mut got, psi);
+    table.apply_dagger(&mut want, psi);
+    assert_eq!(
+        got.to_bits(),
+        want.to_bits(),
+        "apply_dagger vs table oracle"
+    );
+}
+
 fn smoke_check() {
-    // Correctness first: the AoSoA kernels must reproduce the scalar
-    // kernels bit-for-bit on the benchmark workload at both precisions.
+    // Correctness first: the scalar kernels must reproduce the reference
+    // oracle, and the AoSoA kernels the scalar ones, bit-for-bit on the
+    // benchmark workload at both precisions.
     let (gauge, psi) = workload();
     let lat = gauge.lattice();
+    assert_scalar_matches_oracle(&gauge, &psi);
+    assert_scalar_matches_oracle(&gauge.to_f32(), &psi.to_f32());
     let hops = NeighbourTable::new(lat);
     let op = WilsonDirac::new(&gauge, 0.12);
     let mut scalar = FermionField::zero(lat);
@@ -147,11 +209,13 @@ fn smoke_check() {
         println!(
             "kernels smoke attempt {attempt}: scalar f64 {:.1} ms, scalar f32 {:.1} ms \
              (ratio {scalar_ratio:.2}x), aosoa f64 {:.1} ms, aosoa f32 {:.1} ms \
-             (ratio {aosoa_ratio:.2}x)",
+             (ratio {aosoa_ratio:.2}x); scalar M {:.1} ms, M\u{2020} {:.1} ms",
             t.scalar_f64 * 1e3,
             t.scalar_f32 * 1e3,
             t.aosoa_f64 * 1e3,
             t.aosoa_f32 * 1e3,
+            t.apply_f64 * 1e3,
+            t.apply_dagger_f64 * 1e3,
         );
         if aosoa_ratio > 1.0 {
             verdict = Some(t);
@@ -179,6 +243,15 @@ fn smoke_check() {
         "kernels_aosoa_f32_ms_per_dslash",
         t.aosoa_f32 * 1e3 / APPLICATIONS as f64,
     );
+    run.gauge(
+        "kernels_scalar_apply_ms",
+        t.apply_f64 * 1e3 / APPLICATIONS as f64,
+    );
+    run.gauge(
+        "kernels_scalar_apply_dagger_ms",
+        t.apply_dagger_f64 * 1e3 / APPLICATIONS as f64,
+    );
+    run.gauge("kernels_dagger_vs_apply", t.apply_dagger_f64 / t.apply_f64);
     run.export();
 }
 

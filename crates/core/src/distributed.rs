@@ -873,21 +873,9 @@ pub async fn clover_apply(
     out
 }
 
-/// Bitwise fingerprint of a spinor block.
-pub fn block_fingerprint(block: &[Spinor]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for sp in block {
-        for s in 0..4 {
-            for c in 0..3 {
-                for bits in [sp.0[s].0[c].re.to_bits(), sp.0[s].0[c].im.to_bits()] {
-                    h ^= bits;
-                    h = h.wrapping_mul(0x100000001B3);
-                }
-            }
-        }
-    }
-    h
-}
+/// Bitwise fingerprint of a spinor block — the hash of
+/// [`FermionField::fingerprint`](qcdoc_lattice::field::FermionField::fingerprint).
+pub use qcdoc_lattice::field::fingerprint_spinors as block_fingerprint;
 
 #[cfg(test)]
 mod tests {

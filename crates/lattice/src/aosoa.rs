@@ -36,7 +36,6 @@
 
 use crate::complex::{Complex, C64};
 use crate::field::{FermionField, GaugeField, Lattice, NeighbourTable};
-use crate::gamma::GAMMA;
 use crate::real::Real;
 use crate::spinor::ProjSign;
 
@@ -95,14 +94,24 @@ impl<T: Real> LaneComplex<T> {
         out
     }
 
-    /// Lane-wise product with a uniform complex factor, in the scalar
-    /// `Mul` operand order (`self * s`).
+    /// Lane-wise multiply by `i`.
     #[inline(always)]
-    pub fn mul_broadcast(&self, s: Complex<T>) -> LaneComplex<T> {
+    pub fn mul_i(&self) -> LaneComplex<T> {
         let mut out = LaneComplex::ZERO;
         for l in 0..LANES {
-            out.re[l] = self.re[l] * s.re - self.im[l] * s.im;
-            out.im[l] = self.re[l] * s.im + self.im[l] * s.re;
+            out.re[l] = -self.im[l];
+            out.im[l] = self.re[l];
+        }
+        out
+    }
+
+    /// Lane-wise multiply by `-i`.
+    #[inline(always)]
+    pub fn mul_neg_i(&self) -> LaneComplex<T> {
+        let mut out = LaneComplex::ZERO;
+        for l in 0..LANES {
+            out.re[l] = self.im[l];
+            out.im[l] = -self.re[l];
         }
         out
     }
@@ -300,20 +309,25 @@ type LaneHalf<T> = [[LaneComplex<T>; 3]; 2];
 type LaneSpinor<T> = [[LaneComplex<T>; 3]; 4];
 
 /// Lane-wise `(1 ∓ γ_μ)` projection — the scalar
-/// [`Spinor::project`](crate::spinor::Spinor::project) per lane.
+/// [`Spinor::project`](crate::spinor::Spinor::project) per lane, with the
+/// same per-direction specialisation.
 #[inline(always)]
 fn project_lanes<T: Real>(psi: &LaneSpinor<T>, mu: usize, sign: ProjSign) -> LaneHalf<T> {
-    let g = &GAMMA[mu];
+    use ProjSign::{Minus, Plus};
     let mut h = [[LaneComplex::ZERO; 3]; 2];
-    for s in 0..2 {
-        let phase = Complex::from_c64(g.phase[s]);
-        for c in 0..3 {
-            let gpart = psi[g.col[s]][c].mul_broadcast(phase);
-            h[s][c] = match sign {
-                ProjSign::Minus => psi[s][c].sub(&gpart),
-                ProjSign::Plus => psi[s][c].add(&gpart),
-            };
-        }
+    for c in 0..3 {
+        let (p0, p1, p2, p3) = (&psi[0][c], &psi[1][c], &psi[2][c], &psi[3][c]);
+        (h[0][c], h[1][c]) = match (mu, sign) {
+            (0, Minus) => (p0.sub(&p3.mul_i()), p1.sub(&p2.mul_i())),
+            (0, Plus) => (p0.add(&p3.mul_i()), p1.add(&p2.mul_i())),
+            (1, Minus) => (p0.add(p3), p1.sub(p2)),
+            (1, Plus) => (p0.sub(p3), p1.add(p2)),
+            (2, Minus) => (p0.sub(&p2.mul_i()), p1.add(&p3.mul_i())),
+            (2, Plus) => (p0.add(&p2.mul_i()), p1.sub(&p3.mul_i())),
+            (3, Minus) => (p0.sub(p2), p1.sub(p3)),
+            (3, Plus) => (p0.add(p2), p1.add(p3)),
+            _ => panic!("direction {mu} out of range"),
+        };
     }
     h
 }
@@ -329,21 +343,24 @@ fn accumulate_reconstruct<T: Real>(
     mu: usize,
     sign: ProjSign,
 ) {
-    let g = &GAMMA[mu];
+    use ProjSign::{Minus, Plus};
     for c in 0..3 {
-        acc[0][c] = acc[0][c].add(&h[0][c]);
-        acc[1][c] = acc[1][c].add(&h[1][c]);
-    }
-    for r in 2..4 {
-        let phase = Complex::from_c64(g.phase[r]);
-        for c in 0..3 {
-            let src = h[g.col[r]][c].mul_broadcast(phase);
-            let signed = match sign {
-                ProjSign::Minus => src.neg(),
-                ProjSign::Plus => src,
-            };
-            acc[r][c] = acc[r][c].add(&signed);
-        }
+        let (h0, h1) = (&h[0][c], &h[1][c]);
+        let (r2, r3) = match (mu, sign) {
+            (0, Minus) => (h1.mul_i(), h0.mul_i()),
+            (0, Plus) => (h1.mul_neg_i(), h0.mul_neg_i()),
+            (1, Minus) => (h1.neg(), *h0),
+            (1, Plus) => (*h1, h0.neg()),
+            (2, Minus) => (h0.mul_i(), h1.mul_neg_i()),
+            (2, Plus) => (h0.mul_neg_i(), h1.mul_i()),
+            (3, Minus) => (h0.neg(), h1.neg()),
+            (3, Plus) => (*h0, *h1),
+            _ => panic!("direction {mu} out of range"),
+        };
+        acc[0][c] = acc[0][c].add(h0);
+        acc[1][c] = acc[1][c].add(h1);
+        acc[2][c] = acc[2][c].add(&r2);
+        acc[3][c] = acc[3][c].add(&r3);
     }
 }
 
@@ -645,7 +662,8 @@ mod tests {
             let pairs: Vec<(Complex<f64>, LaneComplex<f64>)> = vec![
                 (za.madd(zb, zc), a.madd(&b, &c)),
                 (za.madd(s, zb), a.madd_broadcast(s, &b)),
-                (za * s, a.mul_broadcast(s)),
+                (za.mul_i(), a.mul_i()),
+                (za.mul_neg_i(), a.mul_neg_i()),
                 (za.conj(), a.conj()),
                 (za + zb, a.add(&b)),
                 (za - zb, a.sub(&b)),

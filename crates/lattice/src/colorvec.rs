@@ -44,6 +44,23 @@ impl<T: Real> ColorVec<T> {
         ColorVec([self.0[0] * s, self.0[1] * s, self.0[2] * s])
     }
 
+    /// Multiply by `i` — a swap and a negation per component, no
+    /// multiplies.
+    #[inline]
+    pub fn mul_i(&self) -> ColorVec<T> {
+        ColorVec([self.0[0].mul_i(), self.0[1].mul_i(), self.0[2].mul_i()])
+    }
+
+    /// Multiply by `-i`.
+    #[inline]
+    pub fn mul_neg_i(&self) -> ColorVec<T> {
+        ColorVec([
+            self.0[0].mul_neg_i(),
+            self.0[1].mul_neg_i(),
+            self.0[2].mul_neg_i(),
+        ])
+    }
+
     /// `self + s * rhs`.
     pub fn axpy(&self, s: Complex<T>, rhs: &ColorVec<T>) -> ColorVec<T> {
         ColorVec([

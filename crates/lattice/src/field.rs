@@ -227,21 +227,41 @@ impl GaugeField {
     /// Bitwise fingerprint of the configuration — the §4 reproducibility
     /// check compares these after independent evolutions.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for ls in &self.links {
-            for u in ls {
-                for r in 0..3 {
-                    for c in 0..3 {
-                        for bits in [u.0[r][c].re.to_bits(), u.0[r][c].im.to_bits()] {
-                            h ^= bits;
-                            h = h.wrapping_mul(0x100000001B3);
-                        }
-                    }
-                }
-            }
-        }
-        h
+        fingerprint_words(
+            self.links
+                .iter()
+                .flatten()
+                .flat_map(|u| u.0.iter().flatten())
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+        )
     }
+}
+
+/// The one mixing function behind every field fingerprint: FNV-1a over
+/// whole words with a fold-down after each multiply. Plain word-wise FNV
+/// only ever carries bit 63 of a word into bit 63 of the hash, so two
+/// flipped sign bits cancelled; the fold moves the top half into the low
+/// half, where the next multiply diffuses it.
+fn fingerprint_words(words: impl Iterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf29ce484222325u64;
+    for w in words {
+        h = (h ^ w).wrapping_mul(0x100000001B3);
+        h ^= h >> 32;
+    }
+    h
+}
+
+/// Bitwise fingerprint of a run of spinors in (site, spin, colour, re/im)
+/// order — [`FermionField::fingerprint`] on the whole field, and the
+/// distributed solver's per-node block fingerprint.
+pub fn fingerprint_spinors(block: &[Spinor]) -> u64 {
+    fingerprint_words(
+        block
+            .iter()
+            .flat_map(|sp| sp.0.iter())
+            .flat_map(|cv| cv.0.iter())
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
+    )
 }
 
 /// A Wilson-type fermion field: one 4-spinor per site.
@@ -352,18 +372,7 @@ impl FermionField {
 
     /// Bitwise fingerprint.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for sp in &self.data {
-            for s in 0..4 {
-                for c in 0..3 {
-                    for bits in [sp.0[s].0[c].re.to_bits(), sp.0[s].0[c].im.to_bits()] {
-                        h ^= bits;
-                        h = h.wrapping_mul(0x100000001B3);
-                    }
-                }
-            }
-        }
-        h
+        fingerprint_spinors(&self.data)
     }
 }
 
@@ -535,6 +544,28 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         let c = GaugeField::hot(lat, 12);
         assert_ne!(a.fingerprint(), c.fingerprint());
+    }
+
+    #[test]
+    fn fingerprints_see_paired_sign_bit_flips() {
+        // Word-wise FNV carried bit 63 of a word only into bit 63 of the
+        // hash, so an even number of flipped sign bits cancelled.
+        let lat = Lattice::new([2, 2, 2, 2]);
+        let f = FermionField::gaussian(lat, 3);
+        let mut flipped = f.clone();
+        for (site, spin) in [(1, 0), (9, 3)] {
+            let z = &mut flipped.site_mut(site).0[spin].0[1];
+            z.re = -z.re;
+        }
+        assert_ne!(f.fingerprint(), flipped.fingerprint());
+
+        let g = GaugeField::hot(lat, 4);
+        let mut flipped = g.clone();
+        for (site, mu) in [(0, 2), (15, 1)] {
+            let z = &mut flipped.link_mut(site, mu).0[2][0];
+            z.im = -z.im;
+        }
+        assert_ne!(g.fingerprint(), flipped.fingerprint());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::complex::C64;
 use crate::dwf::{DwfDirac, DwfField};
 use crate::field::{FermionField, StaggeredField};
 use crate::real::Real;
+use crate::spinor::Spinor;
 use crate::staggered::{AsqtadDirac, StaggeredDirac};
 use crate::wilson::WilsonDirac;
 use qcdoc_telemetry::{FlightKind, NodeTelemetry, Phase};
@@ -82,7 +83,9 @@ impl<T: Real> KrylovVector for FermionField<T> {
         FermionField::xpay(self, a, rhs)
     }
     fn fill_zero(&mut self) {
-        self.scale(C64::ZERO)
+        for i in self.lattice().sites() {
+            *self.site_mut(i) = Spinor::ZERO;
+        }
     }
     fn checksum(&self) -> f64 {
         // Same values in the same order as the default, without the
@@ -513,6 +516,8 @@ pub fn solve_cgne_traced<Op: DiracOperator>(
 /// solution vector `x` (which stays with the caller).
 struct CgLoopState<F> {
     t: F,
+    /// `M†M p` — scratch like `t`, fully overwritten every iteration.
+    q: F,
     r: F,
     p: F,
     rsq: f64,
@@ -713,8 +718,7 @@ fn cg_loop<Op: DiracOperator>(
         // q = M†M p.
         let apply = telem.begin();
         op.apply(&mut st.t, &st.p);
-        let mut q = st.p.clone();
-        op.apply_dagger(&mut q, &st.t);
+        op.apply_dagger(&mut st.q, &st.t);
         st.applications += 2;
         telem.advance(2 * costs.apply_cycles);
         telem.end_with(apply, "solver.apply", Phase::Compute, 2);
@@ -726,10 +730,10 @@ fn cg_loop<Op: DiracOperator>(
         // extra pass over `q` disappears.
         let (pq, s_q) = match abft {
             Some(_) => {
-                let (d, s) = st.p.dot_with_rhs_checksum(&q);
+                let (d, s) = st.p.dot_with_rhs_checksum(&st.q);
                 (d.re, Some(s))
             }
-            None => (st.p.dot(&q).re, None),
+            None => (st.p.dot(&st.q).re, None),
         };
         st.reductions += 1;
         telem.advance(costs.reduction_cycles);
@@ -741,7 +745,7 @@ fn cg_loop<Op: DiracOperator>(
         let linalg = telem.begin();
         let alpha = st.rsq / pq;
         x.axpy(C64::real(alpha), &st.p);
-        st.r.axpy(C64::real(-alpha), &q);
+        st.r.axpy(C64::real(-alpha), &st.q);
         telem.advance(2 * costs.linalg_cycles);
         telem.end_with(linalg, "solver.linalg", Phase::Compute, 2);
 
@@ -887,15 +891,17 @@ fn cg_setup<Op: DiracOperator>(
     op.apply_dagger(&mut r, &bmx);
     applications += 1;
 
-    // Reference scale: ‖M†b‖².
-    let mut mdag_b = b.clone();
-    op.apply_dagger(&mut mdag_b, b);
+    // Reference scale: ‖M†b‖². `bmx` is dead once `r` exists, so it
+    // holds `M†b` and then becomes the loop's `q` scratch — the setup
+    // never has more fields live than the loop does.
+    let mut q = bmx;
+    op.apply_dagger(&mut q, b);
     applications += 1;
     telem.advance(3 * costs.apply_cycles + costs.linalg_cycles);
     telem.end_with(setup, "solver.setup", Phase::Compute, 3);
 
     let reduce = telem.begin();
-    let bref = mdag_b.norm_sqr().max(f64::MIN_POSITIVE);
+    let bref = q.norm_sqr().max(f64::MIN_POSITIVE);
     reductions += 1;
 
     let p = r.clone();
@@ -907,6 +913,7 @@ fn cg_setup<Op: DiracOperator>(
     let converged = (rsq / bref).sqrt() <= params.tolerance;
     CgLoopState {
         t,
+        q,
         r,
         p,
         rsq,
@@ -1109,9 +1116,10 @@ fn restore_state<Op: DiracOperator>(
     let mut p = template.clone();
     p.load_bits(&ckpt.p);
     let st = CgLoopState {
-        // The scratch vector is fully overwritten by the first operator
-        // application, so any same-shape field restores it.
+        // The scratch vectors are fully overwritten by the first operator
+        // applications, so any same-shape field restores them.
         t: template.clone(),
+        q: template.clone(),
         r,
         p,
         rsq: ckpt.rsq,
@@ -1961,6 +1969,20 @@ mod tests {
         let resumed = solve_cgne_mixed(&op, &op32, &mut x, &b, MixedCgParams::default());
         assert!(resumed.converged);
         assert!(resumed.final_residual <= 1e-8);
+    }
+
+    #[test]
+    fn fill_zero_stores_positive_zero_whatever_was_there() {
+        // `scale(0)` left NaN/∞ in place and wrote −0 over negatives.
+        let mut f = FermionField::gaussian(Lattice::new([2, 2, 2, 2]), 113);
+        f.site_mut(0).0[0].0[0] = C64::new(f64::NAN, f64::INFINITY);
+        f.site_mut(3).0[2].0[1] = C64::new(f64::NEG_INFINITY, -1.0);
+        f.fill_zero();
+        assert!(f.to_bits().iter().all(|&w| w == 0));
+        let mut lo = FermionField::gaussian(Lattice::new([2, 2, 2, 2]), 113).to_f32();
+        lo.site_mut(5).0[1].0[2].re = f32::NAN;
+        lo.fill_zero();
+        assert!(lo.to_bits().iter().all(|&w| w == 0));
     }
 
     #[test]

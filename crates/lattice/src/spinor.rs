@@ -8,14 +8,22 @@
 //! node. The projection/reconstruction identities follow from the
 //! permutation-phase structure of the gamma basis (see [`crate::gamma`]).
 //!
-//! Both types are generic over the [`Real`] scalar. The gamma tables stay
-//! double precision (their phases are 0, ±1, ±i — exactly representable at
-//! any width) and are converted per use via [`Complex::from_c64`], which is
-//! the identity for `f64`.
+//! Every phase in that basis is ±1 or ±i, so [`Spinor::project`] and
+//! [`Spinor::reconstruct`] never multiply: per direction they are adds,
+//! subtracts, negations and re/im swaps — the operations the paper's
+//! ledger ([`crate::counts`]) prices. The phase-table form they replaced
+//! survives as the test oracle (`tests/oracle`), which holds them to its
+//! raw words.
+//!
+//! Both types are generic over the [`Real`] scalar. The gamma tables
+//! (still behind [`Spinor::apply_gamma`]) stay double precision (their
+//! phases are 0, ±1, ±i — exactly representable at any width) and are
+//! converted per use via [`Complex::from_c64`], which is the identity for
+//! `f64`.
 
 use crate::colorvec::ColorVec;
 use crate::complex::Complex;
-use crate::gamma::{Gamma, GAMMA, GAMMA5};
+use crate::gamma::{Gamma, GAMMA5};
 use crate::real::Real;
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
@@ -71,6 +79,7 @@ impl<T: Real> Spinor<T> {
     }
 
     /// `self + a * rhs`.
+    #[inline(always)]
     pub fn axpy(&self, a: Complex<T>, rhs: &Spinor<T>) -> Spinor<T> {
         Spinor([
             self.0[0].axpy(a, &rhs.0[0]),
@@ -81,6 +90,7 @@ impl<T: Real> Spinor<T> {
     }
 
     /// Apply a gamma matrix (sparse table form).
+    #[inline(always)]
     pub fn apply_gamma(&self, g: &Gamma) -> Spinor<T> {
         let mut out = Spinor::ZERO;
         for r in 0..4 {
@@ -89,42 +99,62 @@ impl<T: Real> Spinor<T> {
         out
     }
 
-    /// Apply γ_5.
+    /// Apply γ_5. Inlined so the constant table folds into the caller
+    /// (the single-pass `M†` applies it twice per site).
+    #[inline(always)]
     pub fn apply_gamma5(&self) -> Spinor<T> {
         self.apply_gamma(&GAMMA5)
     }
 
     /// Project `(1 ∓ γ_μ) ψ` down to its two independent spin components.
+    ///
+    /// Specialised per direction: every phase of [`GAMMA`](crate::gamma::GAMMA)
+    /// is ±1 or ±i, so `ψ_s ∓ phase·ψ_col` is an add or subtract of a
+    /// (possibly re/im-swapped) component — 12 flops, the ledger's count,
+    /// where the table form spent 48. Non-zero values carry the same bits
+    /// as the table arithmetic; only the sign of a zero can differ, and
+    /// the SU(3) `madd` chain every caller feeds the half-spinor into
+    /// starts from `+0` and erases it.
+    #[inline(always)]
     pub fn project(&self, mu: usize, sign: ProjSign) -> HalfSpinor<T> {
-        let g = &GAMMA[mu];
-        let mut h = HalfSpinor::default();
-        for s in 0..2 {
-            let gpart = self.0[g.col[s]].scale(Complex::from_c64(g.phase[s]));
-            h.0[s] = match sign {
-                ProjSign::Minus => self.0[s] - gpart,
-                ProjSign::Plus => self.0[s] + gpart,
-            };
-        }
-        h
+        use ProjSign::{Minus, Plus};
+        let [p0, p1, p2, p3] = self.0;
+        HalfSpinor(match (mu, sign) {
+            (0, Minus) => [p0 - p3.mul_i(), p1 - p2.mul_i()],
+            (0, Plus) => [p0 + p3.mul_i(), p1 + p2.mul_i()],
+            (1, Minus) => [p0 + p3, p1 - p2],
+            (1, Plus) => [p0 - p3, p1 + p2],
+            (2, Minus) => [p0 - p2.mul_i(), p1 + p3.mul_i()],
+            (2, Plus) => [p0 + p2.mul_i(), p1 - p3.mul_i()],
+            (3, Minus) => [p0 - p2, p1 - p3],
+            (3, Plus) => [p0 + p2, p1 + p3],
+            _ => panic!("direction {mu} out of range"),
+        })
     }
 
-    /// Multiply each spin component of a half-spinor by `u`, then rebuild
-    /// the full `(1 ∓ γ_μ)`-projected spinor.
+    /// Rebuild the full `(1 ∓ γ_μ)`-projected spinor from its two
+    /// independent components: rows 2, 3 are `∓ phase[r] · h[col[r]]`
+    /// (see the derivation in [`crate::gamma`]'s docs/tests), which per
+    /// direction is a copy, a negation or a `mul_i`/`mul_neg_i` — no
+    /// multiplies. Same bits as the table form up to the sign of a zero,
+    /// which the caller's `acc += …` (an accumulator that starts at `+0`)
+    /// erases.
+    #[inline(always)]
     pub fn reconstruct(h: &HalfSpinor<T>, mu: usize, sign: ProjSign) -> Spinor<T> {
-        let g = &GAMMA[mu];
-        let mut out = Spinor::ZERO;
-        out.0[0] = h.0[0];
-        out.0[1] = h.0[1];
-        for r in 2..4 {
-            // Row r of (1 ∓ γ_μ)ψ equals ∓ phase[r] · h[col[r]]
-            // (see the derivation in crate::gamma's docs/tests).
-            let src = h.0[g.col[r]].scale(Complex::from_c64(g.phase[r]));
-            out.0[r] = match sign {
-                ProjSign::Minus => -src,
-                ProjSign::Plus => src,
-            };
-        }
-        out
+        use ProjSign::{Minus, Plus};
+        let [h0, h1] = h.0;
+        let (r2, r3) = match (mu, sign) {
+            (0, Minus) => (h1.mul_i(), h0.mul_i()),
+            (0, Plus) => (h1.mul_neg_i(), h0.mul_neg_i()),
+            (1, Minus) => (-h1, h0),
+            (1, Plus) => (h1, -h0),
+            (2, Minus) => (h0.mul_i(), h1.mul_neg_i()),
+            (2, Plus) => (h0.mul_neg_i(), h1.mul_i()),
+            (3, Minus) => (-h0, -h1),
+            (3, Plus) => (h0, h1),
+            _ => panic!("direction {mu} out of range"),
+        };
+        Spinor([h0, h1, r2, r3])
     }
 
     /// Convert (truncate for `f32`, identity for `f64`) from double
@@ -151,12 +181,14 @@ impl<T: Real> Spinor<T> {
 
 impl<T: Real> HalfSpinor<T> {
     /// Apply an SU(3) matrix to both spin components.
+    #[inline(always)]
     pub fn mul_su3(&self, u: &crate::su3::Su3<T>) -> HalfSpinor<T> {
         let (a, b) = u.mul_vec2(&self.0[0], &self.0[1]);
         HalfSpinor([a, b])
     }
 
     /// Apply the adjoint of an SU(3) matrix to both spin components.
+    #[inline(always)]
     pub fn adj_mul_su3(&self, u: &crate::su3::Su3<T>) -> HalfSpinor<T> {
         let (a, b) = u.adj_mul_vec2(&self.0[0], &self.0[1]);
         HalfSpinor([a, b])
@@ -207,6 +239,7 @@ impl<T: Real> Add for Spinor<T> {
 }
 
 impl<T: Real> AddAssign for Spinor<T> {
+    #[inline(always)]
     fn add_assign(&mut self, rhs: Spinor<T>) {
         for s in 0..4 {
             self.0[s] += rhs.0[s];
@@ -249,6 +282,7 @@ impl<T: Real> Mul<T> for Spinor<T> {
 mod tests {
     use super::*;
     use crate::complex::C64;
+    use crate::gamma::GAMMA;
     use crate::rng::SiteRng;
     use crate::su3::Su3;
 

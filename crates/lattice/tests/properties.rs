@@ -350,3 +350,130 @@ proptest! {
         prop_assert_eq!(blocked32.to_field(), scalar32);
     }
 }
+
+// `Spinor::project`/`reconstruct` are specialised per direction and
+// `WilsonDirac` makes one pass per operator; the production kernels must
+// reproduce the table-driven oracle's raw words — not fingerprints, and
+// signed zeros included.
+mod oracle;
+
+mod oracle_bits {
+    use super::oracle::TableWilson;
+    use qcdoc_lattice::complex::C64;
+    use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
+    use qcdoc_lattice::real::Real;
+    use qcdoc_lattice::solver::{solve_cgne, CgParams, DiracOperator, KrylovVector};
+    use qcdoc_lattice::wilson::WilsonDirac;
+
+    const KAPPA: f64 = 0.124;
+    /// 4⁴, the distributed tests' 2·2·2·4, and one odd extent (where the
+    /// forward and backward neighbour of a site differ along x only).
+    const SHAPES: [[usize; 4]; 3] = [[4, 4, 4, 4], [2, 2, 2, 4], [3, 2, 2, 4]];
+
+    /// Overwrite components of `f` with zeros of both signs; with `sparse`
+    /// three sites in four become all-zero, so some sites see a signed-zero
+    /// centre term and an exactly zero hopping sum.
+    fn riddle(mut f: FermionField, seed: u64, sparse: bool) -> FermionField {
+        let signed = |neg: bool| if neg { -0.0 } else { 0.0 };
+        for x in f.lattice().sites() {
+            for k in 0..12 {
+                let z = &mut f.site_mut(x).0[k / 3].0[k % 3];
+                let pick = (x * 7 + k * 5 + seed as usize) % 6;
+                let zero = C64::new(signed(pick & 1 != 0), signed(pick & 2 != 0));
+                if (sparse && x % 4 != 0) || pick >= 4 {
+                    *z = zero;
+                } else if pick < 2 {
+                    z.re = zero.re;
+                }
+            }
+        }
+        f
+    }
+
+    /// Gaussian, point-source and fields riddled with zeros of both signs
+    /// — the inputs on which a sign-of-zero slip would show.
+    fn inputs(lat: Lattice, seed: u64) -> Vec<(&'static str, FermionField)> {
+        let noise = |k| FermionField::gaussian(lat, seed + k);
+        vec![
+            ("gaussian", noise(0)),
+            ("point", FermionField::point_source(lat, lat.volume() / 3)),
+            ("signed zeros", riddle(noise(1), seed, false)),
+            ("sparse signed zeros", riddle(noise(2), seed, true)),
+        ]
+    }
+
+    fn assert_same_words<T: Real>(got: &FermionField<T>, want: &FermionField<T>, what: &str) {
+        let (got, want) = (got.to_bits(), want.to_bits());
+        if let Some(i) = (0..want.len()).find(|&i| got[i] != want[i]) {
+            panic!(
+                "{what}: word {i} (site {}, component {}) is {:#018x}, oracle {:#018x}",
+                i / 24,
+                i % 24,
+                got[i],
+                want[i]
+            );
+        }
+    }
+
+    fn kernels_match<T: Real>(gauge: &GaugeField<T>, psi: &FermionField<T>, what: &str) {
+        let lat = psi.lattice();
+        let op = WilsonDirac::new(gauge, KAPPA);
+        let oracle = TableWilson::new(gauge, KAPPA);
+        let (mut got, mut want) = (FermionField::zero(lat), FermionField::zero(lat));
+        op.dslash(&mut got, psi);
+        oracle.dslash(&mut want, psi);
+        assert_same_words(&got, &want, &format!("dslash {what}"));
+        op.apply(&mut got, psi);
+        oracle.apply(&mut want, psi);
+        assert_same_words(&got, &want, &format!("apply {what}"));
+        op.apply_dagger(&mut got, psi);
+        oracle.apply_dagger(&mut want, psi);
+        assert_same_words(&got, &want, &format!("apply_dagger {what}"));
+    }
+
+    fn solves_match<T: Real>(gauge: &GaugeField<T>, b: &FermionField<T>, tol: f64, what: &str) {
+        let params = CgParams {
+            tolerance: tol,
+            max_iterations: 60,
+        };
+        let mut got = FermionField::zero(b.lattice());
+        let mut want = FermionField::zero(b.lattice());
+        let report = solve_cgne(&WilsonDirac::new(gauge, KAPPA), &mut got, b, params);
+        let oracle = solve_cgne(&TableWilson::new(gauge, KAPPA), &mut want, b, params);
+        assert!(report.iterations > 3, "solve {what}: trivial solve");
+        assert_eq!(report.iterations, oracle.iterations, "solve {what}");
+        let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&report.residuals),
+            bits(&oracle.residuals),
+            "solve {what}: residual history"
+        );
+        assert_same_words(&got, &want, &format!("solve {what}"));
+    }
+
+    #[test]
+    fn kernels_reproduce_the_table_oracle_word_for_word() {
+        for (i, dims) in SHAPES.into_iter().enumerate() {
+            let lat = Lattice::new(dims);
+            let gauge = GaugeField::hot(lat, 300 + i as u64);
+            let gauge32 = gauge.to_f32();
+            for (name, psi) in inputs(lat, 310 + i as u64) {
+                kernels_match(&gauge, &psi, &format!("f64 {name} {dims:?}"));
+                kernels_match(&gauge32, &psi.to_f32(), &format!("f32 {name} {dims:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn solve_cgne_reproduces_the_table_oracle_word_for_word() {
+        for (i, dims) in SHAPES.into_iter().enumerate() {
+            let lat = Lattice::new(dims);
+            let gauge = GaugeField::hot(lat, 320 + i as u64);
+            let gauge32 = gauge.to_f32();
+            for (name, b) in inputs(lat, 330 + i as u64) {
+                solves_match(&gauge, &b, 1e-10, &format!("f64 {name} {dims:?}"));
+                solves_match(&gauge32, &b.to_f32(), 1e-5, &format!("f32 {name} {dims:?}"));
+            }
+        }
+    }
+}

@@ -77,7 +77,7 @@ cargo test -q --test chaos
 echo "== autonomic: chaos-soak SLO export (goodput, requeue p99, losses gated at zero)"
 cargo bench -p qcdoc-bench --bench chaos
 
-echo "== kernels: AoSoA layout acceptance (bit-identical to scalar, f32 must beat f64)"
+echo "== kernels: scalar ≡ table oracle and AoSoA ≡ scalar word for word, f32 must beat f64, M† priced against M"
 cargo bench -p qcdoc-bench --bench kernels
 
 echo "== full machine: 12,288-node partition-boot-solve on the sharded engine"
