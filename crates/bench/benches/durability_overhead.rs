@@ -15,7 +15,7 @@
 //! verified restore) in isolation.
 
 use criterion::{black_box, criterion_group, Criterion};
-use qcdoc_bench::{min_seconds, BenchRun};
+use qcdoc_bench::{min_seconds, overhead_gate, BenchRun, Overhead};
 use qcdoc_fault::{StorageFault, StorageFaultPlan};
 use qcdoc_host::ckstore::{CheckpointStore, StoreConfig};
 use qcdoc_host::nfs::NfsServer;
@@ -91,41 +91,21 @@ fn smoke_check() {
     let (gauge, b) = workload();
     let op = WilsonDirac::new(&gauge, 0.12);
     let (mut nfs, mut store) = fresh_store();
-    black_box(cg_archived(&op, &b, 10));
-    black_box(cg_durable(&op, &b, 10, &mut nfs, &mut store));
-    let mut verdict = None;
-    let mut archived_s = 0.0;
-    for attempt in 1..=3 {
-        let mut archived = f64::INFINITY;
-        let mut durable = f64::INFINITY;
-        for _ in 0..7 {
-            archived = archived.min(min_seconds(
-                || {
-                    black_box(cg_archived(&op, &b, 10));
-                },
-                1,
-            ));
-            durable = durable.min(min_seconds(
-                || {
-                    black_box(cg_durable(&op, &b, 10, &mut nfs, &mut store));
-                },
-                1,
-            ));
-        }
-        let ratio = durable / archived;
-        println!(
-            "durability_overhead smoke attempt {attempt}: archived {:.1} ms, durable {:.1} ms, ratio {ratio:.4}",
-            archived * 1e3,
-            durable * 1e3,
-        );
-        archived_s = archived;
-        if ratio < 1.05 {
-            verdict = Some(ratio);
-            break;
-        }
-    }
-    let ratio = verdict.expect("durable checkpointing exceeded 5% overhead in 3 attempts");
-    println!("durability_overhead smoke PASS: durable/archived ratio {ratio:.4} < 1.05");
+    let Overhead {
+        base_seconds: archived_s,
+        ratio,
+    } = overhead_gate(
+        "durability_overhead",
+        ["archived", "durable"],
+        1.05,
+        3,
+        || {
+            black_box(cg_archived(&op, &b, 10));
+        },
+        || {
+            black_box(cg_durable(&op, &b, 10, &mut nfs, &mut store));
+        },
+    );
 
     // Price the store's verbs in isolation against the same long-lived
     // mount, and pin the deterministic accounting (commit count, bytes,

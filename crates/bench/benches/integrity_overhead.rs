@@ -11,7 +11,7 @@
 
 use criterion::{black_box, criterion_group, Criterion};
 use qcdoc_asic::memory::NodeMemory;
-use qcdoc_bench::{min_seconds, BenchRun};
+use qcdoc_bench::{min_seconds, overhead_gate, BenchRun};
 use qcdoc_core::ShardedMachine;
 use qcdoc_geometry::{Axis, TorusShape};
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
@@ -95,44 +95,18 @@ fn scrub_run() -> u64 {
 fn smoke_check() {
     let (gauge, b) = workload();
     let op = WilsonDirac::new(&gauge, 0.12);
-    black_box(cg_raw(&op, &b));
-    black_box(cg_abft(&op, &b));
-    let mut verdict = None;
-    let mut measured = (0.0, 0.0);
-    // Raw and ABFT timings interleave so clock drift and cache-placement
-    // luck tax both sides of the ratio equally (the durability smoke
-    // learned this the hard way).
-    for attempt in 1..=5 {
-        let mut raw = f64::INFINITY;
-        let mut abft = f64::INFINITY;
-        for _ in 0..7 {
-            raw = raw.min(min_seconds(
-                || {
-                    black_box(cg_raw(&op, &b));
-                },
-                1,
-            ));
-            abft = abft.min(min_seconds(
-                || {
-                    black_box(cg_abft(&op, &b));
-                },
-                1,
-            ));
-        }
-        let ratio = abft / raw;
-        println!(
-            "integrity_overhead smoke attempt {attempt}: raw {:.1} ms, abft {:.1} ms, ratio {ratio:.4}",
-            raw * 1e3,
-            abft * 1e3,
-        );
-        measured = (raw, ratio);
-        if ratio < 1.05 {
-            verdict = Some(ratio);
-            break;
-        }
-    }
-    let ratio = verdict.expect("ABFT-on clean CG exceeded 5% overhead in 5 attempts");
-    println!("integrity_overhead smoke PASS: abft ratio {ratio:.4} < 1.05");
+    let measured = overhead_gate(
+        "integrity_overhead",
+        ["raw", "abft"],
+        1.05,
+        5,
+        || {
+            black_box(cg_raw(&op, &b));
+        },
+        || {
+            black_box(cg_abft(&op, &b));
+        },
+    );
 
     // Price the DMA checksum layer the same way (informational — the
     // trailer word plus receive-side verify rides the functional model's
@@ -174,8 +148,8 @@ fn smoke_check() {
     let (solver_metrics, spans) = telem.take_parts();
 
     let mut run = BenchRun::new("integrity");
-    run.gauge("integrity_cg_raw_seconds", measured.0);
-    run.gauge("integrity_abft_overhead_ratio", ratio);
+    run.gauge("integrity_cg_raw_seconds", measured.base_seconds);
+    run.gauge("integrity_abft_overhead_ratio", measured.ratio);
     run.gauge("integrity_abft_gate", 1.05);
     run.gauge("integrity_dma_checksum_ratio", dma_ratio);
     run.reg.merge(&solver_metrics);

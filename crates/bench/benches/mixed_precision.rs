@@ -18,7 +18,7 @@
 //! kernel-level instruction histograms behind them.
 
 use criterion::{black_box, criterion_group, Criterion};
-use qcdoc_bench::{min_seconds, BenchRun};
+use qcdoc_bench::{overhead_gate, BenchRun};
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc_lattice::solver::{solve_cgne, solve_cgne_mixed, CgParams, MixedCgParams};
 use qcdoc_lattice::wilson::WilsonDirac;
@@ -86,34 +86,21 @@ fn smoke_check() {
         r1.high_precision_applications,
     );
 
-    // Wall-clock envelope, attempted a few times to ride out host noise.
-    black_box(solve_double(&op, &b));
-    let mut verdict = None;
-    for attempt in 1..=3 {
-        let dp = min_seconds(
+    // Wall-clock envelope: mixed may cost at most MAX_SLOWDOWN x double.
+    let speedup = 1.0
+        / overhead_gate(
+            "mixed_precision",
+            ["double", "mixed"],
+            MAX_SLOWDOWN,
+            3,
             || {
                 black_box(solve_double(&op, &b).fingerprint());
             },
-            5,
-        );
-        let mixed = min_seconds(
             || {
                 black_box(solve_mixed(&op, &op32, &b).fingerprint());
             },
-            5,
-        );
-        let speedup = dp / mixed;
-        println!(
-            "mixed_precision smoke attempt {attempt}: double {:.1} ms, mixed {:.1} ms, speedup {speedup:.2}x",
-            dp * 1e3,
-            mixed * 1e3,
-        );
-        if speedup > 1.0 / MAX_SLOWDOWN {
-            verdict = Some(speedup);
-            break;
-        }
-    }
-    let speedup = verdict.expect("mixed CG exceeded the reliable-update cost envelope");
+        )
+        .ratio;
     println!(
         "mixed_precision smoke PASS: speedup {speedup:.2}x (double-precision-FPU host; \
          QCDOC's single-precision gain is bandwidth-bound — see EXPERIMENTS.md)"

@@ -12,7 +12,7 @@
 //! The measured numbers land in `BENCH_sched.json` for the dashboard.
 
 use criterion::{black_box, criterion_group, Criterion};
-use qcdoc_bench::{min_seconds, time_histogram_us, BenchRun};
+use qcdoc_bench::{overhead_gate, time_histogram_us, BenchRun};
 use qcdoc_geometry::TorusShape;
 use qcdoc_host::Qdaemon;
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
@@ -197,37 +197,18 @@ fn smoke_check() {
     let mut probe = FermionField::zero(b.lattice());
     let iters = solve_cgne(&op, &mut probe, &b, params()).iterations as u64;
 
-    black_box(cg_direct(&op, &b));
-    black_box(cg_managed(&op, &b, &mut q, iters));
-    let mut verdict = None;
-    let mut measured = (0.0, 0.0);
-    for attempt in 1..=3 {
-        let direct = min_seconds(
-            || {
-                black_box(cg_direct(&op, &b));
-            },
-            7,
-        );
-        let managed = min_seconds(
-            || {
-                black_box(cg_managed(&op, &b, &mut q, iters));
-            },
-            7,
-        );
-        let ratio = managed / direct;
-        println!(
-            "sched_overhead smoke attempt {attempt}: direct {:.1} ms, managed {:.1} ms, ratio {ratio:.4}",
-            direct * 1e3,
-            managed * 1e3,
-        );
-        measured = (direct, ratio);
-        if ratio < 1.05 {
-            verdict = Some(ratio);
-            break;
-        }
-    }
-    let ratio = verdict.expect("scheduler-managed CG exceeded 5% overhead in 3 attempts");
-    println!("sched_overhead smoke PASS: managed ratio {ratio:.4} < 1.05");
+    let measured = overhead_gate(
+        "sched_overhead",
+        ["direct", "managed"],
+        1.05,
+        3,
+        || {
+            black_box(cg_direct(&op, &b));
+        },
+        || {
+            black_box(cg_managed(&op, &b, &mut q, iters));
+        },
+    );
 
     // Price one placement decision on the full 12,288-node mesh, empty
     // and with half the machine pinned by background jobs. A histogram
@@ -257,8 +238,8 @@ fn smoke_check() {
     );
 
     let mut run = BenchRun::new("sched");
-    run.gauge("sched_cg_direct_seconds", measured.0);
-    run.gauge("sched_managed_overhead_ratio", measured.1);
+    run.gauge("sched_cg_direct_seconds", measured.base_seconds);
+    run.gauge("sched_managed_overhead_ratio", measured.ratio);
     run.gauge("sched_overhead_gate", 1.05);
     run.histogram("sched_decision_latency_us", "empty", &empty_h);
     run.histogram("sched_decision_latency_us", "half", &half_h);

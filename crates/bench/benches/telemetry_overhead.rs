@@ -11,7 +11,7 @@
 //! disabled hooks, and live spans into a ring sink.
 
 use criterion::{black_box, criterion_group, Criterion};
-use qcdoc_bench::{min_seconds, BenchRun};
+use qcdoc_bench::{min_seconds, overhead_gate, BenchRun, Overhead};
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc_lattice::wilson::WilsonDirac;
 use qcdoc_telemetry::{NodeTelemetry, Phase};
@@ -58,39 +58,22 @@ fn dslash_hooked(op: &WilsonDirac<'_>, p: &FermionField, telem: &mut NodeTelemet
 fn smoke_check() {
     let (gauge, p) = workload();
     let op = WilsonDirac::new(&gauge, 0.12);
-    // Warm-up: touch both paths once before timing anything.
-    black_box(dslash_raw(&op, &p));
-    black_box(dslash_hooked(&op, &p, &mut NodeTelemetry::disabled(0)));
-    let mut verdict = None;
-    let mut raw_s = 0.0;
-    for attempt in 1..=3 {
-        let raw = min_seconds(
-            || {
-                black_box(dslash_raw(&op, &p));
-            },
-            7,
-        );
-        let disabled = min_seconds(
-            || {
-                let mut telem = NodeTelemetry::disabled(0);
-                black_box(dslash_hooked(&op, &p, &mut telem));
-            },
-            7,
-        );
-        let ratio = disabled / raw;
-        println!(
-            "telemetry_overhead smoke attempt {attempt}: raw {:.1} ms, disabled {:.1} ms, ratio {ratio:.4}",
-            raw * 1e3,
-            disabled * 1e3,
-        );
-        raw_s = raw;
-        if ratio < 1.05 {
-            verdict = Some(ratio);
-            break;
-        }
-    }
-    let ratio = verdict.expect("disabled telemetry exceeded 5% overhead in 3 attempts");
-    println!("telemetry_overhead smoke PASS: NullSink path ratio {ratio:.4} < 1.05");
+    let Overhead {
+        base_seconds: raw_s,
+        ratio,
+    } = overhead_gate(
+        "telemetry_overhead",
+        ["raw", "disabled"],
+        1.05,
+        3,
+        || {
+            black_box(dslash_raw(&op, &p));
+        },
+        || {
+            let mut telem = NodeTelemetry::disabled(0);
+            black_box(dslash_hooked(&op, &p, &mut telem));
+        },
+    );
 
     // Price the live path too (report-only — ring spans are opt-in).
     let ring = min_seconds(

@@ -23,6 +23,63 @@ pub fn min_seconds<F: FnMut()>(mut f: F, reps: usize) -> f64 {
     best
 }
 
+/// Timed runs of each side per [`overhead_gate`] attempt.
+const GATE_REPS: usize = 7;
+
+/// A passed [`overhead_gate`]: the base workload's floor and the
+/// variant's price relative to it.
+#[derive(Debug, Clone, Copy)]
+pub struct Overhead {
+    /// Minimum wall seconds of the base workload.
+    pub base_seconds: f64,
+    /// `variant / base`, minimum over minimum.
+    pub ratio: f64,
+}
+
+/// The gate every overhead smoke runs: after one warm-up of each side,
+/// take the [`min_seconds`] floor of `base` and of `variant` over seven
+/// runs each — interleaved, so clock drift and cache-placement luck tax
+/// both sides of the ratio equally — and pass as soon as
+/// `variant / base < limit`. Up to `attempts` tries ride out host noise;
+/// every try prints one line (`names` labels the two sides), a pass
+/// prints the verdict, and running out of tries panics.
+pub fn overhead_gate(
+    bench: &str,
+    names: [&str; 2],
+    limit: f64,
+    attempts: usize,
+    mut base: impl FnMut(),
+    mut variant: impl FnMut(),
+) -> Overhead {
+    let [base_name, variant_name] = names;
+    base();
+    variant();
+    for attempt in 1..=attempts {
+        let mut base_seconds = f64::INFINITY;
+        let mut variant_seconds = f64::INFINITY;
+        for _ in 0..GATE_REPS {
+            base_seconds = base_seconds.min(min_seconds(&mut base, 1));
+            variant_seconds = variant_seconds.min(min_seconds(&mut variant, 1));
+        }
+        let ratio = variant_seconds / base_seconds;
+        println!(
+            "{bench} smoke attempt {attempt}: {base_name} {:.1} ms, {variant_name} {:.1} ms, ratio {ratio:.4}",
+            base_seconds * 1e3,
+            variant_seconds * 1e3,
+        );
+        if ratio < limit {
+            println!("{bench} smoke PASS: {variant_name}/{base_name} ratio {ratio:.4} < {limit}");
+            return Overhead {
+                base_seconds,
+                ratio,
+            };
+        }
+    }
+    panic!(
+        "{bench}: {variant_name} stayed at or above {limit} x {base_name} in {attempts} attempts"
+    );
+}
+
 /// Time `cycles` runs of `f` and observe each wall time in microseconds
 /// into a fresh [`Histogram`] — the distribution (not just the min) of a
 /// repeated operation, so the judge can gate its tail.
@@ -121,6 +178,23 @@ mod tests {
         let h = time_histogram_us(|| n += 1, 17);
         assert_eq!(h.count(), 17);
         assert_eq!(n, 17);
+    }
+
+    #[test]
+    fn overhead_gate_passes_under_the_limit_and_reports_the_floor() {
+        let nap = |ms| move || std::thread::sleep(std::time::Duration::from_millis(ms));
+        let passed = overhead_gate("selftest", ["nap2", "nap3"], 4.0, 1, nap(2), nap(3));
+        // A sleep never returns early, so both floors are lower bounds.
+        assert!(passed.base_seconds >= 0.002, "{passed:?}");
+        assert!(passed.ratio * passed.base_seconds >= 0.003, "{passed:?}");
+        assert!(passed.ratio < 4.0, "{passed:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "selftest: nap6 stayed at or above 1.5 x nap2 in 2 attempts")]
+    fn overhead_gate_panics_when_no_attempt_clears_the_limit() {
+        let nap = |ms| move || std::thread::sleep(std::time::Duration::from_millis(ms));
+        overhead_gate("selftest", ["nap2", "nap6"], 1.5, 2, nap(2), nap(6));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use qcdoc_lattice::checkpoint::CgCheckpoint;
 use qcdoc_lattice::complex::C64;
 use qcdoc_lattice::counts::HALF_SPINOR_BYTES;
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
-use qcdoc_lattice::spinor::{HalfSpinor, ProjSign, Spinor};
+use qcdoc_lattice::spinor::{HalfSpinor, ProjSign, Spinor, WORDS_PER_SPINOR};
 use qcdoc_lattice::su3::Su3;
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_telemetry::Phase;
@@ -37,13 +37,12 @@ const HALF_WORDS: u64 = HALF_SPINOR_BYTES / 8;
 /// multiply, project and reconstruct).
 const WILSON_FLOPS_PER_SITE: u64 = 1320;
 
-/// Naive staggered floating-point operations per site (8 SU(3)
-/// colour-vector multiplies plus phase/accumulate arithmetic).
-const STAGGERED_FLOPS_PER_SITE: u64 = 570;
-
-/// Clover-term floating-point operations per site (two dense 6×6 complex
-/// matrix–vector products).
-const CLOVER_FLOPS_PER_SITE: u64 = 576;
+/// Operator name stamped into (and demanded of) every distributed
+/// checkpoint — `WilsonDirac`'s [`DiracOperator::name`], so a checkpoint
+/// moves freely between this solver and the serial one.
+///
+/// [`DiracOperator::name`]: qcdoc_lattice::solver::DiracOperator::name
+const OPERATOR: &str = "wilson";
 
 /// Logical compute cycles for `sites` lattice sites at `flops` per site,
 /// assuming the paper's two floating-point operations per cycle (one
@@ -479,24 +478,6 @@ pub async fn wilson_solve_cg_async(
     (out.x, report)
 }
 
-/// Loop-carried CG state handed into [`wilson_cg_segment_async`] when resuming
-/// from a checkpoint: the three block vectors plus the scalar recurrence.
-#[derive(Debug, Clone)]
-pub struct CgResume<'a> {
-    /// Solution block.
-    pub x: &'a [Spinor],
-    /// Residual block.
-    pub r: &'a [Spinor],
-    /// Search-direction block.
-    pub p: &'a [Spinor],
-    /// `‖r‖²` (exact bits from the checkpoint).
-    pub rsq: f64,
-    /// Reference scale `‖M†b‖²`.
-    pub bref: f64,
-    /// Iterations already completed.
-    pub iterations: usize,
-}
-
 /// The state a CG segment hands back: everything needed to checkpoint or
 /// continue, plus whether the segment ended by wedging on dead hardware.
 #[derive(Debug, Clone)]
@@ -513,8 +494,10 @@ pub struct CgSegmentOut {
     pub bref: f64,
     /// Total iterations completed (across all segments).
     pub iterations: usize,
-    /// Relative residuals of the iterations this segment performed.
-    pub new_residuals: Vec<f64>,
+    /// Relative residual of every iteration completed so far: the
+    /// checkpointed prefix followed by this segment's tail, so
+    /// `residuals.len() == iterations`.
+    pub residuals: Vec<f64>,
     /// Whether the tolerance is met.
     pub converged: bool,
     /// Whether this node gave up on a silent wire mid-segment; the state
@@ -523,10 +506,18 @@ pub struct CgSegmentOut {
 }
 
 /// One bounded segment of the distributed Wilson CGNE: at most
-/// `segment_iters` iterations, starting fresh (`resume = None`) or from
-/// restored checkpoint state. Chaining segments is **bit-identical** to
-/// one uninterrupted solve — the same dimension-ordered global sums run in
-/// the same order, only control returns to the caller between segments.
+/// `segment_iters` iterations, starting fresh (`resume = None`) or from a
+/// global checkpoint — written by [`assemble_checkpoint`] on *any* machine
+/// shape, or by the serial solver — out of which this node takes its own
+/// blocks, the scalar recurrence and the residual history. Chaining
+/// segments is **bit-identical** to one uninterrupted solve — the same
+/// dimension-ordered global sums run in the same order, only control
+/// returns to the caller between segments.
+///
+/// Panics, before any DMA is armed, if the checkpoint fails
+/// [`CgCheckpoint::validate`] (another operator's, or another problem
+/// size's): a node program has no error channel, and resuming such state
+/// silently would be worse.
 #[allow(clippy::too_many_arguments)]
 pub async fn wilson_cg_segment_async(
     ctx: &mut NodeCtx,
@@ -536,15 +527,12 @@ pub async fn wilson_cg_segment_async(
     kappa: f64,
     tolerance: f64,
     max_iterations: usize,
-    resume: Option<CgResume<'_>>,
+    resume: Option<&CgCheckpoint>,
     segment_iters: usize,
 ) -> CgSegmentOut {
-    let n = b.len();
-    let mut iterations;
-    let (mut x, mut r, mut p, mut rsq, bref) = match resume {
+    let (mut x, mut r, mut p, mut rsq, bref, mut iterations, mut residuals) = match resume {
         None => {
-            iterations = 0;
-            let x = vec![Spinor::ZERO; n];
+            let x = vec![Spinor::ZERO; b.len()];
             // r = M† b (x0 = 0).
             let r = wilson_apply_dagger_async(ctx, geom, gauge, b, kappa).await;
             let bref = global_sum_f64_async(ctx, local_norm_sqr(&r))
@@ -552,20 +540,14 @@ pub async fn wilson_cg_segment_async(
                 .max(f64::MIN_POSITIVE);
             let p = r.clone();
             let rsq = global_sum_f64_async(ctx, local_norm_sqr(&r)).await;
-            (x, r, p, rsq, bref)
+            (x, r, p, rsq, bref, 0, Vec::new())
         }
-        Some(res) => {
-            iterations = res.iterations;
-            (
-                res.x.to_vec(),
-                res.r.to_vec(),
-                res.p.to_vec(),
-                res.rsq,
-                res.bref,
-            )
+        Some(ckpt) => {
+            let (x, r, p) = resume_blocks(geom, ckpt);
+            let history = ckpt.residuals.clone();
+            (x, r, p, ckpt.rsq, ckpt.bref, ckpt.iterations, history)
         }
     };
-    let mut new_residuals = Vec::new();
     let mut converged = (rsq / bref).sqrt() <= tolerance;
     let mut done_here = 0usize;
     while !ctx.wedged() && !converged && iterations < max_iterations && done_here < segment_iters {
@@ -588,7 +570,7 @@ pub async fn wilson_cg_segment_async(
         iterations += 1;
         done_here += 1;
         let rel = (new_rsq / bref).sqrt();
-        new_residuals.push(rel);
+        residuals.push(rel);
         converged = rel <= tolerance;
         let beta = new_rsq / rsq;
         xpay(&mut p, beta, &r);
@@ -602,275 +584,73 @@ pub async fn wilson_cg_segment_async(
         rsq,
         bref,
         iterations,
-        new_residuals,
+        residuals,
         converged,
         wedged: ctx.wedged(),
     }
 }
 
-fn pack_spinor(sp: &Spinor, out: &mut [u64]) {
-    let mut i = 0;
-    for s in 0..4 {
-        for c in 0..3 {
-            out[i] = sp.0[s].0[c].re.to_bits();
-            out[i + 1] = sp.0[s].0[c].im.to_bits();
-            i += 2;
-        }
-    }
-}
-
-fn unpack_spinor(words: &[u64]) -> Spinor {
-    let mut sp = Spinor::ZERO;
-    let mut i = 0;
-    for s in 0..4 {
-        for c in 0..3 {
-            sp.0[s].0[c] = C64::new(f64::from_bits(words[i]), f64::from_bits(words[i + 1]));
-            i += 2;
-        }
-    }
-    sp
-}
-
-/// Words per spinor in a checkpoint payload (matches
-/// `FermionField::to_bits`: spin-major, then color, re before im).
-const SPINOR_WORDS: usize = 24;
-
-/// Gather per-node segment outputs into one global [`CgCheckpoint`], in
-/// the exact bit layout `FermionField::to_bits` uses — so the checkpoint
-/// is portable across machine shapes (and down to a single-node resume).
-/// `prior_residuals` carries the history from before this segment; the
-/// scalars are taken from node 0 (the global sums make them identical on
-/// every node).
+/// Gather per-node segment outputs into one global [`CgCheckpoint`]: each
+/// site's [`Spinor::to_words`] image at its global site index, which is
+/// `FermionField::to_bits` by construction — so the checkpoint is portable
+/// across machine shapes (and down to a single-node resume). The scalars
+/// and the residual history are taken from node 0 (the global sums make
+/// them identical on every node).
 pub fn assemble_checkpoint(
     shape: &TorusShape,
     global: Lattice,
     outs: &[CgSegmentOut],
-    prior_residuals: &[f64],
 ) -> CgCheckpoint {
     assert_eq!(outs.len(), shape.node_count());
-    let words = global.volume() * SPINOR_WORDS;
-    let mut x = vec![0u64; words];
-    let mut r = vec![0u64; words];
-    let mut p = vec![0u64; words];
+    let mut x = vec![[0u64; WORDS_PER_SPINOR]; global.volume()];
+    let mut r = x.clone();
+    let mut p = x.clone();
     for (node, out) in outs.iter().enumerate() {
         let geom = BlockGeom::for_node(shape, NodeId(node as u32), global);
         for l in geom.local.sites() {
-            let g = geom.global_site(l) * SPINOR_WORDS;
-            pack_spinor(&out.x[l], &mut x[g..g + SPINOR_WORDS]);
-            pack_spinor(&out.r[l], &mut r[g..g + SPINOR_WORDS]);
-            pack_spinor(&out.p[l], &mut p[g..g + SPINOR_WORDS]);
+            let g = geom.global_site(l);
+            x[g] = out.x[l].to_words();
+            r[g] = out.r[l].to_words();
+            p[g] = out.p[l].to_words();
         }
     }
     let head = &outs[0];
-    let mut residuals = prior_residuals.to_vec();
-    residuals.extend_from_slice(&head.new_residuals);
     CgCheckpoint {
-        operator: "wilson".into(),
+        operator: OPERATOR.into(),
         iterations: head.iterations,
         converged: head.converged,
         rsq: head.rsq,
         bref: head.bref,
-        residuals,
+        residuals: head.residuals.clone(),
         // Deterministic functions of the iteration count for the
         // distributed recurrence: one M† in setup, M and M† per iteration;
         // two setup reductions, two per iteration.
         applications: 1 + 2 * head.iterations,
         reductions: 2 + 2 * head.iterations,
-        x,
-        r,
-        p,
+        x: x.into_flattened(),
+        r: r.into_flattened(),
+        p: p.into_flattened(),
     }
 }
 
-/// Extract this node's `(x, r, p)` blocks from a global checkpoint — the
-/// inverse of [`assemble_checkpoint`] for an arbitrary (possibly
-/// different) machine shape.
-pub fn resume_blocks(
-    geom: &BlockGeom,
-    ckpt: &CgCheckpoint,
-) -> (Vec<Spinor>, Vec<Spinor>, Vec<Spinor>) {
-    assert_eq!(ckpt.x.len(), geom.global.volume() * SPINOR_WORDS);
-    let mut x = Vec::with_capacity(geom.local.volume());
-    let mut r = Vec::with_capacity(geom.local.volume());
-    let mut p = Vec::with_capacity(geom.local.volume());
-    for l in geom.local.sites() {
-        let g = geom.global_site(l) * SPINOR_WORDS;
-        x.push(unpack_spinor(&ckpt.x[g..g + SPINOR_WORDS]));
-        r.push(unpack_spinor(&ckpt.r[g..g + SPINOR_WORDS]));
-        p.push(unpack_spinor(&ckpt.p[g..g + SPINOR_WORDS]));
+/// This node's `(x, r, p)` blocks out of a global checkpoint — the inverse
+/// of [`assemble_checkpoint`] for an arbitrary (possibly different)
+/// machine shape. Panics with the [`ResumeError`]'s message if the
+/// checkpoint is not a Wilson checkpoint of `geom.global`.
+///
+/// [`ResumeError`]: qcdoc_lattice::checkpoint::ResumeError
+fn resume_blocks(geom: &BlockGeom, ckpt: &CgCheckpoint) -> (Vec<Spinor>, Vec<Spinor>, Vec<Spinor>) {
+    if let Err(refusal) = ckpt.validate(OPERATOR, geom.global.volume() * WORDS_PER_SPINOR) {
+        panic!("distributed CG resume refused: {refusal}");
     }
-    (x, r, p)
-}
-
-/// Distributed naive staggered dslash. Face payloads are color vectors
-/// (3 complex = 6 words per site): the low face travels raw (the −μ
-/// neighbour multiplies by its own fat/thin link), the high face travels
-/// pre-multiplied by `U†` exactly like the Wilson backward hop.
-pub async fn staggered_dslash_local(
-    ctx: &mut NodeCtx,
-    geom: &BlockGeom,
-    gauge: &[[Su3; 4]],
-    chi: &[qcdoc_lattice::colorvec::ColorVec],
-) -> Vec<qcdoc_lattice::colorvec::ColorVec> {
-    use qcdoc_lattice::colorvec::ColorVec;
-    use qcdoc_lattice::staggered::eta;
-    const VEC_WORDS: u64 = 6;
-    let ld = geom.local.dims();
-    let staging = Staging::new(geom);
-    // Exchange faces (raw low face, U†-multiplied high face).
-    let mut sends = Vec::new();
-    let mut recvs = Vec::new();
-    for mu in 0..4 {
-        if !geom.off_node(mu) {
-            continue;
-        }
-        let faces = geom.face_sites(mu) as u64;
-        let send_lo = staging.slot(2 * mu);
-        let send_hi = staging.slot(2 * mu + 1);
-        for l in geom.local.sites() {
-            let lc = geom.local.coord(l);
-            let pack = |v: &ColorVec| -> [u64; 6] {
-                let mut w = [0u64; 6];
-                for c in 0..3 {
-                    w[2 * c] = v.0[c].re.to_bits();
-                    w[2 * c + 1] = v.0[c].im.to_bits();
-                }
-                w
-            };
-            if lc[mu] == 0 {
-                let base = send_lo + geom.face_index(lc, mu) as u64 * VEC_WORDS * 8;
-                ctx.mem.write_block(base, &pack(&chi[l])).unwrap();
-            }
-            if lc[mu] == ld[mu] - 1 {
-                let v = gauge[l][mu].adj_mul_vec(&chi[l]);
-                let base = send_hi + geom.face_index(lc, mu) as u64 * VEC_WORDS * 8;
-                ctx.mem.write_block(base, &pack(&v)).unwrap();
-            }
-        }
-        let axis = Axis(mu as u8);
-        let recv_plus = staging.slot(8 + 2 * mu);
-        let recv_minus = staging.slot(8 + 2 * mu + 1);
-        ctx.start_recv(
-            axis.plus(),
-            DmaDescriptor::contiguous(recv_plus, (faces * VEC_WORDS) as u32),
-        );
-        ctx.start_recv(
-            axis.minus(),
-            DmaDescriptor::contiguous(recv_minus, (faces * VEC_WORDS) as u32),
-        );
-        ctx.start_send(
-            axis.minus(),
-            DmaDescriptor::contiguous(send_lo, (faces * VEC_WORDS) as u32),
-        );
-        ctx.start_send(
-            axis.plus(),
-            DmaDescriptor::contiguous(send_hi, (faces * VEC_WORDS) as u32),
-        );
-        sends.push(axis.plus());
-        sends.push(axis.minus());
-        recvs.push(axis.plus());
-        recvs.push(axis.minus());
-    }
-    ctx.complete_async(&sends, &recvs).await;
-    let unpack = |ctx: &mut NodeCtx, base: u64, f: usize| -> ColorVec {
-        let w: Vec<u64> = ctx
-            .mem
-            .read_block(base + f as u64 * VEC_WORDS * 8, 6)
-            .unwrap();
-        let mut v = ColorVec::ZERO;
-        for c in 0..3 {
-            v.0[c] = C64::new(f64::from_bits(w[2 * c]), f64::from_bits(w[2 * c + 1]));
-        }
-        v
+    let block = |words: &[u64]| -> Vec<Spinor> {
+        let images = words.as_chunks().0;
+        geom.local
+            .sites()
+            .map(|l| Spinor::from_words(&images[geom.global_site(l)]))
+            .collect()
     };
-    let token = ctx.telem.begin();
-    let mut out = vec![ColorVec::ZERO; chi.len()];
-    for l in geom.local.sites() {
-        let lc = geom.local.coord(l);
-        // Staggered phases depend on the *global* coordinate.
-        let gc = geom.global.coord(geom.global_site(l));
-        let mut acc = ColorVec::ZERO;
-        for mu in 0..4 {
-            let phase = eta(gc, mu) * 0.5;
-            let fwd = if geom.off_node(mu) && lc[mu] == ld[mu] - 1 {
-                unpack(ctx, staging.slot(8 + 2 * mu), geom.face_index(lc, mu))
-            } else {
-                *chi.get(geom.local.neighbour(l, mu, true))
-                    .expect("local site")
-            };
-            acc += gauge[l][mu].mul_vec(&fwd) * phase;
-            let bwd = if geom.off_node(mu) && lc[mu] == 0 {
-                unpack(ctx, staging.slot(8 + 2 * mu + 1), geom.face_index(lc, mu))
-            } else {
-                let xb = geom.local.neighbour(l, mu, false);
-                gauge[xb][mu].adj_mul_vec(&chi[xb])
-            };
-            acc -= bwd * phase;
-        }
-        out[l] = acc;
-    }
-    ctx.telem.advance(compute_cycles(
-        geom.local.volume(),
-        STAGGERED_FLOPS_PER_SITE,
-    ));
-    ctx.telem.end_with(
-        token,
-        "staggered.compute",
-        Phase::Compute,
-        geom.local.volume() as u64,
-    );
-    ctx.telem.counter_add("dslash_applications", 1);
-    out
-}
-
-/// Distributed clover operator: the hopping term needs the same halo
-/// exchange as Wilson; the clover term `A(x)` is strictly site-local, so
-/// each node applies its own precomputed blocks. `clover` must be built on
-/// the *global* gauge field (the field-strength leaves reach one site out,
-/// which the global construction handles; each node then extracts its
-/// sites' blocks).
-pub async fn clover_apply(
-    ctx: &mut NodeCtx,
-    geom: &BlockGeom,
-    gauge: &[[Su3; 4]],
-    clover: &qcdoc_lattice::clover::CloverDirac<'_>,
-    psi: &[Spinor],
-    kappa: f64,
-) -> Vec<Spinor> {
-    let hop = dslash_local_async(ctx, geom, gauge, psi).await;
-    let token = ctx.telem.begin();
-    let mut out = vec![Spinor::ZERO; psi.len()];
-    let mk = C64::real(-kappa);
-    for l in geom.local.sites() {
-        let gsite = geom.global_site(l);
-        let t = clover.site_term(gsite);
-        // Apply the two chirality blocks (same arithmetic as the
-        // single-node CloverDirac::apply_clover_term).
-        let s = &psi[l];
-        let mut o = Spinor::ZERO;
-        for row in 0..6 {
-            let (rs, rc) = (row / 3, row % 3);
-            let mut up = C64::ZERO;
-            let mut lo = C64::ZERO;
-            for col in 0..6 {
-                let (cs, cc) = (col / 3, col % 3);
-                up = up.madd(t.upper[row][col], s.0[cs].0[cc]);
-                lo = lo.madd(t.lower[row][col], s.0[cs + 2].0[cc]);
-            }
-            o.0[rs].0[rc] = up;
-            o.0[rs + 2].0[rc] = lo;
-        }
-        out[l] = o.axpy(mk, &hop[l]);
-    }
-    ctx.telem
-        .advance(compute_cycles(geom.local.volume(), CLOVER_FLOPS_PER_SITE));
-    ctx.telem.end_with(
-        token,
-        "clover.compute",
-        Phase::Compute,
-        geom.local.volume() as u64,
-    );
-    out
+    (block(&ckpt.x), block(&ckpt.r), block(&ckpt.p))
 }
 
 /// Bitwise fingerprint of a spinor block — the hash of
@@ -1001,70 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_staggered_is_bitwise_identical_to_reference() {
-        use qcdoc_lattice::field::StaggeredField;
-        use qcdoc_lattice::staggered::StaggeredDirac;
-        let global = Lattice::new([4, 4, 2, 2]);
-        let gauge = GaugeField::hot(global, 600);
-        let chi = StaggeredField::gaussian(global, 601);
-        let op = StaggeredDirac::new(&gauge, 0.1);
-        let mut reference = StaggeredField::zero(global);
-        op.dslash(&mut reference, &chi);
-        let machine = ShardedMachine::new(TorusShape::new(&[2, 2]));
-        let results = machine.run(async |ctx| {
-            let geom = BlockGeom::new(ctx, global);
-            let lg = geom.extract_gauge(&gauge);
-            let lc: Vec<_> = geom
-                .local
-                .sites()
-                .map(|l| *chi.site(geom.global_site(l)))
-                .collect();
-            let out = staggered_dslash_local(ctx, &geom, &lg, &lc).await;
-            geom.local.sites().all(|l| {
-                let want = reference.site(geom.global_site(l));
-                (0..3).all(|c| {
-                    out[l].0[c].re.to_bits() == want.0[c].re.to_bits()
-                        && out[l].0[c].im.to_bits() == want.0[c].im.to_bits()
-                })
-            })
-        });
-        assert!(
-            results.iter().all(|&ok| ok),
-            "distributed staggered diverged from reference"
-        );
-    }
-
-    #[test]
-    fn distributed_clover_is_bitwise_identical_to_reference() {
-        let global = Lattice::new([4, 4, 2, 2]);
-        let gauge = GaugeField::hot(global, 500);
-        let psi = FermionField::gaussian(global, 501);
-        let clover = qcdoc_lattice::clover::CloverDirac::new(&gauge, KAPPA, 1.0);
-        let mut reference = FermionField::zero(global);
-        clover.apply(&mut reference, &psi);
-        let machine = ShardedMachine::new(TorusShape::new(&[2, 2]));
-        let results = machine.run(async |ctx| {
-            let geom = BlockGeom::new(ctx, global);
-            let lg = geom.extract_gauge(&gauge);
-            let lp = geom.extract_fermion(&psi);
-            let out = clover_apply(ctx, &geom, &lg, &clover, &lp, KAPPA).await;
-            geom.local.sites().all(|l| {
-                let want = reference.site(geom.global_site(l));
-                (0..4).all(|s| {
-                    (0..3).all(|c| {
-                        out[l].0[s].0[c].re.to_bits() == want.0[s].0[c].re.to_bits()
-                            && out[l].0[s].0[c].im.to_bits() == want.0[s].0[c].im.to_bits()
-                    })
-                })
-            })
-        });
-        assert!(
-            results.iter().all(|&ok| ok),
-            "distributed clover diverged from reference"
-        );
-    }
-
-    #[test]
     fn distributed_cg_converges_and_matches_reference_solution() {
         let global = Lattice::new([4, 4, 2, 2]);
         let gauge = GaugeField::hot(global, 60);
@@ -1164,44 +880,15 @@ mod tests {
         let mut ckpt: Option<CgCheckpoint> = None;
         for _ in 0..100 {
             let machine = ShardedMachine::new(shape.clone());
-            let carried = ckpt.clone();
             let outs = machine.run(async |ctx| {
                 let geom = BlockGeom::new(ctx, global);
                 let lg = geom.extract_gauge(&gauge);
                 let lb = geom.extract_fermion(&b);
-                match carried.as_ref() {
-                    None => {
-                        wilson_cg_segment_async(ctx, &geom, &lg, &lb, KAPPA, 1e-8, 2000, None, 7)
-                            .await
-                    }
-                    Some(k) => {
-                        let (x, r, p) = resume_blocks(&geom, k);
-                        let resume = CgResume {
-                            x: &x,
-                            r: &r,
-                            p: &p,
-                            rsq: k.rsq,
-                            bref: k.bref,
-                            iterations: k.iterations,
-                        };
-                        wilson_cg_segment_async(
-                            ctx,
-                            &geom,
-                            &lg,
-                            &lb,
-                            KAPPA,
-                            1e-8,
-                            2000,
-                            Some(resume),
-                            7,
-                        )
-                        .await
-                    }
-                }
+                let resume = ckpt.as_ref();
+                wilson_cg_segment_async(ctx, &geom, &lg, &lb, KAPPA, 1e-8, 2000, resume, 7).await
             });
             assert!(outs.iter().all(|o| !o.wedged));
-            let prior: Vec<f64> = ckpt.map(|k| k.residuals).unwrap_or_default();
-            let next = assemble_checkpoint(&shape, global, &outs, &prior);
+            let next = assemble_checkpoint(&shape, global, &outs);
             // Persist through bytes each segment, like a crashed run would.
             let bytes = qcdoc_lattice::checkpoint::write_checkpoint(&next);
             let restored = qcdoc_lattice::checkpoint::read_checkpoint(&bytes).unwrap();
@@ -1220,5 +907,71 @@ mod tests {
             }
         }
         panic!("segmented solve did not converge in 100 segments");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "checkpoint was taken under operator clover, cannot resume under wilson"
+    )]
+    fn segment_refuses_another_operators_checkpoint() {
+        // Same lattice, same words per vector — only the operator name
+        // tells a clover checkpoint from a Wilson one.
+        let global = Lattice::new([4, 2, 2, 2]);
+        let gauge = GaugeField::hot(global, 70);
+        let b = FermionField::gaussian(global, 71);
+        let shape = TorusShape::new(&[2, 2]);
+        let segment = |resume: Option<&CgCheckpoint>| {
+            ShardedMachine::new(shape.clone()).run(async |ctx| {
+                let geom = BlockGeom::new(ctx, global);
+                let lg = geom.extract_gauge(&gauge);
+                let lb = geom.extract_fermion(&b);
+                wilson_cg_segment_async(ctx, &geom, &lg, &lb, KAPPA, 1e-8, 2000, resume, 3).await
+            })
+        };
+        let mut ckpt = assemble_checkpoint(&shape, global, &segment(None));
+        ckpt.operator = "clover".into();
+        segment(Some(&ckpt));
+    }
+
+    #[test]
+    fn checkpoint_layout_is_fermion_field_to_bits_on_every_machine_shape() {
+        // The layout contract, held by a test instead of a comment:
+        // blocks → global checkpoint is `FermionField::to_bits` word for
+        // word, and checkpoint → blocks is its inverse, whatever the
+        // decomposition.
+        use qcdoc_lattice::solver::KrylovVector;
+        let global = Lattice::new([4, 4, 2, 2]);
+        let f = FermionField::gaussian(global, 91);
+        let bits =
+            |block: &[Spinor]| -> Vec<u64> { block.iter().flat_map(Spinor::to_words).collect() };
+        for dims in [&[2, 2, 2][..], &[2, 2], &[1]] {
+            let shape = TorusShape::new(dims);
+            let blocks: Vec<Vec<Spinor>> = (0..shape.node_count())
+                .map(|n| BlockGeom::for_node(&shape, NodeId(n as u32), global).extract_fermion(&f))
+                .collect();
+            let outs: Vec<CgSegmentOut> = blocks
+                .iter()
+                .map(|block| CgSegmentOut {
+                    x: block.clone(),
+                    r: block.clone(),
+                    p: block.clone(),
+                    rsq: 1.0,
+                    bref: 1.0,
+                    iterations: 0,
+                    residuals: Vec::new(),
+                    converged: false,
+                    wedged: false,
+                })
+                .collect();
+            let ckpt = assemble_checkpoint(&shape, global, &outs);
+            assert_eq!(ckpt.x, f.to_bits(), "shape {dims:?}");
+            assert_eq!((&ckpt.r, &ckpt.p), (&ckpt.x, &ckpt.x));
+            for (n, block) in blocks.iter().enumerate() {
+                let geom = BlockGeom::for_node(&shape, NodeId(n as u32), global);
+                let (x, r, p) = resume_blocks(&geom, &ckpt);
+                assert_eq!(bits(&x), bits(block), "shape {dims:?} node {n}");
+                assert_eq!((bits(&r), bits(&p)), (bits(&x), bits(&x)));
+            }
+        }
     }
 }

@@ -37,7 +37,7 @@ use qcdoc_fault::{
 };
 use qcdoc_geometry::{NodeId, TorusShape};
 use qcdoc_lattice::checkpoint::write_checkpoint;
-use qcdoc_lattice::solver::{resume_cgne_on, solve_cgne_checkpointed, CgParams};
+use qcdoc_lattice::solver::{resume_cgne, solve_cgne_checkpointed, CgParams};
 use qcdoc_lattice::wilson::WilsonDirac;
 use qcdoc_lattice::{CgCheckpoint, FermionField, GaugeField, Lattice};
 use qcdoc_sched::{
@@ -629,7 +629,7 @@ impl Soak {
                         continue;
                     };
                     let template = FermionField::zero(lat);
-                    match resume_cgne_on(&op, &template, &ckpt, CgParams::default()) {
+                    match resume_cgne(&op, &template, &ckpt, CgParams::default()) {
                         Ok((x, _)) => x.fingerprint(),
                         Err(_) => continue,
                     }

@@ -50,7 +50,69 @@ pub struct CgCheckpoint {
     pub p: Vec<u64>,
 }
 
+/// Why a checkpoint cannot be resumed against a given operator and
+/// problem size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ResumeError {
+    /// The checkpoint was taken under a different Dirac operator.
+    OperatorMismatch {
+        /// Operator name recorded in the checkpoint.
+        expected: String,
+        /// Operator offered for the resume.
+        found: String,
+    },
+    /// The global degrees of freedom offered for the resume do not match
+    /// a checkpointed vector — the checkpoint belongs to a different
+    /// problem (or is malformed), not merely a different partition shape.
+    ShapeMismatch {
+        /// Bit-pattern words in the offending checkpoint vector.
+        expected: usize,
+        /// Bit-pattern words per vector of the offered problem.
+        found: usize,
+    },
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::OperatorMismatch { expected, found } => write!(
+                f,
+                "checkpoint was taken under operator {expected}, cannot resume under {found}"
+            ),
+            ResumeError::ShapeMismatch { expected, found } => write!(
+                f,
+                "a checkpoint vector holds {expected} words but the problem holds {found} per vector"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
 impl CgCheckpoint {
+    /// The one resume-time validation, shared by the serial
+    /// [`resume_cgne`](crate::solver::resume_cgne) and the distributed
+    /// segment: the checkpoint must have been taken under `operator`, and
+    /// each of `x`, `r` and `p` must hold `words` bit-pattern words (the
+    /// global problem size — machine shape is free).
+    pub fn validate(&self, operator: &str, words: usize) -> Result<(), ResumeError> {
+        if self.operator != operator {
+            return Err(ResumeError::OperatorMismatch {
+                expected: self.operator.clone(),
+                found: operator.to_string(),
+            });
+        }
+        for vector in [&self.x, &self.r, &self.p] {
+            if vector.len() != words {
+                return Err(ResumeError::ShapeMismatch {
+                    expected: vector.len(),
+                    found: words,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Order-sensitive FNV digest over every field — the
     /// `LinkChecksum`-style identity of the checkpointed state. Two
     /// checkpoints with equal digests carry bit-identical solver state.

@@ -17,7 +17,7 @@
 use crate::complex::C64;
 use crate::field::{FermionField, GaugeField, Lattice};
 use crate::solver::{CgParams, CgReport, DiracOperator, KrylovVector};
-use crate::spinor::{ProjSign, Spinor};
+use crate::spinor::{ProjSign, Spinor, WORDS_PER_SPINOR};
 use serde::{Deserialize, Serialize};
 
 /// Site ordering for one parity: dense indices 0..V/2 per checkerboard.
@@ -149,27 +149,16 @@ impl KrylovVector for EoField {
         }
     }
     fn to_bits(&self) -> Vec<u64> {
-        let mut bits = Vec::with_capacity(self.data.len() * 24);
-        for sp in &self.data {
-            for cv in &sp.0 {
-                for z in &cv.0 {
-                    bits.push(z.re.to_bits());
-                    bits.push(z.im.to_bits());
-                }
-            }
-        }
-        bits
+        self.data.iter().flat_map(Spinor::to_words).collect()
     }
     fn load_bits(&mut self, bits: &[u64]) {
-        assert_eq!(bits.len(), self.data.len() * 24, "half-field word count");
-        let mut it = bits.iter();
-        for sp in &mut self.data {
-            for cv in &mut sp.0 {
-                for z in &mut cv.0 {
-                    z.re = f64::from_bits(*it.next().expect("length checked"));
-                    z.im = f64::from_bits(*it.next().expect("length checked"));
-                }
-            }
+        assert_eq!(
+            bits.len(),
+            self.data.len() * WORDS_PER_SPINOR,
+            "half-field word count"
+        );
+        for (sp, words) in self.data.iter_mut().zip(bits.as_chunks().0) {
+            *sp = Spinor::from_words(words);
         }
     }
 }

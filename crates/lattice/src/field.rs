@@ -255,13 +255,7 @@ fn fingerprint_words(words: impl Iterator<Item = u64>) -> u64 {
 /// order — [`FermionField::fingerprint`] on the whole field, and the
 /// distributed solver's per-node block fingerprint.
 pub fn fingerprint_spinors(block: &[Spinor]) -> u64 {
-    fingerprint_words(
-        block
-            .iter()
-            .flat_map(|sp| sp.0.iter())
-            .flat_map(|cv| cv.0.iter())
-            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()]),
-    )
+    fingerprint_words(block.iter().flat_map(Spinor::to_words))
 }
 
 /// A Wilson-type fermion field: one 4-spinor per site.

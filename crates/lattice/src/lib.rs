@@ -52,7 +52,6 @@ pub mod gamma;
 pub mod gauge;
 pub mod io;
 pub mod measure;
-pub mod multishift;
 pub mod real;
 pub mod rng;
 pub mod solver;
@@ -61,9 +60,9 @@ pub mod staggered;
 pub mod su3;
 pub mod wilson;
 
-pub use checkpoint::CgCheckpoint;
+pub use checkpoint::{CgCheckpoint, ResumeError};
 pub use complex::{Complex, C32, C64};
 pub use field::{FermionField, GaugeField, Lattice};
 pub use real::Real;
-pub use solver::{CgReport, DiracOperator, ResumeError};
+pub use solver::{CgReport, DiracOperator};
 pub use su3::Su3;

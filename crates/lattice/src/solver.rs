@@ -7,12 +7,12 @@
 //! global reductions — the two inner products whose latency motivates the
 //! SCU's hardware global sums (§2.2).
 
-use crate::checkpoint::CgCheckpoint;
+use crate::checkpoint::{CgCheckpoint, ResumeError};
 use crate::complex::C64;
 use crate::dwf::{DwfDirac, DwfField};
 use crate::field::{FermionField, StaggeredField};
 use crate::real::Real;
-use crate::spinor::Spinor;
+use crate::spinor::{Spinor, WORDS_PER_SPINOR};
 use crate::staggered::{AsqtadDirac, StaggeredDirac};
 use crate::wilson::WilsonDirac;
 use qcdoc_telemetry::{FlightKind, NodeTelemetry, Phase};
@@ -146,29 +146,20 @@ impl<T: Real> KrylovVector for FermionField<T> {
     fn store_bits(&self, out: &mut Vec<u64>) {
         let lat = self.lattice();
         out.clear();
-        out.reserve(lat.volume() * 24);
+        out.reserve(lat.volume() * WORDS_PER_SPINOR);
         for i in lat.sites() {
-            let sp = self.site(i);
-            for cv in &sp.0 {
-                for z in &cv.0 {
-                    out.push(z.re.bits64());
-                    out.push(z.im.bits64());
-                }
-            }
+            out.extend_from_slice(&self.site(i).to_words());
         }
     }
     fn load_bits(&mut self, bits: &[u64]) {
         let lat = self.lattice();
-        assert_eq!(bits.len(), lat.volume() * 24, "checkpoint shape mismatch");
-        let mut it = bits.iter();
-        for i in lat.sites() {
-            let sp = self.site_mut(i);
-            for cv in &mut sp.0 {
-                for z in &mut cv.0 {
-                    z.re = T::from_bits64(*it.next().expect("length checked"));
-                    z.im = T::from_bits64(*it.next().expect("length checked"));
-                }
-            }
+        assert_eq!(
+            bits.len(),
+            lat.volume() * WORDS_PER_SPINOR,
+            "checkpoint shape mismatch"
+        );
+        for (i, words) in lat.sites().zip(bits.as_chunks().0) {
+            *self.site_mut(i) = Spinor::from_words(words);
         }
     }
 }
@@ -250,7 +241,7 @@ impl<T: Real> KrylovVector for DwfField<T> {
             .collect()
     }
     fn load_bits(&mut self, bits: &[u64]) {
-        let per_slice = self.lattice().volume() * 24;
+        let per_slice = self.lattice().volume() * WORDS_PER_SPINOR;
         assert_eq!(
             bits.len(),
             per_slice * self.ls(),
@@ -980,135 +971,49 @@ pub fn solve_cgne_checkpointed<Op: DiracOperator>(
     )
 }
 
-/// Resume a solve from a checkpoint. `template` supplies the field shape
-/// (any field on the right lattice — its values are overwritten); the
-/// returned solution and report are **bit-identical** to those of a solve
-/// that ran uninterrupted: same residual history (checkpointed prefix +
-/// freshly computed tail), same totals, same solution bits.
+/// Resume a solve from a checkpoint — the one serial resume entry point
+/// (the scheduler's preemption protocol, the chaos soak and the
+/// reproducibility suites all come through here). `template` supplies the
+/// field shape (any field on the right lattice — its values are
+/// overwritten); the returned solution and report are **bit-identical**
+/// to those of a solve that ran uninterrupted: same residual history
+/// (checkpointed prefix + freshly computed tail), same totals, same
+/// solution bits.
+///
+/// A checkpoint may legitimately resume on a partition of a *different
+/// shape* (it serialises the global lattice in a machine-independent
+/// order), so the only hard requirements are the operator identity and
+/// the global problem size; [`CgCheckpoint::validate`] checks both before
+/// anything is restored.
 pub fn resume_cgne<Op: DiracOperator>(
     op: &Op,
     template: &Op::Field,
     ckpt: &CgCheckpoint,
     params: CgParams,
-) -> (Op::Field, CgReport) {
+) -> Result<(Op::Field, CgReport), ResumeError> {
+    ckpt.validate(op.name(), template.to_bits().len())?;
     let mut telem = NodeTelemetry::disabled(0);
-    resume_cgne_traced(op, template, ckpt, params, &mut telem, &SolverCosts::unit())
-}
-
-/// [`resume_cgne`] with cycle-stamped tracing (the same span sequence the
-/// live loop emits).
-pub fn resume_cgne_traced<Op: DiracOperator>(
-    op: &Op,
-    template: &Op::Field,
-    ckpt: &CgCheckpoint,
-    params: CgParams,
-    telem: &mut NodeTelemetry,
-    costs: &SolverCosts,
-) -> (Op::Field, CgReport) {
-    let (mut x, mut st) = restore_state(op, template, ckpt);
-    telem.counter_add("solver_checkpoint_restores", 1);
-    telem.flight(
-        FlightKind::Resume,
-        "checkpoint_restore",
-        st.iterations as u64,
-        0,
-    );
+    let (mut x, mut st) = restore_state(template, ckpt);
     cg_loop(
         op,
         &mut x,
         &mut st,
         params,
-        telem,
-        costs,
+        &mut telem,
+        &SolverCosts::unit(),
         0,
         &mut Vec::new(),
         &mut None,
     );
-    let report = cg_report(op, st, telem);
-    (x, report)
-}
-
-/// Why a checkpoint cannot be resumed against a given operator and
-/// field template.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ResumeError {
-    /// The checkpoint was taken under a different Dirac operator.
-    OperatorMismatch {
-        /// Operator name recorded in the checkpoint.
-        expected: String,
-        /// Operator offered for the resume.
-        found: String,
-    },
-    /// The template field's global degrees of freedom do not match the
-    /// checkpointed vectors — the checkpoint belongs to a different
-    /// problem, not merely a different partition shape.
-    ShapeMismatch {
-        /// Bit-pattern words per vector in the checkpoint.
-        expected: usize,
-        /// Bit-pattern words of the offered template field.
-        found: usize,
-    },
-}
-
-impl std::fmt::Display for ResumeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ResumeError::OperatorMismatch { expected, found } => write!(
-                f,
-                "checkpoint was taken under operator {expected}, cannot resume under {found}"
-            ),
-            ResumeError::ShapeMismatch { expected, found } => write!(
-                f,
-                "checkpoint vectors hold {expected} words but the template field holds {found}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ResumeError {}
-
-/// [`resume_cgne`] with the panics turned into errors — the entry point
-/// the scheduler's preemption protocol uses. A preempted job's
-/// checkpoint may legitimately resume on a partition of a *different
-/// shape* (the checkpoint serialises the global lattice in a
-/// machine-independent order), so the only hard requirements are the
-/// operator identity and the global problem size; both are validated
-/// here instead of asserted deep in the restore path.
-pub fn resume_cgne_on<Op: DiracOperator>(
-    op: &Op,
-    template: &Op::Field,
-    ckpt: &CgCheckpoint,
-    params: CgParams,
-) -> Result<(Op::Field, CgReport), ResumeError> {
-    if ckpt.operator != op.name() {
-        return Err(ResumeError::OperatorMismatch {
-            expected: ckpt.operator.clone(),
-            found: op.name().to_string(),
-        });
-    }
-    let found = template.to_bits().len();
-    if ckpt.x.len() != found {
-        return Err(ResumeError::ShapeMismatch {
-            expected: ckpt.x.len(),
-            found,
-        });
-    }
-    Ok(resume_cgne(op, template, ckpt, params))
+    let report = cg_report(op, st, &mut telem);
+    Ok((x, report))
 }
 
 /// Rebuild `(x, loop state)` from a checkpoint. `template` supplies the
-/// field shape — its values are overwritten. Shared by the resume entry
-/// points and the ABFT rollback path.
-fn restore_state<Op: DiracOperator>(
-    op: &Op,
-    template: &Op::Field,
-    ckpt: &CgCheckpoint,
-) -> (Op::Field, CgLoopState<Op::Field>) {
-    assert_eq!(
-        ckpt.operator,
-        op.name(),
-        "checkpoint was taken under a different operator"
-    );
+/// field shape — its values are overwritten. Shared by [`resume_cgne`]
+/// (which has validated `ckpt`) and the ABFT rollback path (whose
+/// snapshots come from the running solve itself).
+fn restore_state<F: KrylovVector>(template: &F, ckpt: &CgCheckpoint) -> (F, CgLoopState<F>) {
     let mut x = template.clone();
     x.load_bits(&ckpt.x);
     let mut r = template.clone();
@@ -1220,7 +1125,7 @@ pub fn solve_cgne_abft<Op: DiracOperator>(
             st.iterations as u64,
             target.iterations as u64,
         );
-        let (rx, rst) = restore_state(op, b, target);
+        let (rx, rst) = restore_state(b, target);
         *x = rx;
         st = rst;
         let ab = audit.as_mut().expect("the audit tracker persists");
@@ -1768,7 +1673,8 @@ mod tests {
         let restored = crate::checkpoint::read_checkpoint(&bytes).unwrap();
         assert_eq!(restored.digest(), mid.digest());
         let template = FermionField::zero(lat());
-        let (x_res, res_report) = resume_cgne(&op, &template, &restored, CgParams::default());
+        let (x_res, res_report) =
+            resume_cgne(&op, &template, &restored, CgParams::default()).unwrap();
         assert_eq!(
             x_ref.fingerprint(),
             x_res.fingerprint(),
@@ -1791,28 +1697,13 @@ mod tests {
         let last = sink.last().unwrap();
         assert!(last.converged);
         let template = FermionField::zero(lat());
-        let (x_res, res_report) = resume_cgne(&op, &template, last, CgParams::default());
+        let (x_res, res_report) = resume_cgne(&op, &template, last, CgParams::default()).unwrap();
         assert_eq!(x.fingerprint(), x_res.fingerprint());
         assert_eq!(report, res_report);
     }
 
     #[test]
-    #[should_panic(expected = "different operator")]
-    fn resume_rejects_operator_mismatch() {
-        let gauge = GaugeField::hot(lat(), 126);
-        let op = WilsonDirac::new(&gauge, 0.12);
-        let b = FermionField::gaussian(lat(), 127);
-        let mut x = FermionField::zero(lat());
-        let mut sink = Vec::new();
-        solve_cgne_checkpointed(&op, &mut x, &b, CgParams::default(), 1, &mut sink);
-        let mut ckpt = sink.pop().unwrap();
-        ckpt.operator = "clover".into();
-        let template = FermionField::zero(lat());
-        let _ = resume_cgne(&op, &template, &ckpt, CgParams::default());
-    }
-
-    #[test]
-    fn resume_cgne_on_validates_before_restoring() {
+    fn resume_cgne_validates_before_restoring() {
         let gauge = GaugeField::hot(lat(), 126);
         let op = WilsonDirac::new(&gauge, 0.12);
         let b = FermionField::gaussian(lat(), 127);
@@ -1823,8 +1714,7 @@ mod tests {
         let template = FermionField::zero(lat());
 
         // Valid resume matches the uninterrupted run.
-        let (x_res, res_report) =
-            resume_cgne_on(&op, &template, ckpt, CgParams::default()).unwrap();
+        let (x_res, res_report) = resume_cgne(&op, &template, ckpt, CgParams::default()).unwrap();
         assert_eq!(x.fingerprint(), x_res.fingerprint());
         assert_eq!(report, res_report);
 
@@ -1832,16 +1722,33 @@ mod tests {
         let mut wrong_op = ckpt.clone();
         wrong_op.operator = "clover".into();
         assert!(matches!(
-            resume_cgne_on(&op, &template, &wrong_op, CgParams::default()),
+            resume_cgne(&op, &template, &wrong_op, CgParams::default()),
             Err(ResumeError::OperatorMismatch { .. })
         ));
 
         // Wrong problem size is an error, not a shape panic downstream.
         let small = FermionField::zero(Lattice::new([2, 2, 2, 2]));
         assert!(matches!(
-            resume_cgne_on(&op, &small, ckpt, CgParams::default()),
+            resume_cgne(&op, &small, ckpt, CgParams::default()),
             Err(ResumeError::ShapeMismatch { .. })
         ));
+
+        // So is a checkpoint whose `r` or `p` lost words: all three
+        // vectors are measured, not just `x`.
+        for truncate in [
+            |c: &mut CgCheckpoint| c.r.pop(),
+            |c: &mut CgCheckpoint| c.p.pop(),
+        ] {
+            let mut short = ckpt.clone();
+            truncate(&mut short);
+            assert_eq!(
+                resume_cgne(&op, &template, &short, CgParams::default()).unwrap_err(),
+                ResumeError::ShapeMismatch {
+                    expected: ckpt.x.len() - 1,
+                    found: ckpt.x.len(),
+                }
+            );
+        }
     }
 
     #[test]
@@ -1857,7 +1764,7 @@ mod tests {
         solve_cgne_checkpointed(&op, &mut x_ck, &b, CgParams::default(), 3, &mut sink);
         let mid = &sink[0];
         let template = crate::dwf::DwfField::zero(small, 4);
-        let (x_res, res_report) = resume_cgne(&op, &template, mid, CgParams::default());
+        let (x_res, res_report) = resume_cgne(&op, &template, mid, CgParams::default()).unwrap();
         assert_eq!(x_ref.to_bits(), x_res.to_bits());
         assert_eq!(reference, res_report);
     }

@@ -28,6 +28,10 @@ use crate::real::Real;
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
+/// Words in a spinor's bit image ([`Spinor::to_words`]): 4 spins × 3
+/// colours × (re, im).
+pub const WORDS_PER_SPINOR: usize = 24;
+
 /// A full 4-spinor: spin × color.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Spinor<T: Real = f64>(pub [ColorVec<T>; 4]);
@@ -176,6 +180,39 @@ impl<T: Real> Spinor<T> {
             self.0[2].to_c64_vec(),
             self.0[3].to_c64_vec(),
         ])
+    }
+
+    /// Flatten to 12 complex numbers — 24 words, spin-major, then colour,
+    /// re before im: the per-site image of every checkpointed Krylov
+    /// vector (`FermionField::to_bits`, the distributed solver's global
+    /// checkpoint). Values are carried as 64-bit IEEE words at both
+    /// precisions ([`Real::bits64`]), like [`HalfSpinor::to_words`].
+    #[inline]
+    pub fn to_words(&self) -> [u64; WORDS_PER_SPINOR] {
+        let mut out = [0u64; WORDS_PER_SPINOR];
+        let mut k = 0;
+        for cv in &self.0 {
+            for z in &cv.0 {
+                out[k] = z.re.bits64();
+                out[k + 1] = z.im.bits64();
+                k += 2;
+            }
+        }
+        out
+    }
+
+    /// Inverse of [`Spinor::to_words`].
+    #[inline]
+    pub fn from_words(words: &[u64; WORDS_PER_SPINOR]) -> Spinor<T> {
+        let mut sp = Spinor::ZERO;
+        let mut k = 0;
+        for cv in &mut sp.0 {
+            for z in &mut cv.0 {
+                *z = Complex::new(T::from_bits64(words[k]), T::from_bits64(words[k + 1]));
+                k += 2;
+            }
+        }
+        sp
     }
 }
 
@@ -410,6 +447,31 @@ mod tests {
                 assert_eq!(h.0[s].0[c].im.to_bits(), back.0[s].0[c].im.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn spinor_words_roundtrip_is_the_identity_on_bits() {
+        // Signed zeros and subnormals included: the checkpoint image must
+        // carry every bit pattern, not every value.
+        let mut s = random_spinor(37);
+        s.0[0].0[0] = C64::new(-0.0, 0.0);
+        s.0[1].0[2] = C64::new(f64::MIN_POSITIVE / 8.0, -f64::MIN_POSITIVE / 2.0);
+        s.0[3].0[1] = C64::new(f64::from_bits(1), -f64::MAX);
+        let words = s.to_words();
+        assert_eq!(words[0], (-0.0f64).to_bits());
+        assert_eq!(Spinor::<f64>::from_words(&words).to_words(), words);
+
+        let mut s32: Spinor<f32> = Spinor::from_f64_spinor(&s);
+        s32.0[2].0[0] = Complex::new(-0.0f32, f32::from_bits(1));
+        s32.0[2].0[1] = Complex::new(f32::MIN_POSITIVE / 4.0, -f32::MAX);
+        let words32 = s32.to_words();
+        // f32 words are the exact f64 widening `store_bits` writes.
+        assert_eq!(words32[12], f64::from(-0.0f32).to_bits());
+        assert_eq!(words32[13], f64::from(f32::from_bits(1)).to_bits());
+        let back = Spinor::<f32>::from_words(&words32);
+        assert_eq!(back.to_words(), words32);
+        assert_eq!(back.0[2].0[0].re.to_bits(), (-0.0f32).to_bits());
+        assert_eq!(back.0[2].0[0].im.to_bits(), 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use qcdoc::core::des::{run_traced, DesConfig, DesTelemetry};
 use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
+    assemble_checkpoint, wilson_cg_segment_async, BlockGeom, CgSegmentOut,
 };
 use qcdoc::core::functional::NodeCtx;
 use qcdoc::core::perf::DiracPerf;
@@ -134,16 +134,7 @@ async fn cg_segment(
     let geom = BlockGeom::new(ctx, global);
     let lg = geom.extract_gauge(gauge);
     let lb = geom.extract_fermion(b);
-    let resume_state = state.as_ref().map(|ck| (resume_blocks(&geom, ck), ck));
-    let resume = resume_state.as_ref().map(|((x, r, p), ck)| CgResume {
-        x,
-        r,
-        p,
-        rsq: ck.rsq,
-        bref: ck.bref,
-        iterations: ck.iterations,
-    });
-    wilson_cg_segment_async(ctx, &geom, &lg, &lb, 0.12, 1e-7, 400, resume, 5).await
+    wilson_cg_segment_async(ctx, &geom, &lg, &lb, 0.12, 1e-7, 400, state.as_ref(), 5).await
 }
 
 /// Recovered-vs-unrecovered runs across fault severities: a healthy
@@ -178,7 +169,6 @@ fn recovery_demo(sweep: &mut MetricsRegistry) {
         let machine = ShardedMachine::new(TorusShape::new(&[2, 2]))
             .with_faults(plan)
             .with_wedge_timeout(5_000);
-        let mut prior: Vec<f64> = Vec::new();
         let outcome = machine.run_with_recovery(
             RecoveryConfig { max_recoveries },
             None,
@@ -186,8 +176,7 @@ fn recovery_demo(sweep: &mut MetricsRegistry) {
                 cg_segment(ctx, &gauge, &b, global, state).await
             },
             |shape, outs: Vec<CgSegmentOut>| {
-                let ckpt = assemble_checkpoint(shape, global, &outs, &prior);
-                prior = ckpt.residuals.clone();
+                let ckpt = assemble_checkpoint(shape, global, &outs);
                 if ckpt.converged {
                     SegmentVerdict::Done(ckpt)
                 } else {
@@ -258,7 +247,7 @@ fn integrity_demo(sweep: &mut MetricsRegistry) {
     };
     let shape = TorusShape::new(&[2, 2]);
     let (ref_outs, _) = solve(ShardedMachine::new(shape.clone()));
-    let reference = assemble_checkpoint(&shape, global, &ref_outs, &[]).digest();
+    let reference = assemble_checkpoint(&shape, global, &ref_outs).digest();
 
     let bursts: Vec<FaultPlan> = (0..5)
         .map(|i| {
@@ -280,7 +269,7 @@ fn integrity_demo(sweep: &mut MetricsRegistry) {
                 machine = machine.with_block_checksums();
             }
             let (outs, ledger) = solve(machine);
-            let digest = assemble_checkpoint(&shape, global, &outs, &[]).digest();
+            let digest = assemble_checkpoint(&shape, global, &outs).digest();
             caught += if defended {
                 ledger.total_block_rejects()
             } else {

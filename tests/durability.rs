@@ -11,84 +11,22 @@
 //! restore with generational fallback means silent rot costs one
 //! generation of replay, never the campaign.
 
-use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
-};
-use qcdoc::core::functional::{FaultEvent, FaultPlan, NodeCtx};
-use qcdoc::core::recovery::{RecoveryConfig, Replacement, SegmentVerdict};
+mod common;
+
+use common::{cg_segment_app, global, half_spec, replan, SEG_ITERS};
+use qcdoc::core::distributed::{assemble_checkpoint, CgSegmentOut};
+use qcdoc::core::functional::{FaultEvent, FaultPlan};
+use qcdoc::core::recovery::{RecoveryConfig, SegmentVerdict};
 use qcdoc::core::ShardedMachine;
 use qcdoc::fault::{StorageFault, StorageFaultPlan};
-use qcdoc::geometry::{NodeCoord, PartitionSpec, TorusShape};
+use qcdoc::geometry::TorusShape;
 use qcdoc::host::ckstore::{CheckpointStore, StoreConfig, VerifyMode};
 use qcdoc::host::nfs::{NfsError, NfsServer};
 use qcdoc::host::{Qdaemon, RecoveryPlanner};
 use qcdoc::lattice::checkpoint::{write_checkpoint, CgCheckpoint};
-use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
+use qcdoc::lattice::field::{FermionField, GaugeField};
 use qcdoc::scu::RetryPolicy;
 use qcdoc::telemetry::MetricsRegistry;
-
-const KAPPA: f64 = 0.12;
-const TOL: f64 = 1e-7;
-const MAX_ITERS: usize = 400;
-const SEG_ITERS: usize = 6;
-
-fn global() -> Lattice {
-    Lattice::new([4, 4, 2, 2])
-}
-
-/// One recovery-segment of the distributed Wilson solve (the idiom of
-/// `tests/recovery.rs`): fresh when no checkpoint exists, restored from
-/// exact bits otherwise.
-async fn cg_segment_app(
-    ctx: &mut NodeCtx,
-    gauge: &GaugeField,
-    b: &FermionField,
-    state: &Option<CgCheckpoint>,
-    segment_iters: usize,
-) -> CgSegmentOut {
-    let geom = BlockGeom::new(ctx, global());
-    let lg = geom.extract_gauge(gauge);
-    let lb = geom.extract_fermion(b);
-    match state {
-        None => {
-            wilson_cg_segment_async(
-                ctx,
-                &geom,
-                &lg,
-                &lb,
-                KAPPA,
-                TOL,
-                MAX_ITERS,
-                None,
-                segment_iters,
-            )
-            .await
-        }
-        Some(ckpt) => {
-            let (x, r, p) = resume_blocks(&geom, ckpt);
-            let resume = CgResume {
-                x: &x,
-                r: &r,
-                p: &p,
-                rsq: ckpt.rsq,
-                bref: ckpt.bref,
-                iterations: ckpt.iterations,
-            };
-            wilson_cg_segment_async(
-                ctx,
-                &geom,
-                &lg,
-                &lb,
-                KAPPA,
-                TOL,
-                MAX_ITERS,
-                Some(resume),
-                segment_iters,
-            )
-            .await
-        }
-    }
-}
 
 fn campaign_cfg() -> StoreConfig {
     StoreConfig {
@@ -109,13 +47,12 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
     let ref_outs = ShardedMachine::new(logical.clone())
         .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(ref_outs.iter().all(|o| o.converged && !o.wedged));
-    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
+    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs);
 
     // --- The campaign, checkpointing durably every SEG_ITERS. ---------
     let mut nfs = NfsServer::new(&["/data"], 1 << 24);
     let mut store = CheckpointStore::open(campaign_cfg(), &mut nfs);
     let mut state: Option<CgCheckpoint> = None;
-    let mut prior_residuals: Vec<f64> = Vec::new();
     for seg in 0..3u64 {
         if seg == 1 {
             // An NFS server crash tears this save's temp write; the
@@ -129,8 +66,7 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
         }
         let outs = ShardedMachine::new(logical.clone())
             .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS).await);
-        let ckpt = assemble_checkpoint(&logical, global(), &outs, &prior_residuals);
-        prior_residuals = ckpt.residuals.clone();
+        let ckpt = assemble_checkpoint(&logical, global(), &outs);
         assert!(!ckpt.converged, "campaign must outlive three segments");
         assert_eq!(store.save(&mut nfs, &write_checkpoint(&ckpt)).unwrap(), seg);
         state = Some(ckpt);
@@ -152,12 +88,7 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
     );
     let outs = ShardedMachine::new(logical.clone())
         .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS).await);
-    let ckpt3 = assemble_checkpoint(
-        &logical,
-        global(),
-        &outs,
-        &state.as_ref().unwrap().residuals,
-    );
+    let ckpt3 = assemble_checkpoint(&logical, global(), &outs);
     let h = nfs.open("/data/ck/campaign/tmp.ckpt").unwrap();
     assert_eq!(
         nfs.write(h, &write_checkpoint(&ckpt3)),
@@ -197,12 +128,10 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
 
     // Replay the delta iterations to convergence, still saving durably.
     let mut state = Some(resumed);
-    let mut prior_residuals = state.as_ref().unwrap().residuals.clone();
     let recovered = loop {
         let outs = ShardedMachine::new(logical.clone())
             .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, SEG_ITERS).await);
-        let ckpt = assemble_checkpoint(&logical, global(), &outs, &prior_residuals);
-        prior_residuals = ckpt.residuals.clone();
+        let ckpt = assemble_checkpoint(&logical, global(), &outs);
         if ckpt.converged {
             break ckpt;
         }
@@ -252,15 +181,6 @@ fn host_crash_plus_rotted_newest_generation_resumes_bit_identically() {
     assert!(text.contains("ckstore_rot_detected 1"), "{text}");
 }
 
-/// Half-machine spec on a [2,2,2,2] box (the `tests/recovery.rs` idiom).
-fn half_spec() -> PartitionSpec {
-    PartitionSpec {
-        origin: NodeCoord::ORIGIN,
-        extents: vec![2, 2, 2, 1],
-        groups: vec![vec![0], vec![1], vec![2]],
-    }
-}
-
 #[test]
 fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
     // The full stack at once: a dead SCU link kills the partition
@@ -274,7 +194,7 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
     let logical = TorusShape::new(&[2, 2, 2]);
     let ref_outs = ShardedMachine::new(logical.clone())
         .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
-    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
+    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs);
 
     let mut nfs = NfsServer::new(&["/data"], 1 << 24);
     // Sprinkle transient failures over the campaign's early NFS ops.
@@ -295,7 +215,6 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
         .with_faults(planner.local_faults())
         .with_wedge_timeout(5_000);
 
-    let mut prior_residuals: Vec<f64> = Vec::new();
     let (recovered, report) = machine
         .run_with_recovery(
             RecoveryConfig::default(),
@@ -304,8 +223,7 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
                 cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
             },
             |shape, outs: Vec<CgSegmentOut>| {
-                let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
-                prior_residuals = ckpt.residuals.clone();
+                let ckpt = assemble_checkpoint(shape, global(), &outs);
                 if ckpt.converged {
                     SegmentVerdict::Done(ckpt)
                 } else {
@@ -318,15 +236,7 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
                     SegmentVerdict::Continue(Some(restored))
                 }
             },
-            |ledger| {
-                planner.quarantine_and_replan(&mut qdaemon, ledger).map(
-                    |(part, faults, degraded)| Replacement {
-                        shape: part.logical_shape().clone(),
-                        faults,
-                        degraded,
-                    },
-                )
-            },
+            |ledger| replan(&mut planner, &mut qdaemon, ledger),
         )
         .expect("the spare half must carry the job home");
 

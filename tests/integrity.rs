@@ -9,13 +9,14 @@
 //! end-of-run checksum comparison, and the deterministic software stack
 //! turns any detected corruption into a replay instead of a wrong answer.
 
-use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
-};
-use qcdoc::core::functional::{FaultEvent, FaultPlan, NodeCtx};
-use qcdoc::core::recovery::{RecoveryConfig, Replacement, SegmentVerdict};
+mod common;
+
+use common::{cg_segment_app, global, half_spec, replan, KAPPA, SEG_ITERS};
+use qcdoc::core::distributed::{assemble_checkpoint, CgSegmentOut};
+use qcdoc::core::functional::{FaultEvent, FaultPlan};
+use qcdoc::core::recovery::{RecoveryConfig, SegmentVerdict};
 use qcdoc::core::ShardedMachine;
-use qcdoc::geometry::{NodeCoord, PartitionSpec, TorusShape};
+use qcdoc::geometry::TorusShape;
 use qcdoc::host::{Qdaemon, RecoveryPlanner};
 use qcdoc::lattice::checkpoint::CgCheckpoint;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
@@ -25,71 +26,8 @@ use qcdoc::lattice::solver::{
 use qcdoc::lattice::wilson::WilsonDirac;
 use qcdoc::telemetry::NodeTelemetry;
 
-const KAPPA: f64 = 0.12;
-const TOL: f64 = 1e-7;
-const MAX_ITERS: usize = 400;
-const SEG_ITERS: usize = 6;
-
-fn global() -> Lattice {
-    Lattice::new([4, 4, 2, 2])
-}
-
 fn logical() -> TorusShape {
     TorusShape::new(&[2, 2, 2])
-}
-
-/// One segment of the distributed Wilson solve (same shape as the
-/// recovery suite): fresh when no checkpoint exists, restored from exact
-/// bits otherwise.
-async fn cg_segment_app(
-    ctx: &mut NodeCtx,
-    gauge: &GaugeField,
-    b: &FermionField,
-    state: &Option<CgCheckpoint>,
-    segment_iters: usize,
-) -> CgSegmentOut {
-    let geom = BlockGeom::new(ctx, global());
-    let lg = geom.extract_gauge(gauge);
-    let lb = geom.extract_fermion(b);
-    match state {
-        None => {
-            wilson_cg_segment_async(
-                ctx,
-                &geom,
-                &lg,
-                &lb,
-                KAPPA,
-                TOL,
-                MAX_ITERS,
-                None,
-                segment_iters,
-            )
-            .await
-        }
-        Some(ckpt) => {
-            let (x, r, p) = resume_blocks(&geom, ckpt);
-            let resume = CgResume {
-                x: &x,
-                r: &r,
-                p: &p,
-                rsq: ckpt.rsq,
-                bref: ckpt.bref,
-                iterations: ckpt.iterations,
-            };
-            wilson_cg_segment_async(
-                ctx,
-                &geom,
-                &lg,
-                &lb,
-                KAPPA,
-                TOL,
-                MAX_ITERS,
-                Some(resume),
-                segment_iters,
-            )
-            .await
-        }
-    }
 }
 
 /// The fault-free reference solve and its checkpoint digest.
@@ -97,17 +35,7 @@ fn reference(gauge: &GaugeField, b: &FermionField) -> CgCheckpoint {
     let outs = ShardedMachine::new(logical())
         .run(async |ctx| cg_segment_app(ctx, gauge, b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged && !o.wedged));
-    assemble_checkpoint(&logical(), global(), &outs, &[])
-}
-
-/// Half-machine spec on a [2,2,2,2] box: a [2,2,2] logical partition with
-/// a spare twin in the other x3 half.
-fn half_spec() -> PartitionSpec {
-    PartitionSpec {
-        origin: NodeCoord::ORIGIN,
-        extents: vec![2, 2, 2, 1],
-        groups: vec![vec![0], vec![1], vec![2]],
-    }
+    assemble_checkpoint(&logical(), global(), &outs)
 }
 
 /// An uncorrectable (double-bit) memory error defeats SEC-DED: the node
@@ -130,7 +58,6 @@ fn uncorrectable_memory_error_quarantines_and_recovers_bit_identically() {
     let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
         .with_faults(planner.local_faults());
 
-    let mut prior_residuals: Vec<f64> = Vec::new();
     let mut evidence = (0u64, 0u64);
     let (recovered, report) = machine
         .run_with_recovery(
@@ -140,8 +67,7 @@ fn uncorrectable_memory_error_quarantines_and_recovers_bit_identically() {
                 cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
             },
             |shape, outs: Vec<CgSegmentOut>| {
-                let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
-                prior_residuals = ckpt.residuals.clone();
+                let ckpt = assemble_checkpoint(shape, global(), &outs);
                 if ckpt.converged {
                     SegmentVerdict::Done(ckpt)
                 } else {
@@ -150,13 +76,7 @@ fn uncorrectable_memory_error_quarantines_and_recovers_bit_identically() {
             },
             |ledger| {
                 evidence = (ledger.total_machine_checks(), ledger.total_ecc_corrected());
-                planner.quarantine_and_replan(&mut qdaemon, ledger).map(
-                    |(part, faults, degraded)| Replacement {
-                        shape: part.logical_shape().clone(),
-                        faults,
-                        degraded,
-                    },
-                )
+                replan(&mut planner, &mut qdaemon, ledger)
             },
         )
         .expect("the spare half must carry the job home");
@@ -195,7 +115,7 @@ fn payload_burst_mid_cg_is_healed_in_flight_by_block_checksums() {
         .with_block_checksums()
         .run_with_health(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged && !o.wedged));
-    let ckpt = assemble_checkpoint(&logical(), global(), &outs, &[]);
+    let ckpt = assemble_checkpoint(&logical(), global(), &outs);
 
     // Detected, replayed, and invisible to the physics.
     assert!(
@@ -223,7 +143,7 @@ fn without_block_checksums_the_burst_is_silent_data_corruption() {
         .with_faults(plan)
         .run_with_health(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| !o.wedged));
-    let ckpt = assemble_checkpoint(&logical(), global(), &outs, &[]);
+    let ckpt = assemble_checkpoint(&logical(), global(), &outs);
 
     // No reject, no resend — the parity never fired.
     assert_eq!(ledger.total_block_rejects(), 0);
@@ -248,7 +168,7 @@ fn correctable_soft_error_leaves_only_counter_evidence() {
         .with_faults(plan)
         .run_with_health(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged && !o.wedged));
-    let ckpt = assemble_checkpoint(&logical(), global(), &outs, &[]);
+    let ckpt = assemble_checkpoint(&logical(), global(), &outs);
 
     assert_eq!(ckpt.digest(), ref_ckpt.digest());
     assert!(ledger.nodes[2].ecc_corrected >= 1);

@@ -9,89 +9,18 @@
 //! global sums + exact-bits checkpoints) guarantees physics results are
 //! unaffected.
 
-use qcdoc::core::distributed::{
-    assemble_checkpoint, resume_blocks, wilson_cg_segment_async, BlockGeom, CgResume, CgSegmentOut,
-};
-use qcdoc::core::functional::{FaultEvent, FaultPlan, NodeCtx};
-use qcdoc::core::recovery::{RecoveryConfig, RecoveryReport, Replacement, SegmentVerdict};
+mod common;
+
+use common::{cg_segment_app, global, half_spec, replan, SEG_ITERS};
+use qcdoc::core::distributed::{assemble_checkpoint, CgSegmentOut};
+use qcdoc::core::functional::{FaultEvent, FaultPlan};
+use qcdoc::core::recovery::{RecoveryConfig, RecoveryReport, SegmentVerdict};
 use qcdoc::core::ShardedMachine;
-use qcdoc::geometry::{NodeCoord, PartitionSpec, TorusShape};
+use qcdoc::geometry::{PartitionSpec, TorusShape};
 use qcdoc::host::{Qdaemon, RecoveryPlanner};
 use qcdoc::lattice::checkpoint::{read_checkpoint, write_checkpoint, CgCheckpoint};
-use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
+use qcdoc::lattice::field::{FermionField, GaugeField};
 use qcdoc::telemetry::summary_json;
-
-const KAPPA: f64 = 0.12;
-const TOL: f64 = 1e-7;
-const MAX_ITERS: usize = 400;
-const SEG_ITERS: usize = 6;
-
-fn global() -> Lattice {
-    Lattice::new([4, 4, 2, 2])
-}
-
-/// One recovery-segment of the distributed Wilson solve: fresh when no
-/// checkpoint exists, restored from exact bits otherwise.
-async fn cg_segment_app(
-    ctx: &mut NodeCtx,
-    gauge: &GaugeField,
-    b: &FermionField,
-    state: &Option<CgCheckpoint>,
-    segment_iters: usize,
-) -> CgSegmentOut {
-    let geom = BlockGeom::new(ctx, global());
-    let lg = geom.extract_gauge(gauge);
-    let lb = geom.extract_fermion(b);
-    match state {
-        None => {
-            wilson_cg_segment_async(
-                ctx,
-                &geom,
-                &lg,
-                &lb,
-                KAPPA,
-                TOL,
-                MAX_ITERS,
-                None,
-                segment_iters,
-            )
-            .await
-        }
-        Some(ckpt) => {
-            let (x, r, p) = resume_blocks(&geom, ckpt);
-            let resume = CgResume {
-                x: &x,
-                r: &r,
-                p: &p,
-                rsq: ckpt.rsq,
-                bref: ckpt.bref,
-                iterations: ckpt.iterations,
-            };
-            wilson_cg_segment_async(
-                ctx,
-                &geom,
-                &lg,
-                &lb,
-                KAPPA,
-                TOL,
-                MAX_ITERS,
-                Some(resume),
-                segment_iters,
-            )
-            .await
-        }
-    }
-}
-
-/// Half-machine spec on a [2,2,2,2] box: a [2,2,2] logical partition with
-/// a spare twin in the other x3 half.
-fn half_spec() -> PartitionSpec {
-    PartitionSpec {
-        origin: NodeCoord::ORIGIN,
-        extents: vec![2, 2, 2, 1],
-        groups: vec![vec![0], vec![1], vec![2]],
-    }
-}
 
 #[test]
 fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
@@ -104,7 +33,7 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
     let ref_outs = ShardedMachine::new(logical.clone())
         .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
     assert!(ref_outs.iter().all(|o| o.converged && !o.wedged));
-    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
+    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs);
 
     // Faulted run: physical node 3's +x transmitter goes silent mid-solve.
     let mut qdaemon = Qdaemon::new(TorusShape::new(&[2, 2, 2, 2]));
@@ -118,7 +47,6 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
         .with_faults(planner.local_faults())
         .with_wedge_timeout(5_000);
 
-    let mut prior_residuals: Vec<f64> = Vec::new();
     let (recovered, report) = machine
         .run_with_recovery(
             RecoveryConfig::default(),
@@ -127,8 +55,7 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
                 cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
             },
             |shape, outs: Vec<CgSegmentOut>| {
-                let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
-                prior_residuals = ckpt.residuals.clone();
+                let ckpt = assemble_checkpoint(shape, global(), &outs);
                 if ckpt.converged {
                     SegmentVerdict::Done(ckpt)
                 } else {
@@ -138,15 +65,7 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
                     SegmentVerdict::Continue(Some(read_checkpoint(&bytes).unwrap()))
                 }
             },
-            |ledger| {
-                planner.quarantine_and_replan(&mut qdaemon, ledger).map(
-                    |(part, faults, degraded)| Replacement {
-                        shape: part.logical_shape().clone(),
-                        faults,
-                        degraded,
-                    },
-                )
-            },
+            |ledger| replan(&mut planner, &mut qdaemon, ledger),
         )
         .expect("the spare half must carry the job home");
 
@@ -208,7 +127,6 @@ fn faulted_recovery_on(
     let mut planner =
         RecoveryPlanner::new(&mut qdaemon, half_spec(), machine_faults, false).unwrap();
 
-    let mut prior_residuals: Vec<f64> = Vec::new();
     ShardedMachine::new(planner.partition().logical_shape().clone())
         .with_faults(planner.local_faults())
         .with_wedge_timeout(5_000)
@@ -220,8 +138,7 @@ fn faulted_recovery_on(
                 cg_segment_app(ctx, gauge, b, state, SEG_ITERS).await
             },
             |shape, outs: Vec<CgSegmentOut>| {
-                let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
-                prior_residuals = ckpt.residuals.clone();
+                let ckpt = assemble_checkpoint(shape, global(), &outs);
                 if ckpt.converged {
                     SegmentVerdict::Done(ckpt)
                 } else {
@@ -229,15 +146,7 @@ fn faulted_recovery_on(
                     SegmentVerdict::Continue(Some(read_checkpoint(&bytes).unwrap()))
                 }
             },
-            |ledger| {
-                planner.quarantine_and_replan(&mut qdaemon, ledger).map(
-                    |(part, faults, degraded)| Replacement {
-                        shape: part.logical_shape().clone(),
-                        faults,
-                        degraded,
-                    },
-                )
-            },
+            |ledger| replan(&mut planner, &mut qdaemon, ledger),
         )
         .expect("the spare half must carry the job home")
 }
@@ -255,7 +164,7 @@ fn recovery_reproduces_fault_free_residual_bits_at_any_worker_count() {
     let logical = TorusShape::new(&[2, 2, 2]);
     let ref_outs = ShardedMachine::new(logical.clone())
         .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
-    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs, &[]);
+    let ref_ckpt = assemble_checkpoint(&logical, global(), &ref_outs);
     let bits = |ckpt: &CgCheckpoint| {
         ckpt.residuals
             .iter()
@@ -304,7 +213,6 @@ fn run_degrades_to_a_smaller_partition_when_no_spare_exists() {
         .with_faults(planner.local_faults())
         .with_wedge_timeout(5_000);
 
-    let mut prior_residuals: Vec<f64> = Vec::new();
     let (result, report) = machine
         .run_with_recovery(
             RecoveryConfig::default(),
@@ -313,23 +221,14 @@ fn run_degrades_to_a_smaller_partition_when_no_spare_exists() {
                 cg_segment_app(ctx, &gauge, &b, state, SEG_ITERS).await
             },
             |shape, outs: Vec<CgSegmentOut>| {
-                let ckpt = assemble_checkpoint(shape, global(), &outs, &prior_residuals);
-                prior_residuals = ckpt.residuals.clone();
+                let ckpt = assemble_checkpoint(shape, global(), &outs);
                 if ckpt.converged {
                     SegmentVerdict::Done(ckpt)
                 } else {
                     SegmentVerdict::Continue(Some(ckpt))
                 }
             },
-            |ledger| {
-                planner.quarantine_and_replan(&mut qdaemon, ledger).map(
-                    |(part, faults, degraded)| Replacement {
-                        shape: part.logical_shape().clone(),
-                        faults,
-                        degraded,
-                    },
-                )
-            },
+            |ledger| replan(&mut planner, &mut qdaemon, ledger),
         )
         .expect("a degraded slab must finish the job");
 
@@ -355,15 +254,14 @@ fn checkpoints_are_portable_across_machine_shapes() {
     let outs = ShardedMachine::new(big.clone())
         .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, 5).await);
     assert!(outs.iter().all(|o| !o.converged && o.iterations == 5));
-    let ckpt = assemble_checkpoint(&big, global(), &outs, &[]);
+    let ckpt = assemble_checkpoint(&big, global(), &outs);
 
     let small = TorusShape::new(&[2, 2]);
     let state = Some(ckpt);
     let outs = ShardedMachine::new(small.clone())
         .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &state, usize::MAX).await);
     assert!(outs.iter().all(|o| o.converged));
-    let final_ckpt =
-        assemble_checkpoint(&small, global(), &outs, &state.as_ref().unwrap().residuals);
+    let final_ckpt = assemble_checkpoint(&small, global(), &outs);
     assert_eq!(
         final_ckpt.residuals.len(),
         final_ckpt.iterations,

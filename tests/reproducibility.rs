@@ -137,7 +137,7 @@ fn checkpointed_solve_is_bit_identical_to_uninterrupted_solve() {
     // Resume from an archived mid-solve checkpoint (through bytes, as a
     // restart after a crash would) and land on the same bits.
     let restored = read_checkpoint(&write_checkpoint(&sink[sink.len() / 2])).unwrap();
-    let (x_res, res_report) = resume_cgne(&op, &b, &restored, params);
+    let (x_res, res_report) = resume_cgne(&op, &b, &restored, params).unwrap();
     assert_eq!(
         x_ref.fingerprint(),
         x_res.fingerprint(),

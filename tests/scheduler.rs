@@ -20,7 +20,7 @@ use qcdoc::geometry::TorusShape;
 use qcdoc::host::Qdaemon;
 use qcdoc::lattice::checkpoint::{read_checkpoint, write_checkpoint};
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
-use qcdoc::lattice::solver::{resume_cgne_on, solve_cgne_checkpointed, CgParams};
+use qcdoc::lattice::solver::{resume_cgne, solve_cgne_checkpointed, CgParams};
 use qcdoc::lattice::wilson::WilsonDirac;
 use qcdoc::sched::{
     JobSpec, JobStatus, Priority, SchedConfig, SchedEvent, Scheduler, ShapeRequest, SimMesh,
@@ -335,7 +335,7 @@ fn preempted_cg_resumes_on_a_different_shape_bit_identically() {
         .expect("blob travels with the job");
     let restored = read_checkpoint(&blob).unwrap();
     let template = FermionField::zero(lat);
-    let (x_res, resumed_report) = resume_cgne_on(&op, &template, &restored, params).unwrap();
+    let (x_res, resumed_report) = resume_cgne(&op, &template, &restored, params).unwrap();
 
     // Bit-identity: the preempted-and-migrated solve equals the
     // uninterrupted one in all bits — solution, residual history, totals.
