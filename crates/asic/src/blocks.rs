@@ -6,10 +6,8 @@
 //! inventory as data and renders an ASCII version of the diagram, which is
 //! what `examples/asic_tour.rs` prints.
 
-use serde::{Deserialize, Serialize};
-
 /// Who designed a block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Provenance {
     /// Standard IBM system-on-a-chip macro (unshaded in Figure 1).
     IbmMacro,
@@ -18,7 +16,7 @@ pub enum Provenance {
 }
 
 /// One block of the ASIC.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Short name used in the diagram.
     pub name: &'static str,

@@ -1,6 +1,5 @@
 //! Clock domains and cycle accounting.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -9,7 +8,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// The ASIC's design target is 500 MHz; the paper reports reliable operation
 /// at 450 MHz (128-node benchmarks, buffered DIMMs), 360 MHz and 420 MHz
 /// (512-node machine with cheaper unbuffered memory, §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Clock {
     mhz: u32,
 }
@@ -76,9 +75,7 @@ impl fmt::Display for Clock {
 }
 
 /// A count of processor cycles.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Cycles(pub u64);
 
 impl Cycles {

@@ -13,13 +13,12 @@
 //! constraint on the node clock.
 
 use crate::clock::{Clock, Cycles};
-use serde::{Deserialize, Serialize};
 
 /// Peak DDR bandwidth in bytes per second (§2.1).
 pub const DDR_BYTES_PER_SEC: f64 = 2.6e9;
 
 /// The DIMM flavour installed on a daughterboard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DimmKind {
     /// Registered/buffered DIMMs — used for the 128-node benchmarks at
     /// 450 MHz.
@@ -45,7 +44,7 @@ impl DimmKind {
 }
 
 /// Configuration of the DDR controller timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DdrConfig {
     /// Peak bandwidth, bytes/second.
     pub bytes_per_sec: f64,

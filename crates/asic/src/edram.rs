@@ -11,7 +11,6 @@
 //! stream.
 
 use crate::clock::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Width of the core-side EDRAM port in bytes per cycle (128 bits).
 pub const PORT_BYTES_PER_CYCLE: u64 = 16;
@@ -20,7 +19,7 @@ pub const PORT_BYTES_PER_CYCLE: u64 = 16;
 pub const ROW_BYTES: u64 = 128;
 
 /// Configuration of the prefetching controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdramConfig {
     /// Number of concurrent prefetch streams (the ASIC has 2).
     pub streams: usize,

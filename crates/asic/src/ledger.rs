@@ -6,11 +6,10 @@
 //! kernel on one node; the node model (`crate::node`) and the machine-level
 //! performance engine (`qcdoc-core`) convert ledgers into cycles.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
 /// Per-node operation counts for one kernel invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelLedger {
     /// Fused multiply-add operations (2 flops each — the FPU's peak mode).
     pub fmadds: u64,
@@ -64,16 +63,6 @@ impl KernelLedger {
         self.ddr_read_bytes + self.ddr_write_bytes
     }
 
-    /// Total bytes sent over the mesh.
-    pub fn total_send_bytes(&self) -> u64 {
-        self.send_bytes.iter().sum()
-    }
-
-    /// Total bytes received over the mesh.
-    pub fn total_recv_bytes(&self) -> u64 {
-        self.recv_bytes.iter().sum()
-    }
-
     /// The largest per-direction send — the critical path when all links
     /// run concurrently (the SCU drives all 24 channels at once, §2.2).
     pub fn max_link_bytes(&self) -> u64 {
@@ -83,11 +72,6 @@ impl KernelLedger {
             .copied()
             .max()
             .unwrap_or(0)
-    }
-
-    /// Total number of DMA transfer starts.
-    pub fn total_transfers(&self) -> u64 {
-        self.transfers.iter().sum()
     }
 
     /// Scale every count by an integer factor (e.g. iterations).

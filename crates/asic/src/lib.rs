@@ -9,7 +9,8 @@
 //! Unit driving the 6-D mesh (in `qcdoc-scu`), two Ethernet interfaces, and
 //! the Processor Local Bus (PLB) tying it together.
 //!
-//! This crate models the *node-local* parts:
+//! This crate models the *node-local* parts that the timing and functional
+//! engines use; the L1 caches and PLB arbitration are not modelled:
 //!
 //! * [`clock`] — clock domains and cycle/time conversion at the paper's
 //!   operating points (500 MHz design target; 450/420/360 MHz measured);
@@ -20,8 +21,6 @@
 //!   [`memory`];
 //! * [`edram`] — the prefetching EDRAM controller's two-stream timing model;
 //! * [`ddr`] — the external DDR controller timing model;
-//! * [`cache`] — a set-associative cache simulator for the 32 kB L1s;
-//! * [`plb`] — Processor Local Bus arbitration (SCU DMA priority);
 //! * [`ppc440`] — the core's floating-point and issue cost model;
 //! * [`ledger`] — operation ledgers: the currency in which workload kernels
 //!   report their work to the timing engine;
@@ -31,7 +30,6 @@
 #![warn(missing_docs)]
 
 pub mod blocks;
-pub mod cache;
 pub mod clock;
 pub mod ddr;
 pub mod ecc;
@@ -39,7 +37,6 @@ pub mod edram;
 pub mod ledger;
 pub mod memory;
 pub mod node;
-pub mod plb;
 pub mod ppc440;
 
 pub use clock::{Clock, Cycles};

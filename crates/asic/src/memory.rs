@@ -30,10 +30,9 @@
 //! soft errors parked in rarely-read words are still found and classified.
 
 use crate::ecc::{self, EccVerdict};
-use serde::{Deserialize, Serialize};
 
 /// Which physical memory an address falls in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemRegion {
     /// The 4 MB on-chip embedded DRAM.
     Edram,
@@ -58,7 +57,7 @@ pub const WORD_BYTES: u64 = 8;
 /// always computes in 64-bit registers; fields may be *stored* at 32 bits
 /// to halve their footprint and streaming traffic — the basis of §4's
 /// single-precision benchmark figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FloatWidth {
     /// 32-bit IEEE storage.
     Single,
@@ -119,7 +118,7 @@ impl EdramChunk {
 }
 
 /// Running access statistics, split by region.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// 64-bit words read from EDRAM.
     pub edram_reads: u64,
@@ -189,7 +188,7 @@ impl std::fmt::Display for MemError {
 impl std::error::Error for MemError {}
 
 /// Outcome of one [`NodeMemory::scrub`] pass over the written footprint.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Words the scrubber decoded (the written/corrupted footprint —
     /// untouched all-zero rows are valid codewords by construction).
@@ -260,11 +259,6 @@ impl NodeMemory {
     /// Access statistics so far.
     pub fn stats(&self) -> MemStats {
         self.stats
-    }
-
-    /// Reset access statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
     }
 
     fn check(&self, addr: u64) -> Result<(MemRegion, usize), MemError> {

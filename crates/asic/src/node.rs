@@ -10,10 +10,9 @@ use crate::ddr::{DdrConfig, DdrController};
 use crate::edram::{EdramConfig, EdramController};
 use crate::ledger::KernelLedger;
 use crate::ppc440::{CoreConfig, Ppc440};
-use serde::{Deserialize, Serialize};
 
 /// Full configuration of one processing node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeConfig {
     /// Processor (and link) clock.
     pub clock: Clock,
@@ -58,7 +57,7 @@ impl NodeConfig {
 }
 
 /// The local-time breakdown of one kernel invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeTiming {
     /// FPU issue cycles.
     pub fpu: Cycles,

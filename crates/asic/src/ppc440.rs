@@ -16,10 +16,9 @@
 
 use crate::clock::{Clock, Cycles};
 use crate::ledger::KernelLedger;
-use serde::{Deserialize, Serialize};
 
 /// Cost-model parameters for the core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Extra issue cycles per FPU instruction for integer/branch overhead in
     /// tuned assembly kernels (0.0 = perfect dual issue).

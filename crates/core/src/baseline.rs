@@ -16,7 +16,6 @@ use qcdoc_asic::edram::PORT_BYTES_PER_CYCLE;
 use qcdoc_asic::memory::EDRAM_SIZE;
 use qcdoc_lattice::counts::{cg_linear_algebra_counts, operator_counts, Action};
 use qcdoc_scu::timing::EthernetBaseline;
-use serde::{Deserialize, Serialize};
 
 /// The cluster performance model.
 #[derive(Debug, Clone)]
@@ -28,7 +27,7 @@ pub struct ClusterPerf {
 }
 
 /// A cluster efficiency result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterReport {
     /// Sustained fraction of node peak.
     pub efficiency: f64,

@@ -5,11 +5,10 @@ use qcdoc_asic::node::NodeConfig;
 use qcdoc_geometry::TorusShape;
 use qcdoc_scu::global::GlobalTimingConfig;
 use qcdoc_scu::timing::LinkTimingConfig;
-use serde::{Deserialize, Serialize};
 
 /// Everything needed to instantiate a QCDOC machine (physical shape plus
 /// per-node and per-link parameters).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// The physical 6-D torus shape (extent-1 axes allowed).
     pub shape: TorusShape,

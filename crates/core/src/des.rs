@@ -22,10 +22,9 @@
 
 use qcdoc_scu::timing::LinkTimingConfig;
 use qcdoc_telemetry::{MetricsRegistry, Phase, Span, TraceSink};
-use serde::{Deserialize, Serialize};
 
 /// One node's perturbation: extra cycles added to its compute phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Perturbation {
     /// Node rank.
     pub node: usize,
@@ -36,7 +35,7 @@ pub struct Perturbation {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesConfig {
     /// Logical 4-D machine extents.
     pub machine_dims: [usize; 4],
@@ -126,7 +125,7 @@ impl DesConfig {
 }
 
 /// The result of a run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DesResult {
     /// Cycle at which the whole machine finished all iterations.
     pub total_cycles: u64,

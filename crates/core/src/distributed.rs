@@ -535,11 +535,11 @@ pub async fn wilson_cg_segment_async(
             let x = vec![Spinor::ZERO; b.len()];
             // r = M† b (x0 = 0).
             let r = wilson_apply_dagger_async(ctx, geom, gauge, b, kappa).await;
-            let bref = global_sum_f64_async(ctx, local_norm_sqr(&r))
-                .await
-                .max(f64::MIN_POSITIVE);
-            let p = r.clone();
+            // ‖r‖² is both the first rsq and the reference scale; the
+            // dimension-ordered sum is deterministic, so one sum serves both.
             let rsq = global_sum_f64_async(ctx, local_norm_sqr(&r)).await;
+            let bref = rsq.max(f64::MIN_POSITIVE);
+            let p = r.clone();
             (x, r, p, rsq, bref, 0, Vec::new())
         }
         Some(ckpt) => {
@@ -624,9 +624,10 @@ pub fn assemble_checkpoint(
         residuals: head.residuals.clone(),
         // Deterministic functions of the iteration count for the
         // distributed recurrence: one M† in setup, M and M† per iteration;
-        // two setup reductions, two per iteration.
+        // one setup reduction (‖r‖², which is also the reference scale),
+        // two per iteration.
         applications: 1 + 2 * head.iterations,
-        reductions: 2 + 2 * head.iterations,
+        reductions: 1 + 2 * head.iterations,
         x: x.into_flattened(),
         r: r.into_flattened(),
         p: p.into_flattened(),
@@ -931,6 +932,39 @@ mod tests {
         let mut ckpt = assemble_checkpoint(&shape, global, &segment(None));
         ckpt.operator = "clover".into();
         segment(Some(&ckpt));
+    }
+
+    #[test]
+    fn fresh_segment_runs_one_setup_sum_and_two_per_iteration() {
+        // ‖r₀‖² is both the first rsq and the reference scale, so a fresh
+        // segment of k iterations performs 1 + 2k global sums, and the
+        // checkpoint records exactly that count.
+        let global = Lattice::new([4, 2, 2, 2]);
+        let gauge = GaugeField::hot(global, 70);
+        let b = FermionField::gaussian(global, 71);
+        let shape = TorusShape::new(&[2, 2]);
+        let k = 3;
+        let machine = ShardedMachine::new(shape.clone())
+            .with_telemetry(crate::functional::TelemetryConfig::default());
+        let (outs, _, telemetry) = machine.run_with_telemetry(async |ctx| {
+            let geom = BlockGeom::new(ctx, global);
+            let lg = geom.extract_gauge(&gauge);
+            let lb = geom.extract_fermion(&b);
+            wilson_cg_segment_async(ctx, &geom, &lg, &lb, KAPPA, 1e-30, 2000, None, k).await
+        });
+        assert!(outs.iter().all(|o| o.iterations == k && !o.converged));
+        for node in 0..shape.node_count() {
+            let labels = [("node", node.to_string())];
+            assert_eq!(
+                telemetry.metrics.counter("comm_global_sums", &labels),
+                1 + 2 * k as u64,
+                "node {node}"
+            );
+        }
+        assert_eq!(
+            assemble_checkpoint(&shape, global, &outs).reductions,
+            1 + 2 * k
+        );
     }
 
     #[test]

@@ -28,12 +28,11 @@ use crate::config::MachineConfig;
 use qcdoc_asic::clock::Cycles;
 use qcdoc_asic::edram::PORT_BYTES_PER_CYCLE;
 use qcdoc_lattice::counts::{cg_linear_algebra_counts_in, operator_counts_in, Action, Prec};
-use serde::{Deserialize, Serialize};
 
 /// Arithmetic precision of the solve. §4: "performance for single
 /// precision is slightly higher due to the decreased bandwidth to local
 /// memory that is needed in this case."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// 64-bit IEEE (the paper's quoted numbers).
     Double,
@@ -57,7 +56,7 @@ impl Precision {
 }
 
 /// The model's calibration constants (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Extra issue cycles per FPU instruction (integer/branch overhead).
     pub issue_overhead: f64,
@@ -107,7 +106,7 @@ pub fn issue_density(action: Action) -> f64 {
 }
 
 /// The full per-iteration cycle breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EfficiencyReport {
     /// The action measured.
     pub action: Action,

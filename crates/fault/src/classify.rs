@@ -15,7 +15,6 @@
 
 use crate::health::{HealthLedger, Liveness};
 use crate::plan::FaultKind;
-use serde::{Deserialize, Serialize};
 
 /// Why a managed job stopped making progress.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// damage at once (a dead wire wedges the whole partition and breaks
 /// checksum pairings machine-wide), [`classify_ledger`] charges the most
 /// specific hardware evidence, top first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FailureClass {
     /// A node latched an uncorrectable memory error (machine check).
     MachineCheck,

@@ -2,13 +2,12 @@
 
 use qcdoc_geometry::{Axis, NodeId, TorusShape};
 use qcdoc_telemetry::MetricsRegistry;
-use serde::{Deserialize, Serialize};
 
 /// Number of wire directions per node.
 const LINKS: usize = 12;
 
 /// Whether a node survived the run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Liveness {
     /// The node ran to completion.
     #[default]
@@ -23,7 +22,7 @@ pub enum Liveness {
 }
 
 /// End-of-run health of one wire direction of one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkHealth {
     /// Data words this node pushed into the send unit.
     pub sent_words: u64,
@@ -59,7 +58,7 @@ pub struct LinkHealth {
 }
 
 /// End-of-run health of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeHealth {
     /// Logical node rank.
     pub node: u32,
@@ -101,7 +100,7 @@ impl NodeHealth {
 /// receiving neighbour's. A mismatch means a corruption slipped past the
 /// per-frame parity — exactly the failure the paper's checksums exist to
 /// catch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthLedger {
     /// Per-node reports, indexed by rank.
     pub nodes: Vec<NodeHealth>,

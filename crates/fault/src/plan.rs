@@ -1,9 +1,7 @@
 //! The declarative fault schedule: what breaks, where, and when.
 
-use serde::{Deserialize, Serialize};
-
 /// Which node an event strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeSelect {
     /// A fixed logical node rank.
     Node(u32),
@@ -12,7 +10,7 @@ pub enum NodeSelect {
 }
 
 /// Which of a node's 12 wire directions an event strikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkSelect {
     /// A fixed link index (`Direction::link_index`, 0..12).
     Link(usize),
@@ -21,7 +19,7 @@ pub enum LinkSelect {
 }
 
 /// The failure mode of one scheduled event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Flip `burst` adjacent bits starting at `first_bit` of the frame
     /// carrying data word `seq`, on its first transmission.
@@ -113,7 +111,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: a failure mode aimed at a node and wire.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Target node.
     pub node: NodeSelect,
@@ -261,7 +259,7 @@ impl FaultEvent {
 /// into a [`crate::FaultClock`] against a concrete machine, at which point
 /// every `Random` target is resolved from `seed`. Two plans with the same
 /// seed and events always produce the same injected fault stream.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every random draw the plan implies.
     pub seed: u64,

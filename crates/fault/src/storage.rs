@@ -15,8 +15,6 @@
 //! front, so the injected fault stream is a pure function of the plan and
 //! the server's operation counters — identical across runs.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 finalizer: the hash behind the seeded torn-write draw.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -32,7 +30,7 @@ fn mix(mut z: u64) -> u64 {
 /// counter; the rest by its global operation counter. Both counters are
 /// deterministic functions of the workload, so a plan aimed at "the 3rd
 /// write" strikes the same byte stream every run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageFault {
     /// The server crashes partway through the `write_op`-th write call:
     /// only a prefix of the call's bytes reaches the platter, every open
@@ -86,7 +84,7 @@ pub enum StorageFault {
 }
 
 /// A seeded, declarative schedule of storage faults.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StorageFaultPlan {
     /// Seed for every random draw the plan implies.
     pub seed: u64,

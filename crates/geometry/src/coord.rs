@@ -1,6 +1,5 @@
 //! Node identifiers and coordinates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Dense rank of a node within a machine or partition, `0 .. node_count`.
@@ -8,9 +7,7 @@ use std::fmt;
 /// Ranks follow lexicographic order of the node coordinate with axis 0
 /// fastest, matching the order in which the host's `qdaemon` enumerates
 /// nodes during boot.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -32,7 +29,7 @@ impl fmt::Display for NodeId {
 /// Stored as a fixed six-element array; axes beyond the torus rank are held
 /// at zero so a coordinate is meaningful only together with its
 /// [`TorusShape`](crate::TorusShape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeCoord(pub [u32; 6]);
 
 impl NodeCoord {

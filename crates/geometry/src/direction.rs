@@ -1,6 +1,5 @@
 //! Axes and signed link directions of the six-dimensional mesh.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the six axes of the physical QCDOC torus.
@@ -9,7 +8,7 @@ use std::fmt;
 /// domain-wall fermions); the machine axes are purely topological, so we
 /// simply number them 0..6. [`Axis::PHYSICS_NAMES`] supplies conventional
 /// names when a 4-D partition is mapped onto physics coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Axis(pub u8);
 
 impl Axis {
@@ -54,7 +53,7 @@ impl fmt::Display for Axis {
 ///
 /// QCDOC supports concurrent sends and receives on each of these, so the SCU
 /// manages `2 × 12 = 24` independent uni-directional channels per node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Direction {
     /// The axis this direction runs along.
     pub axis: Axis,

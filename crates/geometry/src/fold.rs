@@ -17,13 +17,11 @@
 //! either spans the full physical extent (wrap cable available) or has
 //! extent 2 (wrap coincides with the box edge).
 
-use serde::{Deserialize, Serialize};
-
 /// A Hamiltonian cycle through a `dims[0] × … × dims[k-1]` box.
 ///
 /// Positions along the cycle map bijectively to box coordinates; consecutive
 /// positions (cyclically) differ by exactly one unit in one coordinate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FoldCycle {
     dims: Vec<usize>,
     len: usize,

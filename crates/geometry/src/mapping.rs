@@ -9,10 +9,9 @@
 //! mesh links of a node.
 
 use crate::{NodeCoord, TorusShape};
-use serde::{Deserialize, Serialize};
 
 /// The local hyper-rectangle of lattice sites owned by one node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LocalVolume {
     dims: Vec<usize>,
 }
@@ -98,7 +97,7 @@ impl std::fmt::Display for MappingError {
 impl std::error::Error for MappingError {}
 
 /// A validated decomposition of a global lattice over a logical machine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatticeMapping {
     global: Vec<usize>,
     machine: TorusShape,
@@ -128,11 +127,6 @@ impl LatticeMapping {
         })
     }
 
-    /// Global lattice extents.
-    pub fn global_dims(&self) -> &[usize] {
-        &self.global
-    }
-
     /// The machine shape this mapping targets.
     pub fn machine(&self) -> &TorusShape {
         &self.machine
@@ -141,11 +135,6 @@ impl LatticeMapping {
     /// The per-node local volume.
     pub fn local(&self) -> &LocalVolume {
         &self.local
-    }
-
-    /// Total number of global lattice sites.
-    pub fn global_sites(&self) -> usize {
-        self.global.iter().product()
     }
 
     /// The machine node owning global site `site` (per-axis coordinates).

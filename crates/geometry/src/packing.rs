@@ -60,11 +60,6 @@ impl OccupancyMap {
         &self.shape
     }
 
-    /// Whether a node is free.
-    pub fn is_free(&self, id: NodeId) -> bool {
-        !self.taken[id.index()]
-    }
-
     /// Mark one node taken or free.
     pub fn set_taken(&mut self, id: NodeId, taken: bool) {
         self.taken[id.index()] = taken;

@@ -12,10 +12,9 @@
 
 use crate::fold::{FoldCycle, FoldError};
 use crate::{Direction, NodeCoord, NodeId, TorusShape};
-use serde::{Deserialize, Serialize};
 
 /// Selection of a sub-box of the physical machine plus an axis grouping.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionSpec {
     /// Origin of the sub-box in physical coordinates.
     pub origin: NodeCoord,
@@ -109,7 +108,7 @@ impl From<FoldError> for PartitionError {
 }
 
 /// A validated logical machine carved out of the physical torus.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     machine: TorusShape,
     spec: PartitionSpec,

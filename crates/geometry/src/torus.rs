@@ -1,7 +1,6 @@
 //! Torus shapes and the coordinate ↔ rank bijection.
 
 use crate::{Direction, NodeCoord, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The shape of a torus of rank 1..=6: the extent of each axis.
@@ -20,7 +19,7 @@ use std::fmt;
 /// let back = rack.neighbour(origin, Axis(0).minus());
 /// assert_eq!(back.get(0), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TorusShape {
     dims: Vec<usize>,
 }

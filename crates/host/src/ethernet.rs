@@ -7,10 +7,8 @@
 //! bottleneck for a whole-machine boot is the aggregate Gigabit trunk,
 //! while any single node is limited by its own 100 Mbit port.
 
-use serde::{Deserialize, Serialize};
-
 /// Capacity model of the Ethernet tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EthernetTree {
     /// Number of nodes on the tree.
     pub nodes: usize,
@@ -61,15 +59,6 @@ impl EthernetTree {
         }
         total
     }
-}
-
-/// A UDP packet on the tree (boot traffic or RPC).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UdpPacket {
-    /// Destination node rank.
-    pub dest: u32,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
 }
 
 /// Standard boot-packet payload size (I-cache line write + headers).

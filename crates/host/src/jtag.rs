@@ -8,11 +8,8 @@
 //! no PROMs, and how a wedged node can still be probed (the RISCWatch debug
 //! path).
 
-use bytes::{Buf, BufMut, BytesMut};
-use serde::{Deserialize, Serialize};
-
 /// A JTAG command carried as a UDP payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JtagCommand {
     /// Write one 32-bit instruction word directly into the I-cache.
     WriteICache {
@@ -46,7 +43,7 @@ pub enum JtagReply {
 }
 
 /// CPU execution state as seen through JTAG.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuState {
     /// Power-on: CPU held, I-cache empty.
     Held,
@@ -143,65 +140,6 @@ impl JtagController {
     pub fn steps(&self) -> u64 {
         self.steps
     }
-
-    /// Set a register (hardware side — used by the kernel model to post
-    /// status the host can read back).
-    pub fn post_register(&mut self, reg: u16, value: u32) {
-        self.registers[reg as usize % 64] = value;
-    }
-}
-
-/// Serialize a command into its UDP payload form.
-pub fn encode(cmd: &JtagCommand) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    match *cmd {
-        JtagCommand::WriteICache { addr, data } => {
-            buf.put_u8(1);
-            buf.put_u32(addr);
-            buf.put_u32(data);
-        }
-        JtagCommand::ReadRegister { reg } => {
-            buf.put_u8(2);
-            buf.put_u16(reg);
-        }
-        JtagCommand::StartCpu => buf.put_u8(3),
-        JtagCommand::HaltCpu => buf.put_u8(4),
-        JtagCommand::SingleStep => buf.put_u8(5),
-        JtagCommand::ReadStatus => buf.put_u8(6),
-    }
-    buf.to_vec()
-}
-
-/// Decode a UDP payload; `None` for anything that is not a JTAG command
-/// (the controller ignores all other traffic).
-pub fn decode(payload: &[u8]) -> Option<JtagCommand> {
-    let mut buf = payload;
-    if buf.is_empty() {
-        return None;
-    }
-    let tag = buf.get_u8();
-    Some(match tag {
-        1 => {
-            if buf.len() < 8 {
-                return None;
-            }
-            JtagCommand::WriteICache {
-                addr: buf.get_u32(),
-                data: buf.get_u32(),
-            }
-        }
-        2 => {
-            if buf.len() < 2 {
-                return None;
-            }
-            JtagCommand::ReadRegister { reg: buf.get_u16() }
-        }
-        3 => JtagCommand::StartCpu,
-        4 => JtagCommand::HaltCpu,
-        5 => JtagCommand::SingleStep,
-        6 => JtagCommand::ReadStatus,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -257,39 +195,5 @@ mod tests {
         c.handle(&JtagCommand::SingleStep);
         c.handle(&JtagCommand::SingleStep);
         assert_eq!(c.steps(), 2);
-    }
-
-    #[test]
-    fn register_read_returns_posted_value() {
-        let mut c = JtagController::new();
-        c.post_register(7, 0xABCD);
-        assert_eq!(
-            c.handle(&JtagCommand::ReadRegister { reg: 7 }),
-            JtagReply::Value(0xABCD)
-        );
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        for cmd in [
-            JtagCommand::WriteICache {
-                addr: 0x100,
-                data: 0xDEAD_BEEF,
-            },
-            JtagCommand::ReadRegister { reg: 5 },
-            JtagCommand::StartCpu,
-            JtagCommand::HaltCpu,
-            JtagCommand::SingleStep,
-            JtagCommand::ReadStatus,
-        ] {
-            assert_eq!(decode(&encode(&cmd)), Some(cmd));
-        }
-    }
-
-    #[test]
-    fn non_jtag_traffic_ignored() {
-        assert_eq!(decode(&[]), None);
-        assert_eq!(decode(&[99, 1, 2, 3]), None);
-        assert_eq!(decode(&[1, 2]), None, "truncated WriteICache");
     }
 }

@@ -3,60 +3,13 @@
 //! "We have chosen to write our own lean, run-time kernel … essentially two
 //! threads — a kernel thread and an application thread. For QCD, we have no
 //! reason to multitask on the node level, so the run kernels do not do any
-//! scheduling." The kernel services syscalls, monitors hardware status, and
-//! reports back to the qdaemon at program termination.
-
-use serde::{Deserialize, Serialize};
-
-/// Which thread currently owns the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ActiveThread {
-    /// Boot, initialization, debugging, syscall service.
-    Kernel,
-    /// The user application.
-    Application,
-}
-
-/// The lifecycle of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelPhase {
-    /// Boot kernel running: basic hardware tests of ASIC + DRAM.
-    HardwareTest,
-    /// Run kernel loaded; SCU links trained; waiting for work.
-    Idle,
-    /// Application thread executing.
-    Running,
-    /// Application finished; kernel checking hardware status.
-    Finished,
-}
-
-/// A system call from the application thread.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Syscall {
-    /// Write bytes to the job's output stream (returned via qdaemon).
-    WriteOutput(Vec<u8>),
-    /// Open a file on an NFS-mounted host disk.
-    NfsOpen {
-        /// Path on the host.
-        path: String,
-    },
-    /// Write to an open NFS file.
-    NfsWrite {
-        /// Handle from `NfsOpen`.
-        handle: u32,
-        /// Data.
-        bytes: Vec<u8>,
-    },
-    /// Terminate the application.
-    Exit {
-        /// Exit code.
-        code: i32,
-    },
-}
+//! scheduling." What the twin keeps of it is the part the qdaemon reads:
+//! the boot kernel's hardware test and the hardware status the kernel
+//! reports back at program termination.
 
 /// Hardware status the kernel reports at job end (§3.2: "it checks on
 /// hardware status and reports back to the qdaemon and user").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HardwareStatus {
     /// SCU link parity errors detected (each auto-resent).
     pub link_errors: u64,
@@ -69,14 +22,8 @@ pub struct HardwareStatus {
 /// The run kernel of one node.
 #[derive(Debug, Clone)]
 pub struct RunKernel {
-    phase: KernelPhase,
-    active: ActiveThread,
-    output: Vec<u8>,
-    nfs_handles: u32,
-    nfs_written: u64,
+    hardware_tested: bool,
     status: HardwareStatus,
-    exit_code: Option<i32>,
-    syscalls_serviced: u64,
 }
 
 impl Default for RunKernel {
@@ -89,80 +36,18 @@ impl RunKernel {
     /// A freshly loaded run kernel, starting in hardware test.
     pub fn new() -> RunKernel {
         RunKernel {
-            phase: KernelPhase::HardwareTest,
-            active: ActiveThread::Kernel,
-            output: Vec::new(),
-            nfs_handles: 0,
-            nfs_written: 0,
+            hardware_tested: false,
             status: HardwareStatus {
                 checksums_ok: true,
                 ..Default::default()
             },
-            exit_code: None,
-            syscalls_serviced: 0,
         }
     }
 
     /// Complete hardware tests and go idle (links trained).
     pub fn finish_hardware_test(&mut self) {
-        assert_eq!(self.phase, KernelPhase::HardwareTest);
-        self.phase = KernelPhase::Idle;
-    }
-
-    /// Launch the application thread.
-    pub fn launch(&mut self) {
-        assert_eq!(self.phase, KernelPhase::Idle, "node busy or untested");
-        self.phase = KernelPhase::Running;
-        self.active = ActiveThread::Application;
-    }
-
-    /// Service one syscall: control passes to the kernel thread and back —
-    /// the only "scheduling" the kernel does (§3.2).
-    pub fn syscall(&mut self, call: Syscall) -> Option<u32> {
-        assert_eq!(
-            self.phase,
-            KernelPhase::Running,
-            "syscall outside application"
-        );
-        self.active = ActiveThread::Kernel;
-        self.syscalls_serviced += 1;
-        let ret = match call {
-            Syscall::WriteOutput(bytes) => {
-                self.output.extend_from_slice(&bytes);
-                None
-            }
-            Syscall::NfsOpen { .. } => {
-                self.nfs_handles += 1;
-                Some(self.nfs_handles)
-            }
-            Syscall::NfsWrite { bytes, .. } => {
-                self.nfs_written += bytes.len() as u64;
-                None
-            }
-            Syscall::Exit { code } => {
-                self.exit_code = Some(code);
-                self.phase = KernelPhase::Finished;
-                return None;
-            }
-        };
-        // Control returns to the application.
-        self.active = ActiveThread::Application;
-        ret
-    }
-
-    /// Record a hardware event observed during the run.
-    pub fn record_link_error(&mut self) {
-        self.status.link_errors += 1;
-    }
-
-    /// Record the end-of-run checksum comparison result.
-    pub fn record_checksum_result(&mut self, ok: bool) {
-        self.status.checksums_ok &= ok;
-    }
-
-    /// Record single-bit memory corrections the ECC hardware performed.
-    pub fn record_ecc_corrections(&mut self, count: u64) {
-        self.status.ecc_corrections += count;
+        assert!(!self.hardware_tested, "hardware test already finished");
+        self.hardware_tested = true;
     }
 
     /// Fold a machine-sweep snapshot of this node's hardware counters into
@@ -175,52 +60,9 @@ impl RunKernel {
         self.status.checksums_ok &= snapshot.checksums_ok;
     }
 
-    /// Current phase.
-    pub fn phase(&self) -> KernelPhase {
-        self.phase
-    }
-
-    /// Which thread owns the CPU.
-    pub fn active_thread(&self) -> ActiveThread {
-        self.active
-    }
-
-    /// Job output accumulated so far.
-    pub fn output(&self) -> &[u8] {
-        &self.output
-    }
-
-    /// Exit code, once the application has terminated.
-    pub fn exit_code(&self) -> Option<i32> {
-        self.exit_code
-    }
-
     /// The end-of-run hardware report.
     pub fn hardware_status(&self) -> HardwareStatus {
         self.status
-    }
-
-    /// Syscalls serviced.
-    pub fn syscalls_serviced(&self) -> u64 {
-        self.syscalls_serviced
-    }
-
-    /// Bytes written to NFS disks.
-    pub fn nfs_written(&self) -> u64 {
-        self.nfs_written
-    }
-
-    /// Reset to idle for the next job (kernel thread reclaims the node).
-    pub fn reset_for_next_job(&mut self) {
-        assert_eq!(self.phase, KernelPhase::Finished);
-        self.phase = KernelPhase::Idle;
-        self.active = ActiveThread::Kernel;
-        self.output.clear();
-        self.exit_code = None;
-        self.status = HardwareStatus {
-            checksums_ok: true,
-            ..Default::default()
-        };
     }
 }
 
@@ -229,88 +71,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lifecycle() {
-        let mut k = RunKernel::new();
-        assert_eq!(k.phase(), KernelPhase::HardwareTest);
-        k.finish_hardware_test();
-        assert_eq!(k.phase(), KernelPhase::Idle);
-        k.launch();
-        assert_eq!(k.phase(), KernelPhase::Running);
-        assert_eq!(k.active_thread(), ActiveThread::Application);
-        k.syscall(Syscall::Exit { code: 0 });
-        assert_eq!(k.phase(), KernelPhase::Finished);
-        assert_eq!(k.exit_code(), Some(0));
-    }
-
-    #[test]
-    fn syscall_bounces_through_kernel_thread() {
-        let mut k = RunKernel::new();
-        k.finish_hardware_test();
-        k.launch();
-        k.syscall(Syscall::WriteOutput(b"plaquette = 0.5937".to_vec()));
-        // After a non-exit syscall, control is back with the application.
-        assert_eq!(k.active_thread(), ActiveThread::Application);
-        assert_eq!(k.output(), b"plaquette = 0.5937");
-        assert_eq!(k.syscalls_serviced(), 1);
-    }
-
-    #[test]
-    fn nfs_write_path() {
-        let mut k = RunKernel::new();
-        k.finish_hardware_test();
-        k.launch();
-        let h = k
-            .syscall(Syscall::NfsOpen {
-                path: "/host/configs/lat.0".into(),
-            })
-            .unwrap();
-        k.syscall(Syscall::NfsWrite {
-            handle: h,
-            bytes: vec![0u8; 4096],
-        });
-        assert_eq!(k.nfs_written(), 4096);
-    }
-
-    #[test]
-    fn hardware_status_accumulates() {
-        let mut k = RunKernel::new();
-        k.finish_hardware_test();
-        k.launch();
-        k.record_link_error();
-        k.record_link_error();
-        k.record_checksum_result(true);
-        k.syscall(Syscall::Exit { code: 0 });
-        let s = k.hardware_status();
-        assert_eq!(s.link_errors, 2);
-        assert!(s.checksums_ok);
-    }
-
-    #[test]
     fn checksum_failure_is_sticky() {
         let mut k = RunKernel::new();
-        k.record_checksum_result(false);
-        k.record_checksum_result(true);
+        k.merge_hardware(HardwareStatus {
+            checksums_ok: false,
+            ..Default::default()
+        });
+        k.merge_hardware(HardwareStatus {
+            checksums_ok: true,
+            ..Default::default()
+        });
         assert!(!k.hardware_status().checksums_ok);
     }
 
     #[test]
-    #[should_panic(expected = "node busy or untested")]
-    fn cannot_launch_before_hardware_test() {
-        let mut k = RunKernel::new();
-        k.launch();
-    }
-
-    #[test]
-    fn reset_allows_next_job() {
+    #[should_panic(expected = "hardware test already finished")]
+    fn hardware_test_finishes_once() {
         let mut k = RunKernel::new();
         k.finish_hardware_test();
-        k.launch();
-        k.syscall(Syscall::WriteOutput(b"x".to_vec()));
-        k.syscall(Syscall::Exit { code: 7 });
-        k.reset_for_next_job();
-        assert_eq!(k.phase(), KernelPhase::Idle);
-        assert!(k.output().is_empty());
-        k.launch();
-        assert_eq!(k.phase(), KernelPhase::Running);
+        k.finish_hardware_test();
     }
 }

@@ -4,19 +4,21 @@
 //! Physics runs on the 6-D mesh; *everything else* runs over a conventional
 //! Ethernet tree connecting every node to an SMP host:
 //!
-//! * [`jtag`] — the Ethernet/JTAG controller: a hardware UDP decoder that
-//!   executes JTAG commands with **no software on the node** (there are no
-//!   PROMs on QCDOC — the first code a node ever runs arrives through this
-//!   path straight into the PPC 440's instruction cache);
+//! * [`jtag`] — the Ethernet/JTAG controller: a hardware command engine
+//!   that needs **no software on the node** (there are no PROMs on QCDOC —
+//!   the first code a node ever runs arrives through this path straight
+//!   into the PPC 440's instruction cache);
 //! * [`ethernet`] — the Ethernet tree itself: 5-port hubs on daughter- and
 //!   motherboards aggregating into Gigabit links at the host;
-//! * [`kernel`] — the custom run kernel: two threads (kernel +
-//!   application), no scheduler, syscall servicing, hardware status
-//!   monitoring and UDP/NFS services;
+//! * [`kernel`] — the run kernel's hardware-status report: the link
+//!   errors, ECC corrections and checksum verdict a node hands the
+//!   qdaemon at job end;
 //! * [`qdaemon`] — the host daemon: boots the machine (≈100 UDP packets to
 //!   load the boot kernel per node, ≈100 more for the run kernel), tracks
-//!   node status, allocates partitions, launches applications and returns
-//!   their output;
+//!   node status, allocates partitions and returns job output and
+//!   hardware reports;
+//! * [`nfs`] — the host disks the nodes mount, with seeded storage faults;
+//! * [`ckstore`] — the durable checkpoint store on those disks;
 //! * [`qcsh`] — the modified-tcsh command interface through which users
 //!   talk to the qdaemon;
 //! * [`recovery`] — the quarantine-and-replan side of self-healing runs:
@@ -33,7 +35,6 @@
 
 pub mod chaos;
 pub mod ckstore;
-pub mod debug;
 pub mod ethernet;
 pub mod jtag;
 pub mod kernel;
@@ -42,7 +43,6 @@ pub mod qcsh;
 pub mod qdaemon;
 pub mod recovery;
 pub mod repair;
-pub mod rpc;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use qdaemon::{BootReport, NodeCensus, NodeState, Qdaemon};

@@ -24,7 +24,6 @@
 
 use crate::ethernet::EthernetTree;
 use qcdoc_fault::{StorageClock, StorageFaultPlan};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// NFS transfer unit: the granularity at which an append reaches the
@@ -32,7 +31,7 @@ use std::collections::{HashMap, HashSet};
 pub const WIRE_CHUNK: usize = 8 * 1024;
 
 /// An open-file handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NfsHandle(pub u32);
 
 /// NFS operation failures.

@@ -10,11 +10,10 @@
 use crate::qdaemon::Qdaemon;
 use qcdoc_geometry::PartitionSpec;
 use qcdoc_sched::{JobId, JobSpec, JobStatus, Priority, Scheduler, ShapeRequest};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A parsed qcsh command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// `qboot` — boot the machine.
     Boot,

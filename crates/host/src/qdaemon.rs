@@ -16,10 +16,9 @@
 
 use crate::ethernet::{EthernetTree, BOOT_PACKET_BYTES};
 use crate::jtag::{JtagCommand, JtagController};
-use crate::kernel::{KernelPhase, RunKernel};
+use crate::kernel::RunKernel;
 use qcdoc_geometry::{NodeId, Partition, PartitionError, PartitionSpec, TorusShape};
 use qcdoc_telemetry::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry, HOST_NODE};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Boot-packet counts from §3.1.
@@ -28,7 +27,7 @@ pub const BOOT_KERNEL_PACKETS: u64 = 100;
 pub const RUN_KERNEL_PACKETS: u64 = 100;
 
 /// Per-node status as tracked by the qdaemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Powered but not yet booted.
     PoweredOn,
@@ -52,7 +51,7 @@ pub enum NodeState {
 }
 
 /// The result of booting the machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BootReport {
     /// Nodes booted successfully.
     pub booted: usize,
@@ -78,7 +77,7 @@ struct Allocation {
 /// *blacklisted* (convicted for good), and *spare* (repaired and
 /// returned to the pool) so capacity accounting after a chaos soak is
 /// honest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeCensus {
     /// Booted, idle, allocatable, never condemned.
     pub ready: usize,
@@ -276,7 +275,7 @@ impl Qdaemon {
         self.allocations.get(&id).map(|a| &a.partition)
     }
 
-    /// Append job output returned from a node (RPC path).
+    /// Append job output returned from a node.
     pub fn return_output(&mut self, id: u32, bytes: &[u8]) {
         if let Some(a) = self.allocations.get_mut(&id) {
             a.job_output.extend_from_slice(bytes);
@@ -447,8 +446,7 @@ impl Qdaemon {
             .filter(|l| l.checksum_ok == Some(false))
             .count();
         // Feed each node's kernel the hardware counters the sweep carried,
-        // so the RPC `HardwareReport` triple reflects what the machine
-        // actually saw. `merge_hardware` is a max-merge: re-ingesting the
+        // so `hardware_report` reflects what the machine actually saw. `merge_hardware` is a max-merge: re-ingesting the
         // same sweep changes nothing.
         if ledger.nodes.len() == self.machine.node_count() {
             for (node, nh) in ledger.nodes.iter().enumerate() {
@@ -556,11 +554,6 @@ impl Qdaemon {
         &self.flight
     }
 
-    /// Run kernel of a node (for job wiring in `qcdoc-core`).
-    pub fn kernel_mut(&mut self, node: NodeId) -> &mut RunKernel {
-        &mut self.kernels[node.index()]
-    }
-
     /// Read-only view of a node's run kernel.
     pub fn kernel(&self, node: NodeId) -> &RunKernel {
         &self.kernels[node.index()]
@@ -584,11 +577,6 @@ impl Qdaemon {
             total.checksums_ok &= s.checksums_ok;
         }
         Some(total)
-    }
-
-    /// Whether a node's kernel is idle and ready for a job.
-    pub fn node_idle(&self, node: NodeId) -> bool {
-        self.kernels[node.index()].phase() == KernelPhase::Idle
     }
 }
 
@@ -628,7 +616,7 @@ impl qcdoc_sched::MeshHost for Qdaemon {
 }
 
 /// The daemon's digest of an end-of-run machine-health sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
     /// Nodes newly quarantined by this sweep.
     pub quarantined: Vec<u32>,

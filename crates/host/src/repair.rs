@@ -29,11 +29,10 @@
 use crate::qdaemon::{NodeState, Qdaemon};
 use qcdoc_geometry::NodeId;
 use qcdoc_telemetry::{FlightKind, HOST_NODE};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Tunables of the repair pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairConfig {
     /// Repair ticks a full memory scrub takes.
     pub scrub_ticks: u32,
@@ -55,7 +54,7 @@ impl Default for RepairConfig {
 }
 
 /// Where one node sits in the repair pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairStage {
     /// Memory scrub in progress; `remaining` ticks to go.
     Scrub {

@@ -21,10 +21,9 @@
 //! pure function of the seed and never advances during a solve).
 
 use crate::io::{header_value, nersc_checksum, IoError};
-use serde::{Deserialize, Serialize};
 
 /// The complete loop-carried state of a CG solve at an iteration boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CgCheckpoint {
     /// Operator name (must match on resume).
     pub operator: String,
@@ -142,7 +141,7 @@ impl CgCheckpoint {
     }
 }
 
-/// Serialize a checkpoint: an ASCII header in the NERSC-archive idiom
+/// Encode a checkpoint: an ASCII header in the NERSC-archive idiom
 /// followed by the big-endian 64-bit payload (x, r, p, residual bits).
 pub fn write_checkpoint(ckpt: &CgCheckpoint) -> Vec<u8> {
     assert_eq!(ckpt.x.len(), ckpt.r.len());
@@ -189,7 +188,7 @@ fn bits_field(header: &str, key: &str) -> Result<u64, IoError> {
         .map_err(|_| IoError::BadHeader(format!("bad {key}")))
 }
 
-/// Deserialize and fully validate a checkpoint.
+/// Decode and fully validate a checkpoint.
 pub fn read_checkpoint(bytes: &[u8]) -> Result<CgCheckpoint, IoError> {
     let end_marker = b"END_CKPT_HEADER\n";
     let header_end = bytes

@@ -3,11 +3,10 @@
 
 use crate::complex::Complex;
 use crate::real::Real;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 /// A color-3 vector over a [`Real`] component type (default `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ColorVec<T: Real = f64>(pub [Complex<T>; 3]);
 
 impl<T: Real> ColorVec<T> {

@@ -11,12 +11,11 @@
 //! bit-identical to the historic double-precision-only implementation.
 
 use crate::real::Real;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number over a [`Real`] component type (default `f64`).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex<T: Real = f64> {
     /// Real part.
     pub re: T,

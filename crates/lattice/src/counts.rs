@@ -7,8 +7,6 @@
 //! implementations (which match the standard community counts — e.g. 1320
 //! flops/site for the Wilson dslash in double precision).
 
-use serde::{Deserialize, Serialize};
-
 /// Size of one double-precision complex number in bytes.
 const CPLX: u64 = 16;
 
@@ -17,7 +15,7 @@ const CPLX: u64 = 16;
 /// size, which is how §4's "performance for single precision is slightly
 /// higher" arises — half the bandwidth to local memory for the same
 /// arithmetic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Prec {
     /// 32-bit IEEE components: 8-byte complex numbers.
     Single,
@@ -54,7 +52,7 @@ pub const HALF_SPINOR_BYTES: u64 = 6 * CPLX;
 pub const COLORVEC_BYTES: u64 = 3 * CPLX;
 
 /// The fermion actions benchmarked in §4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Naive Wilson fermions (40% of peak in the paper).
     Wilson,
@@ -83,15 +81,10 @@ impl Action {
             Action::Dwf { .. } => "dwf",
         }
     }
-
-    /// The paper's benchmark set, in its quoted order.
-    pub fn paper_benchmarks() -> [Action; 3] {
-        [Action::Wilson, Action::Asqtad, Action::Clover]
-    }
 }
 
 /// Per-site counts for one application of the full operator `M`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteCounts {
     /// Floating-point operations (FMA = 2).
     pub flops: u64,

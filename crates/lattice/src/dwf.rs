@@ -25,10 +25,9 @@ use crate::field::{FermionField, GaugeField, Lattice};
 use crate::real::Real;
 use crate::spinor::Spinor;
 use crate::wilson::WilsonDirac;
-use serde::{Deserialize, Serialize};
 
 /// A 5-D fermion field: `Ls` four-dimensional spinor fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DwfField<T: Real = f64> {
     slices: Vec<FermionField<T>>,
 }

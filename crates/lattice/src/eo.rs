@@ -18,10 +18,9 @@ use crate::complex::C64;
 use crate::field::{FermionField, GaugeField, Lattice};
 use crate::solver::{CgParams, CgReport, DiracOperator, KrylovVector};
 use crate::spinor::{ProjSign, Spinor, WORDS_PER_SPINOR};
-use serde::{Deserialize, Serialize};
 
 /// Site ordering for one parity: dense indices 0..V/2 per checkerboard.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EoLayout {
     lat: Lattice,
     /// Full-lattice site index of each (parity, dense index).
@@ -98,7 +97,7 @@ impl EoLayout {
 }
 
 /// A spinor field living on one checkerboard.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EoField {
     data: Vec<Spinor>,
 }

@@ -17,10 +17,9 @@ use crate::real::Real;
 use crate::rng::SiteRng;
 use crate::spinor::Spinor;
 use crate::su3::Su3;
-use serde::{Deserialize, Serialize};
 
 /// A periodic 4-D space-time lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lattice {
     dims: [usize; 4],
 }
@@ -134,7 +133,7 @@ impl NeighbourTable {
 }
 
 /// An SU(3) gauge field: four directed links per site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaugeField<T: Real = f64> {
     lat: Lattice,
     links: Vec<[Su3<T>; 4]>,
@@ -259,7 +258,7 @@ pub fn fingerprint_spinors(block: &[Spinor]) -> u64 {
 }
 
 /// A Wilson-type fermion field: one 4-spinor per site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FermionField<T: Real = f64> {
     lat: Lattice,
     data: Vec<Spinor<T>>,
@@ -381,7 +380,7 @@ impl FermionField<f32> {
 }
 
 /// A staggered fermion field: one color vector per site.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StaggeredField<T: Real = f64> {
     lat: Lattice,
     data: Vec<ColorVec<T>>,

@@ -14,7 +14,6 @@ use crate::field::GaugeField;
 use crate::field::Lattice;
 use crate::rng::SiteRng;
 use crate::su3::Su3;
-use serde::{Deserialize, Serialize};
 
 /// Average plaquette `⟨(1/3) Re Tr U_p⟩` over all sites and planes —
 /// 1.0 on a cold configuration, → 0 as β → 0.
@@ -69,7 +68,7 @@ pub fn wilson_action(gauge: &GaugeField, beta: f64) -> f64 {
 }
 
 /// Parameters of the quenched evolution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvolveParams {
     /// Gauge coupling β = 6/g².
     pub beta: f64,

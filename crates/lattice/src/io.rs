@@ -59,7 +59,7 @@ pub fn nersc_checksum(data: &[u8]) -> u32 {
         .fold(0u32, u32::wrapping_add)
 }
 
-/// Serialize a gauge field to the archive format.
+/// Encode a gauge field in the archive format.
 pub fn write_config(gauge: &GaugeField) -> Vec<u8> {
     let lat = gauge.lattice();
     let dims = lat.dims();
@@ -110,7 +110,7 @@ pub(crate) fn header_value<'a>(header: &'a str, key: &str) -> Result<&'a str, Io
         .ok_or_else(|| IoError::BadHeader(format!("missing {key}")))
 }
 
-/// Deserialize and fully validate a configuration.
+/// Decode and fully validate a configuration.
 pub fn read_config(bytes: &[u8]) -> Result<GaugeField, IoError> {
     let end_marker = b"END_HEADER\n";
     let header_end = bytes

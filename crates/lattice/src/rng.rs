@@ -7,8 +7,6 @@
 //! counter-based generator: each (seed, site) pair gets an independent,
 //! splittable stream.
 
-use serde::{Deserialize, Serialize};
-
 /// SplitMix64 finalizer — a strong 64-bit mixing function.
 #[inline]
 fn mix(mut z: u64) -> u64 {
@@ -19,7 +17,7 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// A deterministic per-site random stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SiteRng {
     key: u64,
     counter: u64,

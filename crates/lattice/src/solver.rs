@@ -16,7 +16,6 @@ use crate::spinor::{Spinor, WORDS_PER_SPINOR};
 use crate::staggered::{AsqtadDirac, StaggeredDirac};
 use crate::wilson::WilsonDirac;
 use qcdoc_telemetry::{FlightKind, NodeTelemetry, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Vector-space operations CG needs from a field type.
 pub trait KrylovVector: Clone {
@@ -389,7 +388,7 @@ impl PrecisionCast for DwfField {
 }
 
 /// Stopping criteria for CG.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CgParams {
     /// Target relative residual `‖M†(b − Mx)‖ / ‖M†b‖`.
     pub tolerance: f64,
@@ -407,7 +406,7 @@ impl Default for CgParams {
 }
 
 /// The outcome of a CG solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CgReport {
     /// Operator name.
     pub operator: String,
@@ -594,7 +593,7 @@ impl Default for AbftParams {
 }
 
 /// What [`solve_cgne_abft`]'s audit observed during a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct AbftReport {
     /// Checksum verifications performed (periodic plus the exit audit).
     pub verifications: u64,
@@ -1136,7 +1135,7 @@ pub fn solve_cgne_abft<Op: DiracOperator>(
 }
 
 /// Stopping criteria for the mixed-precision (defect-correction) solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MixedCgParams {
     /// Target relative residual `‖M†(b − Mx)‖ / ‖M†b‖`, evaluated in
     /// **double** precision. Same meaning as [`CgParams::tolerance`].
@@ -1163,7 +1162,7 @@ impl Default for MixedCgParams {
 }
 
 /// The outcome of a mixed-precision solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedCgReport {
     /// Operator name (from the double-precision operator).
     pub operator: String,

@@ -25,7 +25,6 @@ use crate::colorvec::ColorVec;
 use crate::complex::Complex;
 use crate::gamma::{Gamma, GAMMA5};
 use crate::real::Real;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
 /// Words in a spinor's bit image ([`Spinor::to_words`]): 4 spins × 3
@@ -33,11 +32,11 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 pub const WORDS_PER_SPINOR: usize = 24;
 
 /// A full 4-spinor: spin × color.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Spinor<T: Real = f64>(pub [ColorVec<T>; 4]);
 
 /// The two independent spin components of a projected spinor.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HalfSpinor<T: Real = f64>(pub [ColorVec<T>; 2]);
 
 /// Projection sign: `(1 − γ_μ)` for hops in the +μ direction, `(1 + γ_μ)`

@@ -3,14 +3,13 @@
 use crate::colorvec::ColorVec;
 use crate::complex::{Complex, C64};
 use crate::real::Real;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Sub};
 
 /// A 3×3 complex matrix, usually (but not necessarily) in SU(3), over a
 /// [`Real`] component type (default `f64`).
 ///
 /// Row-major storage: `m[row][col]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Su3<T: Real = f64>(pub [[Complex<T>; 3]; 3]);
 
 impl<T: Real> Default for Su3<T> {
@@ -183,17 +182,6 @@ impl<T: Real> Su3<T> {
         for r in 0..3 {
             for c in 0..3 {
                 out.0[r][c] = Complex::from_c64(m.0[r][c]);
-            }
-        }
-        out
-    }
-
-    /// Widen to double precision (exact for both supported widths).
-    pub fn to_c64_mat(&self) -> Su3<f64> {
-        let mut out = Su3::ZERO;
-        for r in 0..3 {
-            for c in 0..3 {
-                out.0[r][c] = self.0[r][c].to_c64();
             }
         }
         out

@@ -2,10 +2,9 @@
 //! installations.
 
 use qcdoc_geometry::TorusShape;
-use serde::{Deserialize, Serialize};
 
 /// Who funded / hosts a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
     /// Columbia University (development machines + 4096-node machine).
     Columbia,
@@ -18,7 +17,7 @@ pub enum Site {
 }
 
 /// A catalogued machine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Name used in the paper.
     pub name: &'static str,

@@ -10,7 +10,6 @@
 //! $99,159 giving a total cost of this 4096-node machine of $1,709,601."
 
 use crate::packaging::MachineAssembly;
-use serde::{Deserialize, Serialize};
 
 /// Purchase-order line items of the 4096-node Columbia machine (§4).
 pub mod columbia_4096 {
@@ -39,7 +38,7 @@ pub mod columbia_4096 {
 }
 
 /// A cost model scaled from the Columbia per-unit prices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Cost per daughterboard (2 nodes + DIMMs).
     pub per_daughterboard: f64,
@@ -75,7 +74,7 @@ impl Default for CostModel {
 }
 
 /// Itemized cost of one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostBreakdown {
     /// Daughterboard line.
     pub daughterboards: f64,
@@ -137,7 +136,7 @@ impl CostModel {
 }
 
 /// Price/performance at an operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PricePerformance {
     /// Clock in MHz.
     pub clock_mhz: f64,

@@ -6,8 +6,6 @@
 //! rack — 1024 nodes, 1.0 Tflops peak, under 10 kW, stackable so "10,000
 //! nodes \[have\] a footprint of about 60 square feet".
 
-use serde::{Deserialize, Serialize};
-
 /// Nodes on one daughterboard.
 pub const NODES_PER_DAUGHTERBOARD: usize = 2;
 /// Daughterboards on one motherboard.
@@ -42,7 +40,7 @@ pub const MOTHERBOARD_SUPPLY_VOLTS: f64 = 48.0;
 pub const GLOBAL_CLOCK_MHZ: f64 = 40.0;
 
 /// A machine assembled from the packaging hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineAssembly {
     /// Total node count.
     pub nodes: usize,

@@ -6,10 +6,9 @@
 //! a machine-readable edge inventory and a printable diagram.
 
 use qcdoc_geometry::{Axis, NodeId, TorusShape};
-use serde::{Deserialize, Serialize};
 
 /// The networks of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Network {
     /// The SCU 6-D mesh (physics traffic).
     ScuMesh,
@@ -18,7 +17,7 @@ pub enum Network {
 }
 
 /// An edge of the machine graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Edge {
     /// Mesh link between two nodes.
     Mesh {

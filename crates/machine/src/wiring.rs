@@ -16,7 +16,6 @@
 //! connectors). That identity is asserted in the tests.
 
 use qcdoc_geometry::TorusShape;
-use serde::{Deserialize, Serialize};
 
 /// Cables per motherboard-face bundle (32 node links across three
 /// connectors, from the §4 cable count).
@@ -26,7 +25,7 @@ pub const CABLES_PER_FACE: usize = 3;
 pub const LINKS_PER_FACE: usize = 32;
 
 /// The wiring breakdown of a machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Wiring {
     /// Node-level mesh links routed on motherboard PCB.
     pub onboard_links: usize,

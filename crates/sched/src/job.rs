@@ -2,12 +2,11 @@
 
 use qcdoc_fault::FailureClass;
 use qcdoc_geometry::{NodeCoord, TorusShape};
-use serde::{Deserialize, Serialize};
 
 /// Priority classes, lowest to highest. Preemption only ever evicts a
 /// job of a *strictly lower* class, so scavenger work soaks up idle
 /// nodes without ever delaying production running at full priority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// Opportunistic filler: runs on whatever is idle, first to be
     /// preempted.
@@ -32,7 +31,7 @@ impl Priority {
 /// One acceptable partition shape for a job: a physical sub-box (the
 /// scheduler picks the origin) plus the axis grouping that folds it into
 /// the logical torus the application runs on.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShapeRequest {
     /// Requested extent along each physical axis.
     pub extents: Vec<usize>,
@@ -48,7 +47,7 @@ impl ShapeRequest {
 }
 
 /// A tenant's job request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Owning tenant (must be registered before submission).
     pub tenant: String,
@@ -69,9 +68,7 @@ pub struct JobSpec {
 }
 
 /// Job identifier, unique within one scheduler.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct JobId(pub u64);
 
 impl std::fmt::Display for JobId {
@@ -81,7 +78,7 @@ impl std::fmt::Display for JobId {
 }
 
 /// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
     /// Accepted, waiting for nodes.
     Queued,
@@ -105,7 +102,7 @@ pub enum JobStatus {
 
 /// A granted placement: which partition, where, and what logical shape
 /// the job sees.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GrantedPlacement {
     /// Partition id in the mesh host (the qdaemon's allocation id).
     pub partition: u32,
@@ -118,7 +115,7 @@ pub struct GrantedPlacement {
 }
 
 /// The scheduler's full record of one job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// The job's id.
     pub id: JobId,
@@ -170,17 +167,6 @@ pub struct JobRecord {
 }
 
 impl JobRecord {
-    /// Nodes of the largest acceptable shape — what quota admission
-    /// charges the job against.
-    pub fn max_nodes(&self) -> usize {
-        self.spec
-            .shapes
-            .iter()
-            .map(ShapeRequest::node_count)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Nodes currently held (0 unless running).
     pub fn held_nodes(&self) -> usize {
         self.placement

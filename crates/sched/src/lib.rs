@@ -53,6 +53,6 @@ pub use job::{JobId, JobRecord, JobSpec, JobStatus, Priority, ShapeRequest};
 pub use mesh::{MeshHost, Placement, SimMesh};
 pub use qcdoc_fault::FailureClass;
 pub use scheduler::{AdmitError, SchedConfig, SchedEvent, Scheduler, StepOutcome};
-pub use state::STATE_JOB;
+pub use state::{StateError, STATE_JOB};
 pub use tenant::{TenantConfig, TenantStats};
 pub use vault::{CheckpointVault, MemoryVault};

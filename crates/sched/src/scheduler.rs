@@ -290,11 +290,6 @@ impl Scheduler {
         self.clock
     }
 
-    /// Jobs waiting for nodes (queued or preempted).
-    pub fn queue_depth(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Jobs currently holding partitions.
     pub fn running_count(&self) -> usize {
         self.running.len()

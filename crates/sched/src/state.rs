@@ -8,11 +8,11 @@
 //! little-endian archive, and [`Scheduler::restore_state`] rebuilds a
 //! scheduler that continues the same event log byte-for-byte.
 //!
-//! The format is hand-rolled because the workspace's offline `serde`
-//! shim is derive-only (no actual serialisation); the idiom follows the
-//! checkpoint archives in `qcdoc_lattice::checkpoint` and
-//! `qcdoc_host::ckstore`: magic + versioned fields, length-prefixed
-//! variable parts, every multi-byte value little-endian.
+//! The format follows the checkpoint archives in `qcdoc_lattice::checkpoint`
+//! and `qcdoc_host::ckstore`: magic + versioned fields, length-prefixed
+//! variable parts, every multi-byte value little-endian. The reader is
+//! bounds-checked throughout: a truncated or corrupted archive comes back
+//! as a typed [`StateError`], never a panic.
 //!
 //! After a restore, the mesh is gone — the real partitions died with the
 //! host — so [`Scheduler::recover_after_restart`] converts every
@@ -34,6 +34,71 @@ use std::collections::BTreeMap;
 pub const STATE_JOB: JobId = JobId(u64::MAX);
 
 const MAGIC: &[u8; 8] = b"QSCHEDv1";
+
+/// Why a scheduler snapshot could not be restored.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StateError {
+    /// The archive ended early.
+    Truncated {
+        /// Bytes the next field needs.
+        need: usize,
+        /// Offset of that field.
+        at: usize,
+        /// Bytes left from that offset.
+        have: usize,
+    },
+    /// The archive does not start with the scheduler-state magic.
+    BadMagic,
+    /// A length prefix larger than the whole archive.
+    BadLength {
+        /// The recorded length.
+        len: u64,
+    },
+    /// A tenant name is not UTF-8.
+    BadUtf8,
+    /// An enumeration code outside its range.
+    BadCode {
+        /// Which enumeration: priority, job status, event tag or failure
+        /// class.
+        what: &'static str,
+        /// The code found.
+        code: u64,
+    },
+    /// Torus dimensions no machine can have (rank outside 1..=6, or a
+    /// zero extent).
+    BadShape {
+        /// The dimensions found.
+        dims: Vec<usize>,
+    },
+    /// The pending or running queue names a job the archive lacks.
+    UnknownJob {
+        /// The job id.
+        id: u64,
+    },
+}
+
+impl std::fmt::Display for StateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StateError::Truncated { need, at, have } => write!(
+                f,
+                "truncated scheduler state: need {need} bytes at offset {at}, have {have}"
+            ),
+            StateError::BadMagic => write!(f, "not a scheduler state archive (bad magic)"),
+            StateError::BadLength { len } => {
+                write!(f, "implausible length {len} in scheduler state")
+            }
+            StateError::BadUtf8 => write!(f, "bad utf-8 in scheduler state"),
+            StateError::BadCode { what, code } => write!(f, "bad {what} code {code}"),
+            StateError::BadShape { dims } => {
+                write!(f, "bad torus dims {dims:?} in scheduler state")
+            }
+            StateError::UnknownJob { id } => write!(f, "state references unknown job {id}"),
+        }
+    }
+}
+
+impl std::error::Error for StateError {}
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -92,61 +157,61 @@ impl<'a> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!(
-                "truncated scheduler state: need {} bytes at offset {}, have {}",
-                n,
-                self.pos,
-                self.buf.len() - self.pos
-            ));
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StateError> {
+        let have = self.buf.len() - self.pos;
+        if n > have {
+            return Err(StateError::Truncated {
+                need: n,
+                at: self.pos,
+                have,
+            });
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, String> {
+    fn u8(&mut self) -> Result<u8, StateError> {
         Ok(self.take(1)?[0])
     }
 
-    fn bool(&mut self) -> Result<bool, String> {
+    fn bool(&mut self) -> Result<bool, StateError> {
         Ok(self.u8()? != 0)
     }
 
-    fn u64(&mut self) -> Result<u64, String> {
+    fn u64(&mut self) -> Result<u64, StateError> {
         let s = self.take(8)?;
         Ok(u64::from_le_bytes(s.try_into().expect("8 bytes")))
     }
 
-    fn f64(&mut self) -> Result<f64, String> {
+    fn f64(&mut self) -> Result<f64, StateError> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn len(&mut self) -> Result<usize, String> {
+    fn len(&mut self) -> Result<usize, StateError> {
         let n = self.u64()?;
         // Any honest length fits in what's left of the buffer.
         if n > self.buf.len() as u64 {
-            return Err(format!("implausible length {n} in scheduler state"));
+            return Err(StateError::BadLength { len: n });
         }
         Ok(n as usize)
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
+    fn bytes(&mut self) -> Result<Vec<u8>, StateError> {
         let n = self.len()?;
         Ok(self.take(n)?.to_vec())
     }
 
-    fn str(&mut self) -> Result<String, String> {
-        String::from_utf8(self.bytes()?).map_err(|e| format!("bad utf-8 in state: {e}"))
+    fn str(&mut self) -> Result<String, StateError> {
+        String::from_utf8(self.bytes()?).map_err(|_| StateError::BadUtf8)
     }
 
-    fn usize_vec(&mut self) -> Result<Vec<usize>, String> {
+    fn usize_vec(&mut self) -> Result<Vec<usize>, StateError> {
         let n = self.len()?;
         (0..n).map(|_| Ok(self.u64()? as usize)).collect()
     }
 
-    fn opt_u64(&mut self) -> Result<Option<u64>, String> {
+    fn opt_u64(&mut self) -> Result<Option<u64>, StateError> {
         Ok(if self.u8()? == 1 {
             Some(self.u64()?)
         } else {
@@ -154,10 +219,10 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn shape(&mut self) -> Result<TorusShape, String> {
+    fn shape(&mut self) -> Result<TorusShape, StateError> {
         let dims = self.usize_vec()?;
         if dims.is_empty() || dims.len() > 6 || dims.contains(&0) {
-            return Err(format!("bad torus dims {dims:?} in scheduler state"));
+            return Err(StateError::BadShape { dims });
         }
         Ok(TorusShape::new(&dims))
     }
@@ -171,12 +236,17 @@ fn priority_code(p: Priority) -> u8 {
     }
 }
 
-fn priority_from(code: u8) -> Result<Priority, String> {
+fn priority_from(code: u8) -> Result<Priority, StateError> {
     Ok(match code {
         0 => Priority::Scavenger,
         1 => Priority::Standard,
         2 => Priority::Production,
-        _ => return Err(format!("bad priority code {code}")),
+        _ => {
+            return Err(StateError::BadCode {
+                what: "priority",
+                code: code.into(),
+            })
+        }
     })
 }
 
@@ -192,7 +262,7 @@ fn status_code(s: JobStatus) -> u8 {
     }
 }
 
-fn status_from(code: u8) -> Result<JobStatus, String> {
+fn status_from(code: u8) -> Result<JobStatus, StateError> {
     Ok(match code {
         0 => JobStatus::Queued,
         1 => JobStatus::Running,
@@ -201,12 +271,20 @@ fn status_from(code: u8) -> Result<JobStatus, String> {
         4 => JobStatus::Failed,
         5 => JobStatus::Completed,
         6 => JobStatus::Canceled,
-        _ => return Err(format!("bad job status code {code}")),
+        _ => {
+            return Err(StateError::BadCode {
+                what: "job status",
+                code: code.into(),
+            })
+        }
     })
 }
 
-fn class_from(code: u64) -> Result<FailureClass, String> {
-    FailureClass::from_code(code).ok_or_else(|| format!("bad failure class code {code}"))
+fn class_from(code: u64) -> Result<FailureClass, StateError> {
+    FailureClass::from_code(code).ok_or(StateError::BadCode {
+        what: "failure class",
+        code,
+    })
 }
 
 fn put_job(out: &mut Vec<u8>, job: &JobRecord) {
@@ -264,7 +342,7 @@ fn put_job(out: &mut Vec<u8>, job: &JobRecord) {
     put_opt_u64(out, job.checkpoint_remaining);
 }
 
-fn read_job(r: &mut Reader) -> Result<JobRecord, String> {
+fn read_job(r: &mut Reader) -> Result<JobRecord, StateError> {
     let id = JobId(r.u64()?);
     let tenant = r.str()?;
     let priority = priority_from(r.u8()?)?;
@@ -419,7 +497,7 @@ fn put_event(out: &mut Vec<u8>, ev: &SchedEvent) {
     }
 }
 
-fn read_event(r: &mut Reader) -> Result<SchedEvent, String> {
+fn read_event(r: &mut Reader) -> Result<SchedEvent, StateError> {
     let tag = r.u8()?;
     Ok(match tag {
         0 => SchedEvent::Submitted {
@@ -461,7 +539,12 @@ fn read_event(r: &mut Reader) -> Result<SchedEvent, String> {
             job: JobId(r.u64()?),
             at: r.u64()?,
         },
-        _ => return Err(format!("bad event tag {tag}")),
+        _ => {
+            return Err(StateError::BadCode {
+                what: "event tag",
+                code: tag.into(),
+            })
+        }
     })
 }
 
@@ -526,10 +609,10 @@ impl Scheduler {
     /// result continues the same clock, counters, and event log; call
     /// [`Scheduler::recover_after_restart`] next to deal with the jobs
     /// whose partitions died with the old host.
-    pub fn restore_state(bytes: &[u8]) -> Result<Scheduler, String> {
+    pub fn restore_state(bytes: &[u8]) -> Result<Scheduler, StateError> {
         let mut r = Reader::new(bytes);
         if r.take(8)? != MAGIC {
-            return Err("not a scheduler state archive (bad magic)".into());
+            return Err(StateError::BadMagic);
         }
         let machine = r.shape()?;
         let config = SchedConfig {
@@ -588,7 +671,7 @@ impl Scheduler {
         }
         for id in pending.iter().chain(running.iter()) {
             if !jobs.contains_key(id) {
-                return Err(format!("state references unknown job {id}"));
+                return Err(StateError::UnknownJob { id: *id });
             }
         }
         Ok(Scheduler {
@@ -686,8 +769,9 @@ mod tests {
         (s, SimMesh::new(machine()))
     }
 
-    #[test]
-    fn snapshot_roundtrips_byte_identically() {
+    /// Five jobs over two tenants, some running and some queued, one
+    /// with a checkpoint: every part of the archive is non-empty.
+    fn busy_scheduler() -> Scheduler {
         let (mut s, mut mesh) = setup();
         for i in 0..5 {
             let spec = JobSpec {
@@ -710,8 +794,14 @@ mod tests {
             s.submit(spec).unwrap();
             s.advance(1, &mut mesh);
         }
+        s.store_checkpoint(JobId(0), vec![9, 9, 9]);
+        s
+    }
+
+    #[test]
+    fn snapshot_roundtrips_byte_identically() {
+        let s = busy_scheduler();
         let id = JobId(0);
-        s.store_checkpoint(id, vec![9, 9, 9]);
         let bytes = s.save_state();
         let restored = Scheduler::restore_state(&bytes).unwrap();
         // The restored scheduler re-saves to the identical archive and
@@ -729,13 +819,84 @@ mod tests {
     fn corrupt_archives_are_refused() {
         let (s, _) = setup();
         let bytes = s.save_state();
-        assert!(Scheduler::restore_state(&bytes[..4]).is_err());
+        assert_eq!(
+            Scheduler::restore_state(&bytes[..4]).err(),
+            Some(StateError::Truncated {
+                need: 8,
+                at: 0,
+                have: 4
+            })
+        );
         let mut bad = bytes.clone();
         bad[0] ^= 0xff;
-        assert!(Scheduler::restore_state(&bad).is_err());
+        assert_eq!(
+            Scheduler::restore_state(&bad).err(),
+            Some(StateError::BadMagic)
+        );
         let mut truncated = bytes.clone();
         truncated.truncate(bytes.len() - 1);
-        assert!(Scheduler::restore_state(&truncated).is_err());
+        // The last field is the (empty) event log's count.
+        assert_eq!(
+            Scheduler::restore_state(&truncated).err(),
+            Some(StateError::Truncated {
+                need: 8,
+                at: bytes.len() - 8,
+                have: 7
+            })
+        );
+    }
+
+    #[test]
+    fn every_strict_prefix_is_refused_as_truncated() {
+        let bytes = busy_scheduler().save_state();
+        for len in 0..bytes.len() {
+            match Scheduler::restore_state(&bytes[..len]) {
+                Err(StateError::Truncated { .. } | StateError::BadLength { .. }) => {}
+                other => panic!("prefix of {len} bytes: {:?}", other.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_restores_or_fails_typed() {
+        // Exhaustive over every bit of the archive: no flip may panic, and
+        // between them the flips reach every corruption the reader names.
+        let bytes = busy_scheduler().save_state();
+        let mut seen = BTreeMap::new();
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let kind = match Scheduler::restore_state(&flipped) {
+                Ok(_) => "ok",
+                Err(StateError::Truncated { .. }) => "truncated",
+                Err(StateError::BadMagic) => "bad magic",
+                Err(StateError::BadLength { .. }) => "bad length",
+                Err(StateError::BadUtf8) => "bad utf-8",
+                Err(StateError::BadCode { what, .. }) => what,
+                Err(StateError::BadShape { .. }) => "bad shape",
+                Err(StateError::UnknownJob { .. }) => "unknown job",
+            };
+            *seen.entry(kind).or_insert(0usize) += 1;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        let kinds: Vec<_> = seen.keys().copied().collect();
+        assert_eq!(
+            kinds,
+            [
+                "bad length",
+                "bad magic",
+                "bad shape",
+                "bad utf-8",
+                "event tag",
+                "failure class",
+                "job status",
+                "ok",
+                "priority",
+                "truncated",
+                "unknown job",
+            ],
+            "{seen:?}"
+        );
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Tenants: the physics groups competing for the machine.
 
-use serde::{Deserialize, Serialize};
-
 /// Static configuration of one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TenantConfig {
     /// Fair-share weight: a tenant with twice the weight is entitled to
     /// twice the node-ticks before its jobs sort behind others'.
@@ -26,7 +24,7 @@ impl Default for TenantConfig {
 }
 
 /// Running accounting for one tenant.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TenantStats {
     /// Jobs accepted into the queue.
     pub submitted: u64,

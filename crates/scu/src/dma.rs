@@ -11,8 +11,6 @@
 //! transfer) is needed to start up to 24 communications" — modelled by
 //! [`StoredInstructions`].
 
-use serde::{Deserialize, Serialize};
-
 /// Word size in bytes, fixed by the 64-bit transfer unit.
 pub const WORD_BYTES: u64 = 8;
 
@@ -29,7 +27,7 @@ pub const WORD_BYTES: u64 = 8;
 /// let d = DmaDescriptor { start: 0, block_words: 1, stride_words: 4, blocks: 3 };
 /// assert_eq!(d.addresses().collect::<Vec<_>>(), vec![0, 32, 64]);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaDescriptor {
     /// Byte address of the first word.
     pub start: u64,
@@ -77,7 +75,7 @@ impl DmaDescriptor {
 }
 
 /// A running DMA engine: a descriptor plus a cursor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaEngine {
     desc: DmaDescriptor,
     cursor: u64,
@@ -124,7 +122,7 @@ impl DmaEngine {
 
 /// The SCU's internal store of DMA instructions: one send and one receive
 /// slot per direction, restartable with a single "start transfer" write.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StoredInstructions {
     send: [Option<DmaDescriptor>; 12],
     recv: [Option<DmaDescriptor>; 12],

@@ -21,7 +21,6 @@
 
 use qcdoc_asic::clock::Cycles;
 use qcdoc_geometry::TorusShape;
-use serde::{Deserialize, Serialize};
 
 /// Hop count of a dimension-ordered global sum or broadcast over a logical
 /// torus with the given extents.
@@ -38,7 +37,7 @@ pub fn dimension_sum_hops(dims: &[usize], doubled: bool) -> usize {
 }
 
 /// Timing parameters of the global pass-through path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GlobalTimingConfig {
     /// SCU pipeline cycles added per hop on top of the forwarding
     /// granularity.

@@ -4,7 +4,8 @@
 //! into a tightly coupled machine (§2.2). Per node it manages 24 concurrent
 //! uni-directional channels — a send and a receive unit for each of the 12
 //! nearest-neighbour directions of the 6-D mesh — over bit-serial HSSL
-//! links clocked at the processor frequency.
+//! links clocked at the processor frequency. The twin moves whole frames;
+//! the bit-serial layer and its link training are not modelled.
 //!
 //! The protocol features reproduced here, all from §2.2:
 //!
@@ -36,7 +37,6 @@
 
 pub mod dma;
 pub mod global;
-pub mod hssl;
 pub mod link;
 pub mod packet;
 pub mod scu;

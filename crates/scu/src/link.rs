@@ -26,7 +26,6 @@ use crate::dma::{DmaDescriptor, DmaEngine};
 use crate::packet::{Frame, Packet};
 use qcdoc_asic::memory::NodeMemory;
 use qcdoc_telemetry::Histogram;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Maximum unacknowledged data words per link: the "three in the air"
@@ -57,7 +56,7 @@ impl std::fmt::Display for LinkError {
 impl std::error::Error for LinkError {}
 
 /// Order-sensitive checksum over the data words of one link end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkChecksum(u64);
 
 impl LinkChecksum {
@@ -85,7 +84,7 @@ impl LinkChecksum {
 /// doubles a hold-off (counted in pump rounds), and once `budget`
 /// consecutive rewinds pass without progress the unit declares itself
 /// dead and stops transmitting — the diagnostics-network escalation path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Consecutive no-progress rewinds tolerated before the link is dead.
     pub budget: u32,
@@ -124,7 +123,7 @@ impl Default for RetryPolicy {
 }
 
 /// The health of one send unit as judged by its retry policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkVerdict {
     /// No rewinds observed; the link is clean.
     Healthy,

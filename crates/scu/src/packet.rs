@@ -7,8 +7,6 @@
 //! (even-position and odd-position bit parities). A parity mismatch at the
 //! receiver triggers an automatic hardware resend.
 
-use serde::{Deserialize, Serialize};
-
 /// 6-bit frame type codes. Pairwise Hamming distance ≥ 3 (see tests).
 mod code {
     pub const IDLE: u8 = 0b000000;
@@ -20,7 +18,7 @@ mod code {
 }
 
 /// A logical packet, before framing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Packet {
     /// A normal 64-bit data word moved by the DMA engines.
     Normal(u64),
@@ -90,7 +88,7 @@ const MAX_FRAME_BYTES: usize = 9;
 /// A framed packet as it travels on the wire. The bytes live inline — one
 /// frame per data word makes this the hottest value in the machine, and it
 /// must cost no allocation to build, resend or drop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Frame {
     /// Header, then the payload big-endian; the first `len` bytes are the
     /// frame and the rest stay zero, so derived equality compares frames.

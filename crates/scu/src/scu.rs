@@ -121,12 +121,6 @@ impl Scu {
         &self.send[link]
     }
 
-    /// Mutable access to the send unit of a direction (retry policy,
-    /// diagnostics).
-    pub fn send_unit_mut(&mut self, link: usize) -> &mut SendUnit {
-        &mut self.send[link]
-    }
-
     /// Install one retry discipline on every send unit.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         for s in &mut self.send {
@@ -240,11 +234,6 @@ impl Scu {
     /// Partition-interrupt bits observed so far.
     pub fn partition_irq_state(&self) -> u8 {
         self.irq_seen
-    }
-
-    /// Clear partition-interrupt state (new global-clock epoch).
-    pub fn clear_partition_irq(&mut self) {
-        self.irq_seen = 0;
     }
 
     /// Pop the oldest supervisor word, if any.

@@ -15,7 +15,6 @@
 
 use crate::packet::Packet;
 use qcdoc_asic::clock::{Clock, Cycles};
-use serde::{Deserialize, Serialize};
 
 /// Wire bits of a framed normal data word.
 pub const WORD_WIRE_BITS: u64 = 72;
@@ -23,7 +22,7 @@ pub const WORD_WIRE_BITS: u64 = 72;
 /// Fixed per-transfer pipeline costs, in link cycles. The split is a model
 /// choice; the sum (300 cycles) is calibrated to the paper's 600 ns at
 /// 500 MHz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkTimingConfig {
     /// Send-side DMA fetch from local memory + SCU injection.
     pub send_dma_cycles: u64,
@@ -84,7 +83,7 @@ impl LinkTimingConfig {
 /// Baseline: a commodity-cluster network of the era, the paper's explicit
 /// comparison — "times of 5-10 µs just to begin a transfer when using
 /// standard networks like Ethernet" (§2.2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EthernetBaseline {
     /// Start-up (software + NIC) latency in nanoseconds.
     pub startup_ns: f64,

@@ -38,7 +38,7 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// Serialize spans as a Chrome trace (`chrome://tracing` / Perfetto).
+/// Render spans as a Chrome trace (`chrome://tracing` / Perfetto).
 ///
 /// Each span becomes a complete (`"ph":"X"`) event with `pid` = node id,
 /// `ts`/`dur` in integer logical cycles (we declare them as nanoseconds —
@@ -65,7 +65,7 @@ pub fn chrome_trace(spans: &[Span]) -> String {
     out
 }
 
-/// Serialize a registry as Prometheus text exposition format.
+/// Render a registry as Prometheus text exposition format.
 ///
 /// Series are emitted in the registry's deterministic order, with one
 /// `# TYPE` line per metric name. Histograms expand into `_bucket`
@@ -156,7 +156,7 @@ pub fn phase_summary(spans: &[Span]) -> Vec<(Phase, u64, u64)> {
         .collect()
 }
 
-/// Serialize metrics plus a phase breakdown as one JSON document — the
+/// Render metrics plus a phase breakdown as one JSON document — the
 /// original (v1) schema behind ad-hoc telemetry artifacts.
 ///
 /// Benchmark exports that feed the judge should use
@@ -166,7 +166,7 @@ pub fn summary_json(reg: &MetricsRegistry, spans: &[Span]) -> String {
     render_summary(None, reg, spans)
 }
 
-/// Serialize a benchmark export in the v2 schema the judge consumes:
+/// Render a benchmark export in the v2 schema the judge consumes:
 /// stamped with the schema version and the bench's name (so mismatched
 /// baselines are refused rather than silently diffed), histograms
 /// expanded with deterministic p50/p95/p99 and their non-empty buckets,

@@ -74,10 +74,12 @@ stage "kernels: scalar ≡ table oracle and AoSoA ≡ scalar word for word, f32 
 stage "full machine: 12,288-node partition-boot-solve on the sharded engine" \
     cargo run -q --release --example hard_scaling
 
+# --locked: bench/e2e/Cargo.lock is frozen with the harness, so a change to
+# the workspace dependency graph fails here instead of rewriting the lock.
 stage "bench/e2e: frozen end-to-end harness builds against the workspace API" \
-    cargo build --release --offline --quiet --manifest-path bench/e2e/Cargo.toml
+    cargo build --release --offline --locked --quiet --manifest-path bench/e2e/Cargo.toml
 stage "bench/e2e: frozen end-to-end harness unit tests" \
-    cargo test --offline --quiet --manifest-path bench/e2e/Cargo.toml
+    cargo test --offline --locked --quiet --manifest-path bench/e2e/Cargo.toml
 
 stage "bench judge: current exports vs committed baselines (bless with bench-judge --bless)" \
     cargo run -q --release -p qcdoc-judge --bin bench-judge
