@@ -13,10 +13,14 @@
 //! | EDRAM  | `0x0000_0000` | 4 MB (on-chip)          |
 //! | DDR    | `0x1000_0000` | configurable, ≤ 2 GB    |
 //!
-//! Both regions are allocated lazily — EDRAM in 64 kB chunks, DDR in 1 MB
+//! Both regions are allocated lazily — EDRAM in 8 kB pages, DDR in 1 MB
 //! chunks — so the sharded engine can hold all 12,288 functional nodes of
 //! the full machine in host memory at once: a node pays only for the
 //! footprint it actually touches, not for its 4 MB EDRAM address space.
+//! An EDRAM page is one allocation holding its data words, check bytes
+//! and touched bitmap inline, so a node that stages a few words (a global
+//! sum's scratch, a one-site block) pays ~9 kB for each 8 kB page they
+//! fall in.
 //!
 //! Every stored word carries a SEC-DED (72,64) check byte (§2.1: EDRAM
 //! rows "+ ECC"; the DDR DIMMs are the industry 72/64 parts). Reads decode
@@ -95,25 +99,26 @@ pub const fn fits_edram(bytes: u64) -> bool {
 }
 
 const DDR_CHUNK_WORDS: usize = 128 * 1024; // 1 MB of u64 words
-const EDRAM_CHUNK_WORDS: usize = 8 * 1024; // 64 kB of u64 words
+const EDRAM_PAGE_WORDS: usize = 1024; // 8 kB of u64 words
+const EDRAM_PAGES: usize = (EDRAM_SIZE / WORD_BYTES) as usize / EDRAM_PAGE_WORDS;
 
-/// One lazily-allocated 64 kB slab of EDRAM: data words, ECC check bytes,
+/// One lazily-allocated 8 kB page of EDRAM: data words, ECC check bytes,
 /// and the touched bitmap the scrubber walks (one bit per word, set when a
-/// word has ever been written or corrupted).
+/// word has ever been written or corrupted), all inline in one box.
 #[derive(Debug)]
-struct EdramChunk {
-    data: Box<[u64]>,
-    check: Box<[u8]>,
-    touched: Box<[u64]>,
+struct EdramPage {
+    data: [u64; EDRAM_PAGE_WORDS],
+    check: [u8; EDRAM_PAGE_WORDS],
+    touched: [u64; EDRAM_PAGE_WORDS / 64],
 }
 
-impl EdramChunk {
-    fn new() -> EdramChunk {
-        EdramChunk {
-            data: vec![0; EDRAM_CHUNK_WORDS].into_boxed_slice(),
-            check: vec![0; EDRAM_CHUNK_WORDS].into_boxed_slice(),
-            touched: vec![0; EDRAM_CHUNK_WORDS / 64].into_boxed_slice(),
-        }
+impl EdramPage {
+    fn new() -> Box<EdramPage> {
+        Box::new(EdramPage {
+            data: [0; EDRAM_PAGE_WORDS],
+            check: [0; EDRAM_PAGE_WORDS],
+            touched: [0; EDRAM_PAGE_WORDS / 64],
+        })
     }
 }
 
@@ -205,7 +210,7 @@ pub struct ScrubReport {
 /// The functional memory of one node.
 #[derive(Debug)]
 pub struct NodeMemory {
-    edram_chunks: Vec<Option<EdramChunk>>,
+    edram_pages: Vec<Option<Box<EdramPage>>>,
     ddr_chunks: Vec<Option<Box<[u64]>>>,
     ddr_check: Vec<Option<Box<[u8]>>>,
     ddr_size: u64,
@@ -224,9 +229,8 @@ impl NodeMemory {
             "DDR size must be a multiple of 1 MB"
         );
         let chunks = (ddr_bytes / (DDR_CHUNK_WORDS as u64 * WORD_BYTES)) as usize;
-        let edram_chunks = (EDRAM_SIZE / WORD_BYTES) as usize / EDRAM_CHUNK_WORDS;
         NodeMemory {
-            edram_chunks: (0..edram_chunks).map(|_| None).collect(),
+            edram_pages: (0..EDRAM_PAGES).map(|_| None).collect(),
             ddr_chunks: (0..chunks).map(|_| None).collect(),
             ddr_check: (0..chunks).map(|_| None).collect(),
             ddr_size: ddr_bytes,
@@ -325,14 +329,14 @@ impl NodeMemory {
     }
 
     /// Read the stored `(data, check)` pair without decoding or statistics
-    /// (never-written words of unallocated chunks read as the all-zero
-    /// codeword).
+    /// (never-written words of unallocated pages and chunks read as the
+    /// all-zero codeword).
     fn peek_raw(&self, region: MemRegion, idx: usize) -> (u64, u8) {
         match region {
             MemRegion::Edram => {
-                let (chunk, within) = (idx / EDRAM_CHUNK_WORDS, idx % EDRAM_CHUNK_WORDS);
-                match &self.edram_chunks[chunk] {
-                    Some(c) => (c.data[within], c.check[within]),
+                let (page, within) = (idx / EDRAM_PAGE_WORDS, idx % EDRAM_PAGE_WORDS);
+                match &self.edram_pages[page] {
+                    Some(p) => (p.data[within], p.check[within]),
                     None => (0, 0),
                 }
             }
@@ -351,11 +355,11 @@ impl NodeMemory {
     fn store_raw(&mut self, region: MemRegion, idx: usize, data: u64, check: u8) {
         match region {
             MemRegion::Edram => {
-                let (chunk, within) = (idx / EDRAM_CHUNK_WORDS, idx % EDRAM_CHUNK_WORDS);
-                let c = self.edram_chunks[chunk].get_or_insert_with(EdramChunk::new);
-                c.data[within] = data;
-                c.check[within] = check;
-                c.touched[within / 64] |= 1 << (within % 64);
+                let (page, within) = (idx / EDRAM_PAGE_WORDS, idx % EDRAM_PAGE_WORDS);
+                let p = self.edram_pages[page].get_or_insert_with(EdramPage::new);
+                p.data[within] = data;
+                p.check[within] = check;
+                p.touched[within / 64] |= 1 << (within % 64);
             }
             MemRegion::Ddr => {
                 let (chunk, within) = (idx / DDR_CHUNK_WORDS, idx % DDR_CHUNK_WORDS);
@@ -408,18 +412,13 @@ impl NodeMemory {
     /// skipped wholesale, so the pass prices out by data actually resident.
     pub fn scrub(&mut self) -> ScrubReport {
         let mut report = ScrubReport::default();
-        // EDRAM: walk each allocated chunk's touch bitmap 64 words at a
-        // time (unallocated chunks were never written or corrupted).
-        for chunk in 0..self.edram_chunks.len() {
-            let groups = match &self.edram_chunks[chunk] {
-                Some(c) => c.touched.len(),
-                None => continue,
+        // EDRAM: walk each allocated page's touch bitmap 64 words at a
+        // time (unallocated pages were never written or corrupted).
+        for page in 0..EDRAM_PAGES {
+            let Some(touched) = self.edram_pages[page].as_ref().map(|p| p.touched) else {
+                continue;
             };
-            for group in 0..groups {
-                let mask = match &self.edram_chunks[chunk] {
-                    Some(c) => c.touched[group],
-                    None => unreachable!("scrub never deallocates a chunk"),
-                };
+            for (group, &mask) in touched.iter().enumerate() {
                 if mask == 0 {
                     continue;
                 }
@@ -427,7 +426,7 @@ impl NodeMemory {
                     if mask & (1 << bit) == 0 {
                         continue;
                     }
-                    let idx = chunk * EDRAM_CHUNK_WORDS + group * 64 + bit;
+                    let idx = page * EDRAM_PAGE_WORDS + group * 64 + bit;
                     let addr = EDRAM_BASE + idx as u64 * WORD_BYTES;
                     self.scrub_word(MemRegion::Edram, idx, addr, &mut report);
                 }

@@ -1,14 +1,19 @@
 //! Node-side collectives built from link transfers — the software face of
 //! the SCU's global operations (§2.2, §3.3).
 //!
-//! The global sum follows the hardware algorithm exactly: axis by axis,
-//! every node launches its current value around the ring and accumulates
-//! the `N−1` values it relays, then sums the ring's contributions in
-//! ascending-coordinate order. Because that order is the same on every
-//! node, all nodes finish with **bitwise identical** results — the
-//! property the machine-wide reproducibility test of §4 rests on. The
-//! functional result is checked against the closed-form
-//! [`qcdoc_scu::global::dimension_ordered_sum`] in the tests.
+//! The collectives run the hardware's *doubled* mode: axis by axis, every
+//! node launches its current value both ways round the ring at once — one
+//! copy toward +axis, one toward −axis, on disjoint links — so a ring of
+//! `N` nodes is covered in `⌊(N−1)/2⌋` two-way steps plus one one-way step
+//! when `N` is even. That is exactly
+//! [`dimension_sum_hops(&[N], true)`](qcdoc_scu::global::dimension_sum_hops)
+//! rounds per axis (16 on `[8,8,8,8]`, where a one-way walk takes 28).
+//! Every relayed value lands in the ring slot of the node it came from,
+//! and the slots are summed in ascending-coordinate order. Because that
+//! order is the same on every node, all nodes finish with **bitwise
+//! identical** results — the property the machine-wide reproducibility
+//! test of §4 rests on. The functional result is checked against the
+//! closed-form [`qcdoc_scu::global::dimension_ordered_sum`] in the tests.
 
 use crate::functional::NodeCtx;
 use qcdoc_geometry::Axis;
@@ -19,8 +24,12 @@ use qcdoc_telemetry::Phase;
 /// buffers (the application owns the rest).
 pub const COMM_SCRATCH_BASE: u64 = qcdoc_asic::memory::EDRAM_SIZE - 64 * 1024;
 
-const GSUM_SEND: u64 = COMM_SCRATCH_BASE;
-const GSUM_RECV: u64 = COMM_SCRATCH_BASE + 8;
+/// Ring-step staging words: what leaves toward ±axis, and what arrives
+/// from the −axis and +axis neighbours.
+const RING_SEND_PLUS: u64 = COMM_SCRATCH_BASE;
+const RING_SEND_MINUS: u64 = COMM_SCRATCH_BASE + 8;
+const RING_FROM_MINUS: u64 = COMM_SCRATCH_BASE + 16;
+const RING_FROM_PLUS: u64 = COMM_SCRATCH_BASE + 24;
 
 /// Dimension-ordered global sum of one `f64` per node. Every node returns
 /// the same bit pattern.
@@ -28,7 +37,7 @@ pub async fn global_sum_f64_async(ctx: &mut NodeCtx, value: f64) -> f64 {
     if !ctx.telem.is_enabled() {
         return global_sum_inner_async(ctx, value).await;
     }
-    // The ring shifts inside the sum are comms on the wire, but the §4
+    // The ring steps inside the sum are comms on the wire, but the §4
     // decomposition charges them to the global-sum term: reclassify every
     // nested span while the sum runs.
     let token = ctx.telem.begin();
@@ -45,29 +54,17 @@ pub async fn global_sum_f64_async(ctx: &mut NodeCtx, value: f64) -> f64 {
 
 async fn global_sum_inner_async(ctx: &mut NodeCtx, value: f64) -> f64 {
     let mut acc = value;
-    let rank = ctx.shape.rank();
-    for axis in 0..rank {
+    for axis in 0..ctx.shape.rank() {
         let n = ctx.shape.extent(axis);
         if n <= 1 {
             continue;
         }
-        let my_x = ctx.coord.get(axis);
         let mut ring = vec![0.0f64; n];
-        ring[my_x] = acc;
-        let mut carry = acc;
-        for step in 1..n {
-            ctx.mem.write_f64(GSUM_SEND, carry).unwrap();
-            ctx.shift_async(
-                Axis(axis as u8).plus(),
-                DmaDescriptor::contiguous(GSUM_SEND, 1),
-                DmaDescriptor::contiguous(GSUM_RECV, 1),
-            )
-            .await;
-            carry = ctx.mem.read_f64(GSUM_RECV).unwrap();
-            // The value arriving at step k originated k hops in the -axis
-            // direction.
-            ring[(my_x + n - step) % n] = carry;
-        }
+        ring[ctx.coord.get(axis)] = acc;
+        ring_relay_async(ctx, axis, acc.to_bits(), |x, word| {
+            ring[x] = f64::from_bits(word);
+        })
+        .await;
         // Canonical (node-independent) accumulation order.
         acc = 0.0;
         for &v in &ring {
@@ -77,8 +74,52 @@ async fn global_sum_inner_async(ctx: &mut NodeCtx, value: f64) -> f64 {
     acc
 }
 
-/// Broadcast one 64-bit word from `root` to every node: ring relays, axis
-/// by axis, exactly the hardware's dimension-ordered flood. Non-holders
+/// Relay `own` round the ring along `axis` in doubled mode and hand every
+/// word that arrives to `deliver`, with the ring coordinate of the node it
+/// came from. Step `k` receives the words that originated `k` hops away:
+/// from the −axis neighbour (travelling +axis) and, while `2k < N`, from
+/// the +axis neighbour (travelling −axis). For even `N` the last step is
+/// one-way: the antipode is `N/2` hops away in both directions. One
+/// [`NodeCtx::complete_async`] per step, so the wait loop — and with it
+/// the telemetry clock — sees exactly `dimension_sum_hops(&[N], true)`
+/// rounds.
+async fn ring_relay_async(
+    ctx: &mut NodeCtx,
+    axis: usize,
+    own: u64,
+    mut deliver: impl FnMut(usize, u64),
+) {
+    let n = ctx.shape.extent(axis);
+    let x = ctx.coord.get(axis);
+    let (plus, minus) = (Axis(axis as u8).plus(), Axis(axis as u8).minus());
+    let word = |addr| DmaDescriptor::contiguous(addr, 1);
+    const MAPPED: &str = "ring staging words are aligned EDRAM";
+    let (mut up, mut down) = (own, own);
+    for k in 1..=n / 2 {
+        let two_way = 2 * k < n;
+        ctx.mem.write_word(RING_SEND_PLUS, up).expect(MAPPED);
+        ctx.start_recv(minus, word(RING_FROM_MINUS));
+        ctx.start_send(plus, word(RING_SEND_PLUS));
+        if two_way {
+            ctx.mem.write_word(RING_SEND_MINUS, down).expect(MAPPED);
+            ctx.start_recv(plus, word(RING_FROM_PLUS));
+            ctx.start_send(minus, word(RING_SEND_MINUS));
+            ctx.complete_async(&[plus, minus], &[minus, plus]).await;
+        } else {
+            ctx.complete_async(&[plus], &[minus]).await;
+        }
+        up = ctx.mem.read_word(RING_FROM_MINUS).expect(MAPPED);
+        deliver((x + n - k) % n, up);
+        if two_way {
+            down = ctx.mem.read_word(RING_FROM_PLUS).expect(MAPPED);
+            deliver((x + k) % n, down);
+        }
+    }
+}
+
+/// Broadcast one 64-bit word from `root` to every node: doubled ring
+/// relays, axis by axis, exactly the hardware's dimension-ordered flood
+/// (the same steps as [`global_sum_f64_async`]). Non-holders
 /// drive the zero word (the functional stand-in for idle bytes), so a
 /// broadcast *of* zero is trivially correct and any non-zero word on the
 /// wire is the root's.
@@ -95,24 +136,14 @@ pub async fn broadcast_u64_async(ctx: &mut NodeCtx, root_value: u64, root: u32) 
     );
     let mut value = if ctx.id.0 == root { root_value } else { 0 };
     for axis in 0..ctx.shape.rank() {
-        let n = ctx.shape.extent(axis);
-        if n <= 1 {
-            continue;
-        }
-        let mut carry = value;
-        for _ in 1..n {
-            ctx.mem.write_word(GSUM_SEND, carry).unwrap();
-            ctx.shift_async(
-                Axis(axis as u8).plus(),
-                DmaDescriptor::contiguous(GSUM_SEND, 1),
-                DmaDescriptor::contiguous(GSUM_RECV, 1),
-            )
-            .await;
-            carry = ctx.mem.read_word(GSUM_RECV).unwrap();
-            if carry != 0 {
-                value = carry;
+        let mut held = value;
+        ring_relay_async(ctx, axis, value, |_, word| {
+            if word != 0 {
+                held = word;
             }
-        }
+        })
+        .await;
+        value = held;
     }
     value
 }
@@ -126,24 +157,53 @@ pub async fn barrier_async(ctx: &mut NodeCtx) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::functional::TelemetryConfig;
     use crate::ShardedMachine;
     use qcdoc_geometry::TorusShape;
-    use qcdoc_scu::global::{all_nodes_agree, dimension_ordered_sum};
+    use qcdoc_scu::global::{all_nodes_agree, dimension_ordered_sum, dimension_sum_hops};
+
+    /// Shapes with even, odd and unit extents (1, 2, 3, 5, 6, 8).
+    const SHAPES: [&[usize]; 5] = [&[4, 2, 2], &[8, 4, 2], &[3, 5], &[2, 1, 6], &[8]];
 
     #[test]
     fn global_sum_matches_closed_form_bitwise_at_any_worker_count() {
         // Awkward (rounding-sensitive) values: every node of every run
         // must produce the same bits, and they must equal the closed form.
-        let shape = TorusShape::new(&[4, 2, 2]);
         let value = |i: usize| 1.0e15 / (i as f64 + 1.0) + 1e-3 * i as f64;
-        let values: Vec<f64> = (0..16).map(value).collect();
-        let expected = dimension_ordered_sum(&shape, &values);
-        let (results, _) = ShardedMachine::new(shape).run_worker_sweep(async |ctx| {
-            global_sum_f64_async(ctx, value(ctx.id.0 as usize)).await
-        });
-        assert!(all_nodes_agree(&results), "nodes disagree: {results:?}");
-        for (got, want) in results.iter().zip(&expected) {
-            assert_eq!(got.to_bits(), want.to_bits(), "functional vs closed form");
+        for dims in SHAPES {
+            let shape = TorusShape::new(dims);
+            let values: Vec<f64> = (0..shape.node_count()).map(value).collect();
+            let expected = dimension_ordered_sum(&shape, &values);
+            let (results, _) = ShardedMachine::new(shape).run_worker_sweep(async |ctx| {
+                global_sum_f64_async(ctx, value(ctx.id.0 as usize)).await
+            });
+            assert!(all_nodes_agree(&results), "{dims:?}: nodes disagree");
+            for (got, want) in results.iter().zip(&expected) {
+                assert_eq!(got.to_bits(), want.to_bits(), "{dims:?}: vs closed form");
+            }
+        }
+    }
+
+    #[test]
+    fn global_sum_runs_the_doubled_hop_count() {
+        // Each ring step is one single-word completion, so the telemetry
+        // clock charges one `transfer_cycles(1)` per round: the machine's
+        // own clock counts the rounds the sum ran.
+        let cfg = TelemetryConfig::default();
+        let per_round = cfg.link.transfer_cycles(1).count();
+        for dims in &SHAPES[1..] {
+            let shape = TorusShape::new(dims);
+            let machine = ShardedMachine::new(shape.clone()).with_telemetry(cfg);
+            let (_, _, telemetry) =
+                machine.run_with_telemetry(async |ctx| global_sum_f64_async(ctx, 1.0).await);
+            let want = dimension_sum_hops(dims, true) as u64 * per_round;
+            for node in 0..shape.node_count() {
+                let h = telemetry
+                    .metrics
+                    .histogram("comm_global_sum_cycles", &[("node", node.to_string())])
+                    .expect("one observation per node");
+                assert_eq!((h.count(), h.sum()), (1, want), "{dims:?} node {node}");
+            }
         }
     }
 
@@ -166,13 +226,20 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_every_node() {
-        let machine = ShardedMachine::new(TorusShape::new(&[4, 2])).with_workers(2);
+        // Every root of an odd-by-even machine: the flood must cover both
+        // the two-way steps and the even ring's one-way antipode step.
+        let machine = ShardedMachine::new(TorusShape::new(&[3, 4])).with_workers(2);
         let results = machine.run(async |ctx| {
             barrier_async(ctx).await;
-            broadcast_u64_async(ctx, 0xABCD_EF01, 5).await
+            let mut got = Vec::new();
+            for root in 0..12u32 {
+                got.push(broadcast_u64_async(ctx, 0xABCD_EF00 + root as u64, root).await);
+            }
+            got
         });
+        let want: Vec<u64> = (0..12).map(|root| 0xABCD_EF00 + root).collect();
         assert!(
-            results.iter().all(|&r| r == 0xABCD_EF01),
+            results.iter().all(|r| *r == want),
             "broadcast failed: {results:x?}"
         );
     }

@@ -213,11 +213,28 @@ impl NodeCtx {
         self.wedged
     }
 
-    /// One pump of every wire: transmit until each link stalls on its ack
-    /// window and drain every arrived message. Returns whether anything
-    /// moved.
+    /// One pump of every wire: receive, then transmit. Every arrived
+    /// message is drained into the SCU first, so the acks and rejects it
+    /// provokes — and the window slots its acks free — leave in this same
+    /// pump; then each link transmits until it stalls on its ack window.
+    /// Returns whether anything moved.
     pub fn progress(&mut self) -> bool {
         let mut moved = false;
+        for link in 0..12 {
+            let Some(rx) = &self.wires.rx[link] else {
+                continue;
+            };
+            moved |= rx.drain(&mut self.inbox) > 0;
+            while let Some(msg) = self.inbox.pop_front() {
+                if let Some(ev) = self
+                    .scu
+                    .rx(link, msg, &mut self.mem)
+                    .expect("receive protocol fault")
+                {
+                    self.events.push(ev);
+                }
+            }
+        }
         for link in 0..12 {
             let Some(tx) = &self.wires.tx[link] else {
                 continue;
@@ -259,21 +276,6 @@ impl NodeCtx {
                     tx.send(msg);
                 }
                 moved = true;
-            }
-        }
-        for link in 0..12 {
-            let Some(rx) = &self.wires.rx[link] else {
-                continue;
-            };
-            moved |= rx.drain(&mut self.inbox) > 0;
-            while let Some(msg) = self.inbox.pop_front() {
-                if let Some(ev) = self
-                    .scu
-                    .rx(link, msg, &mut self.mem)
-                    .expect("receive protocol fault")
-                {
-                    self.events.push(ev);
-                }
             }
         }
         if moved {
@@ -664,8 +666,10 @@ pub(crate) fn build_fabric(shape: &TorusShape) -> Vec<NodeWires> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{broadcast_u64_async, global_sum_f64_async};
     use crate::ShardedMachine;
     use qcdoc_fault::FaultEvent;
+    use qcdoc_scu::global::dimension_ordered_sum;
 
     fn ring4() -> TorusShape {
         TorusShape::new(&[4])
@@ -838,6 +842,51 @@ mod tests {
         assert!(results.iter().any(|&w| w), "somebody must have wedged");
         assert_eq!(ledger.dead_links(), vec![(1, 0)]);
         assert!(ledger.culprit_nodes().contains(&1));
+    }
+
+    #[test]
+    fn receive_before_transmit_heals_a_noisy_wire_at_any_worker_count() {
+        // One seeded wire corrupts ~30 % of its frames. The doubled sum,
+        // a broadcast and an 8-word shift must still return the fault-free
+        // bits, and `run_worker_sweep` pins results and ledger at 1, 2 and
+        // 16 workers — the reordered pump may change *when* a resend
+        // leaves, never what lands.
+        let shape = TorusShape::new(&[4, 2, 2]);
+        let value = |i: u32| 1.0e15 / (i as f64 + 1.0) + 1e-3 * i as f64;
+        let values: Vec<f64> = (0..16).map(value).collect();
+        let sums = dimension_ordered_sum(&shape, &values);
+        for seed in [1, 6, 7] {
+            let plan = FaultPlan::new(seed).with_event(FaultEvent::random_bit_error_rate(0.3));
+            let (results, ledger) = ShardedMachine::new(shape.clone())
+                .with_faults(plan)
+                .with_block_checksums()
+                .run_worker_sweep(async |ctx| {
+                    let sum = global_sum_f64_async(ctx, value(ctx.id.0)).await;
+                    let word = broadcast_u64_async(ctx, 0xFEED, 5).await;
+                    (sum.to_bits(), word, shift_eight_words(ctx).await)
+                });
+            assert!(ledger.total_injected() > 0, "seed {seed}: noisy wire idle");
+            assert!(ledger.all_checksums_ok(), "seed {seed}");
+            for (node, (sum, word, block)) in results.iter().enumerate() {
+                let coord = shape.coord_of(NodeId(node as u32));
+                let from = shape.rank_of(shape.neighbour(coord, Axis(0).minus())).0 as u64;
+                assert_eq!((*sum, *word), (sums[node].to_bits(), 0xFEED), "node {node}");
+                assert_eq!(*block, (0..8).map(|i| from * 100 + i).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    fn dead_minus_link_wedges_the_doubled_sum_instead_of_hanging() {
+        // The doubled ring sends toward −axis too, so a dead −x wire now
+        // starves node 1's own send: it must wedge and report, not spin.
+        let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 1, 0));
+        let machine = ShardedMachine::new(TorusShape::new(&[4, 2, 2]))
+            .with_faults(plan)
+            .with_wedge_timeout(2_000);
+        let (_, ledger) = machine.run_with_health(async |ctx| global_sum_f64_async(ctx, 1.0).await);
+        assert_eq!(ledger.dead_links(), vec![(1, 1)]);
+        assert_eq!(ledger.nodes[1].liveness, Liveness::Wedged);
     }
 
     #[test]

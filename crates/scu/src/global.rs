@@ -18,6 +18,10 @@
 //! node-independent accumulation order, so every node computes bitwise the
 //! same result — the property behind the machine-wide bit-reproducibility
 //! of §4.
+//!
+//! This module holds the timing formulas and that closed form. The node
+//! programs' doubled ring, which runs [`dimension_sum_hops`]`(dims, true)`
+//! link rounds over the real SCU protocol, is `qcdoc_core::comm`.
 
 use qcdoc_asic::clock::Cycles;
 use qcdoc_geometry::TorusShape;
@@ -141,15 +145,6 @@ pub fn all_nodes_agree(results: &[f64]) -> bool {
     results.windows(2).all(|w| w[0].to_bits() == w[1].to_bits())
 }
 
-/// The two disjoint link sets of the doubled global mode: along each axis,
-/// set 0 uses the plus links and set 1 the minus links. Returns the link
-/// indices (0..12) in each set for a machine of the given rank.
-pub fn doubled_link_sets(rank: usize) -> (Vec<usize>, Vec<usize>) {
-    let plus = (0..rank).map(|a| 2 * a).collect();
-    let minus = (0..rank).map(|a| 2 * a + 1).collect();
-    (plus, minus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,19 +224,6 @@ mod tests {
         let shape = TorusShape::new(&[2, 2]);
         let values = vec![10, 20, 30, 40];
         assert_eq!(broadcast(&shape, &values, 2), vec![30, 30, 30, 30]);
-    }
-
-    #[test]
-    fn doubled_link_sets_are_disjoint_and_cover_axes() {
-        let (plus, minus) = doubled_link_sets(6);
-        assert_eq!(plus.len(), 6);
-        assert_eq!(minus.len(), 6);
-        for p in &plus {
-            assert!(!minus.contains(p));
-        }
-        let mut all: Vec<usize> = plus.iter().chain(minus.iter()).copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..12).collect::<Vec<_>>());
     }
 
     #[test]

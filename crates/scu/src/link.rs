@@ -205,7 +205,8 @@ pub struct SendUnit {
     backoff_waits: u64,
     /// Distribution of backoff delays granted (pump rounds per rewind) —
     /// the tail of this histogram is what a flaky wire actually costs.
-    backoff_delays: Histogram,
+    /// Allocated by the first hold-off, so a clean wire carries none.
+    backoff_delays: Option<Box<Histogram>>,
     dead: bool,
 }
 
@@ -235,7 +236,7 @@ impl SendUnit {
             block_replays: 0,
             backoff_remaining: 0,
             backoff_waits: 0,
-            backoff_delays: Histogram::default(),
+            backoff_delays: None,
             dead: false,
         }
     }
@@ -383,7 +384,9 @@ impl SendUnit {
             let shift = (self.rewinds_since_progress - 1).min(20);
             let wait = (self.policy.backoff_base as u64) << shift;
             self.backoff_remaining = wait.min(self.policy.backoff_cap as u64);
-            self.backoff_delays.observe(self.backoff_remaining);
+            self.backoff_delays
+                .get_or_insert_default()
+                .observe(self.backoff_remaining);
         }
     }
 
@@ -409,9 +412,10 @@ impl SendUnit {
     }
 
     /// Distribution of backoff delays granted by [`RetryPolicy`], one
-    /// observation per rewind that earned a hold-off.
-    pub fn backoff_delays(&self) -> &Histogram {
-        &self.backoff_delays
+    /// observation per rewind that earned a hold-off; `None` until the
+    /// first one.
+    pub fn backoff_delays(&self) -> Option<&Histogram> {
+        self.backoff_delays.as_deref()
     }
 
     /// Whether the normal-data staging queue is empty.

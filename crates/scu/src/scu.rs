@@ -409,8 +409,8 @@ impl Scu {
     /// on. Empty on a clean wire.
     pub fn backoff_delay_histogram(&self) -> qcdoc_telemetry::Histogram {
         let mut merged = qcdoc_telemetry::Histogram::default();
-        for unit in &self.send {
-            merged.merge(unit.backoff_delays());
+        for h in self.send.iter().filter_map(SendUnit::backoff_delays) {
+            merged.merge(h);
         }
         merged
     }

@@ -8,9 +8,10 @@
 //! link retries, block rejects, machine checks, quarantines, preemptions,
 //! checkpoints, rollbacks — recorded on the exceptional paths of the
 //! scu/fault/core/host layers. It is *always on* (unlike span tracing):
-//! the events are rare by construction, the ring is bounded, and a black
-//! box that has to be enabled in advance records nothing the day it
-//! matters.
+//! the events are rare by construction, the ring is bounded and grows on
+//! its first record (an always-on ring that never records costs nothing),
+//! and a black box that has to be enabled in advance records nothing the
+//! day it matters.
 //!
 //! Dumps are deterministic text, one line per event, filterable by node —
 //! the `qflight <node>` qcsh verb and the end-of-soak artifacts both
@@ -158,11 +159,13 @@ impl FlightRecorder {
     /// plausible failure leaves behind, small enough to be free at scale.
     pub const DEFAULT_CAPACITY: usize = 256;
 
-    /// A ring retaining at most `capacity` events.
+    /// A ring retaining at most `capacity` events. The ring allocates on
+    /// its first record and grows on demand, so a node that never records
+    /// (every node of a clean run) holds no buffer at all.
     pub fn new(capacity: usize) -> FlightRecorder {
         FlightRecorder {
             capacity,
-            buf: VecDeque::with_capacity(capacity.min(256)),
+            buf: VecDeque::new(),
             next_seq: 0,
             dropped: 0,
         }
