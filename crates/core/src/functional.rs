@@ -16,6 +16,12 @@
 //! [`ShardedMachine::run_with_health`](crate::ShardedMachine::run_with_health)
 //! additionally returns the machine-wide [`HealthLedger`] a host would
 //! read out over its diagnostics tree.
+//!
+//! Nothing here keeps time. A node waiting on a dead wire wedges when the
+//! engine finds the whole machine quiescent — every unfinished node parked
+//! in [`NodeCtx::complete_async`], every wire empty, no link holding in
+//! retry backoff — so a wedge is a property of the fault plan, not of how
+//! fast the host runs.
 
 use qcdoc_asic::memory::NodeMemory;
 use qcdoc_fault::{FaultClock, Liveness, NodeHealth, NodeTap};
@@ -30,18 +36,11 @@ use qcdoc_telemetry::{
     FlightEvent, FlightKind, MetricsRegistry, NodeTelemetry, Phase, Span, SpanToken,
 };
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
+use crate::sharded::ShardSignal;
 use crate::wire::{wire, WireRx, WireTx};
-
-/// Idle pump rounds in [`NodeCtx::complete_async`] before a node declares
-/// its transfer wedged (a dead wire never delivers the data or the ack).
-/// The wait loop also requires 20 µs of wall-clock silence per round, so
-/// this is roughly a second — far beyond any healthy transfer on an
-/// oversubscribed host, and short enough that a dead-link run still fails
-/// fast.
-pub(crate) const WEDGE_IDLE_SPINS: u32 = 50_000;
 
 /// Telemetry knobs for a [`ShardedMachine`](crate::ShardedMachine) run.
 ///
@@ -99,15 +98,14 @@ pub struct NodeCtx {
     armed_send_words: [u64; 12],
     armed_recv_words: [u64; 12],
     link_timing: LinkTimingConfig,
-    wedge_spins: u32,
     /// SCU counter totals at the last flight check, so each
     /// [`NodeCtx::complete_async`] logs only the retries it caused.
     flight_resends_seen: u64,
     flight_block_rejects_seen: u64,
-    /// Shared wire-activity flag: set whenever [`NodeCtx::progress`] moves
-    /// anything. The engine's workers read-and-clear it to decide when a
-    /// whole shard has gone idle and should back off.
-    pulse: Arc<AtomicBool>,
+    /// What this node tells its shard's worker: wire movement and sends
+    /// from [`NodeCtx::progress`], parking in an idle
+    /// [`NodeCtx::complete_async`]; and the machine's wedge verdict back.
+    signal: Rc<ShardSignal>,
 }
 
 /// One node's wire ends, indexed by link: `tx[l]` leaves toward direction
@@ -124,18 +122,7 @@ pub(crate) struct NodeCtxConfig {
     pub ddr_bytes: u64,
     pub telemetry: Option<TelemetryConfig>,
     pub retry_policy: RetryPolicy,
-    pub wedge_spins: u32,
     pub block_checksums: bool,
-}
-
-/// Outcome of one non-blocking completion attempt ([`NodeCtx::pump_step`]).
-enum PumpStep {
-    /// Every tracked send and receive has retired.
-    Done,
-    /// Not done, but at least one wire moved this round.
-    Moved,
-    /// Not done and nothing moved — a candidate wedge round.
-    Idle,
 }
 
 impl NodeCtx {
@@ -150,8 +137,8 @@ impl NodeCtx {
     }
 
     /// Start a DMA send toward `dir`. A wedged node refuses: its units
-    /// were abandoned mid-transfer when the watchdog fired, and re-arming
-    /// them would corrupt protocol state the health readout still needs.
+    /// were abandoned mid-transfer, and re-arming them would corrupt
+    /// protocol state the health readout still needs.
     pub fn start_send(&mut self, dir: Direction, desc: DmaDescriptor) {
         if self.wedged {
             return;
@@ -208,7 +195,8 @@ impl NodeCtx {
         (0..12).map(|l| self.scu.recv_unit(l).rejects()).sum()
     }
 
-    /// Whether a transfer on this node gave up waiting on a silent wire.
+    /// Whether a transfer on this node gave up: the machine went quiescent
+    /// with it still pending.
     pub fn wedged(&self) -> bool {
         self.wedged
     }
@@ -217,7 +205,8 @@ impl NodeCtx {
     /// message is drained into the SCU first, so the acks and rejects it
     /// provokes — and the window slots its acks free — leave in this same
     /// pump; then each link transmits until it stalls on its ack window.
-    /// Returns whether anything moved.
+    /// Returns whether anything moved; a link holding in retry backoff
+    /// counts, since its countdown is what lets it resend later.
     pub fn progress(&mut self) -> bool {
         let mut moved = false;
         for link in 0..12 {
@@ -239,6 +228,7 @@ impl NodeCtx {
             let Some(tx) = &self.wires.tx[link] else {
                 continue;
             };
+            moved |= self.scu.send_unit(link).holding_backoff();
             while let Some(mut msg) = self
                 .scu
                 .tx_next(link, &mut self.mem)
@@ -274,12 +264,13 @@ impl NodeCtx {
                 }
                 if verdict == WireVerdict::Deliver {
                     tx.send(msg);
+                    self.signal.sent.set(self.signal.sent.get() + 1);
                 }
                 moved = true;
             }
         }
         if moved {
-            self.pulse.store(true, Ordering::Relaxed);
+            self.signal.moved.set(true);
         }
         moved
     }
@@ -289,10 +280,10 @@ impl NodeCtx {
     /// the shard keep running.
     ///
     /// A wire that has gone permanently silent (dead link, crashed
-    /// neighbour) would leave this loop polling forever; after the wedge
-    /// timeout the node gives up, marks itself wedged, and returns so the
-    /// run can finish and report the failure through the health ledger
-    /// instead of hanging.
+    /// neighbour) would leave this loop polling forever. Once the engine
+    /// finds the whole machine quiescent the node gives up, marks itself
+    /// wedged, and returns so the run can finish and report the failure
+    /// through the health ledger instead of hanging.
     ///
     /// ```no_run
     /// # use qcdoc_core::sharded::ShardedMachine;
@@ -309,15 +300,12 @@ impl NodeCtx {
     /// assert_eq!(ranks, vec![3, 0, 1, 2]);
     /// ```
     pub async fn complete_async(&mut self, sends: &[Direction], recvs: &[Direction]) {
-        if !self.telem.is_enabled() {
-            self.complete_inner_async(sends, recvs).await;
-            self.record_scu_flight();
-            return;
-        }
-        let token = self.telem.begin();
+        let token = self.telem.is_enabled().then(|| self.telem.begin());
         self.complete_inner_async(sends, recvs).await;
         self.record_scu_flight();
-        self.account_complete(token, sends, recvs);
+        if let Some(token) = token {
+            self.account_complete(token, sends, recvs);
+        }
     }
 
     /// Charge the logical clock with the modeled wire time: parallel
@@ -373,69 +361,34 @@ impl NodeCtx {
         }
     }
 
-    /// One non-blocking completion attempt: pump the wires once, then
-    /// check whether every tracked transfer has retired.
-    fn pump_step(&mut self, sends: &[Direction], recvs: &[Direction]) -> PumpStep {
-        let moved = self.progress();
-        let sends_done = sends.iter().all(|d| self.scu.send_complete(d.link_index()));
-        let recvs_done = recvs.iter().all(|d| self.scu.recv_complete(d.link_index()));
-        if sends_done && recvs_done {
-            PumpStep::Done
-        } else if moved {
-            PumpStep::Moved
-        } else {
-            PumpStep::Idle
-        }
-    }
-
-    /// Wedge-watchdog bookkeeping: called after an idle pump round, returns
-    /// whether the node just gave up.
-    fn wedge_after_idle(&mut self, idle_spins: u32, pending: usize) -> bool {
-        if idle_spins < self.wedge_spins {
-            return false;
-        }
-        self.wedged = true;
-        self.telem.flight(
-            FlightKind::Wedge,
-            "silent_wire",
-            idle_spins as u64,
-            pending as u64,
-        );
-        true
-    }
-
-    /// The wait loop: idle rounds yield control back to the shard worker
-    /// (which backs off on our behalf once every virtual node of the shard
-    /// reports idle) instead of sleeping the thread.
+    /// The wait loop: a pump that moved nothing parks the node — it yields
+    /// quiet, which is what lets the engine find the machine quiescent —
+    /// and a quiescent machine wedges it. The flight record names what was
+    /// still pending: sends, then receives.
     async fn complete_inner_async(&mut self, sends: &[Direction], recvs: &[Direction]) {
         if self.wedged {
             return;
         }
-        let mut idle_spins = 0u32;
-        let mut idle_since: Option<std::time::Instant> = None;
-        // A backed-off shard spends ~20 µs of real time per idle round, but
-        // a shard whose other virtual nodes are still active sweeps much
-        // faster than that, so the loop additionally requires the same
-        // *wall-clock* silence before giving up on a wire.
-        let quiet_needed = std::time::Duration::from_micros(20) * self.wedge_spins;
         loop {
-            match self.pump_step(sends, recvs) {
-                PumpStep::Done => return,
-                PumpStep::Moved => {
-                    idle_spins = 0;
-                    idle_since = None;
-                }
-                PumpStep::Idle => {
-                    idle_spins += 1;
-                    let since = *idle_since.get_or_insert_with(std::time::Instant::now);
-                    if idle_spins >= self.wedge_spins
-                        && since.elapsed() >= quiet_needed
-                        && self.wedge_after_idle(idle_spins, sends.len() + recvs.len())
-                    {
-                        return;
-                    }
-                }
+            let moved = self.progress();
+            let sends_left = sends
+                .iter()
+                .filter(|d| !self.scu.send_complete(d.link_index()))
+                .count() as u64;
+            let recvs_left = recvs
+                .iter()
+                .filter(|d| !self.scu.recv_complete(d.link_index()))
+                .count() as u64;
+            if sends_left + recvs_left == 0 {
+                return;
             }
+            if !moved && self.signal.wedged.get() {
+                self.wedged = true;
+                self.telem
+                    .flight(FlightKind::Wedge, "silent_wire", sends_left, recvs_left);
+                return;
+            }
+            self.signal.parked.set(!moved);
             yield_once().await;
         }
     }
@@ -510,7 +463,7 @@ impl NodeCtx {
         cfg: &NodeCtxConfig,
         wires: NodeWires,
         clock: Arc<FaultClock>,
-        pulse: Arc<AtomicBool>,
+        signal: Rc<ShardSignal>,
     ) -> NodeCtx {
         let mut scu = Scu::new();
         scu.train_all();
@@ -535,10 +488,9 @@ impl NodeCtx {
             armed_send_words: [0; 12],
             armed_recv_words: [0; 12],
             link_timing: cfg.telemetry.map(|c| c.link).unwrap_or_default(),
-            wedge_spins: cfg.wedge_spins,
             flight_resends_seen: 0,
             flight_block_rejects_seen: 0,
-            pulse,
+            signal,
         }
     }
 
@@ -613,33 +565,19 @@ impl NodeCtx {
     }
 }
 
-/// A future that returns control to the executor exactly once — the
-/// cooperative analogue of [`std::thread::yield_now`]. Shard workers poll
-/// every virtual node round-robin, so one yield is one trip through the
-/// rest of the shard.
-pub(crate) fn yield_once() -> YieldOnce {
-    YieldOnce { yielded: false }
-}
-
-/// See [`yield_once`].
-pub(crate) struct YieldOnce {
-    yielded: bool,
-}
-
-impl std::future::Future for YieldOnce {
-    type Output = ();
-
-    fn poll(
-        mut self: std::pin::Pin<&mut Self>,
-        _cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<()> {
-        if self.yielded {
+/// Return control to the executor exactly once — the cooperative analogue
+/// of [`std::thread::yield_now`]. Shard workers poll every virtual node
+/// round-robin, so one yield is one trip through the rest of the shard.
+pub(crate) async fn yield_once() {
+    let mut yielded = false;
+    std::future::poll_fn(|_| {
+        if std::mem::replace(&mut yielded, true) {
             std::task::Poll::Ready(())
         } else {
-            self.yielded = true;
             std::task::Poll::Pending
         }
-    }
+    })
+    .await
 }
 
 /// Build the wire fabric for a logical shape: one [`wire`] per (node,
@@ -775,16 +713,18 @@ mod tests {
         // Node 1's +x transmitter goes bad from the first frame: every
         // transmission — resends included — is corrupted, so unlimited
         // retries would resend forever. A bounded budget kills the link
-        // after a deterministic number of rewinds, the wedge watchdog
-        // unblocks both endpoints, and the ledger pins the blame on node
-        // 1's hardware (not on the wedged bystanders).
+        // after a deterministic number of rewinds, the machine goes
+        // quiescent and wedges both endpoints, and the ledger pins the
+        // blame on node 1's hardware (not on the wedged bystanders). The
+        // backoff holds between rewinds are quiet wires too: a detector
+        // that took them for a dead machine would wedge node 1 before its
+        // budget ran out.
         let plan = FaultPlan::new(7).with_event(FaultEvent::stuck_link(1, 0, 0));
         let policy = RetryPolicy::bounded(4, 2, 64);
         let machine = ShardedMachine::new(ring4())
             .with_faults(plan)
-            .with_retry_policy(policy)
-            .with_wedge_timeout(10_000);
-        let (_, ledger) = machine.run_with_health(async |ctx| {
+            .with_retry_policy(policy);
+        let (_, ledger) = machine.run_worker_sweep(async |ctx| {
             for i in 0..4u64 {
                 ctx.mem
                     .write_word(0x100 + i * 8, ctx.id.0 as u64 + i)
@@ -818,9 +758,7 @@ mod tests {
         // idle-receive drain; a wedged node must go silent instead, so the
         // run still terminates and the ledger still reads out.
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 1));
-        let machine = ShardedMachine::new(ring4())
-            .with_faults(plan)
-            .with_wedge_timeout(2_000);
+        let machine = ShardedMachine::new(ring4()).with_faults(plan);
         let (results, ledger) = machine.run_with_health(async |ctx| {
             // Three rounds of 4-word shifts: the wire dies during the
             // first, the later rounds re-arm every unit regardless.
@@ -881,9 +819,7 @@ mod tests {
         // The doubled ring sends toward −axis too, so a dead −x wire now
         // starves node 1's own send: it must wedge and report, not spin.
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 1, 0));
-        let machine = ShardedMachine::new(TorusShape::new(&[4, 2, 2]))
-            .with_faults(plan)
-            .with_wedge_timeout(2_000);
+        let machine = ShardedMachine::new(TorusShape::new(&[4, 2, 2])).with_faults(plan);
         let (_, ledger) = machine.run_with_health(async |ctx| global_sum_f64_async(ctx, 1.0).await);
         assert_eq!(ledger.dead_links(), vec![(1, 1)]);
         assert_eq!(ledger.nodes[1].liveness, Liveness::Wedged);

@@ -215,9 +215,7 @@ mod tests {
     #[test]
     fn faulty_segment_is_discarded_and_rerun_on_the_replacement() {
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = ShardedMachine::new(ring4())
-            .with_faults(plan)
-            .with_wedge_timeout(2_000);
+        let machine = ShardedMachine::new(ring4()).with_faults(plan);
         let (rounds, report) = machine
             .run_with_recovery(
                 RecoveryConfig::default(),
@@ -287,9 +285,7 @@ mod tests {
     #[test]
     fn unreplaceable_fault_surfaces_as_an_error() {
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = ShardedMachine::new(ring4())
-            .with_faults(plan)
-            .with_wedge_timeout(2_000);
+        let machine = ShardedMachine::new(ring4()).with_faults(plan);
         let err = machine
             .run_with_recovery(
                 RecoveryConfig::default(),
@@ -305,9 +301,7 @@ mod tests {
     #[test]
     fn recovery_budget_exhausts_deterministically() {
         let bad_plan = || FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = ShardedMachine::new(ring4())
-            .with_faults(bad_plan())
-            .with_wedge_timeout(1_000);
+        let machine = ShardedMachine::new(ring4()).with_faults(bad_plan());
         let err = machine
             .run_with_recovery(
                 RecoveryConfig { max_recoveries: 2 },

@@ -17,26 +17,42 @@
 //! ([`ShardedMachine::run_worker_sweep`] asserts it).
 //!
 //! Scheduling is polling-based: a worker sweeps its shard, polling every
-//! live future once, then checks the shard's shared *pulse* flag (set by
-//! any wire movement inside [`NodeCtx::progress`]). A sweeping shard whose
-//! wires are all silent backs off — yields first, then 20 µs sleeps — so a
-//! wedged machine converges to sleeping workers instead of a spinning
-//! core.
+//! live future once, then reads what its nodes signalled: wire movement
+//! and sends from [`NodeCtx::progress`], parking from
+//! [`NodeCtx::complete_async`]. A sweeping shard whose wires are all
+//! silent backs off — yields first, then 20 µs sleeps.
+//!
+//! Wedging is a verdict, not a timeout: once every worker's latest sweep
+//! was idle (nothing moved, no link held in retry backoff, every unfinished
+//! node parked) and started at the current machine-wide sent-message count,
+//! no node can ever move again, and every node blocked in `complete_async`
+//! wedges and returns.
 
 use parking_lot::Mutex;
 use qcdoc_fault::{FaultClock, FaultPlan, HealthLedger, NodeHealth};
 use qcdoc_geometry::TorusShape;
 use qcdoc_scu::RetryPolicy;
 use qcdoc_telemetry::{FlightEvent, MachineTelemetry, MetricsRegistry, Span};
+use std::cell::Cell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
 use crate::functional::{
-    build_fabric, yield_once, NodeCtx, NodeCtxConfig, NodeWires, TelemetryConfig, WEDGE_IDLE_SPINS,
+    build_fabric, yield_once, NodeCtx, NodeCtxConfig, NodeWires, TelemetryConfig,
 };
+
+/// What a run collects from each node: the program's result, the health
+/// snapshot, metrics and spans, and the flight ring.
+type NodeOutput<R> = (
+    R,
+    NodeHealth,
+    (MetricsRegistry, Vec<Span>),
+    Vec<FlightEvent>,
+);
 
 /// The functional machine: a logical torus of [`NodeCtx`]s driven by a
 /// pool of worker threads.
@@ -71,7 +87,6 @@ pub struct ShardedMachine {
     ddr_bytes: u64,
     telemetry: Option<TelemetryConfig>,
     retry_policy: RetryPolicy,
-    wedge_spins: u32,
     block_checksums: bool,
     workers: usize,
 }
@@ -89,7 +104,6 @@ impl ShardedMachine {
             ddr_bytes: 128 * 1024 * 1024,
             telemetry: None,
             retry_policy: RetryPolicy::default(),
-            wedge_spins: WEDGE_IDLE_SPINS,
             block_checksums: false,
             workers,
         }
@@ -121,16 +135,6 @@ impl ShardedMachine {
         self
     }
 
-    /// Override the wedge watchdog: idle pump rounds a node waits on a
-    /// silent wire before giving up (the wait loop additionally requires
-    /// 20 µs of wall-clock silence per round). Recovery tests use a short
-    /// timeout so a deliberately killed node fails in milliseconds, not a
-    /// second.
-    pub fn with_wedge_timeout(mut self, spins: u32) -> ShardedMachine {
-        self.wedge_spins = spins.max(1);
-        self
-    }
-
     /// Enable per-node telemetry, collected by
     /// [`ShardedMachine::run_with_telemetry`].
     pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> ShardedMachine {
@@ -153,7 +157,7 @@ impl ShardedMachine {
 
     /// Swap the fabric under the machine — a recovery repartition: later
     /// runs use the replacement shape and fault plan, keeping the retry
-    /// policy, wedge timeout and telemetry configuration.
+    /// policy and telemetry configuration.
     pub(crate) fn replace_fabric(&mut self, shape: TorusShape, faults: FaultPlan) {
         self.shape = shape;
         self.faults = faults;
@@ -241,16 +245,7 @@ impl ShardedMachine {
         last
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_inner<F, R>(
-        &self,
-        app: F,
-    ) -> Vec<(
-        R,
-        NodeHealth,
-        (MetricsRegistry, Vec<Span>),
-        Vec<FlightEvent>,
-    )>
+    fn run_inner<F, R>(&self, app: F) -> Vec<NodeOutput<R>>
     where
         F: AsyncFn(&mut NodeCtx) -> R + Sync,
         R: Send,
@@ -263,19 +258,12 @@ impl ShardedMachine {
             n as u32,
             2 * self.shape.rank(),
         ));
-        type NodeOutput<R> = (
-            R,
-            NodeHealth,
-            (MetricsRegistry, Vec<Span>),
-            Vec<FlightEvent>,
-        );
         let results: Vec<Mutex<Option<NodeOutput<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cfg = NodeCtxConfig {
             shape: self.shape.clone(),
             ddr_bytes: self.ddr_bytes,
             telemetry: self.telemetry,
             retry_policy: self.retry_policy,
-            wedge_spins: self.wedge_spins,
             block_checksums: self.block_checksums,
         };
         // Global completion count: a node's driver keeps pumping its wires
@@ -284,6 +272,13 @@ impl ShardedMachine {
         // count too (the worker bumps it when it catches one), or the
         // survivors would pump forever and the panic never surface.
         let done = AtomicUsize::new(0);
+        let quiescence = Quiescence {
+            sent: AtomicU64::new(0),
+            sweeps: (0..workers)
+                .map(|_| AtomicU64::new(Quiescence::BUSY))
+                .collect(),
+            wedged: AtomicBool::new(false),
+        };
         // First caught panic payload, re-raised from the calling thread
         // after the scope so the caller sees the original panic (letting
         // the worker itself unwind would reach `thread::scope`'s generic
@@ -295,15 +290,18 @@ impl ShardedMachine {
             shards[node * workers / n].push((node, wires));
         }
         std::thread::scope(|scope| {
-            for shard in shards.drain(..) {
+            for (worker, shard) in shards.drain(..).enumerate() {
                 let app = &app;
                 let results = &results;
                 let done = &done;
                 let cfg = &cfg;
                 let clock = &clock;
+                let quiescence = &quiescence;
                 let panic_slot = &panic_slot;
                 scope.spawn(move || {
-                    if let Some(payload) = drive_shard(shard, app, results, done, cfg, clock, n) {
+                    if let Some(payload) =
+                        drive_shard(shard, app, results, done, cfg, clock, n, quiescence, worker)
+                    {
                         panic_slot.lock().get_or_insert(payload);
                     }
                 });
@@ -319,45 +317,105 @@ impl ShardedMachine {
     }
 }
 
+/// What the nodes of one shard tell their worker during a sweep; only the
+/// worker's thread touches it.
+#[derive(Default)]
+pub(crate) struct ShardSignal {
+    /// A wire moved, or a link held in retry backoff.
+    pub(crate) moved: Cell<bool>,
+    /// Messages put on wires and not yet added to the machine-wide count.
+    pub(crate) sent: Cell<u64>,
+    /// Cleared by the worker before each poll, set by a node that yields
+    /// parked: idle in `complete_async`, or pumping after its program.
+    pub(crate) parked: Cell<bool>,
+    /// The machine's quiescence verdict, copied in by the worker.
+    pub(crate) wedged: Cell<bool>,
+}
+
+/// The machine-wide quiescence detector. A node that ended an idle sweep
+/// parked (or finished) changes state only by draining a message. A worker
+/// adds what its shard sent to `sent` before it publishes an idle sweep,
+/// and reads `sent` before every sweep polls, so a message pushed before
+/// an idle sweep started was drained by it, and one pushed later raises
+/// `sent` past that sweep's count. When every worker's latest sweep is
+/// idle at the current count, neither is possible: no node can ever move
+/// again. Busy sweeps touch no shared line.
+struct Quiescence {
+    sent: AtomicU64,
+    /// Per worker: the count its latest sweep started at if that sweep was
+    /// idle, else [`Quiescence::BUSY`].
+    sweeps: Vec<AtomicU64>,
+    wedged: AtomicBool,
+}
+
+impl Quiescence {
+    const BUSY: u64 = u64::MAX;
+
+    /// Publish `worker`'s latest sweep: `Some(start)` if it was idle and
+    /// started at count `start`, `None` if it was busy. An idle sweep first
+    /// adds the messages its shard has `sent` since the last one, then
+    /// raises the verdict if the machine is quiescent.
+    fn publish(&self, worker: usize, idle: Option<u64>, sent: &Cell<u64>) {
+        // Only this worker stores its own slot, and only on a change: the
+        // slots share a line every other worker reads.
+        let slot = &self.sweeps[worker];
+        let Some(start) = idle else {
+            if slot.load(Ordering::Relaxed) != Quiescence::BUSY {
+                slot.store(Quiescence::BUSY, Ordering::SeqCst);
+            }
+            return;
+        };
+        if sent.get() > 0 {
+            self.sent.fetch_add(sent.take(), Ordering::SeqCst);
+        }
+        if slot.load(Ordering::Relaxed) != start {
+            slot.store(start, Ordering::SeqCst);
+        }
+        // The slots first, then the count: a slot stored after a flush
+        // makes that flush visible here.
+        if self
+            .sweeps
+            .iter()
+            .all(|s| s.load(Ordering::SeqCst) == start)
+            && self.sent.load(Ordering::SeqCst) == start
+        {
+            self.wedged.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
 /// Worker body: build one driver future per assigned node and poll them
-/// round-robin until every driver has retired. Returns the first caught
-/// node-program panic, if any, for the caller to re-raise.
+/// round-robin until every driver has retired, publishing each sweep to
+/// the quiescence detector. Returns the first caught node-program panic,
+/// if any, for the caller to re-raise.
 ///
 /// Driver futures are constructed *inside* the worker thread from `Send`
 /// seeds (rank + wire ends), so the futures themselves — which hold a
 /// `&mut NodeCtx` across await points — never need to be `Send`.
-#[allow(clippy::type_complexity)]
+#[allow(clippy::too_many_arguments)]
 fn drive_shard<F, R>(
     shard: Vec<(usize, NodeWires)>,
     app: &F,
-    results: &[Mutex<
-        Option<(
-            R,
-            NodeHealth,
-            (MetricsRegistry, Vec<Span>),
-            Vec<FlightEvent>,
-        )>,
-    >],
+    results: &[Mutex<Option<NodeOutput<R>>>],
     done: &AtomicUsize,
     cfg: &NodeCtxConfig,
     clock: &Arc<FaultClock>,
     n: usize,
+    quiescence: &Quiescence,
+    worker: usize,
 ) -> Option<Box<dyn std::any::Any + Send>>
 where
     F: AsyncFn(&mut NodeCtx) -> R + Sync,
     R: Send,
 {
-    // Shared wire-activity flag for this shard: any `progress()` that
-    // moves a message sets it; the worker reads-and-clears it once per
-    // sweep to decide whether the whole shard has gone silent.
-    let pulse = Arc::new(AtomicBool::new(false));
+    let signal = Rc::new(ShardSignal::default());
     let mut drivers: Vec<Option<Pin<Box<dyn Future<Output = ()> + '_>>>> = shard
         .into_iter()
         .map(|(node, wires)| {
-            let pulse = Arc::clone(&pulse);
+            let signal = Rc::clone(&signal);
             let clock = Arc::clone(clock);
             let fut = async move {
-                let mut ctx = NodeCtx::build(node as u32, cfg, wires, clock, pulse);
+                let mut ctx = NodeCtx::build(node as u32, cfg, wires, clock, Rc::clone(&signal));
                 ctx.apply_mem_faults();
                 let r = app(&mut ctx).await;
                 let (snapshot, parts, flight) = ctx.finish_run();
@@ -366,6 +424,7 @@ where
                 // Keep pumping until the whole machine has finished.
                 while done.load(Ordering::SeqCst) < n {
                     ctx.progress();
+                    signal.parked.set(true);
                     yield_once().await;
                 }
             };
@@ -379,10 +438,16 @@ where
     // catch the unwind, retire that driver (its NodeCtx drops and its wires
     // go silent, so neighbours wedge rather than hang), let the rest of the
     // machine drain, and hand the payload back for a post-scope re-raise.
+    // A worker whose nodes all panicked keeps publishing idle sweeps until
+    // the machine finishes, so the survivors can still be found wedged.
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
-    while live > 0 {
+    while live > 0 || done.load(Ordering::SeqCst) < n {
+        let start = quiescence.sent.load(Ordering::SeqCst);
+        signal.wedged.set(quiescence.wedged.load(Ordering::Relaxed));
+        let mut all_parked = true;
         for slot in drivers.iter_mut() {
             let Some(fut) = slot else { continue };
+            signal.parked.set(false);
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 fut.as_mut().poll(&mut cx)
             })) {
@@ -390,7 +455,7 @@ where
                     *slot = None;
                     live -= 1;
                 }
-                Ok(Poll::Pending) => {}
+                Ok(Poll::Pending) => all_parked &= signal.parked.get(),
                 Err(payload) => {
                     *slot = None;
                     live -= 1;
@@ -399,9 +464,12 @@ where
                 }
             }
         }
+        let moved = signal.moved.take();
+        let idle = (all_parked && !moved).then_some(start);
+        quiescence.publish(worker, idle, &signal.sent);
         // Back off only when no wire anywhere in the shard moved during
         // the sweep.
-        if pulse.swap(false, Ordering::Relaxed) {
+        if moved {
             idle_sweeps = 0;
         } else {
             idle_sweeps += 1;
@@ -517,36 +585,28 @@ mod tests {
     fn dead_link_wedges_the_shard_without_hanging() {
         // Node 1's +x wire dies before the transfer starts: node 2 never
         // receives, node 1 never gets acked. Both must give up and report
-        // rather than spin forever.
+        // rather than spin forever — the same two nodes at every worker
+        // count, since the verdict waits for a machine that cannot move.
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
-        let machine = ShardedMachine::new(ring4())
+        let (wedged, ledger) = ShardedMachine::new(ring4())
             .with_faults(plan)
-            .with_wedge_timeout(2_000)
-            .with_workers(1);
-        let start = std::time::Instant::now();
-        let (_, ledger) = machine.run_with_health(async |ctx| {
-            ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
-            ctx.shift_async(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 1),
-                DmaDescriptor::contiguous(0x200, 1),
-            )
-            .await;
-        });
+            .run_worker_sweep(async |ctx| {
+                ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
+                ctx.shift_async(
+                    Axis(0).plus(),
+                    DmaDescriptor::contiguous(0x100, 1),
+                    DmaDescriptor::contiguous(0x200, 1),
+                )
+                .await;
+                ctx.wedged()
+            });
+        assert_eq!(wedged, vec![false, true, true, false]);
         assert_eq!(ledger.dead_links(), vec![(1, 0)]);
         assert_eq!(ledger.nodes[1].liveness, qcdoc_fault::Liveness::Wedged);
-        let unhealthy = ledger.unhealthy_nodes();
-        assert!(
-            unhealthy.contains(&1),
-            "the dead wire's node must be flagged: {unhealthy:?}"
-        );
         assert!(
             !ledger.all_checksums_ok(),
             "undelivered words must break the checksum pairing"
         );
-        // 2k idle rounds at 20 µs each is well under a second even on a
-        // busy host.
-        assert!(start.elapsed() < std::time::Duration::from_secs(30));
     }
 
     #[test]

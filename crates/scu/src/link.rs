@@ -78,8 +78,8 @@ impl LinkChecksum {
 /// The real hardware resends forever — §2.2 sizes the parity-resend for
 /// error rates where a handful of rewinds per run is already pessimistic.
 /// A *broken* transmitter, though, corrupts every frame and turns the
-/// automatic resend into an infinite storm that the wedge watchdog cannot
-/// see (frames keep moving, so the link never looks idle). The retry
+/// automatic resend into an infinite storm that never looks like a dead
+/// wire (frames keep moving, so the machine never goes quiet). The retry
 /// policy bounds that: each rewind without an intervening acknowledgement
 /// doubles a hold-off (counted in pump rounds), and once `budget`
 /// consecutive rewinds pass without progress the unit declares itself
@@ -291,8 +291,8 @@ impl SendUnit {
                 frame: Frame::encode(Packet::PartitionIrq(bits)),
             }));
         }
-        // A dead unit has given up: the wire goes quiet, the wedge
-        // watchdog fires, and the health ledger carries the verdict.
+        // A dead unit has given up: the wire goes quiet, the nodes waiting
+        // on it wedge, and the health ledger carries the verdict.
         if self.dead {
             return Ok(None);
         }
@@ -404,6 +404,12 @@ impl SendUnit {
     /// Whether the retry budget is exhausted (the unit stopped sending).
     pub fn retry_exhausted(&self) -> bool {
         self.dead
+    }
+
+    /// Whether the unit is holding in retry backoff: its next
+    /// [`SendUnit::next_frame`] spends a pump round on the countdown.
+    pub fn holding_backoff(&self) -> bool {
+        self.backoff_remaining > 0
     }
 
     /// Pump rounds spent holding the wire in backoff.

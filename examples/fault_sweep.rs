@@ -166,9 +166,7 @@ fn recovery_demo(sweep: &mut MetricsRegistry) {
         ("dead-link-unrecovered", dead(), 0),
     ];
     for (severity, plan, max_recoveries) in cases {
-        let machine = ShardedMachine::new(TorusShape::new(&[2, 2]))
-            .with_faults(plan)
-            .with_wedge_timeout(5_000);
+        let machine = ShardedMachine::new(TorusShape::new(&[2, 2])).with_faults(plan);
         let outcome = machine.run_with_recovery(
             RecoveryConfig { max_recoveries },
             None,

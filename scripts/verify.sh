@@ -19,6 +19,10 @@ stage() {
 stage "cargo fmt --check" \
     cargo fmt --check
 
+# No host clock in a library result path; only the bench harnesses time things.
+stage "no Instant/SystemTime under crates/*/src outside crates/bench" \
+    bash -c '! grep -rnwE "Instant|SystemTime" --include="*.rs" crates/*/src | grep -v "^crates/bench/"'
+
 stage "cargo clippy (workspace, all targets, warnings are errors)" \
     cargo clippy --workspace --all-targets -- -D warnings
 

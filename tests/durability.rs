@@ -212,8 +212,7 @@ fn hardware_recovery_and_flaky_storage_compose_bit_identically() {
         RecoveryPlanner::new(&mut qdaemon, half_spec(), machine_faults, false).unwrap();
 
     let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
-        .with_faults(planner.local_faults())
-        .with_wedge_timeout(5_000);
+        .with_faults(planner.local_faults());
 
     let (recovered, report) = machine
         .run_with_recovery(

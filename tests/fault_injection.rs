@@ -69,7 +69,7 @@ fn bit_error_rate_is_healed_and_ledgered_deterministically() {
 fn dead_link_is_quarantined_via_host_diagnostics_not_a_hang() {
     let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(2, 0, 0));
     let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
-    // The run returns (the wedge watchdog fires) instead of hanging.
+    // The run returns (the quiescent machine wedges) instead of hanging.
     let (_, ledger) = machine.run_with_health(async |ctx| {
         ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
         ctx.shift_async(

@@ -120,36 +120,40 @@ fn deterministic_faults_dump_bit_identically() {
 
 #[test]
 fn wedge_reaches_the_host_ring_next_to_its_quarantine() {
-    let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(2, 0, 0));
-    let machine = ShardedMachine::new(TorusShape::new(&[4])).with_faults(plan);
-    let (_, ledger, telemetry) = machine.run_with_telemetry(async |ctx| {
-        ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
-        ctx.shift_async(
-            Axis(0).plus(),
-            DmaDescriptor::contiguous(0x100, 1),
-            DmaDescriptor::contiguous(0x200, 1),
-        )
-        .await;
-    });
-    assert!(
-        telemetry
-            .flight
-            .iter()
-            .any(|e| e.kind == FlightKind::Wedge && e.detail == "silent_wire"),
-        "the dead wire must wedge somebody: {}",
-        telemetry.flight_dump(None)
-    );
-
-    // The host sweep quarantines the casualty and files its own event;
-    // ingesting the node rings puts the whole story in one dump — the
-    // artifact `qcsh qflight` renders.
-    let mut q = Qdaemon::new(TorusShape::new(&[4, 1, 1, 1, 1, 1]));
-    q.boot(&[]);
-    q.ingest_health(&ledger);
-    q.ingest_flight(&telemetry.flight);
-    let dump = q.flight_dump(None);
+    // The wedge verdict waits for a machine that can never move again, so
+    // the evidence — who wedged, with what still pending — is the same at
+    // every worker count, down to the byte.
+    let host_dump = |workers: usize| {
+        let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(2, 0, 0));
+        let machine = ShardedMachine::new(TorusShape::new(&[4]))
+            .with_faults(plan)
+            .with_workers(workers);
+        let (_, ledger, telemetry) = machine.run_with_telemetry(async |ctx| {
+            ctx.mem.write_word(0x100, ctx.id.0 as u64).unwrap();
+            ctx.shift_async(
+                Axis(0).plus(),
+                DmaDescriptor::contiguous(0x100, 1),
+                DmaDescriptor::contiguous(0x200, 1),
+            )
+            .await;
+        });
+        // The host sweep quarantines the casualty and files its own event;
+        // ingesting the node rings puts the whole story in one dump — the
+        // artifact `qcsh qflight` renders.
+        let mut q = Qdaemon::new(TorusShape::new(&[4, 1, 1, 1, 1, 1]));
+        q.boot(&[]);
+        q.ingest_health(&ledger);
+        q.ingest_flight(&telemetry.flight);
+        q.flight_dump(None)
+    };
+    let dump = host_dump(1);
     assert!(dump.contains("quarantine mark_faulty a=2"), "{dump}");
-    assert!(dump.contains("wedge silent_wire"), "{dump}");
+    // Node 2's send is never acked; node 3 never receives.
+    assert!(dump.contains("node=2 wedge silent_wire a=1 b=0"), "{dump}");
+    assert!(dump.contains("node=3 wedge silent_wire a=0 b=1"), "{dump}");
+    for workers in [2, 4] {
+        assert_eq!(host_dump(workers), dump, "at {workers} workers");
+    }
 }
 
 #[test]

@@ -44,8 +44,7 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
     assert_eq!(planner.local_faults().events.len(), 1);
 
     let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
-        .with_faults(planner.local_faults())
-        .with_wedge_timeout(5_000);
+        .with_faults(planner.local_faults());
 
     let (recovered, report) = machine
         .run_with_recovery(
@@ -129,7 +128,6 @@ fn faulted_recovery_on(
 
     ShardedMachine::new(planner.partition().logical_shape().clone())
         .with_faults(planner.local_faults())
-        .with_wedge_timeout(5_000)
         .with_workers(workers)
         .run_with_recovery(
             RecoveryConfig::default(),
@@ -210,8 +208,7 @@ fn run_degrades_to_a_smaller_partition_when_no_spare_exists() {
     .unwrap();
 
     let machine = ShardedMachine::new(planner.partition().logical_shape().clone())
-        .with_faults(planner.local_faults())
-        .with_wedge_timeout(5_000);
+        .with_faults(planner.local_faults());
 
     let (result, report) = machine
         .run_with_recovery(
