@@ -4,7 +4,7 @@
 //! disabled every hook is a single branch on `NodeTelemetry::is_enabled`,
 //! so the instrumented solver must run at raw-operator speed. The smoke
 //! check times an 8⁴ Wilson `M†M` hot loop bare versus with the disabled
-//! hooks interleaved exactly as `solve_cgne_traced` places them, takes the
+//! hooks interleaved exactly as the serial CG iteration places them, takes the
 //! minimum over several repetitions (minimum, not mean — the floor is the
 //! honest cost on a noisy machine) and asserts the disabled path stays
 //! within 5%. The criterion group then prices all three flavours: raw,

@@ -37,7 +37,7 @@ use qcdoc_fault::{
 };
 use qcdoc_geometry::{NodeId, TorusShape};
 use qcdoc_lattice::checkpoint::write_checkpoint;
-use qcdoc_lattice::solver::{resume_cgne, solve_cgne_checkpointed, CgParams};
+use qcdoc_lattice::solver::{resume_cgne, solve_cgne, solve_cgne_checkpointed, CgParams};
 use qcdoc_lattice::wilson::WilsonDirac;
 use qcdoc_lattice::{CgCheckpoint, FermionField, GaugeField, Lattice};
 use qcdoc_sched::{
@@ -638,8 +638,7 @@ impl Soak {
                 // fault-free start to finish — solve fresh.
                 _ => {
                     let mut x = FermionField::zero(lat);
-                    let mut sink = Vec::new();
-                    solve_cgne_checkpointed(&op, &mut x, &b, CgParams::default(), 0, &mut sink);
+                    solve_cgne(&op, &mut x, &b, CgParams::default());
                     x.fingerprint()
                 }
             };

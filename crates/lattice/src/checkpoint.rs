@@ -23,7 +23,7 @@
 use crate::io::{header_value, nersc_checksum, IoError};
 
 /// The complete loop-carried state of a CG solve at an iteration boundary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CgCheckpoint {
     /// Operator name (must match on resume).
     pub operator: String,
@@ -69,6 +69,15 @@ pub enum ResumeError {
         /// Bit-pattern words per vector of the offered problem.
         found: usize,
     },
+    /// The residual history does not hold one entry per completed
+    /// iteration. The archive checksum does not cover header scalars, so
+    /// a damaged `ITERATIONS` line can parse.
+    HistoryMismatch {
+        /// Iterations the checkpoint claims.
+        iterations: usize,
+        /// Residuals it carries.
+        residuals: usize,
+    },
 }
 
 impl std::fmt::Display for ResumeError {
@@ -82,6 +91,13 @@ impl std::fmt::Display for ResumeError {
                 f,
                 "a checkpoint vector holds {expected} words but the problem holds {found} per vector"
             ),
+            ResumeError::HistoryMismatch {
+                iterations,
+                residuals,
+            } => write!(
+                f,
+                "checkpoint claims {iterations} iterations but holds {residuals} residuals"
+            ),
         }
     }
 }
@@ -91,9 +107,10 @@ impl std::error::Error for ResumeError {}
 impl CgCheckpoint {
     /// The one resume-time validation, shared by the serial
     /// [`resume_cgne`](crate::solver::resume_cgne) and the distributed
-    /// segment: the checkpoint must have been taken under `operator`, and
-    /// each of `x`, `r` and `p` must hold `words` bit-pattern words (the
-    /// global problem size — machine shape is free).
+    /// segment: the checkpoint must have been taken under `operator`, each
+    /// of `x`, `r` and `p` must hold `words` bit-pattern words (the global
+    /// problem size — machine shape is free), and the residual history
+    /// must hold one entry per completed iteration.
     pub fn validate(&self, operator: &str, words: usize) -> Result<(), ResumeError> {
         if self.operator != operator {
             return Err(ResumeError::OperatorMismatch {
@@ -108,6 +125,12 @@ impl CgCheckpoint {
                     found: words,
                 });
             }
+        }
+        if self.residuals.len() != self.iterations {
+            return Err(ResumeError::HistoryMismatch {
+                iterations: self.iterations,
+                residuals: self.residuals.len(),
+            });
         }
         Ok(())
     }

@@ -132,32 +132,6 @@ impl<T: Real> Complex<T> {
             im: t.im + a.im * b.re,
         }
     }
-
-    /// `self * conj(rhs)`.
-    #[inline]
-    pub fn mul_conj(self, rhs: Complex<T>) -> Complex<T> {
-        Complex {
-            re: self.re * rhs.re + self.im * rhs.im,
-            im: self.im * rhs.re - self.re * rhs.im,
-        }
-    }
-}
-
-impl C64 {
-    /// Argument in radians.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
-    /// `r·e^{iθ}`.
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> C64 {
-        C64 {
-            re: r * theta.cos(),
-            im: r * theta.sin(),
-        }
-    }
 }
 
 impl<T: Real> Add for Complex<T> {
@@ -301,20 +275,6 @@ mod tests {
         let a = C64::new(1.5, -2.0);
         let b = C64::new(-0.25, 3.0);
         assert!(close(acc.madd(a, b), acc + a * b));
-    }
-
-    #[test]
-    fn mul_conj_matches_expanded_form() {
-        let a = C64::new(1.0, 2.0);
-        let b = C64::new(-2.0, 0.5);
-        assert!(close(a.mul_conj(b), a * b.conj()));
-    }
-
-    #[test]
-    fn polar_roundtrip() {
-        let z = C64::from_polar(2.0, 0.7);
-        assert!((z.abs() - 2.0).abs() < 1e-12);
-        assert!((z.arg() - 0.7).abs() < 1e-12);
     }
 
     #[test]

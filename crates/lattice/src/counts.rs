@@ -41,15 +41,11 @@ impl Prec {
         }
     }
 }
-/// Bytes of an SU(3) matrix (9 complex).
-pub const SU3_BYTES: u64 = 9 * CPLX;
 /// Bytes of a 4-spinor (12 complex).
 pub const SPINOR_BYTES: u64 = 12 * CPLX;
 /// Bytes of a half-spinor (6 complex) — the face-exchange payload of
 /// Wilson-type actions.
 pub const HALF_SPINOR_BYTES: u64 = 6 * CPLX;
-/// Bytes of a color vector (3 complex) — the staggered face payload.
-pub const COLORVEC_BYTES: u64 = 3 * CPLX;
 
 /// The fermion actions benchmarked in §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

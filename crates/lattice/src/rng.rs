@@ -56,17 +56,6 @@ impl SiteRng {
         let u2 = self.uniform();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// Number of draws consumed so far.
-    pub fn draws(&self) -> u64 {
-        self.counter
-    }
-
-    /// Jump directly to draw `n` — lets a node resume a site stream without
-    /// replaying earlier draws.
-    pub fn seek(&mut self, n: u64) {
-        self.counter = n;
-    }
 }
 
 #[cfg(test)]
@@ -94,18 +83,6 @@ mod tests {
         let mut a = SiteRng::new(1, 0);
         let mut b = SiteRng::new(2, 0);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn seek_matches_sequential_draws() {
-        let mut seq = SiteRng::new(9, 3);
-        for _ in 0..10 {
-            seq.next_u64();
-        }
-        let tenth = seq.next_u64();
-        let mut jumped = SiteRng::new(9, 3);
-        jumped.seek(10);
-        assert_eq!(jumped.next_u64(), tenth);
     }
 
     #[test]

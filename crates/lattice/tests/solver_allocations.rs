@@ -1,11 +1,13 @@
 //! The serial solver's iteration allocates no fields: a solve five times
-//! longer costs the same number of field-sized heap blocks, and one `M†`
-//! costs no allocation at all. One test only, because the counters are
-//! process-wide.
+//! longer costs the same number of field-sized heap blocks, with or
+//! without the ABFT audit (whose rollback target is refreshed in place),
+//! and one `M†` costs no allocation at all. One test only, because the
+//! counters are process-wide.
 
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
-use qcdoc_lattice::solver::{solve_cgne, CgParams};
+use qcdoc_lattice::solver::{solve_cgne, solve_cgne_abft, AbftParams, CgParams};
 use qcdoc_lattice::wilson::WilsonDirac;
+use qcdoc_telemetry::NodeTelemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,16 +43,37 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Field-sized blocks allocated by a solve capped at `iterations` (the
-/// tolerance is out of reach, so the cap is what stops it).
-fn field_blocks_of_a_solve(op: &WilsonDirac<'_>, b: &FermionField, iterations: usize) -> u64 {
+/// Field-sized blocks allocated by a plain or a clean audited solve capped
+/// at `iterations` (the tolerance is out of reach, so the cap is what
+/// stops it).
+fn field_blocks_of_a_solve(
+    op: &WilsonDirac<'_>,
+    b: &FermionField,
+    iterations: usize,
+    audited: bool,
+) -> u64 {
     let mut x = FermionField::zero(b.lattice());
     let params = CgParams {
         tolerance: 1e-30,
         max_iterations: iterations,
     };
+    let mut telem = NodeTelemetry::disabled(0);
     let before = FIELD_SIZED.load(Ordering::Relaxed);
-    let report = solve_cgne(op, &mut x, b, params);
+    let report = if audited {
+        let (report, abft) = solve_cgne_abft(
+            op,
+            &mut x,
+            b,
+            params,
+            AbftParams::default(),
+            None,
+            &mut telem,
+        );
+        assert_eq!(abft.detections, 0);
+        report
+    } else {
+        solve_cgne(op, &mut x, b, params)
+    };
     let blocks = FIELD_SIZED.load(Ordering::Relaxed) - before;
     assert_eq!(report.iterations, iterations);
     blocks
@@ -64,12 +87,14 @@ fn a_longer_solve_allocates_no_more_fields_and_mdagger_allocates_nothing() {
     let op = WilsonDirac::new(&gauge, 0.124);
     let b = FermionField::gaussian(lat, 2);
 
-    let short = field_blocks_of_a_solve(&op, &b, 5);
-    let long = field_blocks_of_a_solve(&op, &b, 25);
-    assert_eq!(
-        short, long,
-        "5 iterations took {short} field-sized blocks, 25 took {long}"
-    );
+    for audited in [false, true] {
+        let short = field_blocks_of_a_solve(&op, &b, 5, audited);
+        let long = field_blocks_of_a_solve(&op, &b, 25, audited);
+        assert_eq!(
+            short, long,
+            "audited {audited}: 5 iterations took {short} field-sized blocks, 25 took {long}"
+        );
+    }
 
     let mut out = FermionField::zero(lat);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
