@@ -20,16 +20,19 @@ use qcdoc_geometry::Axis;
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_telemetry::Phase;
 
-/// Comm scratch area: the top 64 kB of EDRAM are reserved for staging
-/// buffers (the application owns the rest).
-pub const COMM_SCRATCH_BASE: u64 = qcdoc_asic::memory::EDRAM_SIZE - 64 * 1024;
+/// Top of the comm scratch, which grows down from here: first the four
+/// ring-step words, then, directly below them, the face staging of
+/// [`crate::distributed`]. Packed together, a node whose faces are small
+/// (a one-site block) keeps its whole comm footprint in one 8 kB EDRAM
+/// page. The application owns the memory below the staging.
+pub const COMM_SCRATCH_TOP: u64 = qcdoc_asic::memory::EDRAM_SIZE - 64 * 1024;
 
 /// Ring-step staging words: what leaves toward ±axis, and what arrives
-/// from the −axis and +axis neighbours.
-const RING_SEND_PLUS: u64 = COMM_SCRATCH_BASE;
-const RING_SEND_MINUS: u64 = COMM_SCRATCH_BASE + 8;
-const RING_FROM_MINUS: u64 = COMM_SCRATCH_BASE + 16;
-const RING_FROM_PLUS: u64 = COMM_SCRATCH_BASE + 24;
+/// from the −axis and +axis neighbours. The face staging ends here.
+pub(crate) const RING_SEND_PLUS: u64 = COMM_SCRATCH_TOP - 32;
+const RING_SEND_MINUS: u64 = RING_SEND_PLUS + 8;
+const RING_FROM_MINUS: u64 = RING_SEND_PLUS + 16;
+const RING_FROM_PLUS: u64 = RING_SEND_PLUS + 24;
 
 /// Dimension-ordered global sum of one `f64` per node. Every node returns
 /// the same bit pattern.
@@ -54,12 +57,16 @@ pub async fn global_sum_f64_async(ctx: &mut NodeCtx, value: f64) -> f64 {
 
 async fn global_sum_inner_async(ctx: &mut NodeCtx, value: f64) -> f64 {
     let mut acc = value;
+    // One ring buffer per sum, sized for the longest axis; each axis uses
+    // its first `n` slots, and the relay fills every one of them.
+    let longest = (0..ctx.shape.rank()).map(|a| ctx.shape.extent(a)).max();
+    let mut ring = vec![0.0f64; longest.filter(|&n| n > 1).unwrap_or(0)];
     for axis in 0..ctx.shape.rank() {
         let n = ctx.shape.extent(axis);
         if n <= 1 {
             continue;
         }
-        let mut ring = vec![0.0f64; n];
+        let ring = &mut ring[..n];
         ring[ctx.coord.get(axis)] = acc;
         ring_relay_async(ctx, axis, acc.to_bits(), |x, word| {
             ring[x] = f64::from_bits(word);
@@ -67,7 +74,7 @@ async fn global_sum_inner_async(ctx: &mut NodeCtx, value: f64) -> f64 {
         .await;
         // Canonical (node-independent) accumulation order.
         acc = 0.0;
-        for &v in &ring {
+        for &v in ring.iter() {
             acc += v;
         }
     }

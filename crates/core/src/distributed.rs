@@ -15,7 +15,7 @@
 //! tests assert it — including under injected link faults, where the
 //! hardware resend makes corruption invisible to the physics.
 
-use crate::comm::{global_sum_f64_async, COMM_SCRATCH_BASE};
+use crate::comm::{global_sum_f64_async, RING_SEND_PLUS};
 use crate::functional::NodeCtx;
 use qcdoc_asic::memory::NodeMemory;
 use qcdoc_geometry::{Axis, NodeId, TorusShape};
@@ -167,7 +167,9 @@ impl BlockGeom {
 }
 
 /// Staging layout inside EDRAM: 16 slots (8 send + 8 receive, one per
-/// signed direction), sized for the largest face, below the comm scratch.
+/// signed direction), sized for the largest face, directly below the
+/// global sum's ring-step words (see [`crate::comm::COMM_SCRATCH_TOP`]), so
+/// a one-site node's faces and ring words share one EDRAM page.
 struct Staging {
     base: u64,
     slot_bytes: u64,
@@ -178,7 +180,7 @@ impl Staging {
         let max_face = (0..4).map(|m| geom.face_sites(m)).max().unwrap() as u64;
         let slot_bytes = max_face * HALF_WORDS * 8;
         Staging {
-            base: COMM_SCRATCH_BASE - 16 * slot_bytes,
+            base: RING_SEND_PLUS - 16 * slot_bytes,
             slot_bytes,
         }
     }

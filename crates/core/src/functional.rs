@@ -82,6 +82,15 @@ pub struct NodeCtx {
     pub telem: NodeTelemetry,
     scu: Scu,
     wires: NodeWires,
+    /// Links with transmit work, one bit per link: the transmit half of
+    /// [`NodeCtx::progress`] visits only these. A bit is set wherever work
+    /// is created — an armed send or receive, a drained wire on that link,
+    /// a supervisor word, a raised or forwarded partition interrupt (all
+    /// twelve) — and cleared after the link's transmit loop once the SCU
+    /// has nothing left to send there and the link holds no retry backoff.
+    /// A link in backoff must stay pumped, or its countdown never runs out:
+    /// `stuck_link_exhausts_its_retry_budget_and_escalates` guards that.
+    active_links: u16,
     /// Messages drained off one wire and not yet handed to the SCU; empty
     /// between [`NodeCtx::progress`] calls, kept for its buffer.
     inbox: VecDeque<WireMsg>,
@@ -107,6 +116,9 @@ pub struct NodeCtx {
     /// [`NodeCtx::complete_async`]; and the machine's wedge verdict back.
     signal: Rc<ShardSignal>,
 }
+
+/// Every link's bit in [`NodeCtx`]'s active-link mask.
+const ALL_LINKS: u16 = (1 << 12) - 1;
 
 /// One node's wire ends, indexed by link: `tx[l]` leaves toward direction
 /// `l`, `rx[l]` arrives from it. Links beyond the machine's rank are `None`.
@@ -144,6 +156,7 @@ impl NodeCtx {
             return;
         }
         self.armed_send_words[dir.link_index()] += desc.total_words();
+        self.active_links |= 1 << dir.link_index();
         if self.block_checksums {
             self.scu.start_send_checked(dir.link_index(), desc);
         } else {
@@ -158,6 +171,7 @@ impl NodeCtx {
             return;
         }
         self.armed_recv_words[dir.link_index()] += desc.total_words();
+        self.active_links |= 1 << dir.link_index();
         if self.block_checksums {
             self.scu
                 .start_recv_checked(dir.link_index(), desc, &mut self.mem)
@@ -171,11 +185,13 @@ impl NodeCtx {
 
     /// Send a supervisor word toward `dir`.
     pub fn send_supervisor(&mut self, dir: Direction, word: u64) {
+        self.active_links |= 1 << dir.link_index();
         self.scu.send_supervisor(dir.link_index(), word);
     }
 
     /// Raise a partition interrupt from this node.
     pub fn raise_partition_irq(&mut self, bits: u8) {
+        self.active_links = ALL_LINKS;
         self.scu.raise_partition_irq(bits);
     }
 
@@ -201,31 +217,44 @@ impl NodeCtx {
         self.wedged
     }
 
-    /// One pump of every wire: receive, then transmit. Every arrived
-    /// message is drained into the SCU first, so the acks and rejects it
-    /// provokes — and the window slots its acks free — leave in this same
-    /// pump; then each link transmits until it stalls on its ack window.
-    /// Returns whether anything moved; a link holding in retry backoff
-    /// counts, since its countdown is what lets it resend later.
+    /// One pump: receive on every wire, then transmit on the links with
+    /// work. Every arrived message is drained into the SCU first, so the
+    /// one cumulative ack and any reject it provokes — and the window slots
+    /// its acks free — leave in this same pump; then each active link
+    /// transmits until it stalls on its ack window. Returns whether anything moved; a link
+    /// holding in retry backoff counts, since its countdown is what lets it
+    /// resend later.
     pub fn progress(&mut self) -> bool {
         let mut moved = false;
         for link in 0..12 {
             let Some(rx) = &self.wires.rx[link] else {
                 continue;
             };
-            moved |= rx.drain(&mut self.inbox) > 0;
+            if rx.drain(&mut self.inbox) == 0 {
+                continue;
+            }
+            moved = true;
+            self.active_links |= 1 << link;
             while let Some(msg) = self.inbox.pop_front() {
                 if let Some(ev) = self
                     .scu
                     .rx(link, msg, &mut self.mem)
                     .expect("receive protocol fault")
                 {
+                    // A new interrupt is forwarded on every other link.
+                    if let ScuEvent::PartitionInterrupt(_) = ev {
+                        self.active_links = ALL_LINKS;
+                    }
                     self.events.push(ev);
                 }
             }
         }
-        for link in 0..12 {
+        let mut pending = self.active_links;
+        while pending != 0 {
+            let link = pending.trailing_zeros() as usize;
+            pending &= pending - 1;
             let Some(tx) = &self.wires.tx[link] else {
+                self.active_links &= !(1 << link);
                 continue;
             };
             moved |= self.scu.send_unit(link).holding_backoff();
@@ -246,10 +275,20 @@ impl NodeCtx {
                                 wf.seq,
                             );
                         }
+                        if v == WireVerdict::Drop {
+                            self.telem.flight(
+                                FlightKind::FaultInjected,
+                                "frame_drop",
+                                link as u64,
+                                0,
+                            );
+                        }
                         v
                     }
                     // Acks and rejects have no frame, but a dead wire
-                    // swallows them all the same.
+                    // swallows them all the same. They leave no flight
+                    // event: one ack covers a whole drain, so how many a
+                    // dead wire swallows depends on the host's poll order.
                     _ => {
                         if self.tap.clock().drop_frame(self.id.0, link, u64::MAX) {
                             WireVerdict::Drop
@@ -258,15 +297,14 @@ impl NodeCtx {
                         }
                     }
                 };
-                if verdict == WireVerdict::Drop {
-                    self.telem
-                        .flight(FlightKind::FaultInjected, "frame_drop", link as u64, 0);
-                }
                 if verdict == WireVerdict::Deliver {
                     tx.send(msg);
                     self.signal.sent.set(self.signal.sent.get() + 1);
                 }
                 moved = true;
+            }
+            if !self.scu.tx_pending(link) && !self.scu.send_unit(link).holding_backoff() {
+                self.active_links &= !(1 << link);
             }
         }
         if moved {
@@ -479,6 +517,7 @@ impl NodeCtx {
             },
             scu,
             wires,
+            active_links: 0,
             inbox: VecDeque::new(),
             events: Vec::new(),
             tap: NodeTap::new(clock, node),
@@ -671,6 +710,67 @@ mod tests {
             results[2].is_empty(),
             "supervisor packets are point-to-point"
         );
+    }
+
+    /// Pump until `seen` holds, at most `rounds` times; whether it held.
+    async fn pump_until(
+        ctx: &mut NodeCtx,
+        rounds: usize,
+        mut seen: impl FnMut(&mut NodeCtx) -> bool,
+    ) -> bool {
+        for _ in 0..rounds {
+            if seen(ctx) {
+                return true;
+            }
+            ctx.progress();
+            yield_once().await;
+        }
+        seen(ctx)
+    }
+
+    #[test]
+    fn idle_links_still_carry_interrupts_and_supervisor_words() {
+        // The pump only transmits on links with work. After a shift every
+        // link has drained and left that set, so these two programs start
+        // from idle links. A partition interrupt raised by node 5 must
+        // still flood the whole [8] ring — each node forwards on links the
+        // interrupt, not a transfer, woke — and, in a run with nothing
+        // else on the wires, a supervisor word must still reach node 0's
+        // +x neighbour. The bounded pumps fail the test instead of hanging
+        // it.
+        let ring8 = || ShardedMachine::new(TorusShape::new(&[8]));
+        let (flooded, _) = ring8().run_worker_sweep(async |ctx| {
+            shift_eight_words(ctx).await;
+            if ctx.id.0 == 5 {
+                ctx.raise_partition_irq(0b100);
+            }
+            pump_until(ctx, 100_000, |ctx| ctx.partition_irq_state() == 0b100).await
+        });
+        assert_eq!(flooded, vec![true; 8], "nodes that saw the interrupt");
+        let (delivered, _) = ring8().run_worker_sweep(async |ctx| {
+            shift_eight_words(ctx).await;
+            match ctx.id.0 {
+                0 => {
+                    ctx.send_supervisor(Axis(0).plus(), 0xFEED_F00D);
+                    // One pump puts the word on the wire before the node
+                    // finishes, so the ledger is the same at any worker
+                    // count.
+                    ctx.progress();
+                    false
+                }
+                1 => {
+                    let mut events = Vec::new();
+                    pump_until(ctx, 100_000, |ctx| {
+                        events.extend(ctx.take_events());
+                        !events.is_empty()
+                    })
+                    .await;
+                    events == [ScuEvent::SupervisorInterrupt(0xFEED_F00D)]
+                }
+                _ => false,
+            }
+        });
+        assert!(delivered[1], "the supervisor word never reached node 1");
     }
 
     #[test]

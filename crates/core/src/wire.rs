@@ -11,7 +11,9 @@
 //!
 //! Backpressure is the link protocol's three-in-the-air ack window, not the
 //! transport: the queue is unbounded but never holds more than a window of
-//! data frames plus the acknowledgements riding the same wire.
+//! data frames plus the acknowledgements riding the same wire. Acks are
+//! cumulative, and the receiving SCU sends one per drain rather than one
+//! per frame, so a window of three frames costs one ack, not three.
 
 use parking_lot::Mutex;
 use std::collections::VecDeque;

@@ -7,9 +7,11 @@
 //! process-wide (as in `per_word_allocations.rs`).
 
 use qcdoc_core::comm::global_sum_f64_async;
+use qcdoc_core::distributed::{dslash_local_async, BlockGeom};
 use qcdoc_core::functional::NodeCtx;
 use qcdoc_core::ShardedMachine;
 use qcdoc_geometry::TorusShape;
+use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -66,7 +68,27 @@ where
 fn an_idle_node_and_a_summing_node_stay_small() {
     let idle = peak_bytes_per_node(async |_ctx| {});
     let summed = peak_bytes_per_node(async |ctx| global_sum_f64_async(ctx, 1.0).await);
-    eprintln!("resident bytes per node: empty program {idle}, one global sum {summed}");
+    // The `torus_latency` node: a one-site block that exchanges its faces
+    // for one Wilson Dslash and then joins one global sum. Its face staging
+    // and the sum's ring words share one EDRAM page.
+    let global = Lattice::new([4, 4, 4, 4]);
+    let gauge = GaugeField::hot(global, 1);
+    let source = FermionField::gaussian(global, 2);
+    let latency = peak_bytes_per_node(async |ctx| {
+        let geom = BlockGeom::new(ctx, global);
+        let lg = geom.extract_gauge(&gauge);
+        let lb = geom.extract_fermion(&source);
+        let out = dslash_local_async(ctx, &geom, &lg, &lb).await;
+        global_sum_f64_async(ctx, out[0].norm_sqr()).await
+    });
+    eprintln!(
+        "resident bytes per node: empty program {idle}, one global sum {summed}, \
+         one-site Dslash + sum {latency}"
+    );
     assert!(idle <= 24 * KIB, "empty program: {idle} B per node");
     assert!(summed <= 40 * KIB, "one global sum: {summed} B per node");
+    assert!(
+        latency <= 36 * KIB,
+        "one-site Dslash + sum: {latency} B per node"
+    );
 }

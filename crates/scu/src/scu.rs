@@ -4,8 +4,12 @@
 //! Each uni-directional wire leaving the node multiplexes three things:
 //! data frames produced by the send unit of that direction, and
 //! acknowledgements / rejects for the data arriving on the paired opposite
-//! wire. The functional execution engine (in `qcdoc-core`) moves
-//! [`WireMsg`]s between paired SCUs; everything protocol-level lives here.
+//! wire. Acknowledgements are cumulative, so the SCU owes each wire at most
+//! one: the highest sequence number accepted since the last one left. A
+//! pump that drains every arrival before it transmits therefore sends one
+//! ack per link, however many frames it accepted. The functional execution
+//! engine (in `qcdoc-core`) moves [`WireMsg`]s between paired SCUs;
+//! everything protocol-level lives here.
 
 use crate::dma::{DmaDescriptor, DmaEngine, StoredInstructions};
 use crate::link::{
@@ -23,7 +27,9 @@ pub enum WireMsg {
     /// A framed data/supervisor/interrupt packet.
     Data(WireFrame),
     /// Acknowledgement of every data word up to and including `seq` on
-    /// the reverse direction (cumulative, so a duplicate ack is a no-op).
+    /// the reverse direction. Cumulative, so a duplicate ack is a no-op and
+    /// one ack stands for every frame accepted since the previous one: the
+    /// receiver sends one per drain, not one per frame.
     Ack(u64),
     /// Reject: ask the sender to rewind to sequence `seq`.
     Reject(u64),
@@ -79,7 +85,10 @@ pub struct Scu {
     /// the packet contains an interrupt which had not been previously
     /// sent").
     irq_seen: u8,
-    outgoing_acks: [VecDeque<u64>; LINKS],
+    /// Highest data sequence number owed an ack on the reverse wire. Acks
+    /// are cumulative, so one per link per pump carries every frame
+    /// accepted since the last.
+    outgoing_acks: [Option<u64>; LINKS],
     outgoing_rejects: [Option<u64>; LINKS],
 }
 
@@ -101,7 +110,7 @@ impl Scu {
             stored: StoredInstructions::default(),
             supervisor_inbox: VecDeque::new(),
             irq_seen: 0,
-            outgoing_acks: std::array::from_fn(|_| VecDeque::new()),
+            outgoing_acks: [None; LINKS],
             outgoing_rejects: [None; LINKS],
         }
     }
@@ -184,7 +193,7 @@ impl Scu {
         mem: &mut NodeMemory,
     ) -> Result<(), LinkError> {
         self.recv[link].arm(desc, mem)?;
-        self.outgoing_acks[link].extend(self.recv[link].take_pending_acks());
+        self.owe_acks(link);
         Ok(())
     }
 
@@ -200,11 +209,24 @@ impl Scu {
         mem: &mut NodeMemory,
     ) -> Result<(), LinkError> {
         self.recv[link].arm_checked(desc, mem)?;
-        self.outgoing_acks[link].extend(self.recv[link].take_pending_acks());
+        self.owe_acks(link);
         if let Some(verdict) = self.recv[link].take_pending_block() {
             self.outgoing_block[link] = Some(verdict);
         }
         Ok(())
+    }
+
+    /// Owe the reverse wire an ack covering `seq`.
+    fn owe_ack(&mut self, link: usize, seq: u64) {
+        let owed = &mut self.outgoing_acks[link];
+        *owed = Some(owed.map_or(seq, |s| s.max(seq)));
+    }
+
+    /// Owe the acks a late arm released from the idle-receive hold.
+    fn owe_acks(&mut self, link: usize) {
+        for seq in self.recv[link].take_pending_acks() {
+            self.owe_ack(link, seq);
+        }
     }
 
     /// Restart the stored receive descriptor for `link`.
@@ -251,7 +273,7 @@ impl Scu {
         if let Some(seq) = self.outgoing_rejects[link].take() {
             return Ok(Some(WireMsg::Reject(seq)));
         }
-        if let Some(seq) = self.outgoing_acks[link].pop_front() {
+        if let Some(seq) = self.outgoing_acks[link].take() {
             return Ok(Some(WireMsg::Ack(seq)));
         }
         // Block verdicts go out after the trailer's own ack so the sender
@@ -294,7 +316,7 @@ impl Scu {
     /// Whether this direction has anything left to transmit.
     pub fn tx_pending(&self, link: usize) -> bool {
         self.outgoing_rejects[link].is_some()
-            || !self.outgoing_acks[link].is_empty()
+            || self.outgoing_acks[link].is_some()
             || self.outgoing_block[link].is_some()
             || !self.send[link].drained()
             || self.send_dma[link].as_ref().is_some_and(|d| !d.done())
@@ -349,18 +371,18 @@ impl Scu {
                     // Out-of-band frames (partition irqs ride seq u64::MAX)
                     // never enter the data window and must not be acked.
                     if wf.seq != u64::MAX {
-                        self.outgoing_acks[link].push_back(wf.seq);
+                        self.owe_ack(link, wf.seq);
                     }
                     Ok(None)
                 }
                 RecvOutcome::Held => Ok(None),
                 RecvOutcome::BlockOk => {
-                    self.outgoing_acks[link].push_back(wf.seq);
+                    self.owe_ack(link, wf.seq);
                     self.outgoing_block[link] = Some((wf.seq, true));
                     Ok(None)
                 }
                 RecvOutcome::BlockCorrupt => {
-                    self.outgoing_acks[link].push_back(wf.seq);
+                    self.owe_ack(link, wf.seq);
                     self.outgoing_block[link] = Some((wf.seq, false));
                     Ok(None)
                 }
@@ -369,7 +391,7 @@ impl Scu {
                     Ok(None)
                 }
                 RecvOutcome::Supervisor(word) => {
-                    self.outgoing_acks[link].push_back(wf.seq);
+                    self.owe_ack(link, wf.seq);
                     self.supervisor_inbox.push_back(word);
                     Ok(Some(ScuEvent::SupervisorInterrupt(word)))
                 }
@@ -751,6 +773,49 @@ mod tests {
     }
 
     #[test]
+    fn one_cumulative_ack_per_drained_window() {
+        // Each step A transmits until its window stalls, B drains all of
+        // it, then B transmits everything it owes and A drains that — the
+        // engine's receive-before-transmit pump. B owes one ack per step,
+        // not one per frame: 768 words are 256 windows and 256 acks.
+        let (mut a, mut am) = trained();
+        let (mut b, mut bm) = trained();
+        let words: Vec<u64> = (0..768u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        am.write_block(0x1000, &words).unwrap();
+        a.start_send(0, DmaDescriptor::contiguous(0x1000, 768));
+        b.start_recv(1, DmaDescriptor::contiguous(0x10000, 768), &mut bm)
+            .unwrap();
+        let mut acks = 0;
+        loop {
+            let mut moved = false;
+            while let Some(msg) = a.tx_next(0, &mut am).unwrap() {
+                b.rx(1, msg, &mut bm).unwrap();
+                moved = true;
+            }
+            while let Some(msg) = b.tx_next(1, &mut bm).unwrap() {
+                acks += usize::from(matches!(msg, WireMsg::Ack(_)));
+                a.rx(0, msg, &mut am).unwrap();
+                moved = true;
+            }
+            if !moved {
+                break;
+            }
+        }
+        assert!(a.send_complete(0));
+        assert!(b.recv_complete(1));
+        assert_eq!(
+            acks,
+            256,
+            "one ack per drained window of {}",
+            crate::link::WINDOW
+        );
+        assert_eq!(bm.read_block(0x10000, 768).unwrap(), words);
+        assert_eq!(a.send_unit(0).checksum(), b.recv_unit(1).checksum());
+    }
+
+    #[test]
     fn bidirectional_concurrent_transfers() {
         // QCDOC supports concurrent sends and receives to each neighbour
         // (§2.2): run both directions of the same axis at once.
@@ -773,8 +838,90 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// What one drain of `frames` owes the sender, as the receiving
+        /// SCU records it: the latest reject, and an ack per accepted or
+        /// duplicate data frame in arrival order. `fates` decides each
+        /// frame in wire order: 0 corrupts it, 1 delivers it twice,
+        /// anything else delivers it once; once `fates` runs out, frames
+        /// arrive clean.
+        fn drain(
+            frames: &[WireFrame],
+            fates: &mut impl Iterator<Item = u8>,
+            recv: &mut RecvUnit,
+            mem: &mut NodeMemory,
+        ) -> (Option<u64>, Vec<u64>) {
+            let (mut reject, mut acks) = (None, Vec::new());
+            for wf in frames {
+                let mut wf = wf.clone();
+                let fate = fates.next().unwrap_or(2);
+                if fate == 0 {
+                    wf.frame.corrupt_bit(12);
+                }
+                for _ in 0..1 + usize::from(fate == 1) {
+                    match recv.on_frame(&wf, mem).unwrap() {
+                        RecvOutcome::Accepted | RecvOutcome::Duplicate => acks.push(wf.seq),
+                        RecvOutcome::Rejected { seq } => reject = Some(seq),
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+            }
+            (reject, acks)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The coalesced ack is the per-frame ack sequence folded: a
+            /// send unit fed the reject and then only the highest ack owed
+            /// ends every drain in the same state — window, in-flight
+            /// cursor, rewind count, backoff and its histogram — as one fed
+            /// the reject and then every ack, under any mix of corrupt and
+            /// duplicated frames.
+            #[test]
+            fn a_coalesced_ack_leaves_the_sender_where_per_frame_acks_do(
+                words in 1u32..48,
+                schedule in prop::collection::vec(0u8..8, 0..96),
+            ) {
+                let policy = RetryPolicy::bounded(1_000, 1, 4);
+                let mut per_frame = SendUnit::new();
+                per_frame.train();
+                per_frame.set_retry_policy(policy);
+                for w in 0..words as u64 {
+                    per_frame.enqueue_word(w);
+                }
+                let mut coalesced = per_frame.clone();
+                let mut recv = RecvUnit::new();
+                recv.train();
+                let mut mem = NodeMemory::with_128mb_dimm();
+                recv.arm(DmaDescriptor::contiguous(0x1000, words), &mut mem).unwrap();
+                let mut fates = schedule.into_iter();
+                for _ in 0..10_000 {
+                    if recv.complete() && per_frame.drained() {
+                        break;
+                    }
+                    let mut frames = Vec::new();
+                    while let Some(wf) = per_frame.next_frame().unwrap() {
+                        prop_assert_eq!(coalesced.next_frame().unwrap(), Some(wf.clone()));
+                        frames.push(wf);
+                    }
+                    prop_assert_eq!(coalesced.next_frame().unwrap(), None);
+                    let (reject, acks) = drain(&frames, &mut fates, &mut recv, &mut mem);
+                    for unit in [&mut per_frame, &mut coalesced] {
+                        if let Some(seq) = reject {
+                            unit.on_reject(seq);
+                        }
+                    }
+                    for &seq in &acks {
+                        per_frame.on_ack(seq);
+                    }
+                    if let Some(&max) = acks.iter().max() {
+                        coalesced.on_ack(max);
+                    }
+                    prop_assert_eq!(format!("{coalesced:?}"), format!("{per_frame:?}"));
+                }
+                prop_assert!(recv.complete() && per_frame.drained(), "transfer must finish");
+                prop_assert_eq!(per_frame.checksum(), recv.checksum());
+            }
 
             /// Any even-count burst confined to one parity class — the
             /// exact family of errors the Hamming-distance-3 frame code
