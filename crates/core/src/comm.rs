@@ -25,7 +25,7 @@ use qcdoc_telemetry::Phase;
 /// [`crate::distributed`]. Packed together, a node whose faces are small
 /// (a one-site block) keeps its whole comm footprint in one 8 kB EDRAM
 /// page. The application owns the memory below the staging.
-pub const COMM_SCRATCH_TOP: u64 = qcdoc_asic::memory::EDRAM_SIZE - 64 * 1024;
+pub(crate) const COMM_SCRATCH_TOP: u64 = qcdoc_asic::memory::EDRAM_SIZE - 64 * 1024;
 
 /// Ring-step staging words: what leaves toward ±axis, and what arrives
 /// from the −axis and +axis neighbours. The face staging ends here.

@@ -5,28 +5,32 @@
 //! with a space-time hypercube"). A Wilson dslash then needs, from each of
 //! the eight neighbours, the spin-projected half-spinors of the adjacent
 //! face — 6 complex numbers per face site, staged into node memory and
-//! moved by the SCU DMA engines over the real link protocol.
+//! moved by the SCU DMA engines over the real link protocol. An operator
+//! is one pack pass, the exchange, and one site sweep that reads each face
+//! where the DMA left it, as the zero-copy hardware does.
 //!
 //! The arithmetic is ordered so that the distributed operator is **bitwise
 //! identical** to the single-node reference in `qcdoc-lattice`: the same
 //! project → SU(3)-multiply → reconstruct → accumulate sequence runs for
-//! every site, only the *location* of the data differs. That is the
-//! property behind the §4 reproducibility result, and the integration
-//! tests assert it — including under injected link faults, where the
-//! hardware resend makes corruption invisible to the physics.
+//! every site, and `M`, `M†` combine `1 − κD` and fold γ₅ as
+//! `WilsonDirac` does; only the *location* of the data differs. That is the
+//! property behind the §4 reproducibility result, and the tests assert it —
+//! including under injected link faults, where the hardware resend makes
+//! corruption invisible to the physics.
 
 use crate::comm::{global_sum_f64_async, RING_SEND_PLUS};
 use crate::functional::NodeCtx;
 use qcdoc_asic::memory::NodeMemory;
-use qcdoc_geometry::{Axis, NodeId, TorusShape};
+use qcdoc_geometry::{Axis, Direction, NodeId, TorusShape};
 use qcdoc_lattice::checkpoint::CgCheckpoint;
 use qcdoc_lattice::complex::C64;
 use qcdoc_lattice::counts::HALF_SPINOR_BYTES;
-use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
+use qcdoc_lattice::field::{FermionField, GaugeField, Lattice, NeighbourTable};
 use qcdoc_lattice::spinor::{HalfSpinor, ProjSign, Spinor, WORDS_PER_SPINOR};
 use qcdoc_lattice::su3::Su3;
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_telemetry::Phase;
+use std::sync::OnceLock;
 
 /// Words per half-spinor on the wire (6 complex = 12 × u64): what
 /// `lattice::counts`, [`crate::perf`] and the paper charge per face site.
@@ -51,6 +55,9 @@ fn compute_cycles(sites: usize, flops: u64) -> u64 {
     (sites as u64 * flops) / 2
 }
 
+/// The largest face 16 staging slots below the ring words hold: 2,687 sites.
+const MAX_STAGED_FACE: usize = (RING_SEND_PLUS / (16 * HALF_SPINOR_BYTES)) as usize;
+
 /// The block decomposition seen from one node.
 #[derive(Debug, Clone)]
 pub struct BlockGeom {
@@ -59,9 +66,12 @@ pub struct BlockGeom {
     /// The local block.
     pub local: Lattice,
     /// Logical machine extents (padded to 4 axes).
-    pub mdims: [usize; 4],
+    mdims: [usize; 4],
     /// This node's machine coordinate.
-    pub mcoord: [usize; 4],
+    mcoord: [usize; 4],
+    /// Hops within the local block, tabulated as `WilsonDirac` does, on
+    /// the first operator sweep: a host-side decomposition never builds it.
+    hops: OnceLock<NeighbourTable>,
 }
 
 impl BlockGeom {
@@ -96,12 +106,20 @@ impl BlockGeom {
             );
             ld[a] = gd[a] / mdims[a];
         }
-        BlockGeom {
+        let local = Lattice::new(ld);
+        let geom = BlockGeom {
             global,
-            local: Lattice::new(ld),
+            local,
             mdims,
             mcoord,
-        }
+            hops: OnceLock::new(),
+        };
+        let face = geom.largest_exchanged_face();
+        assert!(
+            face <= MAX_STAGED_FACE,
+            "an exchanged face of {face} sites does not fit the face staging (at most {MAX_STAGED_FACE})"
+        );
+        geom
     }
 
     /// Global site index of a local site.
@@ -146,9 +164,18 @@ impl BlockGeom {
         self.local.volume() / self.local.dims()[mu]
     }
 
+    /// Sites on the largest face a hop carries off the node (0 if none).
+    fn largest_exchanged_face(&self) -> usize {
+        (0..4)
+            .filter(|&mu| self.off_node(mu))
+            .map(|mu| self.face_sites(mu))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Dense index of a site within the face normal to `mu` (lexicographic
     /// over the other axes, x fastest).
-    pub fn face_index(&self, lc: [usize; 4], mu: usize) -> usize {
+    fn face_index(&self, lc: [usize; 4], mu: usize) -> usize {
         let ld = self.local.dims();
         let mut idx = 0usize;
         for a in (0..4).rev() {
@@ -166,10 +193,13 @@ impl BlockGeom {
     }
 }
 
+/// Why a staging access cannot fail ([`BlockGeom::for_node`] checks it).
+const STAGED: &str = "face staging lies in EDRAM";
+
 /// Staging layout inside EDRAM: 16 slots (8 send + 8 receive, one per
-/// signed direction), sized for the largest face, directly below the
-/// global sum's ring-step words (see [`crate::comm::COMM_SCRATCH_TOP`]), so
-/// a one-site node's faces and ring words share one EDRAM page.
+/// signed direction), sized for the largest exchanged face, directly below
+/// the global sum's ring-step words (see [`crate::comm::COMM_SCRATCH_TOP`]),
+/// so a one-site node's faces and ring words share one EDRAM page.
 struct Staging {
     base: u64,
     slot_bytes: u64,
@@ -177,8 +207,7 @@ struct Staging {
 
 impl Staging {
     fn new(geom: &BlockGeom) -> Staging {
-        let max_face = (0..4).map(|m| geom.face_sites(m)).max().unwrap() as u64;
-        let slot_bytes = max_face * HALF_WORDS * 8;
+        let slot_bytes = geom.largest_exchanged_face() as u64 * HALF_SPINOR_BYTES;
         Staging {
             base: RING_SEND_PLUS - 16 * slot_bytes,
             slot_bytes,
@@ -190,168 +219,170 @@ impl Staging {
     fn slot(&self, slot: usize) -> u64 {
         self.base + slot as u64 * self.slot_bytes
     }
+
+    /// Byte address of the half-spinor at face index `index` in `slot`.
+    fn site(&self, slot: usize, index: usize) -> u64 {
+        self.slot(slot) + index as u64 * HALF_SPINOR_BYTES
+    }
+
+    /// The half-spinor at face index `index` of `slot`, read in place.
+    fn read(&self, mem: &mut NodeMemory, slot: usize, index: usize) -> HalfSpinor {
+        let base = self.site(slot, index);
+        let mut words = [0u64; HALF_WORDS as usize];
+        for (i, word) in words.iter_mut().enumerate() {
+            *word = mem.read_word(base + i as u64 * 8).expect(STAGED);
+        }
+        HalfSpinor::from_words(&words)
+    }
 }
 
-/// Pack both faces of every spanned axis into the staging slots and arm
-/// all sends/receives; returns the direction lists a completion wait
-/// needs.
+/// Which operator one application computes.
+#[derive(Debug, Clone, Copy)]
+enum Operator {
+    /// The hopping term `D` alone.
+    Hop,
+    /// `M = 1 − κD`, with κ.
+    M(f64),
+    /// `M† = γ₅Mγ₅`, with κ.
+    MDagger(f64),
+}
+
+impl Operator {
+    /// Projection signs of the forward and backward hops: `M†` folds its
+    /// inner γ₅ into them, as the serial kernel's `hop` does (an SU(3)
+    /// multiply follows every projection and erases the sign of a zero).
+    fn proj_signs(self) -> (ProjSign, ProjSign) {
+        match self {
+            Operator::MDagger(_) => (ProjSign::Plus, ProjSign::Minus),
+            Operator::Hop | Operator::M(_) => (ProjSign::Minus, ProjSign::Plus),
+        }
+    }
+}
+
+/// Pack both faces of every spanned axis in one scan of the block, with
+/// `op`'s projection signs, and arm all sends and receives. Returns the
+/// directions to complete: each is both sent toward and received from.
 fn arm_face_exchange(
     ctx: &mut NodeCtx,
     geom: &BlockGeom,
     gauge: &[[Su3; 4]],
     psi: &[Spinor],
-) -> (
-    Vec<qcdoc_geometry::Direction>,
-    Vec<qcdoc_geometry::Direction>,
-) {
+    op: Operator,
+) -> Vec<Direction> {
     let ld = geom.local.dims();
     let staging = Staging::new(geom);
-    let mut sends = Vec::new();
-    let mut recvs = Vec::new();
-    for mu in 0..4 {
-        if !geom.off_node(mu) {
-            continue;
-        }
-        let faces = geom.face_sites(mu) as u64;
-        // Pack the low face (x_mu = 0): P− ψ, wanted by the −μ neighbour.
-        let send_lo = staging.slot(2 * mu);
-        // Pack the high face: U†_μ (1+γ_μ) ψ, wanted by the +μ neighbour.
-        let send_hi = staging.slot(2 * mu + 1);
-        for l in geom.local.sites() {
-            let lc = geom.local.coord(l);
+    let (fwd, bwd) = op.proj_signs();
+    for l in geom.local.sites() {
+        let lc = geom.local.coord(l);
+        for mu in (0..4).filter(|&mu| geom.off_node(mu)) {
+            // The low face (x_mu = 0): P ψ, wanted by the −μ neighbour.
             if lc[mu] == 0 {
-                let h = psi[l].project(mu, ProjSign::Minus);
-                let base = send_lo + geom.face_index(lc, mu) as u64 * HALF_WORDS * 8;
-                ctx.mem.write_block(base, &h.to_words()).unwrap();
+                let h = psi[l].project(mu, fwd);
+                let base = staging.site(2 * mu, geom.face_index(lc, mu));
+                ctx.mem.write_block(base, &h.to_words()).expect(STAGED);
             }
+            // The high face: U†_μ P ψ, wanted by the +μ neighbour.
             if lc[mu] == ld[mu] - 1 {
-                let h = psi[l]
-                    .project(mu, ProjSign::Plus)
-                    .adj_mul_su3(&gauge[l][mu]);
-                let base = send_hi + geom.face_index(lc, mu) as u64 * HALF_WORDS * 8;
-                ctx.mem.write_block(base, &h.to_words()).unwrap();
+                let h = psi[l].project(mu, bwd).adj_mul_su3(&gauge[l][mu]);
+                let base = staging.site(2 * mu + 1, geom.face_index(lc, mu));
+                ctx.mem.write_block(base, &h.to_words()).expect(STAGED);
             }
         }
+    }
+    let mut dirs = Vec::new();
+    for mu in (0..4).filter(|&mu| geom.off_node(mu)) {
         let axis = Axis(mu as u8);
+        let words = (geom.face_sites(mu) as u64 * HALF_WORDS) as u32;
         // Receives: from +μ (their low face) and from −μ (their high face).
-        let recv_plus = staging.slot(8 + 2 * mu);
-        let recv_minus = staging.slot(8 + 2 * mu + 1);
-        ctx.start_recv(
-            axis.plus(),
-            DmaDescriptor::contiguous(recv_plus, (faces * HALF_WORDS) as u32),
-        );
-        ctx.start_recv(
-            axis.minus(),
-            DmaDescriptor::contiguous(recv_minus, (faces * HALF_WORDS) as u32),
-        );
+        let desc = |slot| DmaDescriptor::contiguous(staging.slot(slot), words);
+        ctx.start_recv(axis.plus(), desc(8 + 2 * mu));
+        ctx.start_recv(axis.minus(), desc(8 + 2 * mu + 1));
         // Sends: low face toward −μ, high face toward +μ.
-        ctx.start_send(
-            axis.minus(),
-            DmaDescriptor::contiguous(send_lo, (faces * HALF_WORDS) as u32),
-        );
-        ctx.start_send(
-            axis.plus(),
-            DmaDescriptor::contiguous(send_hi, (faces * HALF_WORDS) as u32),
-        );
-        sends.push(axis.plus());
-        sends.push(axis.minus());
-        recvs.push(axis.plus());
-        recvs.push(axis.minus());
+        ctx.start_send(axis.minus(), desc(2 * mu));
+        ctx.start_send(axis.plus(), desc(2 * mu + 1));
+        dirs.extend([axis.plus(), axis.minus()]);
     }
-    (sends, recvs)
-}
-
-/// Unpack the received half-spinor faces out of the staging slots — the
-/// read-side counterpart of [`arm_face_exchange`], run after completion.
-#[allow(clippy::type_complexity)]
-fn unpack_faces(
-    ctx: &mut NodeCtx,
-    geom: &BlockGeom,
-) -> ([Vec<HalfSpinor>; 4], [Vec<HalfSpinor>; 4]) {
-    let staging = Staging::new(geom);
-    let mut from_plus: [Vec<HalfSpinor>; 4] = Default::default();
-    let mut from_minus: [Vec<HalfSpinor>; 4] = Default::default();
-    for mu in 0..4 {
-        if !geom.off_node(mu) {
-            continue;
-        }
-        let faces = geom.face_sites(mu) as u64;
-        from_plus[mu] = read_face(&mut ctx.mem, staging.slot(8 + 2 * mu), faces);
-        from_minus[mu] = read_face(&mut ctx.mem, staging.slot(8 + 2 * mu + 1), faces);
-    }
-    (from_plus, from_minus)
-}
-
-/// Read the `faces` half-spinors staged from `base` on, each through a
-/// stack buffer.
-fn read_face(mem: &mut NodeMemory, base: u64, faces: u64) -> Vec<HalfSpinor> {
-    (0..faces * HALF_WORDS)
-        .step_by(HALF_WORDS as usize)
-        .map(|first| {
-            let mut words = [0u64; HALF_WORDS as usize];
-            for (i, word) in words.iter_mut().enumerate() {
-                *word = mem.read_word(base + (first + i as u64) * 8).unwrap();
-            }
-            HalfSpinor::from_words(&words)
-        })
-        .collect()
+    dirs
 }
 
 /// Exchange all faces of `psi`: returns, per axis, the half-spinors
 /// arriving from the +μ neighbour (their projected low face) and from the
 /// −μ neighbour (their `U†(1+γ)ψ` high face). Axes the machine does not
-/// span return empty vectors.
+/// span return empty vectors. The operators read faces in place; only this
+/// copies them.
 pub async fn exchange_faces_async(
     ctx: &mut NodeCtx,
     geom: &BlockGeom,
     gauge: &[[Su3; 4]],
     psi: &[Spinor],
 ) -> ([Vec<HalfSpinor>; 4], [Vec<HalfSpinor>; 4]) {
-    let (sends, recvs) = arm_face_exchange(ctx, geom, gauge, psi);
-    ctx.complete_async(&sends, &recvs).await;
-    unpack_faces(ctx, geom)
+    let dirs = arm_face_exchange(ctx, geom, gauge, psi, Operator::Hop);
+    ctx.complete_async(&dirs, &dirs).await;
+    let staging = Staging::new(geom);
+    let mut from_plus: [Vec<HalfSpinor>; 4] = Default::default();
+    let mut from_minus: [Vec<HalfSpinor>; 4] = Default::default();
+    for mu in (0..4).filter(|&mu| geom.off_node(mu)) {
+        let mut face = |slot| {
+            (0..geom.face_sites(mu))
+                .map(|i| staging.read(&mut ctx.mem, slot, i))
+                .collect()
+        };
+        from_plus[mu] = face(8 + 2 * mu);
+        from_minus[mu] = face(8 + 2 * mu + 1);
+    }
+    (from_plus, from_minus)
 }
 
-/// The site loop of the Wilson hopping term: per site, for each μ, forward
-/// project → SU(3) multiply → reconstruct, then backward — the exact
-/// order the single-node reference uses, so the distributed operator
-/// stays bitwise identical to it.
-fn dslash_compute(
+/// One operator application into `out`: the face exchange, then one site
+/// sweep. Per site, for each μ, forward project → SU(3) multiply →
+/// reconstruct, then backward — the order of `WilsonDirac`'s `hop`, with
+/// off-node half-spinors read from the receive slots — then the centre
+/// term as `WilsonDirac::{apply, apply_dagger}` combine it.
+async fn apply_async(
     ctx: &mut NodeCtx,
     geom: &BlockGeom,
     gauge: &[[Su3; 4]],
     psi: &[Spinor],
-    from_plus: &[Vec<HalfSpinor>; 4],
-    from_minus: &[Vec<HalfSpinor>; 4],
-) -> Vec<Spinor> {
+    op: Operator,
+    out: &mut [Spinor],
+) {
+    let dirs = arm_face_exchange(ctx, geom, gauge, psi, op);
+    ctx.complete_async(&dirs, &dirs).await;
     let token = ctx.telem.begin();
+    let staging = Staging::new(geom);
+    let (fwd, bwd) = op.proj_signs();
     let local = geom.local;
     let ld = local.dims();
-    let mut out = vec![Spinor::ZERO; local.volume()];
+    let hops = geom.hops.get_or_init(|| NeighbourTable::new(local));
+    let mem = &mut ctx.mem;
     for l in local.sites() {
         let lc = local.coord(l);
         let mut acc = Spinor::ZERO;
         for mu in 0..4 {
             // Forward hop: U_mu(x) (1-gamma) psi(x+mu).
             let hf = if geom.off_node(mu) && lc[mu] == ld[mu] - 1 {
-                from_plus[mu][geom.face_index(lc, mu)]
+                staging.read(mem, 8 + 2 * mu, geom.face_index(lc, mu))
             } else {
-                let xf = local.neighbour(l, mu, true);
-                psi[xf].project(mu, ProjSign::Minus)
+                psi[hops.fwd(l, mu)].project(mu, fwd)
             };
             acc += Spinor::reconstruct(&hf.mul_su3(&gauge[l][mu]), mu, ProjSign::Minus);
             // Backward hop: U_mu(x-mu)^dag (1+gamma) psi(x-mu).
             let hb = if geom.off_node(mu) && lc[mu] == 0 {
-                from_minus[mu][geom.face_index(lc, mu)]
+                staging.read(mem, 8 + 2 * mu + 1, geom.face_index(lc, mu))
             } else {
-                let xb = local.neighbour(l, mu, false);
-                psi[xb]
-                    .project(mu, ProjSign::Plus)
-                    .adj_mul_su3(&gauge[xb][mu])
+                let xb = hops.bwd(l, mu);
+                psi[xb].project(mu, bwd).adj_mul_su3(&gauge[xb][mu])
             };
             acc += Spinor::reconstruct(&hb, mu, ProjSign::Plus);
         }
-        out[l] = acc;
+        out[l] = match op {
+            Operator::Hop => acc,
+            Operator::M(kappa) => psi[l].axpy(C64::real(-kappa), &acc),
+            Operator::MDagger(kappa) => psi[l]
+                .apply_gamma5()
+                .axpy(C64::real(-kappa), &acc)
+                .apply_gamma5(),
+        };
     }
     ctx.telem
         .advance(compute_cycles(local.volume(), WILSON_FLOPS_PER_SITE));
@@ -362,7 +393,6 @@ fn dslash_compute(
         local.volume() as u64,
     );
     ctx.telem.counter_add("dslash_applications", 1);
-    out
 }
 
 /// Distributed Wilson hopping term on this node's block.
@@ -372,37 +402,9 @@ pub async fn dslash_local_async(
     gauge: &[[Su3; 4]],
     psi: &[Spinor],
 ) -> Vec<Spinor> {
-    let (from_plus, from_minus) = exchange_faces_async(ctx, geom, gauge, psi).await;
-    dslash_compute(ctx, geom, gauge, psi, &from_plus, &from_minus)
-}
-
-/// Distributed Wilson operator `M = 1 − κ D`.
-pub async fn wilson_apply_async(
-    ctx: &mut NodeCtx,
-    geom: &BlockGeom,
-    gauge: &[[Su3; 4]],
-    psi: &[Spinor],
-    kappa: f64,
-) -> Vec<Spinor> {
-    let mut out = dslash_local_async(ctx, geom, gauge, psi).await;
-    let mk = C64::real(-kappa);
-    for (o, p) in out.iter_mut().zip(psi) {
-        *o = p.axpy(mk, o);
-    }
+    let mut out = vec![Spinor::ZERO; psi.len()];
+    apply_async(ctx, geom, gauge, psi, Operator::Hop, &mut out).await;
     out
-}
-
-/// Distributed `M† = γ₅ M γ₅`.
-pub async fn wilson_apply_dagger_async(
-    ctx: &mut NodeCtx,
-    geom: &BlockGeom,
-    gauge: &[[Su3; 4]],
-    psi: &[Spinor],
-    kappa: f64,
-) -> Vec<Spinor> {
-    let g5: Vec<Spinor> = psi.iter().map(|s| s.apply_gamma5()).collect();
-    let mid = wilson_apply_async(ctx, geom, gauge, &g5, kappa).await;
-    mid.iter().map(|s| s.apply_gamma5()).collect()
 }
 
 /// Block vector helpers with machine-wide reductions.
@@ -480,20 +482,21 @@ pub async fn wilson_solve_cg_async(
     (out.x, report)
 }
 
-/// The state a CG segment hands back: everything needed to checkpoint or
-/// continue, plus whether the segment ended by wedging on dead hardware.
+/// The state a CG segment hands back: the solution and the scalars, the
+/// resume state only [`assemble_checkpoint`] reads, and whether the segment
+/// ended by wedging on dead hardware.
 #[derive(Debug, Clone)]
 pub struct CgSegmentOut {
     /// Solution block after this segment.
     pub x: Vec<Spinor>,
     /// Residual block.
-    pub r: Vec<Spinor>,
+    r: Vec<Spinor>,
     /// Search-direction block.
-    pub p: Vec<Spinor>,
+    p: Vec<Spinor>,
     /// `‖r‖²` after this segment.
     pub rsq: f64,
     /// Reference scale.
-    pub bref: f64,
+    bref: f64,
     /// Total iterations completed (across all segments).
     pub iterations: usize,
     /// Relative residual of every iteration completed so far: the
@@ -536,7 +539,8 @@ pub async fn wilson_cg_segment_async(
         None => {
             let x = vec![Spinor::ZERO; b.len()];
             // r = M† b (x0 = 0).
-            let r = wilson_apply_dagger_async(ctx, geom, gauge, b, kappa).await;
+            let mut r = vec![Spinor::ZERO; b.len()];
+            apply_async(ctx, geom, gauge, b, Operator::MDagger(kappa), &mut r).await;
             // ‖r‖² is both the first rsq and the reference scale; the
             // dimension-ordered sum is deterministic, so one sum serves both.
             let rsq = global_sum_f64_async(ctx, local_norm_sqr(&r)).await;
@@ -550,11 +554,14 @@ pub async fn wilson_cg_segment_async(
             (x, r, p, ckpt.rsq, ckpt.bref, ckpt.iterations, history)
         }
     };
+    // `t = Mp` and `q = M†t`: the segment's scratch, allocated once.
+    let mut t = vec![Spinor::ZERO; b.len()];
+    let mut q = vec![Spinor::ZERO; b.len()];
     let mut converged = (rsq / bref).sqrt() <= tolerance;
     let mut done_here = 0usize;
     while !ctx.wedged() && !converged && iterations < max_iterations && done_here < segment_iters {
-        let t = wilson_apply_async(ctx, geom, gauge, &p, kappa).await;
-        let q = wilson_apply_dagger_async(ctx, geom, gauge, &t, kappa).await;
+        apply_async(ctx, geom, gauge, &p, Operator::M(kappa), &mut t).await;
+        apply_async(ctx, geom, gauge, &t, Operator::MDagger(kappa), &mut q).await;
         let pq = global_sum_f64_async(ctx, local_dot_re(&p, &q)).await;
         if ctx.wedged() {
             break;
@@ -707,6 +714,78 @@ mod tests {
             results.iter().all(|&ok| ok),
             "distributed dslash diverged from reference"
         );
+    }
+
+    #[test]
+    fn machine_m_and_m_dagger_equal_the_serial_operators_word_for_word() {
+        // 4, 2, 1 and 0 spanned axes. The point source's exact zeros
+        // exercise the γ₅ fold's signed-zero argument on the wire path.
+        let global = Lattice::new([4, 4, 4, 4]);
+        let gauge = GaugeField::hot(global, 81);
+        let serial = WilsonDirac::new(&gauge, KAPPA);
+        let sources = [
+            ("gaussian", FermionField::gaussian(global, 82)),
+            ("point", FermionField::point_source(global, 37)),
+        ];
+        for (source, psi) in &sources {
+            let mut m = FermionField::zero(global);
+            let mut m_dagger = FermionField::zero(global);
+            serial.apply(&mut m, psi);
+            serial.apply_dagger(&mut m_dagger, psi);
+            for dims in [&[2, 2, 2, 2][..], &[2, 2], &[4], &[1]] {
+                let results = ShardedMachine::new(TorusShape::new(dims)).run(async |ctx| {
+                    let geom = BlockGeom::new(ctx, global);
+                    let lg = geom.extract_gauge(&gauge);
+                    let lp = geom.extract_fermion(psi);
+                    let mut out = vec![Spinor::ZERO; lp.len()];
+                    let mut matches = Vec::new();
+                    for (op, want) in [
+                        (Operator::M(KAPPA), &m),
+                        (Operator::MDagger(KAPPA), &m_dagger),
+                    ] {
+                        apply_async(ctx, &geom, &lg, &lp, op, &mut out).await;
+                        matches.push(geom.local.sites().all(|l| {
+                            out[l].to_words() == want.site(geom.global_site(l)).to_words()
+                        }));
+                    }
+                    matches
+                });
+                for (node, matches) in results.iter().enumerate() {
+                    assert_eq!(
+                        matches,
+                        &[true, true],
+                        "{source} source, shape {dims:?}, node {node}: [M, M†]"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dslash_on_a_block_with_a_large_unexchanged_face_matches_the_reference() {
+        // Only axis 0 is exchanged, with 512-site faces; the 4,096-site face
+        // normal to axis 3 stays on the node and takes no staging.
+        let global = Lattice::new([32, 16, 16, 2]);
+        let gauge = GaugeField::hot(global, 41);
+        let psi = FermionField::gaussian(global, 42);
+        let reference = reference_dslash(global, &gauge, &psi);
+        let results = ShardedMachine::new(TorusShape::new(&[2])).run(async |ctx| {
+            let geom = BlockGeom::new(ctx, global);
+            let lg = geom.extract_gauge(&gauge);
+            let lp = geom.extract_fermion(&psi);
+            let out = dslash_local_async(ctx, &geom, &lg, &lp).await;
+            geom.local
+                .sites()
+                .all(|l| out[l].to_words() == reference.site(geom.global_site(l)).to_words())
+        });
+        assert_eq!(results, [true, true]);
+    }
+
+    #[test]
+    #[should_panic(expected = "an exchanged face of 4096 sites does not fit the face staging")]
+    fn a_face_too_large_for_the_staging_is_refused() {
+        let global = Lattice::new([32, 16, 16, 16]);
+        BlockGeom::for_node(&TorusShape::new(&[2]), NodeId(0), global);
     }
 
     #[test]

@@ -42,6 +42,9 @@ use std::sync::Arc;
 use crate::sharded::ShardSignal;
 use crate::wire::{wire, WireRx, WireTx};
 
+/// Per-node span ring-buffer capacity (bounded memory).
+const RING_CAPACITY: usize = 65_536;
+
 /// Telemetry knobs for a [`ShardedMachine`](crate::ShardedMachine) run.
 ///
 /// The functional engine has no global clock of its own (nodes run at
@@ -50,21 +53,10 @@ use crate::wire::{wire, WireRx, WireTx};
 /// `link.transfer_cycles(w)` logical cycles, the slowest armed link
 /// setting the pace — which is exactly how the paper's §4 efficiency
 /// model charges communication time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TelemetryConfig {
-    /// Per-node span ring-buffer capacity (bounded memory).
-    pub ring_capacity: usize,
     /// Link timing used to convert word counts into logical cycles.
     pub link: LinkTimingConfig,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            ring_capacity: 65_536,
-            link: LinkTimingConfig::default(),
-        }
-    }
 }
 
 /// One node's execution context: its memory, SCU, and wires.
@@ -141,11 +133,6 @@ impl NodeCtx {
     /// Logical coordinate of the neighbour in `dir`.
     pub fn neighbour(&self, dir: Direction) -> NodeId {
         self.shape.rank_of(self.shape.neighbour(self.coord, dir))
-    }
-
-    /// Whether the machine spans more than one node along `axis`.
-    pub fn axis_spans(&self, axis: usize) -> bool {
-        axis < self.shape.rank() && self.shape.extent(axis) > 1
     }
 
     /// Start a DMA send toward `dir`. A wedged node refuses: its units
@@ -512,7 +499,7 @@ impl NodeCtx {
             shape: cfg.shape.clone(),
             mem: NodeMemory::new(cfg.ddr_bytes),
             telem: match cfg.telemetry {
-                Some(t) => NodeTelemetry::with_ring(node, t.ring_capacity),
+                Some(_) => NodeTelemetry::with_ring(node, RING_CAPACITY),
                 None => NodeTelemetry::disabled(node),
             },
             scu,
@@ -774,23 +761,18 @@ mod tests {
     }
 
     #[test]
-    fn neighbour_and_axis_span_queries() {
+    fn neighbour_queries() {
         let machine = ShardedMachine::new(TorusShape::new(&[4, 2]));
         let results = machine.run(async |ctx| {
             (
                 ctx.neighbour(Axis(0).plus()).0,
                 ctx.neighbour(Axis(1).minus()).0,
-                ctx.axis_spans(0),
-                ctx.axis_spans(1),
-                ctx.axis_spans(5),
             )
         });
         // Node 0 at (0,0): +x neighbour is (1,0) = rank 1; -y neighbour is
         // (0,1) = rank 4 (wrap on the 2-ring).
         assert_eq!(results[0].0, 1);
         assert_eq!(results[0].1, 4);
-        assert!(results[0].2 && results[0].3);
-        assert!(!results[0].4, "axes beyond the rank do not span");
     }
 
     #[test]

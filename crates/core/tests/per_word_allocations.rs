@@ -1,24 +1,42 @@
-//! The per-word path — `NodeCtx::progress` → wire → `Scu::rx` — allocates
-//! nothing: a transfer eight times longer costs the same number of heap
-//! allocations. One test only, because the counter is process-wide.
+//! Heap allocations that do not grow with the work done:
+//! - the per-word path — `NodeCtx::progress` → wire → `Scu::rx` — allocates
+//!   nothing: a transfer eight times longer costs the same number of heap
+//!   allocations;
+//! - a distributed CG iteration allocates no block and no face: a segment
+//!   of nine iterations makes as many allocations of at least 768 B as one
+//!   of three.
+//!
+//! One test only, because the counters are process-wide.
 
+use qcdoc_core::distributed::{wilson_cg_segment_async, BlockGeom};
 use qcdoc_core::ShardedMachine;
 use qcdoc_geometry::{Axis, TorusShape};
+use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc_scu::dma::DmaDescriptor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Allocations of at least [`LARGE_BYTES`].
+static LARGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting every allocation (a `realloc` reaches
-/// `alloc` through the trait's default implementation).
+/// One face of a 2⁴ block: 8 sites of 96-byte half-spinors, so every
+/// face copy and every block counts.
+const LARGE_BYTES: usize = 768;
+
+/// The system allocator, counting every allocation and, apart, the large
+/// ones (a `realloc` reaches `alloc` through the trait's default
+/// implementation).
 struct Counting;
 
 // SAFETY: every request is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
+// the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if layout.size() >= LARGE_BYTES {
+            LARGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: the caller's `layout` obligations pass straight through.
         unsafe { System.alloc(layout) }
     }
@@ -65,6 +83,28 @@ fn allocations_of_a_shift(words: u32) -> u64 {
     allocations
 }
 
+/// Allocations of at least [`LARGE_BYTES`] made by a whole one-worker run
+/// of a fresh `wilson_cg_segment_async` of exactly `iterations` iterations
+/// (the tolerance is one no iteration reaches).
+fn large_allocations_of_a_cg_segment(dims: &[usize], global: [usize; 4], iterations: usize) -> u64 {
+    let global = Lattice::new(global);
+    let gauge = GaugeField::hot(global, 5);
+    let b = FermionField::gaussian(global, 6);
+    let machine = ShardedMachine::new(TorusShape::new(dims)).with_workers(1);
+    let before = LARGE_ALLOCATIONS.load(Ordering::Relaxed);
+    let done = machine.run(async |ctx| {
+        let geom = BlockGeom::new(ctx, global);
+        let lg = geom.extract_gauge(&gauge);
+        let lb = geom.extract_fermion(&b);
+        let out =
+            wilson_cg_segment_async(ctx, &geom, &lg, &lb, 0.12, 1e-30, 100, None, iterations).await;
+        out.iterations
+    });
+    let large = LARGE_ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(done.iter().all(|&i| i == iterations), "{dims:?}: {done:?}");
+    large
+}
+
 #[test]
 fn a_longer_transfer_allocates_no_more() {
     let short = allocations_of_a_shift(256);
@@ -73,4 +113,13 @@ fn a_longer_transfer_allocates_no_more() {
         short, long,
         "256 words took {short} allocations, {LONG} words took {long}"
     );
+
+    for (dims, global) in [(&[2, 2, 2, 2][..], [4, 4, 4, 4]), (&[2, 2], [4, 4, 2, 2])] {
+        let short = large_allocations_of_a_cg_segment(dims, global, 3);
+        let long = large_allocations_of_a_cg_segment(dims, global, 9);
+        assert_eq!(
+            short, long,
+            "{dims:?}: 3 CG iterations made {short} allocations of at least {LARGE_BYTES} B, 9 made {long}"
+        );
+    }
 }
