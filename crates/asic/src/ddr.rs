@@ -88,7 +88,7 @@ impl DdrController {
     }
 
     /// Peak bytes transferred per processor cycle.
-    pub fn bytes_per_cycle(&self) -> f64 {
+    fn bytes_per_cycle(&self) -> f64 {
         self.config.bytes_per_sec / self.clock.hz() as f64
     }
 

@@ -16,7 +16,7 @@ use crate::clock::Cycles;
 pub const PORT_BYTES_PER_CYCLE: u64 = 16;
 
 /// Width of one internal EDRAM row access in bytes (1024 bits).
-pub const ROW_BYTES: u64 = 128;
+const ROW_BYTES: u64 = 128;
 
 /// Configuration of the prefetching controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +48,6 @@ pub struct EdramController {
     streams: Vec<(u64, u64)>,
     lru_clock: u64,
     /// Accumulated statistics.
-    stream_hits: u64,
     page_misses: u64,
 }
 
@@ -59,14 +58,8 @@ impl EdramController {
             streams: vec![(u64::MAX, 0); config.streams],
             config,
             lru_clock: 0,
-            stream_hits: 0,
             page_misses: 0,
         }
-    }
-
-    /// Accesses that continued an active stream.
-    pub fn stream_hits(&self) -> u64 {
-        self.stream_hits
     }
 
     /// Accesses that paid the page-miss penalty.
@@ -84,7 +77,6 @@ impl EdramController {
             if let Some(slot) = self.streams.iter_mut().find(|(next, _)| *next == addr) {
                 slot.0 = addr + bytes;
                 slot.1 = self.lru_clock;
-                self.stream_hits += 1;
                 return transfer;
             }
         }
@@ -143,7 +135,6 @@ mod tests {
             b += 128;
         }
         assert_eq!(c.page_misses(), 2, "only the initial touches miss");
-        assert_eq!(c.stream_hits(), 198);
         // 200 x 128 bytes at 16 B/cycle = 1600 cycles, plus 2 misses.
         assert_eq!(total, Cycles(1600 + 2 * 11));
     }
@@ -161,7 +152,6 @@ mod tests {
         // With 2 stream slots and 3 round-robin streams, LRU always evicts
         // the stream needed next: every access misses.
         assert_eq!(c.page_misses(), 150);
-        assert_eq!(c.stream_hits(), 0);
     }
 
     #[test]

@@ -63,17 +63,6 @@ impl KernelLedger {
         self.ddr_read_bytes + self.ddr_write_bytes
     }
 
-    /// The largest per-direction send — the critical path when all links
-    /// run concurrently (the SCU drives all 24 channels at once, §2.2).
-    pub fn max_link_bytes(&self) -> u64 {
-        self.send_bytes
-            .iter()
-            .chain(self.recv_bytes.iter())
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Scale every count by an integer factor (e.g. iterations).
     pub fn scaled(&self, factor: u64) -> KernelLedger {
         let mut out = *self;
@@ -91,15 +80,6 @@ impl KernelLedger {
         }
         out.global_sums *= factor;
         out
-    }
-
-    /// Arithmetic intensity: flops per byte of local memory traffic.
-    pub fn flops_per_byte(&self) -> f64 {
-        let bytes = self.edram_bytes() + self.ddr_bytes();
-        if bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.flops() as f64 / bytes as f64
     }
 }
 
@@ -177,28 +157,5 @@ mod tests {
         let c = a + b;
         assert_eq!(c.edram_read_bytes, 100);
         assert_eq!(c.recv_bytes[0], 12);
-    }
-
-    #[test]
-    fn max_link_bytes_takes_worst_direction() {
-        let mut l = KernelLedger::default();
-        l.send_bytes[2] = 100;
-        l.recv_bytes[7] = 250;
-        assert_eq!(l.max_link_bytes(), 250);
-    }
-
-    #[test]
-    fn arithmetic_intensity() {
-        let l = KernelLedger {
-            fmadds: 8,
-            edram_read_bytes: 8,
-            ..Default::default()
-        };
-        assert_eq!(l.flops_per_byte(), 2.0);
-        let pure = KernelLedger {
-            fmadds: 8,
-            ..Default::default()
-        };
-        assert!(pure.flops_per_byte().is_infinite());
     }
 }

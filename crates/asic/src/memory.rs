@@ -45,11 +45,11 @@ pub enum MemRegion {
 }
 
 /// Base byte address of the EDRAM region.
-pub const EDRAM_BASE: u64 = 0x0000_0000;
+const EDRAM_BASE: u64 = 0x0000_0000;
 /// Size of the on-chip EDRAM: 4 MB (§2.1).
 pub const EDRAM_SIZE: u64 = 4 * 1024 * 1024;
 /// Base byte address of the DDR region.
-pub const DDR_BASE: u64 = 0x1000_0000;
+const DDR_BASE: u64 = 0x1000_0000;
 /// Maximum external DDR size: 2 GB (§2.1: "up to 2 GBytes of memory per
 /// node can be used").
 pub const DDR_MAX_SIZE: u64 = 2 * 1024 * 1024 * 1024;
@@ -57,43 +57,11 @@ pub const DDR_MAX_SIZE: u64 = 2 * 1024 * 1024 * 1024;
 /// Word size in bytes (64-bit words everywhere: FPU and mesh transfers).
 pub const WORD_BYTES: u64 = 8;
 
-/// Storage width of floating-point data resident in node memory. The FPU
-/// always computes in 64-bit registers; fields may be *stored* at 32 bits
-/// to halve their footprint and streaming traffic — the basis of §4's
-/// single-precision benchmark figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FloatWidth {
-    /// 32-bit IEEE storage.
-    Single,
-    /// 64-bit IEEE storage.
-    Double,
-}
-
-impl FloatWidth {
-    /// Bytes per real number at this width.
-    pub const fn bytes(self) -> u64 {
-        match self {
-            FloatWidth::Single => 4,
-            FloatWidth::Double => 8,
-        }
-    }
-
-    /// Bytes per complex number at this width.
-    pub const fn complex_bytes(self) -> u64 {
-        2 * self.bytes()
-    }
-}
-
-/// Bytes occupied by `complexes` complex numbers stored at `width`.
-pub const fn complex_footprint(complexes: u64, width: FloatWidth) -> u64 {
-    complexes * width.complex_bytes()
-}
-
 /// Whether a working set of `bytes` fits the 4 MB on-chip EDRAM — the
 /// cliff between the 16 B/cycle prefetched port and the ~3× slower DDR
 /// path (§4's drop to ~30% of peak for large local volumes). Storing
-/// fields at [`FloatWidth::Single`] halves the footprint, so working sets
-/// that spill in double precision can stay on chip.
+/// fields at single precision halves the footprint, so working sets that
+/// spill in double precision can stay on chip.
 pub const fn fits_edram(bytes: u64) -> bool {
     bytes <= EDRAM_SIZE
 }
@@ -245,7 +213,7 @@ impl NodeMemory {
     }
 
     /// Classify a byte address.
-    pub fn region_of(addr: u64) -> Result<MemRegion, MemError> {
+    fn region_of(addr: u64) -> Result<MemRegion, MemError> {
         if addr < EDRAM_BASE + EDRAM_SIZE {
             Ok(MemRegion::Edram)
         } else if (DDR_BASE..DDR_BASE + DDR_MAX_SIZE).contains(&addr) {
@@ -253,11 +221,6 @@ impl NodeMemory {
         } else {
             Err(MemError::Unmapped { addr })
         }
-    }
-
-    /// Installed DDR bytes.
-    pub fn ddr_size(&self) -> u64 {
-        self.ddr_size
     }
 
     /// Access statistics so far.
@@ -472,16 +435,6 @@ impl NodeMemory {
         }
     }
 
-    /// Read a 64-bit float stored at `addr`.
-    pub fn read_f64(&mut self, addr: u64) -> Result<f64, MemError> {
-        Ok(f64::from_bits(self.read_word(addr)?))
-    }
-
-    /// Write a 64-bit float at `addr`.
-    pub fn write_f64(&mut self, addr: u64, value: f64) -> Result<(), MemError> {
-        self.write_word(addr, value.to_bits())
-    }
-
     /// Read `count` consecutive words starting at `addr`.
     pub fn read_block(&mut self, addr: u64, count: usize) -> Result<Vec<u64>, MemError> {
         (0..count)
@@ -569,13 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn f64_roundtrip() {
-        let mut m = NodeMemory::with_128mb_dimm();
-        m.write_f64(0x80, -3.25).unwrap();
-        assert_eq!(m.read_f64(0x80).unwrap(), -3.25);
-    }
-
-    #[test]
     fn block_roundtrip() {
         let mut m = NodeMemory::with_128mb_dimm();
         let words = vec![1, 2, 3, 4, 5];
@@ -584,26 +530,12 @@ mod tests {
     }
 
     #[test]
-    fn single_width_halves_the_footprint() {
-        assert_eq!(FloatWidth::Single.complex_bytes(), 8);
-        assert_eq!(FloatWidth::Double.complex_bytes(), 16);
-        let n = 1000;
-        assert_eq!(
-            2 * complex_footprint(n, FloatWidth::Single),
-            complex_footprint(n, FloatWidth::Double)
-        );
-    }
-
-    #[test]
     fn edram_fit_cliff_moves_with_width() {
         // A working set that spills at double precision fits at single:
         // 300k complex numbers = 4.8 MB double, 2.4 MB single.
         let complexes = 300_000;
-        assert!(!fits_edram(complex_footprint(
-            complexes,
-            FloatWidth::Double
-        )));
-        assert!(fits_edram(complex_footprint(complexes, FloatWidth::Single)));
+        assert!(!fits_edram(complexes * 16));
+        assert!(fits_edram(complexes * 8));
     }
 
     #[test]

@@ -74,16 +74,6 @@ impl Ppc440 {
     pub fn kernel_cycles(&self, ledger: &KernelLedger, loops: u64) -> Cycles {
         self.fpu_cycles(ledger) + Cycles(self.config.loop_overhead_cycles * loops)
     }
-
-    /// The fraction of peak the FPU could reach on this ledger if memory
-    /// and network were free: `flops / (2 × issue_cycles)`.
-    pub fn issue_efficiency(&self, ledger: &KernelLedger) -> f64 {
-        let cycles = self.fpu_cycles(ledger).count();
-        if cycles == 0 {
-            return 0.0;
-        }
-        ledger.flops() as f64 / (2.0 * cycles as f64)
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +105,6 @@ mod tests {
         assert_eq!(fmas.flops(), mixed.flops());
         let c = core();
         assert!(c.fpu_cycles(&fmas) < c.fpu_cycles(&mixed));
-        assert!(c.issue_efficiency(&fmas) > c.issue_efficiency(&mixed));
     }
 
     #[test]
@@ -132,7 +121,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(ideal.fpu_cycles(&l), Cycles(1_000));
-        assert!((ideal.issue_efficiency(&l) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -148,16 +136,5 @@ mod tests {
             ten - one,
             Cycles(9 * CoreConfig::default().loop_overhead_cycles)
         );
-    }
-
-    #[test]
-    fn issue_efficiency_bounded() {
-        let l = KernelLedger {
-            fmadds: 500,
-            fadds: 100,
-            ..Default::default()
-        };
-        let e = core().issue_efficiency(&l);
-        assert!(e > 0.0 && e <= 1.0);
     }
 }

@@ -168,6 +168,7 @@ mod tests {
     use crate::ShardedMachine;
     use qcdoc_geometry::TorusShape;
     use qcdoc_scu::global::{all_nodes_agree, dimension_ordered_sum, dimension_sum_hops};
+    use qcdoc_scu::timing::LinkTimingConfig;
 
     /// Shapes with even, odd and unit extents (1, 2, 3, 5, 6, 8).
     const SHAPES: [&[usize]; 5] = [&[4, 2, 2], &[8, 4, 2], &[3, 5], &[2, 1, 6], &[8]];
@@ -196,11 +197,11 @@ mod tests {
         // Each ring step is one single-word completion, so the telemetry
         // clock charges one `transfer_cycles(1)` per round: the machine's
         // own clock counts the rounds the sum ran.
-        let cfg = TelemetryConfig::default();
-        let per_round = cfg.link.transfer_cycles(1).count();
+        let per_round = LinkTimingConfig::default().transfer_cycles(1).count();
         for dims in &SHAPES[1..] {
             let shape = TorusShape::new(dims);
-            let machine = ShardedMachine::new(shape.clone()).with_telemetry(cfg);
+            let machine =
+                ShardedMachine::new(shape.clone()).with_telemetry(TelemetryConfig::default());
             let (_, _, telemetry) =
                 machine.run_with_telemetry(async |ctx| global_sum_f64_async(ctx, 1.0).await);
             let want = dimension_sum_hops(dims, true) as u64 * per_round;

@@ -497,6 +497,10 @@ pub struct CgSegmentOut {
     pub rsq: f64,
     /// Reference scale.
     bref: f64,
+    /// Operator applications and global reductions performed so far
+    /// (across all segments, the checkpointed prefix included).
+    applications: usize,
+    reductions: usize,
     /// Total iterations completed (across all segments).
     pub iterations: usize,
     /// Relative residual of every iteration completed so far: the
@@ -554,6 +558,10 @@ pub async fn wilson_cg_segment_async(
             (x, r, p, ckpt.rsq, ckpt.bref, ckpt.iterations, history)
         }
     };
+    // A fresh setup runs one M† and one sum; a resumed segment carries on
+    // from the checkpoint's counts, whoever wrote it.
+    let (mut applications, mut reductions) =
+        resume.map_or((1, 1), |c| (c.applications, c.reductions));
     // `t = Mp` and `q = M†t`: the segment's scratch, allocated once.
     let mut t = vec![Spinor::ZERO; b.len()];
     let mut q = vec![Spinor::ZERO; b.len()];
@@ -578,6 +586,8 @@ pub async fn wilson_cg_segment_async(
         }
         iterations += 1;
         done_here += 1;
+        applications += 2;
+        reductions += 2;
         let rel = (new_rsq / bref).sqrt();
         residuals.push(rel);
         converged = rel <= tolerance;
@@ -592,6 +602,8 @@ pub async fn wilson_cg_segment_async(
         p,
         rsq,
         bref,
+        applications,
+        reductions,
         iterations,
         residuals,
         converged,
@@ -602,9 +614,9 @@ pub async fn wilson_cg_segment_async(
 /// Gather per-node segment outputs into one global [`CgCheckpoint`]: each
 /// site's [`Spinor::to_words`] image at its global site index, which is
 /// `FermionField::to_bits` by construction — so the checkpoint is portable
-/// across machine shapes (and down to a single-node resume). The scalars
-/// and the residual history are taken from node 0 (the global sums make
-/// them identical on every node).
+/// across machine shapes (and down to a single-node resume). The scalars,
+/// the work counters and the residual history are taken from node 0 (the
+/// global sums make them identical on every node).
 pub fn assemble_checkpoint(
     shape: &TorusShape,
     global: Lattice,
@@ -631,12 +643,8 @@ pub fn assemble_checkpoint(
         rsq: head.rsq,
         bref: head.bref,
         residuals: head.residuals.clone(),
-        // Deterministic functions of the iteration count for the
-        // distributed recurrence: one M† in setup, M and M† per iteration;
-        // one setup reduction (‖r‖², which is also the reference scale),
-        // two per iteration.
-        applications: 1 + 2 * head.iterations,
-        reductions: 1 + 2 * head.iterations,
+        applications: head.applications,
+        reductions: head.reductions,
         x: x.into_flattened(),
         r: r.into_flattened(),
         p: p.into_flattened(),
@@ -1072,6 +1080,8 @@ mod tests {
                     p: block.clone(),
                     rsq: 1.0,
                     bref: 1.0,
+                    applications: 1,
+                    reductions: 1,
                     iterations: 0,
                     residuals: Vec::new(),
                     converged: false,
@@ -1087,6 +1097,105 @@ mod tests {
                 assert_eq!(bits(&x), bits(block), "shape {dims:?} node {n}");
                 assert_eq!((bits(&r), bits(&p)), (bits(&x), bits(&x)));
             }
+        }
+    }
+
+    /// One segment on a one-node machine, and its assembled checkpoint.
+    fn one_node_segment(
+        shape: &TorusShape,
+        global: Lattice,
+        gauge: &GaugeField,
+        b: &FermionField,
+        tolerance: f64,
+        resume: Option<&CgCheckpoint>,
+        segment_iters: usize,
+    ) -> (Vec<CgSegmentOut>, CgCheckpoint) {
+        let outs = ShardedMachine::new(shape.clone()).run(async |ctx| {
+            let geom = BlockGeom::new(ctx, global);
+            let lg = geom.extract_gauge(gauge);
+            let lb = geom.extract_fermion(b);
+            wilson_cg_segment_async(
+                ctx,
+                &geom,
+                &lg,
+                &lb,
+                KAPPA,
+                tolerance,
+                5000,
+                resume,
+                segment_iters,
+            )
+            .await
+        });
+        let ckpt = assemble_checkpoint(shape, global, &outs);
+        (outs, ckpt)
+    }
+
+    #[test]
+    fn a_serial_checkpoint_resumed_on_the_machine_keeps_its_work_counts() {
+        // Serial CG to iteration 4, then the machine from 4 to 8: the
+        // assembled checkpoint is the serial one at 8, work counts and
+        // digest included. The serial setup costs more than a fresh
+        // segment's, so the counts must be carried, not recomputed.
+        use qcdoc_lattice::solver::{solve_cgne_checkpointed, CgParams};
+        let global = Lattice::new([4, 4, 2, 2]);
+        let gauge = GaugeField::hot(global, 60);
+        let b = FermionField::gaussian(global, 61);
+        let params = CgParams {
+            tolerance: 1e-10,
+            max_iterations: 5000,
+        };
+        let op = WilsonDirac::new(&gauge, KAPPA);
+        let mut sink = Vec::new();
+        solve_cgne_checkpointed(
+            &op,
+            &mut FermionField::zero(global),
+            &b,
+            params,
+            4,
+            &mut sink,
+        );
+        let (at4, at8) = (&sink[0], &sink[1]);
+        assert_eq!((at4.iterations, at8.iterations), (4, 8));
+        let shape = TorusShape::new(&[1]);
+        let (_, resumed) = one_node_segment(&shape, global, &gauge, &b, 1e-10, Some(at4), 4);
+        assert_eq!(
+            (resumed.applications, resumed.reductions),
+            (at8.applications, at8.reductions)
+        );
+        assert_eq!(resumed.digest(), at8.digest());
+    }
+
+    #[test]
+    fn a_one_node_machine_runs_the_serial_cg_bit_for_bit() {
+        // On one node every global sum is the local sum, so the machine's
+        // recurrence must be the serial one to the last bit.
+        use qcdoc_lattice::solver::{solve_cgne, CgParams, KrylovVector};
+        let cases = [
+            (&[1][..], Lattice::new([4, 4, 2, 2])),
+            (&[1, 1][..], Lattice::new([2, 2, 2, 2])),
+        ];
+        for (dims, global) in cases {
+            let gauge = GaugeField::hot(global, 60);
+            let b = FermionField::gaussian(global, 61);
+            let op = WilsonDirac::new(&gauge, KAPPA);
+            let mut xref = FermionField::zero(global);
+            let params = CgParams {
+                tolerance: 1e-10,
+                max_iterations: 5000,
+            };
+            let report = solve_cgne(&op, &mut xref, &b, params);
+            assert!(report.converged, "{dims:?}");
+            let shape = TorusShape::new(dims);
+            let (outs, ckpt) = one_node_segment(&shape, global, &gauge, &b, 1e-10, None, 5000);
+            let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(outs[0].iterations, report.iterations, "{dims:?}");
+            assert_eq!(
+                bits(&outs[0].residuals),
+                bits(&report.residuals),
+                "{dims:?}"
+            );
+            assert_eq!(ckpt.x, xref.to_bits(), "{dims:?}");
         }
     }
 }

@@ -45,19 +45,16 @@ use crate::wire::{wire, WireRx, WireTx};
 /// Per-node span ring-buffer capacity (bounded memory).
 const RING_CAPACITY: usize = 65_536;
 
-/// Telemetry knobs for a [`ShardedMachine`](crate::ShardedMachine) run.
+/// Turns telemetry on for a [`ShardedMachine`](crate::ShardedMachine) run.
 ///
 /// The functional engine has no global clock of its own (nodes run at
 /// host speed), so each node's telemetry clock is advanced by the *link
 /// timing model*: a completed transfer of `w` words costs
-/// `link.transfer_cycles(w)` logical cycles, the slowest armed link
-/// setting the pace — which is exactly how the paper's §4 efficiency
-/// model charges communication time.
+/// `LinkTimingConfig::default().transfer_cycles(w)` logical cycles, the
+/// slowest armed link setting the pace — which is exactly how the paper's
+/// §4 efficiency model charges communication time.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TelemetryConfig {
-    /// Link timing used to convert word counts into logical cycles.
-    pub link: LinkTimingConfig,
-}
+pub struct TelemetryConfig {}
 
 /// One node's execution context: its memory, SCU, and wires.
 pub struct NodeCtx {
@@ -98,7 +95,6 @@ pub struct NodeCtx {
     /// charge the telemetry clock with modeled transfer cycles.
     armed_send_words: [u64; 12],
     armed_recv_words: [u64; 12],
-    link_timing: LinkTimingConfig,
     /// SCU counter totals at the last flight check, so each
     /// [`NodeCtx::complete_async`] logs only the retries it caused.
     flight_resends_seen: u64,
@@ -337,18 +333,19 @@ impl NodeCtx {
     /// links overlap, so the slowest one sets the pace (§4's comms
     /// term), while counters see every word moved.
     fn account_complete(&mut self, token: SpanToken, sends: &[Direction], recvs: &[Direction]) {
+        let link = LinkTimingConfig::default();
         let mut send_words = 0u64;
         let mut recv_words = 0u64;
         let mut wire_cycles = 0u64;
         for d in sends {
             let w = std::mem::take(&mut self.armed_send_words[d.link_index()]);
             send_words += w;
-            wire_cycles = wire_cycles.max(self.link_timing.transfer_cycles(w).count());
+            wire_cycles = wire_cycles.max(link.transfer_cycles(w).count());
         }
         for d in recvs {
             let w = std::mem::take(&mut self.armed_recv_words[d.link_index()]);
             recv_words += w;
-            wire_cycles = wire_cycles.max(self.link_timing.transfer_cycles(w).count());
+            wire_cycles = wire_cycles.max(link.transfer_cycles(w).count());
         }
         self.telem.advance(wire_cycles);
         self.telem.counter_add("dma_send_words", send_words);
@@ -513,7 +510,6 @@ impl NodeCtx {
             block_checksums: cfg.block_checksums,
             armed_send_words: [0; 12],
             armed_recv_words: [0; 12],
-            link_timing: cfg.telemetry.map(|c| c.link).unwrap_or_default(),
             flight_resends_seen: 0,
             flight_block_rejects_seen: 0,
             signal,

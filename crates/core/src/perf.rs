@@ -42,7 +42,7 @@ pub enum Precision {
 
 impl Precision {
     /// The storage width the byte ledgers are computed at.
-    pub fn counts_width(self) -> Prec {
+    fn counts_width(self) -> Prec {
         match self {
             Precision::Double => Prec::Double,
             Precision::Single => Prec::Single,
@@ -243,57 +243,8 @@ impl DiracPerf {
         }
     }
 
-    /// Evaluate domain-wall fermions with the fifth dimension spread over
-    /// `s_nodes` machine nodes — the workload the sixth mesh axis exists
-    /// for (§2.2: QCD has "four- and five-dimensional formulations").
-    ///
-    /// Each node keeps `ls / s_nodes` slices; the s-direction boundary
-    /// exchanges one chiral half-spinor per 4-D site per operator
-    /// application in each sense. The gauge field is replicated along s
-    /// (it carries no s-dependence), so the 4-D comm and gauge traffic are
-    /// unchanged while flops and spinor traffic divide by `s_nodes`.
-    pub fn evaluate_dwf_5d(&self, ls: u32, s_nodes: usize) -> EfficiencyReport {
-        assert!(
-            s_nodes >= 1 && (ls as usize).is_multiple_of(s_nodes),
-            "Ls must divide over s_nodes"
-        );
-        let local_ls = ls / s_nodes as u32;
-        let mut report = self.evaluate(Action::Dwf { ls: local_ls });
-        if s_nodes > 1 {
-            // Add the s-axis face exchange: one half-spinor (6 complex) per
-            // 4-D site per sense per operator application, at the model's
-            // storage width.
-            let half_spinor = 6 * self.precision.counts_width().complex_bytes();
-            let bytes = self.local_sites() as f64 * half_spinor as f64;
-            let words = (bytes / 8.0).ceil() as u64;
-            let t = 2.0 * self.machine.link.transfer_cycles(words).count() as f64;
-            let comm = (report.comm_cycles as f64).max(t);
-            // Rebuild local time from the recorded FPU/memory pieces with
-            // the same overlap rule as `evaluate`.
-            let fpu = report.fpu_cycles as f64;
-            let mem = report.mem_cycles as f64;
-            let mo = if report.fits_edram {
-                self.calibration.mem_overlap_edram
-            } else {
-                self.calibration.mem_overlap_ddr
-            };
-            let local = fpu.max(mem) + (1.0 - mo) * fpu.min(mem);
-            let total = local.max(comm)
-                + (1.0 - self.calibration.comm_overlap) * local.min(comm)
-                + report.gsum_cycles as f64;
-            report.comm_cycles = comm as u64;
-            report.total_cycles = total as u64;
-            report.efficiency = report.flops_per_iteration as f64 / (2.0 * total);
-            report.sustained_gflops_per_node =
-                report.efficiency * self.machine.node.clock.peak_flops() / 1e9;
-            report.iteration_us =
-                self.machine.node.clock.cycles_to_ns(Cycles(total as u64)) / 1000.0;
-        }
-        report
-    }
-
     /// Evaluate the paper's three benchmark actions plus domain wall.
-    pub fn evaluate_suite(&self) -> Vec<EfficiencyReport> {
+    fn evaluate_suite(&self) -> Vec<EfficiencyReport> {
         [
             Action::Wilson,
             Action::Asqtad,
@@ -503,34 +454,6 @@ mod tests {
             256 * (2 * 1368 + 384),
             "Wilson CG iteration flop ledger"
         );
-    }
-
-    #[test]
-    fn dwf_5d_decomposition_rescues_the_edram_fit() {
-        // Ls = 16 at 4^4 per node does not fit the 4 MB EDRAM (16 x 6
-        // solver vectors of spinors), so a node-local fifth dimension runs
-        // at DDR speed. Spreading s over 2 or 4 machine nodes — what the
-        // fifth/sixth mesh axes are for — brings the working set back on
-        // chip and restores full efficiency, at the price of a modest
-        // s-face exchange.
-        let perf = DiracPerf::paper_bench();
-        let local_s = perf.evaluate_dwf_5d(16, 1);
-        let spread2 = perf.evaluate_dwf_5d(16, 2);
-        let spread4 = perf.evaluate_dwf_5d(16, 4);
-        assert!(!local_s.fits_edram, "Ls=16 node-local must spill");
-        assert!(spread2.fits_edram && spread4.fits_edram);
-        assert!(spread2.efficiency > local_s.efficiency + 0.05);
-        assert!(spread4.efficiency > 0.4, "{}", spread4.efficiency);
-        // And the iteration gets faster as s is spread.
-        assert!(spread4.iteration_us < local_s.iteration_us);
-    }
-
-    #[test]
-    fn dwf_5d_single_s_node_matches_plain_evaluate() {
-        let perf = DiracPerf::paper_bench();
-        let a = perf.evaluate_dwf_5d(8, 1);
-        let b = perf.evaluate(Action::Dwf { ls: 8 });
-        assert_eq!(a.total_cycles, b.total_cycles);
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl FaultClock {
     /// Returns whether the frame was corrupted. Pure in `(node, link,
     /// seq)`: retransmissions must not be passed back in (see
     /// [`NodeTap`]), or they would be corrupted identically forever.
-    pub fn corrupt_fresh(&self, node: u32, link: usize, wf: &mut WireFrame) -> bool {
+    fn corrupt_fresh(&self, node: u32, link: usize, wf: &mut WireFrame) -> bool {
         let mut hit = false;
         let bits = wf.frame.wire_bits() as usize;
         for &(n, l, seq, first_bit, burst) in &self.bit_flips {
@@ -255,7 +255,7 @@ impl FaultClock {
 
     /// The first corrupted sequence number of `node`'s `link`, if the
     /// transmitter is scheduled to break.
-    pub fn link_stuck_from(&self, node: u32, link: usize) -> Option<u64> {
+    fn link_stuck_from(&self, node: u32, link: usize) -> Option<u64> {
         self.stuck_links
             .iter()
             .filter(|&&(n, l, _)| n == node && l == link)
@@ -268,7 +268,7 @@ impl FaultClock {
     /// the sequence number alone, so every retransmission of a word is
     /// corrupted identically: the defining property of a broken driver,
     /// and the one the go-back-N resend cannot heal.
-    pub fn corrupt_stuck(&self, node: u32, link: usize, wf: &mut WireFrame) -> bool {
+    fn corrupt_stuck(&self, node: u32, link: usize, wf: &mut WireFrame) -> bool {
         let Some(from) = self.link_stuck_from(node, link) else {
             return false;
         };
@@ -279,12 +279,6 @@ impl FaultClock {
         let draw = self.key(0x57C4, node, link, wf.seq);
         wf.frame.corrupt_bit((draw % bits) as usize);
         true
-    }
-
-    /// Whether the plan contains an unrecoverable fault (dead link, stuck
-    /// transmitter, or node crash) anywhere in the machine.
-    pub fn has_fatal(&self) -> bool {
-        !self.dead_links.is_empty() || !self.stuck_links.is_empty() || !self.crashes.is_empty()
     }
 
     /// Memory soft errors scheduled for `node` (byte address, bit).
@@ -310,7 +304,6 @@ pub struct NodeTap {
     node: u32,
     fresh: [u64; LINKS],
     injected: [u64; LINKS],
-    dropped: [u64; LINKS],
 }
 
 impl NodeTap {
@@ -321,18 +314,12 @@ impl NodeTap {
             node,
             fresh: [0; LINKS],
             injected: [0; LINKS],
-            dropped: [0; LINKS],
         }
     }
 
     /// Frames corrupted so far, per link (deterministic across runs).
     pub fn injected(&self) -> &[u64; LINKS] {
         &self.injected
-    }
-
-    /// Frames swallowed by dead wires so far, per link.
-    pub fn dropped(&self) -> &[u64; LINKS] {
-        &self.dropped
     }
 
     /// The shared clock.
@@ -344,7 +331,6 @@ impl NodeTap {
 impl WireTap for NodeTap {
     fn on_frame(&mut self, link: usize, wf: &mut WireFrame) -> WireVerdict {
         if self.clock.drop_frame(self.node, link, wf.seq) {
-            self.dropped[link] += 1;
             return WireVerdict::Drop;
         }
         // Partition interrupts travel outside the data sequence.
@@ -480,12 +466,10 @@ mod tests {
         assert_eq!(tap.on_frame(0, &mut late), WireVerdict::Drop);
         let mut resend = frame(5, 0);
         assert_eq!(tap.on_frame(0, &mut resend), WireVerdict::Drop);
-        assert_eq!(tap.dropped()[0], 2);
         // Other links unaffected.
         let mut other = frame(9, 0);
         assert_eq!(tap.on_frame(1, &mut other), WireVerdict::Deliver);
         assert_eq!(clock.link_dead_from(1, 0), Some(3));
-        assert!(clock.has_fatal());
     }
 
     #[test]
@@ -504,12 +488,11 @@ mod tests {
         assert!(first.frame.decode().is_err());
         assert_eq!(first.frame, resend.frame, "same word, same corruption");
         assert_eq!(tap.injected()[2], 2, "stuck injections count per attempt");
-        // Other links unaffected; the fault is fatal for the run.
+        // Other links unaffected.
         let mut other = frame(1, 11);
         tap.on_frame(3, &mut other);
         assert!(other.frame.decode().is_ok());
         assert_eq!(clock.link_stuck_from(0, 2), Some(1));
-        assert!(clock.has_fatal());
     }
 
     #[test]

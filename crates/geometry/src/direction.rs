@@ -6,17 +6,13 @@ use std::fmt;
 ///
 /// The paper labels the physics directions `x, y, z, t` (plus a fifth for
 /// domain-wall fermions); the machine axes are purely topological, so we
-/// simply number them 0..6. [`Axis::PHYSICS_NAMES`] supplies conventional
-/// names when a 4-D partition is mapped onto physics coordinates.
+/// simply number them 0..6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Axis(pub u8);
 
 impl Axis {
     /// All six machine axes in order.
     pub const ALL: [Axis; 6] = [Axis(0), Axis(1), Axis(2), Axis(3), Axis(4), Axis(5)];
-
-    /// Conventional physics names for the first five logical axes.
-    pub const PHYSICS_NAMES: [&'static str; 5] = ["x", "y", "z", "t", "s"];
 
     /// Axis index as usize, for array indexing.
     #[inline]
@@ -84,16 +80,6 @@ impl Direction {
         2 * self.axis.index() + usize::from(self.negative)
     }
 
-    /// Inverse of [`Direction::link_index`].
-    #[inline]
-    pub fn from_link_index(idx: usize) -> Direction {
-        assert!(idx < 12, "link index {idx} out of range");
-        Direction {
-            axis: Axis((idx / 2) as u8),
-            negative: idx % 2 == 1,
-        }
-    }
-
     /// Signed unit step along the axis: `+1` or `-1`.
     #[inline]
     pub fn step(self) -> isize {
@@ -137,10 +123,7 @@ mod tests {
     }
 
     #[test]
-    fn link_index_roundtrip() {
-        for d in Direction::all() {
-            assert_eq!(Direction::from_link_index(d.link_index()), d);
-        }
+    fn link_indices_are_distinct() {
         let mut seen = [false; 12];
         for d in Direction::all() {
             assert!(!seen[d.link_index()], "duplicate link index");
@@ -153,11 +136,5 @@ mod tests {
     fn step_signs() {
         assert_eq!(Axis(0).plus().step(), 1);
         assert_eq!(Axis(0).minus().step(), -1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn link_index_bound() {
-        let _ = Direction::from_link_index(12);
     }
 }

@@ -41,9 +41,3 @@ pub use mapping::{LatticeMapping, LocalVolume};
 pub use packing::OccupancyMap;
 pub use partition::{Partition, PartitionError, PartitionSpec};
 pub use torus::TorusShape;
-
-/// Number of dimensions of the physical QCDOC mesh.
-pub const MESH_DIMS: usize = 6;
-
-/// Number of uni-directional nearest-neighbour links per node (2 per axis).
-pub const LINKS_PER_NODE: usize = 2 * MESH_DIMS;

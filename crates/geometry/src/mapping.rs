@@ -47,18 +47,6 @@ impl LocalVolume {
     pub fn surface(&self, axis: usize) -> usize {
         self.sites() / self.dims[axis]
     }
-
-    /// Total number of face sites over all `2 × rank` directions.
-    pub fn total_surface(&self) -> usize {
-        (0..self.dims.len()).map(|a| 2 * self.surface(a)).sum()
-    }
-
-    /// Surface-to-volume ratio — the hard-scaling figure of merit (§1): as
-    /// nodes are added to a fixed problem, this grows and communication
-    /// dominates unless latency is low.
-    pub fn surface_to_volume(&self) -> f64 {
-        self.total_surface() as f64 / self.sites() as f64
-    }
 }
 
 /// Errors from lattice → machine mapping.
@@ -147,14 +135,6 @@ impl LatticeMapping {
         }
         c
     }
-
-    /// Local coordinates of global site `site` within its owner's volume.
-    pub fn local_site(&self, site: &[usize]) -> Vec<usize> {
-        site.iter()
-            .zip(self.local.dims())
-            .map(|(&g, &l)| g % l)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -178,20 +158,10 @@ mod tests {
         for axis in 0..4 {
             assert_eq!(v.surface(axis), 64);
         }
-        assert_eq!(v.total_surface(), 8 * 64);
-        assert!((v.surface_to_volume() - 2.0).abs() < 1e-12);
     }
 
     #[test]
-    fn surface_shrinks_with_volume() {
-        // Hard scaling in reverse: bigger local volume, smaller ratio.
-        let small = LocalVolume::new(&[2, 2, 2, 2]);
-        let big = LocalVolume::new(&[8, 8, 8, 8]);
-        assert!(small.surface_to_volume() > big.surface_to_volume());
-    }
-
-    #[test]
-    fn owner_and_local_site() {
+    fn owner_of_a_global_site() {
         let machine = TorusShape::new(&[2, 2, 2, 2]);
         let m = LatticeMapping::new(&[8, 8, 8, 8], &machine).unwrap();
         let site = [5, 0, 3, 7];
@@ -200,7 +170,6 @@ mod tests {
         assert_eq!(owner.get(1), 0);
         assert_eq!(owner.get(2), 0);
         assert_eq!(owner.get(3), 1);
-        assert_eq!(m.local_site(&site), vec![1, 0, 3, 3]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::{Axis, NodeCoord, NodeId, PartitionSpec, TorusShape};
 /// cap keeps the search `O(cap · volume)` on a near-empty machine while
 /// still preferring snug placements; on a busy machine far fewer origins
 /// fit in the first place.
-pub const BEST_FIT_SCORE_CAP: usize = 64;
+const BEST_FIT_SCORE_CAP: usize = 64;
 
 /// A busy/free mask over the nodes of a physical torus, with box-fit
 /// search and packing heuristics. "Taken" covers anything the caller
@@ -123,7 +123,7 @@ impl OccupancyMap {
     }
 
     /// Mark every node of the box taken.
-    pub fn occupy_box(&mut self, origin: NodeCoord, extents: &[usize]) {
+    fn occupy_box(&mut self, origin: NodeCoord, extents: &[usize]) {
         let shape = self.shape.clone();
         let mut ids = Vec::new();
         self.for_each_box_node(origin, extents, |c| {
@@ -200,7 +200,7 @@ impl OccupancyMap {
     /// Lower is better — a snug placement flush against occupied nodes
     /// or closing a torus axis leaves the free mesh less fragmented than
     /// one floating in open space.
-    pub fn placement_score(&self, origin: NodeCoord, extents: &[usize]) -> usize {
+    fn placement_score(&self, origin: NodeCoord, extents: &[usize]) -> usize {
         let mut inside = std::collections::HashSet::new();
         self.for_each_box_node(origin, extents, |c| {
             inside.insert(c);
@@ -222,7 +222,7 @@ impl OccupancyMap {
 
     /// The best feasible origin for the box under the packing score
     /// (ties break toward the lexicographically first origin), or `None`
-    /// when the box fits nowhere. At most [`BEST_FIT_SCORE_CAP`]
+    /// when the box fits nowhere. At most `BEST_FIT_SCORE_CAP`
     /// candidate origins are scored, corner-first.
     pub fn best_fit(&self, extents: &[usize]) -> Option<NodeCoord> {
         let candidates = self.fit_origins(extents, BEST_FIT_SCORE_CAP);

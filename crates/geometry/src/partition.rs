@@ -245,7 +245,7 @@ impl Partition {
     }
 
     /// Logical coordinate of the neighbour of `lc` in logical direction `d`.
-    pub fn logical_neighbour(&self, lc: NodeCoord, d: Direction) -> NodeCoord {
+    fn logical_neighbour(&self, lc: NodeCoord, d: Direction) -> NodeCoord {
         self.logical.neighbour(lc, d)
     }
 

@@ -286,7 +286,7 @@ impl CheckpointStore {
 
     /// Committed `(generation, path)` pairs, oldest first — the paths
     /// fault plans aim bit rot at.
-    pub fn committed_paths(&self, nfs: &NfsServer) -> Vec<(u64, String)> {
+    fn committed_paths(&self, nfs: &NfsServer) -> Vec<(u64, String)> {
         self.committed(nfs)
             .into_iter()
             .map(|(g, _, p)| (g, p))
@@ -648,11 +648,6 @@ impl CheckpointStore {
         self.fallbacks
     }
 
-    /// Generations collected (retention + disk-full sacrifices).
-    pub fn gc_removed(&self) -> u64 {
-        self.gc_removed
-    }
-
     /// Total archive bytes committed by this store instance.
     pub fn bytes_committed(&self) -> u64 {
         self.bytes_committed
@@ -845,7 +840,7 @@ mod tests {
             assert_eq!(store.save(&mut nfs, *blob).unwrap(), i as u64);
         }
         assert_eq!(store.generations(&nfs), vec![2, 3], "oldest-first GC");
-        assert_eq!(store.gc_removed(), 2);
+        assert_eq!(store.gc_removed, 2);
         let restored = store.restore(&mut nfs).unwrap();
         assert_eq!(restored.generation, 3);
         assert_eq!(restored.bytes, b"delta");

@@ -33,7 +33,7 @@ impl EthernetTree {
     }
 
     /// Aggregate host-side bandwidth in bits/second.
-    pub fn trunk_bps(&self) -> f64 {
+    fn trunk_bps(&self) -> f64 {
         self.host_links as f64 * self.host_link_bps
     }
 
@@ -45,19 +45,6 @@ impl EthernetTree {
         let per_node_port = bits_per_node / self.node_bps;
         let trunk_total = bits_per_node * self.nodes as f64 / self.trunk_bps();
         per_node_port.max(trunk_total)
-    }
-
-    /// Number of 5-port hubs needed to aggregate all node ports: each hub
-    /// takes 4 downstream ports and one uplink, layered until one root.
-    pub fn hub_count(&self) -> usize {
-        let mut total = 0usize;
-        let mut ports = self.nodes;
-        while ports > 1 {
-            let hubs = ports.div_ceil(4);
-            total += hubs;
-            ports = hubs;
-        }
-        total
     }
 }
 
@@ -94,12 +81,5 @@ mod tests {
         assert!((t.broadcast_seconds(1_000_000) - trunk).abs() < 1e-9);
         // And the trunk time exceeds a single port's time.
         assert!(trunk > 8.0e6 / t.node_bps);
-    }
-
-    #[test]
-    fn hub_tree_covers_all_nodes() {
-        let t = EthernetTree::for_machine(64);
-        // 64 ports -> 16 hubs -> 4 hubs -> 1 hub = 21.
-        assert_eq!(t.hub_count(), 21);
     }
 }

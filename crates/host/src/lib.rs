@@ -4,10 +4,6 @@
 //! Physics runs on the 6-D mesh; *everything else* runs over a conventional
 //! Ethernet tree connecting every node to an SMP host:
 //!
-//! * [`jtag`] — the Ethernet/JTAG controller: a hardware command engine
-//!   that needs **no software on the node** (there are no PROMs on QCDOC —
-//!   the first code a node ever runs arrives through this path straight
-//!   into the PPC 440's instruction cache);
 //! * [`ethernet`] — the Ethernet tree itself: 5-port hubs on daughter- and
 //!   motherboards aggregating into Gigabit links at the host;
 //! * [`kernel`] — the run kernel's hardware-status report: the link
@@ -36,7 +32,6 @@
 pub mod chaos;
 pub mod ckstore;
 pub mod ethernet;
-pub mod jtag;
 pub mod kernel;
 pub mod nfs;
 pub mod qcsh;

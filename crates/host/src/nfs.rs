@@ -14,7 +14,7 @@
 //! metadata probes (`stat`, `list`) do not, so fault plans aimed at "the
 //! Nth write" survive extra discovery traffic.
 //!
-//! Appends land on the media in [`WIRE_CHUNK`]-sized transfer units, so
+//! Appends land on the media in `WIRE_CHUNK`-sized transfer units, so
 //! capacity exhaustion can surface *mid-call*; the write then rolls the
 //! partial append back — per-call writes are all-or-nothing. The one
 //! deliberate exception is an injected
@@ -22,13 +22,12 @@
 //! server died mid-call, nobody was left to roll back, and exactly the
 //! surviving prefix stays on disk.
 
-use crate::ethernet::EthernetTree;
 use qcdoc_fault::{StorageClock, StorageFaultPlan};
 use std::collections::{HashMap, HashSet};
 
 /// NFS transfer unit: the granularity at which an append reaches the
 /// media (and at which a mid-call disk-full or crash can strike).
-pub const WIRE_CHUNK: usize = 8 * 1024;
+const WIRE_CHUNK: usize = 8 * 1024;
 
 /// An open-file handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,7 +88,6 @@ pub struct NfsServer {
     next_handle: u32,
     capacity: u64,
     used: u64,
-    bytes_written: u64,
     bytes_read: u64,
     faults: Option<StorageClock>,
     ops: u64,
@@ -108,7 +106,6 @@ impl NfsServer {
             next_handle: 1,
             capacity,
             used: 0,
-            bytes_written: 0,
             bytes_read: 0,
             faults: None,
             ops: 0,
@@ -205,7 +202,7 @@ impl NfsServer {
     }
 
     /// Append bytes through a handle — all-or-nothing: if the disk fills
-    /// partway through the call's [`WIRE_CHUNK`]s, the partial append is
+    /// partway through the call's `WIRE_CHUNK`s, the partial append is
     /// rolled back and `DiskFull` reports an untouched file. Only an
     /// injected server crash ([`NfsError::ServerCrash`]) leaves a torn
     /// prefix, because the process that would have rolled it back died.
@@ -231,7 +228,6 @@ impl NfsServer {
             let room = (self.capacity - self.used).min(keep as u64) as usize;
             file.extend_from_slice(&bytes[..room]);
             self.used += room as u64;
-            self.bytes_written += room as u64;
             self.handles.clear();
             return Err(NfsError::ServerCrash);
         }
@@ -249,7 +245,6 @@ impl NfsServer {
             file.extend_from_slice(chunk);
             self.used += chunk.len() as u64;
         }
-        self.bytes_written += bytes.len() as u64;
         Ok(())
     }
 
@@ -337,24 +332,9 @@ impl NfsServer {
             .ok_or_else(|| NfsError::NoEntry(path.to_string()))
     }
 
-    /// Total bytes written so far (for the I/O-rate model).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written
-    }
-
     /// Disk bytes used.
     pub fn used(&self) -> u64 {
         self.used
-    }
-
-    /// Seconds to drain `bytes` from `writers` concurrent nodes through
-    /// the Ethernet tree (the qualitative point of §3.1: "I/O for QCD
-    /// applications is quite modest for the compute power needed").
-    pub fn write_seconds(&self, tree: &EthernetTree, bytes_per_node: u64, writers: usize) -> f64 {
-        let bits = bytes_per_node as f64 * 8.0;
-        let per_port = bits / tree.node_bps;
-        let trunk = bits * writers as f64 / tree.trunk_bps();
-        per_port.max(trunk)
     }
 }
 
@@ -413,7 +393,6 @@ mod tests {
         );
         assert_eq!(s.stat("/data/f").unwrap(), 0, "partial append leaked");
         assert_eq!(s.used(), 0);
-        assert_eq!(s.bytes_written(), 0);
         // And a prior append is preserved exactly across a failed one.
         s.write(h, b"safe").unwrap();
         assert_eq!(s.write(h, &[7u8; 12_000]), Err(NfsError::DiskFull));
@@ -543,19 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn io_time_is_modest_relative_to_compute() {
-        // A 4^4-per-node double-precision gauge configuration is ~590 kB;
-        // writing one from each of 128 nodes through the tree takes
-        // seconds, while generating it takes many minutes of CG — the §3.1
-        // observation that QCD needs little host I/O.
-        let s = NfsServer::paper_host();
-        let tree = crate::ethernet::EthernetTree::for_machine(128);
-        let config_bytes = 256 * 4 * 18 * 8; // sites x links x reals x 8B
-        let t = s.write_seconds(&tree, config_bytes, 128);
-        assert!(t < 10.0, "config drain took {t} s");
-    }
-
-    #[test]
     fn concurrent_handles_to_different_files() {
         let mut s = NfsServer::new(&["/data"], 1 << 20);
         let h1 = s.open("/data/a").unwrap();
@@ -564,6 +530,5 @@ mod tests {
         s.write(h2, b"two").unwrap();
         assert_eq!(s.read("/data/a").unwrap(), b"one");
         assert_eq!(s.read("/data/b").unwrap(), b"two");
-        assert_eq!(s.bytes_written(), 6);
     }
 }

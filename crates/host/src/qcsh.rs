@@ -6,11 +6,13 @@
 //! stream. A subprocess of the qcsh is also available to the qdaemon, so
 //! the qdaemon can request files on the host to be opened and they will
 //! have the permissions and protections of the application programmer."
+//!
+//! The twin models the command path only: no host file is opened through
+//! a session.
 
 use crate::qdaemon::Qdaemon;
 use qcdoc_geometry::PartitionSpec;
 use qcdoc_sched::{JobId, JobSpec, JobStatus, Priority, Scheduler, ShapeRequest};
-use std::collections::HashMap;
 
 /// A parsed qcsh command.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -217,30 +219,16 @@ fn status_word(status: JobStatus) -> &'static str {
     }
 }
 
-/// A user session: runs with the programmer's UID, and the qdaemon opens
-/// host files through it with that user's permissions.
+/// A user session: gathers commands for the qdaemon and returns its
+/// replies.
 #[derive(Debug)]
-pub struct Qcsh {
-    uid: u32,
-    /// Host paths this user may open (the permission model).
-    allowed_paths: Vec<String>,
-    /// Files opened on behalf of the qdaemon.
-    open_files: HashMap<String, Vec<u8>>,
-}
+pub struct Qcsh {}
 
 impl Qcsh {
     /// A session for user `uid` with access to the given path prefixes.
-    pub fn new(uid: u32, allowed_paths: &[&str]) -> Qcsh {
-        Qcsh {
-            uid,
-            allowed_paths: allowed_paths.iter().map(|s| s.to_string()).collect(),
-            open_files: HashMap::new(),
-        }
-    }
-
-    /// The session's UID.
-    pub fn uid(&self) -> u32 {
-        self.uid
+    /// Neither is read: no host file is opened through a session.
+    pub fn new(_uid: u32, _allowed_paths: &[&str]) -> Qcsh {
+        Qcsh {}
     }
 
     /// Execute a command against the qdaemon, returning the textual reply.
@@ -397,37 +385,6 @@ impl Qcsh {
             }
             other => self.execute(q, other),
         }
-    }
-
-    /// Open a host file on behalf of the qdaemon — succeeds only under the
-    /// user's permitted prefixes.
-    pub fn open_for_daemon(&mut self, path: &str) -> Result<(), String> {
-        if self
-            .allowed_paths
-            .iter()
-            .any(|p| path.starts_with(p.as_str()))
-        {
-            self.open_files.insert(path.to_string(), Vec::new());
-            Ok(())
-        } else {
-            Err(format!("uid {}: permission denied: {path}", self.uid))
-        }
-    }
-
-    /// Write into a file previously opened for the daemon.
-    pub fn write_for_daemon(&mut self, path: &str, bytes: &[u8]) -> Result<(), String> {
-        match self.open_files.get_mut(path) {
-            Some(f) => {
-                f.extend_from_slice(bytes);
-                Ok(())
-            }
-            None => Err(format!("{path} not open")),
-        }
-    }
-
-    /// Contents of a file written through this session.
-    pub fn file(&self, path: &str) -> Option<&[u8]> {
-        self.open_files.get(path).map(|v| v.as_slice())
     }
 }
 
@@ -724,16 +681,5 @@ mod tests {
         for bad in ["qhw seven", "qcat -1", "qdel job0", "qflight x1"] {
             assert!(parse(bad).is_err(), "{bad} should fail to parse");
         }
-    }
-
-    #[test]
-    fn daemon_file_access_uses_user_permissions() {
-        let mut sh = Qcsh::new(1001, &["/home/physics"]);
-        assert!(sh.open_for_daemon("/home/physics/configs/lat.0").is_ok());
-        assert!(sh.open_for_daemon("/etc/passwd").is_err());
-        sh.write_for_daemon("/home/physics/configs/lat.0", b"binary")
-            .unwrap();
-        assert_eq!(sh.file("/home/physics/configs/lat.0"), Some(&b"binary"[..]));
-        assert!(sh.write_for_daemon("/never/opened", b"x").is_err());
     }
 }

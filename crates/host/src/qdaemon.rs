@@ -15,16 +15,15 @@
 //! host↔node traffic uses RPC.
 
 use crate::ethernet::{EthernetTree, BOOT_PACKET_BYTES};
-use crate::jtag::{JtagCommand, JtagController};
 use crate::kernel::RunKernel;
 use qcdoc_geometry::{NodeId, Partition, PartitionError, PartitionSpec, TorusShape};
 use qcdoc_telemetry::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry, HOST_NODE};
 use std::collections::HashMap;
 
 /// Boot-packet counts from §3.1.
-pub const BOOT_KERNEL_PACKETS: u64 = 100;
+const BOOT_KERNEL_PACKETS: u64 = 100;
 /// Run-kernel load is "also taking about 100 UDP packets".
-pub const RUN_KERNEL_PACKETS: u64 = 100;
+const RUN_KERNEL_PACKETS: u64 = 100;
 
 /// Per-node status as tracked by the qdaemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,13 +118,12 @@ impl std::fmt::Display for NodeCensus {
 
 /// Most recently released outputs kept readable after `release` — bounded
 /// so thousands of unread soak jobs cannot leak the host's memory.
-pub const RETAINED_OUTPUT_CAP: usize = 64;
+const RETAINED_OUTPUT_CAP: usize = 64;
 
 /// The host daemon.
 #[derive(Debug)]
 pub struct Qdaemon {
     machine: TorusShape,
-    jtag: Vec<JtagController>,
     kernels: Vec<RunKernel>,
     pub(crate) states: Vec<NodeState>,
     /// Times each node has been condemned (entered `Faulty`) — the
@@ -158,7 +156,6 @@ impl Qdaemon {
         let n = machine.node_count();
         Qdaemon {
             ethernet: EthernetTree::for_machine(n),
-            jtag: (0..n).map(|_| JtagController::new()).collect(),
             kernels: (0..n).map(|_| RunKernel::new()).collect(),
             states: vec![NodeState::PoweredOn; n],
             convictions: vec![0; n],
@@ -189,18 +186,9 @@ impl Qdaemon {
     /// fails (fault injection for tests; empty on a healthy machine).
     pub fn boot(&mut self, faulty: &[u32]) -> BootReport {
         let n = self.machine.node_count();
-        // Phase 1: boot kernel via Ethernet/JTAG into each I-cache.
-        for node in 0..n {
-            for i in 0..BOOT_KERNEL_PACKETS {
-                self.jtag[node].handle(&JtagCommand::WriteICache {
-                    addr: (i * 4) as u32,
-                    data: 0x6000_0000 | i as u32,
-                });
-                self.packets_sent += 1;
-            }
-            self.jtag[node].handle(&JtagCommand::StartCpu);
-            self.packets_sent += 1;
-        }
+        // Phase 1: boot kernel via Ethernet/JTAG into each I-cache, one
+        // packet per instruction word plus the one that releases the CPU.
+        self.packets_sent += (BOOT_KERNEL_PACKETS + 1) * n as u64;
         // Boot kernel runs hardware tests.
         let mut bad = Vec::new();
         for node in 0..n {
@@ -283,8 +271,7 @@ impl Qdaemon {
     }
 
     /// The output stream of a partition's job — live or retained after
-    /// release. Does not consume the buffer; see
-    /// [`Qdaemon::take_output`].
+    /// release.
     pub fn job_output(&self, id: u32) -> Option<&[u8]> {
         self.allocations
             .get(&id)
@@ -292,24 +279,13 @@ impl Qdaemon {
             .or_else(|| self.retained_output.get(&id).map(Vec::as_slice))
     }
 
-    /// Consume a job's output: the buffer is handed to the caller and the
-    /// daemon forgets it. This is how batch output leaves the host —
-    /// reading frees the memory, so a soak of thousands of jobs holds at
-    /// most [`RETAINED_OUTPUT_CAP`] unread buffers at any moment.
-    pub fn take_output(&mut self, id: u32) -> Option<Vec<u8>> {
-        if let Some(a) = self.allocations.get_mut(&id) {
-            return Some(std::mem::take(&mut a.job_output));
-        }
-        self.retained_output.remove(&id)
-    }
-
     /// Release a partition; member nodes return to `Ready`. A member that
     /// was marked faulty while the job ran (health sweep, checksum report)
     /// stays quarantined — releasing a job must never launder a broken
     /// node back into the allocation pool.
     ///
-    /// Any unread job output is retained for a later [`Qdaemon::job_output`]
-    /// or [`Qdaemon::take_output`], bounded by [`RETAINED_OUTPUT_CAP`]:
+    /// Any job output is retained for a later [`Qdaemon::job_output`],
+    /// bounded by `RETAINED_OUTPUT_CAP`:
     /// when a release would exceed the cap, the oldest retained buffer is
     /// dropped. (Earlier versions dropped the output *with* the
     /// allocation, which lost batch output; naive retention without the
@@ -497,15 +473,6 @@ impl Qdaemon {
             }
         }
         census
-    }
-
-    /// Merge an application-side telemetry snapshot (e.g. the registry a
-    /// [`qcdoc_telemetry::MachineTelemetry`] run produced) into the
-    /// daemon's machine-wide view. Counters add, gauges take the incoming
-    /// value, histograms merge — the same series the health sweep writes
-    /// (all gauges) therefore stay consistent rather than double-counting.
-    pub fn ingest_metrics(&mut self, snapshot: &MetricsRegistry) {
-        self.metrics.merge(snapshot);
     }
 
     /// One Prometheus-style scrape of everything the daemon knows: the
@@ -797,18 +764,14 @@ mod tests {
     }
 
     #[test]
-    fn output_survives_release_and_is_dropped_once_read() {
+    fn output_survives_release() {
         let mut q = Qdaemon::new(small_machine());
         q.boot(&[]);
         let id = q.allocate(PartitionSpec::native(q.machine())).unwrap();
         q.return_output(id, b"batch output\n");
         q.release(id);
-        // Batch semantics: the output outlives the allocation...
+        // Batch semantics: the output outlives the allocation.
         assert_eq!(q.job_output(id).unwrap(), b"batch output\n");
-        // ...until it is read, after which the daemon forgets it.
-        assert_eq!(q.take_output(id).unwrap(), b"batch output\n");
-        assert_eq!(q.job_output(id), None);
-        assert_eq!(q.take_output(id), None);
     }
 
     #[test]
@@ -932,11 +895,6 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(strip(&first), strip(&second));
-        // Application metrics merge into the same view.
-        let mut app = MetricsRegistry::new();
-        app.counter_add("cg_iterations", &[("node", "0".into())], 213);
-        q.ingest_metrics(&app);
-        assert!(q.scrape().contains("cg_iterations{node=\"0\"} 213"));
     }
 
     #[test]

@@ -128,17 +128,6 @@ pub struct RepairTickReport {
 }
 
 impl Qdaemon {
-    /// Replace the repair pipeline's tunables (only sensible while the
-    /// pipeline is empty; in-flight stages keep their old countdowns).
-    pub fn set_repair_config(&mut self, config: RepairConfig) {
-        self.repair.config = config;
-    }
-
-    /// Read-only view of the repair pipeline.
-    pub fn repair_pipeline(&self) -> &RepairPipeline {
-        &self.repair
-    }
-
     /// Admit every quarantined node into the repair pipeline. Nodes
     /// whose conviction count already reached the blacklist threshold
     /// are blacklisted instead. Returns the newly admitted node ids.
@@ -269,9 +258,9 @@ mod tests {
         q.mark_faulty(NodeId(5));
         assert_eq!(q.census().faulty, 1);
         assert_eq!(q.repair_admit(), vec![5]);
-        assert!(q.repair_pipeline().contains(5));
+        assert!(q.repair.contains(5));
         // Node stays quarantined (isolated) through scrub + burn-in.
-        let cfg = q.repair_pipeline().config;
+        let cfg = q.repair.config;
         let total = cfg.scrub_ticks + cfg.burnin_ticks;
         for tick in 0..total {
             assert_eq!(q.census().faulty, 1, "still isolated at tick {tick}");
@@ -285,7 +274,7 @@ mod tests {
         let census = q.census();
         assert_eq!((census.ready, census.spare, census.faulty), (31, 1, 0));
         assert_eq!(census.allocatable(), 32);
-        assert!(q.repair_pipeline().is_empty());
+        assert!(q.repair.is_empty());
         assert!(q.flight_dump(None).contains("return_to_service"));
         // The spare is genuinely allocatable again.
         use qcdoc_geometry::PartitionSpec;
@@ -295,11 +284,11 @@ mod tests {
     #[test]
     fn repeated_convictions_blacklist_stickily() {
         let mut q = booted();
-        q.set_repair_config(RepairConfig {
+        q.repair.config = RepairConfig {
             scrub_ticks: 1,
             burnin_ticks: 1,
             max_convictions: 2,
-        });
+        };
         q.mark_faulty(NodeId(7)); // conviction 1
         assert_eq!(q.repair_admit(), vec![7]);
         q.repair_tick(&mut |_| true); // scrub done

@@ -12,7 +12,7 @@ use std::path::{Path, PathBuf};
 
 /// `BENCH_*.json` files directly under `dir`, sorted by name. Missing
 /// directory reads as empty (a first-ever bless has no baselines yet).
-pub fn baseline_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
+fn baseline_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
     let entries = match fs::read_dir(dir) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
@@ -33,7 +33,7 @@ pub fn baseline_files(dir: &Path) -> Result<Vec<PathBuf>, String> {
 
 /// Next free slot number under `history`: one past the highest existing
 /// four-digit directory, starting at 1. Non-numeric entries are ignored.
-pub fn next_slot(history: &Path) -> Result<u32, String> {
+fn next_slot(history: &Path) -> Result<u32, String> {
     let entries = match fs::read_dir(history) {
         Ok(entries) => entries,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(1),

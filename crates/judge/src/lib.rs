@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema stamp a bench export must carry to be judged.
-pub const SCHEMA: &str = "qcdoc-telemetry-v2";
+const SCHEMA: &str = "qcdoc-telemetry-v2";
 
 /// One bench's export, flattened for diffing: every gauge/counter becomes
 /// a `name{labels}` key, every histogram additionally expands into
@@ -139,7 +139,7 @@ pub struct Manifest {
 
 impl Manifest {
     /// The policy for `(bench, metric)`, if declared.
-    pub fn lookup(&self, bench: &str, metric: &str) -> Option<&Policy> {
+    fn lookup(&self, bench: &str, metric: &str) -> Option<&Policy> {
         self.policies
             .iter()
             .find(|p| p.bench == bench && p.metric == metric)
@@ -267,7 +267,7 @@ impl Finding {
     }
 
     /// Whether the report table shows this finding.
-    pub fn significant(&self) -> bool {
+    fn significant(&self) -> bool {
         !matches!(self.verdict, Verdict::Invariant | Verdict::New)
     }
 }
@@ -365,7 +365,7 @@ fn fmt_value(v: Option<f64>) -> String {
 }
 
 /// Judge one bench's current export against its baseline.
-pub fn judge_bench(baseline: &BenchDoc, current: &BenchDoc, manifest: &Manifest) -> Vec<Finding> {
+fn judge_bench(baseline: &BenchDoc, current: &BenchDoc, manifest: &Manifest) -> Vec<Finding> {
     assert_eq!(
         baseline.bench, current.bench,
         "cannot judge mismatched benches"

@@ -10,16 +10,16 @@
 //!
 //! This module fixes the layout instead of the instruction mix. Fields are
 //! re-blocked **AoSoA** — array of structures of arrays — over groups of
-//! [`LANES`] consecutive sites:
+//! `LANES` consecutive sites:
 //!
 //! ```text
 //! FermionBlocks  [block][spin 4][color 3]{ re[LANES], im[LANES] }
 //! GaugeBlocks    [block][mu 4][row 3][col 3]{ re[LANES], im[LANES] }
 //! ```
 //!
-//! Within a block, the same (spin, color) component of [`LANES`] sites is
+//! Within a block, the same (spin, color) component of `LANES` sites is
 //! contiguous, reals separated from imaginaries. Every algebraic step of
-//! the Dslash then becomes [`LANES`] independent copies of the identical
+//! the Dslash then becomes `LANES` independent copies of the identical
 //! scalar recurrence with **no intra-vector shuffles**, which the
 //! autovectorizer turns into plain packed mul/add — and packed f32 finally
 //! earns its 2× lane advantage over f64.
@@ -27,14 +27,14 @@
 //! **Bit-compatibility contract.** The resilience stack (ABFT checksums,
 //! exact-bits checkpoints, the §4 reproducibility story) requires kernels
 //! to produce identical bits regardless of execution strategy. Every lane
-//! of every [`LaneComplex`] op executes *exactly* the operation sequence of
+//! of every `LaneComplex` op executes *exactly* the operation sequence of
 //! the corresponding scalar [`Complex`] op — same
 //! madd decomposition, same accumulation order over mu/spin/color — so
 //! [`dslash_aosoa`] and [`WilsonDirac::dslash`](crate::wilson::WilsonDirac)
 //! agree bit-for-bit at each precision, and the layout converters are pure
 //! data movement. Tests below assert both.
 
-use crate::complex::{Complex, C64};
+use crate::complex::Complex;
 use crate::field::{FermionField, GaugeField, Lattice, NeighbourTable};
 use crate::real::Real;
 use crate::spinor::ProjSign;
@@ -42,7 +42,7 @@ use crate::spinor::ProjSign;
 /// Sites per AoSoA block. Eight f32 values fill one AVX2 register; for
 /// f64 a block spans two registers, which costs nothing extra — the loop
 /// body is lane-count agnostic.
-pub const LANES: usize = 8;
+const LANES: usize = 8;
 
 /// [`LANES`] complex numbers with all real parts contiguous, then all
 /// imaginary parts — the unit of AoSoA storage.
@@ -51,7 +51,7 @@ pub const LANES: usize = 8;
 /// [`Complex`] formula, so per-lane results are
 /// bit-identical to the scalar stack at both precisions.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaneComplex<T: Real = f64> {
+struct LaneComplex<T: Real = f64> {
     /// Real parts, one per lane.
     pub re: [T; LANES],
     /// Imaginary parts, one per lane.
@@ -76,20 +76,6 @@ impl<T: Real> LaneComplex<T> {
             let t_im = self.im[l] + a.re[l] * b.im[l];
             out.re[l] = t_re + a.im[l] * (-b.im[l]);
             out.im[l] = t_im + a.im[l] * b.re[l];
-        }
-        out
-    }
-
-    /// Lane-wise `self + a * b` with a uniform (broadcast) `a` — the shape
-    /// of the κ-recurrence in the Wilson operator.
-    #[inline(always)]
-    pub fn madd_broadcast(&self, a: Complex<T>, b: &LaneComplex<T>) -> LaneComplex<T> {
-        let mut out = LaneComplex::ZERO;
-        for l in 0..LANES {
-            let t_re = self.re[l] + a.re * b.re[l];
-            let t_im = self.im[l] + a.re * b.im[l];
-            out.re[l] = t_re + a.im * (-b.im[l]);
-            out.im[l] = t_im + a.im * b.re[l];
         }
         out
     }
@@ -198,7 +184,7 @@ pub struct FermionBlocks<T: Real = f64> {
 
 impl<T: Real> FermionBlocks<T> {
     /// Re-block an AoS fermion field. Panics unless the volume is a
-    /// multiple of [`LANES`].
+    /// multiple of `LANES`.
     pub fn from_field(f: &FermionField<T>) -> FermionBlocks<T> {
         let lat = f.lattice();
         let blocks = assert_blockable(lat);
@@ -258,7 +244,7 @@ pub struct GaugeBlocks<T: Real = f64> {
 
 impl<T: Real> GaugeBlocks<T> {
     /// Re-block an AoS gauge field. Panics unless the volume is a
-    /// multiple of [`LANES`].
+    /// multiple of `LANES`.
     pub fn from_field(g: &GaugeField<T>) -> GaugeBlocks<T> {
         let lat = g.lattice();
         let blocks = assert_blockable(lat);
@@ -448,7 +434,7 @@ fn mul_su3_lanes<T: Real>(
 /// The Wilson hopping term on AoSoA-blocked fields — bit-identical per
 /// precision to [`WilsonDirac::dslash`](crate::wilson::WilsonDirac::dslash)
 /// on the corresponding AoS fields, but with every algebraic step running
-/// [`LANES`] sites wide.
+/// `LANES` sites wide.
 pub fn dslash_aosoa<T: Real>(
     out: &mut FermionBlocks<T>,
     gauge: &GaugeBlocks<T>,
@@ -489,22 +475,6 @@ pub fn dslash_aosoa<T: Real>(
                 out.data[(b * 4 + s) * 3 + c] = acc[s][c];
             }
         }
-    }
-}
-
-/// The full Wilson operator `M = 1 − κ D` on AoSoA fields — bit-identical
-/// per precision to [`WilsonDirac::apply`](crate::wilson::WilsonDirac::apply).
-pub fn wilson_apply_aosoa<T: Real>(
-    out: &mut FermionBlocks<T>,
-    gauge: &GaugeBlocks<T>,
-    inp: &FermionBlocks<T>,
-    hops: &NeighbourTable,
-    kappa: f64,
-) {
-    dslash_aosoa(out, gauge, inp, hops);
-    let mk = Complex::from_c64(C64::real(-kappa));
-    for (o, i) in out.data.iter_mut().zip(inp.data.iter()) {
-        *o = i.madd_broadcast(mk, o);
     }
 }
 
@@ -603,43 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn wilson_apply_matches_scalar_kernel_bitwise_both_precisions() {
-        let lat = Lattice::new([4, 4, 2, 2]);
-        let gauge = GaugeField::hot(lat, 60);
-        let psi = FermionField::gaussian(lat, 61);
-        let hops = NeighbourTable::new(lat);
-        let kappa = 0.117;
-
-        let d = WilsonDirac::new(&gauge, kappa);
-        let mut scalar = FermionField::zero(lat);
-        d.apply(&mut scalar, &psi);
-        let mut ob = FermionBlocks::zero(lat);
-        wilson_apply_aosoa(
-            &mut ob,
-            &GaugeBlocks::from_field(&gauge),
-            &FermionBlocks::from_field(&psi),
-            &hops,
-            kappa,
-        );
-        assert_fields_bit_equal(&ob.to_field(), &scalar, "apply f64");
-
-        let gauge32 = gauge.to_f32();
-        let psi32 = psi.to_f32();
-        let d32 = WilsonDirac::new(&gauge32, kappa);
-        let mut scalar32 = FermionField::zero(lat);
-        d32.apply(&mut scalar32, &psi32);
-        let mut ob32 = FermionBlocks::zero(lat);
-        wilson_apply_aosoa(
-            &mut ob32,
-            &GaugeBlocks::from_field(&gauge32),
-            &FermionBlocks::from_field(&psi32),
-            &hops,
-            kappa,
-        );
-        assert_fields_bit_equal(&ob32.to_field(), &scalar32, "apply f32");
-    }
-
-    #[test]
     fn lane_complex_ops_match_scalar_complex_bitwise() {
         // Randomised per-lane cross-check of every LaneComplex op against
         // the scalar Complex it mirrors.
@@ -654,14 +587,12 @@ mod tests {
             lc
         };
         let (a, b, c) = (mk(0), mk(1), mk(2));
-        let s = Complex::new(0.7, -1.3);
         for l in 0..LANES {
             let za = Complex::new(a.re[l], a.im[l]);
             let zb = Complex::new(b.re[l], b.im[l]);
             let zc = Complex::new(c.re[l], c.im[l]);
             let pairs: Vec<(Complex<f64>, LaneComplex<f64>)> = vec![
                 (za.madd(zb, zc), a.madd(&b, &c)),
-                (za.madd(s, zb), a.madd_broadcast(s, &b)),
                 (za.mul_i(), a.mul_i()),
                 (za.mul_neg_i(), a.mul_neg_i()),
                 (za.conj(), a.conj()),

@@ -18,7 +18,7 @@ use crate::wilson::WilsonDirac;
 
 /// One site's clover term: Hermitian 6×6 blocks for the two chiralities.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CloverSite<T: Real = f64> {
+struct CloverSite<T: Real = f64> {
     /// Upper-chirality block (spins 0, 1).
     pub upper: [[Complex<T>; 6]; 6],
     /// Lower-chirality block (spins 2, 3).
@@ -38,12 +38,7 @@ impl<T: Real> CloverSite<T> {
 /// The field-strength tensor at `x` in the (μ,ν) plane from the four
 /// clover leaves: `F = (Q − Q†)/8` with the trace removed, where `Q` is
 /// the sum of the four plaquette loops around `x`.
-pub fn clover_field_strength<T: Real>(
-    gauge: &GaugeField<T>,
-    x: usize,
-    mu: usize,
-    nu: usize,
-) -> Su3<T> {
+fn clover_field_strength<T: Real>(gauge: &GaugeField<T>, x: usize, mu: usize, nu: usize) -> Su3<T> {
     let lat = gauge.lattice();
     let xpm = lat.neighbour(x, mu, true);
     let xpn = lat.neighbour(x, nu, true);
@@ -84,7 +79,6 @@ pub fn clover_field_strength<T: Real>(
 pub struct CloverDirac<'a, T: Real = f64> {
     wilson: WilsonDirac<'a, T>,
     terms: Vec<CloverSite<T>>,
-    csw: f64,
 }
 
 impl<'a, T: Real> CloverDirac<'a, T> {
@@ -128,13 +122,7 @@ impl<'a, T: Real> CloverDirac<'a, T> {
         CloverDirac {
             wilson: WilsonDirac::new(gauge, kappa),
             terms,
-            csw,
         }
-    }
-
-    /// The clover coefficient.
-    pub fn csw(&self) -> f64 {
-        self.csw
     }
 
     /// The lattice.
@@ -142,13 +130,8 @@ impl<'a, T: Real> CloverDirac<'a, T> {
         self.wilson.gauge().lattice()
     }
 
-    /// The per-site clover blocks (exposed for tests and ledgers).
-    pub fn site_term(&self, x: usize) -> &CloverSite<T> {
-        &self.terms[x]
-    }
-
     /// Apply the clover term alone: `out = A inp`.
-    pub fn apply_clover_term(&self, out: &mut FermionField<T>, inp: &FermionField<T>) {
+    fn apply_clover_term(&self, out: &mut FermionField<T>, inp: &FermionField<T>) {
         let lat = self.lattice();
         for x in lat.sites() {
             let t = &self.terms[x];
@@ -233,7 +216,7 @@ mod tests {
         let gauge = GaugeField::hot(lat(), 6);
         let d = CloverDirac::new(&gauge, 0.12, 1.0);
         for x in [0, 3, 11] {
-            let t = d.site_term(x);
+            let t = &d.terms[x];
             for r in 0..6 {
                 for c in 0..6 {
                     assert!((t.upper[r][c] - t.upper[c][r].conj()).abs() < 1e-12);

@@ -41,8 +41,6 @@ impl Prec {
         }
     }
 }
-/// Bytes of a 4-spinor (12 complex).
-pub const SPINOR_BYTES: u64 = 12 * CPLX;
 /// Bytes of a half-spinor (6 complex) — the face-exchange payload of
 /// Wilson-type actions.
 pub const HALF_SPINOR_BYTES: u64 = 6 * CPLX;
@@ -105,7 +103,7 @@ pub struct SiteCounts {
 }
 
 /// Number of solver vectors CGNE keeps live (x, b, r, p, t, q).
-pub const CG_VECTORS: u64 = 6;
+const CG_VECTORS: u64 = 6;
 
 /// Counts for one application of the operator `M` of `action`, at the
 /// paper's double-precision benchmark width. Shorthand for
@@ -358,6 +356,7 @@ mod tests {
     #[test]
     fn wilson_face_is_half_spinor() {
         // The spin-projection trick halves the exchanged payload.
+        const SPINOR_BYTES: u64 = 12 * CPLX;
         assert_eq!(operator_counts(Action::Wilson).face_bytes, SPINOR_BYTES / 2);
     }
 }

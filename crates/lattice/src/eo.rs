@@ -56,7 +56,7 @@ impl EoLayout {
     }
 
     /// Sites per parity.
-    pub fn half_volume(&self) -> usize {
+    fn half_volume(&self) -> usize {
         self.lat.volume() / 2
     }
 
@@ -213,7 +213,7 @@ impl<'a> EoWilson<'a> {
     }
 
     /// The Schur complement `M̂ = 1 − κ² D_eo D_oe` on even sites.
-    pub fn apply_mhat(&self, out: &mut EoField, inp: &EoField) {
+    fn apply_mhat(&self, out: &mut EoField, inp: &EoField) {
         let doe = self.hop(1, inp); // even -> odd
         let deo = self.hop(0, &doe); // odd -> even
         *out = inp.clone();
@@ -221,7 +221,7 @@ impl<'a> EoWilson<'a> {
     }
 
     /// `M̂† = γ₅ M̂ γ₅` (inherited from the full operator).
-    pub fn apply_mhat_dagger(&self, out: &mut EoField, inp: &EoField) {
+    fn apply_mhat_dagger(&self, out: &mut EoField, inp: &EoField) {
         let mut tmp = inp.clone();
         for s in &mut tmp.data {
             *s = s.apply_gamma5();

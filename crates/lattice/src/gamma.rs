@@ -67,7 +67,7 @@ impl Gamma {
 
 /// Dense 4×4 complex matrix product (test helper exposed for the clover
 /// construction of σ_μν).
-pub fn matmul4(a: &[[C64; 4]; 4], b: &[[C64; 4]; 4]) -> [[C64; 4]; 4] {
+fn matmul4(a: &[[C64; 4]; 4], b: &[[C64; 4]; 4]) -> [[C64; 4]; 4] {
     let mut out = [[C64::ZERO; 4]; 4];
     for r in 0..4 {
         for c in 0..4 {

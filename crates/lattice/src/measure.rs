@@ -15,7 +15,6 @@
 use crate::complex::C64;
 use crate::field::{FermionField, GaugeField};
 use crate::solver::{solve_cgne, CgParams, CgReport};
-use crate::spinor::Spinor;
 use crate::wilson::WilsonDirac;
 
 /// A full quark propagator from a point source at the origin: one solved
@@ -67,36 +66,22 @@ pub fn effective_mass(corr: &[f64]) -> Vec<f64> {
     corr.windows(2).map(|w| (w[0] / w[1]).ln()).collect()
 }
 
-/// Sum a spinor's squared magnitude per time slice (helper exposed for
-/// other channels).
-pub fn timeslice_norms(field: &FermionField) -> Vec<f64> {
-    let lat = field.lattice();
-    let nt = lat.dims()[3];
-    let mut out = vec![0.0f64; nt];
-    for x in lat.sites() {
-        out[lat.coord(x)[3]] += field.site(x).norm_sqr();
-    }
-    out
-}
-
-/// The conserved-charge check: on a point source, the solution restricted
-/// to the source site recovers `M⁻¹(0,0)`, whose trace is real and
-/// positive for κ below critical.
-pub fn source_site_trace(prop: &Propagator) -> f64 {
-    let mut tr = 0.0;
-    for (i, col) in prop.columns.iter().enumerate() {
-        let (s, c) = (i / 3, i % 3);
-        let site: &Spinor = col.site(0);
-        tr += site.0[s].0[c].re;
-    }
-    tr
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::field::Lattice;
     use crate::gauge::{evolve, EvolveParams};
+
+    /// Sum a spinor's squared magnitude per time slice.
+    fn timeslice_norms(field: &FermionField) -> Vec<f64> {
+        let lat = field.lattice();
+        let nt = lat.dims()[3];
+        let mut out = vec![0.0f64; nt];
+        for x in lat.sites() {
+            out[lat.coord(x)[3]] += field.site(x).norm_sqr();
+        }
+        out
+    }
 
     fn setup() -> (GaugeField, Propagator) {
         let lat = Lattice::new([2, 2, 2, 8]);
@@ -151,12 +136,6 @@ mod tests {
         for (t, &m) in meff.iter().take(3).enumerate() {
             assert!(m > 0.0, "t={t}: {m}");
         }
-    }
-
-    #[test]
-    fn source_site_trace_positive() {
-        let (_, prop) = setup();
-        assert!(source_site_trace(&prop) > 0.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! raw words.
 //!
 //! Both types are generic over the [`Real`] scalar. The gamma tables
-//! (still behind [`Spinor::apply_gamma`]) stay double precision (their
+//! (still behind `Spinor::apply_gamma`) stay double precision (their
 //! phases are 0, ±1, ±i — exactly representable at any width) and are
 //! converted per use via [`Complex::from_c64`], which is the identity for
 //! `f64`.
@@ -94,7 +94,7 @@ impl<T: Real> Spinor<T> {
 
     /// Apply a gamma matrix (sparse table form).
     #[inline(always)]
-    pub fn apply_gamma(&self, g: &Gamma) -> Spinor<T> {
+    fn apply_gamma(&self, g: &Gamma) -> Spinor<T> {
         let mut out = Spinor::ZERO;
         for r in 0..4 {
             out.0[r] = self.0[g.col[r]].scale(Complex::from_c64(g.phase[r]));

@@ -26,7 +26,7 @@ use crate::real::Real;
 use crate::su3::Su3;
 
 /// The Kawamoto–Smit staggered phase `η_μ(x)`.
-pub fn eta(coord: [usize; 4], mu: usize) -> f64 {
+fn eta(coord: [usize; 4], mu: usize) -> f64 {
     let s: usize = coord[..mu].iter().sum();
     if s.is_multiple_of(2) {
         1.0

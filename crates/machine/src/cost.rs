@@ -14,27 +14,25 @@ use crate::packaging::MachineAssembly;
 /// Purchase-order line items of the 4096-node Columbia machine (§4).
 pub mod columbia_4096 {
     /// 2048 daughterboards (half with 128 MB DIMMs, half with 256 MB).
-    pub const DAUGHTERBOARDS: f64 = 1_105_692.67;
+    pub(super) const DAUGHTERBOARDS: f64 = 1_105_692.67;
     /// 64 motherboards.
-    pub const MOTHERBOARDS: f64 = 180_404.88;
+    pub(super) const MOTHERBOARDS: f64 = 180_404.88;
     /// Four water-cooled cabinets.
-    pub const CABINETS: f64 = 187_296.0;
+    pub(super) const CABINETS: f64 = 187_296.0;
     /// 768 mesh cables.
-    pub const CABLES: f64 = 71_040.0;
+    pub(super) const CABLES: f64 = 71_040.0;
     /// Host computer, Ethernet switches, disks (6 TB parallel RAID).
-    pub const HOST_AND_IO: f64 = 64_300.0;
+    pub(super) const HOST_AND_IO: f64 = 64_300.0;
     /// The paper's quoted total (its own rounding of the items above plus
     /// final accounting).
     pub const QUOTED_TOTAL: f64 = 1_610_442.0;
-    /// Full R&D (design and prototyping), excluding academic salaries.
-    pub const RND_TOTAL: f64 = 2_166_000.0;
     /// R&D share prorated onto this machine over all funded QCDOC
     /// machines.
-    pub const RND_PRORATED: f64 = 99_159.0;
+    pub(super) const RND_PRORATED: f64 = 99_159.0;
     /// The paper's all-in total.
     pub const QUOTED_TOTAL_WITH_RND: f64 = 1_709_601.0;
     /// Number of mesh cables.
-    pub const CABLE_COUNT: usize = 768;
+    pub(super) const CABLE_COUNT: usize = 768;
 }
 
 /// A cost model scaled from the Columbia per-unit prices.

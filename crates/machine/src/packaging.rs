@@ -7,37 +7,25 @@
 //! nodes \[have\] a footprint of about 60 square feet".
 
 /// Nodes on one daughterboard.
-pub const NODES_PER_DAUGHTERBOARD: usize = 2;
-/// Daughterboards on one motherboard.
-pub const DAUGHTERBOARDS_PER_MOTHERBOARD: usize = 32;
+const NODES_PER_DAUGHTERBOARD: usize = 2;
 /// Nodes on one motherboard (a 2⁶ hypercube).
-pub const NODES_PER_MOTHERBOARD: usize = 64;
+const NODES_PER_MOTHERBOARD: usize = 64;
 /// Motherboards per crate.
-pub const MOTHERBOARDS_PER_CRATE: usize = 8;
+const MOTHERBOARDS_PER_CRATE: usize = 8;
 /// Crates per rack.
-pub const CRATES_PER_RACK: usize = 2;
+const CRATES_PER_RACK: usize = 2;
 /// Nodes per rack.
-pub const NODES_PER_RACK: usize = 1024;
+const NODES_PER_RACK: usize = 1024;
 
 /// Power draw of one daughterboard (both nodes + DRAM), watts.
-pub const DAUGHTERBOARD_WATTS: f64 = 20.0;
-/// Rack power budget, watts ("consumes less than 10,000 watts").
-pub const RACK_WATTS_LIMIT: f64 = 10_000.0;
-/// Peak rack speed at the 500 MHz design clock, flops.
-pub const RACK_PEAK_FLOPS: f64 = 1.0e12;
+const DAUGHTERBOARD_WATTS: f64 = 20.0;
 /// Footprint of ~10,000 nodes in square feet (§2.4).
-pub const FOOTPRINT_10K_NODES_SQFT: f64 = 60.0;
+const FOOTPRINT_10K_NODES_SQFT: f64 = 60.0;
 
 /// Dimensions of one daughterboard in inches.
-pub const DAUGHTERBOARD_INCHES: (f64, f64) = (3.0, 6.5);
+const DAUGHTERBOARD_INCHES: (f64, f64) = (3.0, 6.5);
 /// Dimensions of one motherboard in inches.
-pub const MOTHERBOARD_INCHES: (f64, f64) = (14.5, 27.0);
-/// DC rails supplied on the daughterboard, volts.
-pub const DC_RAILS_VOLTS: [f64; 3] = [1.8, 2.5, 3.3];
-/// Supply voltage delivered to the motherboard's DC-DC converters.
-pub const MOTHERBOARD_SUPPLY_VOLTS: f64 = 48.0;
-/// The motherboard-distributed global clock, MHz (≈40 MHz, §2.4).
-pub const GLOBAL_CLOCK_MHZ: f64 = 40.0;
+const MOTHERBOARD_INCHES: (f64, f64) = (14.5, 27.0);
 
 /// A machine assembled from the packaging hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,6 +118,13 @@ impl MachineAssembly {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Daughterboards on one motherboard.
+    const DAUGHTERBOARDS_PER_MOTHERBOARD: usize = 32;
+    /// Rack power budget, watts ("consumes less than 10,000 watts").
+    const RACK_WATTS_LIMIT: f64 = 10_000.0;
+    /// Peak rack speed at the 500 MHz design clock, flops.
+    const RACK_PEAK_FLOPS: f64 = 1.0e12;
 
     #[test]
     fn hierarchy_arithmetic() {

@@ -18,7 +18,7 @@ pub enum Network {
 
 /// An edge of the machine graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Edge {
+enum Edge {
     /// Mesh link between two nodes.
     Mesh {
         /// One endpoint.
@@ -46,7 +46,7 @@ pub enum Edge {
 }
 
 /// Enumerate the mesh edges of a machine (each physical cable once).
-pub fn mesh_edges(shape: &TorusShape) -> Vec<Edge> {
+fn mesh_edges(shape: &TorusShape) -> Vec<Edge> {
     let mut edges = Vec::new();
     for c in shape.coords() {
         for axis in 0..shape.rank() {
@@ -70,7 +70,7 @@ pub fn mesh_edges(shape: &TorusShape) -> Vec<Edge> {
 /// Build the full Figure 2 edge inventory: mesh + Ethernet tree + host +
 /// disks. One hub per daughterboard (2 nodes), one disk switch per 8
 /// hubs' worth of nodes (schematic scale, as in the figure).
-pub fn full_schematic(shape: &TorusShape) -> Vec<Edge> {
+fn full_schematic(shape: &TorusShape) -> Vec<Edge> {
     let mut edges = mesh_edges(shape);
     let nodes = shape.node_count();
     let hubs = nodes.div_ceil(2) as u32;

@@ -19,10 +19,7 @@ use qcdoc_geometry::TorusShape;
 
 /// Cables per motherboard-face bundle (32 node links across three
 /// connectors, from the §4 cable count).
-pub const CABLES_PER_FACE: usize = 3;
-
-/// Node links crossing one board face (the 2⁵ nodes of a hypercube face).
-pub const LINKS_PER_FACE: usize = 32;
+const CABLES_PER_FACE: usize = 3;
 
 /// The wiring breakdown of a machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,6 +115,9 @@ mod tests {
 
     #[test]
     fn face_bundles_carry_32_links() {
+        // Node links crossing one board face (the 2⁵ nodes of a hypercube
+        // face).
+        const LINKS_PER_FACE: usize = 32;
         let spec = catalog::by_name("columbia-4096").unwrap();
         let w = wiring(&spec.shape);
         assert_eq!(w.external_links, w.faces * LINKS_PER_FACE, "{w:?}");

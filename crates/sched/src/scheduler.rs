@@ -423,44 +423,6 @@ impl Scheduler {
         Ok(gen)
     }
 
-    /// Take a job's checkpoint, falling back to the durable vault when
-    /// the in-memory copy is gone (e.g. this scheduler was restarted
-    /// after the blob was parked).
-    pub fn take_checkpoint_durable(
-        &mut self,
-        id: JobId,
-        vault: &mut dyn CheckpointVault,
-    ) -> Option<Vec<u8>> {
-        if let Some(blob) = self.take_checkpoint(id) {
-            return Some(blob);
-        }
-        match vault.load(id) {
-            Ok(Some(blob)) => {
-                self.flight.record(
-                    HOST_NODE,
-                    self.clock,
-                    FlightKind::Resume,
-                    "sched_vault_restore",
-                    id.0,
-                    blob.len() as u64,
-                );
-                Some(blob)
-            }
-            Ok(None) => None,
-            Err(reason) => {
-                self.flight.record(
-                    HOST_NODE,
-                    self.clock,
-                    FlightKind::Info,
-                    "sched_vault_error",
-                    id.0,
-                    reason.len() as u64,
-                );
-                None
-            }
-        }
-    }
-
     /// Normalise a shape's extents to the machine rank (pad with 1s).
     fn normalise(&self, shape: &ShapeRequest) -> ShapeRequest {
         let mut extents = shape.extents.clone();
@@ -1582,22 +1544,9 @@ mod tests {
         s.store_checkpoint_durable(scav, vec![4, 5, 6], &mut vault)
             .unwrap();
         // Fast path: the in-memory copy answers first.
-        assert_eq!(
-            s.take_checkpoint_durable(scav, &mut vault),
-            Some(vec![4, 5, 6])
-        );
-        // "qdaemon restart": a fresh scheduler has no in-memory blob,
-        // but the vault copy survives and the recovery is flight-logged.
-        let (mut restarted, _) = setup();
-        assert_eq!(
-            restarted.take_checkpoint_durable(scav, &mut vault),
-            Some(vec![4, 5, 6])
-        );
-        assert!(restarted.flight_dump().contains("sched_vault_restore"));
-        assert_eq!(
-            restarted.take_checkpoint_durable(JobId(99), &mut vault),
-            None
-        );
+        assert_eq!(s.take_checkpoint(scav), Some(vec![4, 5, 6]));
+        // A restarted qdaemon recovers from the vault copy.
+        assert_eq!(vault.load(scav), Ok(Some(vec![4, 5, 6])));
     }
 
     #[test]

@@ -5,11 +5,6 @@
 //! transfer and the SCU DMA engines handle the data from there." This
 //! zero-copy path — the DMA reads the words straight out of the physics
 //! arrays — is where QCDOC's low latency comes from.
-//!
-//! §3.3: "for repetitive transfers over the same link, the SCU's can store
-//! DMA instructions internally, so that only a single write (start
-//! transfer) is needed to start up to 24 communications" — modelled by
-//! [`StoredInstructions`].
 
 /// Word size in bytes, fixed by the 64-bit transfer unit.
 pub const WORD_BYTES: u64 = 8;
@@ -55,13 +50,8 @@ impl DmaDescriptor {
         self.block_words as u64 * self.blocks as u64
     }
 
-    /// Total bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_words() * WORD_BYTES
-    }
-
     /// Byte address of word `i` in descriptor order.
-    pub fn address_of(&self, i: u64) -> u64 {
+    fn address_of(&self, i: u64) -> u64 {
         debug_assert!(i < self.total_words());
         let block = i / self.block_words as u64;
         let within = i % self.block_words as u64;
@@ -120,41 +110,6 @@ impl DmaEngine {
     }
 }
 
-/// The SCU's internal store of DMA instructions: one send and one receive
-/// slot per direction, restartable with a single "start transfer" write.
-#[derive(Debug, Clone, Default)]
-pub struct StoredInstructions {
-    send: [Option<DmaDescriptor>; 12],
-    recv: [Option<DmaDescriptor>; 12],
-}
-
-impl StoredInstructions {
-    /// Store the send descriptor for a direction.
-    pub fn store_send(&mut self, link: usize, desc: DmaDescriptor) {
-        self.send[link] = Some(desc);
-    }
-
-    /// Store the receive descriptor for a direction.
-    pub fn store_recv(&mut self, link: usize, desc: DmaDescriptor) {
-        self.recv[link] = Some(desc);
-    }
-
-    /// The stored send descriptor, if any.
-    pub fn send(&self, link: usize) -> Option<DmaDescriptor> {
-        self.send[link]
-    }
-
-    /// The stored receive descriptor, if any.
-    pub fn recv(&self, link: usize) -> Option<DmaDescriptor> {
-        self.recv[link]
-    }
-
-    /// Number of stored instructions (≤ 24).
-    pub fn stored_count(&self) -> usize {
-        self.send.iter().flatten().count() + self.recv.iter().flatten().count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,7 +134,6 @@ mod tests {
         let addrs: Vec<u64> = d.addresses().collect();
         assert_eq!(addrs, vec![0, 8, 64, 72, 128, 136]);
         assert_eq!(d.total_words(), 6);
-        assert_eq!(d.total_bytes(), 48);
     }
 
     #[test]
@@ -194,41 +148,5 @@ mod tests {
         assert_eq!(e.next_address(), Some(16));
         assert!(e.done());
         assert_eq!(e.next_address(), None);
-    }
-
-    #[test]
-    fn stored_instructions_cap_24() {
-        let mut s = StoredInstructions::default();
-        let d = DmaDescriptor::contiguous(0, 1);
-        for link in 0..12 {
-            s.store_send(link, d);
-            s.store_recv(link, d);
-        }
-        assert_eq!(s.stored_count(), 24);
-        assert_eq!(s.send(3), Some(d));
-        assert_eq!(s.recv(11), Some(d));
-    }
-
-    #[test]
-    fn restored_descriptor_restarts_identical_engine() {
-        // The "single write restarts the transfer" path: engines built from
-        // the same stored descriptor walk identical addresses.
-        let mut s = StoredInstructions::default();
-        let d = DmaDescriptor {
-            start: 0x40,
-            block_words: 3,
-            stride_words: 5,
-            blocks: 2,
-        };
-        s.store_send(7, d);
-        let a: Vec<u64> = DmaEngine::start(s.send(7).unwrap())
-            .descriptor()
-            .addresses()
-            .collect();
-        let b: Vec<u64> = DmaEngine::start(s.send(7).unwrap())
-            .descriptor()
-            .addresses()
-            .collect();
-        assert_eq!(a, b);
     }
 }

@@ -62,20 +62,20 @@ impl Default for GlobalTimingConfig {
 
 impl GlobalTimingConfig {
     /// Per-hop latency with pass-through forwarding.
-    pub fn passthrough_hop_cycles(&self) -> u64 {
+    fn passthrough_hop_cycles(&self) -> u64 {
         self.passthrough_bits + self.hop_pipeline_cycles
     }
 
     /// Per-hop latency if each node assembled the whole 72-bit frame before
     /// forwarding (the ablation case the paper argues against).
-    pub fn store_forward_hop_cycles(&self) -> u64 {
+    fn store_forward_hop_cycles(&self) -> u64 {
         crate::timing::WORD_WIRE_BITS + self.hop_pipeline_cycles
     }
 
     /// Latency of a global operation spanning `hops` hops: the leading
     /// edge pays the per-hop latency at each hop, and the tail of the
     /// 72-bit frame drains behind it at the serial rate.
-    pub fn operation_cycles(&self, hops: usize, passthrough: bool) -> Cycles {
+    fn operation_cycles(&self, hops: usize, passthrough: bool) -> Cycles {
         let per_hop = if passthrough {
             self.passthrough_hop_cycles()
         } else {

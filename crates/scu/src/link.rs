@@ -33,7 +33,7 @@ use std::collections::VecDeque;
 pub const WINDOW: usize = 3;
 
 /// Capacity of the idle-receive holding register, in words (§2.2).
-pub const IDLE_HOLD: usize = 3;
+const IDLE_HOLD: usize = 3;
 
 /// Link protocol failures that are *not* handled by the hardware resend.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -48,7 +48,7 @@ impl Packet {
     }
 
     /// Payload length in bytes.
-    pub fn payload_bytes(self) -> usize {
+    fn payload_bytes(self) -> usize {
         match self {
             Packet::Normal(_) | Packet::Supervisor(_) => 8,
             Packet::PartitionIrq(_) | Packet::Train(_) => 1,

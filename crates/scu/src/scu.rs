@@ -1,5 +1,5 @@
 //! The per-node Serial Communications Unit: 12 send and 12 receive units,
-//! the supervisor mailbox, and the partition-interrupt forwarding logic.
+//! supervisor-packet delivery, and the partition-interrupt forwarding logic.
 //!
 //! Each uni-directional wire leaving the node multiplexes three things:
 //! data frames produced by the send unit of that direction, and
@@ -11,12 +11,11 @@
 //! engine (in `qcdoc-core`) moves [`WireMsg`]s between paired SCUs;
 //! everything protocol-level lives here.
 
-use crate::dma::{DmaDescriptor, DmaEngine, StoredInstructions};
+use crate::dma::{DmaDescriptor, DmaEngine};
 use crate::link::{
     LinkChecksum, LinkError, RecvOutcome, RecvUnit, RetryPolicy, SendUnit, WireFrame,
 };
 use qcdoc_asic::memory::NodeMemory;
-use std::collections::VecDeque;
 
 /// Number of link directions per node.
 pub const LINKS: usize = 12;
@@ -78,8 +77,6 @@ pub struct Scu {
     block_send: Vec<Option<BlockSend>>,
     /// Block verdict `(trailer_seq, ok)` owed to the reverse wire.
     outgoing_block: [Option<(u64, bool)>; LINKS],
-    stored: StoredInstructions,
-    supervisor_inbox: VecDeque<u64>,
     /// Bits of partition interrupts already seen (forwarded once each,
     /// §2.2: "its SCU forwards this packet on to all of its neighbors if
     /// the packet contains an interrupt which had not been previously
@@ -107,8 +104,6 @@ impl Scu {
             send_dma: (0..LINKS).map(|_| None).collect(),
             block_send: (0..LINKS).map(|_| None).collect(),
             outgoing_block: [None; LINKS],
-            stored: StoredInstructions::default(),
-            supervisor_inbox: VecDeque::new(),
             irq_seen: 0,
             outgoing_acks: [None; LINKS],
             outgoing_rejects: [None; LINKS],
@@ -142,11 +137,6 @@ impl Scu {
         &self.recv[link]
     }
 
-    /// The stored-DMA-instruction bank.
-    pub fn stored_instructions(&mut self) -> &mut StoredInstructions {
-        &mut self.stored
-    }
-
     /// Begin a send: the DMA engine walks `desc` and feeds the send unit.
     /// Words are fetched from memory by the DMA as the link drains them
     /// (zero-copy: the descriptor points straight at the physics arrays).
@@ -175,13 +165,6 @@ impl Scu {
             trailer_fed: false,
             acked: false,
         });
-    }
-
-    /// Restart the stored send descriptor for `link` — the single-write
-    /// restart of §3.3.
-    pub fn restart_send(&mut self, link: usize) {
-        let desc = self.stored.send(link).expect("no stored send descriptor");
-        self.start_send(link, desc);
     }
 
     /// Arm a receive: drains any idle-receive words and releases their
@@ -229,12 +212,6 @@ impl Scu {
         }
     }
 
-    /// Restart the stored receive descriptor for `link`.
-    pub fn restart_recv(&mut self, link: usize, mem: &mut NodeMemory) -> Result<(), LinkError> {
-        let desc = self.stored.recv(link).expect("no stored recv descriptor");
-        self.start_recv(link, desc, mem)
-    }
-
     /// Send a supervisor word to the neighbour in direction `link`.
     pub fn send_supervisor(&mut self, link: usize, word: u64) {
         self.send[link].enqueue_supervisor(word);
@@ -256,11 +233,6 @@ impl Scu {
     /// Partition-interrupt bits observed so far.
     pub fn partition_irq_state(&self) -> u8 {
         self.irq_seen
-    }
-
-    /// Pop the oldest supervisor word, if any.
-    pub fn take_supervisor(&mut self) -> Option<u64> {
-        self.supervisor_inbox.pop_front()
     }
 
     /// Produce the next message to transmit toward direction `link`.
@@ -392,7 +364,6 @@ impl Scu {
                 }
                 RecvOutcome::Supervisor(word) => {
                     self.owe_ack(link, wf.seq);
-                    self.supervisor_inbox.push_back(word);
                     Ok(Some(ScuEvent::SupervisorInterrupt(word)))
                 }
                 RecvOutcome::PartitionIrq(bits) => {
@@ -560,8 +531,6 @@ mod tests {
             }
         }
         assert_eq!(event, Some(ScuEvent::SupervisorInterrupt(0xCAFE)));
-        assert_eq!(b.take_supervisor(), Some(0xCAFE));
-        assert_eq!(b.take_supervisor(), None);
     }
 
     #[test]
@@ -593,27 +562,6 @@ mod tests {
         // A second identical interrupt is suppressed.
         a.raise_partition_irq(0b100);
         assert!(a.tx_next(0, &mut am).unwrap().is_none());
-    }
-
-    #[test]
-    fn stored_instruction_restart_repeats_transfer() {
-        let (mut a, mut am) = trained();
-        let (mut b, mut bm) = trained();
-        a.stored_instructions()
-            .store_send(0, DmaDescriptor::contiguous(0x40, 2));
-        b.stored_instructions()
-            .store_recv(1, DmaDescriptor::contiguous(0x80, 2));
-        for round in 0..3u64 {
-            am.write_block(0x40, &[round * 10, round * 10 + 1]).unwrap();
-            a.restart_send(0);
-            b.restart_recv(1, &mut bm).unwrap();
-            pump_pair(&mut a, &mut am, &mut b, &mut bm, 0, 1);
-            assert_eq!(
-                bm.read_block(0x80, 2).unwrap(),
-                vec![round * 10, round * 10 + 1],
-                "round {round}"
-            );
-        }
     }
 
     #[test]

@@ -44,13 +44,13 @@ impl Default for LinkTimingConfig {
 
 impl LinkTimingConfig {
     /// Total fixed path in cycles, excluding first-word serialization.
-    pub fn fixed_cycles(&self) -> u64 {
+    fn fixed_cycles(&self) -> u64 {
         self.send_dma_cycles + self.sync_cycles + self.recv_dma_cycles
     }
 
     /// Memory-to-memory latency of a single-word nearest-neighbour
     /// transfer.
-    pub fn first_word_cycles(&self) -> Cycles {
+    fn first_word_cycles(&self) -> Cycles {
         Cycles(self.fixed_cycles() + WORD_WIRE_BITS)
     }
 

@@ -157,7 +157,7 @@ impl Default for FlightRecorder {
 impl FlightRecorder {
     /// Default per-node ring depth: enough for every exceptional event a
     /// plausible failure leaves behind, small enough to be free at scale.
-    pub const DEFAULT_CAPACITY: usize = 256;
+    const DEFAULT_CAPACITY: usize = 256;
 
     /// A ring retaining at most `capacity` events. The ring allocates on
     /// its first record and grows on demand, so a node that never records

@@ -55,7 +55,7 @@ impl NodeTelemetry {
     }
 
     /// An enabled handle backed by an arbitrary sink.
-    pub fn with_sink(node: u32, sink: Box<dyn TraceSink>) -> NodeTelemetry {
+    fn with_sink(node: u32, sink: Box<dyn TraceSink>) -> NodeTelemetry {
         NodeTelemetry {
             node,
             clock: 0,

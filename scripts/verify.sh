@@ -24,6 +24,10 @@ stage "cargo fmt --check" \
 stage "no Instant/SystemTime under crates/*/src outside crates/bench" \
     bash -c '! grep -rnwE "Instant|SystemTime" --include="*.rs" crates/*/src | grep -v "^crates/bench/"'
 
+# No `pub` item that nothing but its own definition line names.
+stage "pub audit: no dead pub items under crates/*/src" \
+    scripts/pub_audit.sh
+
 stage "cargo clippy (workspace, all targets, warnings are errors)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
