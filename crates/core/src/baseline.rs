@@ -159,6 +159,58 @@ mod tests {
         );
     }
 
+    /// The bits of both closed-form models, pinned: an FNV-1a digest over
+    /// every numeric field of `DiracPerf::evaluate` and
+    /// `ClusterPerf::evaluate` for five actions × two widths × local
+    /// 2⁴, 4⁴, 8⁴ and 16⁴ (both sides of the EDRAM cliff). The perf and
+    /// cluster tests above check bands; this one fails on any moved bit.
+    #[test]
+    fn pricing_model_bits_are_pinned() {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let actions = [
+            Action::Wilson,
+            Action::Clover,
+            Action::Staggered,
+            Action::Asqtad,
+            Action::Dwf { ls: 8 },
+        ];
+        for action in actions {
+            for precision in [Precision::Double, Precision::Single] {
+                for l in [2, 4, 8, 16] {
+                    let mut perf = DiracPerf::paper_bench();
+                    perf.precision = precision;
+                    perf.local_dims = [l; 4];
+                    let q = perf.evaluate(action);
+                    for word in [
+                        q.fpu_cycles,
+                        q.mem_cycles,
+                        q.comm_cycles,
+                        q.gsum_cycles,
+                        q.total_cycles,
+                        q.flops_per_iteration,
+                        q.efficiency.to_bits(),
+                        q.sustained_gflops_per_node.to_bits(),
+                        q.resident_bytes,
+                        q.fits_edram as u64,
+                        q.iteration_us.to_bits(),
+                    ] {
+                        eat(word);
+                    }
+                    let c = ClusterPerf::matching(&perf).evaluate(action);
+                    for x in [c.efficiency, c.iteration_us, c.network_fraction] {
+                        eat(x.to_bits());
+                    }
+                }
+            }
+        }
+        assert_eq!(digest, 0xe7ed_9825_750a_163a);
+    }
+
     #[test]
     fn cluster_catches_up_at_large_local_volume() {
         // With huge local volumes (soft scaling) messages amortize and the
