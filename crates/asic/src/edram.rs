@@ -94,13 +94,6 @@ impl EdramController {
         Cycles(self.config.page_miss_cycles) + transfer
     }
 
-    /// Cost of a pure streaming transfer of `bytes` assuming the stream is
-    /// already trained (no per-call state change) — the closed-form rate
-    /// used by the analytic kernel model.
-    pub fn streaming_cycles(bytes: u64) -> Cycles {
-        Cycles(bytes.div_ceil(PORT_BYTES_PER_CYCLE))
-    }
-
     /// Effective bandwidth in bytes/cycle for `streams` interleaved
     /// sequential streams under this configuration. With at most
     /// `config.streams` streams prefetch hides all page misses; beyond
@@ -166,16 +159,6 @@ mod tests {
             a += 128;
         }
         assert_eq!(c.page_misses(), 10);
-    }
-
-    #[test]
-    fn streaming_rate_is_16_bytes_per_cycle() {
-        assert_eq!(EdramController::streaming_cycles(160), Cycles(10));
-        assert_eq!(
-            EdramController::streaming_cycles(8),
-            Cycles(1),
-            "partial beat rounds up"
-        );
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! Unit driving the 6-D mesh (in `qcdoc-scu`), two Ethernet interfaces, and
 //! the Processor Local Bus (PLB) tying it together.
 //!
-//! This crate models the *node-local* parts that the timing and functional
-//! engines use; the L1 caches and PLB arbitration are not modelled:
+//! This crate models the *node-local* parts the functional engine and the
+//! performance model use; the L1 caches and PLB arbitration are not
+//! modelled, and kernel timing is priced in closed form by
+//! `qcdoc_core::perf`, not here:
 //!
 //! * [`clock`] — clock domains and cycle/time conversion at the paper's
 //!   operating points (500 MHz design target; 450/420/360 MHz measured);
@@ -20,11 +22,8 @@
 //!   (§2.1 "1024-bit rows + ECC"), with a deterministic scrubber in
 //!   [`memory`];
 //! * [`edram`] — the prefetching EDRAM controller's two-stream timing model;
-//! * [`ddr`] — the external DDR controller timing model;
-//! * [`ppc440`] — the core's floating-point and issue cost model;
-//! * [`ledger`] — operation ledgers: the currency in which workload kernels
-//!   report their work to the timing engine;
-//! * [`node`] — the assembled node: configuration plus per-kernel timing;
+//! * [`ddr`] — the external DDR controller's bandwidth and the DIMM
+//!   flavours that bound the node clock;
 //! * [`blocks`] — the ASIC block inventory and ASCII rendering of Figure 1.
 
 #![warn(missing_docs)]
@@ -34,12 +33,7 @@ pub mod clock;
 pub mod ddr;
 pub mod ecc;
 pub mod edram;
-pub mod ledger;
 pub mod memory;
-pub mod node;
-pub mod ppc440;
 
 pub use clock::{Clock, Cycles};
-pub use ledger::KernelLedger;
 pub use memory::{MemRegion, NodeMemory};
-pub use node::{NodeConfig, NodeTiming};

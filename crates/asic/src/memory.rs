@@ -110,11 +110,6 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Total bytes moved to or from EDRAM.
-    pub fn edram_bytes(&self) -> u64 {
-        (self.edram_reads + self.edram_writes) * WORD_BYTES
-    }
-
     /// Total bytes moved to or from DDR.
     pub fn ddr_bytes(&self) -> u64 {
         (self.ddr_reads + self.ddr_writes) * WORD_BYTES
@@ -484,7 +479,6 @@ mod tests {
         assert_eq!(s.edram_reads, 2);
         assert_eq!(s.ddr_writes, 1);
         assert_eq!(s.ddr_reads, 0);
-        assert_eq!(s.edram_bytes(), 24);
         assert_eq!(s.ddr_bytes(), 8);
     }
 

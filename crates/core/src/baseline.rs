@@ -11,10 +11,8 @@
 //! start-up latency — no concurrent links, no hardware global tree, no
 //! overlap (early-2000s blocking MPI).
 
-use crate::perf::{issue_density, Calibration, DiracPerf, Precision};
-use qcdoc_asic::edram::PORT_BYTES_PER_CYCLE;
-use qcdoc_asic::memory::EDRAM_SIZE;
-use qcdoc_lattice::counts::{cg_linear_algebra_counts, operator_counts, Action};
+use crate::perf::{DiracPerf, CLOCK};
+use qcdoc_lattice::counts::Action;
 use qcdoc_scu::timing::EthernetBaseline;
 
 /// The cluster performance model.
@@ -49,33 +47,9 @@ impl ClusterPerf {
     /// Evaluate the cluster model for one action.
     pub fn evaluate(&self, action: Action) -> ClusterReport {
         let p = &self.perf;
-        let cal: Calibration = p.calibration;
-        let sites = p.local_sites() as f64;
-        let op = operator_counts(action);
-        let la = cg_linear_algebra_counts(action);
-        let bscale = match p.precision {
-            Precision::Double => 1.0,
-            Precision::Single => 0.5,
-        };
-        let clock = p.machine.node.clock;
-
-        // Identical local model to QCDOC (same CPU + memory).
-        let op_instr = 2.0 * op.flops as f64 / issue_density(action);
-        let la_instr = la.flops as f64 / 2.0;
-        let fpu = sites * (op_instr + la_instr) * (1.0 + cal.issue_overhead);
-        let bytes = sites
-            * (2.0 * (op.read_bytes + op.write_bytes) as f64
-                + (la.read_bytes + la.write_bytes) as f64)
-            * bscale;
-        let resident = sites * op.resident_bytes as f64 * bscale;
-        let (mem, mo) = if resident as u64 <= EDRAM_SIZE {
-            (bytes / PORT_BYTES_PER_CYCLE as f64, cal.mem_overlap_edram)
-        } else {
-            let ddr_bpc =
-                qcdoc_asic::ddr::DDR_BYTES_PER_SEC / clock.hz() as f64 * cal.ddr_stream_efficiency;
-            (bytes / ddr_bpc, cal.mem_overlap_ddr)
-        };
-        let local = fpu.max(mem) + (1.0 - mo) * fpu.min(mem);
+        // QCDOC's local model (same CPU + memory); only the network differs.
+        let local = p.local_time(action);
+        let op = local.op;
 
         // Network: all directions serialized through one NIC, blocking.
         let mut messages = 0u64;
@@ -87,24 +61,22 @@ impl ClusterPerf {
             let face_sites = p.local_sites() / p.local_dims[axis] as u64;
             // Two directions per axis, two operator applications.
             messages += 4;
-            net_bytes +=
-                4.0 * face_sites as f64 * op.face_bytes as f64 * op.halo_depth as f64 * bscale;
+            net_bytes += 4.0 * face_sites as f64 * op.face_bytes as f64 * op.halo_depth as f64;
         }
         let net_ns = messages as f64 * self.network.startup_ns
             + net_bytes / self.network.bytes_per_sec * 1e9;
-        let net_cycles = net_ns / clock.period_ns();
+        let net_cycles = net_ns / CLOCK.period_ns();
 
         // Software global sums: a binary reduction tree of messages, two
         // per iteration.
         let nodes: usize = p.logical_dims.iter().product();
         let tree_depth = (nodes as f64).log2().ceil();
-        let gsum_cycles = 2.0 * 2.0 * tree_depth * self.network.startup_ns / clock.period_ns();
+        let gsum_cycles = 2.0 * 2.0 * tree_depth * self.network.startup_ns / CLOCK.period_ns();
 
-        let total = local + net_cycles + gsum_cycles;
-        let flops_iter = sites * (2.0 * op.flops as f64 + la.flops as f64);
+        let total = local.cycles + net_cycles + gsum_cycles;
         ClusterReport {
-            efficiency: flops_iter / (2.0 * total),
-            iteration_us: total * clock.period_ns() / 1000.0,
+            efficiency: local.flops / (2.0 * total),
+            iteration_us: total * CLOCK.period_ns() / 1000.0,
             network_fraction: (net_cycles + gsum_cycles) / total,
         }
     }
@@ -113,6 +85,7 @@ impl ClusterPerf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::perf::Precision;
 
     #[test]
     fn qcdoc_beats_cluster_at_paper_volume() {

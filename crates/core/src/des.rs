@@ -409,7 +409,7 @@ mod tests {
             // comm_cycles covers both operator applications; DES charges
             // one face exchange per iteration, so hand it the total.
             face_words: report.comm_cycles / 72,
-            link: perf.machine.link,
+            link: LinkTimingConfig::default(),
             global_sum_cycles: report.gsum_cycles,
             perturbations: vec![],
         };

@@ -2,8 +2,6 @@
 //! timing engine, and the performance model that regenerates the paper's
 //! evaluation.
 //!
-//! * [`config`] — machine configuration: 6-D shape, node parameters, link
-//!   timing;
 //! * [`functional`] — one node of the functional machine ([`functional::NodeCtx`]):
 //!   node memory plus the real SCU link protocol over [`wire`]s, with the
 //!   one cooperative wait loop every transfer goes through;
@@ -25,9 +23,11 @@
 //!   model and reproduces the self-synchronization behaviour of §2.2;
 //! * [`perf`] — the calibrated analytic timing model that reproduces §4's
 //!   sustained-efficiency figures (40% Wilson / 38% ASQTAD / 46.5% clover
-//!   at 4⁴ local volume, ~30% when spilling to DDR);
+//!   at 4⁴ local volume, ~30% when spilling to DDR): the twin's one
+//!   closed-form price of a node's FPU, memory and links;
 //! * [`baseline`] — the commodity-cluster comparison the paper argues
-//!   against (5–10 µs message start-up), for the hard-scaling experiment;
+//!   against (5–10 µs message start-up), for the hard-scaling experiment:
+//!   `perf`'s local model behind an Ethernet NIC;
 //! * [`recovery`] — quarantine-and-resume orchestration: segmented runs,
 //!   health-ledger sweeps, repartition around broken hardware, and
 //!   bit-identical resume from checkpointed state.
@@ -36,7 +36,6 @@
 
 pub mod baseline;
 pub mod comm;
-pub mod config;
 pub mod des;
 pub mod distributed;
 pub mod functional;
@@ -45,7 +44,6 @@ pub mod recovery;
 pub mod sharded;
 pub mod wire;
 
-pub use config::MachineConfig;
 pub use perf::{DiracPerf, EfficiencyReport, Precision};
 pub use recovery::{RecoveryConfig, RecoveryError, RecoveryReport, Replacement, SegmentVerdict};
 pub use sharded::ShardedMachine;

@@ -23,11 +23,22 @@
 //! implementations in `qcdoc-lattice`, `qcdoc-asic` and `qcdoc-scu`. The
 //! efficiency *ordering* (clover > Wilson > ASQTAD) and the EDRAM cliff
 //! are structural; the calibration only pins the absolute scale.
+//!
+//! This is the twin's one closed-form price of a node: the cluster
+//! baseline ([`crate::baseline`]) reuses its local (FPU + memory) model
+//! and swaps only the network.
 
-use crate::config::MachineConfig;
-use qcdoc_asic::clock::Cycles;
+use qcdoc_asic::clock::{Clock, Cycles};
 use qcdoc_asic::edram::PORT_BYTES_PER_CYCLE;
-use qcdoc_lattice::counts::{cg_linear_algebra_counts_in, operator_counts_in, Action, Prec};
+use qcdoc_lattice::counts::{
+    cg_linear_algebra_counts_in, operator_counts_in, Action, Prec, SiteCounts,
+};
+use qcdoc_scu::global::GlobalTimingConfig;
+use qcdoc_scu::timing::LinkTimingConfig;
+
+/// The node clock every price is quoted at: the paper's 128-node
+/// benchmark clock (450 MHz, buffered DIMMs).
+pub const CLOCK: Clock = Clock::BENCH_450;
 
 /// Arithmetic precision of the solve. §4: "performance for single
 /// precision is slightly higher due to the decreased bandwidth to local
@@ -134,11 +145,29 @@ pub struct EfficiencyReport {
     pub iteration_us: f64,
 }
 
+/// One node's local time for one CG iteration (two operator
+/// applications plus the solver's linear algebra), before any network.
+pub(crate) struct LocalTime {
+    /// Per-site operator ledger at the model's width.
+    pub op: SiteCounts,
+    /// FPU issue cycles.
+    pub fpu_cycles: f64,
+    /// Memory streaming cycles (EDRAM port, or DDR once the working set
+    /// spills).
+    pub mem_cycles: f64,
+    /// FPU and memory combined after the prefetch overlap.
+    pub cycles: f64,
+    /// Flops per iteration per node.
+    pub flops: f64,
+    /// Working set per node in bytes.
+    pub resident_bytes: u64,
+    /// Whether the working set fits the 4 MB EDRAM.
+    pub fits_edram: bool,
+}
+
 /// The Dirac-solver performance model for one machine + workload.
 #[derive(Debug, Clone)]
 pub struct DiracPerf {
-    /// Machine configuration.
-    pub machine: MachineConfig,
     /// Logical 4-D machine dims the solve runs on (product = nodes used).
     pub logical_dims: [usize; 4],
     /// Local volume per node.
@@ -154,7 +183,6 @@ impl DiracPerf {
     /// 4⁴ local volume, double precision, 450 MHz.
     pub fn paper_bench() -> DiracPerf {
         DiracPerf {
-            machine: MachineConfig::bench_128(),
             logical_dims: [4, 4, 4, 2],
             local_dims: [4, 4, 4, 4],
             precision: Precision::Double,
@@ -167,14 +195,15 @@ impl DiracPerf {
         self.local_dims.iter().product::<usize>() as u64
     }
 
-    /// Evaluate the model for one action.
-    pub fn evaluate(&self, action: Action) -> EfficiencyReport {
+    /// FPU issue time, local memory time and their prefetch overlap for
+    /// one CG iteration of `action` — QCDOC's local model, shared with
+    /// the cluster baseline (same CPU, same memory system).
+    pub(crate) fn local_time(&self, action: Action) -> LocalTime {
         let cal = self.calibration;
         let sites = self.local_sites() as f64;
         let width = self.precision.counts_width();
         let op = operator_counts_in(action, width);
         let la = cg_linear_algebra_counts_in(action, width);
-        let clock = self.machine.node.clock;
 
         // --- FPU issue time (2 operator applications + linear algebra).
         let op_instr = 2.0 * op.flops as f64 / issue_density(action);
@@ -185,18 +214,36 @@ impl DiracPerf {
         let bytes_per_site =
             2.0 * (op.read_bytes + op.write_bytes) as f64 + (la.read_bytes + la.write_bytes) as f64;
         let bytes = sites * bytes_per_site;
-        let resident = sites as u64 * op.resident_bytes;
-        let fits_edram = qcdoc_asic::memory::fits_edram(resident);
+        let resident_bytes = sites as u64 * op.resident_bytes;
+        let fits_edram = qcdoc_asic::memory::fits_edram(resident_bytes);
         let (mem_cycles, mem_overlap) = if fits_edram {
             (bytes / PORT_BYTES_PER_CYCLE as f64, cal.mem_overlap_edram)
         } else {
             let ddr_bpc =
-                qcdoc_asic::ddr::DDR_BYTES_PER_SEC / clock.hz() as f64 * cal.ddr_stream_efficiency;
+                qcdoc_asic::ddr::DDR_BYTES_PER_SEC / CLOCK.hz() as f64 * cal.ddr_stream_efficiency;
             (bytes / ddr_bpc, cal.mem_overlap_ddr)
         };
 
         // --- Local combined time (prefetch overlap).
-        let local = fpu_cycles.max(mem_cycles) + (1.0 - mem_overlap) * fpu_cycles.min(mem_cycles);
+        let cycles = fpu_cycles.max(mem_cycles) + (1.0 - mem_overlap) * fpu_cycles.min(mem_cycles);
+
+        LocalTime {
+            op,
+            fpu_cycles,
+            mem_cycles,
+            cycles,
+            flops: sites * (2.0 * op.flops as f64 + la.flops as f64),
+            resident_bytes,
+            fits_edram,
+        }
+    }
+
+    /// Evaluate the model for one action.
+    pub fn evaluate(&self, action: Action) -> EfficiencyReport {
+        let cal = self.calibration;
+        let local = self.local_time(action);
+        let op = local.op;
+        let link = LinkTimingConfig::default();
 
         // --- Mesh time: worst direction, both operator applications. The
         // twelve links run concurrently, so only the busiest direction
@@ -209,37 +256,36 @@ impl DiracPerf {
             let face_sites = self.local_sites() / self.local_dims[axis] as u64;
             let bytes_dir = face_sites as f64 * op.face_bytes as f64 * op.halo_depth as f64;
             let words = (bytes_dir / 8.0).ceil() as u64;
-            let t = self.machine.link.transfer_cycles(words).count() as f64;
+            let t = link.transfer_cycles(words).count() as f64;
             comm_cycles = comm_cycles.max(2.0 * t);
         }
 
         // --- Global sums: two per iteration on the pass-through tree.
-        let hw = self
-            .machine
-            .global
+        let hw = GlobalTimingConfig::default()
             .global_sum_cycles(&self.logical_dims, true, true)
             .count() as f64;
         let gsum = 2.0 * (hw + cal.global_sum_sw_cycles as f64);
 
         // --- Combine: comm partially overlaps local work.
-        let total =
-            local.max(comm_cycles) + (1.0 - cal.comm_overlap) * local.min(comm_cycles) + gsum;
+        let total = local.cycles.max(comm_cycles)
+            + (1.0 - cal.comm_overlap) * local.cycles.min(comm_cycles)
+            + gsum;
 
-        let flops_iter = (sites * (2.0 * op.flops as f64 + la.flops as f64)) as u64;
+        let flops_iter = local.flops as u64;
         let efficiency = flops_iter as f64 / (2.0 * total);
         EfficiencyReport {
             action,
-            fpu_cycles: fpu_cycles as u64,
-            mem_cycles: mem_cycles as u64,
+            fpu_cycles: local.fpu_cycles as u64,
+            mem_cycles: local.mem_cycles as u64,
             comm_cycles: comm_cycles as u64,
             gsum_cycles: gsum as u64,
             total_cycles: total as u64,
             flops_per_iteration: flops_iter,
             efficiency,
-            sustained_gflops_per_node: efficiency * clock.peak_flops() / 1e9,
-            resident_bytes: resident,
-            fits_edram,
-            iteration_us: clock.cycles_to_ns(Cycles(total as u64)) / 1000.0,
+            sustained_gflops_per_node: efficiency * CLOCK.peak_flops() / 1e9,
+            resident_bytes: local.resident_bytes,
+            fits_edram: local.fits_edram,
+            iteration_us: CLOCK.cycles_to_ns(Cycles(total as u64)) / 1000.0,
         }
     }
 

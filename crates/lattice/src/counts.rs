@@ -195,13 +195,6 @@ pub fn operator_counts_in(action: Action, prec: Prec) -> SiteCounts {
 }
 
 /// Per-site counts of the CGNE linear algebra between the two operator
-/// applications of one iteration, at the paper's double-precision width.
-/// Shorthand for [`cg_linear_algebra_counts_in`] with [`Prec::Double`].
-pub fn cg_linear_algebra_counts(action: Action) -> SiteCounts {
-    cg_linear_algebra_counts_in(action, Prec::Double)
-}
-
-/// Per-site counts of the CGNE linear algebra between the two operator
 /// applications of one iteration — three axpy-type updates and two
 /// reductions on the action's field type — with data stored at width
 /// `prec`.
@@ -297,7 +290,7 @@ mod tests {
         ] {
             let c = operator_counts(a);
             assert_eq!(c.flops, 2 * c.fmadds + c.fops_single, "{a:?}");
-            let l = cg_linear_algebra_counts(a);
+            let l = cg_linear_algebra_counts_in(a, Prec::Double);
             assert_eq!(l.flops, 2 * l.fmadds + l.fops_single, "{a:?} linalg");
         }
     }
@@ -346,10 +339,6 @@ mod tests {
     fn double_variants_match_legacy_entry_points() {
         for a in [Action::Wilson, Action::Asqtad, Action::Dwf { ls: 8 }] {
             assert_eq!(operator_counts(a), operator_counts_in(a, Prec::Double));
-            assert_eq!(
-                cg_linear_algebra_counts(a),
-                cg_linear_algebra_counts_in(a, Prec::Double)
-            );
         }
     }
 

@@ -24,7 +24,7 @@ use qcdoc::core::distributed::{
     assemble_checkpoint, wilson_cg_segment_async, BlockGeom, CgSegmentOut,
 };
 use qcdoc::core::functional::NodeCtx;
-use qcdoc::core::perf::DiracPerf;
+use qcdoc::core::perf::{self, DiracPerf};
 use qcdoc::core::recovery::{RecoveryConfig, Replacement, SegmentVerdict};
 use qcdoc::core::ShardedMachine;
 use qcdoc::fault::{FaultEvent, FaultPlan};
@@ -32,6 +32,7 @@ use qcdoc::geometry::TorusShape;
 use qcdoc::lattice::checkpoint::CgCheckpoint;
 use qcdoc::lattice::counts::Action;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
+use qcdoc::scu::timing::LinkTimingConfig;
 use qcdoc::telemetry::{bench_summary_json, MetricsRegistry, RingSink, TraceSink};
 
 fn main() {
@@ -45,12 +46,12 @@ fn main() {
         compute_cycles: local,
         compute_override: vec![],
         face_words: report.comm_cycles / 72,
-        link: perf.machine.link,
+        link: LinkTimingConfig::default(),
         global_sum_cycles: report.gsum_cycles,
         perturbations: vec![],
     };
     const ITERS: usize = 50;
-    let clock_hz = perf.machine.node.clock.hz() as f64;
+    let clock_hz = perf::CLOCK.hz() as f64;
     let nodes: usize = perf.logical_dims.iter().product();
     println!(
         "{} nodes, Wilson Dslash, {} iterations; {:.3} Gflops/node on clean links\n",

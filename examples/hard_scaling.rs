@@ -22,7 +22,7 @@
 
 use qcdoc::core::baseline::ClusterPerf;
 use qcdoc::core::distributed::{wilson_cg_segment_async, BlockGeom};
-use qcdoc::core::perf::{DiracPerf, Precision};
+use qcdoc::core::perf::{self, DiracPerf, Precision};
 use qcdoc::core::ShardedMachine;
 use qcdoc::geometry::{PartitionSpec, TorusShape};
 use qcdoc::host::qdaemon::Qdaemon;
@@ -108,7 +108,7 @@ fn main() {
         perf.precision = Precision::Double;
         let q = perf.evaluate(Action::Wilson);
         let c = ClusterPerf::matching(&perf).evaluate(Action::Wilson);
-        let peak_node = perf.machine.node.clock.peak_flops();
+        let peak_node = perf::CLOCK.peak_flops();
         println!(
             "{:>6} {:>10} {:>10} {:>11.1}% {:>11.1}% {:>14.2} {:>14.2}",
             nodes,

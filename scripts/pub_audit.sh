@@ -9,6 +9,9 @@
 #   - its own file names it only on its definition line above #[cfg(test)]
 #     (its own unit tests do not count).
 # Failures are printed as `path:line: name` and the script exits 1.
+# An allowlist entry whose `path:name` no longer declares an audited `pub`
+# item is stale: it is printed as `path: stale allow entry: name` and
+# fails the same way, so an entry cannot outlive its item.
 #
 # Usage: scripts/pub_audit.sh   (from anywhere; scans this repository)
 set -euo pipefail
@@ -18,8 +21,6 @@ cd "$(dirname "$0")/.."
 allow=(
     # A node program's only way to read supervisor and partition-interrupt events (§2.2).
     "crates/core/src/functional.rs:take_events"
-    # asic::node's timing model; folding it into core::perf is a design change, not a deletion.
-    "crates/asic/src/node.rs:kernel_timing"
 )
 
 files=$(find crates src tests examples bench/e2e/src -name '*.rs' -type f | sort)
@@ -69,6 +70,13 @@ END {
     n = split(allow, kept, " ")
     for (i = 1; i <= n; i++) allowed[kept[i]] = 1
     fails = 0
+    for (i = 1; i <= ndef; i++) declared[def_file[i] ":" def_name[i]] = 1
+    for (i = 1; i <= n; i++) {
+        if (kept[i] in declared) continue
+        split(kept[i], parts, ":")
+        printf "%s: stale allow entry: %s\n", parts[1], parts[2]
+        fails++
+    }
     for (i = 1; i <= ndef; i++) {
         f = def_file[i]; w = def_name[i]
         if ((f ":" w) in allowed) continue
@@ -77,7 +85,7 @@ END {
         printf "%s:%d: %s\n", f, def_line[i], w
         fails++
     }
-    printf "pub audit: %d items checked, %d dead\n", ndef, fails > "/dev/stderr"
+    printf "pub audit: %d items checked, %d dead or stale\n", ndef, fails > "/dev/stderr"
     exit fails > 0
 }
 ' $files

@@ -3,8 +3,9 @@
 //! Facade crate re-exporting the full QCDOC reproduction stack:
 //!
 //! * [`geometry`] — 6-D torus coordinates, folding, software partitioning;
-//! * [`asic`] — the node ASIC model (PPC 440 cost model, caches, prefetching
-//!   EDRAM, DDR controller);
+//! * [`asic`] — the node ASIC: clock domains, ECC-guarded node memory, the
+//!   prefetching EDRAM stream controller, DDR bandwidth and DIMM flavours,
+//!   and the Figure 1 block inventory;
 //! * [`scu`] — the Serial Communications Unit: link protocol, DMA engines,
 //!   supervisor and partition interrupts, pass-through global operations;
 //! * [`lattice`] — the lattice QCD workload suite (SU(3) algebra, gauge
@@ -24,8 +25,9 @@
 //! * [`machine`] — packaging hierarchy, power, footprint, and cost model;
 //! * [`core`] — the integrated machine: functional (async node programs
 //!   sharded over worker threads) and timing (discrete-event) engines, the
-//!   communications API, and the performance model that regenerates the
-//!   paper's evaluation numbers.
+//!   communications API, and the performance model (`core::perf`, the one
+//!   closed-form price of a node) that regenerates the paper's evaluation
+//!   numbers.
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record.
@@ -33,11 +35,14 @@
 //! ## Quickstart
 //!
 //! ```
-//! use qcdoc::core::MachineConfig;
+//! use qcdoc::core::DiracPerf;
+//! use qcdoc::lattice::counts::Action;
 //!
-//! // A 16-node machine at the paper's benchmark clock.
-//! let config = MachineConfig::new(&[2, 2, 2, 2, 1, 1]).with_clock_mhz(450);
-//! assert_eq!(config.node_count(), 16);
+//! // §4's benchmark: 128 nodes at 450 MHz, 4⁴ sites per node. The
+//! // Wilson CG sustains about 40% of peak.
+//! let wilson = DiracPerf::paper_bench().evaluate(Action::Wilson);
+//! assert!(wilson.fits_edram);
+//! assert!((wilson.efficiency - 0.40).abs() < 0.025);
 //! ```
 
 pub use qcdoc_asic as asic;
