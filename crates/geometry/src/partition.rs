@@ -20,6 +20,7 @@ pub struct PartitionSpec {
     pub origin: NodeCoord,
     /// Extent of the sub-box along each physical axis (must divide into the
     /// machine; `extent[a] == machine extent` means the full axis is used).
+    /// A missing trailing extent reads as 1.
     pub extents: Vec<usize>,
     /// Logical axis groups: each inner vec lists physical axis indices, in
     /// fold order. Every non-degenerate physical axis must appear in exactly
@@ -51,6 +52,16 @@ impl PartitionSpec {
 /// Why a partition could not be constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PartitionError {
+    /// A sub-box extent is zero.
+    ZeroExtent {
+        /// Physical axis with the zero extent.
+        axis: usize,
+    },
+    /// An extent greater than 1 on an axis the machine does not have.
+    NoSuchAxis {
+        /// The axis, counted from 0; at least the machine's rank.
+        axis: usize,
+    },
     /// The sub-box does not fit inside the machine.
     OutOfBounds {
         /// Physical axis where the violation occurred.
@@ -80,6 +91,15 @@ pub enum PartitionError {
 impl std::fmt::Display for PartitionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            PartitionError::ZeroExtent { axis } => {
+                write!(f, "partition extent on axis {axis} is zero")
+            }
+            PartitionError::NoSuchAxis { axis } => {
+                write!(
+                    f,
+                    "partition extent on axis {axis}, which the machine lacks"
+                )
+            }
             PartitionError::OutOfBounds { axis } => {
                 write!(f, "partition sub-box exceeds machine extent on axis {axis}")
             }
@@ -117,12 +137,23 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// Validate `spec` against `machine` and build the partition.
-    pub fn new(machine: &TorusShape, spec: PartitionSpec) -> Result<Partition, PartitionError> {
+    /// Validate `spec` against `machine` and build the partition. The
+    /// stored spec has exactly one extent per machine axis.
+    pub fn new(machine: &TorusShape, mut spec: PartitionSpec) -> Result<Partition, PartitionError> {
+        // Extents: none zero, none beyond the machine's rank but 1; a
+        // missing trailing extent reads as 1.
+        for (axis, &ext) in spec.extents.iter().enumerate() {
+            if ext == 0 {
+                return Err(PartitionError::ZeroExtent { axis });
+            }
+            if ext > 1 && axis >= machine.rank() {
+                return Err(PartitionError::NoSuchAxis { axis });
+            }
+        }
+        spec.extents.resize(machine.rank(), 1);
         // Sub-box bounds.
         for axis in 0..machine.rank() {
-            let ext = spec.extents.get(axis).copied().unwrap_or(1);
-            if spec.origin.get(axis) + ext > machine.extent(axis) {
+            if spec.origin.get(axis) + spec.extents[axis] > machine.extent(axis) {
                 return Err(PartitionError::OutOfBounds { axis });
             }
         }
@@ -428,6 +459,66 @@ mod tests {
             Partition::new(&m, spec),
             Err(PartitionError::BadAxisCover { axis: 5 })
         );
+    }
+
+    /// The 32-node machine of the host tests.
+    fn small() -> TorusShape {
+        TorusShape::new(&[4, 2, 2, 2, 1, 1])
+    }
+
+    fn spec(extents: &[usize], groups: &[&[usize]]) -> PartitionSpec {
+        PartitionSpec {
+            origin: NodeCoord::ORIGIN,
+            extents: extents.to_vec(),
+            groups: groups.iter().map(|g| g.to_vec()).collect(),
+        }
+    }
+
+    #[test]
+    fn zero_extent_is_an_error_not_a_panic() {
+        let m = small();
+        assert_eq!(
+            Partition::new(&m, spec(&[0, 2, 2, 2, 1, 1], &[&[0], &[1], &[2, 3]])),
+            Err(PartitionError::ZeroExtent { axis: 0 })
+        );
+        assert_eq!(
+            Partition::new(&m, spec(&[4, 0, 2, 2, 1, 1], &[&[0, 1, 2, 3, 4, 5]])),
+            Err(PartitionError::ZeroExtent { axis: 1 })
+        );
+        assert_eq!(
+            Partition::new(&m, spec(&[0], &[&[0]])),
+            Err(PartitionError::ZeroExtent { axis: 0 })
+        );
+    }
+
+    #[test]
+    fn missing_trailing_extents_read_as_one() {
+        // Axes 4 and 5 are not given: they read as 1, as in the bounds
+        // check, so the spec is the 4-D whole machine.
+        let m = small();
+        let p = Partition::new(&m, spec(&[4, 2, 2, 2], &[&[0], &[1], &[2, 3]])).unwrap();
+        assert_eq!(p.node_count(), 32);
+        assert_eq!(p.spec().extents, vec![4, 2, 2, 2, 1, 1]);
+        assert_eq!(p.dilation(), 1);
+        // On the rack, a 3-extent spec is the 128-node sub-box.
+        let m = rack();
+        let p = Partition::new(&m, spec(&[8, 4, 4], &[&[0], &[1], &[2]])).unwrap();
+        assert_eq!(p.node_count(), 128);
+    }
+
+    #[test]
+    fn extent_beyond_the_machine_rank_is_rejected() {
+        // A seventh extent of 3 would triple the node count a quota
+        // charges without adding a node to the partition.
+        let m = small();
+        assert_eq!(
+            Partition::new(&m, spec(&[4, 2, 2, 2, 1, 1, 3], &[&[0], &[1], &[2, 3]])),
+            Err(PartitionError::NoSuchAxis { axis: 6 })
+        );
+        // Trailing extents of 1 add nothing and are accepted.
+        let p = Partition::new(&m, spec(&[4, 2, 2, 2, 1, 1, 1], &[&[0], &[1], &[2, 3]])).unwrap();
+        assert_eq!(p.node_count(), 32);
+        assert_eq!(p.spec().extents.len(), 6);
     }
 
     #[test]

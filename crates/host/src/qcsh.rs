@@ -220,21 +220,21 @@ fn status_word(status: JobStatus) -> &'static str {
 }
 
 /// A user session: gathers commands for the qdaemon and returns its
-/// replies.
+/// replies. It holds no state (no host file is opened through a
+/// session), so `Qcsh` is its only value.
 #[derive(Debug)]
-pub struct Qcsh {}
+pub struct Qcsh;
 
 impl Qcsh {
-    /// A session for user `uid` with access to the given path prefixes.
-    /// Neither is read: no host file is opened through a session.
-    pub fn new(_uid: u32, _allowed_paths: &[&str]) -> Qcsh {
-        Qcsh {}
-    }
-
     /// Execute a command against the qdaemon, returning the textual reply.
     pub fn execute(&mut self, q: &mut Qdaemon, cmd: &Command) -> String {
         match cmd {
             Command::Boot => {
+                // Boot runs each node's hardware test once; a second boot
+                // would also return busy nodes to the free pool.
+                if q.census().unbooted != q.machine().node_count() {
+                    return "error: machine already booted".into();
+                }
                 let report = q.boot(&[]);
                 format!(
                     "booted {} nodes ({} faulty) in {:.2} s, machine {}",
@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn boot_then_partition_session() {
         let mut q = Qdaemon::new(machine());
-        let mut sh = Qcsh::new(1001, &["/home/physics"]);
+        let mut sh = Qcsh;
         let boot_reply = sh.execute(&mut q, &Command::Boot);
         assert!(boot_reply.contains("booted 32 nodes"));
         let part_reply = sh.execute(&mut q, &Command::Partition { rank: 4 });
@@ -435,7 +435,7 @@ mod tests {
     #[test]
     fn job_output_through_qcat() {
         let mut q = Qdaemon::new(machine());
-        let mut sh = Qcsh::new(1001, &[]);
+        let mut sh = Qcsh;
         sh.execute(&mut q, &Command::Boot);
         sh.execute(&mut q, &Command::Partition { rank: 6 });
         q.return_output(0, b"sweep 1: plaquette 0.5812\n");
@@ -447,7 +447,7 @@ mod tests {
     fn hardware_report_through_qhw() {
         use qcdoc_fault::HealthLedger;
         let mut q = Qdaemon::new(machine());
-        let mut sh = Qcsh::new(1001, &[]);
+        let mut sh = Qcsh;
         sh.execute(&mut q, &Command::Boot);
         sh.execute(&mut q, &Command::Partition { rank: 6 });
         // A sweep saw three corrected memory errors on node 5 and two
@@ -472,7 +472,7 @@ mod tests {
     fn flight_dump_through_qflight() {
         use qcdoc_fault::{HealthLedger, Liveness};
         let mut q = Qdaemon::new(machine());
-        let mut sh = Qcsh::new(1001, &[]);
+        let mut sh = Qcsh;
         sh.execute(&mut q, &Command::Boot);
         // Nothing has gone wrong yet: the black box is empty.
         assert_eq!(parse("qflight"), Ok(Command::Flight { node: None }));
@@ -542,7 +542,7 @@ mod tests {
         let mut q = Qdaemon::new(machine());
         let mut sched = Scheduler::new(machine(), SchedConfig::default());
         sched.add_tenant("phys", TenantConfig::default());
-        let mut sh = Qcsh::new(1001, &[]);
+        let mut sh = Qcsh;
         sh.execute(&mut q, &Command::Boot);
         // Whole machine folded to 3-D: runs immediately.
         let reply = sh.execute_batch(
@@ -590,7 +590,7 @@ mod tests {
         let mut q = Qdaemon::new(machine());
         let mut sched = Scheduler::new(machine(), SchedConfig::default());
         sched.add_tenant("phys", TenantConfig::default());
-        let mut sh = Qcsh::new(1001, &[]);
+        let mut sh = Qcsh;
         sh.execute(&mut q, &Command::Boot);
         let reply = sh.execute_batch(
             &mut q,
@@ -632,7 +632,7 @@ mod tests {
         use qcdoc_sched::SchedConfig;
         let mut q = Qdaemon::new(machine());
         let mut sched = Scheduler::new(machine(), SchedConfig::default());
-        let mut sh = Qcsh::new(1001, &[]);
+        let mut sh = Qcsh;
 
         // Before anything runs: every dump verb has an "empty" answer.
         assert_eq!(
@@ -681,5 +681,43 @@ mod tests {
         for bad in ["qhw seven", "qcat -1", "qdel job0", "qflight x1"] {
             assert!(parse(bad).is_err(), "{bad} should fail to parse");
         }
+    }
+
+    #[test]
+    fn malformed_partition_shapes_answer_in_prose() {
+        use qcdoc_sched::{SchedConfig, TenantConfig};
+        let mut q = Qdaemon::new(machine());
+        let mut sched = Scheduler::new(machine(), SchedConfig::default());
+        sched.add_tenant("phys", TenantConfig::default());
+        let mut sh = Qcsh;
+        sh.execute(&mut q, &Command::Boot);
+        for (line, reason) in [
+            (
+                "qsub phys standard 50 0x2x2x2x1x1/0-1-2345",
+                "extent on axis 0 is zero",
+            ),
+            (
+                "qsub phys standard 50 4x0x2x2x1x1/012345",
+                "extent on axis 1 is zero",
+            ),
+            ("qsub phys standard 50 0/0", "extent on axis 0 is zero"),
+            (
+                "qsub phys standard 50 4x2x2x2x1x1x3/0-1-23",
+                "axis 6, which the machine lacks",
+            ),
+        ] {
+            let reply = sh.execute_batch(&mut q, &mut sched, &parse(line).unwrap());
+            assert!(reply.starts_with("error: "), "{line}: {reply}");
+            assert!(reply.contains(reason), "{line}: {reply}");
+        }
+        // Nothing was admitted, and a second boot is refused, not rerun.
+        assert_eq!(
+            sh.execute_batch(&mut q, &mut sched, &Command::Jobs),
+            "no jobs"
+        );
+        assert_eq!(
+            sh.execute(&mut q, &Command::Boot),
+            "error: machine already booted"
+        );
     }
 }

@@ -104,7 +104,7 @@ fn sharded_engine_boots_partitions_and_solves() {
 #[test]
 fn qcsh_session_drives_the_stack() {
     let mut qdaemon = Qdaemon::new(TorusShape::new(&[4, 2, 2, 1, 1, 1]));
-    let mut sh = Qcsh::new(1001, &["/home/lqcd"]);
+    let mut sh = Qcsh;
     let boot = sh.execute(&mut qdaemon, &parse("qboot").unwrap());
     assert!(boot.contains("booted 16 nodes"));
     let part = sh.execute(&mut qdaemon, &parse("qpartition 2").unwrap());
