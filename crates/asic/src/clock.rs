@@ -142,11 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn cycles_to_ns_at_450mhz() {
-        assert!((Clock::BENCH_450.cycles_to_ns(Cycles(900)) - 2000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cycle_arithmetic() {
         assert_eq!(Cycles(5) + Cycles(3), Cycles(8));
         assert_eq!(Cycles(5) - Cycles(3), Cycles(2));

@@ -48,16 +48,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ddr_is_three_times_slower_than_edram_at_design_clock() {
-        let edram = crate::edram::PORT_BYTES_PER_CYCLE as f64 * Clock::DESIGN.hz() as f64;
-        let ratio = edram / DDR_BYTES_PER_SEC;
-        assert!(
-            ratio > 2.5 && ratio < 3.5,
-            "EDRAM/DDR ratio {ratio} out of band"
-        );
-    }
-
-    #[test]
     fn dimm_flavours_limit_clock() {
         assert_eq!(DimmKind::Buffered.max_clock(), Clock::BENCH_450);
         assert_eq!(
