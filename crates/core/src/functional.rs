@@ -80,8 +80,11 @@ pub struct NodeCtx {
     /// A link in backoff must stay pumped, or its countdown never runs out:
     /// `stuck_link_exhausts_its_retry_budget_and_escalates` guards that.
     active_links: u16,
-    /// Messages drained off one wire and not yet handed to the SCU; empty
-    /// between [`NodeCtx::progress`] calls, kept for its buffer.
+    /// One link's messages in flight through [`NodeCtx::progress`]: in the
+    /// receive half, those drained off its wire and not yet handed to the
+    /// SCU; in the transmit half, those its SCU sent this pump, handed to
+    /// the wire in one batch. Empty between the two halves and between
+    /// calls, kept for its buffer.
     inbox: VecDeque<WireMsg>,
     events: Vec<ScuEvent>,
     tap: NodeTap,
@@ -204,7 +207,8 @@ impl NodeCtx {
     /// work. Every arrived message is drained into the SCU first, so the
     /// one cumulative ack and any reject it provokes — and the window slots
     /// its acks free — leave in this same pump; then each active link
-    /// transmits until it stalls on its ack window. Returns whether anything moved; a link
+    /// transmits until it stalls on its ack window, and what it sent goes
+    /// onto its wire in one batch. Returns whether anything moved; a link
     /// holding in retry backoff counts, since its countdown is what lets it
     /// resend later.
     pub fn progress(&mut self) -> bool {
@@ -281,11 +285,13 @@ impl NodeCtx {
                     }
                 };
                 if verdict == WireVerdict::Deliver {
-                    tx.send(msg);
-                    self.signal.sent.set(self.signal.sent.get() + 1);
+                    self.inbox.push_back(msg);
                 }
                 moved = true;
             }
+            let sent = self.inbox.len() as u64;
+            tx.send_all(&mut self.inbox);
+            self.signal.sent.set(self.signal.sent.get() + sent);
             if !self.scu.tx_pending(link) && !self.scu.send_unit(link).holding_backoff() {
                 self.active_links &= !(1 << link);
             }
@@ -360,8 +366,7 @@ impl NodeCtx {
     /// since the last check into the flight ring. Exceptional paths only:
     /// a clean transfer leaves no trace.
     fn record_scu_flight(&mut self) {
-        let stats = self.scu.stats();
-        let resends = stats.total_resends();
+        let resends: u64 = (0..12).map(|l| self.scu.send_unit(l).resends()).sum();
         if resends > self.flight_resends_seen {
             self.telem.flight(
                 FlightKind::Retry,
@@ -371,7 +376,7 @@ impl NodeCtx {
             );
             self.flight_resends_seen = resends;
         }
-        let block_rejects: u64 = stats.links.iter().map(|l| l.block_rejects).sum();
+        let block_rejects: u64 = (0..12).map(|l| self.scu.recv_unit(l).block_rejects()).sum();
         if block_rejects > self.flight_block_rejects_seen {
             self.telem.flight(
                 FlightKind::BlockReject,

@@ -5,9 +5,11 @@
 //! pushes messages in, the receiving node's drains them out. The engine
 //! polls — no node ever blocks on a wire — so the transport needs neither
 //! a condition variable nor a disconnected state, and that is what makes it
-//! cheap: [`WireTx::send`] is one uncontended lock and never a syscall, and
-//! polling an empty wire ([`WireRx::drain`]) is one atomic load. A node
-//! polls eight wires per sweep and most are empty most of the time.
+//! cheap. Both ends move batches: [`WireTx::send_all`] appends everything
+//! one link transmitted in a pump under one uncontended lock, never a
+//! syscall, and [`WireRx::drain`] takes everything that has arrived under
+//! another; polling an empty wire is one atomic load. A node polls eight
+//! wires per sweep and most are empty most of the time.
 //!
 //! Backpressure is the link protocol's three-in-the-air ack window, not the
 //! transport: the queue is unbounded but never holds more than a window of
@@ -44,11 +46,16 @@ pub fn wire<T>() -> (WireTx<T>, WireRx<T>) {
 }
 
 impl<T> WireTx<T> {
-    /// Queue `msg` behind everything sent before it. Never blocks beyond
-    /// the consumer's own critical section and never wakes anyone.
-    pub fn send(&self, msg: T) {
+    /// Move every message in `batch` onto the wire, in order, behind
+    /// everything sent before; `batch` is left empty with its buffer kept.
+    /// One lock for the whole batch; never blocks beyond the consumer's own
+    /// critical section and never wakes anyone.
+    pub fn send_all(&self, batch: &mut VecDeque<T>) {
+        if batch.is_empty() {
+            return;
+        }
         let mut queue = self.0.queue.lock();
-        queue.push_back(msg);
+        queue.append(batch);
         self.0.len.store(queue.len(), Ordering::Release);
     }
 }
@@ -78,16 +85,26 @@ mod tests {
     #[test]
     fn messages_arrive_in_the_order_sent() {
         let (tx, rx) = wire();
-        for i in 0..5u64 {
-            tx.send(i);
-        }
+        let mut batch = (0..5u64).collect::<VecDeque<_>>();
+        tx.send_all(&mut batch);
+        assert!(batch.is_empty(), "a sent batch is moved out");
         let mut got = VecDeque::new();
         assert_eq!(rx.drain(&mut got), 5);
-        tx.send(5);
-        tx.send(6);
+        batch.extend([5, 6]);
+        tx.send_all(&mut batch);
         // A second drain appends behind what the caller has not consumed.
         assert_eq!(rx.drain(&mut got), 2);
         assert_eq!(got, (0..7).collect::<VecDeque<u64>>());
+    }
+
+    #[test]
+    fn a_batch_sent_behind_an_undrained_one_queues_after_it() {
+        let (tx, rx) = wire();
+        tx.send_all(&mut VecDeque::from([0u64, 1, 2]));
+        tx.send_all(&mut VecDeque::from([3, 4]));
+        let mut got = VecDeque::new();
+        assert_eq!(rx.drain(&mut got), 5, "one drain takes both batches");
+        assert_eq!(got, (0..5).collect::<VecDeque<u64>>());
     }
 
     #[test]
@@ -95,7 +112,9 @@ mod tests {
         let (tx, rx) = wire::<u64>();
         let mut got = VecDeque::from([9]);
         assert_eq!(rx.drain(&mut got), 0);
-        tx.send(1);
+        tx.send_all(&mut VecDeque::new());
+        assert_eq!(rx.drain(&mut got), 0, "an empty batch sends nothing");
+        tx.send_all(&mut VecDeque::from([1]));
         assert_eq!(rx.drain(&mut got), 1);
         assert_eq!(rx.drain(&mut got), 0, "a drained wire is empty again");
         assert_eq!(got, VecDeque::from([9, 1]));
@@ -108,8 +127,15 @@ mod tests {
         let mut got = VecDeque::new();
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                for i in 0..MESSAGES {
-                    tx.send(i);
+                // Batches of one to three messages, the way a link's
+                // window leaves in one pump.
+                let mut batch = VecDeque::new();
+                let mut next = 0;
+                while next < MESSAGES {
+                    let end = (next + 1 + next % 3).min(MESSAGES);
+                    batch.extend(next..end);
+                    tx.send_all(&mut batch);
+                    next = end;
                 }
             });
             // The consumer polls concurrently with the producer, the way a

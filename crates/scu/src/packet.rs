@@ -70,16 +70,16 @@ impl Packet {
     }
 }
 
-/// Parity of the even- and odd-position bits of a payload.
+/// Parity of the even- and odd-position bits of a payload: bit 0 is the
+/// even class (mask `0x55`), bit 1 the odd class (mask `0xAA`). Each
+/// class's parity is that of the XOR of all payload bytes, and folding
+/// that byte by four and then two bits leaves the even class's parity in
+/// bit 0 and the odd class's in bit 1.
 fn payload_parity(payload: &[u8]) -> u8 {
-    let mut even = 0u8;
-    let mut odd = 0u8;
-    for &b in payload {
-        // Even-position bits: mask 0b01010101; odd: 0b10101010.
-        even ^= (b & 0x55).count_ones() as u8 & 1;
-        odd ^= (b & 0xAA).count_ones() as u8 & 1;
-    }
-    (odd << 1) | even
+    let mut x = payload.iter().fold(0u8, |acc, &b| acc ^ b);
+    x ^= x >> 4;
+    x ^= x >> 2;
+    x & 0b11
 }
 
 /// Longest frame: the header byte plus a 64-bit payload.
@@ -192,6 +192,7 @@ fn read_u8(payload: &[u8]) -> Result<u8, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn all_codes() -> [u8; 6] {
         [
@@ -326,6 +327,37 @@ mod tests {
         assert!(!Packet::Ack.checksummed());
         assert!(!Packet::PartitionIrq(0).checksummed());
         assert!(!Packet::Idle.checksummed());
+    }
+
+    /// The per-byte popcount parity the fold replaced.
+    fn payload_parity_reference(payload: &[u8]) -> u8 {
+        let mut even = 0u8;
+        let mut odd = 0u8;
+        for &b in payload {
+            even ^= (b & 0x55).count_ones() as u8 & 1;
+            odd ^= (b & 0xAA).count_ones() as u8 & 1;
+        }
+        (odd << 1) | even
+    }
+
+    #[test]
+    fn folded_parity_matches_the_popcount_one() {
+        for b in 0..=255u8 {
+            assert_eq!(
+                payload_parity(&[b]),
+                payload_parity_reference(&[b]),
+                "{b:#04x}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+        #[test]
+        fn folded_parity_matches_on_eight_byte_payloads(word in any::<u64>()) {
+            let payload = word.to_be_bytes();
+            prop_assert_eq!(payload_parity(&payload), payload_parity_reference(&payload));
+        }
     }
 
     #[test]

@@ -1,0 +1,81 @@
+#!/usr/bin/env bash
+# Where does one end-to-end workload spend its CPU? Self time per innermost
+# repository frame, for hosts without `perf`.
+#
+#   scripts/profile.sh <workload> [seconds]     (seconds of reps, default 5)
+#
+# Builds scripts/sampler.c into target/profile/ and the bench/e2e harness
+# with frame pointers and line tables into target/profile/target/, runs the
+# workload untraced under the sampler (LD_PRELOAD), and prints one row per
+# (file, function): the share of samples whose innermost frame in this
+# repository — inlined frames included, std and libc skipped — is that
+# function. Needs cc and llvm-symbolizer. Not part of scripts/verify.sh.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+workload=${1:?usage: scripts/profile.sh <workload> [seconds]}
+seconds=${2:-5}
+out=target/profile
+mkdir -p "$out"
+
+cc -O2 -shared -fPIC -o "$out/libsampler.so" scripts/sampler.c
+RUSTFLAGS="-C force-frame-pointers=yes -C symbol-mangling-version=v0" \
+    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR="$out/target" \
+    cargo build --release --offline --locked --quiet --manifest-path bench/e2e/Cargo.toml
+bin=$(realpath "$out/target/release/qcdoc-e2e")
+
+rm -f "$out"/samples.*
+SAMPLER_OUT="$out/samples" LD_PRELOAD="$PWD/$out/libsampler.so" \
+    "$bin" --workload "$workload" --seconds "$seconds" --trace 0 >"$out/run.log"
+samples=$(ls "$out"/samples.*)
+
+# Samples as addresses in the harness binary: the first mapping of the
+# binary is its load base; return addresses step back into their call.
+awk -v bin="$bin" '
+    function hex(s, v, i) {
+        for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
+        return v
+    }
+    $1 == "M" && $7 == bin {
+        split($2, r, "-"); lo[++n] = hex(r[1]); hi[n] = hex(r[2])
+        if (hex($4) == 0) base = lo[n]
+    }
+    $1 == "S" { s[++m] = $0 }
+    END {
+        for (i = 1; i <= m; i++) {
+            k = split(s[i], f, " "); line = ""
+            for (j = 2; j <= k; j++) {
+                pc = hex(f[j])
+                for (q = 1; q <= n; q++) if (pc >= lo[q] && pc < hi[q]) break
+                if (q <= n) line = line sprintf(" 0x%x", pc - base - (j > 2))
+            }
+            print line
+        }
+    }' "$samples" >"$out/stacks"
+
+# Each distinct address to its innermost repository frame, "file<TAB>function".
+tr ' ' '\n' <"$out/stacks" | grep . | sort -u |
+    llvm-symbolizer --obj="$bin" --inlining --print-address |
+    awk -v root="$PWD/" '
+        /^0x/ { addr = $1; found = 0; fn = ""; next }
+        /^$/ { next }
+        fn == "" { fn = $0; next }
+        {
+            file = $0; sub(/:[0-9]+:[0-9]+$/, "", file)
+            if (!found && index(file, root) == 1) {
+                sub(/ \(\.llvm\.[0-9]+\)$/, "", fn); sub(/::h[0-9a-f]+$/, "", fn)
+                print addr "\t" substr(file, length(root) + 1) "\t" fn; found = 1
+            }
+            fn = ""
+        }' >"$out/frames"
+
+awk -F'\t' '
+    FNR == NR { where[$1] = $2 "\t" $3; next }
+    {
+        total++; key = "(no repository frame)\t"
+        for (i = 1; i <= NF; i++) if ($i in where) { key = where[$i]; break }
+        self[key]++
+    }
+    END {
+        printf "%d samples (1 ms of CPU each)\n%7s  %-40s %s\n", total, "self", "file", "function"
+        for (k in self) { split(k, p, "\t"); printf "%6.1f%%  %-40s %s\n", 100 * self[k] / total, p[1], p[2] }
+    }' "$out/frames" FS=' ' "$out/stacks" | { IFS= read -r a; IFS= read -r b; echo "$a"; echo "$b"; sort -rn; } | awk 'NR <= 42'
