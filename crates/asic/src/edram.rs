@@ -15,48 +15,27 @@ use crate::clock::Cycles;
 /// Width of the core-side EDRAM port in bytes per cycle (128 bits).
 pub const PORT_BYTES_PER_CYCLE: u64 = 16;
 
-/// Width of one internal EDRAM row access in bytes (1024 bits).
-const ROW_BYTES: u64 = 128;
+/// Concurrent prefetch streams (the ASIC has 2).
+const STREAMS: usize = 2;
 
-/// Configuration of the prefetching controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdramConfig {
-    /// Number of concurrent prefetch streams (the ASIC has 2).
-    pub streams: usize,
-    /// Cycles lost on an access that misses all active streams.
-    pub page_miss_cycles: u64,
-    /// Enable prefetching. Disabling models a naive controller where every
-    /// new row pays the page-miss cost (used by the E2 ablation bench).
-    pub prefetch: bool,
-}
-
-impl Default for EdramConfig {
-    fn default() -> Self {
-        EdramConfig {
-            streams: 2,
-            page_miss_cycles: 11,
-            prefetch: true,
-        }
-    }
-}
+/// Cycles lost on an access that misses all active streams.
+const PAGE_MISS_CYCLES: u64 = 11;
 
 /// Timing state of the prefetching EDRAM controller.
 #[derive(Debug, Clone)]
 pub struct EdramController {
-    config: EdramConfig,
     /// Next expected address of each stream, with an LRU stamp.
-    streams: Vec<(u64, u64)>,
+    streams: [(u64, u64); STREAMS],
     lru_clock: u64,
     /// Accumulated statistics.
     page_misses: u64,
 }
 
 impl EdramController {
-    /// A controller with the given configuration.
-    pub fn new(config: EdramConfig) -> EdramController {
+    /// A controller with every stream idle.
+    pub fn new() -> EdramController {
         EdramController {
-            streams: vec![(u64::MAX, 0); config.streams],
-            config,
+            streams: [(u64::MAX, 0); STREAMS],
             lru_clock: 0,
             page_misses: 0,
         }
@@ -73,12 +52,10 @@ impl EdramController {
     pub fn access(&mut self, addr: u64, bytes: u64) -> Cycles {
         let transfer = Cycles(bytes.div_ceil(PORT_BYTES_PER_CYCLE));
         self.lru_clock += 1;
-        if self.config.prefetch {
-            if let Some(slot) = self.streams.iter_mut().find(|(next, _)| *next == addr) {
-                slot.0 = addr + bytes;
-                slot.1 = self.lru_clock;
-                return transfer;
-            }
+        if let Some(slot) = self.streams.iter_mut().find(|(next, _)| *next == addr) {
+            slot.0 = addr + bytes;
+            slot.1 = self.lru_clock;
+            return transfer;
         }
         // Miss: reassign the LRU stream to this new address run.
         self.page_misses += 1;
@@ -91,21 +68,13 @@ impl EdramController {
         lru.1 = self.lru_clock;
         // A miss also re-opens the row: charge one extra row's worth of
         // occupancy on top of the fixed penalty for short transfers.
-        Cycles(self.config.page_miss_cycles) + transfer
+        Cycles(PAGE_MISS_CYCLES) + transfer
     }
+}
 
-    /// Effective bandwidth in bytes/cycle for `streams` interleaved
-    /// sequential streams under this configuration. With at most
-    /// `config.streams` streams prefetch hides all page misses; beyond
-    /// that every row fetch of every stream pays the miss penalty.
-    pub fn effective_bytes_per_cycle(&self, streams: usize) -> f64 {
-        if self.config.prefetch && streams <= self.config.streams {
-            PORT_BYTES_PER_CYCLE as f64
-        } else {
-            // Each ROW_BYTES row costs row transfer + page miss.
-            let row_cycles = ROW_BYTES / PORT_BYTES_PER_CYCLE + self.config.page_miss_cycles;
-            ROW_BYTES as f64 / row_cycles as f64
-        }
+impl Default for EdramController {
+    fn default() -> Self {
+        EdramController::new()
     }
 }
 
@@ -117,7 +86,7 @@ mod tests {
     fn two_streams_run_at_full_rate() {
         // Interleave two sequential streams (a(x) * b(x) from §2.1): after
         // the first touch of each, every access is a stream hit.
-        let mut c = EdramController::new(EdramConfig::default());
+        let mut c = EdramController::new();
         let mut a = 0u64;
         let mut b = 0x10_0000u64;
         let mut total = Cycles::ZERO;
@@ -134,7 +103,7 @@ mod tests {
 
     #[test]
     fn three_streams_thrash() {
-        let mut c = EdramController::new(EdramConfig::default());
+        let mut c = EdramController::new();
         let mut addrs = [0u64, 0x10_0000, 0x20_0000];
         for _ in 0..50 {
             for a in &mut addrs {
@@ -145,29 +114,6 @@ mod tests {
         // With 2 stream slots and 3 round-robin streams, LRU always evicts
         // the stream needed next: every access misses.
         assert_eq!(c.page_misses(), 150);
-    }
-
-    #[test]
-    fn prefetch_off_always_misses() {
-        let mut c = EdramController::new(EdramConfig {
-            prefetch: false,
-            ..Default::default()
-        });
-        let mut a = 0u64;
-        for _ in 0..10 {
-            c.access(a, 128);
-            a += 128;
-        }
-        assert_eq!(c.page_misses(), 10);
-    }
-
-    #[test]
-    fn effective_bandwidth_degrades_beyond_two_streams() {
-        let c = EdramController::new(EdramConfig::default());
-        assert_eq!(c.effective_bytes_per_cycle(1), 16.0);
-        assert_eq!(c.effective_bytes_per_cycle(2), 16.0);
-        let three = c.effective_bytes_per_cycle(3);
-        assert!(three < 16.0, "three streams must be slower, got {three}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shared helpers for the experiment benches (see DESIGN.md §4).
+//! Shared helpers for the judged benches (see DESIGN.md §4).
 //!
 //! Every overhead bench exports its measured numbers through one
 //! [`BenchRun`], so all `BENCH_*.json` files carry the same schema stamp

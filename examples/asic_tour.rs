@@ -7,7 +7,7 @@
 
 use qcdoc::asic::blocks;
 use qcdoc::asic::clock::Clock;
-use qcdoc::asic::edram::{EdramConfig, EdramController, PORT_BYTES_PER_CYCLE};
+use qcdoc::asic::edram::{EdramController, PORT_BYTES_PER_CYCLE};
 use qcdoc::asic::memory::{DDR_MAX_SIZE, EDRAM_SIZE};
 use qcdoc::scu::timing::LinkTimingConfig;
 
@@ -59,7 +59,7 @@ fn main() {
     // The two-stream prefetch demonstration (§2.1: a(x) × b(x)).
     println!("\nEDRAM prefetch demonstration — interleaving N sequential streams:");
     for streams in 1..=4 {
-        let mut ctl = EdramController::new(EdramConfig::default());
+        let mut ctl = EdramController::new();
         let mut addrs: Vec<u64> = (0..streams).map(|s| s as u64 * 0x10_0000).collect();
         let mut cycles = 0u64;
         const BEATS: usize = 200;

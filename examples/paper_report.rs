@@ -11,7 +11,7 @@ use qcdoc::core::baseline::ClusterPerf;
 use qcdoc::core::distributed::{wilson_cg_segment_async, BlockGeom};
 use qcdoc::core::perf::{DiracPerf, Precision, PAPER_EFFICIENCIES};
 use qcdoc::core::ShardedMachine;
-use qcdoc::geometry::{PartitionSpec, TorusShape};
+use qcdoc::geometry::{NodeCoord, Partition, PartitionSpec, TorusShape};
 use qcdoc::host::qdaemon::Qdaemon;
 use qcdoc::lattice::counts::Action;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
@@ -19,8 +19,8 @@ use qcdoc::machine::catalog;
 use qcdoc::machine::cost::{columbia_4096, CostModel, PricePerformance, PAPER_PRICE_PERF};
 use qcdoc::machine::packaging::MachineAssembly;
 use qcdoc::machine::wiring::wiring;
-use qcdoc::scu::global::dimension_sum_hops;
-use qcdoc::scu::timing::LinkTimingConfig;
+use qcdoc::scu::global::{dimension_sum_hops, GlobalTimingConfig};
+use qcdoc::scu::timing::{EthernetBaseline, LinkTimingConfig};
 use std::time::Instant;
 
 fn row(claim: &str, paper: &str, measured: &str) {
@@ -76,6 +76,19 @@ fn main() {
         "1.3 GB/s",
         &format!("{:.2} GB/s", link.node_bandwidth(Clock::DESIGN) / 1e9),
     );
+    // The smallest message Ethernet moves at least as fast as one mesh link.
+    let eth = EthernetBaseline::default();
+    let crossover = (1u64..)
+        .find(|&w| link.transfer_ns(w, Clock::DESIGN) >= eth.transfer_ns(8 * w))
+        .unwrap();
+    row(
+        &format!(
+            "mesh vs Ethernet ({:.1} us start-up)",
+            eth.startup_ns / 1000.0
+        ),
+        "5-10 us start-up",
+        &format!("mesh < {crossover} words"),
+    );
     row(
         "global sum hops (8x8x8x16)",
         "36 / 20 doubled",
@@ -85,14 +98,60 @@ fn main() {
             dimension_sum_hops(&[8, 8, 8, 16], true)
         ),
     );
+    println!("\n  global sum on 8x8x8x16 (500 MHz; the ASIC is doubled + pass-through):");
+    let global = GlobalTimingConfig::default();
+    for (doubled, passthrough, name) in [
+        (true, true, "doubled links + pass-through"),
+        (false, true, "single links + pass-through"),
+        (true, false, "doubled links + store-and-forward"),
+        (false, false, "single links + store-and-forward"),
+    ] {
+        let cycles = global.global_sum_cycles(&[8, 8, 8, 16], doubled, passthrough);
+        println!(
+            "    {name:<36} {:>5} cycles {:>6.2} us",
+            cycles.count(),
+            Clock::DESIGN.cycles_to_ns(cycles) / 1000.0
+        );
+    }
+    println!();
 
     // §3.1 boot.
-    let mut q = Qdaemon::new(qcdoc::geometry::TorusShape::motherboard_64());
-    let boot = q.boot(&[]);
+    let per_node: Vec<String> = [
+        TorusShape::motherboard_64(),
+        TorusShape::rack_1024(),
+        TorusShape::new(&[8, 8, 6, 4, 4, 2]),
+    ]
+    .into_iter()
+    .map(|shape| {
+        let nodes = shape.node_count() as u64;
+        (Qdaemon::new(shape).boot(&[]).packets_sent / nodes).to_string()
+    })
+    .collect();
     row(
-        "boot packets per node",
+        "boot packets per node (64 / 1024 / 12,288)",
         "~100 + ~100",
-        &format!("{}", boot.packets_sent / 64),
+        &per_node.join(" / "),
+    );
+
+    // §2.2, §3.1: the rack folded to every logical rank, trailing axes
+    // into the last logical dimension, without moving a cable.
+    let rack = TorusShape::rack_1024();
+    let dilations: Vec<String> = (1..=rack.rank())
+        .map(|rank| {
+            let mut groups: Vec<Vec<usize>> = (0..rank - 1).map(|a| vec![a]).collect();
+            groups.push((rank - 1..rack.rank()).collect());
+            let spec = PartitionSpec {
+                origin: NodeCoord::ORIGIN,
+                extents: rack.dims().to_vec(),
+                groups,
+            };
+            Partition::new(&rack, spec).unwrap().dilation().to_string()
+        })
+        .collect();
+    row(
+        "1024-node rack remapped to ranks 1-6",
+        "dilation 1",
+        &dilations.join("/"),
     );
 
     // §4 efficiencies.
@@ -137,6 +196,21 @@ fn main() {
         "~30 %",
         &format!("{:.1} %", 100.0 * big.evaluate(Action::Wilson).efficiency),
     );
+    println!("\n  clover efficiency vs local volume l^4 (450 MHz; the EDRAM cliff):");
+    println!("       l^4  resident kB  EDRAM?  eff %");
+    for l in 2..=8 {
+        let mut sweep = DiracPerf::paper_bench();
+        sweep.local_dims = [l; 4];
+        let r = sweep.evaluate(Action::Clover);
+        println!(
+            "    {:>6} {:>12.0} {:>7} {:>6.1}",
+            format!("{l}^4"),
+            r.resident_bytes as f64 / 1024.0,
+            if r.fits_edram { "yes" } else { "no" },
+            100.0 * r.efficiency
+        );
+    }
+    println!();
 
     // §4 cost.
     let assembly = MachineAssembly::new(4096);
@@ -164,6 +238,21 @@ fn main() {
             &format!("${:.3}/MF", pp.dollars_per_mflops()),
         );
     }
+    let discounted = CostModel {
+        volume_discount: 0.93,
+        ..Default::default()
+    };
+    let pp = PricePerformance {
+        clock_mhz: 450.0,
+        efficiency: 0.45,
+        total_cost: discounted.breakdown(&MachineAssembly::new(12_288)).total(),
+        nodes: 12_288,
+    };
+    row(
+        "12,288 nodes, 7 % volume discount, 450 MHz",
+        "~$1/MF",
+        &format!("${:.3}/MF", pp.dollars_per_mflops()),
+    );
     let w = wiring(&catalog::by_name("columbia-4096").unwrap().shape);
     row(
         "mesh cables (4096 nodes)",

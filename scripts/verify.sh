@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Verification gate: formatting, lints-as-errors, the test suites, the
-# overhead smokes, the frozen end-to-end harness (build, unit tests, one run
-# of each workload), and the bench judge.
+# Verification gate: formatting, bench coverage, lints-as-errors, the test
+# suites, the overhead smokes, the frozen end-to-end harness (build, unit
+# tests, one run of each workload), and the bench judge.
 # Every test target runs exactly once, every stage prints its wall seconds.
 # Run from anywhere; operates on the repository this script lives in.
 set -euo pipefail
@@ -19,6 +19,22 @@ stage() {
 
 stage "cargo fmt --check" \
     cargo fmt --check
+
+# bench_coverage: every `[[bench]]` in crates/bench/Cargo.toml must be run by
+# a `cargo bench ... --bench <name>` stage below; print the orphans and fail
+# otherwise, so a bench that nothing runs or judges cannot come back.
+bench_coverage() {
+    local name orphans=()
+    while read -r name; do
+        grep -qE -- "^[^#]*cargo bench .*--bench $name\$" scripts/verify.sh || orphans+=("$name")
+    done < <(sed -n '/^\[\[bench\]\]/,/^name/s/^name = "\(.*\)"/\1/p' crates/bench/Cargo.toml)
+    if ((${#orphans[@]})); then
+        echo "benches no verify stage runs: ${orphans[*]}"
+        return 1
+    fi
+}
+stage "bench coverage: every crates/bench [[bench]] runs in a verify stage" \
+    bench_coverage
 
 # No host clock in a library result path; only the bench harnesses time things.
 stage "no Instant/SystemTime under crates/*/src outside crates/bench" \

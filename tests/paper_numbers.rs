@@ -9,7 +9,7 @@ use qcdoc::core::perf::{
 use qcdoc::lattice::counts::Action;
 use qcdoc::machine::cost::{columbia_4096, CostModel, PricePerformance, PAPER_PRICE_PERF};
 use qcdoc::machine::packaging::MachineAssembly;
-use qcdoc::scu::global::dimension_sum_hops;
+use qcdoc::scu::global::{dimension_sum_hops, GlobalTimingConfig};
 use qcdoc::scu::timing::{EthernetBaseline, LinkTimingConfig};
 
 /// Abstract: "Each node has a peak speed of 1 Gigaflops and two 12,288
@@ -31,7 +31,8 @@ fn section_2_1_memory_bandwidths() {
 }
 
 /// §2.2: 600 ns memory-to-memory latency; 24-word transfer = 600 ns +
-/// 3.3 µs; 1.3 GB/s aggregate; Ethernet needs 5-10 µs just to start.
+/// 3.3 µs; 1.3 GB/s aggregate; Ethernet needs 5-10 µs just to start, so
+/// one mesh link wins below 89 words and Ethernet from 89 words up.
 #[test]
 fn section_2_2_link_numbers() {
     let link = LinkTimingConfig::default();
@@ -43,9 +44,13 @@ fn section_2_2_link_numbers() {
     assert!((agg - 1.3e9).abs() < 0.05e9, "aggregate {agg}");
     let eth = EthernetBaseline::default();
     assert!(eth.startup_ns >= 5_000.0 && eth.startup_ns <= 10_000.0);
+    assert!(link.transfer_ns(88, c) < eth.transfer_ns(8 * 88));
+    assert!(link.transfer_ns(89, c) >= eth.transfer_ns(8 * 89));
 }
 
-/// §2.2 global operations: hops = Nx+Ny+Nz+Nt−4, halved in doubled mode.
+/// §2.2 global operations: hops = Nx+Ny+Nz+Nt−4, halved in doubled mode;
+/// forwarding after 8 bits (pass-through) instead of the whole frame
+/// (store-and-forward) "markedly" cuts the latency.
 #[test]
 fn section_2_2_global_sum_hops() {
     // The 8192-node example machine of §4: 8x8x8x16.
@@ -54,6 +59,21 @@ fn section_2_2_global_sum_hops() {
         8 + 8 + 8 + 16 - 4
     );
     assert_eq!(dimension_sum_hops(&[8, 8, 8, 16], true), 4 + 4 + 4 + 8);
+    // Cycles as (doubled, pass-through): the ASIC's configuration first.
+    let cfg = GlobalTimingConfig::default();
+    for (doubled, passthrough, cycles) in [
+        (true, true, 496),
+        (false, true, 688),
+        (true, false, 1520),
+        (false, false, 2736),
+    ] {
+        assert_eq!(
+            cfg.global_sum_cycles(&[8, 8, 8, 16], doubled, passthrough)
+                .count(),
+            cycles,
+            "doubled {doubled}, pass-through {passthrough}"
+        );
+    }
 }
 
 /// §2.4: packaging arithmetic — 2 nodes/daughterboard, 64-node
@@ -71,13 +91,24 @@ fn section_2_4_packaging() {
     assert!((MachineAssembly::new(10_000).footprint_sqft() - 60.0).abs() < 1.0);
 }
 
-/// §3.1: ~100 boot-kernel packets + ~100 run-kernel packets per node.
+/// §3.1: ~100 boot-kernel packets + ~100 run-kernel packets per node, from
+/// one motherboard to the 12,288-node machine.
 #[test]
 fn section_3_1_boot_packets() {
-    let mut q = qcdoc::host::qdaemon::Qdaemon::new(qcdoc::geometry::TorusShape::motherboard_64());
-    let r = q.boot(&[]);
-    let per_node = r.packets_sent / 64;
-    assert!((195..=210).contains(&per_node), "{per_node} packets/node");
+    use qcdoc::geometry::TorusShape;
+    for shape in [
+        TorusShape::motherboard_64(),
+        TorusShape::rack_1024(),
+        TorusShape::new(&[8, 8, 6, 4, 4, 2]),
+    ] {
+        let nodes = shape.node_count() as u64;
+        let r = qcdoc::host::qdaemon::Qdaemon::new(shape).boot(&[]);
+        let per_node = r.packets_sent / nodes;
+        assert!(
+            (195..=210).contains(&per_node),
+            "{nodes} nodes: {per_node} packets/node"
+        );
+    }
 }
 
 /// §4: CG efficiencies — Wilson 40%, ASQTAD 38%, clover 46.5% at 4⁴ local
@@ -136,16 +167,27 @@ fn section_4_single_precision_band() {
     );
 }
 
-/// §4: 6⁴ fits the EDRAM, 8⁴ spills to DDR and lands near 30% of peak.
+/// §4: 6⁴ fits the EDRAM, 8⁴ spills to DDR and lands near 30% of peak —
+/// for Wilson and for clover. Clover, the larger working set, already
+/// spills at 7⁴.
 #[test]
 fn section_4_edram_cliff() {
     let mut perf = DiracPerf::paper_bench();
-    perf.local_dims = [6, 6, 6, 6];
-    assert!(perf.evaluate(Action::Wilson).fits_edram);
-    perf.local_dims = [8, 8, 8, 8];
-    let r = perf.evaluate(Action::Wilson);
-    assert!(!r.fits_edram);
-    assert!((0.26..0.36).contains(&r.efficiency), "{}", r.efficiency);
+    perf.local_dims = [7, 7, 7, 7];
+    assert!(!perf.evaluate(Action::Clover).fits_edram);
+    for action in [Action::Wilson, Action::Clover] {
+        let name = action.name();
+        perf.local_dims = [6, 6, 6, 6];
+        assert!(perf.evaluate(action).fits_edram, "{name} 6^4");
+        perf.local_dims = [8, 8, 8, 8];
+        let r = perf.evaluate(action);
+        assert!(!r.fits_edram, "{name} 8^4");
+        assert!(
+            (0.26..0.36).contains(&r.efficiency),
+            "{name}: {}",
+            r.efficiency
+        );
+    }
 }
 
 /// §4: "the 768 cables for the mesh network" — derived, not assumed: 256
@@ -159,7 +201,9 @@ fn section_4_cable_count() {
 }
 
 /// §4: the itemized 4096-node machine cost and the three price/performance
-/// operating points ($1.29 / $1.10 / $1.03 per sustained MF).
+/// operating points ($1.29 / $1.10 / $1.03 per sustained MF); the
+/// 12,288-node machine at a 7 % volume discount comes in under the
+/// targeted $1 per sustained MF.
 #[test]
 fn section_4_cost_and_price_performance() {
     let b = CostModel::default().breakdown(&MachineAssembly::new(4096));
@@ -184,6 +228,21 @@ fn section_4_cost_and_price_performance() {
             "{clock} MHz"
         );
     }
+    let discounted = CostModel {
+        volume_discount: 0.93,
+        ..Default::default()
+    };
+    let big = PricePerformance {
+        clock_mhz: 450.0,
+        efficiency: 0.45,
+        total_cost: discounted.breakdown(&MachineAssembly::new(12_288)).total(),
+        nodes: 12_288,
+    };
+    assert!(
+        big.dollars_per_mflops() < 1.0,
+        "{}",
+        big.dollars_per_mflops()
+    );
 }
 
 /// §4: "a 4⁴ local volume … translates into a 32³×64 lattice size for a
