@@ -90,6 +90,124 @@ impl NodeHealth {
             machine_checks: 0,
         }
     }
+
+    /// Whether the node has nothing to report: alive, no memory event of
+    /// any kind, and every wire untouched. A quiet node's export is four
+    /// zero `node_*` gauges and no `scu_link_*` series.
+    pub fn is_quiet(&self) -> bool {
+        self.liveness == Liveness::Alive
+            && self.mem_flips == 0
+            && self.ecc_corrected == 0
+            && self.machine_checks == 0
+            && self.links.iter().all(|l| *l == LinkHealth::default())
+    }
+
+    /// Publish this node's gauges: the four `node_*` gauges, and the
+    /// `scu_link_*` series of every wire that saw any activity (idle
+    /// wires are skipped, so the export stays sparse).
+    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
+        let node_labels = [("node", self.node.to_string())];
+        reg.gauge_set(
+            "node_liveness",
+            &node_labels,
+            match self.liveness {
+                Liveness::Alive => 0.0,
+                Liveness::Crashed { .. } => 1.0,
+                Liveness::Wedged => 2.0,
+            },
+        );
+        reg.gauge_set("node_mem_flips", &node_labels, self.mem_flips as f64);
+        reg.gauge_set(
+            "node_ecc_corrected",
+            &node_labels,
+            self.ecc_corrected as f64,
+        );
+        reg.gauge_set(
+            "node_machine_checks",
+            &node_labels,
+            self.machine_checks as f64,
+        );
+        for (link, l) in self.links.iter().enumerate() {
+            let active = l.sent_words > 0
+                || l.received_words > 0
+                || l.resends > 0
+                || l.rejects > 0
+                || l.injected > 0
+                || l.stall_cycles > 0
+                || l.dead
+                || l.backoff_waits > 0
+                || l.retry_exhausted
+                || l.block_rejects > 0
+                || l.block_resends > 0;
+            if !active {
+                continue;
+            }
+            let labels = [("node", self.node.to_string()), ("link", link.to_string())];
+            reg.gauge_set("scu_link_sent_words", &labels, l.sent_words as f64);
+            reg.gauge_set("scu_link_received_words", &labels, l.received_words as f64);
+            reg.gauge_set("scu_link_resends", &labels, l.resends as f64);
+            reg.gauge_set("scu_link_rejects", &labels, l.rejects as f64);
+            reg.gauge_set("scu_link_injected", &labels, l.injected as f64);
+            reg.gauge_set("scu_link_stall_cycles", &labels, l.stall_cycles as f64);
+            reg.gauge_set("scu_link_dead", &labels, u64::from(l.dead) as f64);
+            if l.backoff_waits > 0 {
+                reg.gauge_set("scu_link_backoff_waits", &labels, l.backoff_waits as f64);
+            }
+            if l.retry_exhausted {
+                reg.gauge_set("scu_link_retry_exhausted", &labels, 1.0);
+            }
+            if l.block_rejects > 0 {
+                reg.gauge_set("scu_link_block_rejects", &labels, l.block_rejects as f64);
+            }
+            if l.block_resends > 0 {
+                reg.gauge_set("scu_link_block_resends", &labels, l.block_resends as f64);
+            }
+            if let Some(ok) = l.checksum_ok {
+                reg.gauge_set("scu_link_checksum_ok", &labels, u64::from(ok) as f64);
+            }
+        }
+    }
+}
+
+/// Machine-wide totals of one ledger, gathered in one pass over its
+/// nodes: what the `machine_*` gauges and the host's sweep digest report.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HealthTotals {
+    /// Go-back-N retransmissions.
+    pub resends: u64,
+    /// Frames the fault machinery corrupted (deterministic).
+    pub injected: u64,
+    /// Every wire scheduled dead, as `(node, link_index)`.
+    pub dead_links: Vec<(u32, usize)>,
+    /// Finalized checksum pairings that disagreed.
+    pub checksum_mismatches: usize,
+    /// Single-bit memory corrections.
+    pub ecc_corrected: u64,
+    /// Latched machine checks.
+    pub machine_checks: u64,
+    /// Checked-DMA block checksum failures.
+    pub block_rejects: u64,
+    /// Nodes that did not finish healthy
+    /// ([`HealthLedger::unhealthy_nodes`]).
+    pub unhealthy: Vec<u32>,
+}
+
+impl HealthTotals {
+    /// Publish the `machine_*` gauges.
+    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
+        reg.gauge_set("machine_total_resends", &[], self.resends as f64);
+        reg.gauge_set("machine_total_injected", &[], self.injected as f64);
+        reg.gauge_set("machine_dead_links", &[], self.dead_links.len() as f64);
+        reg.gauge_set(
+            "machine_checksum_mismatches",
+            &[],
+            self.checksum_mismatches as f64,
+        );
+        reg.gauge_set("machine_ecc_corrected", &[], self.ecc_corrected as f64);
+        reg.gauge_set("machine_machine_checks", &[], self.machine_checks as f64);
+        reg.gauge_set("machine_block_rejects", &[], self.block_rejects as f64);
+        reg.gauge_set("machine_unhealthy_nodes", &[], self.unhealthy.len() as f64);
+    }
 }
 
 /// Machine-wide health report, aggregated from every node's SCU counters.
@@ -151,34 +269,17 @@ impl HealthLedger {
 
     /// Total go-back-N retransmissions across the machine.
     pub fn total_resends(&self) -> u64 {
-        self.nodes
-            .iter()
-            .flat_map(|n| &n.links)
-            .map(|l| l.resends)
-            .sum()
+        self.totals().resends
     }
 
     /// Total frames the fault machinery corrupted (deterministic).
     pub fn total_injected(&self) -> u64 {
-        self.nodes
-            .iter()
-            .flat_map(|n| &n.links)
-            .map(|l| l.injected)
-            .sum()
+        self.totals().injected
     }
 
     /// Every wire scheduled dead, as `(node, link_index)`.
     pub fn dead_links(&self) -> Vec<(u32, usize)> {
-        self.nodes
-            .iter()
-            .flat_map(|n| {
-                n.links
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, l)| l.dead)
-                    .map(|(i, _)| (n.node, i))
-            })
-            .collect()
+        self.totals().dead_links
     }
 
     /// Nodes that did not finish healthy: crashed, wedged, any dead or
@@ -187,17 +288,31 @@ impl HealthLedger {
     /// *corrected* leaves the node healthy — that is the point of the
     /// code.
     pub fn unhealthy_nodes(&self) -> Vec<u32> {
-        self.nodes
-            .iter()
-            .filter(|n| {
-                n.liveness != Liveness::Alive
-                    || n.machine_checks > 0
-                    || n.links
-                        .iter()
-                        .any(|l| l.dead || l.retry_exhausted || l.checksum_ok == Some(false))
-            })
-            .map(|n| n.node)
-            .collect()
+        self.totals().unhealthy
+    }
+
+    /// Every machine-wide total in one pass over the ledger.
+    pub fn totals(&self) -> HealthTotals {
+        let mut t = HealthTotals::default();
+        for n in &self.nodes {
+            t.ecc_corrected += n.ecc_corrected;
+            t.machine_checks += n.machine_checks;
+            let mut unhealthy = n.liveness != Liveness::Alive || n.machine_checks > 0;
+            for (i, l) in n.links.iter().enumerate() {
+                t.resends += l.resends;
+                t.injected += l.injected;
+                t.block_rejects += l.block_rejects;
+                t.checksum_mismatches += usize::from(l.checksum_ok == Some(false));
+                if l.dead {
+                    t.dead_links.push((n.node, i));
+                }
+                unhealthy |= l.dead || l.retry_exhausted || l.checksum_ok == Some(false);
+            }
+            if unhealthy {
+                t.unhealthy.push(n.node);
+            }
+        }
+        t
     }
 
     /// Nodes with *hardware evidence* of their own failure: a scheduled
@@ -225,21 +340,17 @@ impl HealthLedger {
     /// Total single-bit memory corrections across the machine — the
     /// `ecc_corrections` figure of the host's hardware status readout.
     pub fn total_ecc_corrected(&self) -> u64 {
-        self.nodes.iter().map(|n| n.ecc_corrected).sum()
+        self.totals().ecc_corrected
     }
 
     /// Total latched machine checks across the machine.
     pub fn total_machine_checks(&self) -> u64 {
-        self.nodes.iter().map(|n| n.machine_checks).sum()
+        self.totals().machine_checks
     }
 
     /// Total checked-DMA block checksum failures across the machine.
     pub fn total_block_rejects(&self) -> u64 {
-        self.nodes
-            .iter()
-            .flat_map(|n| &n.links)
-            .map(|l| l.block_rejects)
-            .sum()
+        self.totals().block_rejects
     }
 
     /// Whether every finalized checksum pairing agreed.
@@ -260,89 +371,9 @@ impl HealthLedger {
     /// are never double-counted between the two sources.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
         for n in &self.nodes {
-            let node_labels = [("node", n.node.to_string())];
-            reg.gauge_set(
-                "node_liveness",
-                &node_labels,
-                match n.liveness {
-                    Liveness::Alive => 0.0,
-                    Liveness::Crashed { .. } => 1.0,
-                    Liveness::Wedged => 2.0,
-                },
-            );
-            reg.gauge_set("node_mem_flips", &node_labels, n.mem_flips as f64);
-            reg.gauge_set("node_ecc_corrected", &node_labels, n.ecc_corrected as f64);
-            reg.gauge_set("node_machine_checks", &node_labels, n.machine_checks as f64);
-            for (link, l) in n.links.iter().enumerate() {
-                let active = l.sent_words > 0
-                    || l.received_words > 0
-                    || l.resends > 0
-                    || l.rejects > 0
-                    || l.injected > 0
-                    || l.stall_cycles > 0
-                    || l.dead
-                    || l.backoff_waits > 0
-                    || l.retry_exhausted
-                    || l.block_rejects > 0
-                    || l.block_resends > 0;
-                if !active {
-                    continue;
-                }
-                let labels = [("node", n.node.to_string()), ("link", link.to_string())];
-                reg.gauge_set("scu_link_sent_words", &labels, l.sent_words as f64);
-                reg.gauge_set("scu_link_received_words", &labels, l.received_words as f64);
-                reg.gauge_set("scu_link_resends", &labels, l.resends as f64);
-                reg.gauge_set("scu_link_rejects", &labels, l.rejects as f64);
-                reg.gauge_set("scu_link_injected", &labels, l.injected as f64);
-                reg.gauge_set("scu_link_stall_cycles", &labels, l.stall_cycles as f64);
-                reg.gauge_set("scu_link_dead", &labels, u64::from(l.dead) as f64);
-                if l.backoff_waits > 0 {
-                    reg.gauge_set("scu_link_backoff_waits", &labels, l.backoff_waits as f64);
-                }
-                if l.retry_exhausted {
-                    reg.gauge_set("scu_link_retry_exhausted", &labels, 1.0);
-                }
-                if l.block_rejects > 0 {
-                    reg.gauge_set("scu_link_block_rejects", &labels, l.block_rejects as f64);
-                }
-                if l.block_resends > 0 {
-                    reg.gauge_set("scu_link_block_resends", &labels, l.block_resends as f64);
-                }
-                if let Some(ok) = l.checksum_ok {
-                    reg.gauge_set("scu_link_checksum_ok", &labels, u64::from(ok) as f64);
-                }
-            }
+            n.export_metrics(reg);
         }
-        let mismatches = self
-            .nodes
-            .iter()
-            .flat_map(|n| &n.links)
-            .filter(|l| l.checksum_ok == Some(false))
-            .count();
-        reg.gauge_set("machine_total_resends", &[], self.total_resends() as f64);
-        reg.gauge_set("machine_total_injected", &[], self.total_injected() as f64);
-        reg.gauge_set("machine_dead_links", &[], self.dead_links().len() as f64);
-        reg.gauge_set("machine_checksum_mismatches", &[], mismatches as f64);
-        reg.gauge_set(
-            "machine_ecc_corrected",
-            &[],
-            self.total_ecc_corrected() as f64,
-        );
-        reg.gauge_set(
-            "machine_machine_checks",
-            &[],
-            self.total_machine_checks() as f64,
-        );
-        reg.gauge_set(
-            "machine_block_rejects",
-            &[],
-            self.total_block_rejects() as f64,
-        );
-        reg.gauge_set(
-            "machine_unhealthy_nodes",
-            &[],
-            self.unhealthy_nodes().len() as f64,
-        );
+        self.totals().export_metrics(reg);
     }
 
     /// FNV-1a digest of the ledger's *deterministic* fields: word counts,
@@ -494,6 +525,12 @@ mod tests {
         ledger.node_mut(2).machine_checks = 1;
         assert_eq!(ledger.unhealthy_nodes(), vec![1, 2]);
         assert_eq!(ledger.total_machine_checks(), 1);
+        // A failed checksum pairing condemns its node.
+        ledger.node_mut(0).links[4].block_rejects = 3;
+        ledger.node_mut(0).links[4].checksum_ok = Some(false);
+        assert_eq!(ledger.unhealthy_nodes(), vec![0, 1, 2]);
+        assert_eq!(ledger.total_block_rejects(), 3);
+        assert_eq!(ledger.totals().checksum_mismatches, 1);
     }
 
     #[test]

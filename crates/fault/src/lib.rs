@@ -40,6 +40,6 @@ pub mod storage;
 
 pub use classify::{classify_ledger, convicted_nodes, FailureClass};
 pub use clock::{FaultClock, NodeTap};
-pub use health::{HealthLedger, LinkHealth, Liveness, NodeHealth};
+pub use health::{HealthLedger, HealthTotals, LinkHealth, Liveness, NodeHealth};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, LinkSelect, NodeSelect};
 pub use storage::{StorageClock, StorageFault, StorageFaultPlan};

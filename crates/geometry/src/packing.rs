@@ -16,7 +16,7 @@
 //! (axis 0 fastest), ties break toward the lexicographically first
 //! origin, so the same request stream always produces the same packing.
 
-use crate::{Axis, NodeCoord, NodeId, PartitionSpec, TorusShape};
+use crate::{NodeCoord, NodeId, PartitionSpec, TorusShape};
 
 /// Upper bound on how many feasible origins [`OccupancyMap::best_fit`]
 /// scores before settling. Origins are enumerated corner-first, so the
@@ -70,34 +70,44 @@ impl OccupancyMap {
         self.taken.iter().filter(|&&t| !t).count()
     }
 
-    /// Visit every node of the axis-aligned box at `origin` with the
-    /// given `extents` (extents beyond the machine rank must be 1).
-    fn for_each_box_node<F: FnMut(NodeCoord) -> bool>(
-        &self,
+    /// Visit the ranks of every node of the axis-aligned box at `origin`
+    /// with the given `extents` (extents beyond the machine rank must be
+    /// 1), in rank order: one axis-0 run of consecutive ranks at a time,
+    /// stepping the other axes by their rank strides. Stops when `f`
+    /// returns `false`.
+    fn for_each_box_run<F: FnMut(std::ops::Range<usize>) -> bool>(
+        shape: &TorusShape,
         origin: NodeCoord,
         extents: &[usize],
         mut f: F,
     ) {
-        let rank = self.shape.rank();
-        let mut cursor = vec![0usize; rank];
+        let rank = shape.rank();
+        let ext = |axis: usize| extents.get(axis).copied().unwrap_or(1);
+        let mut stride = [0usize; 6];
+        let mut step = 1;
+        for (axis, s) in stride.iter_mut().enumerate().take(rank) {
+            *s = step;
+            step *= shape.extent(axis);
+        }
+        let run = ext(0);
+        let mut start = shape.rank_of(origin).index();
+        let mut cursor = [0usize; 6];
         loop {
-            let mut c = origin;
-            for (axis, &off) in cursor.iter().enumerate() {
-                c.set(axis, origin.get(axis) + off);
-            }
-            if !f(c) {
+            if !f(start..start + run) {
                 return;
             }
-            // Odometer over the box extents, axis 0 fastest.
-            let mut axis = 0;
+            // Odometer over the remaining box extents, axis 1 fastest.
+            let mut axis = 1;
             loop {
-                if axis == rank {
+                if axis >= rank {
                     return;
                 }
                 cursor[axis] += 1;
-                if cursor[axis] < extents.get(axis).copied().unwrap_or(1) {
+                start += stride[axis];
+                if cursor[axis] < ext(axis) {
                     break;
                 }
+                start -= cursor[axis] * stride[axis];
                 cursor[axis] = 0;
                 axis += 1;
             }
@@ -115,37 +125,40 @@ impl OccupancyMap {
     /// Whether every node of the box is free (the box must be in bounds).
     pub fn box_free(&self, origin: NodeCoord, extents: &[usize]) -> bool {
         let mut free = true;
-        self.for_each_box_node(origin, extents, |c| {
-            free = !self.taken[self.shape.rank_of(c).index()];
+        Self::for_each_box_run(&self.shape, origin, extents, |run| {
+            free = !self.taken[run].contains(&true);
             free
         });
         free
     }
 
-    /// Mark every node of the box taken.
-    fn occupy_box(&mut self, origin: NodeCoord, extents: &[usize]) {
-        let shape = self.shape.clone();
-        let mut ids = Vec::new();
-        self.for_each_box_node(origin, extents, |c| {
-            ids.push(shape.rank_of(c));
+    /// Number of free nodes in the box (the box must be in bounds).
+    fn box_free_count(&self, origin: NodeCoord, extents: &[usize]) -> usize {
+        let mut free = 0;
+        Self::for_each_box_run(&self.shape, origin, extents, |run| {
+            free += self.taken[run].iter().filter(|&&t| !t).count();
             true
         });
-        for id in ids {
-            self.taken[id.index()] = true;
-        }
+        free
+    }
+
+    /// Mark every node of the box taken or free.
+    fn fill_box(&mut self, origin: NodeCoord, extents: &[usize], taken: bool) {
+        let mask = &mut self.taken;
+        Self::for_each_box_run(&self.shape, origin, extents, |run| {
+            mask[run].fill(taken);
+            true
+        });
+    }
+
+    /// Mark every node of the box taken.
+    fn occupy_box(&mut self, origin: NodeCoord, extents: &[usize]) {
+        self.fill_box(origin, extents, true);
     }
 
     /// Mark every node of the box free again.
     pub fn vacate_box(&mut self, origin: NodeCoord, extents: &[usize]) {
-        let shape = self.shape.clone();
-        let mut ids = Vec::new();
-        self.for_each_box_node(origin, extents, |c| {
-            ids.push(shape.rank_of(c));
-            true
-        });
-        for id in ids {
-            self.taken[id.index()] = false;
-        }
+        self.fill_box(origin, extents, false);
     }
 
     /// Every origin (in rank order) at which the box is in bounds and
@@ -200,24 +213,33 @@ impl OccupancyMap {
     /// Lower is better — a snug placement flush against occupied nodes
     /// or closing a torus axis leaves the free mesh less fragmented than
     /// one floating in open space.
+    ///
+    /// Those nodes are the box's neighbour slabs: on an axis of torus
+    /// extent `n` the box (extent `b`) has none when `b = n`, one when
+    /// `b = n − 1` (the slabs below and above it are the same plane), and
+    /// two otherwise. Each slab spans the box on every other axis, so
+    /// slabs of different axes are disjoint and their free counts sum.
     fn placement_score(&self, origin: NodeCoord, extents: &[usize]) -> usize {
-        let mut inside = std::collections::HashSet::new();
-        self.for_each_box_node(origin, extents, |c| {
-            inside.insert(c);
-            true
-        });
-        let mut adjacent_free = std::collections::HashSet::new();
-        for &c in &inside {
-            for axis in 0..self.shape.rank() {
-                for d in [Axis(axis as u8).plus(), Axis(axis as u8).minus()] {
-                    let nb = self.shape.neighbour(c, d);
-                    if !inside.contains(&nb) && !self.taken[self.shape.rank_of(nb).index()] {
-                        adjacent_free.insert(nb);
-                    }
-                }
-            }
+        let mut slab = [1usize; 6];
+        for (s, &e) in slab.iter_mut().zip(extents) {
+            *s = e;
         }
-        adjacent_free.len()
+        let mut score = 0;
+        for axis in 0..self.shape.rank() {
+            let (n, b, o) = (self.shape.extent(axis), slab[axis], origin.get(axis));
+            if b == n {
+                continue;
+            }
+            slab[axis] = 1;
+            let slabs = if b + 1 == n { 1 } else { 2 };
+            for at in [(o + b) % n, (o + n - 1) % n].into_iter().take(slabs) {
+                let mut corner = origin;
+                corner.set(axis, at);
+                score += self.box_free_count(corner, &slab);
+            }
+            slab[axis] = b;
+        }
+        score
     }
 
     /// The best feasible origin for the box under the packing score
@@ -284,6 +306,201 @@ impl OccupancyMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Axis;
+    use std::collections::HashSet;
+
+    /// Every node of the box, visited coordinate by coordinate in rank
+    /// order: the walk the packer used before it stepped rank strides.
+    fn oracle_box_nodes(
+        shape: &TorusShape,
+        origin: NodeCoord,
+        extents: &[usize],
+    ) -> Vec<NodeCoord> {
+        let rank = shape.rank();
+        let mut out = Vec::new();
+        let mut cursor = vec![0usize; rank];
+        loop {
+            let mut c = origin;
+            for (axis, &off) in cursor.iter().enumerate() {
+                c.set(axis, origin.get(axis) + off);
+            }
+            out.push(c);
+            let mut axis = 0;
+            loop {
+                if axis == rank {
+                    return out;
+                }
+                cursor[axis] += 1;
+                if cursor[axis] < extents.get(axis).copied().unwrap_or(1) {
+                    break;
+                }
+                cursor[axis] = 0;
+                axis += 1;
+            }
+        }
+    }
+
+    fn oracle_box_free(map: &OccupancyMap, origin: NodeCoord, extents: &[usize]) -> bool {
+        oracle_box_nodes(&map.shape, origin, extents)
+            .into_iter()
+            .all(|c| !map.taken[map.shape.rank_of(c).index()])
+    }
+
+    /// The packing score as a set: every free node one link away from
+    /// the box and outside it.
+    fn oracle_score(map: &OccupancyMap, origin: NodeCoord, extents: &[usize]) -> usize {
+        let inside: HashSet<NodeCoord> = oracle_box_nodes(&map.shape, origin, extents)
+            .into_iter()
+            .collect();
+        let mut adjacent_free = HashSet::new();
+        for &c in &inside {
+            for axis in 0..map.shape.rank() {
+                for d in [Axis(axis as u8).plus(), Axis(axis as u8).minus()] {
+                    let nb = map.shape.neighbour(c, d);
+                    if !inside.contains(&nb) && !map.taken[map.shape.rank_of(nb).index()] {
+                        adjacent_free.insert(nb);
+                    }
+                }
+            }
+        }
+        adjacent_free.len()
+    }
+
+    /// Every in-bounds free origin in rank order, at most `limit`.
+    fn oracle_fits(map: &OccupancyMap, extents: &[usize], limit: usize) -> Vec<NodeCoord> {
+        map.shape
+            .coords()
+            .filter(|&o| map.box_in_bounds(o, extents) && oracle_box_free(map, o, extents))
+            .take(limit)
+            .collect()
+    }
+
+    /// SplitMix64, so the masks and boxes are the same on every run.
+    struct Draw(u64);
+
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A seeded mask at about `density` % taken: scattered single nodes
+    /// when `scattered`, else whole boxes the way jobs occupy the machine.
+    fn random_mask(
+        shape: &TorusShape,
+        density: usize,
+        scattered: bool,
+        draw: &mut Draw,
+    ) -> Vec<bool> {
+        let n = shape.node_count();
+        if scattered {
+            return (0..n).map(|_| draw.below(100) < density).collect();
+        }
+        let mut taken = vec![false; n];
+        while taken.iter().filter(|&&t| t).count() * 100 < n * density {
+            let extents: Vec<usize> = shape
+                .dims()
+                .iter()
+                .map(|&d| 1 + draw.below(d.div_ceil(2)))
+                .collect();
+            let mut origin = NodeCoord::ORIGIN;
+            for (axis, (&d, &e)) in shape.dims().iter().zip(&extents).enumerate() {
+                origin.set(axis, draw.below(d - e + 1));
+            }
+            for c in oracle_box_nodes(shape, origin, &extents) {
+                taken[shape.rank_of(c).index()] = true;
+            }
+        }
+        taken
+    }
+
+    #[test]
+    fn surface_score_and_stride_walk_match_the_set_oracle() {
+        let mut draw = Draw(0x5eed);
+        for dims in [
+            &[4, 2, 2, 2, 1, 1][..],
+            &[8, 2],
+            &[3, 5],
+            &[8, 8, 6, 4, 4, 2],
+        ] {
+            let shape = TorusShape::new(dims);
+            let n = shape.node_count();
+            // The set oracle is slow on the full machine in a debug build:
+            // there, no empty mask, thinner boxes and only the first 64
+            // fits.
+            let (masks, limit, most) = if n > 1000 {
+                (4, 64, 2)
+            } else {
+                (16, usize::MAX, 3)
+            };
+            for m in 0..masks {
+                let density = [0, 10, 35, 70][m % 4];
+                let map = OccupancyMap::from_mask(
+                    shape.clone(),
+                    random_mask(&shape, density, m / 4 % 2 == 1, &mut draw),
+                );
+                for _ in 0..8 {
+                    // Every axis may span n or n − 1.
+                    let extents: Vec<usize> = dims
+                        .iter()
+                        .map(|&d| match draw.below(5) {
+                            0 => d,
+                            1 => d.saturating_sub(1).max(1),
+                            _ => 1 + draw.below(d.min(most)),
+                        })
+                        .collect();
+                    let fits = oracle_fits(&map, &extents, limit);
+                    assert_eq!(map.fit_origins(&extents, limit), fits);
+                    // best_fit keeps the first lowest score among the first
+                    // BEST_FIT_SCORE_CAP fits.
+                    let mut best: Option<(usize, NodeCoord)> = None;
+                    for &o in fits.iter().take(BEST_FIT_SCORE_CAP) {
+                        let score = oracle_score(&map, o, &extents);
+                        assert_eq!(
+                            map.placement_score(o, &extents),
+                            score,
+                            "{dims:?} box {extents:?} at {o:?}"
+                        );
+                        if best.is_none_or(|(s, _)| score < s) {
+                            best = Some((score, o));
+                        }
+                    }
+                    assert_eq!(map.best_fit(&extents), best.map(|(_, o)| o));
+                    for _ in 0..8 {
+                        let o = shape.coord_of(NodeId(draw.below(n) as u32));
+                        if map.box_in_bounds(o, &extents) {
+                            assert_eq!(
+                                map.box_free(o, &extents),
+                                oracle_box_free(&map, o, &extents)
+                            );
+                        }
+                    }
+                    // Occupying and vacating touch exactly the box.
+                    let o = fits.first().copied().unwrap_or(NodeCoord::ORIGIN);
+                    let mut filled = map.clone();
+                    let mut expect = map.clone();
+                    filled.occupy_box(o, &extents);
+                    for c in oracle_box_nodes(&shape, o, &extents) {
+                        expect.set_taken(shape.rank_of(c), true);
+                    }
+                    assert_eq!(filled, expect);
+                    filled.vacate_box(o, &extents);
+                    for c in oracle_box_nodes(&shape, o, &extents) {
+                        expect.set_taken(shape.rank_of(c), false);
+                    }
+                    assert_eq!(filled, expect);
+                }
+            }
+        }
+    }
 
     fn shape_442() -> TorusShape {
         TorusShape::new(&[4, 4, 2])

@@ -463,7 +463,9 @@ impl Soak {
         let ledger = evidence_for(family, victim, self.report.node_count, tick);
         let class = classify_ledger(&ledger);
         let convicted = convicted_nodes(&ledger);
-        self.q.ingest_health(&ledger);
+        self.q
+            .ingest_health(&ledger)
+            .expect("the evidence ledger covers the machine");
         self.sched
             .fail_job(victim_job, class, &convicted, &mut self.q);
         self.report.failures_injected += 1;

@@ -455,12 +455,12 @@ mod tests {
         let mut ledger = HealthLedger::new(32);
         ledger.node_mut(5).ecc_corrected = 3;
         ledger.node_mut(7).links[2].block_rejects = 2;
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         let out = sh.execute(&mut q, &Command::Hardware { id: 0 });
         assert_eq!(out, "link errors 2 ecc corrections 3 checksums ok");
         // An end-of-run checksum mismatch flips the verdict and sticks.
         ledger.node_mut(2).links[0].checksum_ok = Some(false);
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         let out = sh.execute(&mut q, &Command::Hardware { id: 0 });
         assert_eq!(out, "link errors 2 ecc corrections 3 checksums FAILED");
         // Unknown partitions report an error, not a panic.
@@ -483,7 +483,7 @@ mod tests {
         // A sweep condemns node 9; the quarantine lands in the ring.
         let mut ledger = HealthLedger::new(32);
         ledger.node_mut(9).liveness = Liveness::Wedged;
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         let out = sh.execute(&mut q, &Command::Flight { node: None });
         assert!(out.contains("quarantine"), "{out}");
         assert!(out.contains("a=9"), "{out}");

@@ -147,6 +147,11 @@ pub struct Qdaemon {
     /// cycle-free (the daemon stamps host events with its sweep count).
     pub(crate) flight: FlightRecorder,
     pub(crate) sweeps: u64,
+    /// Per node: whether the registry's `node_*` gauges may differ from a
+    /// quiet node's zeros. All set until the first sweep exports every
+    /// node; after that a sweep re-exports only the nodes it reports on
+    /// plus the nodes whose gauges it must clear.
+    loud: Vec<bool>,
 }
 
 impl Qdaemon {
@@ -169,6 +174,7 @@ impl Qdaemon {
             metrics: MetricsRegistry::new(),
             flight: FlightRecorder::default(),
             sweeps: 0,
+            loud: vec![true; n],
         }
     }
 
@@ -405,57 +411,76 @@ impl Qdaemon {
     /// link, crash, wedge, checksum mismatch, memory error) so later
     /// allocations route around it, and prices the sweep itself on the
     /// Ethernet capacity model.
-    pub fn ingest_health(&mut self, ledger: &qcdoc_fault::HealthLedger) -> HealthReport {
+    ///
+    /// A ledger that does not describe this machine — the wrong number
+    /// of nodes, or a report filed under another node's rank — is
+    /// refused with a [`SweepError`] and the daemon is left untouched.
+    pub fn ingest_health(
+        &mut self,
+        ledger: &qcdoc_fault::HealthLedger,
+    ) -> Result<HealthReport, SweepError> {
+        let machine = self.machine.node_count();
+        if ledger.nodes.len() != machine {
+            return Err(SweepError::WrongSize {
+                nodes: ledger.nodes.len(),
+                machine,
+            });
+        }
+        if let Some((index, nh)) = ledger
+            .nodes
+            .iter()
+            .enumerate()
+            .find(|(i, nh)| nh.node as usize != *i)
+        {
+            return Err(SweepError::Misnumbered {
+                index,
+                node: nh.node,
+            });
+        }
         self.sweeps += 1;
-        let unhealthy = ledger.unhealthy_nodes();
+        let totals = ledger.totals();
         let mut quarantined = Vec::new();
-        for &node in &unhealthy {
+        for &node in &totals.unhealthy {
             if self.states[node as usize] != NodeState::Faulty {
                 self.mark_faulty(NodeId(node));
                 quarantined.push(node);
             }
         }
-        let checksum_mismatches = ledger
-            .nodes
-            .iter()
-            .flat_map(|n| &n.links)
-            .filter(|l| l.checksum_ok == Some(false))
-            .count();
         // Feed each node's kernel the hardware counters the sweep carried,
-        // so `hardware_report` reflects what the machine actually saw. `merge_hardware` is a max-merge: re-ingesting the
-        // same sweep changes nothing.
-        if ledger.nodes.len() == self.machine.node_count() {
-            for (node, nh) in ledger.nodes.iter().enumerate() {
-                let link_errors = nh
-                    .links
-                    .iter()
-                    .map(|l| l.rejects + l.block_rejects)
-                    .sum::<u64>();
-                let checksums_ok = nh.links.iter().all(|l| l.checksum_ok != Some(false));
-                self.kernels[node].merge_hardware(crate::kernel::HardwareStatus {
-                    link_errors,
-                    ecc_corrections: nh.ecc_corrected,
-                    checksums_ok,
-                });
+        // so `hardware_report` reflects what the machine actually saw, and
+        // fold the readout into the daemon's registry. Both are absolute
+        // (the kernel merge is a max-merge, the export writes gauges), so
+        // re-ingesting a sweep changes nothing and the scrape shows one
+        // consistent view of the machine. A quiet node merges nothing and
+        // exports four zeros, so it is skipped once the registry holds
+        // those zeros: the registry always equals a full export.
+        for (node, nh) in ledger.nodes.iter().enumerate() {
+            let quiet = nh.is_quiet();
+            if quiet && !self.loud[node] {
+                continue;
             }
+            self.kernels[node].merge_hardware(crate::kernel::HardwareStatus {
+                link_errors: nh.links.iter().map(|l| l.rejects + l.block_rejects).sum(),
+                ecc_corrections: nh.ecc_corrected,
+                checksums_ok: nh.links.iter().all(|l| l.checksum_ok != Some(false)),
+            });
+            nh.export_metrics(&mut self.metrics);
+            self.loud[node] = !quiet;
         }
+        totals.export_metrics(&mut self.metrics);
+        self.metrics.counter_add("qdaemon_health_sweeps", &[], 1);
         // Each node reports 12 links × 9 counters/checksums (8 bytes each)
         // plus a small per-node header, collected over the same tree that
         // carried the boot kernels.
         let readout_bytes = 12 * 9 * 8 + 16;
-        // Fold the ledger readout into the daemon's registry: the export
-        // uses absolute gauges, so re-ingesting a sweep never double-counts
-        // and the scrape shows one consistent view of the machine.
-        ledger.export_metrics(&mut self.metrics);
-        self.metrics.counter_add("qdaemon_health_sweeps", &[], 1);
-        HealthReport {
+        Ok(HealthReport {
             quarantined,
-            total_resends: ledger.total_resends(),
-            total_injected: ledger.total_injected(),
-            dead_links: ledger.dead_links(),
-            checksum_mismatches,
+            total_resends: totals.resends,
+            total_injected: totals.injected,
+            dead_links: totals.dead_links,
+            checksum_mismatches: totals.checksum_mismatches,
             sweep_seconds: self.ethernet.broadcast_seconds(readout_bytes),
-        }
+        })
     }
 
     /// Count of nodes in each state. Repaired nodes sitting idle count
@@ -605,6 +630,42 @@ impl HealthReport {
         self.quarantined.is_empty() && self.dead_links.is_empty() && self.checksum_mismatches == 0
     }
 }
+
+/// Why a health sweep was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SweepError {
+    /// The ledger reports on a different number of nodes than the
+    /// machine has.
+    WrongSize {
+        /// Node reports in the ledger.
+        nodes: usize,
+        /// Nodes in the machine.
+        machine: usize,
+    },
+    /// The report at ledger position `index` names another node.
+    Misnumbered {
+        /// Position in the ledger, which is the node's rank.
+        index: usize,
+        /// The node the report names.
+        node: u32,
+    },
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SweepError::WrongSize { nodes, machine } => write!(
+                f,
+                "health ledger reports {nodes} nodes on a {machine}-node machine"
+            ),
+            SweepError::Misnumbered { index, node } => {
+                write!(f, "health ledger entry {index} reports on node {node}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
 
 /// Allocation failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -810,7 +871,7 @@ mod tests {
         ledger.node_mut(6).links[2].dead = true;
         ledger.node_mut(9).liveness = Liveness::Wedged;
         ledger.node_mut(9).links[0].resends = 4;
-        let report = q.ingest_health(&ledger);
+        let report = q.ingest_health(&ledger).unwrap();
         assert_eq!(report.quarantined, vec![6, 9]);
         assert_eq!(report.dead_links, vec![(6, 2)]);
         assert_eq!(report.total_resends, 4);
@@ -824,7 +885,7 @@ mod tests {
         let census = q.census();
         assert_eq!((census.ready, census.faulty), (30, 2));
         // Re-ingesting the same ledger quarantines nothing new.
-        assert!(q.ingest_health(&ledger).quarantined.is_empty());
+        assert!(q.ingest_health(&ledger).unwrap().quarantined.is_empty());
     }
 
     #[test]
@@ -835,7 +896,7 @@ mod tests {
         // Healed corruption: resends happened but nothing is flagged.
         ledger.node_mut(3).links[1].resends = 2;
         ledger.node_mut(3).links[1].injected = 2;
-        let report = q.ingest_health(&ledger);
+        let report = q.ingest_health(&ledger).unwrap();
         assert!(report.clean());
         assert_eq!(report.total_injected, 2);
         let census = q.census();
@@ -852,7 +913,7 @@ mod tests {
         ledger.node_mut(4).ecc_corrected = 5;
         ledger.node_mut(4).links[1].rejects = 2;
         ledger.node_mut(8).links[0].block_rejects = 1;
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         // Per-node kernels carry exactly what the sweep saw for them.
         let s4 = q.kernel(NodeId(4)).hardware_status();
         assert_eq!((s4.link_errors, s4.ecc_corrections), (2, 5));
@@ -865,7 +926,7 @@ mod tests {
         assert!(hw.checksums_ok);
         // Re-ingesting the same sweep is idempotent: cumulative totals
         // max-merge instead of double-counting.
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         let hw2 = q.hardware_report(id).unwrap();
         assert_eq!(hw, hw2);
     }
@@ -878,7 +939,7 @@ mod tests {
         let mut ledger = HealthLedger::new(32);
         ledger.node_mut(3).links[1].resends = 4;
         ledger.node_mut(3).links[1].injected = 4;
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         let first = q.scrape();
         assert!(first.contains("qdaemon_nodes{state=\"ready\"} 32"));
         assert!(first.contains("qdaemon_boot_packets"));
@@ -886,7 +947,7 @@ mod tests {
         assert!(first.contains("scu_link_resends{link=\"1\",node=\"3\"} 4"));
         // Re-ingesting the same sweep must not double-count: the gauges
         // are absolute, so the scrape is byte-identical.
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         let second = q.scrape();
         let strip = |s: &str| {
             s.lines()
@@ -895,6 +956,133 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(strip(&first), strip(&second));
+    }
+
+    /// Registry series the health export owns: everything but the
+    /// daemon's own `qdaemon_*` bookkeeping.
+    fn health_series(reg: &MetricsRegistry) -> String {
+        qcdoc_telemetry::prometheus_text(reg)
+            .lines()
+            .filter(|l| !l.trim_start_matches("# TYPE ").starts_with("qdaemon_"))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    }
+
+    #[test]
+    fn sparse_health_export_equals_a_full_export_after_every_sweep() {
+        use qcdoc_fault::{HealthLedger, Liveness};
+        for seed in 0..4u64 {
+            // SplitMix64 draws.
+            let mut state = seed;
+            let mut below = |n: usize| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                ((z ^ (z >> 31)) % n as u64) as usize
+            };
+            let n = small_machine().node_count();
+            let quiet = HealthLedger::new(n);
+            let mut ledgers = Vec::new();
+            // The first sweep: traffic on a few wires, every other node quiet.
+            let mut first = quiet.clone();
+            for _ in 0..6 {
+                let l = &mut first.node_mut(below(n) as u32).links[below(12)];
+                l.sent_words = 1 + below(1000) as u64;
+                l.received_words = below(1000) as u64;
+                l.checksum_ok = Some(true);
+            }
+            ledgers.push(first);
+            // A node crashes with a memory error, then heals.
+            let mut crash = quiet.clone();
+            let victim = crash.node_mut(below(n) as u32);
+            victim.liveness = Liveness::Crashed {
+                iteration: below(50),
+            };
+            victim.mem_flips = 2;
+            victim.ecc_corrected = 1;
+            victim.machine_checks = 1;
+            ledgers.push(crash);
+            ledgers.push(quiet.clone());
+            // Link-only activity on two wires.
+            let mut links = quiet.clone();
+            for _ in 0..2 {
+                let l = &mut links.node_mut(below(n) as u32).links[below(12)];
+                l.resends = 1 + below(9) as u64;
+                l.injected = below(3) as u64;
+                l.backoff_waits = below(2) as u64;
+            }
+            ledgers.push(links);
+            // A checksum mismatch that clears on the next sweep.
+            let (node, link) = (below(n) as u32, below(12));
+            let mut bad = quiet.clone();
+            bad.node_mut(node).links[link].checksum_ok = Some(false);
+            let mut good = quiet.clone();
+            good.node_mut(node).links[link].checksum_ok = Some(true);
+            ledgers.extend([bad, good, quiet]);
+
+            let mut q = Qdaemon::new(small_machine());
+            q.boot(&[]);
+            let mut full = MetricsRegistry::new();
+            for (i, ledger) in ledgers.iter().enumerate() {
+                q.ingest_health(ledger).unwrap();
+                ledger.export_metrics(&mut full);
+                assert_eq!(
+                    health_series(q.metrics()),
+                    health_series(&full),
+                    "seed {seed}, sweep {i}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_ledger_for_another_machine_is_refused_untouched() {
+        use qcdoc_fault::{HealthLedger, Liveness};
+        let mut q = Qdaemon::new(small_machine());
+        q.boot(&[]);
+        let before = (q.scrape(), q.census(), q.flight_dump(None), q.sweeps);
+        // Larger: it names a node beyond the machine.
+        let mut larger = HealthLedger::new(201);
+        larger.node_mut(200).liveness = Liveness::Wedged;
+        larger.node_mut(7).ecc_corrected = 4;
+        assert_eq!(
+            q.ingest_health(&larger).unwrap_err(),
+            SweepError::WrongSize {
+                nodes: 201,
+                machine: 32
+            }
+        );
+        // Smaller: it covers only half of the machine.
+        let mut smaller = HealthLedger::new(16);
+        smaller.node_mut(3).liveness = Liveness::Wedged;
+        smaller.node_mut(7).ecc_corrected = 4;
+        assert_eq!(
+            q.ingest_health(&smaller).unwrap_err(),
+            SweepError::WrongSize {
+                nodes: 16,
+                machine: 32
+            }
+        );
+        // Right size, but one report is filed under another rank.
+        let mut misfiled = HealthLedger::new(32);
+        misfiled.nodes[4].node = 200;
+        misfiled.node_mut(9).liveness = Liveness::Wedged;
+        let err = q.ingest_health(&misfiled).unwrap_err();
+        assert_eq!(
+            err,
+            SweepError::Misnumbered {
+                index: 4,
+                node: 200
+            }
+        );
+        assert_eq!(err.to_string(), "health ledger entry 4 reports on node 200");
+        // Nothing moved: no quarantine, no kernel merge, no gauge, no sweep.
+        assert_eq!(
+            (q.scrape(), q.census(), q.flight_dump(None), q.sweeps),
+            before
+        );
+        assert_eq!(q.kernel(NodeId(7)).hardware_status().ecc_corrections, 0);
     }
 
     #[test]

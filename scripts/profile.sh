@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Where does one end-to-end workload spend its CPU? Self time per innermost
-# repository frame, for hosts without `perf`.
+# Where does one end-to-end workload spend its CPU? Self and inclusive time
+# per repository frame, for hosts without `perf`.
 #
 #   scripts/profile.sh <workload> [seconds]     (seconds of reps, default 5)
 #
 # Builds scripts/sampler.c into target/profile/ and the bench/e2e harness
 # with frame pointers and line tables into target/profile/target/, runs the
-# workload untraced under the sampler (LD_PRELOAD), and prints one row per
-# (file, function): the share of samples whose innermost frame in this
-# repository — inlined frames included, std and libc skipped — is that
-# function. Needs cc and llvm-symbolizer. Not part of scripts/verify.sh.
+# workload untraced under the sampler (LD_PRELOAD), and prints two tables
+# with one row per (file, function). Self: the share of samples whose
+# innermost frame in this repository — inlined frames included, std and libc
+# skipped — is that function. Inclusive: the share of samples with that
+# function anywhere on the stack. Needs cc and llvm-symbolizer. Not part of
+# scripts/verify.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 workload=${1:?usage: scripts/profile.sh <workload> [seconds]}
@@ -52,30 +54,49 @@ awk -v bin="$bin" '
         }
     }' "$samples" >"$out/stacks"
 
-# Each distinct address to its innermost repository frame, "file<TAB>function".
+# Each distinct address to its repository frames, innermost first, one
+# "address<TAB>file<TAB>function" line per frame.
 tr ' ' '\n' <"$out/stacks" | grep . | sort -u |
     llvm-symbolizer --obj="$bin" --inlining --print-address |
     awk -v root="$PWD/" '
-        /^0x/ { addr = $1; found = 0; fn = ""; next }
+        /^0x/ { addr = $1; fn = ""; next }
         /^$/ { next }
         fn == "" { fn = $0; next }
         {
             file = $0; sub(/:[0-9]+:[0-9]+$/, "", file)
-            if (!found && index(file, root) == 1) {
+            if (index(file, root) == 1) {
                 sub(/ \(\.llvm\.[0-9]+\)$/, "", fn); sub(/::h[0-9a-f]+$/, "", fn)
-                print addr "\t" substr(file, length(root) + 1) "\t" fn; found = 1
+                print addr "\t" substr(file, length(root) + 1) "\t" fn
             }
             fn = ""
         }' >"$out/frames"
 
-awk -F'\t' '
-    FNR == NR { where[$1] = $2 "\t" $3; next }
-    {
-        total++; key = "(no repository frame)\t"
-        for (i = 1; i <= NF; i++) if ($i in where) { key = where[$i]; break }
-        self[key]++
-    }
-    END {
-        printf "%d samples (1 ms of CPU each)\n%7s  %-40s %s\n", total, "self", "file", "function"
-        for (k in self) { split(k, p, "\t"); printf "%6.1f%%  %-40s %s\n", 100 * self[k] / total, p[1], p[2] }
-    }' "$out/frames" FS=' ' "$out/stacks" | { IFS= read -r a; IFS= read -r b; echo "$a"; echo "$b"; sort -rn; } | awk 'NR <= 42'
+# One table, its 40 largest rows. "self" charges each sample to its innermost
+# repository frame; "inclusive" charges it once to every repository function
+# on its stack, so a caller's row covers all it calls.
+table() {
+    awk -F'\t' -v mode="$1" '
+        FNR == NR {
+            if (!($1 in inner)) inner[$1] = $2 "\t" $3
+            frames[$1] = frames[$1] "\n" $2 "\t" $3
+            next
+        }
+        {
+            total++; hits = 0; split("", hit)
+            for (i = 1; i <= NF; i++) {
+                if (!($i in inner)) continue
+                if (mode == "self") { hit[inner[$i]] = 1; hits = 1; break }
+                k = split(frames[$i], f, "\n")
+                for (j = 2; j <= k; j++) { hit[f[j]] = 1; hits = 1 }
+            }
+            if (!hits) hit["(no repository frame)\t"] = 1
+            for (key in hit) count[key]++
+        }
+        END {
+            printf "%d samples (1 ms of CPU each)\n%9s  %-40s %s\n", total, mode, "file", "function"
+            for (k in count) { split(k, p, "\t"); printf "%8.1f%%  %-40s %s\n", 100 * count[k] / total, p[1], p[2] }
+        }' "$out/frames" FS=' ' "$out/stacks" | { IFS= read -r a; IFS= read -r b; echo "$a"; echo "$b"; sort -rn; } | awk 'NR <= 42'
+}
+table self
+echo
+table inclusive

@@ -86,6 +86,29 @@ fn chaos_soak_is_deterministic_per_seed() {
         a.event_digest, c.event_digest,
         "a different seed must tell a different story"
     );
+
+    // The histories themselves are pinned, so a change to the scheduler's
+    // placement search or the daemon's health ingest that alters any
+    // decision shows here, not only as a different-but-repeatable run.
+    let pinned = |r: &qcdoc::host::ChaosReport| {
+        (
+            r.event_digest,
+            r.event_count,
+            r.clock,
+            r.requeues,
+            r.goodput.to_bits(),
+        )
+    };
+    assert_eq!(
+        pinned(&a),
+        (0x2b42_f00a_6612_c6ca, 78, 555, 14, 0x3fc8_a60d_d67c_8a61),
+        "seed 0x1000: {a:?}"
+    );
+    assert_eq!(
+        pinned(&c),
+        (0x794a_ec44_ec8c_8480, 82, 504, 16, 0x3fce_aaaa_aaaa_aaab),
+        "seed 99: {c:?}"
+    );
 }
 
 #[test]

@@ -84,7 +84,7 @@ fn dead_link_is_quarantined_via_host_diagnostics_not_a_hang() {
     // route around it.
     let mut q = Qdaemon::new(TorusShape::new(&[4, 1, 1, 1, 1, 1]));
     q.boot(&[]);
-    let report = q.ingest_health(&ledger);
+    let report = q.ingest_health(&ledger).unwrap();
     assert!(
         report.quarantined.contains(&2),
         "node 2 must be quarantined: {report:?}"

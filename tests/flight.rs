@@ -142,7 +142,7 @@ fn wedge_reaches_the_host_ring_next_to_its_quarantine() {
         // artifact `qcsh qflight` renders.
         let mut q = Qdaemon::new(TorusShape::new(&[4, 1, 1, 1, 1, 1]));
         q.boot(&[]);
-        q.ingest_health(&ledger);
+        q.ingest_health(&ledger).unwrap();
         q.ingest_flight(&telemetry.flight);
         q.flight_dump(None)
     };
