@@ -19,20 +19,15 @@
 //!
 //! The engine also cross-checks the analytic model: on a homogeneous
 //! machine the two must agree on the iteration time (asserted in tests).
+//!
+//! Every disturbance — a pause, a stall, a noisy or dead wire — arrives
+//! through a [`qcdoc_fault::FaultPlan`], and faces travel over the
+//! machine's own [`TorusShape`] wiring, so a plan strikes the same node
+//! and wire here as in the functional engine.
 
+use qcdoc_geometry::{Axis, NodeId, TorusShape};
 use qcdoc_scu::timing::LinkTimingConfig;
 use qcdoc_telemetry::{MetricsRegistry, Phase, Span, TraceSink};
-
-/// One node's perturbation: extra cycles added to its compute phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Perturbation {
-    /// Node rank.
-    pub node: usize,
-    /// Iteration the delay strikes (`None` = every iteration).
-    pub iteration: Option<usize>,
-    /// Extra cycles.
-    pub extra_cycles: u64,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,12 +45,10 @@ pub struct DesConfig {
     pub link: LinkTimingConfig,
     /// Cycles for the machine-wide reduction closing each iteration.
     pub global_sum_cycles: u64,
-    /// Perturbations to inject.
-    pub perturbations: Vec<Perturbation>,
 }
 
 impl DesConfig {
-    /// A homogeneous machine with no perturbations.
+    /// A homogeneous machine.
     pub fn homogeneous(
         machine_dims: [usize; 4],
         compute_cycles: u64,
@@ -69,58 +62,14 @@ impl DesConfig {
             face_words,
             link: LinkTimingConfig::default(),
             global_sum_cycles,
-            perturbations: Vec::new(),
         }
     }
 
-    fn nodes(&self) -> usize {
-        self.machine_dims.iter().product()
-    }
-
-    fn coord(&self, mut rank: usize) -> [usize; 4] {
-        let mut c = [0usize; 4];
-        for (a, ca) in c.iter_mut().enumerate() {
-            *ca = rank % self.machine_dims[a];
-            rank /= self.machine_dims[a];
-        }
-        c
-    }
-
-    fn rank(&self, c: [usize; 4]) -> usize {
-        let d = self.machine_dims;
-        ((c[3] * d[2] + c[2]) * d[1] + c[1]) * d[0] + c[0]
-    }
-
-    fn neighbours(&self, rank: usize) -> Vec<usize> {
-        let c = self.coord(rank);
-        let mut out = Vec::new();
-        for a in 0..4 {
-            let n = self.machine_dims[a];
-            if n <= 1 {
-                continue;
-            }
-            for step in [1, n - 1] {
-                let mut nc = c;
-                nc[a] = (c[a] + step) % n;
-                out.push(self.rank(nc));
-            }
-        }
-        out
-    }
-
-    fn compute_of(&self, rank: usize, iteration: usize) -> u64 {
-        let mut c = self
-            .compute_override
+    fn compute_of(&self, rank: usize) -> u64 {
+        self.compute_override
             .iter()
             .find(|(r, _)| *r == rank)
-            .map(|&(_, v)| v)
-            .unwrap_or(self.compute_cycles);
-        for p in &self.perturbations {
-            if p.node == rank && p.iteration.is_none_or(|i| i == iteration) {
-                c += p.extra_cycles;
-            }
-        }
-        c
+            .map_or(self.compute_cycles, |&(_, v)| v)
     }
 }
 
@@ -144,69 +93,27 @@ impl DesResult {
     }
 }
 
-/// Play out `iterations` iterations of compute → face exchange → global
-/// reduction.
-pub fn run(config: &DesConfig, iterations: usize) -> DesResult {
-    let n = config.nodes();
-    let face_cycles = config.link.transfer_cycles(config.face_words).count();
-    let neighbours: Vec<Vec<usize>> = (0..n).map(|r| config.neighbours(r)).collect();
-    let mut ready = vec![0u64; n]; // when each node may start the next iteration
-    let mut finishes = Vec::with_capacity(iterations);
-    for it in 0..iterations {
-        // Compute phase ends per node.
-        let compute_end: Vec<u64> = (0..n)
-            .map(|r| ready[r] + config.compute_of(r, it))
-            .collect();
-        // A node has its halo when every neighbour's face has landed; each
-        // face leaves when the neighbour's compute ends.
-        let halo_done: Vec<u64> = (0..n)
-            .map(|r| {
-                neighbours[r]
-                    .iter()
-                    .map(|&m| compute_end[m] + face_cycles)
-                    .chain(std::iter::once(compute_end[r]))
-                    .max()
-                    .expect("nonempty")
-            })
-            .collect();
-        // The dimension-ordered global sum synchronizes the machine: it
-        // completes (everywhere) a fixed latency after the last node joins.
-        let sum_done = halo_done.iter().max().copied().expect("nodes") + config.global_sum_cycles;
-        ready.fill(sum_done);
-        finishes.push(sum_done);
-    }
-    DesResult {
-        total_cycles: *finishes.last().unwrap_or(&0),
-        iteration_finish: finishes,
-    }
-}
-
 /// Incoming faces of `rank`: `(sender, sender_link, receiver_link)` per
-/// spanning axis and direction, using the `Direction::link_index`
-/// convention (plus = `2a`, minus = `2a + 1`).
-fn incoming_faces(config: &DesConfig, rank: usize) -> Vec<(usize, usize, usize)> {
-    let c = config.coord(rank);
-    let mut out = Vec::new();
-    for a in 0..4 {
-        let n = config.machine_dims[a];
-        if n <= 1 {
-            continue;
-        }
-        // The -a neighbour sends toward +a on its plus link (2a); the +a
-        // neighbour sends toward -a on its minus link (2a + 1). A frame
-        // sent on link `l` lands on the receiver's opposite link.
-        let mut minus = c;
-        minus[a] = (c[a] + n - 1) % n;
-        out.push((config.rank(minus), 2 * a, 2 * a + 1));
-        let mut plus = c;
-        plus[a] = (c[a] + 1) % n;
-        out.push((config.rank(plus), 2 * a + 1, 2 * a));
-    }
-    out
+/// spanning axis and direction. A face sent toward `dir` leaves on the
+/// sender's `dir.link_index()` and lands on the receiver's opposite link —
+/// the wiring `functional::build_fabric` lays down.
+fn incoming_faces(shape: &TorusShape, rank: usize) -> Vec<(usize, usize, usize)> {
+    let c = shape.coord_of(NodeId(rank as u32));
+    (0..shape.rank())
+        .filter(|&a| shape.extent(a) > 1)
+        .flat_map(|a| [Axis(a as u8).plus(), Axis(a as u8).minus()])
+        .map(|dir| {
+            let back = dir.opposite();
+            let sender = shape.rank_of(shape.neighbour(c, back));
+            (sender.index(), dir.link_index(), back.link_index())
+        })
+        .collect()
 }
 
-/// Play out `iterations` iterations under a fault plan, returning both the
-/// timing result and the machine-health ledger a host sweep would read.
+/// Play out `iterations` iterations of compute → face exchange → global
+/// reduction under a fault plan, returning both the timing result and the
+/// machine-health ledger a host sweep would read. An empty plan is the
+/// healthy machine.
 ///
 /// Fault semantics in the timing domain:
 ///
@@ -264,12 +171,12 @@ pub fn run_traced(
     use qcdoc_fault::{FaultClock, HealthLedger, Liveness};
     use qcdoc_scu::link::WINDOW;
 
-    let n = config.nodes();
-    let wired = 2 * config.machine_dims.iter().filter(|&&d| d > 1).count();
-    let clock = FaultClock::resolve(plan, n as u32, wired.max(2));
+    let shape = TorusShape::new(&config.machine_dims);
+    let n = shape.node_count();
+    let clock = FaultClock::resolve(plan, n as u32, 2 * shape.rank());
     let mut ledger = HealthLedger::new(n);
     let incoming: Vec<Vec<(usize, usize, usize)>> =
-        (0..n).map(|r| incoming_faces(config, r)).collect();
+        (0..n).map(|r| incoming_faces(&shape, r)).collect();
 
     // The iteration at which an unrecoverable fault stops the machine.
     let mut fatal_at = usize::MAX;
@@ -309,7 +216,7 @@ pub fn run_traced(
     let mut finishes = Vec::with_capacity(iterations.min(fatal_at));
     for it in 0..iterations.min(fatal_at) {
         let compute_end: Vec<u64> = (0..n)
-            .map(|r| ready[r] + config.compute_of(r, it) + clock.pause_cycles(r as u32, it))
+            .map(|r| ready[r] + config.compute_of(r) + clock.pause_cycles(r as u32, it))
             .collect();
         let mut halo_done = compute_end.clone();
         for r in 0..n {
@@ -371,6 +278,17 @@ pub fn run_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qcdoc_fault::{FaultEvent, FaultPlan};
+
+    /// The healthy machine: the fault-plan run with an empty plan.
+    fn run(config: &DesConfig, iterations: usize) -> DesResult {
+        run_with_faults(config, iterations, &FaultPlan::new(0)).0
+    }
+
+    /// The fault-plan run with a single scheduled event.
+    fn run_one(config: &DesConfig, iterations: usize, event: FaultEvent) -> DesResult {
+        run_with_faults(config, iterations, &FaultPlan::new(0).with_event(event)).0
+    }
 
     fn base() -> DesConfig {
         // 16 nodes, 4^4-local-volume-ish numbers.
@@ -411,7 +329,6 @@ mod tests {
             face_words: report.comm_cycles / 72,
             link: LinkTimingConfig::default(),
             global_sum_cycles: report.gsum_cycles,
-            perturbations: vec![],
         };
         let des = run(&cfg, 3);
         let rel = (des.steady_iteration_cycles() as f64 - report.total_cycles as f64).abs()
@@ -429,14 +346,8 @@ mod tests {
         // §2.2: a blocked link stalls the machine; when it resumes, the
         // machine proceeds — the delay is paid once, not per iteration.
         let clean = run(&base(), 10).total_cycles;
-        let mut cfg = base();
         let delta = 500_000u64;
-        cfg.perturbations.push(Perturbation {
-            node: 5,
-            iteration: Some(2),
-            extra_cycles: delta,
-        });
-        let stalled = run(&cfg, 10).total_cycles;
+        let stalled = run_one(&base(), 10, FaultEvent::node_pause(5, Some(2), delta)).total_cycles;
         assert_eq!(
             stalled,
             clean + delta,
@@ -447,14 +358,8 @@ mod tests {
     #[test]
     fn persistently_slow_node_paces_the_machine() {
         let clean = run(&base(), 10).total_cycles;
-        let mut cfg = base();
         let delta = 50_000u64;
-        cfg.perturbations.push(Perturbation {
-            node: 3,
-            iteration: None,
-            extra_cycles: delta,
-        });
-        let slowed = run(&cfg, 10).total_cycles;
+        let slowed = run_one(&base(), 10, FaultEvent::node_pause(3, None, delta)).total_cycles;
         assert_eq!(
             slowed,
             clean + 10 * delta,
@@ -472,25 +377,13 @@ mod tests {
         let mut cfg = base();
         cfg.compute_override.push((7, cfg.compute_cycles - 40_000));
         let clean = run(&cfg, 10).total_cycles;
-        let mut paused = cfg.clone();
-        paused.perturbations.push(Perturbation {
-            node: 7,
-            iteration: Some(4),
-            extra_cycles: 30_000,
-        });
         assert_eq!(
-            run(&paused, 10).total_cycles,
+            run_one(&cfg, 10, FaultEvent::node_pause(7, Some(4), 30_000)).total_cycles,
             clean,
             "refresh pause must be invisible"
         );
         // But exceeding the headroom shows up.
-        let mut too_long = cfg.clone();
-        too_long.perturbations.push(Perturbation {
-            node: 7,
-            iteration: Some(4),
-            extra_cycles: 60_000,
-        });
-        assert!(run(&too_long, 10).total_cycles > clean);
+        assert!(run_one(&cfg, 10, FaultEvent::node_pause(7, Some(4), 60_000)).total_cycles > clean);
     }
 
     #[test]
@@ -503,13 +396,12 @@ mod tests {
 
     mod faults {
         use super::*;
-        use qcdoc_fault::{FaultEvent, FaultPlan, Liveness};
+        use qcdoc_fault::Liveness;
 
         #[test]
-        fn empty_plan_matches_the_plain_run() {
+        fn empty_plan_leaves_a_clean_ledger() {
             let cfg = base();
-            let (faulty, ledger) = run_with_faults(&cfg, 5, &FaultPlan::new(1));
-            assert_eq!(faulty, run(&cfg, 5));
+            let (_, ledger) = run_with_faults(&cfg, 5, &FaultPlan::new(1));
             assert_eq!(ledger.total_injected(), 0);
             assert!(ledger.unhealthy_nodes().is_empty());
             // Word accounting: every node exchanges one face per spanning
@@ -576,16 +468,12 @@ mod tests {
         }
 
         #[test]
-        fn crash_and_pause_semantics() {
+        fn crash_stops_the_run_at_its_iteration() {
             let cfg = base();
             let crash = FaultPlan::new(0).with_event(FaultEvent::node_crash(4, 2));
             let (r, ledger) = run_with_faults(&cfg, 10, &crash);
             assert_eq!(r.iteration_finish.len(), 2);
             assert_eq!(ledger.nodes[4].liveness, Liveness::Crashed { iteration: 2 });
-            // A one-iteration pause behaves exactly like a Perturbation.
-            let pause = FaultPlan::new(0).with_event(FaultEvent::node_pause(5, Some(1), 40_000));
-            let (p, _) = run_with_faults(&cfg, 10, &pause);
-            assert_eq!(p.total_cycles, run(&cfg, 10).total_cycles + 40_000);
         }
 
         #[test]
@@ -624,6 +512,29 @@ mod tests {
             );
             // The ledger export rode along.
             assert!(metrics.gauge("machine_total_resends", &[]).is_some());
+        }
+
+        #[test]
+        fn a_random_link_fault_strikes_the_same_wire_in_both_engines() {
+            // Random links resolve over the machine's whole rank, as the
+            // functional engine wires it, even where an axis has extent 1.
+            use crate::ShardedMachine;
+            use qcdoc_fault::{FaultKind, LinkSelect, NodeSelect};
+            let dims = [4, 4, 4, 1];
+            for seed in 0..10 {
+                let plan = FaultPlan::new(seed).with_event(FaultEvent {
+                    node: NodeSelect::Random,
+                    link: LinkSelect::Random,
+                    kind: FaultKind::DeadLink { from_seq: 0 },
+                });
+                let (_, des) =
+                    run_with_faults(&DesConfig::homogeneous(dims, 1_000, 8, 10), 3, &plan);
+                let (_, machine) = ShardedMachine::new(TorusShape::new(&dims))
+                    .with_workers(1)
+                    .with_faults(plan)
+                    .run_with_health(async |_| ());
+                assert_eq!(des.dead_links(), machine.dead_links(), "seed {seed}");
+            }
         }
 
         #[test]

@@ -29,7 +29,7 @@ pub use qcdoc_fault::{FaultEvent, FaultPlan, HealthLedger};
 use qcdoc_geometry::{Axis, Direction, NodeCoord, NodeId, TorusShape};
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_scu::link::WireTap;
-use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg};
+use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg, LINKS};
 use qcdoc_scu::timing::LinkTimingConfig;
 use qcdoc_scu::{RetryPolicy, WireVerdict};
 use qcdoc_telemetry::{
@@ -456,28 +456,29 @@ impl NodeCtx {
             } else {
                 Liveness::Alive
             },
-            links: Vec::with_capacity(12),
+            links: Vec::with_capacity(LINKS),
             mem_flips: self.mem_flips,
             ecc_corrected: mem_stats.ecc_corrected,
             machine_checks: mem_stats.machine_checks,
         };
-        let stats = self.scu.stats();
-        for (link, ls) in stats.links.iter().enumerate() {
+        for link in 0..LINKS {
+            let send = self.scu.send_unit(link);
+            let recv = self.scu.recv_unit(link);
             health.links.push(qcdoc_fault::LinkHealth {
-                sent_words: ls.sent_words,
-                received_words: ls.received_words,
-                resends: ls.resends,
-                rejects: ls.rejects,
+                sent_words: send.sent_words(),
+                received_words: recv.received_words(),
+                resends: send.resends(),
+                rejects: recv.rejects(),
                 injected: self.tap.injected()[link],
                 stall_cycles: 0,
                 dead: clock.link_dead_from(self.id.0, link).is_some(),
-                send_checksum: ls.send_checksum,
-                recv_checksum: ls.recv_checksum,
+                send_checksum: send.checksum().value(),
+                recv_checksum: recv.checksum().value(),
                 checksum_ok: None,
-                backoff_waits: ls.backoff_waits,
-                retry_exhausted: ls.retry_exhausted,
-                block_rejects: ls.block_rejects,
-                block_resends: ls.block_resends,
+                backoff_waits: send.backoff_waits(),
+                retry_exhausted: send.retry_exhausted(),
+                block_rejects: recv.block_rejects(),
+                block_resends: self.scu.block_resends(link),
             });
         }
         health

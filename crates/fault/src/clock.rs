@@ -9,8 +9,9 @@ use std::sync::Arc;
 /// Number of wire directions per node (the 6-D mesh of the ASIC).
 const LINKS: usize = 12;
 
-/// SplitMix64 finalizer: the hash behind every stateless draw.
-fn mix(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: the hash behind every stateless draw, here and
+/// in the storage-fault clock.
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -365,10 +365,8 @@ impl HealthLedger {
     /// host daemon serves from `Qdaemon::scrape()`.
     ///
     /// Everything is exported as *gauges* holding absolute end-of-run
-    /// values (the same convention as `ScuStats::export_metrics` in
-    /// `qcdoc-scu`, with identical `scu_link_*` series names), so
-    /// re-ingesting the same ledger is idempotent and per-wire counters
-    /// are never double-counted between the two sources.
+    /// values, so re-ingesting the same ledger is idempotent. This is the
+    /// one exporter of the per-wire `scu_link_*` series.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
         for n in &self.nodes {
             n.export_metrics(reg);
@@ -558,6 +556,17 @@ mod tests {
         assert_eq!(reg.gauge("scu_link_block_rejects", &l), Some(1.0));
         assert_eq!(reg.gauge("scu_link_block_resends", &l), Some(1.0));
         assert_eq!(reg.gauge("machine_block_rejects", &[]), Some(1.0));
+        // … the other recovery-path series stay out of the registry until
+        // their wire is in retry backoff or has given up …
+        assert_eq!(reg.gauge("scu_link_backoff_waits", &l), None);
+        assert_eq!(reg.gauge("scu_link_retry_exhausted", &l), None);
+        let mut retrying = ledger.clone();
+        retrying.node_mut(0).links[2].backoff_waits = 9;
+        retrying.node_mut(0).links[2].retry_exhausted = true;
+        let mut reg = MetricsRegistry::new();
+        retrying.export_metrics(&mut reg);
+        assert_eq!(reg.gauge("scu_link_backoff_waits", &l), Some(9.0));
+        assert_eq!(reg.gauge("scu_link_retry_exhausted", &l), Some(1.0));
         // … a caught-and-healed block does not condemn anyone …
         assert!(ledger.unhealthy_nodes().is_empty());
         // … and the counters are deterministic, so the fingerprint sees

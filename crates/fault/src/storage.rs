@@ -15,13 +15,7 @@
 //! front, so the injected fault stream is a pure function of the plan and
 //! the server's operation counters — identical across runs.
 
-/// SplitMix64 finalizer: the hash behind the seeded torn-write draw.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use crate::clock::mix;
 
 /// One scheduled storage failure.
 ///

@@ -40,7 +40,6 @@ pub mod global;
 pub mod link;
 pub mod packet;
 pub mod scu;
-pub mod stats;
 pub mod timing;
 
 pub use dma::DmaDescriptor;
@@ -49,4 +48,3 @@ pub use link::{
 };
 pub use packet::{Frame, Packet};
 pub use scu::{Scu, ScuEvent};
-pub use stats::{LinkStats, ScuStats};

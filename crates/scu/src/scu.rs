@@ -472,6 +472,10 @@ mod tests {
             b.recv_unit(1).checksum(),
             "link checksums must agree at end of run"
         );
+        // The counters the host's health sweep reads off each unit.
+        assert_eq!(a.send_unit(0).sent_words(), 4);
+        assert_eq!(b.recv_unit(1).received_words(), 4);
+        assert_eq!(a.send_unit(0).resends(), 0);
     }
 
     #[test]

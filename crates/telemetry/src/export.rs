@@ -156,33 +156,17 @@ pub fn phase_summary(spans: &[Span]) -> Vec<(Phase, u64, u64)> {
         .collect()
 }
 
-/// Render metrics plus a phase breakdown as one JSON document — the
-/// original (v1) schema behind ad-hoc telemetry artifacts.
-///
-/// Benchmark exports that feed the judge should use
-/// [`bench_summary_json`] instead: it stamps the schema version and bench
-/// name the judge refuses to diff without, and expands histograms.
-pub fn summary_json(reg: &MetricsRegistry, spans: &[Span]) -> String {
-    render_summary(None, reg, spans)
-}
-
-/// Render a benchmark export in the v2 schema the judge consumes:
-/// stamped with the schema version and the bench's name (so mismatched
-/// baselines are refused rather than silently diffed), histograms
-/// expanded with deterministic p50/p95/p99 and their non-empty buckets,
-/// and the phase table populated from the spans actually recorded.
+/// Render metrics plus a phase breakdown as one JSON document in the v2
+/// schema the judge consumes: stamped with the schema version and the
+/// bench's name (so mismatched baselines are refused rather than silently
+/// diffed), histograms expanded with deterministic p50/p95/p99 and their
+/// non-empty buckets, and the phase table populated from the spans
+/// actually recorded.
 pub fn bench_summary_json(bench: &str, reg: &MetricsRegistry, spans: &[Span]) -> String {
-    render_summary(Some(bench), reg, spans)
-}
-
-fn render_summary(bench: Option<&str>, reg: &MetricsRegistry, spans: &[Span]) -> String {
-    let mut out = match bench {
-        Some(name) => format!(
-            "{{\n  \"schema\": \"qcdoc-telemetry-v2\",\n  \"bench\": \"{}\",\n  \"metrics\": [\n",
-            json_escape(name)
-        ),
-        None => String::from("{\n  \"schema\": \"qcdoc-telemetry-v1\",\n  \"metrics\": [\n"),
-    };
+    let mut out = format!(
+        "{{\n  \"schema\": \"qcdoc-telemetry-v2\",\n  \"bench\": \"{}\",\n  \"metrics\": [\n",
+        json_escape(bench)
+    );
     let entries: Vec<String> = reg
         .iter()
         .map(|(key, value)| {
@@ -196,7 +180,7 @@ fn render_summary(bench: Option<&str>, reg: &MetricsRegistry, spans: &[Span]) ->
                 MetricValue::Gauge(g) => {
                     format!("\"type\": \"gauge\", \"value\": {}", json_f64(*g))
                 }
-                MetricValue::Histogram(h) if bench.is_some() => {
+                MetricValue::Histogram(h) => {
                     let buckets: Vec<String> = h
                         .nonzero_buckets()
                         .into_iter()
@@ -213,11 +197,6 @@ fn render_summary(bench: Option<&str>, reg: &MetricsRegistry, spans: &[Span]) ->
                         buckets.join(", ")
                     )
                 }
-                MetricValue::Histogram(h) => format!(
-                    "\"type\": \"histogram\", \"count\": {}, \"sum\": {}",
-                    h.count(),
-                    h.sum()
-                ),
             };
             format!(
                 "    {{\"name\": \"{}\", \"labels\": {{{}}}, {}}}",
@@ -329,8 +308,8 @@ mod tests {
         reg.counter_add("iters", &[], 10);
         reg.gauge_set("residual", &[], 1e-8);
         let spans = [span("s", Phase::Comms, 0, 50, 0)];
-        let json = summary_json(&reg, &spans);
-        assert!(json.contains("\"schema\": \"qcdoc-telemetry-v1\""));
+        let json = bench_summary_json("solve", &reg, &spans);
+        assert!(json.contains("\"schema\": \"qcdoc-telemetry-v2\""));
         assert!(json.contains("\"name\": \"iters\""));
         assert!(json.contains("\"value\": 10"));
         assert!(json.contains("0.00000001"));

@@ -30,7 +30,7 @@ pub mod metrics;
 pub mod node;
 pub mod trace;
 
-pub use export::{bench_summary_json, chrome_trace, phase_summary, prometheus_text, summary_json};
+pub use export::{bench_summary_json, chrome_trace, phase_summary, prometheus_text};
 pub use flight::{
     dump_events, FlightDumpGuard, FlightEvent, FlightKind, FlightRecorder, HOST_NODE,
 };
@@ -86,11 +86,6 @@ impl MachineTelemetry {
         export::prometheus_text(&self.metrics)
     }
 
-    /// Combined JSON summary (metrics + phase decomposition).
-    pub fn summary_json(&self) -> String {
-        export::summary_json(&self.metrics, &self.spans)
-    }
-
     /// Depth-0 phase breakdown `(phase, spans, cycles)`.
     pub fn phase_summary(&self) -> Vec<(Phase, u64, u64)> {
         export::phase_summary(&self.spans)
@@ -137,6 +132,9 @@ mod tests {
         assert!(machine
             .prometheus_text()
             .contains("dma_words{node=\"0\"} 10"));
-        assert!(machine.summary_json().contains("\"spans_total\": 1"));
+        assert!(
+            bench_summary_json("machine", &machine.metrics, &machine.spans)
+                .contains("\"spans_total\": 1")
+        );
     }
 }

@@ -12,7 +12,7 @@ use qcdoc_fault::{FaultEvent, FaultPlan};
 use qcdoc_geometry::TorusShape;
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc_telemetry::{
-    chrome_trace, prometheus_text, summary_json, MetricsRegistry, RingSink, TraceSink,
+    bench_summary_json, chrome_trace, prometheus_text, MetricsRegistry, RingSink, TraceSink,
 };
 
 /// One traced DES run, exported three ways.
@@ -34,7 +34,7 @@ fn des_exports(dims: [usize; 4], iterations: usize, seed: u64, ber: f64) -> [Str
     [
         chrome_trace(&spans),
         prometheus_text(&metrics),
-        summary_json(&metrics, &spans),
+        bench_summary_json("des", &metrics, &spans),
     ]
 }
 
@@ -46,7 +46,7 @@ fn des_exports_are_byte_identical_across_runs() {
     // Sanity: the exports are non-trivial.
     assert!(a[0].contains("des.compute"));
     assert!(a[1].contains("des_total_cycles"));
-    assert!(a[2].contains("qcdoc-telemetry-v1"));
+    assert!(a[2].contains("qcdoc-telemetry-v2"));
     // The injected errors are visible: a clean run exports different bytes.
     let c = des_exports([2, 2, 2, 1], 8, 7, 0.0);
     assert_ne!(a[1], c[1], "injected errors must show in the metrics");
@@ -71,7 +71,7 @@ fn functional_exports() -> [String; 3] {
     [
         telemetry.chrome_trace(),
         telemetry.prometheus_text(),
-        telemetry.summary_json(),
+        bench_summary_json("functional", &telemetry.metrics, &telemetry.spans),
     ]
 }
 

@@ -48,7 +48,6 @@ fn main() {
         face_words: report.comm_cycles / 72,
         link: LinkTimingConfig::default(),
         global_sum_cycles: report.gsum_cycles,
-        perturbations: vec![],
     };
     const ITERS: usize = 50;
     let clock_hz = perf::CLOCK.hz() as f64;

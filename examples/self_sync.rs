@@ -12,14 +12,25 @@
 //! cargo run --release --example self_sync
 //! ```
 
-use qcdoc::core::des::{run, DesConfig, Perturbation};
+use qcdoc::core::des::{run_with_faults, DesConfig, DesResult};
+use qcdoc::fault::{FaultEvent, FaultPlan};
+
+const ITERS: usize = 20;
+
+/// Run the machine with `events` (node pauses) scheduled.
+fn run(config: &DesConfig, events: &[FaultEvent]) -> DesResult {
+    let plan = events
+        .iter()
+        .copied()
+        .fold(FaultPlan::new(0), FaultPlan::with_event);
+    run_with_faults(config, ITERS, &plan).0
+}
 
 fn main() {
     // A 256-node 4-D machine iterating a CG-like workload.
     let base = DesConfig::homogeneous([4, 4, 4, 4], 900_000, 1_536, 3_000);
-    const ITERS: usize = 20;
 
-    let clean = run(&base, ITERS);
+    let clean = run(&base, &[]);
     println!(
         "clean machine      : {} iterations in {:.2} Mcycles ({} kcycles each)",
         ITERS,
@@ -28,13 +39,7 @@ fn main() {
     );
 
     // One node pauses once, for half an iteration.
-    let mut once = base.clone();
-    once.perturbations.push(Perturbation {
-        node: 77,
-        iteration: Some(5),
-        extra_cycles: 450_000,
-    });
-    let r_once = run(&once, ITERS);
+    let r_once = run(&base, &[FaultEvent::node_pause(77, Some(5), 450_000)]);
     println!(
         "one 450 kcycle stall on node 77 at iteration 5:\n\
          \x20                    total +{} kcycles (exactly the stall, paid once, then the\n\
@@ -43,13 +48,7 @@ fn main() {
     );
 
     // A persistently slow node paces everyone.
-    let mut slow = base.clone();
-    slow.perturbations.push(Perturbation {
-        node: 3,
-        iteration: None,
-        extra_cycles: 50_000,
-    });
-    let r_slow = run(&slow, ITERS);
+    let r_slow = run(&base, &[FaultEvent::node_pause(3, None, 50_000)]);
     println!(
         "node 3 slower by 50 kcycles every iteration:\n\
          \x20                    total +{} kcycles ({} x 50k — the machine runs at the\n\
@@ -61,14 +60,8 @@ fn main() {
     // A refresh pause inside a node's slack is invisible.
     let mut fast = base.clone();
     fast.compute_override.push((42, 900_000 - 60_000)); // node 42 has headroom
-    let with_headroom = run(&fast, ITERS).total_cycles;
-    let mut refresh = fast.clone();
-    refresh.perturbations.push(Perturbation {
-        node: 42,
-        iteration: Some(9),
-        extra_cycles: 40_000,
-    });
-    let r_refresh = run(&refresh, ITERS).total_cycles;
+    let with_headroom = run(&fast, &[]).total_cycles;
+    let r_refresh = run(&fast, &[FaultEvent::node_pause(42, Some(9), 40_000)]).total_cycles;
     println!(
         "a 40 kcycle DRAM-refresh pause on a node with 60 kcycles of slack:\n\
          \x20                    total +{} cycles — \"the majority of the machine will not\n\

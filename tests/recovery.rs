@@ -20,7 +20,7 @@ use qcdoc::geometry::{PartitionSpec, TorusShape};
 use qcdoc::host::{Qdaemon, RecoveryPlanner};
 use qcdoc::lattice::checkpoint::{read_checkpoint, write_checkpoint, CgCheckpoint};
 use qcdoc::lattice::field::{FermionField, GaugeField};
-use qcdoc::telemetry::summary_json;
+use qcdoc::telemetry::bench_summary_json;
 
 #[test]
 fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
@@ -96,7 +96,7 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
     assert_eq!(recovered.digest(), ref_ckpt.digest());
 
     // The recovery overhead is visible to the exporters.
-    let json = summary_json(&report.metrics, &report.spans);
+    let json = bench_summary_json("recovery", &report.metrics, &report.spans);
     for key in [
         "recovery_segments",
         "recovery_quarantines",
