@@ -13,15 +13,13 @@
 
 use crate::perf::{DiracPerf, CLOCK};
 use qcdoc_lattice::counts::Action;
-use qcdoc_scu::timing::EthernetBaseline;
+use qcdoc_scu::timing::{ETHERNET_BYTES_PER_SEC, ETHERNET_STARTUP_NS};
 
 /// The cluster performance model.
 #[derive(Debug, Clone)]
 pub struct ClusterPerf {
     /// Same workload/geometry description as the QCDOC model.
     pub perf: DiracPerf,
-    /// The commodity network.
-    pub network: EthernetBaseline,
 }
 
 /// A cluster efficiency result.
@@ -38,10 +36,7 @@ pub struct ClusterReport {
 impl ClusterPerf {
     /// A cluster matching the given QCDOC workload description.
     pub fn matching(perf: &DiracPerf) -> ClusterPerf {
-        ClusterPerf {
-            perf: perf.clone(),
-            network: EthernetBaseline::default(),
-        }
+        ClusterPerf { perf: perf.clone() }
     }
 
     /// Evaluate the cluster model for one action.
@@ -63,15 +58,15 @@ impl ClusterPerf {
             messages += 4;
             net_bytes += 4.0 * face_sites as f64 * op.face_bytes as f64 * op.halo_depth as f64;
         }
-        let net_ns = messages as f64 * self.network.startup_ns
-            + net_bytes / self.network.bytes_per_sec * 1e9;
+        let net_ns =
+            messages as f64 * ETHERNET_STARTUP_NS + net_bytes / ETHERNET_BYTES_PER_SEC * 1e9;
         let net_cycles = net_ns / CLOCK.period_ns();
 
         // Software global sums: a binary reduction tree of messages, two
         // per iteration.
         let nodes: usize = p.logical_dims.iter().product();
         let tree_depth = (nodes as f64).log2().ceil();
-        let gsum_cycles = 2.0 * 2.0 * tree_depth * self.network.startup_ns / CLOCK.period_ns();
+        let gsum_cycles = 2.0 * 2.0 * tree_depth * ETHERNET_STARTUP_NS / CLOCK.period_ns();
 
         let total = local.cycles + net_cycles + gsum_cycles;
         ClusterReport {

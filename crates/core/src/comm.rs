@@ -168,7 +168,7 @@ mod tests {
     use crate::ShardedMachine;
     use qcdoc_geometry::TorusShape;
     use qcdoc_scu::global::{all_nodes_agree, dimension_ordered_sum, dimension_sum_hops};
-    use qcdoc_scu::timing::LinkTimingConfig;
+    use qcdoc_scu::timing::transfer_cycles;
 
     /// Shapes with even, odd and unit extents (1, 2, 3, 5, 6, 8).
     const SHAPES: [&[usize]; 5] = [&[4, 2, 2], &[8, 4, 2], &[3, 5], &[2, 1, 6], &[8]];
@@ -197,7 +197,7 @@ mod tests {
         // Each ring step is one single-word completion, so the telemetry
         // clock charges one `transfer_cycles(1)` per round: the machine's
         // own clock counts the rounds the sum ran.
-        let per_round = LinkTimingConfig::default().transfer_cycles(1).count();
+        let per_round = transfer_cycles(1).count();
         for dims in &SHAPES[1..] {
             let shape = TorusShape::new(dims);
             let machine =

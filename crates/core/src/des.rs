@@ -26,7 +26,7 @@
 //! and wire here as in the functional engine.
 
 use qcdoc_geometry::{Axis, NodeId, TorusShape};
-use qcdoc_scu::timing::LinkTimingConfig;
+use qcdoc_scu::timing::transfer_cycles;
 use qcdoc_telemetry::{MetricsRegistry, Phase, Span, TraceSink};
 
 /// Engine configuration.
@@ -41,8 +41,6 @@ pub struct DesConfig {
     pub compute_override: Vec<(usize, u64)>,
     /// 64-bit words exchanged per face per iteration.
     pub face_words: u64,
-    /// Link timing.
-    pub link: LinkTimingConfig,
     /// Cycles for the machine-wide reduction closing each iteration.
     pub global_sum_cycles: u64,
 }
@@ -60,7 +58,6 @@ impl DesConfig {
             compute_cycles,
             compute_override: Vec::new(),
             face_words,
-            link: LinkTimingConfig::default(),
             global_sum_cycles,
         }
     }
@@ -178,17 +175,29 @@ pub fn run_traced(
     let incoming: Vec<Vec<(usize, usize, usize)>> =
         (0..n).map(|r| incoming_faces(&shape, r)).collect();
 
+    // Links a face crosses, per node: a dead wire stalls the machine only
+    // if a face needs it, as in the functional engine.
+    let mut crossed = vec![0u16; n];
+    for (r, faces) in incoming.iter().enumerate() {
+        for &(m, send_link, recv_link) in faces {
+            crossed[m] |= 1 << send_link;
+            crossed[r] |= 1 << recv_link;
+        }
+    }
+
     // The iteration at which an unrecoverable fault stops the machine.
     let mut fatal_at = usize::MAX;
-    for r in 0..n {
+    for (r, &crossed) in crossed.iter().enumerate() {
         if let Some(it) = clock.crash_iteration(r as u32) {
             fatal_at = fatal_at.min(it);
             ledger.node_mut(r as u32).liveness = Liveness::Crashed { iteration: it };
         }
         for l in 0..12 {
             if let Some(from_seq) = clock.link_dead_from(r as u32, l) {
-                let words = config.face_words.max(1);
-                fatal_at = fatal_at.min((from_seq / words) as usize);
+                if crossed & (1 << l) != 0 {
+                    let words = config.face_words.max(1);
+                    fatal_at = fatal_at.min((from_seq / words) as usize);
+                }
                 ledger.node_mut(r as u32).links[l].dead = true;
             }
         }
@@ -224,7 +233,7 @@ pub fn run_traced(
                 let errors = clock.wire_errors(m as u32, send_link, it, config.face_words);
                 let effective = config.face_words + errors * WINDOW as u64;
                 let stall = clock.stall_cycles(m as u32, send_link, it);
-                let face = config.link.transfer_cycles(effective).count() + stall;
+                let face = transfer_cycles(effective).count() + stall;
                 halo_done[r] = halo_done[r].max(compute_end[m] + face);
                 let mh = ledger.node_mut(m as u32);
                 mh.links[send_link].sent_words += config.face_words;
@@ -299,7 +308,7 @@ mod tests {
     fn homogeneous_iteration_time_is_compute_plus_face_plus_sum() {
         let cfg = base();
         let r = run(&cfg, 5);
-        let face = cfg.link.transfer_cycles(cfg.face_words).count();
+        let face = transfer_cycles(cfg.face_words).count();
         let expect = cfg.compute_cycles + face + cfg.global_sum_cycles;
         assert_eq!(r.steady_iteration_cycles(), expect);
         assert_eq!(r.total_cycles, 5 * expect);
@@ -307,19 +316,16 @@ mod tests {
 
     #[test]
     fn agrees_with_analytic_model_without_overlap() {
-        // Configure the analytic model with zero overlap and compare.
-        use crate::perf::{Calibration, DiracPerf};
+        // The analytic model's pieces summed with no overlap: local time,
+        // link time and global sums back to back, as the DES plays them.
+        use crate::perf::DiracPerf;
         use qcdoc_lattice::counts::Action;
-        let mut perf = DiracPerf::paper_bench();
-        perf.calibration = Calibration {
-            comm_overlap: 0.0,
-            mem_overlap_edram: 0.75,
-            ..Calibration::default()
-        };
+        let perf = DiracPerf::paper_bench();
         let report = perf.evaluate(Action::Wilson);
+        let local = perf.local_time(Action::Wilson).cycles as u64;
+        let serial = local + report.comm_cycles + report.gsum_cycles;
         // Feed the DES the same pieces: local cycles, per-face words (one
         // direction's worth — faces move concurrently), and the global sum.
-        let local = report.total_cycles - report.comm_cycles - report.gsum_cycles;
         let cfg = DesConfig {
             machine_dims: perf.logical_dims,
             compute_cycles: local,
@@ -327,17 +333,14 @@ mod tests {
             // comm_cycles covers both operator applications; DES charges
             // one face exchange per iteration, so hand it the total.
             face_words: report.comm_cycles / 72,
-            link: LinkTimingConfig::default(),
             global_sum_cycles: report.gsum_cycles,
         };
         let des = run(&cfg, 3);
-        let rel = (des.steady_iteration_cycles() as f64 - report.total_cycles as f64).abs()
-            / report.total_cycles as f64;
+        let rel = (des.steady_iteration_cycles() as f64 - serial as f64).abs() / serial as f64;
         assert!(
             rel < 0.02,
-            "DES {} vs analytic {}",
-            des.steady_iteration_cycles(),
-            report.total_cycles
+            "DES {} vs analytic {serial}",
+            des.steady_iteration_cycles()
         );
     }
 
@@ -534,6 +537,48 @@ mod tests {
                     .with_faults(plan)
                     .run_with_health(async |_| ());
                 assert_eq!(des.dead_links(), machine.dead_links(), "seed {seed}");
+            }
+        }
+
+        #[test]
+        fn a_dead_link_stops_both_engines_only_where_a_face_crosses_it() {
+            // On [4,4,4,1] no face crosses links 6 and 7 (axis 3 has
+            // extent 1) or 9 (beyond the 4-D rank): both ledgers mark the
+            // wire dead, but neither engine stalls. Link 0 carries the +x
+            // faces, so a dead link 0 stops both.
+            use crate::distributed::{wilson_cg_segment_async, BlockGeom};
+            use crate::ShardedMachine;
+            use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
+            const ITERS: usize = 3;
+            let dims = [4, 4, 4, 1];
+            let global = Lattice::new([8, 8, 8, 2]);
+            let gauge = GaugeField::hot(global, 5);
+            let b = FermionField::gaussian(global, 6);
+            for (link, fatal) in [(0, true), (6, false), (7, false), (9, false)] {
+                let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(3, link, 0));
+                let cfg = DesConfig::homogeneous(dims, 1_000, 8, 10);
+                let (des, des_ledger) = run_with_faults(&cfg, ITERS, &plan);
+                let (outs, ledger) = ShardedMachine::new(TorusShape::new(&dims))
+                    .with_workers(1)
+                    .with_faults(plan)
+                    .run_with_health(async |ctx| {
+                        let geom = BlockGeom::new(ctx, global);
+                        let lg = geom.extract_gauge(&gauge);
+                        let lb = geom.extract_fermion(&b);
+                        let out = wilson_cg_segment_async(
+                            ctx, &geom, &lg, &lb, 0.12, 1e-12, ITERS, None, ITERS,
+                        )
+                        .await;
+                        (out.wedged, out.iterations)
+                    });
+                let des_iters = des.iteration_finish.len();
+                assert_eq!(des_iters, if fatal { 0 } else { ITERS }, "DES, link {link}");
+                assert_eq!(outs.iter().any(|o| o.0), fatal, "machine, link {link}");
+                if !fatal {
+                    assert!(outs.iter().all(|o| o.1 == ITERS), "link {link}");
+                }
+                assert_eq!(des_ledger.dead_links(), vec![(3, link)]);
+                assert_eq!(ledger.dead_links(), vec![(3, link)]);
             }
         }
 

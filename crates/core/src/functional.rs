@@ -30,7 +30,7 @@ use qcdoc_geometry::{Axis, Direction, NodeCoord, NodeId, TorusShape};
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_scu::link::WireTap;
 use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg, LINKS};
-use qcdoc_scu::timing::LinkTimingConfig;
+use qcdoc_scu::timing::transfer_cycles;
 use qcdoc_scu::{RetryPolicy, WireVerdict};
 use qcdoc_telemetry::{
     FlightEvent, FlightKind, MetricsRegistry, NodeTelemetry, Phase, Span, SpanToken,
@@ -50,7 +50,7 @@ const RING_CAPACITY: usize = 65_536;
 /// The functional engine has no global clock of its own (nodes run at
 /// host speed), so each node's telemetry clock is advanced by the *link
 /// timing model*: a completed transfer of `w` words costs
-/// `LinkTimingConfig::default().transfer_cycles(w)` logical cycles, the
+/// [`transfer_cycles`]`(w)` logical cycles, the
 /// slowest armed link setting the pace — which is exactly how the paper's
 /// §4 efficiency model charges communication time.
 #[derive(Debug, Clone, Copy, Default)]
@@ -122,7 +122,6 @@ pub(crate) struct NodeWires {
 /// Everything the engine needs to stamp out one node, minus the wires.
 pub(crate) struct NodeCtxConfig {
     pub shape: TorusShape,
-    pub ddr_bytes: u64,
     pub telemetry: Option<TelemetryConfig>,
     pub retry_policy: RetryPolicy,
     pub block_checksums: bool,
@@ -339,19 +338,18 @@ impl NodeCtx {
     /// links overlap, so the slowest one sets the pace (§4's comms
     /// term), while counters see every word moved.
     fn account_complete(&mut self, token: SpanToken, sends: &[Direction], recvs: &[Direction]) {
-        let link = LinkTimingConfig::default();
         let mut send_words = 0u64;
         let mut recv_words = 0u64;
         let mut wire_cycles = 0u64;
         for d in sends {
             let w = std::mem::take(&mut self.armed_send_words[d.link_index()]);
             send_words += w;
-            wire_cycles = wire_cycles.max(link.transfer_cycles(w).count());
+            wire_cycles = wire_cycles.max(transfer_cycles(w).count());
         }
         for d in recvs {
             let w = std::mem::take(&mut self.armed_recv_words[d.link_index()]);
             recv_words += w;
-            wire_cycles = wire_cycles.max(link.transfer_cycles(w).count());
+            wire_cycles = wire_cycles.max(transfer_cycles(w).count());
         }
         self.telem.advance(wire_cycles);
         self.telem.counter_add("dma_send_words", send_words);
@@ -500,7 +498,7 @@ impl NodeCtx {
             id: NodeId(node),
             coord: cfg.shape.coord_of(NodeId(node)),
             shape: cfg.shape.clone(),
-            mem: NodeMemory::new(cfg.ddr_bytes),
+            mem: NodeMemory::with_128mb_dimm(),
             telem: match cfg.telemetry {
                 Some(_) => NodeTelemetry::with_ring(node, RING_CAPACITY),
                 None => NodeTelemetry::disabled(node),

@@ -84,7 +84,6 @@ type NodeOutput<R> = (
 pub struct ShardedMachine {
     shape: TorusShape,
     faults: FaultPlan,
-    ddr_bytes: u64,
     telemetry: Option<TelemetryConfig>,
     retry_policy: RetryPolicy,
     block_checksums: bool,
@@ -101,7 +100,6 @@ impl ShardedMachine {
         ShardedMachine {
             shape,
             faults: FaultPlan::default(),
-            ddr_bytes: 128 * 1024 * 1024,
             telemetry: None,
             retry_policy: RetryPolicy::default(),
             block_checksums: false,
@@ -261,7 +259,6 @@ impl ShardedMachine {
         let results: Vec<Mutex<Option<NodeOutput<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cfg = NodeCtxConfig {
             shape: self.shape.clone(),
-            ddr_bytes: self.ddr_bytes,
             telemetry: self.telemetry,
             retry_policy: self.retry_policy,
             block_checksums: self.block_checksums,

@@ -65,6 +65,13 @@ impl Rng {
     }
 }
 
+/// Ticks between durable checkpoint rounds during the soak window. A model
+/// choice, like every soak period: the papers give no cadence.
+const CKPT_PERIOD: u64 = 5;
+
+/// Ticks between repair-pipeline ticks (a model choice).
+const REPAIR_PERIOD: u64 = 3;
+
 /// Tunables of one chaos soak.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosConfig {
@@ -80,10 +87,6 @@ pub struct ChaosConfig {
     pub tracked_solves: usize,
     /// Ticks between fault strikes during the soak window.
     pub fault_period: u64,
-    /// Ticks between durable checkpoint rounds.
-    pub ckpt_period: u64,
-    /// Ticks between repair-pipeline ticks.
-    pub repair_period: u64,
     /// Fault injection stops at this tick; the soak then drains.
     pub soak_ticks: u64,
     /// Kill and restart the qdaemon at this tick (`None` = never).
@@ -104,8 +107,6 @@ impl Default for ChaosConfig {
             jobs: 8,
             tracked_solves: 2,
             fault_period: 11,
-            ckpt_period: 5,
-            repair_period: 3,
             soak_ticks: 420,
             restart_at: None,
             lemons: 2,
@@ -661,11 +662,11 @@ impl Soak {
                 if tick.is_multiple_of(self.cfg.fault_period) {
                     self.strike(tick);
                 }
-                if tick.is_multiple_of(self.cfg.ckpt_period) {
+                if tick.is_multiple_of(CKPT_PERIOD) {
                     self.checkpoint_round();
                 }
             }
-            if tick.is_multiple_of(self.cfg.repair_period) {
+            if tick.is_multiple_of(REPAIR_PERIOD) {
                 self.repair_round();
             }
             self.absorb_events();

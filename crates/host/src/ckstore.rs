@@ -68,19 +68,20 @@ pub struct StoreConfig {
     pub retain: usize,
     /// Validation discipline.
     pub verify: VerifyMode,
-    /// Bounded retry + backoff for transient failures (PR 3 idiom).
-    pub retry: RetryPolicy,
 }
 
+/// Bounded retry + backoff for transient failures, the SCU links'
+/// discipline: up to 4 consecutive failures, a 2→16-tick doubling
+/// hold-off. A model choice; the paper prices no host retry.
+const RETRY: RetryPolicy = RetryPolicy::bounded(4, 2, 16);
+
 impl StoreConfig {
-    /// Defaults: keep 3 generations of verified CG archives, retry up to
-    /// 4 consecutive failures with a 2→16-tick doubling hold-off.
+    /// Defaults: keep 3 generations of verified CG archives.
     pub fn new(root: impl Into<String>) -> StoreConfig {
         StoreConfig {
             root: root.into(),
             retain: 3,
             verify: VerifyMode::CgArchive,
-            retry: RetryPolicy::bounded(4, 2, 16),
         }
     }
 }
@@ -308,17 +309,12 @@ impl CheckpointStore {
         self.flight.drain()
     }
 
-    /// Simulated hold-off (PR 3 backoff discipline): doubling per
-    /// consecutive failure, capped, accounted in store ticks.
+    /// Simulated hold-off ([`RetryPolicy::hold_off`]) after the
+    /// `consecutive`th failure, accounted in store ticks.
     fn hold_off(&mut self, consecutive: u32) {
-        let base = u64::from(self.cfg.retry.backoff_base);
-        if base > 0 {
-            let hold =
-                (base << (consecutive - 1).min(16)).min(u64::from(self.cfg.retry.backoff_cap));
-            self.backoff_held += hold;
-            self.clock += hold;
-        }
-        self.clock += 1;
+        let hold = RETRY.hold_off(consecutive);
+        self.backoff_held += hold;
+        self.clock += hold + 1;
     }
 
     /// One save attempt: temp write, read-back verify, atomic commit,
@@ -405,7 +401,7 @@ impl CheckpointStore {
     /// Durably save one checkpoint blob; returns its generation number.
     ///
     /// Transient failures, server crashes, and stale handles are retried
-    /// under the configured [`RetryPolicy`]; a full disk collects the
+    /// under the store's [`RetryPolicy`]; a full disk collects the
     /// oldest surplus generation and tries again.
     pub fn save(&mut self, nfs: &mut NfsServer, bytes: &[u8]) -> Result<u64, StoreError> {
         let gen = self.next_gen;
@@ -439,7 +435,7 @@ impl CheckpointStore {
                             0,
                         );
                     }
-                    if failures > self.cfg.retry.budget {
+                    if failures > RETRY.budget {
                         return Err(StoreError::Exhausted {
                             attempts: failures,
                             last: e,
@@ -469,7 +465,7 @@ impl CheckpointStore {
                         gen,
                         u64::from(failures),
                     );
-                    if failures > self.cfg.retry.budget {
+                    if failures > RETRY.budget {
                         return Err(StoreError::VerifyFailed {
                             attempts: failures,
                             reason,
@@ -487,7 +483,7 @@ impl CheckpointStore {
         loop {
             match nfs.read(path) {
                 Ok(bytes) => return Ok(bytes),
-                Err(e) if e.retryable() && failures < self.cfg.retry.budget => {
+                Err(e) if e.retryable() && failures < RETRY.budget => {
                     failures += 1;
                     self.retries += 1;
                     self.hold_off(failures);
@@ -666,7 +662,6 @@ pub struct JobVault {
     nfs: NfsServer,
     root: String,
     retain: usize,
-    retry: RetryPolicy,
     stores: HashMap<u64, CheckpointStore>,
 }
 
@@ -678,7 +673,6 @@ impl JobVault {
             nfs,
             root: root.into(),
             retain: 2,
-            retry: RetryPolicy::bounded(4, 2, 16),
             stores: HashMap::new(),
         }
     }
@@ -705,7 +699,6 @@ impl JobVault {
             nfs,
             root,
             retain,
-            retry,
             stores,
         } = self;
         let store = stores.entry(job).or_insert_with(|| {
@@ -714,7 +707,6 @@ impl JobVault {
                     root: format!("{root}/job-{job:06}"),
                     retain: *retain,
                     verify: VerifyMode::Opaque,
-                    retry: *retry,
                 },
                 nfs,
             )

@@ -42,4 +42,4 @@ pub mod repair;
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use qdaemon::{BootReport, NodeCensus, NodeState, Qdaemon};
 pub use recovery::RecoveryPlanner;
-pub use repair::{RepairConfig, RepairPipeline, RepairStage, RepairTickReport};
+pub use repair::{RepairPipeline, RepairStage, RepairTickReport};

@@ -31,27 +31,17 @@ use qcdoc_geometry::NodeId;
 use qcdoc_telemetry::{FlightKind, HOST_NODE};
 use std::collections::BTreeMap;
 
-/// Tunables of the repair pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RepairConfig {
-    /// Repair ticks a full memory scrub takes.
-    pub scrub_ticks: u32,
-    /// Repair ticks the isolated link burn-in takes.
-    pub burnin_ticks: u32,
-    /// Convictions after which a node is blacklisted instead of
-    /// re-admitted (sticky: blacklisting is permanent).
-    pub max_convictions: u32,
-}
+/// Repair ticks a full memory scrub takes. A model choice: the papers
+/// give the repair loop (hep-lat/0309096 §4) but no durations.
+const SCRUB_TICKS: u32 = 4;
 
-impl Default for RepairConfig {
-    fn default() -> Self {
-        RepairConfig {
-            scrub_ticks: 4,
-            burnin_ticks: 8,
-            max_convictions: 3,
-        }
-    }
-}
+/// Repair ticks the isolated link burn-in takes (a model choice, as
+/// [`SCRUB_TICKS`]).
+const BURNIN_TICKS: u32 = 8;
+
+/// Convictions after which a node is blacklisted instead of re-admitted
+/// (sticky: blacklisting is permanent). A model choice.
+const MAX_CONVICTIONS: u32 = 3;
 
 /// Where one node sits in the repair pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,8 +73,6 @@ impl RepairStage {
 /// deterministic).
 #[derive(Debug, Clone, Default)]
 pub struct RepairPipeline {
-    /// Pipeline tunables.
-    pub config: RepairConfig,
     stages: BTreeMap<u32, RepairStage>,
 }
 
@@ -132,20 +120,21 @@ impl Qdaemon {
     /// whose conviction count already reached the blacklist threshold
     /// are blacklisted instead. Returns the newly admitted node ids.
     pub fn repair_admit(&mut self) -> Vec<u32> {
-        let threshold = self.repair.config.max_convictions;
-        let scrub = self.repair.config.scrub_ticks;
         let mut admitted = Vec::new();
         for i in 0..self.states.len() {
             if self.states[i] != NodeState::Faulty || self.repair.contains(i as u32) {
                 continue;
             }
-            if self.convictions[i] >= threshold {
+            if self.convictions[i] >= MAX_CONVICTIONS {
                 self.blacklist(NodeId(i as u32));
                 continue;
             }
-            self.repair
-                .stages
-                .insert(i as u32, RepairStage::Scrub { remaining: scrub });
+            self.repair.stages.insert(
+                i as u32,
+                RepairStage::Scrub {
+                    remaining: SCRUB_TICKS,
+                },
+            );
             self.flight.record(
                 HOST_NODE,
                 self.sweeps,
@@ -167,8 +156,6 @@ impl Qdaemon {
     /// the node is blacklisted (otherwise it leaves the pipeline still
     /// quarantined, eligible for re-admission).
     pub fn repair_tick(&mut self, verdict: &mut dyn FnMut(u32) -> bool) -> RepairTickReport {
-        let burnin = self.repair.config.burnin_ticks;
-        let threshold = self.repair.config.max_convictions;
         let mut report = RepairTickReport::default();
         let nodes: Vec<u32> = self.repair.stages.keys().copied().collect();
         for node in nodes {
@@ -177,7 +164,9 @@ impl Qdaemon {
                 RepairStage::Scrub { remaining } => {
                     *remaining -= 1;
                     if *remaining == 0 {
-                        *stage = RepairStage::BurnIn { remaining: burnin };
+                        *stage = RepairStage::BurnIn {
+                            remaining: BURNIN_TICKS,
+                        };
                     }
                 }
                 RepairStage::BurnIn { remaining } => {
@@ -204,7 +193,7 @@ impl Qdaemon {
                             self.convictions[node as usize] as u64,
                         );
                         report.failed.push(node);
-                        if self.convictions[node as usize] >= threshold {
+                        if self.convictions[node as usize] >= MAX_CONVICTIONS {
                             self.blacklist(NodeId(node));
                             report.blacklisted.push(node);
                         }
@@ -260,8 +249,7 @@ mod tests {
         assert_eq!(q.repair_admit(), vec![5]);
         assert!(q.repair.contains(5));
         // Node stays quarantined (isolated) through scrub + burn-in.
-        let cfg = q.repair.config;
-        let total = cfg.scrub_ticks + cfg.burnin_ticks;
+        let total = SCRUB_TICKS + BURNIN_TICKS;
         for tick in 0..total {
             assert_eq!(q.census().faulty, 1, "still isolated at tick {tick}");
             let report = q.repair_tick(&mut |_| true);
@@ -281,18 +269,27 @@ mod tests {
         assert!(q.allocate(PartitionSpec::native(q.machine())).is_ok());
     }
 
+    /// Run one whole scrub + burn-in whose burn-in fails; returns the
+    /// report of the verdict tick.
+    fn failed_repair(q: &mut Qdaemon) -> RepairTickReport {
+        for _ in 1..SCRUB_TICKS + BURNIN_TICKS {
+            assert_eq!(q.repair_tick(&mut |_| false), RepairTickReport::default());
+        }
+        q.repair_tick(&mut |_| false)
+    }
+
     #[test]
     fn repeated_convictions_blacklist_stickily() {
         let mut q = booted();
-        q.repair.config = RepairConfig {
-            scrub_ticks: 1,
-            burnin_ticks: 1,
-            max_convictions: 2,
-        };
         q.mark_faulty(NodeId(7)); // conviction 1
         assert_eq!(q.repair_admit(), vec![7]);
-        q.repair_tick(&mut |_| true); // scrub done
-        let report = q.repair_tick(&mut |_| false); // burn-in fails: conviction 2
+        let report = failed_repair(&mut q); // conviction 2
+        assert_eq!(report.failed, vec![7]);
+        assert!(report.blacklisted.is_empty(), "below the threshold");
+        assert_eq!(q.node_state(NodeId(7)), NodeState::Faulty);
+        // Still quarantined, so eligible for another round.
+        assert_eq!(q.repair_admit(), vec![7]);
+        let report = failed_repair(&mut q); // conviction 3
         assert_eq!(report.failed, vec![7]);
         assert_eq!(report.blacklisted, vec![7], "threshold reached");
         assert_eq!(q.node_state(NodeId(7)), NodeState::Blacklisted);
@@ -300,15 +297,14 @@ mod tests {
         // Sticky: never re-admitted, never returnable.
         assert!(q.repair_admit().is_empty());
         assert!(q.return_to_service(NodeId(7)).is_err());
-        // And a node already over the threshold is blacklisted at
-        // admission rather than wasting a repair slot.
+        // Quarantine convicts once, however often it is reported.
         q.mark_faulty(NodeId(3));
         q.mark_faulty(NodeId(3)); // idempotent: still 1 conviction
         assert_eq!(q.convictions(NodeId(3)), 1);
         q.repair_admit();
-        q.repair_tick(&mut |_| true);
-        let r = q.repair_tick(&mut |_| false); // conviction 2
-        assert_eq!(r.blacklisted, vec![3]);
+        assert!(failed_repair(&mut q).blacklisted.is_empty());
+        q.repair_admit();
+        assert_eq!(failed_repair(&mut q).blacklisted, vec![3]);
     }
 
     #[test]

@@ -40,65 +40,51 @@ pub fn dimension_sum_hops(dims: &[usize], doubled: bool) -> usize {
     }
 }
 
-/// Timing parameters of the global pass-through path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GlobalTimingConfig {
-    /// SCU pipeline cycles added per hop on top of the forwarding
-    /// granularity.
-    pub hop_pipeline_cycles: u64,
-    /// Bits that must arrive before a pass-through hop forwards (8 on the
-    /// ASIC).
-    pub passthrough_bits: u64,
+/// SCU pipeline cycles each hop adds on top of its forwarding granularity.
+/// A model choice: §2.2 gives no per-hop figure beyond the 8-bit
+/// pass-through.
+const HOP_PIPELINE_CYCLES: u64 = 4;
+
+/// Bits that must arrive before a pass-through hop forwards: "after only 8
+/// bits have arrived" (§2.2).
+const PASSTHROUGH_BITS: u64 = 8;
+
+/// Per-hop latency: pass-through forwards after 8 bits; store-and-forward
+/// (the ablation case the paper argues against) assembles the whole 72-bit
+/// frame first.
+fn hop_cycles(passthrough: bool) -> u64 {
+    let granularity = if passthrough {
+        PASSTHROUGH_BITS
+    } else {
+        crate::timing::WORD_WIRE_BITS
+    };
+    granularity + HOP_PIPELINE_CYCLES
 }
 
-impl Default for GlobalTimingConfig {
-    fn default() -> Self {
-        GlobalTimingConfig {
-            hop_pipeline_cycles: 4,
-            passthrough_bits: 8,
-        }
-    }
+/// Latency of a global operation spanning `hops` hops: the leading edge
+/// pays the per-hop latency at each hop, and the tail of the 72-bit frame
+/// drains behind it at the serial rate.
+fn operation_cycles(hops: usize, passthrough: bool) -> Cycles {
+    let tail = if passthrough {
+        crate::timing::WORD_WIRE_BITS - PASSTHROUGH_BITS
+    } else {
+        0
+    };
+    Cycles(hops as u64 * hop_cycles(passthrough) + tail)
 }
 
-impl GlobalTimingConfig {
-    /// Per-hop latency with pass-through forwarding.
-    fn passthrough_hop_cycles(&self) -> u64 {
-        self.passthrough_bits + self.hop_pipeline_cycles
+/// Latency of a dimension-ordered global sum over `dims`, with the two
+/// global link sets (`doubled`) and the 8-bit pass-through (`passthrough`)
+/// each on or off — the ASIC runs both; the other three are §2.2's
+/// ablations.
+pub fn global_sum_cycles(dims: &[usize], doubled: bool, passthrough: bool) -> Cycles {
+    // Each axis is a separate pass: leading-edge latency per axis.
+    let mut total = Cycles::ZERO;
+    for &n in dims {
+        let hops = dimension_sum_hops(&[n], doubled);
+        total += operation_cycles(hops, passthrough);
     }
-
-    /// Per-hop latency if each node assembled the whole 72-bit frame before
-    /// forwarding (the ablation case the paper argues against).
-    fn store_forward_hop_cycles(&self) -> u64 {
-        crate::timing::WORD_WIRE_BITS + self.hop_pipeline_cycles
-    }
-
-    /// Latency of a global operation spanning `hops` hops: the leading
-    /// edge pays the per-hop latency at each hop, and the tail of the
-    /// 72-bit frame drains behind it at the serial rate.
-    fn operation_cycles(&self, hops: usize, passthrough: bool) -> Cycles {
-        let per_hop = if passthrough {
-            self.passthrough_hop_cycles()
-        } else {
-            self.store_forward_hop_cycles()
-        };
-        let tail = if passthrough {
-            crate::timing::WORD_WIRE_BITS - self.passthrough_bits
-        } else {
-            0
-        };
-        Cycles(hops as u64 * per_hop + tail)
-    }
-
-    /// Latency of a dimension-ordered global sum over `dims`.
-    pub fn global_sum_cycles(&self, dims: &[usize], doubled: bool, passthrough: bool) -> Cycles {
-        // Each axis is a separate pass: leading-edge latency per axis.
-        let mut total = Cycles::ZERO;
-        for &n in dims {
-            let hops = dimension_sum_hops(&[n], doubled);
-            total += self.operation_cycles(hops, passthrough);
-        }
-        total
-    }
+    total
 }
 
 /// The dimension-ordered global sum as the hardware performs it, with the
@@ -170,11 +156,10 @@ mod tests {
 
     #[test]
     fn passthrough_beats_store_and_forward() {
-        let cfg = GlobalTimingConfig::default();
-        assert!(cfg.passthrough_hop_cycles() < cfg.store_forward_hop_cycles());
+        assert!(hop_cycles(true) < hop_cycles(false));
         let hops = 36;
-        let fast = cfg.operation_cycles(hops, true);
-        let slow = cfg.operation_cycles(hops, false);
+        let fast = operation_cycles(hops, true);
+        let slow = operation_cycles(hops, false);
         assert!(
             fast.count() * 4 < slow.count(),
             "pass-through {fast} vs store-and-forward {slow}"
@@ -228,9 +213,8 @@ mod tests {
 
     #[test]
     fn global_sum_latency_scales_with_machine_size() {
-        let cfg = GlobalTimingConfig::default();
-        let small = cfg.global_sum_cycles(&[4, 4, 4, 4], true, true);
-        let big = cfg.global_sum_cycles(&[8, 8, 8, 16], true, true);
+        let small = global_sum_cycles(&[4, 4, 4, 4], true, true);
+        let big = global_sum_cycles(&[8, 8, 8, 16], true, true);
         assert!(big > small);
     }
 }

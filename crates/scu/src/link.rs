@@ -107,12 +107,21 @@ impl RetryPolicy {
 
     /// A bounded discipline for machines that must escalate instead of
     /// livelock.
-    pub fn bounded(budget: u32, backoff_base: u32, backoff_cap: u32) -> RetryPolicy {
+    pub const fn bounded(budget: u32, backoff_base: u32, backoff_cap: u32) -> RetryPolicy {
         RetryPolicy {
             budget,
             backoff_base,
             backoff_cap,
         }
+    }
+
+    /// The hold-off after the `n`th consecutive failure (`n ≥ 1`):
+    /// `backoff_base` doubled `n − 1` times, capped at `backoff_cap`; zero
+    /// when backoff is off. The doubling stops at 2³² × base, far above
+    /// any cap a `u32` can hold.
+    pub fn hold_off(&self, n: u32) -> u64 {
+        let doubled = u64::from(self.backoff_base) << n.saturating_sub(1).min(32);
+        doubled.min(u64::from(self.backoff_cap))
     }
 }
 
@@ -381,9 +390,7 @@ impl SendUnit {
             self.dead = true;
             self.backoff_remaining = 0;
         } else if self.policy.backoff_base > 0 {
-            let shift = (self.rewinds_since_progress - 1).min(20);
-            let wait = (self.policy.backoff_base as u64) << shift;
-            self.backoff_remaining = wait.min(self.policy.backoff_cap as u64);
+            self.backoff_remaining = self.policy.hold_off(self.rewinds_since_progress);
             self.backoff_delays
                 .get_or_insert_default()
                 .observe(self.backoff_remaining);
@@ -491,11 +498,7 @@ impl SendUnit {
             return;
         }
         self.block_replays += 1;
-        if self.policy.backoff_base > 0 {
-            let shift = (self.block_retries_since_ok - 1).min(20);
-            let wait = (self.policy.backoff_base as u64) << shift;
-            self.backoff_remaining = wait.min(self.policy.backoff_cap as u64);
-        }
+        self.backoff_remaining = self.policy.hold_off(self.block_retries_since_ok);
     }
 
     /// A block verified end to end: reset the consecutive block-retry
@@ -1405,6 +1408,32 @@ mod tests {
             while s.next_frame().unwrap().is_none() && !s.retry_exhausted() {}
         }
         assert!(s.backoff_waits() <= 6 + 10 * 16);
+    }
+
+    #[test]
+    fn hold_off_is_one_capped_doubling_for_every_policy_in_use() {
+        let store = RetryPolicy::bounded(4, 2, 16);
+        let holds: Vec<u64> = (1..=6).map(|n| store.hold_off(n)).collect();
+        assert_eq!(holds, [2, 4, 8, 16, 16, 16]);
+        // The send unit capped its doubling at 20 shifts, the checkpoint
+        // store at 16; with every cap in use ≤ 64 both agree with the one
+        // formula at any failure count.
+        for p in [
+            RetryPolicy::unlimited(),
+            RetryPolicy::bounded(1_000, 1, 4),
+            RetryPolicy::bounded(u32::MAX, 2, 16),
+            RetryPolicy::bounded(8, 1, 64),
+            RetryPolicy::bounded(4, 2, 64),
+            store,
+        ] {
+            for n in 1..=40u32 {
+                let base = u64::from(p.backoff_base);
+                let cap = u64::from(p.backoff_cap);
+                for shifts in [20, 16] {
+                    assert_eq!(p.hold_off(n), (base << (n - 1).min(shifts)).min(cap));
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,96 +16,54 @@
 use crate::packet::Packet;
 use qcdoc_asic::clock::{Clock, Cycles};
 
-/// Wire bits of a framed normal data word.
+/// Wire bits of a framed normal data word: 8-bit header + 64-bit payload
+/// (§2.2).
 pub const WORD_WIRE_BITS: u64 = 72;
 
-/// Fixed per-transfer pipeline costs, in link cycles. The split is a model
-/// choice; the sum (300 cycles) is calibrated to the paper's 600 ns at
-/// 500 MHz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkTimingConfig {
-    /// Send-side DMA fetch from local memory + SCU injection.
-    pub send_dma_cycles: u64,
-    /// Receiver bit synchronization and SCU pipeline.
-    pub sync_cycles: u64,
-    /// Receive-side DMA store to local memory.
-    pub recv_dma_cycles: u64,
+/// Fixed per-transfer pipeline cycles, excluding first-word serialization:
+/// send DMA fetch + SCU injection (75), receiver bit synchronization and
+/// SCU pipeline (78), receive DMA store (75). The split is a model choice;
+/// the sum plus the first word's 72 bits is the 300 cycles of §2.2's
+/// 600 ns at 500 MHz.
+const FIXED_PATH_CYCLES: u64 = 75 + 78 + 75;
+
+/// Memory-to-memory time for a transfer of `words` 64-bit words: the first
+/// word pays the full fixed path; later words stream behind it at the
+/// serialization rate.
+pub fn transfer_cycles(words: u64) -> Cycles {
+    if words == 0 {
+        return Cycles::ZERO;
+    }
+    Cycles(FIXED_PATH_CYCLES + words * WORD_WIRE_BITS)
 }
 
-impl Default for LinkTimingConfig {
-    fn default() -> Self {
-        LinkTimingConfig {
-            send_dma_cycles: 75,
-            sync_cycles: 78,
-            recv_dma_cycles: 75,
-        }
-    }
+/// Transfer time in nanoseconds at a given clock.
+pub fn transfer_ns(words: u64, clock: Clock) -> f64 {
+    clock.cycles_to_ns(transfer_cycles(words))
 }
 
-impl LinkTimingConfig {
-    /// Total fixed path in cycles, excluding first-word serialization.
-    fn fixed_cycles(&self) -> u64 {
-        self.send_dma_cycles + self.sync_cycles + self.recv_dma_cycles
-    }
-
-    /// Memory-to-memory latency of a single-word nearest-neighbour
-    /// transfer.
-    fn first_word_cycles(&self) -> Cycles {
-        Cycles(self.fixed_cycles() + WORD_WIRE_BITS)
-    }
-
-    /// Memory-to-memory time for a transfer of `words` 64-bit words: the
-    /// first word pays the full path; later words stream behind it at the
-    /// serialization rate.
-    pub fn transfer_cycles(&self, words: u64) -> Cycles {
-        if words == 0 {
-            return Cycles::ZERO;
-        }
-        self.first_word_cycles() + Cycles((words - 1) * WORD_WIRE_BITS)
-    }
-
-    /// Transfer time in nanoseconds at a given clock.
-    pub fn transfer_ns(&self, words: u64, clock: Clock) -> f64 {
-        clock.cycles_to_ns(self.transfer_cycles(words))
-    }
-
-    /// Payload bandwidth of one uni-directional channel, bytes/second.
-    pub fn channel_bandwidth(&self, clock: Clock) -> f64 {
-        8.0 * clock.hz() as f64 / WORD_WIRE_BITS as f64
-    }
-
-    /// Aggregate payload bandwidth of all 24 channels, bytes/second.
-    pub fn node_bandwidth(&self, clock: Clock) -> f64 {
-        24.0 * self.channel_bandwidth(clock)
-    }
+/// Payload bandwidth of one uni-directional channel, bytes/second.
+pub fn channel_bandwidth(clock: Clock) -> f64 {
+    8.0 * clock.hz() as f64 / WORD_WIRE_BITS as f64
 }
 
-/// Baseline: a commodity-cluster network of the era, the paper's explicit
-/// comparison — "times of 5-10 µs just to begin a transfer when using
-/// standard networks like Ethernet" (§2.2).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EthernetBaseline {
-    /// Start-up (software + NIC) latency in nanoseconds.
-    pub startup_ns: f64,
-    /// Payload bandwidth in bytes/second (gigabit Ethernet).
-    pub bytes_per_sec: f64,
+/// Aggregate payload bandwidth of all 24 channels, bytes/second.
+pub fn node_bandwidth(clock: Clock) -> f64 {
+    24.0 * channel_bandwidth(clock)
 }
 
-impl Default for EthernetBaseline {
-    fn default() -> Self {
-        // Mid-band of the paper's 5-10 us, gigabit wire rate.
-        EthernetBaseline {
-            startup_ns: 7_500.0,
-            bytes_per_sec: 125.0e6,
-        }
-    }
-}
+/// Start-up (software + NIC) latency of the commodity-cluster baseline,
+/// the paper's explicit comparison: "times of 5-10 µs just to begin a
+/// transfer when using standard networks like Ethernet" (§2.2). Mid-band.
+pub const ETHERNET_STARTUP_NS: f64 = 7_500.0;
 
-impl EthernetBaseline {
-    /// Transfer time in nanoseconds for `bytes` of payload.
-    pub fn transfer_ns(&self, bytes: u64) -> f64 {
-        self.startup_ns + bytes as f64 / self.bytes_per_sec * 1e9
-    }
+/// Payload bandwidth of the baseline network, bytes/second: the wire rate
+/// of gigabit Ethernet, the era's "standard network" of §2.2.
+pub const ETHERNET_BYTES_PER_SEC: f64 = 125.0e6;
+
+/// Baseline-network transfer time in nanoseconds for `bytes` of payload.
+pub fn ethernet_transfer_ns(bytes: u64) -> f64 {
+    ETHERNET_STARTUP_NS + bytes as f64 / ETHERNET_BYTES_PER_SEC * 1e9
 }
 
 /// Serialization cycles for an arbitrary packet.
@@ -117,15 +75,9 @@ pub fn wire_cycles(pkt: Packet) -> Cycles {
 mod tests {
     use super::*;
 
-    const T: LinkTimingConfig = LinkTimingConfig {
-        send_dma_cycles: 75,
-        sync_cycles: 78,
-        recv_dma_cycles: 75,
-    };
-
     #[test]
     fn first_word_is_600ns_at_design_clock() {
-        let ns = Clock::DESIGN.cycles_to_ns(T.first_word_cycles());
+        let ns = transfer_ns(1, Clock::DESIGN);
         assert!((ns - 600.0).abs() < 1e-9, "first word latency {ns} ns");
     }
 
@@ -134,15 +86,13 @@ mod tests {
         // §2.2: "for transfers as small as 24, 64 bit words … the latency of
         // 600 ns for the first word is still small compared to the 3.3 µs
         // time for the remaining 23 words."
-        let total = T.transfer_ns(24, Clock::DESIGN);
-        let first = Clock::DESIGN.cycles_to_ns(T.first_word_cycles());
-        let tail = total - first;
+        let tail = transfer_ns(24, Clock::DESIGN) - transfer_ns(1, Clock::DESIGN);
         assert!((tail - 3_312.0).abs() < 1.0, "23-word tail {tail} ns");
     }
 
     #[test]
     fn aggregate_bandwidth_is_1_3_gbytes() {
-        let bw = T.node_bandwidth(Clock::DESIGN);
+        let bw = node_bandwidth(Clock::DESIGN);
         assert!((bw - 1.333e9).abs() < 0.01e9, "aggregate {bw} B/s");
     }
 
@@ -151,10 +101,9 @@ mod tests {
         // The crossover the mesh was designed for: a 24-word (192-byte)
         // message takes ~3.9 us on QCDOC but the Ethernet baseline pays
         // 7.5 us before the first byte moves.
-        let eth = EthernetBaseline::default();
-        let qcdoc = T.transfer_ns(24, Clock::DESIGN);
-        assert!(qcdoc < eth.transfer_ns(192));
-        assert!(qcdoc < eth.startup_ns);
+        let qcdoc = transfer_ns(24, Clock::DESIGN);
+        assert!(qcdoc < ethernet_transfer_ns(192));
+        assert!(qcdoc < ETHERNET_STARTUP_NS);
     }
 
     #[test]
@@ -162,20 +111,19 @@ mod tests {
         // Per-channel QCDOC bandwidth is ~55 MB/s; gigabit Ethernet is
         // 125 MB/s, so single-link bulk transfers eventually favour the
         // commodity network — latency, not bandwidth, is QCDOC's edge.
-        let eth = EthernetBaseline::default();
         let words = 1_000_000u64;
-        assert!(T.transfer_ns(words, Clock::DESIGN) > eth.transfer_ns(words * 8));
+        assert!(transfer_ns(words, Clock::DESIGN) > ethernet_transfer_ns(words * 8));
     }
 
     #[test]
     fn zero_word_transfer_is_free() {
-        assert_eq!(T.transfer_cycles(0), Cycles::ZERO);
+        assert_eq!(transfer_cycles(0), Cycles::ZERO);
     }
 
     #[test]
     fn slower_clock_stretches_latency() {
-        let at_360 = T.transfer_ns(1, Clock::SAFE_360);
-        let at_500 = T.transfer_ns(1, Clock::DESIGN);
+        let at_360 = transfer_ns(1, Clock::SAFE_360);
+        let at_500 = transfer_ns(1, Clock::DESIGN);
         assert!((at_360 / at_500 - 500.0 / 360.0).abs() < 1e-9);
     }
 

@@ -9,7 +9,7 @@ use qcdoc::asic::blocks;
 use qcdoc::asic::clock::Clock;
 use qcdoc::asic::edram::{EdramController, PORT_BYTES_PER_CYCLE};
 use qcdoc::asic::memory::{DDR_MAX_SIZE, EDRAM_SIZE};
-use qcdoc::scu::timing::LinkTimingConfig;
+use qcdoc::scu::timing::{channel_bandwidth, node_bandwidth, transfer_ns};
 
 fn main() {
     print!("{}", blocks::render_diagram());
@@ -17,7 +17,6 @@ fn main() {
     print!("{}", blocks::render_datasheet());
 
     let clock = Clock::DESIGN;
-    let link = LinkTimingConfig::default();
     println!(
         "\nsubsystem headline numbers at the {} design point:",
         clock
@@ -39,21 +38,21 @@ fn main() {
     println!(
         "  mesh link      : bit-serial at {} -> {:.1} MB/s payload per direction",
         clock,
-        link.channel_bandwidth(clock) / 1e6
+        channel_bandwidth(clock) / 1e6
     );
     println!(
         "  all 24 channels: {:.2} GB/s aggregate (paper: 1.3 GB/s)",
-        link.node_bandwidth(clock) / 1e9
+        node_bandwidth(clock) / 1e9
     );
     println!(
         "  latency        : {:.0} ns memory-to-memory nearest neighbour (paper: ~600 ns)",
-        link.transfer_ns(1, clock)
+        transfer_ns(1, clock)
     );
     println!(
         "  24-word message: {:.2} us total ({:.0} ns first word + {:.2} us tail; paper: 3.3 us tail)",
-        link.transfer_ns(24, clock) / 1000.0,
-        link.transfer_ns(1, clock),
-        (link.transfer_ns(24, clock) - link.transfer_ns(1, clock)) / 1000.0
+        transfer_ns(24, clock) / 1000.0,
+        transfer_ns(1, clock),
+        (transfer_ns(24, clock) - transfer_ns(1, clock)) / 1000.0
     );
 
     // The two-stream prefetch demonstration (§2.1: a(x) × b(x)).

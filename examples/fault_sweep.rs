@@ -32,7 +32,6 @@ use qcdoc::geometry::TorusShape;
 use qcdoc::lattice::checkpoint::CgCheckpoint;
 use qcdoc::lattice::counts::Action;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
-use qcdoc::scu::timing::LinkTimingConfig;
 use qcdoc::telemetry::{bench_summary_json, MetricsRegistry, RingSink, TraceSink};
 
 fn main() {
@@ -46,7 +45,6 @@ fn main() {
         compute_cycles: local,
         compute_override: vec![],
         face_words: report.comm_cycles / 72,
-        link: LinkTimingConfig::default(),
         global_sum_cycles: report.gsum_cycles,
     };
     const ITERS: usize = 50;

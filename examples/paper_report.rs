@@ -19,8 +19,8 @@ use qcdoc::machine::catalog;
 use qcdoc::machine::cost::{columbia_4096, CostModel, PricePerformance, PAPER_PRICE_PERF};
 use qcdoc::machine::packaging::MachineAssembly;
 use qcdoc::machine::wiring::wiring;
-use qcdoc::scu::global::{dimension_sum_hops, GlobalTimingConfig};
-use qcdoc::scu::timing::{EthernetBaseline, LinkTimingConfig};
+use qcdoc::scu::global::{dimension_sum_hops, global_sum_cycles};
+use qcdoc::scu::timing::{ethernet_transfer_ns, node_bandwidth, transfer_ns, ETHERNET_STARTUP_NS};
 use std::time::Instant;
 
 fn row(claim: &str, paper: &str, measured: &str) {
@@ -59,13 +59,12 @@ fn main() {
     );
 
     // §2.2 link numbers.
-    let link = LinkTimingConfig::default();
     row(
         "nearest-neighbour latency",
         "~600 ns",
-        &format!("{:.0} ns", link.transfer_ns(1, Clock::DESIGN)),
+        &format!("{:.0} ns", transfer_ns(1, Clock::DESIGN)),
     );
-    let tail = link.transfer_ns(24, Clock::DESIGN) - link.transfer_ns(1, Clock::DESIGN);
+    let tail = transfer_ns(24, Clock::DESIGN) - transfer_ns(1, Clock::DESIGN);
     row(
         "24-word transfer tail",
         "3.3 us",
@@ -74,17 +73,16 @@ fn main() {
     row(
         "aggregate node bandwidth",
         "1.3 GB/s",
-        &format!("{:.2} GB/s", link.node_bandwidth(Clock::DESIGN) / 1e9),
+        &format!("{:.2} GB/s", node_bandwidth(Clock::DESIGN) / 1e9),
     );
     // The smallest message Ethernet moves at least as fast as one mesh link.
-    let eth = EthernetBaseline::default();
     let crossover = (1u64..)
-        .find(|&w| link.transfer_ns(w, Clock::DESIGN) >= eth.transfer_ns(8 * w))
+        .find(|&w| transfer_ns(w, Clock::DESIGN) >= ethernet_transfer_ns(8 * w))
         .unwrap();
     row(
         &format!(
             "mesh vs Ethernet ({:.1} us start-up)",
-            eth.startup_ns / 1000.0
+            ETHERNET_STARTUP_NS / 1000.0
         ),
         "5-10 us start-up",
         &format!("mesh < {crossover} words"),
@@ -99,14 +97,13 @@ fn main() {
         ),
     );
     println!("\n  global sum on 8x8x8x16 (500 MHz; the ASIC is doubled + pass-through):");
-    let global = GlobalTimingConfig::default();
     for (doubled, passthrough, name) in [
         (true, true, "doubled links + pass-through"),
         (false, true, "single links + pass-through"),
         (true, false, "doubled links + store-and-forward"),
         (false, false, "single links + store-and-forward"),
     ] {
-        let cycles = global.global_sum_cycles(&[8, 8, 8, 16], doubled, passthrough);
+        let cycles = global_sum_cycles(&[8, 8, 8, 16], doubled, passthrough);
         println!(
             "    {name:<36} {:>5} cycles {:>6.2} us",
             cycles.count(),

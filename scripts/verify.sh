@@ -99,6 +99,13 @@ stage "kernels: scalar ≡ table oracle and AoSoA ≡ scalar word for word, f32 
 stage "full machine: 12,288-node partition-boot-solve on the sharded engine" \
     cargo run -q --release --example hard_scaling
 
+# The DES-only and closed-form regenerators: their inputs are the model's
+# fixed constants, so run each once (well under a second in release) to
+# keep them working, not just compiling.
+stage "regenerators: self_sync (DES) and asic_tour (closed form) run once each" \
+    bash -c 'cargo run -q --release --example self_sync >/dev/null &&
+        cargo run -q --release --example asic_tour >/dev/null'
+
 # --locked: bench/e2e/Cargo.lock is frozen with the harness, so a change to
 # the workspace dependency graph fails here instead of rewriting the lock.
 stage "bench/e2e: frozen end-to-end harness builds against the workspace API" \

@@ -25,7 +25,6 @@ use qcdoc::host::nfs::{NfsError, NfsServer};
 use qcdoc::host::{Qdaemon, RecoveryPlanner};
 use qcdoc::lattice::checkpoint::{write_checkpoint, CgCheckpoint};
 use qcdoc::lattice::field::{FermionField, GaugeField};
-use qcdoc::scu::RetryPolicy;
 use qcdoc::telemetry::MetricsRegistry;
 
 fn campaign_cfg() -> StoreConfig {
@@ -33,7 +32,6 @@ fn campaign_cfg() -> StoreConfig {
         root: "/data/ck/campaign".into(),
         retain: 3,
         verify: VerifyMode::CgArchive,
-        retry: RetryPolicy::bounded(4, 2, 16),
     }
 }
 

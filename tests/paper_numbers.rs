@@ -9,8 +9,8 @@ use qcdoc::core::perf::{
 use qcdoc::lattice::counts::Action;
 use qcdoc::machine::cost::{columbia_4096, CostModel, PricePerformance, PAPER_PRICE_PERF};
 use qcdoc::machine::packaging::MachineAssembly;
-use qcdoc::scu::global::{dimension_sum_hops, GlobalTimingConfig};
-use qcdoc::scu::timing::{EthernetBaseline, LinkTimingConfig};
+use qcdoc::scu::global::{dimension_sum_hops, global_sum_cycles};
+use qcdoc::scu::timing::{ethernet_transfer_ns, node_bandwidth, transfer_ns, ETHERNET_STARTUP_NS};
 
 /// Abstract: "Each node has a peak speed of 1 Gigaflops and two 12,288
 /// node, 10+ Teraflops machines are to be completed in the fall of 2004."
@@ -35,17 +35,15 @@ fn section_2_1_memory_bandwidths() {
 /// one mesh link wins below 89 words and Ethernet from 89 words up.
 #[test]
 fn section_2_2_link_numbers() {
-    let link = LinkTimingConfig::default();
     let c = Clock::DESIGN;
-    assert!((link.transfer_ns(1, c) - 600.0).abs() < 1.0);
-    let tail = link.transfer_ns(24, c) - link.transfer_ns(1, c);
+    assert!((transfer_ns(1, c) - 600.0).abs() < 1.0);
+    let tail = transfer_ns(24, c) - transfer_ns(1, c);
     assert!((tail - 3300.0).abs() < 50.0, "24-word tail {tail} ns");
-    let agg = link.node_bandwidth(c);
+    let agg = node_bandwidth(c);
     assert!((agg - 1.3e9).abs() < 0.05e9, "aggregate {agg}");
-    let eth = EthernetBaseline::default();
-    assert!(eth.startup_ns >= 5_000.0 && eth.startup_ns <= 10_000.0);
-    assert!(link.transfer_ns(88, c) < eth.transfer_ns(8 * 88));
-    assert!(link.transfer_ns(89, c) >= eth.transfer_ns(8 * 89));
+    const { assert!(ETHERNET_STARTUP_NS >= 5_000.0 && ETHERNET_STARTUP_NS <= 10_000.0) };
+    assert!(transfer_ns(88, c) < ethernet_transfer_ns(8 * 88));
+    assert!(transfer_ns(89, c) >= ethernet_transfer_ns(8 * 89));
 }
 
 /// §2.2 global operations: hops = Nx+Ny+Nz+Nt−4, halved in doubled mode;
@@ -60,7 +58,6 @@ fn section_2_2_global_sum_hops() {
     );
     assert_eq!(dimension_sum_hops(&[8, 8, 8, 16], true), 4 + 4 + 4 + 8);
     // Cycles as (doubled, pass-through): the ASIC's configuration first.
-    let cfg = GlobalTimingConfig::default();
     for (doubled, passthrough, cycles) in [
         (true, true, 496),
         (false, true, 688),
@@ -68,8 +65,7 @@ fn section_2_2_global_sum_hops() {
         (false, false, 2736),
     ] {
         assert_eq!(
-            cfg.global_sum_cycles(&[8, 8, 8, 16], doubled, passthrough)
-                .count(),
+            global_sum_cycles(&[8, 8, 8, 16], doubled, passthrough).count(),
             cycles,
             "doubled {doubled}, pass-through {passthrough}"
         );
