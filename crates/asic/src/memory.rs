@@ -13,14 +13,15 @@
 //! | EDRAM  | `0x0000_0000` | 4 MB (on-chip)          |
 //! | DDR    | `0x1000_0000` | configurable, ≤ 2 GB    |
 //!
-//! Both regions are allocated lazily — EDRAM in 8 kB pages, DDR in 1 MB
+//! Both regions are allocated lazily — EDRAM in 4 kB pages, DDR in 1 MB
 //! chunks — so the sharded engine can hold all 12,288 functional nodes of
 //! the full machine in host memory at once: a node pays only for the
 //! footprint it actually touches, not for its 4 MB EDRAM address space.
-//! An EDRAM page is one allocation holding its data words, check bytes
-//! and touched bitmap inline, so a node that stages a few words (a global
-//! sum's scratch, a one-site block) pays ~9 kB for each 8 kB page they
-//! fall in.
+//! The page tables are sparse too: a sorted list of the pages a node
+//! touched, so an untouched region costs no bytes at all. An EDRAM page is
+//! one allocation holding its data words, check bytes and touched bitmap
+//! inline, so a node that stages a few words (a global sum's scratch, a
+//! one-site block) pays ~4.7 kB for each 4 kB page they fall in.
 //!
 //! Every stored word carries a SEC-DED (72,64) check byte (§2.1: EDRAM
 //! rows "+ ECC"; the DDR DIMMs are the industry 72/64 parts). Reads decode
@@ -67,10 +68,18 @@ pub const fn fits_edram(bytes: u64) -> bool {
 }
 
 const DDR_CHUNK_WORDS: usize = 128 * 1024; // 1 MB of u64 words
-const EDRAM_PAGE_WORDS: usize = 1024; // 8 kB of u64 words
-const EDRAM_PAGES: usize = (EDRAM_SIZE / WORD_BYTES) as usize / EDRAM_PAGE_WORDS;
+const EDRAM_PAGE_WORDS: usize = 512; // 4 kB of u64 words
 
-/// One lazily-allocated 8 kB page of EDRAM: data words, ECC check bytes,
+/// The installed DDR DIMM: 128 MB, the common part of §4's machine (the
+/// 4096-node machine mixes 128 MB and 256 MB DIMMs).
+const DIMM_BYTES: u64 = 128 * 1024 * 1024;
+const _: () = assert!(DIMM_BYTES <= DDR_MAX_SIZE, "DDR DIMM larger than 2 GB");
+const _: () = assert!(
+    DIMM_BYTES.is_multiple_of(DDR_CHUNK_WORDS as u64 * WORD_BYTES),
+    "DDR size must be a multiple of 1 MB"
+);
+
+/// One lazily-allocated 4 kB page of EDRAM: data words, ECC check bytes,
 /// and the touched bitmap the scrubber walks (one bit per word, set when a
 /// word has ever been written or corrupted), all inline in one box.
 #[derive(Debug)]
@@ -87,6 +96,75 @@ impl EdramPage {
             check: [0; EDRAM_PAGE_WORDS],
             touched: [0; EDRAM_PAGE_WORDS / 64],
         })
+    }
+}
+
+/// One lazily-allocated 1 MB chunk of DDR: data words and check bytes.
+#[derive(Debug)]
+struct DdrChunk {
+    data: Box<[u64]>,
+    check: Box<[u8]>,
+}
+
+impl DdrChunk {
+    fn new() -> DdrChunk {
+        DdrChunk {
+            data: vec![0; DDR_CHUNK_WORDS].into_boxed_slice(),
+            check: vec![0; DDR_CHUNK_WORDS].into_boxed_slice(),
+        }
+    }
+}
+
+/// The pages of one region a node has touched, in ascending page order,
+/// with the index of the last one hit: the bookkeeping grows with the
+/// footprint, not with the address space, and a run of accesses to one
+/// page (a DMA walking a block) finds it without a search.
+#[derive(Debug)]
+struct Pages<P> {
+    entries: Vec<(usize, P)>,
+    last: usize,
+}
+
+impl<P> Pages<P> {
+    const fn new() -> Pages<P> {
+        Pages {
+            entries: Vec::new(),
+            last: 0,
+        }
+    }
+
+    /// Index of `page` in `entries`, or where it would be inserted. The
+    /// entry as far from the last hit as `page` is from its page is tried
+    /// first: that is the last hit itself on a repeat, and the right entry
+    /// anywhere in a run of consecutive touched pages (a node's staging
+    /// area), so interleaved DMA streams find their pages without a search.
+    fn find(&mut self, page: usize) -> Result<usize, usize> {
+        if let Some(&(hit, _)) = self.entries.get(self.last) {
+            let guess = self.last.wrapping_add(page.wrapping_sub(hit));
+            if self.entries.get(guess).is_some_and(|e| e.0 == page) {
+                self.last = guess;
+                return Ok(guess);
+            }
+        }
+        let found = self.entries.binary_search_by_key(&page, |e| e.0);
+        if let Ok(i) = found {
+            self.last = i;
+        }
+        found
+    }
+
+    fn get(&mut self, page: usize) -> Option<&P> {
+        let i = self.find(page).ok()?;
+        Some(&self.entries[i].1)
+    }
+
+    fn get_or_insert_with(&mut self, page: usize, make: impl FnOnce() -> P) -> &mut P {
+        let i = self.find(page).unwrap_or_else(|i| {
+            self.entries.insert(i, (page, make()));
+            self.last = i;
+            i
+        });
+        &mut self.entries[i].1
     }
 }
 
@@ -107,13 +185,6 @@ pub struct MemStats {
     /// Uncorrectable (2+-bit) words encountered: each one latched a
     /// machine check.
     pub machine_checks: u64,
-}
-
-impl MemStats {
-    /// Total bytes moved to or from DDR.
-    pub fn ddr_bytes(&self) -> u64 {
-        (self.ddr_reads + self.ddr_writes) * WORD_BYTES
-    }
 }
 
 /// Errors raised by functional memory accesses.
@@ -173,38 +244,21 @@ pub struct ScrubReport {
 /// The functional memory of one node.
 #[derive(Debug)]
 pub struct NodeMemory {
-    edram_pages: Vec<Option<Box<EdramPage>>>,
-    ddr_chunks: Vec<Option<Box<[u64]>>>,
-    ddr_check: Vec<Option<Box<[u8]>>>,
-    ddr_size: u64,
+    edram_pages: Pages<Box<EdramPage>>,
+    ddr_chunks: Pages<DdrChunk>,
     stats: MemStats,
     machine_check: Option<u64>,
 }
 
 impl NodeMemory {
-    /// A node with the given DDR DIMM size in bytes (the 4096-node machine
-    /// mixes 128 MB and 256 MB DIMMs, §4).
-    pub fn new(ddr_bytes: u64) -> NodeMemory {
-        assert!(ddr_bytes <= DDR_MAX_SIZE, "DDR DIMM larger than 2 GB");
-        assert_eq!(
-            ddr_bytes % (DDR_CHUNK_WORDS as u64 * WORD_BYTES),
-            0,
-            "DDR size must be a multiple of 1 MB"
-        );
-        let chunks = (ddr_bytes / (DDR_CHUNK_WORDS as u64 * WORD_BYTES)) as usize;
+    /// A node with the paper's common 128 MB DIMM, nothing touched yet.
+    pub fn with_128mb_dimm() -> NodeMemory {
         NodeMemory {
-            edram_pages: (0..EDRAM_PAGES).map(|_| None).collect(),
-            ddr_chunks: (0..chunks).map(|_| None).collect(),
-            ddr_check: (0..chunks).map(|_| None).collect(),
-            ddr_size: ddr_bytes,
+            edram_pages: Pages::new(),
+            ddr_chunks: Pages::new(),
             stats: MemStats::default(),
             machine_check: None,
         }
-    }
-
-    /// A node with the paper's common 128 MB DIMM.
-    pub fn with_128mb_dimm() -> NodeMemory {
-        NodeMemory::new(128 * 1024 * 1024)
     }
 
     /// Classify a byte address.
@@ -234,10 +288,10 @@ impl NodeMemory {
             )),
             MemRegion::Ddr => {
                 let off = addr - DDR_BASE;
-                if off >= self.ddr_size {
+                if off >= DIMM_BYTES {
                     return Err(MemError::BeyondDimm {
                         addr,
-                        installed: self.ddr_size,
+                        installed: DIMM_BYTES,
                     });
                 }
                 Ok((MemRegion::Ddr, (off / WORD_BYTES) as usize))
@@ -289,21 +343,19 @@ impl NodeMemory {
     /// Read the stored `(data, check)` pair without decoding or statistics
     /// (never-written words of unallocated pages and chunks read as the
     /// all-zero codeword).
-    fn peek_raw(&self, region: MemRegion, idx: usize) -> (u64, u8) {
+    fn peek_raw(&mut self, region: MemRegion, idx: usize) -> (u64, u8) {
         match region {
             MemRegion::Edram => {
                 let (page, within) = (idx / EDRAM_PAGE_WORDS, idx % EDRAM_PAGE_WORDS);
-                match &self.edram_pages[page] {
-                    Some(p) => (p.data[within], p.check[within]),
-                    None => (0, 0),
-                }
+                self.edram_pages
+                    .get(page)
+                    .map_or((0, 0), |p| (p.data[within], p.check[within]))
             }
             MemRegion::Ddr => {
                 let (chunk, within) = (idx / DDR_CHUNK_WORDS, idx % DDR_CHUNK_WORDS);
-                match (&self.ddr_chunks[chunk], &self.ddr_check[chunk]) {
-                    (Some(c), Some(k)) => (c[within], k[within]),
-                    _ => (0, 0),
-                }
+                self.ddr_chunks
+                    .get(chunk)
+                    .map_or((0, 0), |c| (c.data[within], c.check[within]))
             }
         }
     }
@@ -314,19 +366,16 @@ impl NodeMemory {
         match region {
             MemRegion::Edram => {
                 let (page, within) = (idx / EDRAM_PAGE_WORDS, idx % EDRAM_PAGE_WORDS);
-                let p = self.edram_pages[page].get_or_insert_with(EdramPage::new);
+                let p = self.edram_pages.get_or_insert_with(page, EdramPage::new);
                 p.data[within] = data;
                 p.check[within] = check;
                 p.touched[within / 64] |= 1 << (within % 64);
             }
             MemRegion::Ddr => {
                 let (chunk, within) = (idx / DDR_CHUNK_WORDS, idx % DDR_CHUNK_WORDS);
-                let c = self.ddr_chunks[chunk]
-                    .get_or_insert_with(|| vec![0u64; DDR_CHUNK_WORDS].into_boxed_slice());
-                c[within] = data;
-                let k = self.ddr_check[chunk]
-                    .get_or_insert_with(|| vec![0u8; DDR_CHUNK_WORDS].into_boxed_slice());
-                k[within] = check;
+                let c = self.ddr_chunks.get_or_insert_with(chunk, DdrChunk::new);
+                c.data[within] = data;
+                c.check[within] = check;
             }
         }
     }
@@ -370,20 +419,21 @@ impl NodeMemory {
     /// skipped wholesale, so the pass prices out by data actually resident.
     pub fn scrub(&mut self) -> ScrubReport {
         let mut report = ScrubReport::default();
-        // EDRAM: walk each allocated page's touch bitmap 64 words at a
-        // time (unallocated pages were never written or corrupted).
-        for page in 0..EDRAM_PAGES {
-            let Some(touched) = self.edram_pages[page].as_ref().map(|p| p.touched) else {
-                continue;
+        // 128-byte rows holding a scanned word, each one EDRAM page miss.
+        let mut rows = 0;
+        // EDRAM: walk each allocated page's touch bitmap 64 words (four
+        // rows) at a time, in ascending address order (unallocated pages
+        // were never written or corrupted).
+        for entry in 0..self.edram_pages.entries.len() {
+            let (page, touched) = {
+                let (page, p) = &self.edram_pages.entries[entry];
+                (*page, p.touched)
             };
             for (group, &mask) in touched.iter().enumerate() {
-                if mask == 0 {
-                    continue;
-                }
-                for bit in 0..64 {
-                    if mask & (1 << bit) == 0 {
-                        continue;
-                    }
+                rows += (0..4)
+                    .filter(|row| (mask >> (16 * row)) & 0xFFFF != 0)
+                    .count() as u64;
+                for bit in (0..64).filter(|bit| mask & (1 << bit) != 0) {
                     let idx = page * EDRAM_PAGE_WORDS + group * 64 + bit;
                     let addr = EDRAM_BASE + idx as u64 * WORD_BYTES;
                     self.scrub_word(MemRegion::Edram, idx, addr, &mut report);
@@ -391,19 +441,18 @@ impl NodeMemory {
             }
         }
         // DDR: walk every allocated chunk in full.
-        for chunk in 0..self.ddr_chunks.len() {
-            if self.ddr_chunks[chunk].is_none() {
-                continue;
-            }
+        for entry in 0..self.ddr_chunks.entries.len() {
+            let chunk = self.ddr_chunks.entries[entry].0;
             for within in 0..DDR_CHUNK_WORDS {
                 let idx = chunk * DDR_CHUNK_WORDS + within;
                 let addr = DDR_BASE + idx as u64 * WORD_BYTES;
                 self.scrub_word(MemRegion::Ddr, idx, addr, &mut report);
             }
+            rows += (DDR_CHUNK_WORDS / 16) as u64;
         }
         // EDRAM-port pricing: 16 bytes (two words) per cycle, plus an
         // 11-cycle page miss per 128-byte (16-word) row.
-        report.cycles = report.scanned_words.div_ceil(2) + report.scanned_words.div_ceil(16) * 11;
+        report.cycles = report.scanned_words.div_ceil(2) + rows * 11;
         report
     }
 
@@ -479,7 +528,6 @@ mod tests {
         assert_eq!(s.edram_reads, 2);
         assert_eq!(s.ddr_writes, 1);
         assert_eq!(s.ddr_reads, 0);
-        assert_eq!(s.ddr_bytes(), 8);
     }
 
     #[test]
@@ -495,7 +543,7 @@ mod tests {
             m.read_word(0x0800_0000),
             Err(MemError::Unmapped { .. })
         ));
-        let beyond = DDR_BASE + 128 * 1024 * 1024;
+        let beyond = DDR_BASE + DIMM_BYTES;
         assert!(matches!(
             m.read_word(beyond),
             Err(MemError::BeyondDimm { .. })
@@ -611,6 +659,205 @@ mod tests {
         assert_eq!(report.cycles, 12);
         // Scrubbing is not an access: read/write stats are untouched.
         assert_eq!(m.stats().edram_reads, 0);
+        // Two words in different rows: 1 port beat + two row misses.
+        let mut m = NodeMemory::with_128mb_dimm();
+        m.write_word(0x0, 1).unwrap();
+        m.write_word(0x80, 2).unwrap();
+        let report = m.scrub();
+        assert_eq!(report.scanned_words, 2);
+        assert_eq!(report.cycles, 1 + 2 * 11);
+    }
+
+    /// The store's contract spelled out over a map from address to the
+    /// stored `(data, check)` pair: an unstored word reads as the all-zero
+    /// codeword, a scrub decodes every stored EDRAM word and every word of
+    /// a DDR chunk holding a stored one, in ascending address order.
+    #[derive(Default)]
+    struct Oracle {
+        words: std::collections::BTreeMap<u64, (u64, u8)>,
+        stats: MemStats,
+        machine_check: Option<u64>,
+    }
+
+    impl Oracle {
+        fn check(addr: u64) -> Result<MemRegion, MemError> {
+            if !addr.is_multiple_of(WORD_BYTES) {
+                Err(MemError::Unaligned { addr })
+            } else if addr < EDRAM_SIZE {
+                Ok(MemRegion::Edram)
+            } else if !(DDR_BASE..DDR_BASE + DDR_MAX_SIZE).contains(&addr) {
+                Err(MemError::Unmapped { addr })
+            } else if addr >= DDR_BASE + DIMM_BYTES {
+                Err(MemError::BeyondDimm {
+                    addr,
+                    installed: DIMM_BYTES,
+                })
+            } else {
+                Ok(MemRegion::Ddr)
+            }
+        }
+
+        /// Decode the word at `addr`, healing it in place; whether a
+        /// single-bit error was corrected and whether it was uncorrectable.
+        fn decode(&mut self, addr: u64) -> (u64, bool, bool) {
+            let (data, check) = self.words.get(&addr).copied().unwrap_or((0, 0));
+            match ecc::decode(data, check) {
+                EccVerdict::Clean => (data, false, false),
+                EccVerdict::CorrectedData(fixed) => {
+                    self.words.insert(addr, (fixed, check));
+                    (fixed, true, false)
+                }
+                EccVerdict::CorrectedCheck(fixed) => {
+                    self.words.insert(addr, (data, fixed));
+                    (data, true, false)
+                }
+                EccVerdict::DoubleError => {
+                    self.machine_check.get_or_insert(addr);
+                    (data, false, true)
+                }
+            }
+        }
+
+        fn read_word(&mut self, addr: u64) -> Result<u64, MemError> {
+            match Self::check(addr)? {
+                MemRegion::Edram => self.stats.edram_reads += 1,
+                MemRegion::Ddr => self.stats.ddr_reads += 1,
+            }
+            let (value, corrected, uncorrectable) = self.decode(addr);
+            self.stats.ecc_corrected += u64::from(corrected);
+            self.stats.machine_checks += u64::from(uncorrectable);
+            Ok(value)
+        }
+
+        fn write_word(&mut self, addr: u64, value: u64) -> Result<(), MemError> {
+            match Self::check(addr)? {
+                MemRegion::Edram => self.stats.edram_writes += 1,
+                MemRegion::Ddr => self.stats.ddr_writes += 1,
+            }
+            self.words.insert(addr, (value, ecc::encode(value)));
+            Ok(())
+        }
+
+        fn flip_bit(&mut self, addr: u64, bit: u32) -> Result<u64, MemError> {
+            Self::check(addr)?;
+            let (data, check) = self.words.get(&addr).copied().unwrap_or((0, 0));
+            self.words.insert(addr, (data ^ (1 << bit), check));
+            Ok(data ^ (1 << bit))
+        }
+
+        fn scrub(&mut self) -> ScrubReport {
+            let chunk_bytes = DDR_CHUNK_WORDS as u64 * WORD_BYTES;
+            let mut scan: Vec<u64> = self
+                .words
+                .keys()
+                .copied()
+                .filter(|&a| a < EDRAM_SIZE)
+                .collect();
+            let rows: std::collections::BTreeSet<u64> = scan.iter().map(|a| a / 128).collect();
+            let chunks: std::collections::BTreeSet<u64> = self
+                .words
+                .keys()
+                .filter(|&&a| a >= DDR_BASE)
+                .map(|a| (a - DDR_BASE) / chunk_bytes)
+                .collect();
+            for &chunk in &chunks {
+                let base = DDR_BASE + chunk * chunk_bytes;
+                scan.extend((0..DDR_CHUNK_WORDS as u64).map(|w| base + w * WORD_BYTES));
+            }
+            let mut report = ScrubReport {
+                scanned_words: scan.len() as u64,
+                cycles: (scan.len() as u64).div_ceil(2)
+                    + (rows.len() as u64 + chunks.len() as u64 * chunk_bytes / 128) * 11,
+                ..ScrubReport::default()
+            };
+            for addr in scan {
+                let (_, corrected, uncorrectable) = self.decode(addr);
+                report.corrected += u64::from(corrected);
+                report.machine_checks += u64::from(uncorrectable);
+            }
+            self.stats.ecc_corrected += report.corrected;
+            self.stats.machine_checks += report.machine_checks;
+            report
+        }
+    }
+
+    #[test]
+    fn the_page_store_agrees_with_a_map_oracle() {
+        let page = EDRAM_PAGE_WORDS as u64 * WORD_BYTES;
+        let chunk = DDR_CHUNK_WORDS as u64 * WORD_BYTES;
+        let dimm_end = DDR_BASE + DIMM_BYTES;
+        let mut addrs = vec![
+            // Both ends of EDRAM and its page boundaries, touched out of
+            // address order so pages are inserted in the middle of the list.
+            0,
+            8,
+            EDRAM_SIZE - 8,
+            EDRAM_SIZE - page,
+            EDRAM_SIZE - page - 8,
+            // Two DDR chunks: the first and the DIMM's last.
+            DDR_BASE,
+            DDR_BASE + chunk - 8,
+            dimm_end - chunk,
+            dimm_end - 8,
+            // Every access path's error.
+            EDRAM_SIZE,
+            DDR_BASE - 8,
+            DDR_BASE + DDR_MAX_SIZE,
+            0x101,
+            DDR_BASE + 4,
+            dimm_end,
+        ];
+        for k in [1, 2, 3, 7, 100, 511, 600, 1023] {
+            addrs.extend([k * page - 8, k * page, k * page + 0x78, k * page + 0x80]);
+        }
+        // SplitMix64, seeded: the same few thousand operations every run.
+        let mut state = 0x5EED_0042u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut m = NodeMemory::with_128mb_dimm();
+        let mut oracle = Oracle::default();
+        for step in 0..3_000 {
+            // A quarter of the accesses land anywhere in the first 12
+            // pages, so the touched set grows runs with one-page holes.
+            let pick = next();
+            let addr = match pick % 4 {
+                0 => ((pick >> 8) % (12 * page)) & !7,
+                _ => addrs[((pick >> 8) % addrs.len() as u64) as usize],
+            };
+            let roll = next();
+            match roll % 100 {
+                0..=39 => assert_eq!(
+                    m.write_word(addr, roll),
+                    oracle.write_word(addr, roll),
+                    "step {step}: write {addr:#x}"
+                ),
+                40..=79 => assert_eq!(
+                    m.read_word(addr),
+                    oracle.read_word(addr),
+                    "step {step}: read {addr:#x}"
+                ),
+                80..=98 => {
+                    let flips = 1 + (roll >> 8) % 2;
+                    for f in 0..flips {
+                        let bit = ((roll >> (16 + 8 * f)) % 64) as u32;
+                        assert_eq!(
+                            m.flip_bit(addr, bit),
+                            oracle.flip_bit(addr, bit),
+                            "step {step}: flip {addr:#x} bit {bit}"
+                        );
+                    }
+                }
+                _ => assert_eq!(m.scrub(), oracle.scrub(), "step {step}: scrub"),
+            }
+            assert_eq!(m.stats(), oracle.stats, "step {step}: stats");
+            assert_eq!(m.machine_check(), oracle.machine_check, "step {step}");
+        }
+        assert_eq!(m.scrub(), oracle.scrub(), "final scrub");
     }
 
     #[test]

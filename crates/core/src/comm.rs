@@ -23,8 +23,8 @@ use qcdoc_telemetry::Phase;
 /// Top of the comm scratch, which grows down from here: first the four
 /// ring-step words, then, directly below them, the face staging of
 /// [`crate::distributed`]. Packed together, a node whose faces are small
-/// (a one-site block) keeps its whole comm footprint in one 8 kB EDRAM
-/// page. The application owns the memory below the staging.
+/// (a one-site block: 196 words) keeps its whole comm footprint in one
+/// 4 kB EDRAM page. The application owns the memory below the staging.
 pub(crate) const COMM_SCRATCH_TOP: u64 = qcdoc_asic::memory::EDRAM_SIZE - 64 * 1024;
 
 /// Ring-step staging words: what leaves toward ±axis, and what arrives

@@ -199,7 +199,8 @@ const STAGED: &str = "face staging lies in EDRAM";
 /// Staging layout inside EDRAM: 16 slots (8 send + 8 receive, one per
 /// signed direction), sized for the largest exchanged face, directly below
 /// the global sum's ring-step words (see [`crate::comm::COMM_SCRATCH_TOP`]),
-/// so a one-site node's faces and ring words share one EDRAM page.
+/// so a one-site node's faces and ring words share one 4 kB EDRAM page
+/// (~4.7 kB resident); a 4⁴ node's 768-word slots and the ring words span 25.
 struct Staging {
     base: u64,
     slot_bytes: u64,

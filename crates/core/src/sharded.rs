@@ -142,7 +142,7 @@ impl ShardedMachine {
 
     /// Override the worker-thread count (default: available parallelism).
     /// Nodes are partitioned contiguously: worker `w` of `W` drives ranks
-    /// `[w·n/W, (w+1)·n/W)`.
+    /// `[w·n/W, (w+1)·n/W)`. Worker 0 is the thread that calls `run`.
     pub fn with_workers(mut self, workers: usize) -> ShardedMachine {
         self.workers = workers.max(1);
         self
@@ -286,22 +286,37 @@ impl ShardedMachine {
         for (node, wires) in fabric.into_iter().enumerate() {
             shards[node * workers / n].push((node, wires));
         }
+        let drive = |worker: usize, shard: Vec<(usize, NodeWires)>| {
+            let caught = drive_shard(
+                shard,
+                &app,
+                &results,
+                &done,
+                &cfg,
+                &clock,
+                n,
+                &quiescence,
+                worker,
+            );
+            if let Some(payload) = caught {
+                panic_slot.lock().get_or_insert(payload);
+            }
+        };
+        // The calling thread drives shard 0 instead of idling in the join,
+        // so its nodes' state is freed back to the caller's own heap, where
+        // the caller's next allocations reuse it. A spawned worker's heap
+        // keeps what its nodes freed resident: glibc returns a thread heap's
+        // free top only once it reaches the trim threshold, and freeing a
+        // multi-MB field raises that threshold to twice the field's size.
         std::thread::scope(|scope| {
-            for (worker, shard) in shards.drain(..).enumerate() {
-                let app = &app;
-                let results = &results;
-                let done = &done;
-                let cfg = &cfg;
-                let clock = &clock;
-                let quiescence = &quiescence;
-                let panic_slot = &panic_slot;
-                scope.spawn(move || {
-                    if let Some(payload) =
-                        drive_shard(shard, app, results, done, cfg, clock, n, quiescence, worker)
-                    {
-                        panic_slot.lock().get_or_insert(payload);
-                    }
-                });
+            let mut shards = shards.into_iter().enumerate();
+            let first = shards.next();
+            for (worker, shard) in shards {
+                let drive = &drive;
+                scope.spawn(move || drive(worker, shard));
+            }
+            if let Some((worker, shard)) = first {
+                drive(worker, shard);
             }
         });
         if let Some(payload) = panic_slot.into_inner() {

@@ -35,6 +35,69 @@ pub const WINDOW: usize = 3;
 /// Capacity of the idle-receive holding register, in words (§2.2).
 const IDLE_HOLD: usize = 3;
 
+/// A first-in first-out register of at most `N` entries, held inline: the
+/// acknowledgement window and the idle-receive hold are hardware registers
+/// of a fixed depth, so a unit carries them without a heap allocation.
+#[derive(Clone, Copy)]
+struct Ring<T: Copy, const N: usize> {
+    slots: [T; N],
+    /// Slot of the oldest entry.
+    head: usize,
+    len: usize,
+}
+
+impl<T: Copy, const N: usize> Ring<T, N> {
+    /// An empty ring; `fill` only occupies the unused slots.
+    const fn new(fill: T) -> Ring<T, N> {
+        Ring {
+            slots: [fill; N],
+            head: 0,
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`th oldest entry.
+    fn get(&self, i: usize) -> T {
+        assert!(i < self.len, "ring index {i} past length {}", self.len);
+        self.slots[(self.head + i) % N]
+    }
+
+    fn front(&self) -> Option<T> {
+        (self.len > 0).then(|| self.slots[self.head])
+    }
+
+    fn push_back(&mut self, entry: T) {
+        assert!(self.len < N, "ring of {N} overflowed");
+        self.slots[(self.head + self.len) % N] = entry;
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<T> {
+        let entry = self.front()?;
+        self.head = (self.head + 1) % N;
+        self.len -= 1;
+        Some(entry)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+}
+
+impl<T: Copy + std::fmt::Debug, const N: usize> std::fmt::Debug for Ring<T, N> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Link protocol failures that are *not* handled by the hardware resend.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LinkError {
@@ -189,7 +252,7 @@ impl WireTap for NullTap {
 pub struct SendUnit {
     trained: bool,
     /// Unacknowledged data packets (front = oldest), each with its seq.
-    window: VecDeque<(u64, Packet)>,
+    window: Ring<(u64, Packet), WINDOW>,
     /// How many of the window entries have been put on the wire.
     in_flight: usize,
     /// Data packets waiting behind the window.
@@ -230,7 +293,7 @@ impl SendUnit {
     pub fn new() -> SendUnit {
         SendUnit {
             trained: false,
-            window: VecDeque::with_capacity(WINDOW),
+            window: Ring::new((0, Packet::Idle)),
             in_flight: 0,
             queue: VecDeque::new(),
             supervisor_queue: VecDeque::new(),
@@ -315,7 +378,7 @@ impl SendUnit {
         // Retransmission of a window entry not currently in flight
         // (rewound by a reject).
         if self.in_flight < self.window.len() {
-            let (seq, pkt) = self.window[self.in_flight];
+            let (seq, pkt) = self.window.get(self.in_flight);
             self.in_flight += 1;
             // Fresh packets enter the window already in flight, so reaching
             // here always means a go-back retransmission.
@@ -355,7 +418,7 @@ impl SendUnit {
     /// popping a later, still-unacknowledged word off the window.
     pub fn on_ack(&mut self, seq: u64) {
         let mut popped = false;
-        while self.window.front().is_some_and(|&(s, _)| s <= seq) {
+        while self.window.front().is_some_and(|(s, _)| s <= seq) {
             self.window.pop_front();
             self.in_flight = self.in_flight.saturating_sub(1);
             popped = true;
@@ -373,7 +436,8 @@ impl SendUnit {
         if self.dead {
             return;
         }
-        if let Some(pos) = self.window.iter().position(|&(s, _)| s == seq) {
+        let pos = self.window.iter().position(|(s, _)| s == seq);
+        if let Some(pos) = pos {
             // Only an actual rewind charges the retry budget: a stale
             // duplicate reject that finds the cursor already at (or
             // before) `pos` changes nothing and costs nothing.
@@ -569,7 +633,7 @@ struct CheckedBlock {
 pub struct RecvUnit {
     trained: bool,
     expected_seq: u64,
-    hold: VecDeque<(u64, u64)>,
+    hold: Ring<(u64, u64), IDLE_HOLD>,
     dma: Option<DmaEngine>,
     checksum: LinkChecksum,
     received_words: u64,
@@ -598,7 +662,7 @@ impl RecvUnit {
         RecvUnit {
             trained: false,
             expected_seq: 0,
-            hold: VecDeque::with_capacity(IDLE_HOLD),
+            hold: Ring::new((0, 0)),
             dma: None,
             checksum: LinkChecksum::default(),
             received_words: 0,

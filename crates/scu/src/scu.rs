@@ -70,11 +70,11 @@ struct BlockSend {
 /// The SCU of one node.
 #[derive(Debug)]
 pub struct Scu {
-    send: Vec<SendUnit>,
-    recv: Vec<RecvUnit>,
-    send_dma: Vec<Option<DmaEngine>>,
+    send: [SendUnit; LINKS],
+    recv: [RecvUnit; LINKS],
+    send_dma: [Option<DmaEngine>; LINKS],
     /// Checked-block state per direction (`None` = plain send).
-    block_send: Vec<Option<BlockSend>>,
+    block_send: [Option<BlockSend>; LINKS],
     /// Block verdict `(trailer_seq, ok)` owed to the reverse wire.
     outgoing_block: [Option<(u64, bool)>; LINKS],
     /// Bits of partition interrupts already seen (forwarded once each,
@@ -96,13 +96,14 @@ impl Default for Scu {
 }
 
 impl Scu {
-    /// A fresh SCU with all links untrained.
+    /// A fresh SCU with all links untrained. Every unit is held inline,
+    /// so a node's SCU costs no heap allocation until traffic needs one.
     pub fn new() -> Scu {
         Scu {
-            send: (0..LINKS).map(|_| SendUnit::new()).collect(),
-            recv: (0..LINKS).map(|_| RecvUnit::new()).collect(),
-            send_dma: (0..LINKS).map(|_| None).collect(),
-            block_send: (0..LINKS).map(|_| None).collect(),
+            send: std::array::from_fn(|_| SendUnit::new()),
+            recv: std::array::from_fn(|_| RecvUnit::new()),
+            send_dma: [None; LINKS],
+            block_send: [None; LINKS],
             outgoing_block: [None; LINKS],
             irq_seen: 0,
             outgoing_acks: [None; LINKS],

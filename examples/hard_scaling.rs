@@ -14,7 +14,7 @@
 //! (`qcdoc::core::ShardedMachine`) multiplexes all 12,288 onto a handful
 //! of workers, so the full machine boots, partitions, and solves for real. The measured points are exported in
 //! the v2 bench schema (`BENCH_full_machine.json`) and gated by the bench
-//! judge.
+//! judge, with the process's peak resident set as a report-only row.
 //!
 //! ```text
 //! cargo run --release --example hard_scaling
@@ -84,6 +84,19 @@ fn measured_point(
         "dimension-ordered sums must agree bitwise on all {nodes} nodes"
     );
     (nodes, outs[0].1, seconds)
+}
+
+/// The process's peak resident set (`VmHWM`) in MB (of 1024 kB). Read
+/// after the measured sweep, it is that of its largest point: the
+/// 12,288-node machine, every node's memory, SCU and future alive at once.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_ascii_whitespace().next()?.parse().ok())
+        .expect("VmHWM in /proc/self/status");
+    kb / 1024.0
 }
 
 fn main() {
@@ -184,6 +197,9 @@ fn main() {
     }
     reg.gauge_set("full_machine_nodes", &[], 12_288.0);
     reg.gauge_set("full_machine_segment_iterations", &[], SEG_ITERS as f64);
+    let peak_mb = peak_rss_mb();
+    reg.gauge_set("full_machine_peak_rss_mb", &[], peak_mb);
+    println!("\npeak resident set {peak_mb:.1} MB (the 12,288-node point)");
     let json = bench_summary_json("full_machine", &reg, &[]);
     std::fs::write("BENCH_full_machine.json", &json).expect("write BENCH_full_machine.json");
     println!(
