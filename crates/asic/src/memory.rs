@@ -11,7 +11,7 @@
 //! | region | base          | size                    |
 //! |--------|---------------|-------------------------|
 //! | EDRAM  | `0x0000_0000` | 4 MB (on-chip)          |
-//! | DDR    | `0x1000_0000` | configurable, ≤ 2 GB    |
+//! | DDR    | `0x1000_0000` | 128 MB DIMM (≤ 2 GB)    |
 //!
 //! Both regions are allocated lazily — EDRAM in 4 kB pages, DDR in 1 MB
 //! chunks — so the sharded engine can hold all 12,288 functional nodes of
@@ -134,10 +134,11 @@ impl<P> Pages<P> {
     }
 
     /// Index of `page` in `entries`, or where it would be inserted. The
-    /// entry as far from the last hit as `page` is from its page is tried
-    /// first: that is the last hit itself on a repeat, and the right entry
-    /// anywhere in a run of consecutive touched pages (a node's staging
-    /// area), so interleaved DMA streams find their pages without a search.
+    /// entry as many places past the last hit as `page` is pages past the
+    /// hit's page is tried first: that is the last hit itself on a repeat,
+    /// and the right entry anywhere in a run of consecutive touched pages
+    /// (a node's staging area), so interleaved DMA streams find their pages
+    /// without a search.
     fn find(&mut self, page: usize) -> Result<usize, usize> {
         if let Some(&(hit, _)) = self.entries.get(self.last) {
             let guess = self.last.wrapping_add(page.wrapping_sub(hit));
