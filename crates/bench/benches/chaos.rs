@@ -10,8 +10,10 @@
 //! the autonomic loop cannot silently erode. It then soaks the full
 //! 12,288-node machine once and asserts that soak's pinned event-log
 //! digest, so the placement search and health ingest at full scale
-//! cannot change a decision unseen. The criterion group then times one
-//! full soak for the dashboard.
+//! cannot change a decision unseen, and exports that soak's placement
+//! searches (gated: a search the scheduler need not repeat must stay
+//! skipped) and its wall time. The criterion group then times one full
+//! soak for the dashboard.
 
 use criterion::{black_box, criterion_group, Criterion};
 use qcdoc_bench::BenchRun;
@@ -21,7 +23,8 @@ use std::time::Instant;
 
 /// The full-machine soak of the end-to-end `control_plane` workload: the
 /// paper's `[8,8,6,4,4,2]` machine, 256 jobs, a strike every 22 ticks.
-fn full_machine_soak() {
+/// Its placement-search count and wall time join the chaos export.
+fn full_machine_soak(run: &mut BenchRun) {
     let cfg = ChaosConfig {
         seed: 0x50f5_647d_2380_309d,
         machine: TorusShape::new(&[8, 8, 6, 4, 4, 2]),
@@ -40,12 +43,15 @@ fn full_machine_soak() {
         "the full-machine soak's history moved: {report:?}"
     );
     println!(
-        "chaos full-machine PASS: digest {:#x}, {} events, {} requeues, {:.2}s wall",
-        report.event_digest, report.event_count, report.requeues, wall,
+        "chaos full-machine PASS: digest {:#x}, {} events, {} requeues, {} placement searches, \
+         {:.2}s wall",
+        report.event_digest, report.event_count, report.requeues, report.fit_searches, wall,
     );
+    run.gauge("chaos_fit_searches", report.fit_searches as f64);
+    run.gauge("chaos_full_machine_soak_seconds", wall);
 }
 
-fn smoke_check() {
+fn smoke_check() -> BenchRun {
     let cfg = ChaosConfig::default();
     let started = Instant::now();
     let report = run_chaos(cfg.clone());
@@ -99,7 +105,7 @@ fn smoke_check() {
         &report.requeue_latency,
     );
     run.gauge("chaos_soak_seconds", wall);
-    run.export();
+    run
 }
 
 fn soak(c: &mut Criterion) {
@@ -114,7 +120,8 @@ fn soak(c: &mut Criterion) {
 criterion_group!(benches, soak);
 
 fn main() {
-    smoke_check();
-    full_machine_soak();
+    let mut run = smoke_check();
+    full_machine_soak(&mut run);
+    run.export();
     benches();
 }

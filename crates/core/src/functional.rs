@@ -29,7 +29,7 @@ pub use qcdoc_fault::{FaultEvent, FaultPlan, HealthLedger};
 use qcdoc_geometry::{Axis, Direction, NodeCoord, NodeId, TorusShape};
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_scu::link::WireTap;
-use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg, LINKS};
+use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg};
 use qcdoc_scu::timing::transfer_cycles;
 use qcdoc_scu::{RetryPolicy, WireVerdict};
 use qcdoc_telemetry::{
@@ -445,7 +445,7 @@ impl NodeCtx {
     fn health_snapshot(&self) -> NodeHealth {
         let clock = self.tap.clock();
         let mem_stats = self.mem.stats();
-        let mut health = NodeHealth {
+        NodeHealth {
             node: self.id.0,
             liveness: if self.wedged {
                 Liveness::Wedged
@@ -454,32 +454,30 @@ impl NodeCtx {
             } else {
                 Liveness::Alive
             },
-            links: Vec::with_capacity(LINKS),
+            links: std::array::from_fn(|link| {
+                let send = self.scu.send_unit(link);
+                let recv = self.scu.recv_unit(link);
+                qcdoc_fault::LinkHealth {
+                    sent_words: send.sent_words(),
+                    received_words: recv.received_words(),
+                    resends: send.resends(),
+                    rejects: recv.rejects(),
+                    injected: self.tap.injected()[link],
+                    stall_cycles: 0,
+                    dead: clock.link_dead_from(self.id.0, link).is_some(),
+                    send_checksum: send.checksum().value(),
+                    recv_checksum: recv.checksum().value(),
+                    checksum_ok: None,
+                    backoff_waits: send.backoff_waits(),
+                    retry_exhausted: send.retry_exhausted(),
+                    block_rejects: recv.block_rejects(),
+                    block_resends: self.scu.block_resends(link),
+                }
+            }),
             mem_flips: self.mem_flips,
             ecc_corrected: mem_stats.ecc_corrected,
             machine_checks: mem_stats.machine_checks,
-        };
-        for link in 0..LINKS {
-            let send = self.scu.send_unit(link);
-            let recv = self.scu.recv_unit(link);
-            health.links.push(qcdoc_fault::LinkHealth {
-                sent_words: send.sent_words(),
-                received_words: recv.received_words(),
-                resends: send.resends(),
-                rejects: recv.rejects(),
-                injected: self.tap.injected()[link],
-                stall_cycles: 0,
-                dead: clock.link_dead_from(self.id.0, link).is_some(),
-                send_checksum: send.checksum().value(),
-                recv_checksum: recv.checksum().value(),
-                checksum_ok: None,
-                backoff_waits: send.backoff_waits(),
-                retry_exhausted: send.retry_exhausted(),
-                block_rejects: recv.block_rejects(),
-                block_resends: self.scu.block_resends(link),
-            });
         }
-        health
     }
 
     /// Stamp out one node: SCU training, retry policy, tap, telemetry

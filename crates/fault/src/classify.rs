@@ -135,9 +135,10 @@ impl std::fmt::Display for FailureClass {
 ///    [`FailureClass::Transient`];
 /// 7. a clean ledger → [`FailureClass::Unknown`].
 ///
-/// The walk reads every node, so the verdict is independent of *which*
+/// The walk reads every report, so the verdict is independent of *which*
 /// node carries the evidence — two ledgers with the same damage classify
-/// identically regardless of node order.
+/// identically regardless of node order. A node with no report is quiet
+/// and has no evidence to add.
 pub fn classify_ledger(ledger: &HealthLedger) -> FailureClass {
     let mut crashed = false;
     let mut dead_link = false;

@@ -2,6 +2,7 @@
 
 use qcdoc_geometry::{Axis, NodeId, TorusShape};
 use qcdoc_telemetry::MetricsRegistry;
+use std::borrow::Cow;
 
 /// Number of wire directions per node.
 const LINKS: usize = 12;
@@ -65,7 +66,7 @@ pub struct NodeHealth {
     /// Whether the node survived.
     pub liveness: Liveness,
     /// Per-wire health, indexed by `Direction::link_index` (0..12).
-    pub links: Vec<LinkHealth>,
+    pub links: [LinkHealth; LINKS],
     /// Memory soft-error bits injected into this node (raw injection
     /// count, before the ECC verdict splits them into corrected vs
     /// machine-checked).
@@ -80,11 +81,13 @@ pub struct NodeHealth {
 }
 
 impl NodeHealth {
-    fn new(node: u32) -> NodeHealth {
+    /// The report of a node with nothing to report: what a ledger reads
+    /// for a node that never reported.
+    pub fn quiet(node: u32) -> NodeHealth {
         NodeHealth {
             node,
             liveness: Liveness::Alive,
-            links: vec![LinkHealth::default(); LINKS],
+            links: [LinkHealth::default(); LINKS],
             mem_flips: 0,
             ecc_corrected: 0,
             machine_checks: 0,
@@ -218,23 +221,71 @@ impl HealthTotals {
 /// receiving neighbour's. A mismatch means a corruption slipped past the
 /// per-frame parity — exactly the failure the paper's checksums exist to
 /// catch.
+///
+/// A ledger describes a machine of [`HealthLedger::node_count`] nodes but
+/// holds reports only for the nodes that reported. A node without one
+/// reads as [`NodeHealth::quiet`], and every walk visits the reports
+/// alone, so evidence that names one node costs one node whatever the
+/// machine's size. An engine run reports every node, and there
+/// `nodes[r]` is rank `r`'s report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthLedger {
-    /// Per-node reports, indexed by rank.
+    /// The reports, in ascending rank order, at most one per node.
     pub nodes: Vec<NodeHealth>,
+    node_count: usize,
 }
 
 impl HealthLedger {
-    /// An empty ledger for `node_count` nodes.
+    /// An empty ledger for a machine of `node_count` nodes: every node
+    /// reads as quiet.
     pub fn new(node_count: usize) -> HealthLedger {
         HealthLedger {
-            nodes: (0..node_count as u32).map(NodeHealth::new).collect(),
+            nodes: Vec::new(),
+            node_count,
         }
     }
 
-    /// Mutable access to one node's report.
+    /// Nodes in the machine the ledger describes.
+    pub fn node_count(&self) -> usize {
+        self.node_count
+    }
+
+    /// Mutable access to one node's report, filing a quiet one if the
+    /// node has not reported yet. Panics for a node outside the machine.
     pub fn node_mut(&mut self, node: u32) -> &mut NodeHealth {
-        &mut self.nodes[node as usize]
+        assert!(
+            (node as usize) < self.node_count,
+            "node {node} is outside a {}-node ledger",
+            self.node_count
+        );
+        // A ledger every node reported to is indexed by rank.
+        let at = if self
+            .nodes
+            .get(node as usize)
+            .is_some_and(|n| n.node == node)
+        {
+            node as usize
+        } else {
+            match self.nodes.binary_search_by_key(&node, |n| n.node) {
+                Ok(at) => at,
+                Err(at) => {
+                    self.nodes.insert(at, NodeHealth::quiet(node));
+                    at
+                }
+            }
+        };
+        &mut self.nodes[at]
+    }
+
+    /// Every node's report in rank order, a quiet one standing in for
+    /// each node that has not reported.
+    fn every_node(&self) -> impl Iterator<Item = Cow<'_, NodeHealth>> {
+        let mut reports = self.nodes.iter().peekable();
+        (0..self.node_count as u32).map(move |node| {
+            reports
+                .next_if(|r| r.node == node)
+                .map_or_else(|| Cow::Owned(NodeHealth::quiet(node)), Cow::Borrowed)
+        })
     }
 
     /// Pair every wired send checksum with the receiving neighbour's
@@ -242,10 +293,15 @@ impl HealthLedger {
     /// whose axis is outside `shape.rank()` stays `None` (unwired).
     pub fn finalize(&mut self, shape: &TorusShape) {
         assert_eq!(
-            self.nodes.len(),
+            self.node_count,
             shape.node_count(),
             "ledger/shape size mismatch"
         );
+        // Pairing reads both ends of every wire, so every node gets a
+        // report, indexed by rank.
+        if self.nodes.len() < self.node_count {
+            self.nodes = self.every_node().map(Cow::into_owned).collect();
+        }
         let verdicts: Vec<(usize, usize, bool)> = self
             .nodes
             .iter()
@@ -368,7 +424,7 @@ impl HealthLedger {
     /// values, so re-ingesting the same ledger is idempotent. This is the
     /// one exporter of the per-wire `scu_link_*` series.
     pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        for n in &self.nodes {
+        for n in self.every_node() {
             n.export_metrics(reg);
         }
         self.totals().export_metrics(reg);
@@ -385,7 +441,8 @@ impl HealthLedger {
     /// count. Block rejects *are* hashed: the payload bursts that cause
     /// them strike fresh transmissions only, so their count is a pure
     /// function of the fault plan. Two same-seed runs must produce equal
-    /// fingerprints.
+    /// fingerprints. A node that never reported hashes as a quiet one, so
+    /// the digest does not depend on which quiet nodes filed a report.
     pub fn fingerprint(&self) -> u64 {
         let mut h: u64 = 0xCBF2_9CE4_8422_2325;
         let mut eat = |v: u64| {
@@ -394,7 +451,7 @@ impl HealthLedger {
                 h = h.wrapping_mul(0x100_0000_01B3);
             }
         };
-        for n in &self.nodes {
+        for n in self.every_node() {
             eat(u64::from(n.node));
             eat(match n.liveness {
                 Liveness::Alive => 0,

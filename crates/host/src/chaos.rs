@@ -159,6 +159,9 @@ pub struct ChaosReport {
     pub event_digest: u64,
     /// Number of scheduler events.
     pub event_count: usize,
+    /// Placement searches the scheduler ran
+    /// ([`Scheduler::fit_searches`], summed across a restart).
+    pub fit_searches: u64,
     /// Whether the scheduler drained to `Done` (every job terminal).
     pub drained: bool,
 }
@@ -225,9 +228,8 @@ fn shape_menu(machine: &TorusShape) -> Vec<ShapeRequest> {
 }
 
 /// Synthesize the health evidence one fault family leaves behind, aimed
-/// at `victim`. Returns the ledger and the class the harness *expects*
-/// [`classify_ledger`] to assign (asserted by the property tests).
-fn evidence_for(family: u64, victim: u32, node_count: usize, tick: u64) -> HealthLedger {
+/// at `victim`: a ledger with one report, the victim's.
+pub(crate) fn evidence_for(family: u64, victim: u32, node_count: usize, tick: u64) -> HealthLedger {
     let mut ledger = HealthLedger::new(node_count);
     let nh = ledger.node_mut(victim);
     match family {
@@ -345,6 +347,7 @@ impl Soak {
             restart_log_resumed: None,
             event_digest: 0,
             event_count: 0,
+            fit_searches: 0,
             drained: false,
         };
         Soak {
@@ -559,6 +562,7 @@ impl Soak {
             .iter()
             .map(|e| format!("{e:?}"))
             .collect();
+        self.report.fit_searches += self.sched.fit_searches();
         let bytes = self.sched.save_state();
         self.vault
             .store(STATE_JOB, &bytes)
@@ -716,6 +720,7 @@ impl Soak {
         self.report.capacity_end = census.allocatable();
         self.report.event_digest = digest;
         self.report.event_count = self.sched.events().len();
+        self.report.fit_searches += self.sched.fit_searches();
         self.report.drained = self.sched.jobs().all(|j| {
             matches!(
                 j.status,

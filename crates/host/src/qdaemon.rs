@@ -16,8 +16,10 @@
 
 use crate::ethernet::{EthernetTree, BOOT_PACKET_BYTES};
 use crate::kernel::RunKernel;
-use qcdoc_geometry::{NodeId, Partition, PartitionError, PartitionSpec, TorusShape};
+use qcdoc_fault::NodeHealth;
+use qcdoc_geometry::{NodeId, OccupancyMap, Partition, PartitionError, PartitionSpec, TorusShape};
 use qcdoc_telemetry::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry, HOST_NODE};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Boot-packet counts from §3.1.
@@ -125,7 +127,11 @@ const RETAINED_OUTPUT_CAP: usize = 64;
 pub struct Qdaemon {
     machine: TorusShape,
     kernels: Vec<RunKernel>,
+    /// Every node's state. Written only through `set_state`, which keeps
+    /// `occupancy` in step.
     pub(crate) states: Vec<NodeState>,
+    /// The scheduler's view of `states`: taken = not `Ready`.
+    occupancy: OccupancyMap,
     /// Times each node has been condemned (entered `Faulty`) — the
     /// repair pipeline's sticky-blacklist evidence.
     pub(crate) convictions: Vec<u32>,
@@ -163,6 +169,7 @@ impl Qdaemon {
             ethernet: EthernetTree::for_machine(n),
             kernels: (0..n).map(|_| RunKernel::new()).collect(),
             states: vec![NodeState::PoweredOn; n],
+            occupancy: OccupancyMap::from_mask(machine.clone(), vec![true; n]),
             convictions: vec![0; n],
             repaired: vec![false; n],
             repair: crate::repair::RepairPipeline::default(),
@@ -188,6 +195,14 @@ impl Qdaemon {
         self.states[node.index()]
     }
 
+    /// Move one node to `state`, and mark it taken in the occupancy map
+    /// unless it is `Ready`.
+    fn set_state(&mut self, node: usize, state: NodeState) {
+        self.states[node] = state;
+        self.occupancy
+            .set_taken(NodeId(node as u32), state != NodeState::Ready);
+    }
+
     /// Boot the whole machine. `faulty` lists nodes whose hardware test
     /// fails (fault injection for tests; empty on a healthy machine).
     pub fn boot(&mut self, faulty: &[u32]) -> BootReport {
@@ -199,11 +214,11 @@ impl Qdaemon {
         let mut bad = Vec::new();
         for node in 0..n {
             if faulty.contains(&(node as u32)) {
-                self.states[node] = NodeState::Faulty;
+                self.set_state(node, NodeState::Faulty);
                 bad.push(node as u32);
                 continue;
             }
-            self.states[node] = NodeState::BootKernel;
+            self.set_state(node, NodeState::BootKernel);
         }
         // Phase 2: run kernel over standard Ethernet; SCU init.
         for node in 0..n {
@@ -212,7 +227,7 @@ impl Qdaemon {
             }
             self.packets_sent += RUN_KERNEL_PACKETS;
             self.kernels[node].finish_hardware_test();
-            self.states[node] = NodeState::Ready;
+            self.set_state(node, NodeState::Ready);
         }
         // Timing: both kernel loads ride the Ethernet capacity model.
         let bytes_per_node = (BOOT_KERNEL_PACKETS + RUN_KERNEL_PACKETS + 1) * BOOT_PACKET_BYTES;
@@ -252,7 +267,7 @@ impl Qdaemon {
         let id = self.next_partition_id;
         self.next_partition_id += 1;
         for &m in &members {
-            self.states[m.index()] = NodeState::Busy { partition: id };
+            self.set_state(m.index(), NodeState::Busy { partition: id });
         }
         self.allocations.insert(
             id,
@@ -301,7 +316,7 @@ impl Qdaemon {
             for i in 0..a.partition.node_count() {
                 let m = a.partition.physical_id(NodeId(i as u32));
                 if self.states[m.index()] == (NodeState::Busy { partition: id }) {
-                    self.states[m.index()] = NodeState::Ready;
+                    self.set_state(m.index(), NodeState::Ready);
                 }
             }
             if !a.job_output.is_empty() {
@@ -335,7 +350,7 @@ impl Qdaemon {
                     node.0 as u64,
                     self.convictions[node.index()] as u64,
                 );
-                self.states[node.index()] = NodeState::Faulty;
+                self.set_state(node.index(), NodeState::Faulty);
             }
         }
     }
@@ -354,7 +369,7 @@ impl Qdaemon {
         match self.states[node.index()] {
             NodeState::Faulty => {
                 let cleared = self.convictions[node.index()];
-                self.states[node.index()] = NodeState::Ready;
+                self.set_state(node.index(), NodeState::Ready);
                 self.repaired[node.index()] = true;
                 self.convictions[node.index()] = 0;
                 self.repair.forget(node.0);
@@ -385,7 +400,7 @@ impl Qdaemon {
     /// repair pipeline never re-admits it). Idempotent.
     pub fn blacklist(&mut self, node: NodeId) {
         if self.states[node.index()] != NodeState::Blacklisted {
-            self.states[node.index()] = NodeState::Blacklisted;
+            self.set_state(node.index(), NodeState::Blacklisted);
             self.repaired[node.index()] = false;
             self.repair.forget(node.0);
             self.flight.record(
@@ -413,25 +428,22 @@ impl Qdaemon {
     /// Ethernet capacity model.
     ///
     /// A ledger that does not describe this machine — the wrong number
-    /// of nodes, or a report filed under another node's rank — is
+    /// of nodes, or reports out of rank order or beyond the machine — is
     /// refused with a [`SweepError`] and the daemon is left untouched.
     pub fn ingest_health(
         &mut self,
         ledger: &qcdoc_fault::HealthLedger,
     ) -> Result<HealthReport, SweepError> {
         let machine = self.machine.node_count();
-        if ledger.nodes.len() != machine {
+        if ledger.node_count() != machine {
             return Err(SweepError::WrongSize {
-                nodes: ledger.nodes.len(),
+                nodes: ledger.node_count(),
                 machine,
             });
         }
-        if let Some((index, nh)) = ledger
-            .nodes
-            .iter()
-            .enumerate()
-            .find(|(i, nh)| nh.node as usize != *i)
-        {
+        if let Some((index, nh)) = ledger.nodes.iter().enumerate().find(|&(i, nh)| {
+            nh.node as usize >= machine || (i > 0 && ledger.nodes[i - 1].node >= nh.node)
+        }) {
             return Err(SweepError::Misnumbered {
                 index,
                 node: nh.node,
@@ -453,8 +465,17 @@ impl Qdaemon {
         // re-ingesting a sweep changes nothing and the scrape shows one
         // consistent view of the machine. A quiet node merges nothing and
         // exports four zeros, so it is skipped once the registry holds
-        // those zeros: the registry always equals a full export.
-        for (node, nh) in ledger.nodes.iter().enumerate() {
+        // those zeros: the walk visits the nodes that reported and the
+        // loud ones whose gauges a quiet reading must clear, and the
+        // registry always equals a full export.
+        let mut reports = ledger.nodes.iter().peekable();
+        for node in 0..machine {
+            let report = reports.next_if(|r| r.node as usize == node);
+            if report.is_none() && !self.loud[node] {
+                continue;
+            }
+            let nh =
+                report.map_or_else(|| Cow::Owned(NodeHealth::quiet(node as u32)), Cow::Borrowed);
             let quiet = nh.is_quiet();
             if quiet && !self.loud[node] {
                 continue;
@@ -582,14 +603,8 @@ impl qcdoc_sched::MeshHost for Qdaemon {
         &self.machine
     }
 
-    fn occupancy(&self) -> qcdoc_geometry::OccupancyMap {
-        let mut map = qcdoc_geometry::OccupancyMap::new(self.machine.clone());
-        for (i, s) in self.states.iter().enumerate() {
-            if *s != NodeState::Ready {
-                map.set_taken(NodeId(i as u32), true);
-            }
-        }
-        map
+    fn occupancy(&self) -> OccupancyMap {
+        self.occupancy.clone()
     }
 
     fn place(&mut self, spec: &PartitionSpec) -> Result<qcdoc_sched::Placement, String> {
@@ -634,17 +649,17 @@ impl HealthReport {
 /// Why a health sweep was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
-    /// The ledger reports on a different number of nodes than the
-    /// machine has.
+    /// The ledger describes a machine with a different number of nodes.
     WrongSize {
-        /// Node reports in the ledger.
+        /// Nodes in the machine the ledger describes.
         nodes: usize,
         /// Nodes in the machine.
         machine: usize,
     },
-    /// The report at ledger position `index` names another node.
+    /// The report at ledger position `index` names a node outside the
+    /// machine, or one at or below the rank of the report before it.
     Misnumbered {
-        /// Position in the ledger, which is the node's rank.
+        /// Position in the ledger's reports.
         index: usize,
         /// The node the report names.
         node: u32,
@@ -970,7 +985,7 @@ mod tests {
 
     #[test]
     fn sparse_health_export_equals_a_full_export_after_every_sweep() {
-        use qcdoc_fault::{HealthLedger, Liveness};
+        use qcdoc_fault::{classify_ledger, convicted_nodes, HealthLedger, Liveness};
         for seed in 0..4u64 {
             // SplitMix64 draws.
             let mut state = seed;
@@ -1034,6 +1049,54 @@ mod tests {
                 );
             }
         }
+
+        // A ledger holding reports for the named nodes alone reads
+        // exactly like one every node reported to: chaos's five evidence
+        // families, and one ledger naming several nodes.
+        let n = small_machine().node_count();
+        let mut several = HealthLedger::new(n);
+        several.node_mut(17).links[7].dead = true;
+        several.node_mut(3).links[1].resends = 2;
+        several.node_mut(30).liveness = Liveness::Wedged;
+        several.node_mut(8).ecc_corrected = 1;
+        several.node_mut(3).links[4].checksum_ok = Some(false);
+        let sparse_ledgers = (0..5)
+            .map(|family| crate::chaos::evidence_for(family, 5 + 6 * family as u32, n, 40 + family))
+            .chain([several]);
+        for (i, sparse) in sparse_ledgers.enumerate() {
+            let mut full = sparse.clone();
+            for node in 0..n as u32 {
+                full.node_mut(node);
+            }
+            assert!(
+                sparse.nodes.len() < n && full.nodes.len() == n,
+                "ledger {i}"
+            );
+            assert_eq!(
+                classify_ledger(&sparse),
+                classify_ledger(&full),
+                "ledger {i}"
+            );
+            assert_eq!(
+                convicted_nodes(&sparse),
+                convicted_nodes(&full),
+                "ledger {i}"
+            );
+            assert_eq!(sparse.culprit_nodes(), full.culprit_nodes(), "ledger {i}");
+            assert_eq!(sparse.totals(), full.totals(), "ledger {i}");
+            assert_eq!(sparse.fingerprint(), full.fingerprint(), "ledger {i}");
+            // Ingested twice into a fresh daemon: the first sweep clears
+            // every node the ledger leaves out, the second re-exports
+            // only what it names.
+            let ingest = |ledger: &HealthLedger| {
+                let mut q = Qdaemon::new(small_machine());
+                q.boot(&[]);
+                let first = q.ingest_health(ledger).unwrap().quarantined;
+                let second = q.ingest_health(ledger).unwrap().quarantined;
+                (first, second, q.scrape())
+            };
+            assert_eq!(ingest(&sparse), ingest(&full), "ledger {i}");
+        }
     }
 
     #[test]
@@ -1066,6 +1129,9 @@ mod tests {
         );
         // Right size, but one report is filed under another rank.
         let mut misfiled = HealthLedger::new(32);
+        for n in 0..32 {
+            misfiled.node_mut(n);
+        }
         misfiled.nodes[4].node = 200;
         misfiled.node_mut(9).liveness = Liveness::Wedged;
         let err = q.ingest_health(&misfiled).unwrap_err();

@@ -15,7 +15,9 @@
 //! 3. **Packing** — the first acceptable shape with a feasible
 //!    placement wins; placements come from
 //!    [`qcdoc_geometry::OccupancyMap::best_fit`], the snug-corner
-//!    heuristic that keeps the free mesh compact.
+//!    heuristic that keeps the free mesh compact. A pass never repeats a
+//!    search that failed on the same occupancy, headroom and `avoid` set:
+//!    it would fail again.
 //! 4. **Preemption** — a job that cannot fit may evict *strictly
 //!    lower* priority, preemptible jobs, fewest victims first. An
 //!    evicted job keeps its place in the accounting, its remaining
@@ -214,6 +216,25 @@ pub enum StepOutcome {
     Stuck,
 }
 
+/// What the scheduler remembers of placement searches that found
+/// nothing. A search ([`Scheduler::find_fit`]) is a pure function of the
+/// occupancy bits, the job's shapes and `avoid` set, and its tenant's
+/// headroom, and a job's shapes never change; so a search whose inputs
+/// all equal those of a failed one would fail again, and a pass skips it.
+#[derive(Debug, Default)]
+pub(crate) struct FitMemory {
+    /// The occupancy the last pass ended on.
+    seen: Option<OccupancyMap>,
+    /// Names the occupancy a search reads. Bumped by every placement and
+    /// eviction of a pass, and at the start of a pass whose mesh differs
+    /// from `seen` — completions, failures, quarantine, repair returning
+    /// nodes: anything that moved the mesh between passes.
+    generation: u64,
+    /// Per job: the generation, headroom and `avoid` set of its latest
+    /// search that failed.
+    failed: BTreeMap<u64, (u64, usize, Vec<u32>)>,
+}
+
 /// The multi-tenant job scheduler for one machine.
 ///
 /// Fields are crate-visible so the [`crate::state`] codec can snapshot
@@ -231,6 +252,12 @@ pub struct Scheduler {
     pub(crate) clock: u64,
     pub(crate) next_id: u64,
     pub(crate) decisions: u64,
+    /// Placement searches run (`find_fit` calls), since this scheduler
+    /// was built or restored.
+    pub(crate) fit_searches: u64,
+    /// Failed searches a pass need not repeat. Not part of the snapshot:
+    /// a restored scheduler starts with an empty memory.
+    pub(crate) fits: FitMemory,
     pub(crate) preemptions: u64,
     pub(crate) busy_node_ticks: u64,
     /// Node·ticks of delivered service later rolled back by failures —
@@ -260,6 +287,8 @@ impl Scheduler {
             clock: 0,
             next_id: 0,
             decisions: 0,
+            fit_searches: 0,
+            fits: FitMemory::default(),
             preemptions: 0,
             busy_node_ticks: 0,
             wasted_node_ticks: 0,
@@ -298,6 +327,13 @@ impl Scheduler {
     /// Placement attempts made so far.
     pub fn decisions(&self) -> u64 {
         self.decisions
+    }
+
+    /// Placement searches run so far: the attempts whose inputs differed
+    /// from those of an earlier failed search, plus every trial search of
+    /// preemption. Counts from zero again after a restore.
+    pub fn fit_searches(&self) -> u64 {
+        self.fit_searches
     }
 
     /// Preemptions performed so far.
@@ -527,32 +563,30 @@ impl Scheduler {
     }
 
     /// Pending ids in dispatch order (see the module docs for the key).
+    /// Each job's key is read once, not once per comparison.
     fn dispatch_order(&self) -> Vec<u64> {
-        let mut shares: BTreeMap<&str, f64> = BTreeMap::new();
-        for (name, (cfg, stats)) in &self.tenants {
-            shares.insert(name.as_str(), stats.share(cfg));
-        }
-        let mut order = self.pending.clone();
-        order.sort_by(|a, b| {
-            let ja = &self.jobs[a];
-            let jb = &self.jobs[b];
-            let key = |j: &JobRecord, id: u64| {
-                (
+        let mut keyed: Vec<_> = self
+            .pending
+            .iter()
+            .map(|&id| {
+                let job = &self.jobs[&id];
+                let share = self
+                    .tenants
+                    .get(&job.spec.tenant)
+                    .map_or(0.0, |(cfg, stats)| stats.share(cfg));
+                let class = (
                     std::cmp::Reverse(self.is_starving(id)),
-                    std::cmp::Reverse(j.spec.priority),
-                )
-            };
-            key(ja, *a)
-                .cmp(&key(jb, *b))
-                .then_with(|| {
-                    let sa = shares.get(ja.spec.tenant.as_str()).copied().unwrap_or(0.0);
-                    let sb = shares.get(jb.spec.tenant.as_str()).copied().unwrap_or(0.0);
-                    sa.total_cmp(&sb)
-                })
-                .then_with(|| ja.submitted_at.cmp(&jb.submitted_at))
-                .then_with(|| a.cmp(b))
+                    std::cmp::Reverse(job.spec.priority),
+                );
+                (class, share, job.submitted_at, id)
+            })
+            .collect();
+        keyed.sort_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| a.1.total_cmp(&b.1))
+                .then_with(|| (a.2, a.3).cmp(&(b.2, b.3)))
         });
-        order
+        keyed.into_iter().map(|(.., id)| id).collect()
     }
 
     /// Nodes the tenant holds right now.
@@ -605,6 +639,34 @@ impl Scheduler {
         None
     }
 
+    /// A pass's search for `id`: [`Scheduler::find_fit`], unless the
+    /// job's latest failed search had these very inputs (see
+    /// [`FitMemory`]) and so this one would fail too.
+    fn search(
+        &mut self,
+        occ: &OccupancyMap,
+        id: u64,
+        headroom: usize,
+    ) -> Option<(usize, PartitionSpec)> {
+        let job = &self.jobs[&id];
+        let generation = self.fits.generation;
+        let repeat =
+            self.fits.failed.get(&id).is_some_and(|(g, h, avoid)| {
+                (*g, *h) == (generation, headroom) && *avoid == job.avoid
+            });
+        if repeat {
+            return None;
+        }
+        self.fit_searches += 1;
+        let fit = self.find_fit(occ, job);
+        if fit.is_none() {
+            self.fits
+                .failed
+                .insert(id, (generation, headroom, job.avoid.clone()));
+        }
+        fit
+    }
+
     /// Commit a placement: mesh allocation, occupancy update, job and
     /// tenant bookkeeping, event log.
     fn commit_placement(
@@ -620,6 +682,7 @@ impl Scheduler {
             Err(_) => return false,
         };
         occ.occupy_spec(&spec);
+        self.fits.generation += 1;
         let job = self.jobs.get_mut(&id).expect("pending job exists");
         let resumed = job.preemptions > 0 || job.retries > 0;
         let nodes = placement.logical.node_count();
@@ -683,6 +746,7 @@ impl Scheduler {
         let jid = job.id;
         mesh.vacate(placement.partition);
         occ.vacate_box(placement.origin, &extents);
+        self.fits.generation += 1;
         let stats = &mut self.tenants.get_mut(&tenant).expect("tenant exists").1;
         stats.running_nodes -= nodes;
         stats.preemptions += 1;
@@ -738,6 +802,7 @@ impl Scheduler {
             let extents = &j.spec.shapes[placement.shape_index].extents;
             trial.vacate_box(placement.origin, extents);
             chosen.push(victim);
+            self.fit_searches += 1;
             if let Some((shape_index, spec)) = self.find_fit(&trial, &self.jobs[&id]) {
                 // Commit: evict exactly the chosen victims, then place.
                 let by = self.jobs[&id].id;
@@ -794,6 +859,9 @@ impl Scheduler {
     pub fn schedule(&mut self, mesh: &mut dyn MeshHost) {
         self.release_expired_holds();
         let mut occ = mesh.occupancy();
+        if self.fits.seen.as_ref() != Some(&occ) {
+            self.fits.generation += 1;
+        }
         let order = self.dispatch_order();
         let mut attempts = 0usize;
         let mut barrier = false;
@@ -833,7 +901,7 @@ impl Scheduler {
             }
             attempts += 1;
             self.decisions += 1;
-            if let Some((shape_index, spec)) = self.find_fit(&occ, &self.jobs[&id]) {
+            if let Some((shape_index, spec)) = self.search(&occ, id, headroom) {
                 if self.commit_placement(mesh, &mut occ, id, shape_index, spec) {
                     continue;
                 }
@@ -851,6 +919,7 @@ impl Scheduler {
                 barrier = true;
             }
         }
+        self.fits.seen = Some(occ);
     }
 
     /// Ticks until the earliest running job completes.

@@ -684,6 +684,8 @@ impl Scheduler {
             clock,
             next_id,
             decisions,
+            fit_searches: 0,
+            fits: Default::default(),
             preemptions,
             busy_node_ticks,
             wasted_node_ticks,

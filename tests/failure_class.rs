@@ -133,7 +133,9 @@ proptest! {
         let convicted = convicted_nodes(&ledger);
         if pinned_class(&kind) == FailureClass::Transient {
             prop_assert!(convicted.is_empty(), "healed traffic convicts nobody");
-        } else if !matches!(kind, FaultKind::MemDoubleFlip { .. }) || ledger.nodes[victim as usize].machine_checks > 0 {
+        } else if !matches!(kind, FaultKind::MemDoubleFlip { .. })
+            || ledger.nodes.iter().any(|n| n.node == victim && n.machine_checks > 0)
+        {
             prop_assert!(convicted.contains(&victim), "{convicted:?}");
         }
     }

@@ -16,14 +16,15 @@
 //!   resumed on a *different partition shape*, producing a solution
 //!   bit-identical to the uninterrupted run.
 
-use qcdoc::geometry::TorusShape;
+use qcdoc::fault::FailureClass;
+use qcdoc::geometry::{NodeCoord, NodeId, TorusShape};
 use qcdoc::host::Qdaemon;
 use qcdoc::lattice::checkpoint::{read_checkpoint, write_checkpoint};
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc::lattice::solver::{resume_cgne, solve_cgne_checkpointed, CgParams};
 use qcdoc::lattice::wilson::WilsonDirac;
 use qcdoc::sched::{
-    JobSpec, JobStatus, Priority, SchedConfig, SchedEvent, Scheduler, ShapeRequest, SimMesh,
+    JobId, JobSpec, JobStatus, Priority, SchedConfig, SchedEvent, Scheduler, ShapeRequest, SimMesh,
     TenantConfig,
 };
 use qcdoc::telemetry::FlightDumpGuard;
@@ -353,4 +354,150 @@ fn preempted_cg_resumes_on_a_different_shape_bit_identically() {
     assert!(sched.drain(&mut q, 10_000));
     assert_eq!(sched.job(cg).unwrap().status, JobStatus::Completed);
     assert_eq!(q.census().ready, 16);
+}
+
+/// Nodes of the `[4,2,2,2,1,1]` machine in the slab `y` (axis 1).
+fn slab(machine: &TorusShape, y: usize) -> Vec<NodeId> {
+    machine
+        .coords()
+        .filter(|c| c.get(1) == y)
+        .map(|c| machine.rank_of(c))
+        .collect()
+}
+
+/// Tick and origin rank of a job's latest placement, if it has one.
+fn placed(sched: &Scheduler, id: JobId) -> Option<(u64, u32)> {
+    let at = sched.events().iter().rev().find_map(|e| match e {
+        SchedEvent::Started { job, at, .. } | SchedEvent::Resumed { job, at, .. } if *job == id => {
+            Some(*at)
+        }
+        _ => None,
+    })?;
+    let origin = sched.job(id)?.placement.as_ref()?.origin;
+    Some((at, sched.machine().rank_of(origin).0))
+}
+
+/// One tick of the host: the repair pipeline (every burn-in passes), then
+/// the scheduler's clock.
+fn tick(sched: &mut Scheduler, q: &mut Qdaemon) {
+    q.repair_admit();
+    q.repair_tick(&mut |_| true);
+    sched.advance(1, q);
+}
+
+/// A scheduling pass skips a placement search only when its inputs equal
+/// those of one that failed. Each case changes one input and nothing
+/// else, so a job that could not fit must place on the very tick the
+/// input changes, at the origin a search with no memory picks.
+#[test]
+fn the_search_memory_forgets_what_changed() {
+    let machine = TorusShape::new(&[4, 2, 2, 2, 1, 1]);
+    // 16 nodes: one y-slab. 8 nodes: a full x-y plane at one (z, w).
+    let slab_box = || shape(&[4, 1, 2, 2, 1, 1], &[&[0], &[2], &[3]]);
+    let plane_box = || shape(&[4, 2, 1, 1, 1, 1], &[&[0], &[1]]);
+    let job = |tenant: &str, priority, shapes| JobSpec {
+        tenant: tenant.into(),
+        priority,
+        shapes,
+        work: 1_000,
+        preemptible: true,
+    };
+    let boot = || {
+        let mut q = Qdaemon::new(machine.clone());
+        q.boot(&[]);
+        let mut sched = Scheduler::new(machine.clone(), SchedConfig::default());
+        sched.add_tenant("t", TenantConfig::default());
+        (sched, q)
+    };
+
+    // 1. Repair returns nodes, a mesh change the scheduler did not make.
+    let (mut sched, mut q) = boot();
+    q.mark_faulty(slab(&machine, 0)[5]);
+    q.mark_faulty(slab(&machine, 1)[9]);
+    let j = sched
+        .submit(job("t", Priority::Standard, vec![slab_box()]))
+        .unwrap();
+    while placed(&sched, j).is_none() && sched.clock() < 100 {
+        tick(&mut sched, &mut q);
+    }
+    assert_eq!(placed(&sched, j), Some((12, 0)), "after repair");
+
+    // 2. The avoid set changes, while the job waits preempted.
+    let (mut sched, mut q) = boot();
+    let j = sched
+        .submit(job("t", Priority::Scavenger, vec![slab_box()]))
+        .unwrap();
+    sched.schedule(&mut q);
+    assert_eq!(placed(&sched, j), Some((0, 0)));
+    let first: Vec<u32> = slab(&machine, 0).iter().map(|n| n.0).collect();
+    sched.fail_job(j, FailureClass::DeadLink, &first, &mut q);
+    while sched.job(j).unwrap().status != JobStatus::Running {
+        sched.advance(1, &mut q);
+    }
+    assert_eq!(
+        placed(&sched, j),
+        Some((4, 4)),
+        "requeued outside the avoid set"
+    );
+    // Slab 0 goes out of service; a production job preempts its way into
+    // slab 1, and the job waits with slab 0 avoided.
+    q.mark_faulty(slab(&machine, 0)[5]);
+    let p = sched
+        .submit(job("t", Priority::Production, vec![slab_box()]))
+        .unwrap();
+    sched.schedule(&mut q);
+    assert_eq!(placed(&sched, p), Some((4, 4)));
+    assert_eq!(sched.job(j).unwrap().status, JobStatus::Preempted);
+    // Repair returns slab 0, but the job still avoids it.
+    for _ in 0..20 {
+        tick(&mut sched, &mut q);
+    }
+    assert_eq!(q.census().faulty, 0);
+    assert_eq!(sched.job(j).unwrap().status, JobStatus::Preempted);
+    // A storage fault strikes the parked job: it serves a hold-off and
+    // comes back with an empty avoid set, on an unchanged mesh.
+    sched.fail_job(j, FailureClass::Storage, &[], &mut q);
+    while placed(&sched, j).is_none_or(|(at, _)| at == 4) && sched.clock() < 100 {
+        sched.advance(1, &mut q);
+    }
+    assert_eq!(
+        placed(&sched, j),
+        Some((32, 0)),
+        "after the avoid set changed"
+    );
+
+    // 3. The tenant's headroom changes. The tenant holds 8 of its 16
+    // nodes of quota, so only the plane fits its headroom, and no plane
+    // is free: the tenant's first job holds slab 0 at w = 0, and slab 0
+    // has a node out at each z of w = 1. With more quota the slab box
+    // fits in slab 1.
+    let (mut sched, mut q) = boot();
+    let quota = |node_quota| TenantConfig {
+        node_quota,
+        ..TenantConfig::default()
+    };
+    sched.add_tenant("small", quota(16));
+    let half_slab = shape(&[4, 1, 2, 1, 1, 1], &[&[0], &[2]]);
+    let k = sched
+        .submit(job("small", Priority::Standard, vec![half_slab]))
+        .unwrap();
+    sched.schedule(&mut q);
+    assert_eq!(placed(&sched, k), Some((0, 0)));
+    for z in 0..2 {
+        q.mark_faulty(machine.rank_of(NodeCoord::from_slice(&[0, 0, z, 1, 0, 0])));
+    }
+    let j = sched
+        .submit(job(
+            "small",
+            Priority::Standard,
+            vec![slab_box(), plane_box()],
+        ))
+        .unwrap();
+    for _ in 0..3 {
+        sched.advance(1, &mut q);
+    }
+    assert_eq!(placed(&sched, j), None);
+    sched.add_tenant("small", quota(32));
+    sched.advance(1, &mut q);
+    assert_eq!(placed(&sched, j), Some((4, 4)), "after the quota grew");
 }
