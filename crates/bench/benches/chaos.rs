@@ -10,10 +10,11 @@
 //! the autonomic loop cannot silently erode. It then soaks the full
 //! 12,288-node machine once and asserts that soak's pinned event-log
 //! digest, so the placement search and health ingest at full scale
-//! cannot change a decision unseen, and exports that soak's placement
-//! searches (gated: a search the scheduler need not repeat must stay
-//! skipped) and its wall time. The criterion group then times one full
-//! soak for the dashboard.
+//! cannot change a decision unseen, and its pinned registry digest, so no
+//! series of the daemon's registry moves unseen. It exports that soak's
+//! placement searches (gated: a search the scheduler need not repeat must
+//! stay skipped) and its wall time. The criterion group then times one
+//! full soak for the dashboard.
 
 use criterion::{black_box, criterion_group, Criterion};
 use qcdoc_bench::BenchRun;
@@ -42,10 +43,19 @@ fn full_machine_soak(run: &mut BenchRun) {
         (0xb7d9_9983_19b2_7050, 821, 15),
         "the full-machine soak's history moved: {report:?}"
     );
+    assert_eq!(
+        report.registry_digest, 0x8339_afa4_8fc3_1cad,
+        "the full-machine soak's registry moved: {report:?}"
+    );
     println!(
-        "chaos full-machine PASS: digest {:#x}, {} events, {} requeues, {} placement searches, \
-         {:.2}s wall",
-        report.event_digest, report.event_count, report.requeues, report.fit_searches, wall,
+        "chaos full-machine PASS: digest {:#x}, registry {:#x}, {} events, {} requeues, \
+         {} placement searches, {:.2}s wall",
+        report.event_digest,
+        report.registry_digest,
+        report.event_count,
+        report.requeues,
+        report.fit_searches,
+        wall,
     );
     run.gauge("chaos_fit_searches", report.fit_searches as f64);
     run.gauge("chaos_full_machine_soak_seconds", wall);

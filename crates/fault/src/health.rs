@@ -7,6 +7,38 @@ use std::borrow::Cow;
 /// Number of wire directions per node.
 const LINKS: usize = 12;
 
+/// The per-node gauges every node exports, in [`NodeHealth::export_metrics`]'s
+/// order: liveness (0 alive, 1 crashed, 2 wedged) and the memory-event counts.
+const NODE_GAUGES: [&str; 4] = [
+    "node_liveness",
+    "node_mem_flips",
+    "node_ecc_corrected",
+    "node_machine_checks",
+];
+
+/// The numbers `0..n` in the order of their decimal strings (`0`, `1`,
+/// `10`, `100`, …, `11`, …, `2`, …): the order of a `node` label.
+fn decimal_order(n: usize) -> impl Iterator<Item = usize> {
+    let mut next = (n > 0).then_some(0);
+    std::iter::from_fn(move || {
+        let at = next?;
+        next = if at == 0 {
+            (n > 1).then_some(1)
+        } else if at * 10 < n {
+            Some(at * 10)
+        } else {
+            // Past the last number with this prefix: drop the trailing
+            // 9s (and a last digit with no successor below n), then step.
+            let mut x = at;
+            while x > 0 && (x % 10 == 9 || x + 1 >= n) {
+                x /= 10;
+            }
+            (x > 0).then_some(x + 1)
+        };
+        Some(at)
+    })
+}
+
 /// Whether a node survived the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Liveness {
@@ -110,26 +142,20 @@ impl NodeHealth {
     /// wires are skipped, so the export stays sparse).
     pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
         let node_labels = [("node", self.node.to_string())];
-        reg.gauge_set(
-            "node_liveness",
-            &node_labels,
-            match self.liveness {
-                Liveness::Alive => 0.0,
-                Liveness::Crashed { .. } => 1.0,
-                Liveness::Wedged => 2.0,
-            },
-        );
-        reg.gauge_set("node_mem_flips", &node_labels, self.mem_flips as f64);
-        reg.gauge_set(
-            "node_ecc_corrected",
-            &node_labels,
+        let liveness = match self.liveness {
+            Liveness::Alive => 0.0,
+            Liveness::Crashed { .. } => 1.0,
+            Liveness::Wedged => 2.0,
+        };
+        let values = [
+            liveness,
+            self.mem_flips as f64,
             self.ecc_corrected as f64,
-        );
-        reg.gauge_set(
-            "node_machine_checks",
-            &node_labels,
             self.machine_checks as f64,
-        );
+        ];
+        for (name, v) in NODE_GAUGES.into_iter().zip(values) {
+            reg.gauge_set(name, &node_labels, v);
+        }
         for (link, l) in self.links.iter().enumerate() {
             let active = l.sent_words > 0
                 || l.received_words > 0
@@ -169,6 +195,22 @@ impl NodeHealth {
                 reg.gauge_set("scu_link_checksum_ok", &labels, u64::from(ok) as f64);
             }
         }
+    }
+
+    /// Publish what [`NodeHealth::export_metrics`] writes for a quiet
+    /// node, its four zero `node_*` gauges, for every node `0..nodes`, in
+    /// one batch in key order: a first export of the whole machine costs
+    /// about one allocation per series.
+    pub fn export_quiet(nodes: usize, reg: &mut MetricsRegistry) {
+        let labels: Vec<String> = decimal_order(nodes).map(|n| n.to_string()).collect();
+        let mut names = NODE_GAUGES;
+        names.sort_unstable();
+        reg.gauge_set_batch(
+            "node",
+            names
+                .into_iter()
+                .flat_map(|name| labels.iter().map(move |node| (name, node.as_str(), 0.0))),
+        );
     }
 }
 
@@ -483,6 +525,44 @@ mod tests {
 
     fn shape2() -> TorusShape {
         TorusShape::new(&[2])
+    }
+
+    #[test]
+    fn decimal_order_is_the_order_of_the_strings() {
+        for n in (0..=120).chain([999, 1000, 1001, 12_288]) {
+            let mut strings: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            strings.sort();
+            let ordered: Vec<String> = decimal_order(n).map(|i| i.to_string()).collect();
+            assert_eq!(ordered, strings, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_quiet_export_in_bulk_equals_one_per_node() {
+        // Into an empty registry, and into one that already holds some of
+        // the series with other values, a loud node's link series, and
+        // series of other names around them.
+        let mut seeded = MetricsRegistry::new();
+        seeded.gauge_set("node_liveness", &[("node", "7".into())], 2.0);
+        seeded.gauge_set("node_mem_flips", &[("node", "100".into())], 3.0);
+        seeded.gauge_set("machine_dead_links", &[], 1.0);
+        seeded.counter_add("qdaemon_health_sweeps", &[], 1);
+        let mut loud = NodeHealth::quiet(12);
+        loud.links[3].resends = 4;
+        loud.export_metrics(&mut seeded);
+        for start in [MetricsRegistry::new(), seeded] {
+            let mut bulk = start.clone();
+            NodeHealth::export_quiet(130, &mut bulk);
+            let mut one_by_one = start;
+            for node in 0..130 {
+                NodeHealth::quiet(node).export_metrics(&mut one_by_one);
+            }
+            assert_eq!(bulk, one_by_one);
+            assert_eq!(
+                qcdoc_telemetry::prometheus_text(&bulk),
+                qcdoc_telemetry::prometheus_text(&one_by_one)
+            );
+        }
     }
 
     #[test]

@@ -31,17 +31,81 @@ const BEST_FIT_SCORE_CAP: usize = 64;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OccupancyMap {
     shape: TorusShape,
-    taken: Vec<bool>,
+    /// Per node, by rank: how many nodes from it along axis 0, itself
+    /// included and up to the end of its axis-0 line, are free, capped at
+    /// `u8::MAX`; 0 when the node is taken. A box row is free when the
+    /// hops along these runs cover it, so a probe reads one entry per row
+    /// (rows longer than the cap hop more than once). Every mask write
+    /// recomputes the entries of the lines it touched.
+    free_run: Vec<u8>,
+}
+
+/// The rank strides of one box shape on one torus: the set-up of a walk
+/// over the box's rows, made once per search rather than once per probe.
+struct BoxWalk {
+    rank: usize,
+    /// The box's extent along axis 0: the length of each row.
+    run: usize,
+    stride: [usize; 6],
+    ext: [usize; 6],
+}
+
+impl BoxWalk {
+    /// The walk of the box with these `extents` (extents beyond the
+    /// machine rank must be 1).
+    fn new(shape: &TorusShape, extents: &[usize]) -> BoxWalk {
+        let rank = shape.rank();
+        let mut walk = BoxWalk {
+            rank,
+            run: extents.first().copied().unwrap_or(1),
+            stride: [0; 6],
+            ext: [1; 6],
+        };
+        let mut step = 1;
+        for axis in 0..rank {
+            walk.stride[axis] = step;
+            walk.ext[axis] = extents.get(axis).copied().unwrap_or(1);
+            step *= shape.extent(axis);
+        }
+        walk
+    }
+
+    /// Visit the first rank of every row of the box whose first node has
+    /// rank `origin`, in rank order: one axis-0 run of `run` consecutive
+    /// ranks per row, the other axes stepped by their rank strides. Stops
+    /// at the first row for which `f` returns `false`, and returns whether
+    /// every row passed.
+    fn rows<F: FnMut(usize) -> bool>(&self, origin: usize, mut f: F) -> bool {
+        let mut start = origin;
+        let mut cursor = [0usize; 6];
+        loop {
+            if !f(start) {
+                return false;
+            }
+            // Odometer over the remaining box extents, axis 1 fastest.
+            let mut axis = 1;
+            loop {
+                if axis >= self.rank {
+                    return true;
+                }
+                cursor[axis] += 1;
+                start += self.stride[axis];
+                if cursor[axis] < self.ext[axis] {
+                    break;
+                }
+                start -= cursor[axis] * self.stride[axis];
+                cursor[axis] = 0;
+                axis += 1;
+            }
+        }
+    }
 }
 
 impl OccupancyMap {
     /// An all-free map over `shape`.
     pub fn new(shape: TorusShape) -> OccupancyMap {
         let n = shape.node_count();
-        OccupancyMap {
-            shape,
-            taken: vec![false; n],
-        }
+        OccupancyMap::from_mask(shape, vec![false; n])
     }
 
     /// A map with the given taken mask (indexed by node rank). Panics if
@@ -52,7 +116,16 @@ impl OccupancyMap {
             shape.node_count(),
             "mask length must match node count"
         );
-        OccupancyMap { shape, taken }
+        let line = shape.extent(0);
+        let mut free_run = vec![0u8; taken.len()];
+        for (runs, mask) in free_run.chunks_mut(line).zip(taken.chunks(line)) {
+            let mut next = 0u8;
+            for (r, &t) in runs.iter_mut().zip(mask).rev() {
+                next = if t { 0 } else { next.saturating_add(1) };
+                *r = next;
+            }
+        }
+        OccupancyMap { shape, free_run }
     }
 
     /// The underlying torus shape.
@@ -62,55 +135,56 @@ impl OccupancyMap {
 
     /// Mark one node taken or free.
     pub fn set_taken(&mut self, id: NodeId, taken: bool) {
-        self.taken[id.index()] = taken;
+        let i = id.index();
+        self.write_row(i..i + 1, taken);
     }
 
     /// Number of free nodes.
     pub fn free_count(&self) -> usize {
-        self.taken.iter().filter(|&&t| !t).count()
+        self.free_run.iter().filter(|&&r| r != 0).count()
     }
 
-    /// Visit the ranks of every node of the axis-aligned box at `origin`
-    /// with the given `extents` (extents beyond the machine rank must be
-    /// 1), in rank order: one axis-0 run of consecutive ranks at a time,
-    /// stepping the other axes by their rank strides. Stops when `f`
-    /// returns `false`.
-    fn for_each_box_run<F: FnMut(std::ops::Range<usize>) -> bool>(
-        shape: &TorusShape,
-        origin: NodeCoord,
-        extents: &[usize],
-        mut f: F,
-    ) {
-        let rank = shape.rank();
-        let ext = |axis: usize| extents.get(axis).copied().unwrap_or(1);
-        let mut stride = [0usize; 6];
-        let mut step = 1;
-        for (axis, s) in stride.iter_mut().enumerate().take(rank) {
-            *s = step;
-            step *= shape.extent(axis);
+    /// Mark the ranks of `row` (within one axis-0 line) taken or free,
+    /// then recompute the free runs of the nodes before it on its line,
+    /// back to the first one whose run does not change. The runs from the
+    /// row's end on do not depend on it.
+    fn write_row(&mut self, row: std::ops::Range<usize>, taken: bool) {
+        let line_start = row.start - row.start % self.shape.extent(0);
+        let line_end = line_start + self.shape.extent(0);
+        let mut next = if row.end < line_end {
+            self.free_run[row.end]
+        } else {
+            0
+        };
+        for i in row.clone().rev() {
+            next = if taken { 0 } else { next.saturating_add(1) };
+            self.free_run[i] = next;
         }
-        let run = ext(0);
-        let mut start = shape.rank_of(origin).index();
-        let mut cursor = [0usize; 6];
+        for i in (line_start..row.start).rev() {
+            let run = next.saturating_add(1);
+            if self.free_run[i] == 0 || self.free_run[i] == run {
+                break;
+            }
+            self.free_run[i] = run;
+            next = run;
+        }
+    }
+
+    /// Whether the `len` nodes from rank `start` along axis 0 (within one
+    /// line) are all free: hop along the free runs until one covers the
+    /// rest of the row, or ends short of it at a taken node.
+    fn row_free(&self, start: usize, len: usize) -> bool {
+        let end = start + len;
+        let mut at = start;
         loop {
-            if !f(start..start + run) {
-                return;
+            let run = self.free_run[at] as usize;
+            if at + run >= end {
+                return true;
             }
-            // Odometer over the remaining box extents, axis 1 fastest.
-            let mut axis = 1;
-            loop {
-                if axis >= rank {
-                    return;
-                }
-                cursor[axis] += 1;
-                start += stride[axis];
-                if cursor[axis] < ext(axis) {
-                    break;
-                }
-                start -= cursor[axis] * stride[axis];
-                cursor[axis] = 0;
-                axis += 1;
+            if run < u8::MAX as usize {
+                return false;
             }
+            at += run;
         }
     }
 
@@ -124,19 +198,21 @@ impl OccupancyMap {
 
     /// Whether every node of the box is free (the box must be in bounds).
     pub fn box_free(&self, origin: NodeCoord, extents: &[usize]) -> bool {
-        let mut free = true;
-        Self::for_each_box_run(&self.shape, origin, extents, |run| {
-            free = !self.taken[run].contains(&true);
-            free
-        });
-        free
+        let walk = BoxWalk::new(&self.shape, extents);
+        walk.rows(self.shape.rank_of(origin).index(), |row| {
+            self.row_free(row, walk.run)
+        })
     }
 
     /// Number of free nodes in the box (the box must be in bounds).
     fn box_free_count(&self, origin: NodeCoord, extents: &[usize]) -> usize {
+        let walk = BoxWalk::new(&self.shape, extents);
         let mut free = 0;
-        Self::for_each_box_run(&self.shape, origin, extents, |run| {
-            free += self.taken[run].iter().filter(|&&t| !t).count();
+        walk.rows(self.shape.rank_of(origin).index(), |row| {
+            free += self.free_run[row..row + walk.run]
+                .iter()
+                .filter(|&&r| r != 0)
+                .count();
             true
         });
         free
@@ -144,9 +220,9 @@ impl OccupancyMap {
 
     /// Mark every node of the box taken or free.
     fn fill_box(&mut self, origin: NodeCoord, extents: &[usize], taken: bool) {
-        let mask = &mut self.taken;
-        Self::for_each_box_run(&self.shape, origin, extents, |run| {
-            mask[run].fill(taken);
+        let walk = BoxWalk::new(&self.shape, extents);
+        walk.rows(self.shape.rank_of(origin).index(), |row| {
+            self.write_row(row..row + walk.run, taken);
             true
         });
     }
@@ -163,47 +239,59 @@ impl OccupancyMap {
 
     /// Every origin (in rank order) at which the box is in bounds and
     /// entirely free, stopping after `limit` hits (`usize::MAX` for all).
+    /// The origin's rank steps with the odometer and the box's strides
+    /// are worked out once, so a probe that fails on its first row costs
+    /// one free-run read.
     pub fn fit_origins(&self, extents: &[usize], limit: usize) -> Vec<NodeCoord> {
         let mut out = Vec::new();
         if limit == 0 {
             return out;
         }
         let rank = self.shape.rank();
-        let mut slack = Vec::with_capacity(rank);
-        for axis in 0..rank {
+        let mut slack = [0usize; 6];
+        for (axis, s) in slack.iter_mut().enumerate().take(rank) {
             let ext = extents.get(axis).copied().unwrap_or(1);
             if ext > self.shape.extent(axis) {
                 return out;
             }
-            slack.push(self.shape.extent(axis) - ext);
+            *s = self.shape.extent(axis) - ext;
         }
         if extents.iter().skip(rank).any(|&e| e != 1) {
             return out;
         }
-        // Odometer over the slack volume, axis 0 fastest (rank order).
-        let mut cursor = vec![0usize; rank];
+        let walk = BoxWalk::new(&self.shape, extents);
+        // Odometer over the slack volume in rank order, stepping the
+        // origin's rank along with it; an axis the box spans has no room
+        // to move and is left out.
+        let mut moving = [0usize; 6];
+        let mut axes = 0;
+        for axis in (0..rank).filter(|&axis| slack[axis] > 0) {
+            moving[axes] = axis;
+            axes += 1;
+        }
+        let mut cursor = [0usize; 6];
+        let mut at = 0usize;
         loop {
-            let mut origin = NodeCoord::ORIGIN;
-            for (axis, &off) in cursor.iter().enumerate() {
-                origin.set(axis, off);
-            }
-            if self.box_free(origin, extents) {
-                out.push(origin);
+            if walk.rows(at, |row| self.row_free(row, walk.run)) {
+                out.push(self.shape.coord_of(NodeId(at as u32)));
                 if out.len() >= limit {
                     return out;
                 }
             }
-            let mut axis = 0;
+            let mut k = 0;
             loop {
-                if axis == rank {
+                if k == axes {
                     return out;
                 }
+                let axis = moving[k];
                 cursor[axis] += 1;
+                at += walk.stride[axis];
                 if cursor[axis] <= slack[axis] {
                     break;
                 }
+                at -= cursor[axis] * walk.stride[axis];
                 cursor[axis] = 0;
-                axis += 1;
+                k += 1;
             }
         }
     }
@@ -340,24 +428,34 @@ mod tests {
         }
     }
 
-    fn oracle_box_free(map: &OccupancyMap, origin: NodeCoord, extents: &[usize]) -> bool {
-        oracle_box_nodes(&map.shape, origin, extents)
+    fn oracle_box_free(
+        shape: &TorusShape,
+        taken: &[bool],
+        origin: NodeCoord,
+        extents: &[usize],
+    ) -> bool {
+        oracle_box_nodes(shape, origin, extents)
             .into_iter()
-            .all(|c| !map.taken[map.shape.rank_of(c).index()])
+            .all(|c| !taken[shape.rank_of(c).index()])
     }
 
     /// The packing score as a set: every free node one link away from
     /// the box and outside it.
-    fn oracle_score(map: &OccupancyMap, origin: NodeCoord, extents: &[usize]) -> usize {
-        let inside: HashSet<NodeCoord> = oracle_box_nodes(&map.shape, origin, extents)
+    fn oracle_score(
+        shape: &TorusShape,
+        taken: &[bool],
+        origin: NodeCoord,
+        extents: &[usize],
+    ) -> usize {
+        let inside: HashSet<NodeCoord> = oracle_box_nodes(shape, origin, extents)
             .into_iter()
             .collect();
         let mut adjacent_free = HashSet::new();
         for &c in &inside {
-            for axis in 0..map.shape.rank() {
+            for axis in 0..shape.rank() {
                 for d in [Axis(axis as u8).plus(), Axis(axis as u8).minus()] {
-                    let nb = map.shape.neighbour(c, d);
-                    if !inside.contains(&nb) && !map.taken[map.shape.rank_of(nb).index()] {
+                    let nb = shape.neighbour(c, d);
+                    if !inside.contains(&nb) && !taken[shape.rank_of(nb).index()] {
                         adjacent_free.insert(nb);
                     }
                 }
@@ -367,12 +465,33 @@ mod tests {
     }
 
     /// Every in-bounds free origin in rank order, at most `limit`.
-    fn oracle_fits(map: &OccupancyMap, extents: &[usize], limit: usize) -> Vec<NodeCoord> {
-        map.shape
+    fn oracle_fits(
+        shape: &TorusShape,
+        taken: &[bool],
+        extents: &[usize],
+        limit: usize,
+    ) -> Vec<NodeCoord> {
+        shape
             .coords()
-            .filter(|&o| map.box_in_bounds(o, extents) && oracle_box_free(map, o, extents))
+            .filter(|&o| {
+                (0..shape.rank()).all(|axis| o.get(axis) + extents[axis] <= shape.extent(axis))
+                    && oracle_box_free(shape, taken, o, extents)
+            })
             .take(limit)
             .collect()
+    }
+
+    /// The best fit as `best_fit` defines it: the first lowest score among
+    /// the first `BEST_FIT_SCORE_CAP` fits.
+    fn oracle_best_fit(shape: &TorusShape, taken: &[bool], extents: &[usize]) -> Option<NodeCoord> {
+        let mut best: Option<(usize, NodeCoord)> = None;
+        for o in oracle_fits(shape, taken, extents, BEST_FIT_SCORE_CAP) {
+            let score = oracle_score(shape, taken, o, extents);
+            if best.is_none_or(|(s, _)| score < s) {
+                best = Some((score, o));
+            }
+        }
+        best.map(|(_, o)| o)
     }
 
     /// SplitMix64, so the masks and boxes are the same on every run.
@@ -443,10 +562,8 @@ mod tests {
             };
             for m in 0..masks {
                 let density = [0, 10, 35, 70][m % 4];
-                let map = OccupancyMap::from_mask(
-                    shape.clone(),
-                    random_mask(&shape, density, m / 4 % 2 == 1, &mut draw),
-                );
+                let mask = random_mask(&shape, density, m / 4 % 2 == 1, &mut draw);
+                let map = OccupancyMap::from_mask(shape.clone(), mask.clone());
                 for _ in 0..8 {
                     // Every axis may span n or n − 1.
                     let extents: Vec<usize> = dims
@@ -457,29 +574,25 @@ mod tests {
                             _ => 1 + draw.below(d.min(most)),
                         })
                         .collect();
-                    let fits = oracle_fits(&map, &extents, limit);
+                    let fits = oracle_fits(&shape, &mask, &extents, limit);
                     assert_eq!(map.fit_origins(&extents, limit), fits);
-                    // best_fit keeps the first lowest score among the first
-                    // BEST_FIT_SCORE_CAP fits.
-                    let mut best: Option<(usize, NodeCoord)> = None;
                     for &o in fits.iter().take(BEST_FIT_SCORE_CAP) {
-                        let score = oracle_score(&map, o, &extents);
                         assert_eq!(
                             map.placement_score(o, &extents),
-                            score,
+                            oracle_score(&shape, &mask, o, &extents),
                             "{dims:?} box {extents:?} at {o:?}"
                         );
-                        if best.is_none_or(|(s, _)| score < s) {
-                            best = Some((score, o));
-                        }
                     }
-                    assert_eq!(map.best_fit(&extents), best.map(|(_, o)| o));
+                    assert_eq!(
+                        map.best_fit(&extents),
+                        oracle_best_fit(&shape, &mask, &extents)
+                    );
                     for _ in 0..8 {
                         let o = shape.coord_of(NodeId(draw.below(n) as u32));
                         if map.box_in_bounds(o, &extents) {
                             assert_eq!(
                                 map.box_free(o, &extents),
-                                oracle_box_free(&map, o, &extents)
+                                oracle_box_free(&shape, &mask, o, &extents)
                             );
                         }
                     }
@@ -497,6 +610,80 @@ mod tests {
                         expect.set_taken(shape.rank_of(c), false);
                     }
                     assert_eq!(filled, expect);
+                }
+            }
+        }
+    }
+
+    /// A random box of `shape`: every axis spans its full extent, one
+    /// less, or up to `most` nodes.
+    fn random_box(shape: &TorusShape, most: usize, draw: &mut Draw) -> Vec<usize> {
+        shape
+            .dims()
+            .iter()
+            .map(|&d| match draw.below(5) {
+                0 => d,
+                1 => d.saturating_sub(1).max(1),
+                _ => 1 + draw.below(d.min(most)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_free_runs_follow_every_mask_write() {
+        let mut draw = Draw(0xf1ee);
+        for (dims, ops, most) in [
+            (&[8, 8, 6, 4, 4, 2][..], 24, 2),
+            (&[3, 5][..], 200, 3),
+            (&[5, 2, 3][..], 200, 3),
+        ] {
+            let shape = TorusShape::new(dims);
+            let n = shape.node_count();
+            // The test's own mask: what every write below should leave.
+            let mut mask = vec![false; n];
+            let mut map = OccupancyMap::new(shape.clone());
+            for op in 0..ops {
+                match draw.below(4) {
+                    0 => {
+                        let (node, taken) = (draw.below(n), draw.below(2) == 0);
+                        mask[node] = taken;
+                        map.set_taken(NodeId(node as u32), taken);
+                    }
+                    kind @ (1 | 2) => {
+                        let extents: Vec<usize> =
+                            shape.dims().iter().map(|&d| 1 + draw.below(d)).collect();
+                        let mut origin = NodeCoord::ORIGIN;
+                        for (axis, (&d, &e)) in shape.dims().iter().zip(&extents).enumerate() {
+                            origin.set(axis, draw.below(d - e + 1));
+                        }
+                        for c in oracle_box_nodes(&shape, origin, &extents) {
+                            mask[shape.rank_of(c).index()] = kind == 1;
+                        }
+                        if kind == 1 {
+                            map.occupy_box(origin, &extents);
+                        } else {
+                            map.vacate_box(origin, &extents);
+                        }
+                    }
+                    _ => {
+                        let density = [10, 35, 70][draw.below(3)];
+                        mask = random_mask(&shape, density, draw.below(2) == 0, &mut draw);
+                        map = OccupancyMap::from_mask(shape.clone(), mask.clone());
+                    }
+                }
+                assert_eq!(map.free_count(), mask.iter().filter(|&&t| !t).count());
+                for _ in 0..3 {
+                    let extents = random_box(&shape, most, &mut draw);
+                    assert_eq!(
+                        map.fit_origins(&extents, 64),
+                        oracle_fits(&shape, &mask, &extents, 64),
+                        "{dims:?} after op {op}, box {extents:?}"
+                    );
+                    assert_eq!(
+                        map.best_fit(&extents),
+                        oracle_best_fit(&shape, &mask, &extents),
+                        "{dims:?} after op {op}, box {extents:?}"
+                    );
                 }
             }
         }

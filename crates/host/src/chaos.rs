@@ -44,7 +44,8 @@ use qcdoc_sched::{
     CheckpointVault, JobId, JobSpec, JobStatus, Priority, SchedConfig, SchedEvent, Scheduler,
     ShapeRequest, TenantConfig, STATE_JOB,
 };
-use qcdoc_telemetry::Histogram;
+use qcdoc_telemetry::{Histogram, MetricValue, MetricsRegistry};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// SplitMix64: the soak's only source of randomness, fully determined
@@ -157,6 +158,10 @@ pub struct ChaosReport {
     pub restart_log_resumed: Option<bool>,
     /// FNV-1a digest of the full event log — the determinism handle.
     pub event_digest: u64,
+    /// FNV-1a digest of the daemon's metrics registry
+    /// ([`Qdaemon::metrics`]) when the soak ended: every series the soak
+    /// left there, node gauges included, key and value.
+    pub registry_digest: u64,
     /// Number of scheduler events.
     pub event_count: usize,
     /// Placement searches the scheduler ran
@@ -346,6 +351,7 @@ impl Soak {
             requeue_latency: Histogram::default(),
             restart_log_resumed: None,
             event_digest: 0,
+            registry_digest: 0,
             event_count: 0,
             fit_searches: 0,
             drained: false,
@@ -693,13 +699,10 @@ impl Soak {
         self.absorb_events();
         self.verify_tracked();
 
-        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
-        for event in self.sched.events() {
-            for byte in format!("{event:?}").bytes() {
-                digest ^= byte as u64;
-                digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        }
+        let digest = self.sched.events().iter().fold(FNV_OFFSET, |h, event| {
+            fnv1a(h, format!("{event:?}").as_bytes())
+        });
+        self.report.registry_digest = registry_digest(self.q.metrics());
         let census = self.q.census();
         // Admission-time blacklists (conviction threshold already met)
         // bypass the repair-tick report; the census is authoritative.
@@ -729,6 +732,38 @@ impl Soak {
         });
         self.report
     }
+}
+
+/// The FNV-1a offset basis: the digest of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// FNV-1a over every series of `reg` in key order: the series' identity
+/// string (its `Borrow<str>` form) after its length, then the value's type
+/// and bits (a histogram's count, sum and non-empty buckets).
+fn registry_digest(reg: &MetricsRegistry) -> u64 {
+    let word = |h: u64, w: u64| fnv1a(h, &w.to_le_bytes());
+    reg.iter().fold(FNV_OFFSET, |h, (key, value)| {
+        let id: &str = key.borrow();
+        let h = fnv1a(word(h, id.len() as u64), id.as_bytes());
+        match value {
+            MetricValue::Counter(c) => word(word(h, 0), *c),
+            MetricValue::Gauge(g) => word(word(h, 1), g.to_bits()),
+            MetricValue::Histogram(hist) => {
+                let mut h = word(word(word(h, 2), hist.count()), hist.sum());
+                for (bound, count) in hist.nonzero_buckets() {
+                    h = word(word(h, bound), count);
+                }
+                h
+            }
+        }
+    })
 }
 
 /// Run one seeded chaos soak to completion and report the SLO surface.

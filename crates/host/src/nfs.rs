@@ -23,7 +23,8 @@
 //! surviving prefix stays on disk.
 
 use qcdoc_fault::{StorageClock, StorageFaultPlan};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Bound;
 
 /// NFS transfer unit: the granularity at which an append reaches the
 /// media (and at which a mid-call disk-full or crash can strike).
@@ -83,7 +84,8 @@ impl std::error::Error for NfsError {}
 #[derive(Debug)]
 pub struct NfsServer {
     exports: Vec<String>,
-    files: HashMap<String, Vec<u8>>,
+    /// Every file by path, in path order, so a listing is a range scan.
+    files: BTreeMap<String, Vec<u8>>,
     handles: HashMap<NfsHandle, String>,
     next_handle: u32,
     capacity: u64,
@@ -101,7 +103,7 @@ impl NfsServer {
     pub fn new(exports: &[&str], capacity: u64) -> NfsServer {
         NfsServer {
             exports: exports.iter().map(|s| s.to_string()).collect(),
-            files: HashMap::new(),
+            files: BTreeMap::new(),
             handles: HashMap::new(),
             next_handle: 1,
             capacity,
@@ -314,14 +316,14 @@ impl NfsServer {
     /// Paths starting with `prefix`, sorted (a directory listing; does
     /// not advance the fault clock).
     pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .files
-            .keys()
-            .filter(|p| p.starts_with(prefix))
+        // Every path with the prefix sorts at or after the prefix itself,
+        // and before the first path past it that lacks the prefix.
+        self.files
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map(|(path, _)| path)
+            .take_while(|path| path.starts_with(prefix))
             .cloned()
-            .collect();
-        out.sort();
-        out
+            .collect()
     }
 
     /// File size, if it exists (does not advance the fault clock).
@@ -513,6 +515,90 @@ mod tests {
         }
         assert_eq!(s.list("/data/ck/"), vec!["/data/ck/a", "/data/ck/b"]);
         assert!(s.list("/data/none/").is_empty());
+    }
+
+    /// The listing as a filter over every path, then a sort.
+    fn oracle_list(s: &NfsServer, prefix: &str) -> Vec<String> {
+        let mut out: Vec<String> = s
+            .files
+            .keys()
+            .filter(|p| p.starts_with(prefix))
+            .cloned()
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn list_equals_a_filter_and_sort() {
+        // Two export roots, one a prefix of the other.
+        let mut s = NfsServer::new(&["/data", "/data2"], 1 << 20);
+        for p in [
+            "/data/ck/job/gen-10",
+            "/data/ck/job/gen-1",
+            "/data/ck/job/gen-1.tmp",
+            "/data/ck/job/gen-2",
+            "/data/ck/job/gen-100",
+            "/data/ck/jobs/gen-1",
+            "/data/ck/job",
+            "/data2/ck/job/gen-1",
+            "/data/",
+            "/data",
+        ] {
+            let h = s.open(p).unwrap();
+            s.write(h, p.as_bytes()).unwrap();
+        }
+        let prefixes = [
+            "",
+            "/",
+            "/data",
+            "/data/",
+            "/data2",
+            "/data/ck/job",
+            "/data/ck/job/",
+            "/data/ck/job/gen-1",
+            "/data/ck/job/gen-10",
+            "/data/ck/job/gen-1000",
+            "/data/ck/jobs",
+            "/data/ck/job/gen-\u{10FFFF}",
+            "/nothing",
+        ];
+        let check = |s: &NfsServer, step: &str| {
+            for prefix in prefixes {
+                assert_eq!(s.list(prefix), oracle_list(s, prefix), "{step}: {prefix:?}");
+            }
+        };
+        check(&s, "fresh");
+        assert_eq!(
+            s.list("/data/ck/job/gen-1"),
+            [
+                "/data/ck/job/gen-1",
+                "/data/ck/job/gen-1.tmp",
+                "/data/ck/job/gen-10",
+                "/data/ck/job/gen-100",
+            ]
+        );
+        assert_eq!(s.list("/data").len(), 10, "/data2 shares the prefix");
+        s.remove("/data/ck/job/gen-10").unwrap();
+        check(&s, "after remove");
+        s.rename("/data/ck/job/gen-1.tmp", "/data/ck/job/gen-3")
+            .unwrap();
+        s.rename("/data/ck/job/gen-2", "/data2/ck/job/gen-1")
+            .unwrap();
+        check(&s, "after rename");
+        // A torn write leaves its prefix on a path the listing still shows.
+        s.inject(
+            &StorageFaultPlan::new(1).with_event(StorageFault::TornWrite {
+                write_op: s.write_ops(),
+                keep: Some(2),
+            }),
+        );
+        let h = s.open("/data/ck/job/gen-11").unwrap();
+        assert_eq!(s.write(h, b"torn"), Err(NfsError::ServerCrash));
+        check(&s, "after a torn write");
+        assert!(s
+            .list("/data/ck/job/")
+            .contains(&"/data/ck/job/gen-11".to_string()));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use qcdoc_fault::NodeHealth;
 use qcdoc_geometry::{NodeId, OccupancyMap, Partition, PartitionError, PartitionSpec, TorusShape};
 use qcdoc_telemetry::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry, HOST_NODE};
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Boot-packet counts from §3.1.
 const BOOT_KERNEL_PACKETS: u64 = 100;
@@ -128,10 +128,13 @@ pub struct Qdaemon {
     machine: TorusShape,
     kernels: Vec<RunKernel>,
     /// Every node's state. Written only through `set_state`, which keeps
-    /// `occupancy` in step.
+    /// `occupancy` and `faulty` in step.
     pub(crate) states: Vec<NodeState>,
     /// The scheduler's view of `states`: taken = not `Ready`.
     occupancy: OccupancyMap,
+    /// The nodes whose state is `Faulty`, in rank order: what repair
+    /// admission walks instead of every state.
+    pub(crate) faulty: BTreeSet<u32>,
     /// Times each node has been condemned (entered `Faulty`) — the
     /// repair pipeline's sticky-blacklist evidence.
     pub(crate) convictions: Vec<u32>,
@@ -154,9 +157,9 @@ pub struct Qdaemon {
     pub(crate) flight: FlightRecorder,
     pub(crate) sweeps: u64,
     /// Per node: whether the registry's `node_*` gauges may differ from a
-    /// quiet node's zeros. All set until the first sweep exports every
-    /// node; after that a sweep re-exports only the nodes it reports on
-    /// plus the nodes whose gauges it must clear.
+    /// quiet node's zeros. The first sweep files zeros for every node;
+    /// after that a sweep re-exports only the nodes it reports on plus the
+    /// nodes whose gauges it must clear.
     loud: Vec<bool>,
 }
 
@@ -170,6 +173,7 @@ impl Qdaemon {
             kernels: (0..n).map(|_| RunKernel::new()).collect(),
             states: vec![NodeState::PoweredOn; n],
             occupancy: OccupancyMap::from_mask(machine.clone(), vec![true; n]),
+            faulty: BTreeSet::new(),
             convictions: vec![0; n],
             repaired: vec![false; n],
             repair: crate::repair::RepairPipeline::default(),
@@ -181,7 +185,7 @@ impl Qdaemon {
             metrics: MetricsRegistry::new(),
             flight: FlightRecorder::default(),
             sweeps: 0,
-            loud: vec![true; n],
+            loud: vec![false; n],
         }
     }
 
@@ -195,12 +199,18 @@ impl Qdaemon {
         self.states[node.index()]
     }
 
-    /// Move one node to `state`, and mark it taken in the occupancy map
-    /// unless it is `Ready`.
+    /// Move one node to `state`, mark it taken in the occupancy map
+    /// unless it is `Ready`, and file it in the faulty set while it is
+    /// `Faulty`.
     fn set_state(&mut self, node: usize, state: NodeState) {
         self.states[node] = state;
         self.occupancy
             .set_taken(NodeId(node as u32), state != NodeState::Ready);
+        if state == NodeState::Faulty {
+            self.faulty.insert(node as u32);
+        } else {
+            self.faulty.remove(&(node as u32));
+        }
     }
 
     /// Boot the whole machine. `faulty` lists nodes whose hardware test
@@ -467,7 +477,12 @@ impl Qdaemon {
         // exports four zeros, so it is skipped once the registry holds
         // those zeros: the walk visits the nodes that reported and the
         // loud ones whose gauges a quiet reading must clear, and the
-        // registry always equals a full export.
+        // registry always equals a full export. The first sweep files the
+        // four zero gauges of every node in one batch per gauge, and the
+        // walk then overwrites them for the nodes that report otherwise.
+        if self.sweeps == 1 {
+            NodeHealth::export_quiet(machine, &mut self.metrics);
+        }
         let mut reports = ledger.nodes.iter().peekable();
         for node in 0..machine {
             let report = reports.next_if(|r| r.node as usize == node);

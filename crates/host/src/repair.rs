@@ -26,7 +26,7 @@
 //! repair stays `Faulty` — isolation from the allocator is what makes
 //! the burn-in safe.
 
-use crate::qdaemon::{NodeState, Qdaemon};
+use crate::qdaemon::Qdaemon;
 use qcdoc_geometry::NodeId;
 use qcdoc_telemetry::{FlightKind, HOST_NODE};
 use std::collections::BTreeMap;
@@ -118,19 +118,25 @@ pub struct RepairTickReport {
 impl Qdaemon {
     /// Admit every quarantined node into the repair pipeline. Nodes
     /// whose conviction count already reached the blacklist threshold
-    /// are blacklisted instead. Returns the newly admitted node ids.
+    /// are blacklisted instead. Returns the newly admitted node ids, in
+    /// rank order. The walk visits the daemon's faulty set, so it costs
+    /// the nodes in quarantine, not the machine.
     pub fn repair_admit(&mut self) -> Vec<u32> {
+        let waiting: Vec<u32> = self
+            .faulty
+            .iter()
+            .copied()
+            .filter(|&n| !self.repair.contains(n))
+            .collect();
         let mut admitted = Vec::new();
-        for i in 0..self.states.len() {
-            if self.states[i] != NodeState::Faulty || self.repair.contains(i as u32) {
-                continue;
-            }
-            if self.convictions[i] >= MAX_CONVICTIONS {
-                self.blacklist(NodeId(i as u32));
+        for node in waiting {
+            let convictions = self.convictions[node as usize];
+            if convictions >= MAX_CONVICTIONS {
+                self.blacklist(NodeId(node));
                 continue;
             }
             self.repair.stages.insert(
-                i as u32,
+                node,
                 RepairStage::Scrub {
                     remaining: SCRUB_TICKS,
                 },
@@ -140,11 +146,11 @@ impl Qdaemon {
                 self.sweeps,
                 FlightKind::Repair,
                 "repair_admit",
-                i as u64,
-                self.convictions[i] as u64,
+                node as u64,
+                convictions as u64,
             );
             self.metrics.counter_add("autorepair_admitted", &[], 1);
-            admitted.push(i as u32);
+            admitted.push(node);
         }
         admitted
     }
@@ -233,6 +239,7 @@ impl Qdaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qdaemon::NodeState;
     use qcdoc_geometry::TorusShape;
 
     fn booted() -> Qdaemon {
@@ -305,6 +312,45 @@ mod tests {
         assert!(failed_repair(&mut q).blacklisted.is_empty());
         q.repair_admit();
         assert_eq!(failed_repair(&mut q).blacklisted, vec![3]);
+    }
+
+    #[test]
+    fn admission_takes_the_faulty_nodes_in_rank_order() {
+        let mut q = booted();
+        // Node 20 is already under repair when the others are quarantined,
+        // out of rank order; node 9 reaches the blacklist threshold.
+        q.mark_faulty(NodeId(20));
+        assert_eq!(q.repair_admit(), vec![20]);
+        for n in [17, 3, 9, 30, 1] {
+            q.mark_faulty(NodeId(n));
+        }
+        q.convictions[9] = MAX_CONVICTIONS;
+        let before = q.flight_recorder().events().count();
+        assert_eq!(q.repair_admit(), vec![1, 3, 17, 30]);
+        assert_eq!(q.node_state(NodeId(9)), NodeState::Blacklisted);
+        assert_eq!(
+            q.repair.stages().map(|(n, _)| n).collect::<Vec<_>>(),
+            vec![1, 3, 17, 20, 30]
+        );
+        let events: Vec<String> = q
+            .flight_recorder()
+            .events()
+            .skip(before)
+            .map(|e| e.render())
+            .collect();
+        assert_eq!(
+            events,
+            [
+                "#000007 @0 node=host repair repair_admit a=1 b=1",
+                "#000008 @0 node=host repair repair_admit a=3 b=1",
+                "#000009 @0 node=host repair blacklist a=9 b=3",
+                "#000010 @0 node=host repair repair_admit a=17 b=1",
+                "#000011 @0 node=host repair repair_admit a=30 b=1",
+            ]
+        );
+        assert_eq!(q.metrics().counter("autorepair_admitted", &[]), 5);
+        assert_eq!(q.metrics().counter("autorepair_blacklisted", &[]), 1);
+        assert!(q.repair_admit().is_empty(), "nothing new to admit");
     }
 
     #[test]

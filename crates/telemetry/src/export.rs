@@ -4,7 +4,7 @@
 //! All output is hand-rolled (the crate is zero-dep) and strictly ordered,
 //! so identical inputs yield byte-identical strings.
 
-use crate::metrics::{MetricValue, MetricsRegistry};
+use crate::metrics::{MetricKey, MetricValue, MetricsRegistry};
 use crate::trace::{Phase, Span};
 
 /// Escape a string for embedding inside a JSON string literal.
@@ -86,27 +86,28 @@ pub fn chrome_trace(spans: &[Span]) -> String {
 /// ```
 pub fn prometheus_text(reg: &MetricsRegistry) -> String {
     let mut out = String::new();
-    let mut last_name: Option<&str> = None;
+    let mut last_name = None;
     for (key, value) in reg.iter() {
-        if last_name != Some(key.name.as_str()) {
-            out.push_str(&format!("# TYPE {} {}\n", key.name, value.type_name()));
-            last_name = Some(key.name.as_str());
+        let name = key.name();
+        if last_name.as_ref() != Some(&name) {
+            out.push_str(&format!("# TYPE {} {}\n", name, value.type_name()));
         }
-        let labels = render_labels(&key.labels, None);
+        let labels = render_labels(key, None);
         match value {
-            MetricValue::Counter(c) => out.push_str(&format!("{}{} {}\n", key.name, labels, c)),
+            MetricValue::Counter(c) => out.push_str(&format!("{}{} {}\n", name, labels, c)),
             MetricValue::Gauge(g) => {
-                out.push_str(&format!("{}{} {}\n", key.name, labels, fmt_gauge(*g)))
+                out.push_str(&format!("{}{} {}\n", name, labels, fmt_gauge(*g)))
             }
             MetricValue::Histogram(h) => {
                 for (bound, count) in h.nonzero_buckets() {
-                    let le = render_labels(&key.labels, Some(("le", &bound.to_string())));
-                    out.push_str(&format!("{}_bucket{} {}\n", key.name, le, count));
+                    let le = render_labels(key, Some(("le", &bound.to_string())));
+                    out.push_str(&format!("{}_bucket{} {}\n", name, le, count));
                 }
-                out.push_str(&format!("{}_sum{} {}\n", key.name, labels, h.sum()));
-                out.push_str(&format!("{}_count{} {}\n", key.name, labels, h.count()));
+                out.push_str(&format!("{}_sum{} {}\n", name, labels, h.sum()));
+                out.push_str(&format!("{}_count{} {}\n", name, labels, h.count()));
             }
         }
+        last_name = Some(name);
     }
     out
 }
@@ -123,16 +124,16 @@ fn fmt_gauge(g: f64) -> String {
     }
 }
 
-fn render_labels(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    if labels.is_empty() && extra.is_none() {
-        return String::new();
-    }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", k, json_escape(v)))
+fn render_labels(key: &MetricKey, extra: Option<(&str, &str)>) -> String {
+    let mut parts: Vec<String> = key
+        .labels()
+        .map(|(k, v)| format!("{}=\"{}\"", k, json_escape(&v)))
         .collect();
     if let Some((k, v)) = extra {
         parts.push(format!("{}=\"{}\"", k, json_escape(v)));
+    }
+    if parts.is_empty() {
+        return String::new();
     }
     format!("{{{}}}", parts.join(","))
 }
@@ -171,9 +172,8 @@ pub fn bench_summary_json(bench: &str, reg: &MetricsRegistry, spans: &[Span]) ->
         .iter()
         .map(|(key, value)| {
             let labels: Vec<String> = key
-                .labels
-                .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
+                .labels()
+                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(&k), json_escape(&v)))
                 .collect();
             let value_json = match value {
                 MetricValue::Counter(c) => format!("\"type\": \"counter\", \"value\": {c}"),
@@ -200,7 +200,7 @@ pub fn bench_summary_json(bench: &str, reg: &MetricsRegistry, spans: &[Span]) ->
             };
             format!(
                 "    {{\"name\": \"{}\", \"labels\": {{{}}}, {}}}",
-                json_escape(&key.name),
+                json_escape(&key.name()),
                 labels.join(", "),
                 value_json
             )
@@ -346,6 +346,99 @@ mod tests {
         assert!(text.contains("odd{msg=\"say \\\"hi\\\"\\\\path\\nnext\"} 1\n"));
         // The raw specials must never appear unescaped inside the quotes.
         assert!(!text.contains("say \"hi\""));
+    }
+
+    /// A registry whose identities stress the order: names that prefix
+    /// one another, labels given out of order, an empty label set next to
+    /// non-empty ones, empty strings, NUL and other control bytes, and
+    /// non-ASCII text.
+    fn tricky_registry() -> MetricsRegistry {
+        let mut reg = MetricsRegistry::new();
+        let s = |v: &str| v.to_string();
+        reg.gauge_set("node", &[], 1.0);
+        reg.gauge_set("node_a", &[("node", s("10"))], 2.0);
+        reg.gauge_set("node_a", &[("node", s("2"))], 3.0);
+        reg.gauge_set("node_a", &[("node", s("1"))], -0.5);
+        reg.gauge_set("node_a", &[("node", s("1")), ("link", s("3"))], 4.0);
+        reg.gauge_set("node_a", &[("link", s("3")), ("node", s(""))], 5.0);
+        reg.counter_add("node_", &[("a", s("x\0y"))], 6);
+        reg.counter_add("node_", &[("a", s("x\0"))], 7);
+        reg.counter_add("node_", &[("a", s("x"))], 8);
+        reg.counter_add("node_", &[("a", s("x\u{1}"))], 9);
+        reg.counter_add("node_", &[("a", s("x")), ("", s(""))], 10);
+        reg.counter_add("node_", &[("a", s("x")), ("a", s("w"))], 11);
+        reg.counter_add("n\u{e9}ud", &[("\u{fc}", s("\u{263a}"))], 12);
+        reg.observe("lat", &[("op", s("b")), ("at", s("z"))], 5);
+        reg.observe("lat", &[("op", s("a"))], 1_000);
+        reg.gauge_set("inf", &[("sign", s("+"))], f64::INFINITY);
+        reg
+    }
+
+    #[test]
+    fn exports_are_byte_for_byte_pinned() {
+        let reg = tricky_registry();
+        let text = prometheus_text(&reg);
+        let json = bench_summary_json("pin", &reg, &[]);
+        assert_eq!(
+            text,
+            r#"# TYPE inf gauge
+inf{sign="+"} +Inf
+# TYPE lat histogram
+lat_bucket{at="z",op="b",le="7"} 1
+lat_sum{at="z",op="b"} 5
+lat_count{at="z",op="b"} 1
+lat_bucket{op="a",le="1023"} 1
+lat_sum{op="a"} 1000
+lat_count{op="a"} 1
+# TYPE node gauge
+node 1
+# TYPE node_ counter
+node_{="",a="x"} 10
+node_{a="w",a="x"} 11
+node_{a="x"} 8
+node_{a="x\u0000"} 7
+node_{a="x\u0000y"} 6
+node_{a="x\u0001"} 9
+# TYPE node_a gauge
+node_a{link="3",node=""} 5
+node_a{link="3",node="1"} 4
+node_a{node="1"} -0.5
+node_a{node="10"} 2
+node_a{node="2"} 3
+# TYPE néud counter
+néud{ü="☺"} 12
+"#
+        );
+        assert_eq!(
+            json,
+            r#"{
+  "schema": "qcdoc-telemetry-v2",
+  "bench": "pin",
+  "metrics": [
+    {"name": "inf", "labels": {"sign": "+"}, "type": "gauge", "value": null},
+    {"name": "lat", "labels": {"at": "z", "op": "b"}, "type": "histogram", "count": 1, "sum": 5, "p50": 7, "p95": 7, "p99": 7, "buckets": [[7, 1]]},
+    {"name": "lat", "labels": {"op": "a"}, "type": "histogram", "count": 1, "sum": 1000, "p50": 1023, "p95": 1023, "p99": 1023, "buckets": [[1023, 1]]},
+    {"name": "node", "labels": {}, "type": "gauge", "value": 1.0},
+    {"name": "node_", "labels": {"": "", "a": "x"}, "type": "counter", "value": 10},
+    {"name": "node_", "labels": {"a": "w", "a": "x"}, "type": "counter", "value": 11},
+    {"name": "node_", "labels": {"a": "x"}, "type": "counter", "value": 8},
+    {"name": "node_", "labels": {"a": "x\u0000"}, "type": "counter", "value": 7},
+    {"name": "node_", "labels": {"a": "x\u0000y"}, "type": "counter", "value": 6},
+    {"name": "node_", "labels": {"a": "x\u0001"}, "type": "counter", "value": 9},
+    {"name": "node_a", "labels": {"link": "3", "node": ""}, "type": "gauge", "value": 5.0},
+    {"name": "node_a", "labels": {"link": "3", "node": "1"}, "type": "gauge", "value": 4.0},
+    {"name": "node_a", "labels": {"node": "1"}, "type": "gauge", "value": -0.5},
+    {"name": "node_a", "labels": {"node": "10"}, "type": "gauge", "value": 2.0},
+    {"name": "node_a", "labels": {"node": "2"}, "type": "gauge", "value": 3.0},
+    {"name": "néud", "labels": {"ü": "☺"}, "type": "counter", "value": 12}
+  ],
+  "phases": [
+
+  ],
+  "spans_total": 0
+}
+"#
+        );
     }
 
     #[test]

@@ -5,30 +5,116 @@
 //! therefore every exporter's output — is fully deterministic: two runs
 //! that record the same values produce byte-identical dumps.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
 
-/// A metric identity: name plus a sorted label set.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricKey {
-    /// Metric name, e.g. `scu_link_resends`.
-    pub name: String,
-    /// Label pairs, kept sorted by key so equal label sets compare equal.
-    pub labels: Vec<(String, String)>,
-}
+/// A metric identity: name plus a sorted label set, held as one string.
+/// Its parts — the name, then each label's key and value, labels sorted
+/// by key and value — are joined by `\0`; inside a part the characters
+/// `\0` and `\u{1}` are written `\u{1}\u{1}` and `\u{1}\u{2}`. An
+/// escaped part holds no `\0` and the escape keeps byte order, so keys
+/// sort by their bytes exactly as (name, labels) pairs sort, and one
+/// allocation holds the whole identity.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct MetricKey(Box<str>);
 
 impl MetricKey {
-    /// Build a key from a name and unsorted label pairs.
-    pub fn new(name: &str, labels: &[(&str, String)]) -> MetricKey {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect();
-        labels.sort();
-        MetricKey {
-            name: name.to_string(),
-            labels,
+    /// Metric name, e.g. `scu_link_resends`.
+    pub fn name(&self) -> Cow<'_, str> {
+        self.parts().next().expect("every key has a name")
+    }
+
+    /// Label pairs, sorted by key (then value), so equal label sets
+    /// compare equal.
+    pub fn labels(&self) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
+        let mut parts = self.parts().skip(1);
+        std::iter::from_fn(move || Some((parts.next()?, parts.next()?)))
+    }
+
+    fn parts(&self) -> impl Iterator<Item = Cow<'_, str>> {
+        let escaped = self.0.contains('\u{1}');
+        self.0.split('\0').map(move |part| {
+            if escaped {
+                Cow::Owned(unescape(part))
+            } else {
+                Cow::Borrowed(part)
+            }
+        })
+    }
+}
+
+impl Borrow<str> for MetricKey {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for MetricKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MetricKey")
+            .field("name", &self.name())
+            .field("labels", &self.labels().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
+/// Write the identity of `name` with `labels` (already in sorted order)
+/// into `key`, replacing what it held.
+fn encode<'a>(key: &mut String, name: &str, labels: impl Iterator<Item = (&'a str, &'a str)>) {
+    key.clear();
+    escape_into(key, name);
+    for (k, v) in labels {
+        key.push('\0');
+        escape_into(key, k);
+        key.push('\0');
+        escape_into(key, v);
+    }
+}
+
+fn escape_into(key: &mut String, part: &str) {
+    if !part.contains(['\0', '\u{1}']) {
+        key.push_str(part);
+        return;
+    }
+    for c in part.chars() {
+        match c {
+            '\0' => key.push_str("\u{1}\u{1}"),
+            '\u{1}' => key.push_str("\u{1}\u{2}"),
+            c => key.push(c),
         }
     }
+}
+
+fn unescape(part: &str) -> String {
+    let mut out = String::with_capacity(part.len());
+    let mut chars = part.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\u{1}' => out.push(if chars.next() == Some('\u{1}') {
+                '\0'
+            } else {
+                '\u{1}'
+            }),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// `labels` sorted by key, then value (equal pairs in input order),
+/// picked one at a time so that nothing is allocated.
+fn sorted_labels<'a>(labels: &'a [(&'a str, String)]) -> impl Iterator<Item = (&'a str, &'a str)> {
+    let rank = |i: usize| ((labels[i].0, labels[i].1.as_str()), i);
+    let mut last = None;
+    (0..labels.len()).map(move |_| {
+        let next = (0..labels.len())
+            .map(rank)
+            .filter(|r| last.is_none_or(|l| *r > l))
+            .min()
+            .expect("one pair per step");
+        last = Some(next);
+        next.0
+    })
 }
 
 /// A power-of-two-bucketed histogram of `u64` observations.
@@ -163,9 +249,26 @@ impl MetricValue {
 }
 
 /// The registry: a deterministic map from [`MetricKey`] to value.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct MetricsRegistry {
     entries: BTreeMap<MetricKey, MetricValue>,
+    /// The identity being recorded, encoded. Kept across calls, so that
+    /// recording into a series that exists allocates nothing.
+    scratch: String,
+}
+
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &MetricsRegistry) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl std::fmt::Debug for MetricsRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MetricsRegistry")
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl MetricsRegistry {
@@ -184,61 +287,132 @@ impl MetricsRegistry {
         self.entries.len()
     }
 
+    /// Apply `record` to the series `name{labels}`, filing it first as
+    /// `fresh()` when the registry lacks it. The lookup reads the encoded
+    /// identity from `scratch`; only a new series allocates its key.
+    fn record(
+        &mut self,
+        name: &str,
+        labels: &[(&str, String)],
+        fresh: impl FnOnce() -> MetricValue,
+        record: impl FnOnce(&mut MetricValue),
+    ) {
+        encode(&mut self.scratch, name, sorted_labels(labels));
+        match self.entries.get_mut(self.scratch.as_str()) {
+            Some(value) => record(value),
+            None => {
+                let mut value = fresh();
+                record(&mut value);
+                self.entries
+                    .insert(MetricKey(self.scratch.as_str().into()), value);
+            }
+        }
+    }
+
     /// Add `v` to a counter, creating it at zero first if needed.
     ///
     /// Panics if the series already exists with a different type — mixing
     /// types under one name is a programming error, not a runtime state.
     pub fn counter_add(&mut self, name: &str, labels: &[(&str, String)], v: u64) {
-        match self
-            .entries
-            .entry(MetricKey::new(name, labels))
-            .or_insert(MetricValue::Counter(0))
-        {
-            MetricValue::Counter(c) => *c += v,
-            other => panic!("metric {name} is a {}, not a counter", other.type_name()),
-        }
+        self.record(
+            name,
+            labels,
+            || MetricValue::Counter(0),
+            |value| match value {
+                MetricValue::Counter(c) => *c += v,
+                other => panic!("metric {name} is a {}, not a counter", other.type_name()),
+            },
+        );
     }
 
     /// Set a gauge to `v` (last write wins).
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, String)], v: f64) {
-        match self
-            .entries
-            .entry(MetricKey::new(name, labels))
-            .or_insert(MetricValue::Gauge(v))
-        {
-            MetricValue::Gauge(g) => *g = v,
-            other => panic!("metric {name} is a {}, not a gauge", other.type_name()),
+        self.record(
+            name,
+            labels,
+            || MetricValue::Gauge(v),
+            |value| match value {
+                MetricValue::Gauge(g) => *g = v,
+                other => panic!("metric {name} is a {}, not a gauge", other.type_name()),
+            },
+        );
+    }
+
+    /// Set many one-label gauges at once, each item a `(name, value, v)`
+    /// for the series `name{label="value"}`: the same registry as one
+    /// [`MetricsRegistry::gauge_set`] per item, in order. The series the
+    /// registry lacks are keyed in one batch and merged in with the rest
+    /// in a single pass over the registry, so a first export of many
+    /// series costs about one allocation each (and items in key order
+    /// sort for free).
+    pub fn gauge_set_batch<'a>(
+        &mut self,
+        label: &str,
+        series: impl IntoIterator<Item = (&'a str, &'a str, f64)>,
+    ) {
+        let mut fresh = Vec::new();
+        for (name, value, v) in series {
+            encode(&mut self.scratch, name, [(label, value)].into_iter());
+            match self.entries.get_mut(self.scratch.as_str()) {
+                Some(MetricValue::Gauge(g)) => *g = v,
+                Some(other) => panic!("metric {name} is a {}, not a gauge", other.type_name()),
+                None => fresh.push((
+                    MetricKey(self.scratch.as_str().into()),
+                    MetricValue::Gauge(v),
+                )),
+            }
         }
+        // A stable sort keeps a series' writes in order; of equal keys the
+        // first one kept takes the last value, as the last write wins.
+        fresh.sort_by(|a, b| a.0.cmp(&b.0));
+        fresh.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                std::mem::swap(&mut later.1, &mut kept.1);
+            }
+            same
+        });
+        let mut batch: BTreeMap<MetricKey, MetricValue> = fresh.into_iter().collect();
+        self.entries.append(&mut batch);
     }
 
     /// Record one observation into a histogram series.
     pub fn observe(&mut self, name: &str, labels: &[(&str, String)], v: u64) {
-        match self
-            .entries
-            .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| MetricValue::Histogram(Box::default()))
-        {
-            MetricValue::Histogram(h) => h.observe(v),
-            other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
-        }
+        self.record(
+            name,
+            labels,
+            || MetricValue::Histogram(Box::default()),
+            |value| match value {
+                MetricValue::Histogram(h) => h.observe(v),
+                other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
+            },
+        );
     }
 
     /// Fold a whole pre-built histogram into a histogram series (how the
     /// SCU's per-link backoff distributions reach the registry).
     pub fn histogram_merge(&mut self, name: &str, labels: &[(&str, String)], h: &Histogram) {
-        match self
-            .entries
-            .entry(MetricKey::new(name, labels))
-            .or_insert_with(|| MetricValue::Histogram(Box::default()))
-        {
-            MetricValue::Histogram(mine) => mine.merge(h),
-            other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
-        }
+        self.record(
+            name,
+            labels,
+            || MetricValue::Histogram(Box::default()),
+            |value| match value {
+                MetricValue::Histogram(mine) => mine.merge(h),
+                other => panic!("metric {name} is a {}, not a histogram", other.type_name()),
+            },
+        );
+    }
+
+    /// The series `name{labels}`, if present.
+    fn get(&self, name: &str, labels: &[(&str, String)]) -> Option<&MetricValue> {
+        let mut key = String::new();
+        encode(&mut key, name, sorted_labels(labels));
+        self.entries.get(key.as_str())
     }
 
     /// Current value of a counter (0 when absent).
     pub fn counter(&self, name: &str, labels: &[(&str, String)]) -> u64 {
-        match self.entries.get(&MetricKey::new(name, labels)) {
+        match self.get(name, labels) {
             Some(MetricValue::Counter(c)) => *c,
             _ => 0,
         }
@@ -246,7 +420,7 @@ impl MetricsRegistry {
 
     /// Current value of a gauge, if present.
     pub fn gauge(&self, name: &str, labels: &[(&str, String)]) -> Option<f64> {
-        match self.entries.get(&MetricKey::new(name, labels)) {
+        match self.get(name, labels) {
             Some(MetricValue::Gauge(g)) => Some(*g),
             _ => None,
         }
@@ -254,7 +428,7 @@ impl MetricsRegistry {
 
     /// A histogram series, if present.
     pub fn histogram(&self, name: &str, labels: &[(&str, String)]) -> Option<&Histogram> {
-        match self.entries.get(&MetricKey::new(name, labels)) {
+        match self.get(name, labels) {
             Some(MetricValue::Histogram(h)) => Some(h.as_ref()),
             _ => None,
         }
@@ -278,7 +452,7 @@ impl MetricsRegistry {
                 (Some(MetricValue::Histogram(a)), MetricValue::Histogram(b)) => a.merge(b),
                 (Some(existing), incoming) => panic!(
                     "metric {} type mismatch on merge: {} vs {}",
-                    key.name,
+                    key.name(),
                     existing.type_name(),
                     incoming.type_name()
                 ),
@@ -291,16 +465,18 @@ impl MetricsRegistry {
     pub fn merge_labeled(&mut self, other: &MetricsRegistry, label: &str, value: &str) {
         let mut stamped = MetricsRegistry::new();
         for (key, v) in &other.entries {
-            let mut labels = key.labels.clone();
-            labels.push((label.to_string(), value.to_string()));
+            let mut labels: Vec<(Cow<str>, Cow<str>)> = key.labels().collect();
+            labels.push((Cow::Borrowed(label), Cow::Borrowed(value)));
             labels.sort();
-            stamped.entries.insert(
-                MetricKey {
-                    name: key.name.clone(),
-                    labels,
-                },
-                v.clone(),
+            let mut stamp = String::new();
+            encode(
+                &mut stamp,
+                &key.name(),
+                labels.iter().map(|(k, v)| (k.as_ref(), v.as_ref())),
             );
+            stamped
+                .entries
+                .insert(MetricKey(stamp.into_boxed_str()), v.clone());
         }
         self.merge(&stamped);
     }
@@ -381,9 +557,17 @@ mod tests {
 
     #[test]
     fn label_order_is_canonical() {
-        let a = MetricKey::new("m", &[("b", "2".into()), ("a", "1".into())]);
-        let b = MetricKey::new("m", &[("a", "1".into()), ("b", "2".into())]);
-        assert_eq!(a, b);
+        let mut reg = MetricsRegistry::new();
+        reg.counter_add("m", &[("b", "2".into()), ("a", "1".into())], 1);
+        reg.counter_add("m", &[("a", "1".into()), ("b", "2".into())], 1);
+        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.counter("m", &[("b", "2".into()), ("a", "1".into())]), 2);
+        let (key, _) = reg.iter().next().unwrap();
+        let labels: Vec<(String, String)> = key
+            .labels()
+            .map(|(k, v)| (k.into_owned(), v.into_owned()))
+            .collect();
+        assert_eq!(labels, [("a".into(), "1".into()), ("b".into(), "2".into())]);
     }
 
     #[test]
@@ -410,6 +594,32 @@ mod tests {
         machine.merge_labeled(&node_local, "node", "5");
         assert_eq!(machine.counter("dma_bytes", &node(5)), 64);
         assert_eq!(machine.counter("dma_bytes", &[]), 0);
+    }
+
+    #[test]
+    fn a_gauge_batch_equals_one_gauge_set_each() {
+        // Items out of key order, one series written twice, one already
+        // present, and other names on both sides of the batch's.
+        let items = [
+            ("g", "9", 1.0),
+            ("g", "10", 2.0),
+            ("f", "9", 6.0),
+            ("g", "9", 3.0),
+            ("g", "0", 4.0),
+            ("g", "x\0", 5.0),
+        ];
+        let mut start = MetricsRegistry::new();
+        start.gauge_set("g", &node(10), -1.0);
+        start.counter_add("a", &[], 1);
+        start.counter_add("h", &node(1), 1);
+        let mut batch = start.clone();
+        batch.gauge_set_batch("node", items);
+        let mut each = start;
+        for (name, n, v) in items {
+            each.gauge_set(name, &[("node", n.to_string())], v);
+        }
+        assert_eq!(batch, each);
+        assert_eq!(batch.gauge("g", &node(9)), Some(3.0));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 #
 # Builds scripts/sampler.c into target/profile/ and the bench/e2e harness
 # with frame pointers and line tables into target/profile/target/, runs the
-# workload untraced under the sampler (LD_PRELOAD), and prints two tables
-# with one row per (file, function). Self: the share of samples whose
+# workload untraced under the sampler (LD_PRELOAD), and prints the timed
+# reps' share of the samples, then two tables with one row per (file,
+# function). Self: the share of samples whose
 # innermost frame in this repository — inlined frames included, std and libc
 # skipped — is that function. Inclusive: the share of samples with that
 # function anywhere on the stack. Needs cc and llvm-symbolizer. Not part of
@@ -97,6 +98,22 @@ table() {
             for (k in count) { split(k, p, "\t"); printf "%8.1f%%  %-40s %s\n", 100 * count[k] / total, p[1], p[2] }
         }' "$out/frames" FS=' ' "$out/stacks" | { IFS= read -r a; IFS= read -r b; echo "$a"; echo "$b"; sort -rn; } | awk 'NR <= 42'
 }
+# The timed reps' share of all samples (set-up and warm-up are the rest): a
+# row's share of a rep is its share here divided by this one.
+awk -F'\t' '
+    FNR == NR {
+        if ($3 ~ /measure::timed/) timed[$1] = 1
+        if ($3 ~ /Workload>::setup/) setup[$1] = 1
+        next
+    }
+    {
+        total++; t = 0; s = 0
+        for (i = 1; i <= NF; i++) { if ($i in timed) t = 1; if ($i in setup) s = 1 }
+        if (t && !s) reps++
+    }
+    END {
+        printf "%.1f%% of %d samples are under the timed reps (measure::timed, set-up excluded); divide a row by it for its share of a rep\n\n", 100 * reps / total, total
+    }' "$out/frames" FS=' ' "$out/stacks"
 table self
 echo
 table inclusive

@@ -109,6 +109,12 @@ fn chaos_soak_is_deterministic_per_seed() {
         (0x794a_ec44_ec8c_8480, 82, 504, 16, 0x3fce_aaaa_aaaa_aaab),
         "seed 99: {c:?}"
     );
+    // So is what the daemon's registry holds at the end: every node
+    // gauge, counter and histogram.
+    assert_eq!(
+        (a.registry_digest, c.registry_digest),
+        (0xae7d_50ec_5169_3921, 0x30e2_c7bc_cbd1_e31f)
+    );
 }
 
 #[test]
