@@ -19,15 +19,21 @@ use qcdoc_scu::link::{WireFrame, WireTap};
 use qcdoc_scu::packet::{Frame, Packet};
 use std::sync::Arc;
 
+/// An empty plan and a 1 % bit-error rate on node 3's link 0, compiled for
+/// a 16-node `[2, 2, 2, 2]` machine.
+fn tap_clocks() -> [Arc<FaultClock>; 2] {
+    let shape = TorusShape::new(&[2, 2, 2, 2]);
+    [
+        FaultPlan::new(0),
+        FaultPlan::new(7).with_event(FaultEvent::bit_error_rate(3, 0, 0.01)),
+    ]
+    .map(|plan| Arc::new(FaultClock::resolve(&plan, &shape).expect("the plan fits")))
+}
+
 fn tap_per_frame(c: &mut Criterion) {
     let mut group = c.benchmark_group("fault_overhead");
     group.sample_size(20);
-    let empty = Arc::new(FaultClock::resolve(&FaultPlan::new(0), 16, 8));
-    let noisy = Arc::new(FaultClock::resolve(
-        &FaultPlan::new(7).with_event(FaultEvent::bit_error_rate(3, 0, 0.01)),
-        16,
-        8,
-    ));
+    let [empty, noisy] = tap_clocks();
     for (label, clock) in [
         ("tap_1k_frames_empty_plan", empty),
         ("tap_1k_frames_ber_plan", noisy),
@@ -111,12 +117,7 @@ fn tap_run(clock: &Arc<FaultClock>, frames: u64) -> u64 {
 /// The cycle counts are logical — identical on every host — so the
 /// judge gates them at 1%: any drift is a real model change.
 fn smoke_check() {
-    let empty = Arc::new(FaultClock::resolve(&FaultPlan::new(0), 16, 8));
-    let noisy = Arc::new(FaultClock::resolve(
-        &FaultPlan::new(7).with_event(FaultEvent::bit_error_rate(3, 0, 0.01)),
-        16,
-        8,
-    ));
+    let [empty, noisy] = tap_clocks();
     black_box(tap_run(&empty, 1_000));
     let empty_s = min_seconds(
         || {

@@ -25,7 +25,7 @@
 //! machine's own [`TorusShape`] wiring, so a plan strikes the same node
 //! and wire here as in the functional engine.
 
-use qcdoc_geometry::{Axis, NodeId, TorusShape};
+use qcdoc_geometry::{NodeId, TorusShape};
 use qcdoc_scu::timing::transfer_cycles;
 use qcdoc_telemetry::{MetricsRegistry, Phase, Span, TraceSink};
 
@@ -90,23 +90,6 @@ impl DesResult {
     }
 }
 
-/// Incoming faces of `rank`: `(sender, sender_link, receiver_link)` per
-/// spanning axis and direction. A face sent toward `dir` leaves on the
-/// sender's `dir.link_index()` and lands on the receiver's opposite link —
-/// the wiring `functional::build_fabric` lays down.
-fn incoming_faces(shape: &TorusShape, rank: usize) -> Vec<(usize, usize, usize)> {
-    let c = shape.coord_of(NodeId(rank as u32));
-    (0..shape.rank())
-        .filter(|&a| shape.extent(a) > 1)
-        .flat_map(|a| [Axis(a as u8).plus(), Axis(a as u8).minus()])
-        .map(|dir| {
-            let back = dir.opposite();
-            let sender = shape.rank_of(shape.neighbour(c, back));
-            (sender.index(), dir.link_index(), back.link_index())
-        })
-        .collect()
-}
-
 /// Play out `iterations` iterations of compute → face exchange → global
 /// reduction under a fault plan, returning both the timing result and the
 /// machine-health ledger a host sweep would read. An empty plan is the
@@ -130,6 +113,9 @@ fn incoming_faces(shape: &TorusShape, rank: usize) -> Vec<(usize, usize, usize)>
 /// The DES moves no payload bytes, so link checksums stay zero and
 /// `checksum_ok` stays `None`; word counts, injected-error counts, stall
 /// time, liveness, and the fingerprint are all fully deterministic.
+///
+/// Panics with the [`qcdoc_fault::PlanError`] before the first iteration
+/// if the plan names a node or a wire the machine lacks.
 pub fn run_with_faults(
     config: &DesConfig,
     iterations: usize,
@@ -158,7 +144,7 @@ impl std::fmt::Debug for DesTelemetry<'_> {
 /// `des.comms` span (compute end → halo complete) and a `des.gsum` span
 /// (halo complete → reduction done) — the §4 efficiency decomposition,
 /// played out on the event clock. Timing and ledger are bit-identical to
-/// the untraced run.
+/// the untraced run, and a plan that does not fit is refused the same way.
 pub fn run_traced(
     config: &DesConfig,
     iterations: usize,
@@ -167,37 +153,25 @@ pub fn run_traced(
 ) -> (DesResult, qcdoc_fault::HealthLedger) {
     use qcdoc_fault::{FaultClock, HealthLedger, Liveness};
     use qcdoc_scu::link::WINDOW;
+    use qcdoc_scu::LINKS;
 
     let shape = TorusShape::new(&config.machine_dims);
     let n = shape.node_count();
-    let clock = FaultClock::resolve(plan, n as u32, 2 * shape.rank());
+    let clock = FaultClock::resolve(plan, &shape).unwrap_or_else(|e| panic!("{e}"));
     let mut ledger = HealthLedger::new(n);
-    let incoming: Vec<Vec<(usize, usize, usize)>> =
-        (0..n).map(|r| incoming_faces(&shape, r)).collect();
 
-    // Links a face crosses, per node: a dead wire stalls the machine only
-    // if a face needs it, as in the functional engine.
-    let mut crossed = vec![0u16; n];
-    for (r, faces) in incoming.iter().enumerate() {
-        for &(m, send_link, recv_link) in faces {
-            crossed[m] |= 1 << send_link;
-            crossed[r] |= 1 << recv_link;
-        }
-    }
-
-    // The iteration at which an unrecoverable fault stops the machine.
+    // The iteration at which an unrecoverable fault stops the machine: a
+    // crash, or a dead wire, since every wire carries a face.
     let mut fatal_at = usize::MAX;
-    for (r, &crossed) in crossed.iter().enumerate() {
+    for r in 0..n {
         if let Some(it) = clock.crash_iteration(r as u32) {
             fatal_at = fatal_at.min(it);
             ledger.node_mut(r as u32).liveness = Liveness::Crashed { iteration: it };
         }
-        for l in 0..12 {
+        for l in 0..LINKS {
             if let Some(from_seq) = clock.link_dead_from(r as u32, l) {
-                if crossed & (1 << l) != 0 {
-                    let words = config.face_words.max(1);
-                    fatal_at = fatal_at.min((from_seq / words) as usize);
-                }
+                let words = config.face_words.max(1);
+                fatal_at = fatal_at.min((from_seq / words) as usize);
                 ledger.node_mut(r as u32).links[l].dead = true;
             }
         }
@@ -221,6 +195,10 @@ pub fn run_traced(
         }
     }
 
+    // Every wire carries one face per iteration.
+    let wires: Vec<Vec<_>> = (0..n)
+        .map(|m| shape.wires(NodeId(m as u32)).collect())
+        .collect();
     let mut ready = vec![0u64; n];
     let mut finishes = Vec::with_capacity(iterations.min(fatal_at));
     for it in 0..iterations.min(fatal_at) {
@@ -228,13 +206,14 @@ pub fn run_traced(
             .map(|r| ready[r] + config.compute_of(r) + clock.pause_cycles(r as u32, it))
             .collect();
         let mut halo_done = compute_end.clone();
-        for r in 0..n {
-            for &(m, send_link, recv_link) in &incoming[r] {
+        for (m, &computed) in compute_end.iter().enumerate() {
+            for &(d, r, rd) in &wires[m] {
+                let (send_link, r, recv_link) = (d.link_index(), r.index(), rd.link_index());
                 let errors = clock.wire_errors(m as u32, send_link, it, config.face_words);
                 let effective = config.face_words + errors * WINDOW as u64;
                 let stall = clock.stall_cycles(m as u32, send_link, it);
                 let face = transfer_cycles(effective).count() + stall;
-                halo_done[r] = halo_done[r].max(compute_end[m] + face);
+                halo_done[r] = halo_done[r].max(computed + face);
                 let mh = ledger.node_mut(m as u32);
                 mh.links[send_link].sent_words += config.face_words;
                 mh.links[send_link].injected += errors;
@@ -519,8 +498,8 @@ mod tests {
 
         #[test]
         fn a_random_link_fault_strikes_the_same_wire_in_both_engines() {
-            // Random links resolve over the machine's whole rank, as the
-            // functional engine wires it, even where an axis has extent 1.
+            // Random links draw among the machine's wires, which leave out
+            // the extent-1 axis, in both engines.
             use crate::ShardedMachine;
             use qcdoc_fault::{FaultKind, LinkSelect, NodeSelect};
             let dims = [4, 4, 4, 1];
@@ -541,45 +520,76 @@ mod tests {
         }
 
         #[test]
-        fn a_dead_link_stops_both_engines_only_where_a_face_crosses_it() {
-            // On [4,4,4,1] no face crosses links 6 and 7 (axis 3 has
-            // extent 1) or 9 (beyond the 4-D rank): both ledgers mark the
-            // wire dead, but neither engine stalls. Link 0 carries the +x
-            // faces, so a dead link 0 stops both.
+        fn a_plan_naming_a_missing_wire_is_refused_by_both_engines() {
+            // On [4,4,4,1] axis 3 has extent 1, so links 6 and 7 are not
+            // wires; 9 and 11 lie beyond the 4-D rank, 12 and 21 beyond the
+            // twelve links, and node 64 beyond the machine. Both engines
+            // refuse each plan before running, with the resolver's error.
+            // Link 0 carries the +x faces, so a dead link 0 stops both.
             use crate::distributed::{wilson_cg_segment_async, BlockGeom};
             use crate::ShardedMachine;
+            use qcdoc_fault::{FaultClock, PlanError};
             use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
+            use std::panic::{catch_unwind, AssertUnwindSafe};
             const ITERS: usize = 3;
             let dims = [4, 4, 4, 1];
+            let shape = TorusShape::new(&dims);
+            let cfg = DesConfig::homogeneous(dims, 1_000, 8, 10);
+            let panic_text = |run: &dyn Fn()| -> String {
+                let payload =
+                    catch_unwind(AssertUnwindSafe(run)).expect_err("the plan must be refused");
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default()
+            };
+            let refused = [6, 7, 9, 11, 12, 21]
+                .map(|link| {
+                    (
+                        FaultEvent::dead_link(3, link, 0),
+                        PlanError::NoSuchWire(3, link),
+                    )
+                })
+                .into_iter()
+                .chain([(
+                    FaultEvent::dead_link(64, 0, 0),
+                    PlanError::NoSuchNode(64, 64),
+                )]);
+            for (event, want) in refused {
+                let plan = FaultPlan::new(0).with_event(event);
+                assert_eq!(FaultClock::resolve(&plan, &shape).unwrap_err(), want);
+                let des = panic_text(&|| {
+                    run_with_faults(&cfg, ITERS, &plan);
+                });
+                let machine = panic_text(&|| {
+                    ShardedMachine::new(shape.clone()).with_faults(plan.clone());
+                });
+                assert_eq!(
+                    (des.as_str(), machine.as_str()),
+                    (&*want.to_string(), &*want.to_string())
+                );
+            }
+
             let global = Lattice::new([8, 8, 8, 2]);
             let gauge = GaugeField::hot(global, 5);
             let b = FermionField::gaussian(global, 6);
-            for (link, fatal) in [(0, true), (6, false), (7, false), (9, false)] {
-                let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(3, link, 0));
-                let cfg = DesConfig::homogeneous(dims, 1_000, 8, 10);
-                let (des, des_ledger) = run_with_faults(&cfg, ITERS, &plan);
-                let (outs, ledger) = ShardedMachine::new(TorusShape::new(&dims))
-                    .with_workers(1)
-                    .with_faults(plan)
-                    .run_with_health(async |ctx| {
-                        let geom = BlockGeom::new(ctx, global);
-                        let lg = geom.extract_gauge(&gauge);
-                        let lb = geom.extract_fermion(&b);
-                        let out = wilson_cg_segment_async(
-                            ctx, &geom, &lg, &lb, 0.12, 1e-12, ITERS, None, ITERS,
-                        )
-                        .await;
-                        (out.wedged, out.iterations)
-                    });
-                let des_iters = des.iteration_finish.len();
-                assert_eq!(des_iters, if fatal { 0 } else { ITERS }, "DES, link {link}");
-                assert_eq!(outs.iter().any(|o| o.0), fatal, "machine, link {link}");
-                if !fatal {
-                    assert!(outs.iter().all(|o| o.1 == ITERS), "link {link}");
-                }
-                assert_eq!(des_ledger.dead_links(), vec![(3, link)]);
-                assert_eq!(ledger.dead_links(), vec![(3, link)]);
-            }
+            let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(3, 0, 0));
+            let (des, des_ledger) = run_with_faults(&cfg, ITERS, &plan);
+            let (outs, ledger) = ShardedMachine::new(shape)
+                .with_workers(1)
+                .with_faults(plan)
+                .run_with_health(async |ctx| {
+                    let geom = BlockGeom::new(ctx, global);
+                    let lg = geom.extract_gauge(&gauge);
+                    let lb = geom.extract_fermion(&b);
+                    wilson_cg_segment_async(ctx, &geom, &lg, &lb, 0.12, 1e-12, ITERS, None, ITERS)
+                        .await
+                        .wedged
+                });
+            assert!(des.iteration_finish.is_empty(), "the DES stops at once");
+            assert!(outs.iter().any(|&wedged| wedged), "the machine wedges");
+            assert_eq!(des_ledger.dead_links(), vec![(3, 0)]);
+            assert_eq!(ledger.dead_links(), vec![(3, 0)]);
         }
 
         #[test]

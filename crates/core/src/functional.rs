@@ -26,12 +26,12 @@
 use qcdoc_asic::memory::NodeMemory;
 use qcdoc_fault::{FaultClock, Liveness, NodeHealth, NodeTap};
 pub use qcdoc_fault::{FaultEvent, FaultPlan, HealthLedger};
-use qcdoc_geometry::{Axis, Direction, NodeCoord, NodeId, TorusShape};
+use qcdoc_geometry::{Direction, NodeCoord, NodeId, TorusShape};
 use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_scu::link::WireTap;
 use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg};
 use qcdoc_scu::timing::transfer_cycles;
-use qcdoc_scu::{RetryPolicy, WireVerdict};
+use qcdoc_scu::{RetryPolicy, WireVerdict, LINKS};
 use qcdoc_telemetry::{
     FlightEvent, FlightKind, MetricsRegistry, NodeTelemetry, Phase, Span, SpanToken,
 };
@@ -96,8 +96,8 @@ pub struct NodeCtx {
     block_checksums: bool,
     /// Words armed per link since the last accounted completion, used to
     /// charge the telemetry clock with modeled transfer cycles.
-    armed_send_words: [u64; 12],
-    armed_recv_words: [u64; 12],
+    armed_send_words: [u64; LINKS],
+    armed_recv_words: [u64; LINKS],
     /// SCU counter totals at the last flight check, so each
     /// [`NodeCtx::complete_async`] logs only the retries it caused.
     flight_resends_seen: u64,
@@ -109,14 +109,15 @@ pub struct NodeCtx {
 }
 
 /// Every link's bit in [`NodeCtx`]'s active-link mask.
-const ALL_LINKS: u16 = (1 << 12) - 1;
+const ALL_LINKS: u16 = (1 << LINKS) - 1;
 
 /// One node's wire ends, indexed by link: `tx[l]` leaves toward direction
-/// `l`, `rx[l]` arrives from it. Links beyond the machine's rank are `None`.
+/// `l`, `rx[l]` arrives from it. A link that is not a wire of the machine
+/// ([`TorusShape::wires`]) is `None`.
 #[derive(Default)]
 pub(crate) struct NodeWires {
-    tx: [Option<WireTx<WireMsg>>; 12],
-    rx: [Option<WireRx<WireMsg>>; 12],
+    tx: [Option<WireTx<WireMsg>>; LINKS],
+    rx: [Option<WireRx<WireMsg>>; LINKS],
 }
 
 /// Everything the engine needs to stamp out one node, minus the wires.
@@ -193,7 +194,7 @@ impl NodeCtx {
     /// Link-level rejects observed by this node's receive units (each one
     /// forced a hardware resend).
     pub fn link_errors(&self) -> u64 {
-        (0..12).map(|l| self.scu.recv_unit(l).rejects()).sum()
+        (0..LINKS).map(|l| self.scu.recv_unit(l).rejects()).sum()
     }
 
     /// Whether a transfer on this node gave up: the machine went quiescent
@@ -212,7 +213,7 @@ impl NodeCtx {
     /// resend later.
     pub fn progress(&mut self) -> bool {
         let mut moved = false;
-        for link in 0..12 {
+        for link in 0..LINKS {
             let Some(rx) = &self.wires.rx[link] else {
                 continue;
             };
@@ -364,7 +365,7 @@ impl NodeCtx {
     /// since the last check into the flight ring. Exceptional paths only:
     /// a clean transfer leaves no trace.
     fn record_scu_flight(&mut self) {
-        let resends: u64 = (0..12).map(|l| self.scu.send_unit(l).resends()).sum();
+        let resends: u64 = (0..LINKS).map(|l| self.scu.send_unit(l).resends()).sum();
         if resends > self.flight_resends_seen {
             self.telem.flight(
                 FlightKind::Retry,
@@ -374,7 +375,9 @@ impl NodeCtx {
             );
             self.flight_resends_seen = resends;
         }
-        let block_rejects: u64 = (0..12).map(|l| self.scu.recv_unit(l).block_rejects()).sum();
+        let block_rejects: u64 = (0..LINKS)
+            .map(|l| self.scu.recv_unit(l).block_rejects())
+            .sum();
         if block_rejects > self.flight_block_rejects_seen {
             self.telem.flight(
                 FlightKind::BlockReject,
@@ -510,8 +513,8 @@ impl NodeCtx {
             wedged: false,
             mem_flips: 0,
             block_checksums: cfg.block_checksums,
-            armed_send_words: [0; 12],
-            armed_recv_words: [0; 12],
+            armed_send_words: [0; LINKS],
+            armed_recv_words: [0; LINKS],
             flight_resends_seen: 0,
             flight_block_rejects_seen: 0,
             signal,
@@ -604,22 +607,19 @@ pub(crate) async fn yield_once() {
     .await
 }
 
-/// Build the wire fabric for a logical shape: one [`wire`] per (node,
-/// outgoing direction); the receiving end goes to the neighbour's
-/// opposite-direction slot. Returns every node's ends in rank order.
+/// Build the wire fabric for a logical shape: one [`wire`] per wire of
+/// [`TorusShape::wires`], its sending end in the node's slot for the link
+/// it leaves on and its receiving end in the far node's slot for the link
+/// it arrives on. Returns every node's ends in rank order.
 pub(crate) fn build_fabric(shape: &TorusShape) -> Vec<NodeWires> {
     let mut fabric: Vec<NodeWires> = (0..shape.node_count())
         .map(|_| NodeWires::default())
         .collect();
     for node in 0..fabric.len() {
-        let coord = shape.coord_of(NodeId(node as u32));
-        for axis in 0..shape.rank() {
-            for dir in [Axis(axis as u8).plus(), Axis(axis as u8).minus()] {
-                let (tx, rx) = wire();
-                let nb = shape.rank_of(shape.neighbour(coord, dir));
-                fabric[node].tx[dir.link_index()] = Some(tx);
-                fabric[nb.index()].rx[dir.opposite().link_index()] = Some(rx);
-            }
+        for (d, far, far_d) in shape.wires(NodeId(node as u32)) {
+            let (tx, rx) = wire();
+            fabric[node].tx[d.link_index()] = Some(tx);
+            fabric[far.index()].rx[far_d.link_index()] = Some(rx);
         }
     }
     fabric
@@ -631,6 +631,7 @@ mod tests {
     use crate::comm::{broadcast_u64_async, global_sum_f64_async};
     use crate::ShardedMachine;
     use qcdoc_fault::FaultEvent;
+    use qcdoc_geometry::Axis;
     use qcdoc_scu::global::dimension_ordered_sum;
 
     fn ring4() -> TorusShape {
@@ -975,20 +976,27 @@ mod tests {
         assert!(ledger.unhealthy_nodes().is_empty());
     }
 
-    #[test]
-    fn self_loop_on_extent_one_axis() {
-        // A 1-extent axis wires a node to itself; a shift is a local copy.
-        let machine = ShardedMachine::new(TorusShape::new(&[2, 1]));
-        let results = machine.run(async |ctx| {
-            ctx.mem.write_word(0x0, 7 + ctx.id.0 as u64).unwrap();
-            ctx.shift_async(
-                Axis(1).plus(),
-                DmaDescriptor::contiguous(0x0, 1),
-                DmaDescriptor::contiguous(0x80, 1),
-            )
-            .await;
-            ctx.mem.read_word(0x80).unwrap()
-        });
-        assert_eq!(results, vec![7, 8]);
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn the_fabric_lays_both_ends_of_every_wire(
+            dims in proptest::collection::vec(1usize..=4, 1..=6),
+        ) {
+            // One sending and one receiving end per wire, each in the slot
+            // the wiring rule names.
+            let shape = TorusShape::new(&dims);
+            let fabric = build_fabric(&shape);
+            let wires = fabric.len() * shape.wires(NodeId(0)).count();
+            let tx: usize = fabric.iter().map(|w| w.tx.iter().flatten().count()).sum();
+            let rx: usize = fabric.iter().map(|w| w.rx.iter().flatten().count()).sum();
+            proptest::prop_assert_eq!((tx, rx), (wires, wires));
+            for (node, ends) in fabric.iter().enumerate() {
+                for (d, far, far_d) in shape.wires(NodeId(node as u32)) {
+                    proptest::prop_assert!(ends.tx[d.link_index()].is_some());
+                    proptest::prop_assert!(fabric[far.index()].rx[far_d.link_index()].is_some());
+                }
+            }
+        }
     }
 }

@@ -18,6 +18,7 @@
 
 use crate::functional::{FaultPlan, HealthLedger, NodeCtx};
 use crate::sharded::ShardedMachine;
+use qcdoc_fault::PlanError;
 use qcdoc_geometry::TorusShape;
 use qcdoc_telemetry::{MetricsRegistry, NodeTelemetry, Phase, Span};
 
@@ -66,6 +67,9 @@ pub enum RecoveryError {
     /// The planner found no replacement partition (no spares, and
     /// degradation disallowed or impossible).
     Unreplaceable,
+    /// The replacement's fault plan names a node or a wire the
+    /// replacement lacks; nothing ran on it.
+    Plan(PlanError),
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -78,6 +82,7 @@ impl std::fmt::Display for RecoveryError {
                 )
             }
             RecoveryError::Unreplaceable => write!(f, "no replacement partition available"),
+            RecoveryError::Plan(e) => write!(f, "replacement refused: {e}"),
         }
     }
 }
@@ -178,7 +183,8 @@ impl ShardedMachine {
                 };
                 recoveries += 1;
                 degraded |= replacement.degraded;
-                self.replace_fabric(replacement.shape, replacement.faults);
+                self.replace_fabric(replacement)
+                    .map_err(RecoveryError::Plan)?;
                 telem.counter_add("recovery_repartitions", 1);
                 telem.counter_add("recovery_checkpoint_restores", 1);
                 telem.advance(1);
@@ -296,6 +302,38 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, RecoveryError::Unreplaceable);
+    }
+
+    #[test]
+    fn a_replacement_plan_naming_a_missing_wire_is_refused_before_it_runs() {
+        // The ring's links are 0 and 1; a plan for the replacement that
+        // names link 2 is refused, and no node runs on the new fabric.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs = AtomicUsize::new(0);
+        let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 0));
+        let err = ShardedMachine::new(ring4())
+            .with_faults(plan)
+            .run_with_recovery(
+                RecoveryConfig::default(),
+                0usize,
+                async |ctx, state| {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    shift_app(ctx, state).await
+                },
+                |_, _: Vec<u64>| -> SegmentVerdict<usize, ()> {
+                    panic!("no segment may come back clean")
+                },
+                |_| {
+                    Some(Replacement {
+                        shape: ring4(),
+                        faults: FaultPlan::new(0).with_event(FaultEvent::dead_link(0, 2, 0)),
+                        degraded: false,
+                    })
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err, RecoveryError::Plan(PlanError::NoSuchWire(0, 2)));
+        assert_eq!(runs.into_inner(), 4, "only the tainted segment ran");
     }
 
     #[test]

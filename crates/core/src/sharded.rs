@@ -29,7 +29,7 @@
 //! wedges and returns.
 
 use parking_lot::Mutex;
-use qcdoc_fault::{FaultClock, FaultPlan, HealthLedger, NodeHealth};
+use qcdoc_fault::{FaultClock, FaultPlan, HealthLedger, NodeHealth, PlanError};
 use qcdoc_geometry::TorusShape;
 use qcdoc_scu::RetryPolicy;
 use qcdoc_telemetry::{FlightEvent, MachineTelemetry, MetricsRegistry, Span};
@@ -44,6 +44,7 @@ use std::task::{Context, Poll, Waker};
 use crate::functional::{
     build_fabric, yield_once, NodeCtx, NodeCtxConfig, NodeWires, TelemetryConfig,
 };
+use crate::recovery::Replacement;
 
 /// What a run collects from each node: the program's result, the health
 /// snapshot, metrics and spans, and the flight ring. The snapshot is boxed
@@ -85,7 +86,8 @@ type NodeOutput<R> = (
 /// ```
 pub struct ShardedMachine {
     shape: TorusShape,
-    faults: FaultPlan,
+    /// The fault plan, compiled against `shape` when it was installed.
+    clock: Arc<FaultClock>,
     telemetry: Option<TelemetryConfig>,
     retry_policy: RetryPolicy,
     block_checksums: bool,
@@ -101,7 +103,7 @@ impl ShardedMachine {
             .unwrap_or(1);
         ShardedMachine {
             shape,
-            faults: FaultPlan::default(),
+            clock: Arc::default(),
             telemetry: None,
             retry_policy: RetryPolicy::default(),
             block_checksums: false,
@@ -120,10 +122,12 @@ impl ShardedMachine {
         self
     }
 
-    /// Install a fault plan (compiled against this machine when a run
-    /// starts).
+    /// Install a fault plan, compiled once against this machine's shape.
+    /// Panics with the [`PlanError`] if the plan names a node or a wire
+    /// the machine lacks, so nothing runs under a plan it cannot honour.
     pub fn with_faults(mut self, plan: FaultPlan) -> ShardedMachine {
-        self.faults = plan;
+        let clock = FaultClock::resolve(&plan, &self.shape).unwrap_or_else(|e| panic!("{e}"));
+        self.clock = Arc::new(clock);
         self
     }
 
@@ -157,10 +161,12 @@ impl ShardedMachine {
 
     /// Swap the fabric under the machine — a recovery repartition: later
     /// runs use the replacement shape and fault plan, keeping the retry
-    /// policy and telemetry configuration.
-    pub(crate) fn replace_fabric(&mut self, shape: TorusShape, faults: FaultPlan) {
-        self.shape = shape;
-        self.faults = faults;
+    /// policy and telemetry configuration. A plan that does not fit the
+    /// replacement is refused, and the machine is left as it was.
+    pub(crate) fn replace_fabric(&mut self, to: Replacement) -> Result<(), PlanError> {
+        self.clock = Arc::new(FaultClock::resolve(&to.faults, &to.shape)?);
+        self.shape = to.shape;
+        Ok(())
     }
 
     /// Run the async node program on every node; returns per-node results
@@ -257,11 +263,6 @@ impl ShardedMachine {
         let n = self.shape.node_count();
         let workers = self.workers.min(n).max(1);
         let fabric = build_fabric(&self.shape);
-        let clock = Arc::new(FaultClock::resolve(
-            &self.faults,
-            n as u32,
-            2 * self.shape.rank(),
-        ));
         let results: Vec<Mutex<Option<NodeOutput<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cfg = NodeCtxConfig {
             shape: self.shape.clone(),
@@ -299,7 +300,7 @@ impl ShardedMachine {
                 &results,
                 &done,
                 &cfg,
-                &clock,
+                &self.clock,
                 n,
                 &quiescence,
                 worker,

@@ -1,13 +1,13 @@
 //! The compiled fault plan: deterministic, stateless draw machinery.
 
 use crate::plan::{FaultKind, FaultPlan, LinkSelect, NodeSelect};
+use qcdoc_geometry::{NodeId, TorusShape};
 use qcdoc_scu::link::{WireFrame, WireTap, WireVerdict};
+use qcdoc_scu::LINKS;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt;
 use std::sync::Arc;
-
-/// Number of wire directions per node (the 6-D mesh of the ASIC).
-const LINKS: usize = 12;
 
 /// SplitMix64 finalizer: the hash behind every stateless draw, here and
 /// in the storage-fault clock.
@@ -29,7 +29,7 @@ fn unit(bits: u64) -> f64 {
 /// function of `(seed, node, link, sequence)`. Two clocks compiled from
 /// equal plans against equal machines answer every query identically —
 /// regardless of thread scheduling in the engine that asks.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultClock {
     seed: u64,
     bit_flips: Vec<(u32, usize, u64, usize, usize)>,
@@ -43,34 +43,64 @@ pub struct FaultClock {
     mem_flips: Vec<(u32, u64, u32)>,
 }
 
+/// Why a [`FaultPlan`] cannot be compiled against a machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanError {
+    /// An event names node `.0` of a machine of `.1` nodes.
+    NoSuchNode(u32, usize),
+    /// A link-scoped event names link `.1` of node `.0`, which is not a
+    /// wire of the machine ([`TorusShape::wires`]).
+    NoSuchWire(u32, usize),
+    /// An event draws a random link on a machine with no wires.
+    NoWires,
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            PlanError::NoSuchNode(node, nodes) => {
+                write!(f, "fault plan names node {node} of a {nodes}-node machine")
+            }
+            PlanError::NoSuchWire(node, link) => {
+                write!(f, "fault plan names link {link} of node {node}, not a wire")
+            }
+            PlanError::NoWires => write!(f, "fault plan draws a link on a machine with no wires"),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
 impl FaultClock {
-    /// Compile `plan` for a machine of `node_count` nodes whose wired
-    /// links are `0..wired_links` (twice the torus rank).
-    pub fn resolve(plan: &FaultPlan, node_count: u32, wired_links: usize) -> FaultClock {
-        assert!(node_count > 0, "empty machine");
-        let wired = wired_links.clamp(1, LINKS);
+    /// Compile `plan` for a machine of `shape`. Refuses a plan that names a
+    /// node the machine lacks or aims a link-scoped event at a link that is
+    /// not one of its wires; random links draw among the wires.
+    pub fn resolve(plan: &FaultPlan, shape: &TorusShape) -> Result<FaultClock, PlanError> {
+        let nodes = shape.node_count();
+        // Every node has the same links wired.
+        let wired: Vec<usize> = shape
+            .wires(NodeId(0))
+            .map(|(d, ..)| d.link_index())
+            .collect();
         let mut rng = StdRng::seed_from_u64(plan.seed);
         let mut clock = FaultClock {
             seed: plan.seed,
-            bit_flips: Vec::new(),
-            payload_bursts: Vec::new(),
-            error_rates: Vec::new(),
-            stalls: Vec::new(),
-            dead_links: Vec::new(),
-            stuck_links: Vec::new(),
-            pauses: Vec::new(),
-            crashes: Vec::new(),
-            mem_flips: Vec::new(),
+            ..FaultClock::default()
         };
         for event in &plan.events {
             let node = match event.node {
-                NodeSelect::Node(n) => n % node_count,
-                NodeSelect::Random => rng.gen_range(0..node_count),
+                NodeSelect::Node(node) if (node as usize) < nodes => node,
+                NodeSelect::Node(node) => return Err(PlanError::NoSuchNode(node, nodes)),
+                NodeSelect::Random => rng.gen_range(0..nodes as u32),
             };
             let link = match event.link {
-                LinkSelect::Link(l) => l % LINKS,
-                LinkSelect::Random => rng.gen_range(0..wired),
+                LinkSelect::Link(link) => link,
+                LinkSelect::Random if wired.is_empty() => return Err(PlanError::NoWires),
+                LinkSelect::Random => wired[rng.gen_range(0..wired.len())],
             };
+            if !event.kind.is_node_scoped() && !wired.contains(&link) {
+                return Err(PlanError::NoSuchWire(node, link));
+            }
             match event.kind {
                 FaultKind::BitFlip {
                     seq,
@@ -118,7 +148,7 @@ impl FaultClock {
                 }
             }
         }
-        clock
+        Ok(clock)
     }
 
     /// The plan's seed.
@@ -367,22 +397,83 @@ mod tests {
         }
     }
 
+    /// `plan` compiled for a machine of `dims`, which it must fit.
+    fn resolve(plan: &FaultPlan, dims: &[usize]) -> FaultClock {
+        FaultClock::resolve(plan, &TorusShape::new(dims)).expect("the plan fits the machine")
+    }
+
     #[test]
-    fn random_targets_resolve_deterministically() {
-        let plan = FaultPlan::new(99)
-            .with_event(FaultEvent::random_bit_error_rate(0.5))
-            .with_event(FaultEvent::random_bit_error_rate(0.5));
-        let a = FaultClock::resolve(&plan, 16, 8);
-        let b = FaultClock::resolve(&plan, 16, 8);
-        assert_eq!(a.error_rates, b.error_rates);
-        // Wired-link constraint honoured.
-        assert!(a.error_rates.iter().all(|&(n, l, _)| n < 16 && l < 8));
+    fn random_targets_draw_the_same_stream_among_the_wires() {
+        // Two random targets per seed. On a shape with no extent-1 axis the
+        // wires are links 0..2·rank, so these are the draws of a uniform
+        // link over that range; the seeded benches and examples that use
+        // random links depend on them.
+        let targets = |dims: &[usize]| -> Vec<Vec<(u32, usize)>> {
+            (0..10)
+                .map(|seed| {
+                    let plan = FaultPlan::new(seed)
+                        .with_event(FaultEvent::random_bit_error_rate(0.5))
+                        .with_event(FaultEvent::random_bit_error_rate(0.5));
+                    let clock = resolve(&plan, dims);
+                    clock.error_rates.iter().map(|&(n, l, _)| (n, l)).collect()
+                })
+                .collect()
+        };
+        let hypercube: [[(u32, usize); 2]; 10] = [
+            [(4, 7), (12, 3)],
+            [(7, 6), (11, 1)],
+            [(2, 7), (4, 1)],
+            [(9, 1), (15, 6)],
+            [(0, 7), (14, 1)],
+            [(8, 7), (5, 5)],
+            [(9, 6), (0, 7)],
+            [(12, 2), (11, 2)],
+            [(1, 1), (4, 2)],
+            [(2, 6), (0, 1)],
+        ];
+        let full: [[(u32, usize); 2]; 10] = [
+            [(1524, 7), (4588, 7)],
+            [(3175, 6), (2315, 9)],
+            [(3650, 3), (9828, 1)],
+            [(6537, 9), (10703, 6)],
+            [(4144, 3), (10398, 1)],
+            [(9976, 11), (10565, 1)],
+            [(12185, 6), (10896, 3)],
+            [(9756, 6), (6603, 10)],
+            [(10241, 1), (3508, 10)],
+            [(6754, 6), (96, 5)],
+        ];
+        assert_eq!(targets(&[2, 2, 2, 2]), hypercube.map(Vec::from));
+        assert_eq!(targets(&[8, 8, 6, 4, 4, 2]), full.map(Vec::from));
+        // An extent-1 axis has no wire to draw.
+        for (_, link) in targets(&[4, 1, 4]).concat() {
+            assert!([0, 1, 4, 5].contains(&link), "link {link}");
+        }
+    }
+
+    #[test]
+    fn node_scoped_events_ignore_their_link_but_not_their_node() {
+        // Link-scoped refusals are pinned on both engines in
+        // `core::des`; here, the events that name no wire. On a lone node
+        // link 0 is not a wire, yet a crash there fits; a crash on a node
+        // the machine lacks, or a random link with none to draw, does not.
+        let lone = TorusShape::new(&[1, 1]);
+        let resolve = |event| FaultClock::resolve(&FaultPlan::new(0).with_event(event), &lone);
+        assert!(resolve(FaultEvent::node_crash(0, 1)).is_ok());
+        assert_eq!(
+            resolve(FaultEvent::node_crash(1, 1)).unwrap_err(),
+            PlanError::NoSuchNode(1, 1)
+        );
+        assert_eq!(
+            resolve(FaultEvent::random_bit_error_rate(0.1)).unwrap_err(),
+            PlanError::NoWires
+        );
     }
 
     #[test]
     fn scheduled_flip_hits_exactly_its_frame() {
         let plan = FaultPlan::new(1).with_event(FaultEvent::bit_flip(2, 0, 5, 20));
-        let clock = FaultClock::resolve(&plan, 4, 2);
+        let clock = resolve(&plan, &[4]);
         let mut hit = frame(5, 42);
         assert!(clock.corrupt_fresh(2, 0, &mut hit));
         assert!(hit.frame.decode().is_err(), "single flip must break parity");
@@ -395,7 +486,7 @@ mod tests {
     #[test]
     fn burst_flips_adjacent_bits() {
         let plan = FaultPlan::new(1).with_event(FaultEvent::burst(0, 0, 0, 70, 4));
-        let clock = FaultClock::resolve(&plan, 1, 2);
+        let clock = resolve(&plan, &[2]);
         let mut wf = frame(0, 7);
         let before = wf.frame;
         assert!(clock.corrupt_fresh(0, 0, &mut wf));
@@ -412,9 +503,9 @@ mod tests {
     #[test]
     fn error_rate_draws_are_stateless_and_seed_sensitive() {
         let plan = |seed| FaultPlan::new(seed).with_event(FaultEvent::bit_error_rate(0, 0, 0.25));
-        let a = FaultClock::resolve(&plan(5), 2, 2);
-        let b = FaultClock::resolve(&plan(5), 2, 2);
-        let c = FaultClock::resolve(&plan(6), 2, 2);
+        let a = resolve(&plan(5), &[2]);
+        let b = resolve(&plan(5), &[2]);
+        let c = resolve(&plan(6), &[2]);
         let pattern = |clock: &FaultClock| -> Vec<bool> {
             (0..200u64)
                 .map(|seq| {
@@ -439,7 +530,7 @@ mod tests {
     #[test]
     fn tap_skips_resends_and_counts_injections() {
         let plan = FaultPlan::new(3).with_event(FaultEvent::bit_flip(0, 1, 2, 15));
-        let clock = Arc::new(FaultClock::resolve(&plan, 2, 4));
+        let clock = Arc::new(resolve(&plan, &[2, 2]));
         let mut tap = NodeTap::new(clock, 0);
         for seq in 0..4 {
             let mut wf = frame(seq, seq);
@@ -459,7 +550,7 @@ mod tests {
     #[test]
     fn dead_link_drops_everything_from_cutoff() {
         let plan = FaultPlan::new(0).with_event(FaultEvent::dead_link(1, 0, 3));
-        let clock = Arc::new(FaultClock::resolve(&plan, 2, 2));
+        let clock = Arc::new(resolve(&plan, &[2]));
         let mut tap = NodeTap::new(Arc::clone(&clock), 1);
         let mut early = frame(2, 0);
         assert_eq!(tap.on_frame(0, &mut early), WireVerdict::Deliver);
@@ -476,7 +567,7 @@ mod tests {
     #[test]
     fn stuck_link_corrupts_resends_too() {
         let plan = FaultPlan::new(4).with_event(FaultEvent::stuck_link(0, 2, 1));
-        let clock = Arc::new(FaultClock::resolve(&plan, 2, 4));
+        let clock = Arc::new(resolve(&plan, &[2, 2]));
         let mut tap = NodeTap::new(Arc::clone(&clock), 0);
         let mut early = frame(0, 10);
         tap.on_frame(2, &mut early);
@@ -501,7 +592,7 @@ mod tests {
         let plan = FaultPlan::new(11)
             .with_event(FaultEvent::bit_flip(0, 0, 150, 9))
             .with_event(FaultEvent::bit_error_rate(0, 0, 0.01));
-        let clock = FaultClock::resolve(&plan, 1, 2);
+        let clock = resolve(&plan, &[2]);
         // The scheduled flip (seq 150) lands in iteration 1 of a
         // 100-word-per-iteration schedule.
         let base: u64 = clock.wire_errors(0, 0, 1, 100);
@@ -522,7 +613,7 @@ mod tests {
     #[test]
     fn payload_burst_evades_frame_parity() {
         let plan = FaultPlan::new(2).with_event(FaultEvent::payload_burst(0, 0, 3, 12, 2));
-        let clock = FaultClock::resolve(&plan, 1, 2);
+        let clock = resolve(&plan, &[2]);
         let mut wf = frame(3, 0xDEAD_BEEF_CAFE_F00D);
         assert!(clock.corrupt_fresh(0, 0, &mut wf));
         // The defining property: the frame parity does NOT catch it …
@@ -541,7 +632,7 @@ mod tests {
             for first_bit in 0..64 {
                 let plan = FaultPlan::new(0)
                     .with_event(FaultEvent::payload_burst(0, 0, 0, first_bit, pairs));
-                let clock = FaultClock::resolve(&plan, 1, 2);
+                let clock = resolve(&plan, &[2]);
                 let mut wf = frame(0, 0x0123_4567_89AB_CDEF);
                 assert!(clock.corrupt_fresh(0, 0, &mut wf));
                 assert!(
@@ -555,7 +646,7 @@ mod tests {
     #[test]
     fn mem_double_flip_yields_two_flips_of_one_word() {
         let plan = FaultPlan::new(0).with_event(FaultEvent::mem_double_flip(1, 0x200, 3, 41));
-        let clock = FaultClock::resolve(&plan, 4, 2);
+        let clock = resolve(&plan, &[4]);
         assert_eq!(clock.mem_faults(1), vec![(0x200, 3), (0x200, 41)]);
         assert!(clock.mem_faults(0).is_empty());
     }
@@ -567,7 +658,7 @@ mod tests {
             .with_event(FaultEvent::node_pause(3, None, 7))
             .with_event(FaultEvent::node_crash(1, 4))
             .with_event(FaultEvent::mem_bit_flip(2, 0x100, 63));
-        let clock = FaultClock::resolve(&plan, 8, 8);
+        let clock = resolve(&plan, &[2, 2, 2]);
         assert_eq!(clock.pause_cycles(3, 2), 507);
         assert_eq!(clock.pause_cycles(3, 1), 7);
         assert_eq!(clock.pause_cycles(0, 2), 0);

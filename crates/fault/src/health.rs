@@ -1,11 +1,9 @@
 //! The machine-health ledger: what the host's diagnostics path reads out.
 
-use qcdoc_geometry::{Axis, NodeId, TorusShape};
+use qcdoc_geometry::{NodeId, TorusShape};
+use qcdoc_scu::LINKS;
 use qcdoc_telemetry::MetricsRegistry;
 use std::borrow::Cow;
-
-/// Number of wire directions per node.
-const LINKS: usize = 12;
 
 /// The per-node gauges every node exports, in [`NodeHealth::export_metrics`]'s
 /// order: liveness (0 alive, 1 crashed, 2 wedged) and the memory-event counts.
@@ -75,8 +73,8 @@ pub struct LinkHealth {
     pub send_checksum: u64,
     /// End-of-run checksum of everything received on this wire.
     pub recv_checksum: u64,
-    /// Verdict after pairing with the neighbour's opposite wire; `None`
-    /// until [`HealthLedger::finalize`] runs or when the wire is unwired.
+    /// Verdict after pairing with the far end of the wire; `None` until
+    /// [`HealthLedger::finalize`] runs, or when the link is not a wire.
     pub checksum_ok: Option<bool>,
     /// Pump rounds the send unit held the wire in retry backoff.
     pub backoff_waits: u64,
@@ -97,7 +95,8 @@ pub struct NodeHealth {
     pub node: u32,
     /// Whether the node survived.
     pub liveness: Liveness,
-    /// Per-wire health, indexed by `Direction::link_index` (0..12).
+    /// Per-link health, indexed by `Direction::link_index`; only the
+    /// machine's wires ([`TorusShape::wires`]) carry traffic.
     pub links: [LinkHealth; LINKS],
     /// Memory soft-error bits injected into this node (raw injection
     /// count, before the ECC verdict splits them into corrected vs
@@ -330,9 +329,9 @@ impl HealthLedger {
         })
     }
 
-    /// Pair every wired send checksum with the receiving neighbour's
-    /// checksum on the opposite wire, filling in `checksum_ok`. A wire
-    /// whose axis is outside `shape.rank()` stays `None` (unwired).
+    /// Pair the send checksum at each wire's near end with the receive
+    /// checksum at its far end ([`TorusShape::wires`]), filling in
+    /// `checksum_ok`. A link that is not a wire stays `None`.
     pub fn finalize(&mut self, shape: &TorusShape) {
         assert_eq!(
             self.node_count,
@@ -347,16 +346,10 @@ impl HealthLedger {
         let verdicts: Vec<(usize, usize, bool)> = self
             .nodes
             .iter()
-            .flat_map(|nh| {
-                let coord = shape.coord_of(NodeId(nh.node));
-                (0..shape.rank())
-                    .flat_map(move |a| [Axis(a as u8).plus(), Axis(a as u8).minus()])
-                    .map(move |d| (nh, coord, d))
-            })
-            .map(|(nh, coord, d)| {
-                let nb = shape.rank_of(shape.neighbour(coord, d)).index();
+            .flat_map(|nh| shape.wires(NodeId(nh.node)).map(move |wire| (nh, wire)))
+            .map(|(nh, (d, far, far_d))| {
                 let sent = nh.links[d.link_index()].send_checksum;
-                let got = self.nodes[nb].links[d.opposite().link_index()].recv_checksum;
+                let got = self.nodes[far.index()].links[far_d.link_index()].recv_checksum;
                 (nh.node as usize, d.link_index(), sent == got)
             })
             .collect();

@@ -39,7 +39,7 @@ pub mod plan;
 pub mod storage;
 
 pub use classify::{classify_ledger, convicted_nodes, FailureClass};
-pub use clock::{FaultClock, NodeTap};
+pub use clock::{FaultClock, NodeTap, PlanError};
 pub use health::{HealthLedger, HealthTotals, LinkHealth, Liveness, NodeHealth};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, LinkSelect, NodeSelect};
 pub use storage::{StorageClock, StorageFault, StorageFaultPlan};

@@ -9,12 +9,13 @@ pub enum NodeSelect {
     Random,
 }
 
-/// Which of a node's 12 wire directions an event strikes.
+/// Which of a node's wires an event strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkSelect {
-    /// A fixed link index (`Direction::link_index`, 0..12).
+    /// A fixed link index (`Direction::link_index`), which must be a wire
+    /// of the machine (`TorusShape::wires`) for a link-scoped event.
     Link(usize),
-    /// Drawn from the plan's seed among the machine's wired links.
+    /// Drawn from the plan's seed among the machine's wires.
     Random,
 }
 
@@ -108,6 +109,20 @@ pub enum FaultKind {
         /// Number of *pairs* of same-class flips (1..=16; 2·pairs bits).
         pairs: usize,
     },
+}
+
+impl FaultKind {
+    /// Whether the kind strikes the node as a whole, ignoring its event's
+    /// link; every other kind strikes one wire.
+    pub fn is_node_scoped(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::NodePause { .. }
+                | FaultKind::NodeCrash { .. }
+                | FaultKind::MemBitFlip { .. }
+                | FaultKind::MemDoubleFlip { .. }
+        )
+    }
 }
 
 /// One scheduled fault: a failure mode aimed at a node and wire.

@@ -1,6 +1,6 @@
 //! Torus shapes and the coordinate ↔ rank bijection.
 
-use crate::{Direction, NodeCoord, NodeId};
+use crate::{Axis, Direction, NodeCoord, NodeId};
 use std::fmt;
 
 /// The shape of a torus of rank 1..=6: the extent of each axis.
@@ -114,6 +114,19 @@ impl TorusShape {
         out
     }
 
+    /// The machine's one wiring rule: the wires leaving `node`, in
+    /// link-index order, as `(d, far, d.opposite())` — the wire leaves on
+    /// `d` and arrives on node `far`'s `d.opposite()` link. Each sense of
+    /// each axis of extent > 1 carries a wire; an extent-1 axis carries
+    /// none, since its wire would join the node to itself.
+    pub fn wires(&self, node: NodeId) -> impl Iterator<Item = (Direction, NodeId, Direction)> + '_ {
+        let c = self.coord_of(node);
+        (0..self.rank())
+            .filter(|&axis| self.dims[axis] > 1)
+            .flat_map(|axis| [Axis(axis as u8).plus(), Axis(axis as u8).minus()])
+            .map(move |d| (d, self.rank_of(self.neighbour(c, d)), d.opposite()))
+    }
+
     /// Iterate over every coordinate in lexicographic (rank) order.
     pub fn coords(&self) -> impl Iterator<Item = NodeCoord> + '_ {
         (0..self.node_count()).map(|i| self.coord_of(NodeId(i as u32)))
@@ -142,7 +155,7 @@ impl fmt::Display for TorusShape {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Axis;
+    use proptest::prelude::*;
 
     #[test]
     fn rack_shape_has_1024_nodes() {
@@ -178,11 +191,24 @@ mod tests {
 
     #[test]
     fn neighbour_of_extent_one_axis_is_self() {
-        // Degenerate extent-1 axes wrap to themselves; the SCU uses this for
-        // partitions that don't span an axis.
+        // Degenerate extent-1 axes wrap to themselves, which is why they
+        // carry no wire.
         let t = TorusShape::new(&[1, 4]);
         let c = NodeCoord::from_slice(&[0, 2]);
         assert_eq!(t.neighbour(c, Axis(0).plus()), c);
+        let wired: Vec<_> = t.wires(NodeId(2)).map(|(d, ..)| d).collect();
+        assert_eq!(wired, [Axis(1).plus(), Axis(1).minus()]);
+    }
+
+    #[test]
+    fn wires_land_on_the_neighbours_opposite_link() {
+        // Node 0 at (0,0) of [4,2]: +x lands on (1,0) = rank 1; -y wraps
+        // the 2-ring to (0,1) = rank 4.
+        let t = TorusShape::new(&[4, 2]);
+        let wires: Vec<_> = t.wires(NodeId(0)).collect();
+        assert_eq!(wires.len(), 4);
+        assert_eq!(wires[0], (Axis(0).plus(), NodeId(1), Axis(0).minus()));
+        assert_eq!(wires[3], (Axis(1).minus(), NodeId(4), Axis(1).plus()));
     }
 
     #[test]
@@ -202,6 +228,33 @@ mod tests {
         assert_eq!(all.len(), 12);
         for (i, c) in all.iter().enumerate() {
             assert_eq!(t.rank_of(*c), NodeId(i as u32));
+        }
+    }
+
+    fn any_shape() -> impl Strategy<Value = TorusShape> {
+        prop::collection::vec(1usize..=4, 1..=6).prop_map(|dims| TorusShape::new(&dims))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn wires_are_both_senses_of_each_spanned_axis_and_lead_back(shape in any_shape()) {
+            let spanned: Vec<Direction> = (0..shape.rank())
+                .filter(|&a| shape.extent(a) > 1)
+                .flat_map(|a| [Axis(a as u8).plus(), Axis(a as u8).minus()])
+                .collect();
+            for node in (0..shape.node_count()).map(|n| NodeId(n as u32)) {
+                let wires: Vec<_> = shape.wires(node).collect();
+                let dirs: Vec<Direction> = wires.iter().map(|&(d, ..)| d).collect();
+                prop_assert_eq!(&dirs, &spanned);
+                for (d, far, far_d) in wires {
+                    prop_assert_ne!(far, node);
+                    // The far end's wire on `far_d` comes straight back.
+                    let back = shape.wires(far).find(|&(b, ..)| b == far_d);
+                    prop_assert_eq!(back, Some((far_d, node, d)));
+                }
+            }
         }
     }
 

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use qcdoc_geometry::fold::FoldCycle;
-use qcdoc_geometry::{
-    Direction, LatticeMapping, NodeCoord, NodeId, Partition, PartitionSpec, TorusShape,
-};
+use qcdoc_geometry::{LatticeMapping, NodeCoord, NodeId, Partition, PartitionSpec, TorusShape};
 
 /// Strategy: a torus shape of rank 1..=6 with small even-ish extents.
 fn torus_shape() -> impl Strategy<Value = TorusShape> {
@@ -33,10 +31,7 @@ proptest! {
     fn neighbour_is_involution_via_opposite(shape in torus_shape(), seed in 0usize..10_000) {
         let id = NodeId((seed % shape.node_count()) as u32);
         let c = shape.coord_of(id);
-        for d in Direction::all() {
-            if d.axis.index() >= shape.rank() {
-                continue;
-            }
+        for (d, ..) in shape.wires(id) {
             let back = shape.neighbour(shape.neighbour(c, d), d.opposite());
             prop_assert_eq!(back, c);
         }

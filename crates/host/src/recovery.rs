@@ -16,7 +16,7 @@
 //! group at a time — for the largest sub-partition that still allocates.
 
 use crate::qdaemon::{AllocError, Qdaemon};
-use qcdoc_fault::{FaultPlan, HealthLedger, NodeSelect};
+use qcdoc_fault::{FaultPlan, HealthLedger, LinkSelect, NodeSelect};
 use qcdoc_geometry::{NodeCoord, NodeId, Partition, PartitionSpec};
 use std::collections::VecDeque;
 
@@ -82,16 +82,32 @@ impl RecoveryPlanner {
     /// The machine fault plan translated into the current partition's
     /// logical ranks. Events aimed at physical nodes outside the
     /// partition are dropped — their hardware is not wired into this
-    /// logical machine. Link indices ride along unchanged (the fault
-    /// follows the node's transmitter).
+    /// logical machine — and so are link-scoped events on a link that is
+    /// not a wire of the partition's logical shape ([`TorusShape::wires`]).
+    /// Link indices ride along unchanged (the fault follows the node's
+    /// transmitter).
+    ///
+    /// [`TorusShape::wires`]: qcdoc_geometry::TorusShape::wires
     pub fn local_faults(&self) -> FaultPlan {
         let mut phys_to_logical = std::collections::HashMap::new();
         for l in 0..self.current.node_count() {
             let phys = self.current.physical_id(NodeId(l as u32));
             phys_to_logical.insert(phys.0, l as u32);
         }
+        // Every node of the logical machine has the same links wired.
+        let wired: Vec<usize> = self
+            .current
+            .logical_shape()
+            .wires(NodeId(0))
+            .map(|(d, ..)| d.link_index())
+            .collect();
         let mut local = FaultPlan::new(self.machine_faults.seed);
         for ev in &self.machine_faults.events {
+            if let LinkSelect::Link(link) = ev.link {
+                if !ev.kind.is_node_scoped() && !wired.contains(&link) {
+                    continue;
+                }
+            }
             match ev.node {
                 NodeSelect::Node(phys) => {
                     if let Some(&logical) = phys_to_logical.get(&phys) {
@@ -274,5 +290,23 @@ mod tests {
         let faults = FaultPlan::new(1).with_event(FaultEvent::dead_link(11, 2, 0));
         let planner = RecoveryPlanner::new(&mut q, half_spec(0), faults, false).unwrap();
         assert!(planner.local_faults().events.is_empty());
+    }
+
+    #[test]
+    fn link_faults_off_the_partitions_wires_are_dropped() {
+        let mut q = Qdaemon::new(machine_2222());
+        q.boot(&[]);
+        // Physical node 3 is in the [2,2,2] half, but its links 6 and 7
+        // leave the partition along axis 3: no wire of the logical machine.
+        let faults = FaultPlan::new(1)
+            .with_event(FaultEvent::bit_error_rate(3, 6, 0.1))
+            .with_event(FaultEvent::dead_link(3, 7, 0))
+            .with_event(FaultEvent::bit_error_rate(3, 5, 0.1))
+            .with_event(FaultEvent::node_crash(3, 2));
+        let planner = RecoveryPlanner::new(&mut q, half_spec(0), faults, false).unwrap();
+        let local = planner.local_faults();
+        assert_eq!(local.events.len(), 2);
+        assert_eq!(local.events[0].link, LinkSelect::Link(5));
+        assert!(local.events[1].kind.is_node_scoped());
     }
 }

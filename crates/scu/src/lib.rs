@@ -47,4 +47,4 @@ pub use link::{
     LinkError, LinkVerdict, NullTap, RecvUnit, RetryPolicy, SendUnit, WireTap, WireVerdict,
 };
 pub use packet::{Frame, Packet};
-pub use scu::{Scu, ScuEvent};
+pub use scu::{Scu, ScuEvent, LINKS};

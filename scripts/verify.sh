@@ -101,10 +101,14 @@ stage "full machine: 12,288-node partition-boot-solve on the sharded engine" \
 
 # The DES-only and closed-form regenerators: their inputs are the model's
 # fixed constants, so run each once (well under a second in release) to
-# keep them working, not just compiling.
-stage "regenerators: self_sync (DES) and asic_tour (closed form) run once each" \
+# keep them working, not just compiling. fault_sweep and bit_repro build
+# explicit fault plans on both engines, so a plan the machine refuses
+# fails here.
+stage "regenerators: self_sync, asic_tour, fault_sweep and bit_repro run once each" \
     bash -c 'cargo run -q --release --example self_sync >/dev/null &&
-        cargo run -q --release --example asic_tour >/dev/null'
+        cargo run -q --release --example asic_tour >/dev/null &&
+        cargo run -q --release --example fault_sweep >/dev/null &&
+        cargo run -q --release --example bit_repro >/dev/null'
 
 # --locked: bench/e2e/Cargo.lock is frozen with the harness, so a change to
 # the workspace dependency graph fails here instead of rewriting the lock.

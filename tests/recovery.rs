@@ -112,6 +112,24 @@ fn faulted_run_recovers_bit_identically_on_the_spare_partition() {
     assert_eq!(planner.partition().spec().origin.get(3), 1);
 }
 
+#[test]
+fn a_fault_on_a_link_that_leaves_the_partition_touches_nothing() {
+    // Physical node 3's link 6 runs along axis 3, out of the [2,2,2] half:
+    // no wire of the logical machine, so the job runs as if fault-free.
+    let gauge = GaugeField::hot(global(), 21);
+    let b = FermionField::gaussian(global(), 22);
+    let mut qdaemon = Qdaemon::new(TorusShape::new(&[2, 2, 2, 2]));
+    qdaemon.boot(&[]);
+    let machine_faults = FaultPlan::new(7).with_event(FaultEvent::bit_error_rate(3, 6, 0.5));
+    let planner = RecoveryPlanner::new(&mut qdaemon, half_spec(), machine_faults, false).unwrap();
+    assert!(planner.local_faults().events.is_empty());
+
+    let outs = ShardedMachine::new(planner.partition().logical_shape().clone())
+        .with_faults(planner.local_faults())
+        .run(async |ctx| cg_segment_app(ctx, &gauge, &b, &None, usize::MAX).await);
+    assert!(outs.iter().all(|o| o.converged && !o.wedged));
+}
+
 /// Run the standard faulted campaign — node 3's +x transmitter dies at
 /// cycle 300, the planner swaps in the spare half — with the engine's
 /// virtual nodes spread over `workers` threads.
