@@ -27,7 +27,7 @@
 
 use qcdoc_geometry::{NodeId, TorusShape};
 use qcdoc_scu::timing::transfer_cycles;
-use qcdoc_telemetry::{MetricsRegistry, Phase, Span, TraceSink};
+use qcdoc_telemetry::{MetricsRegistry, Phase, RingSink, Span};
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,7 +128,7 @@ pub fn run_with_faults(
 /// counters and the health-ledger readout land in `metrics`.
 pub struct DesTelemetry<'a> {
     /// Receives one compute/comms/global-sum span per node per iteration.
-    pub sink: &'a mut dyn TraceSink,
+    pub sink: &'a mut RingSink,
     /// Receives `des_*` series plus the ledger's gauge export.
     pub metrics: &'a mut MetricsRegistry,
 }
@@ -460,7 +460,6 @@ mod tests {
 
         #[test]
         fn traced_run_matches_untraced_and_partitions_the_clock() {
-            use qcdoc_telemetry::{MetricsRegistry, RingSink};
             let cfg = base();
             let plan = FaultPlan::new(7).with_event(FaultEvent::bit_error_rate(5, 0, 0.02));
             let (plain, ledger) = run_with_faults(&cfg, 6, &plan);

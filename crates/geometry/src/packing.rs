@@ -42,10 +42,10 @@ pub struct OccupancyMap {
 
 /// The rank strides of one box shape on one torus: the set-up of a walk
 /// over the box's rows, made once per search rather than once per probe.
-struct BoxWalk {
+pub(crate) struct BoxWalk {
     rank: usize,
     /// The box's extent along axis 0: the length of each row.
-    run: usize,
+    pub(crate) run: usize,
     stride: [usize; 6],
     ext: [usize; 6],
 }
@@ -53,7 +53,7 @@ struct BoxWalk {
 impl BoxWalk {
     /// The walk of the box with these `extents` (extents beyond the
     /// machine rank must be 1).
-    fn new(shape: &TorusShape, extents: &[usize]) -> BoxWalk {
+    pub(crate) fn new(shape: &TorusShape, extents: &[usize]) -> BoxWalk {
         let rank = shape.rank();
         let mut walk = BoxWalk {
             rank,
@@ -75,7 +75,7 @@ impl BoxWalk {
     /// ranks per row, the other axes stepped by their rank strides. Stops
     /// at the first row for which `f` returns `false`, and returns whether
     /// every row passed.
-    fn rows<F: FnMut(usize) -> bool>(&self, origin: usize, mut f: F) -> bool {
+    pub(crate) fn rows<F: FnMut(usize) -> bool>(&self, origin: usize, mut f: F) -> bool {
         let mut start = origin;
         let mut cursor = [0usize; 6];
         loop {

@@ -11,6 +11,7 @@
 //! and six, before program execution begins").
 
 use crate::fold::{FoldCycle, FoldError};
+use crate::packing::BoxWalk;
 use crate::{Direction, NodeCoord, NodeId, TorusShape};
 
 /// Selection of a sub-box of the physical machine plus an axis grouping.
@@ -275,6 +276,22 @@ impl Partition {
             .rank_of(self.physical_of(self.logical.coord_of(id)))
     }
 
+    /// Physical node ids of the partition's members, in ascending rank:
+    /// the sub-box `spec.origin + spec.extents`, walked row by row with no
+    /// fold arithmetic. The same set as [`Partition::physical_id`] over
+    /// every logical id, in physical rather than logical order.
+    pub fn members(&self) -> impl Iterator<Item = NodeId> {
+        let walk = BoxWalk::new(&self.machine, &self.spec.extents);
+        let mut rows = Vec::with_capacity(self.node_count() / walk.run);
+        walk.rows(self.machine.rank_of(self.spec.origin).index(), |row| {
+            rows.push(row);
+            true
+        });
+        let run = walk.run;
+        rows.into_iter()
+            .flat_map(move |row| (row..row + run).map(|n| NodeId(n as u32)))
+    }
+
     /// Logical coordinate of the neighbour of `lc` in logical direction `d`.
     fn logical_neighbour(&self, lc: NodeCoord, d: Direction) -> NodeCoord {
         self.logical.neighbour(lc, d)
@@ -381,6 +398,31 @@ mod tests {
             assert_eq!(p.logical_of(pc), Some(lc));
         }
         assert_eq!(seen.len(), 1024);
+    }
+
+    #[test]
+    fn members_walk_the_box_in_rank_order() {
+        // The same set the fold gives, sorted by physical rank.
+        let m = rack();
+        let mut origin = NodeCoord::ORIGIN;
+        origin.set(0, 4);
+        origin.set(2, 2);
+        let spec = PartitionSpec {
+            origin,
+            extents: vec![4, 4, 2, 2, 2, 2],
+            groups: vec![vec![0, 3], vec![1], vec![2, 4, 5]],
+        };
+        let p = Partition::new(&m, spec).unwrap();
+        let members: Vec<NodeId> = p.members().collect();
+        let mut folded: Vec<NodeId> = (0..p.node_count() as u32)
+            .map(|i| p.physical_id(NodeId(i)))
+            .collect();
+        folded.sort();
+        assert_eq!(members.len(), 256);
+        assert_eq!(members, folded);
+        // The whole machine is every rank.
+        let whole = Partition::new(&m, PartitionSpec::native(&m)).unwrap();
+        assert!(whole.members().map(|n| n.0).eq(0..1024));
     }
 
     #[test]

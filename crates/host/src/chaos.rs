@@ -371,27 +371,14 @@ impl Soak {
         }
     }
 
-    /// Member node ids of a running job's placement box.
+    /// Member node ids of a running job's partition, in ascending rank.
     fn members(&self, id: JobId) -> Vec<u32> {
-        let Some(job) = self.sched.job(id) else {
-            return Vec::new();
-        };
-        let Some(placement) = job.placement.as_ref() else {
-            return Vec::new();
-        };
-        let machine = self.sched.machine();
-        let mut extents = job.spec.shapes[placement.shape_index].extents.clone();
-        extents.resize(machine.rank(), 1);
-        machine
-            .coords()
-            .filter(|c| {
-                (0..machine.rank()).all(|ax| {
-                    let lo = placement.origin.get(ax);
-                    c.get(ax) >= lo && c.get(ax) < lo + extents[ax]
-                })
-            })
-            .map(|c| machine.rank_of(c).0)
-            .collect()
+        let partition = self
+            .sched
+            .job(id)
+            .and_then(|job| job.placement.as_ref())
+            .and_then(|placement| self.q.partition(placement.partition));
+        partition.map_or_else(Vec::new, |p| p.members().map(|n| n.0).collect())
     }
 
     /// The durable-checkpoint round: every running job parks a blob.
@@ -429,13 +416,13 @@ impl Soak {
                 b.extend_from_slice(&delivered.to_le_bytes());
                 b
             };
-            if let Err(e) = self
+            if self
                 .sched
-                .store_checkpoint_durable(id, blob, &mut self.vault)
+                .store_checkpoint(id, &blob, &mut self.vault)
+                .is_err()
             {
                 // The RAID failed the save past its bounded retries:
                 // detect, classify as a storage loss, requeue.
-                let _ = e;
                 self.report.storage_failures += 1;
                 self.sched
                     .fail_job(id, FailureClass::Storage, &[], &mut self.q);

@@ -713,53 +713,6 @@ impl JobVault {
         });
         (store, nfs)
     }
-
-    /// Drain flight events from every per-job store (for ingestion into
-    /// the qdaemon's machine-level recorder).
-    pub fn drain_flight(&mut self) -> Vec<FlightEvent> {
-        let mut out = Vec::new();
-        let mut jobs: Vec<u64> = self.stores.keys().copied().collect();
-        jobs.sort();
-        for job in jobs {
-            out.extend(self.stores.get_mut(&job).unwrap().drain_flight());
-        }
-        out
-    }
-
-    /// Aggregate `ckstore_*` counters across every per-job store.
-    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
-        let mut agg = CheckpointStore {
-            cfg: StoreConfig::new(self.root.clone()),
-            next_gen: 0,
-            clock: 0,
-            flight: FlightRecorder::new(0),
-            commits: 0,
-            retries: 0,
-            verify_failures: 0,
-            torn_detected: 0,
-            rot_detected: 0,
-            fallbacks: 0,
-            restores: 0,
-            gc_removed: 0,
-            bytes_committed: 0,
-            backoff_held: 0,
-            last_gen_count: 0,
-        };
-        for store in self.stores.values() {
-            agg.commits += store.commits;
-            agg.retries += store.retries;
-            agg.verify_failures += store.verify_failures;
-            agg.torn_detected += store.torn_detected;
-            agg.rot_detected += store.rot_detected;
-            agg.fallbacks += store.fallbacks;
-            agg.restores += store.restores;
-            agg.gc_removed += store.gc_removed;
-            agg.bytes_committed += store.bytes_committed;
-            agg.backoff_held += store.backoff_held;
-            agg.last_gen_count += store.last_gen_count;
-        }
-        agg.export_metrics(reg);
-    }
 }
 
 impl CheckpointVault for JobVault {
@@ -1085,12 +1038,6 @@ mod tests {
             vault.load(job).unwrap().as_deref(),
             Some(&b"generation zero"[..])
         );
-        let mut reg = MetricsRegistry::new();
-        vault.export_metrics(&mut reg);
-        let text = qcdoc_telemetry::prometheus_text(&reg);
-        assert!(text.contains("ckstore_fallbacks 1"), "{text}");
-        let events = vault.drain_flight();
-        assert!(events.iter().any(|e| e.detail == "ckstore_fallback"));
     }
 
     #[test]

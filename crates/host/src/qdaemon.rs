@@ -259,24 +259,18 @@ impl Qdaemon {
     /// is `Ready`, and marks them busy. Returns the partition id.
     pub fn allocate(&mut self, spec: PartitionSpec) -> Result<u32, AllocError> {
         let partition = Partition::new(&self.machine, spec).map_err(AllocError::Partition)?;
-        // Collect member nodes.
-        let members: Vec<NodeId> = (0..partition.node_count())
-            .map(|i| partition.physical_id(NodeId(i as u32)))
-            .collect();
-        for &m in &members {
-            match self.states[m.index()] {
-                NodeState::Ready => {}
-                other => {
-                    return Err(AllocError::NodeUnavailable {
-                        node: m.0,
-                        state: other,
-                    })
-                }
-            }
+        if let Some(m) = partition
+            .members()
+            .find(|m| self.states[m.index()] != NodeState::Ready)
+        {
+            return Err(AllocError::NodeUnavailable {
+                node: m.0,
+                state: self.states[m.index()],
+            });
         }
         let id = self.next_partition_id;
         self.next_partition_id += 1;
-        for &m in &members {
+        for m in partition.members() {
             self.set_state(m.index(), NodeState::Busy { partition: id });
         }
         self.allocations.insert(
@@ -323,8 +317,7 @@ impl Qdaemon {
     /// cap leaks a buffer per job under soak load.)
     pub fn release(&mut self, id: u32) {
         if let Some(a) = self.allocations.remove(&id) {
-            for i in 0..a.partition.node_count() {
-                let m = a.partition.physical_id(NodeId(i as u32));
+            for m in a.partition.members() {
                 if self.states[m.index()] == (NodeState::Busy { partition: id }) {
                     self.set_state(m.index(), NodeState::Ready);
                 }
@@ -597,8 +590,7 @@ impl Qdaemon {
             checksums_ok: true,
             ..Default::default()
         };
-        for i in 0..a.partition.node_count() {
-            let m = a.partition.physical_id(NodeId(i as u32));
+        for m in a.partition.members() {
             let s = self.kernels[m.index()].hardware_status();
             total.link_errors += s.link_errors;
             total.ecc_corrections += s.ecc_corrections;

@@ -84,8 +84,8 @@ pub enum JobStatus {
     Queued,
     /// Holding a partition and accruing service.
     Running,
-    /// Evicted mid-run; its checkpoint blob is retained and it waits in
-    /// the queue for a new placement.
+    /// Evicted mid-run; its checkpoint waits in the vault and the job
+    /// waits in the queue for a new placement.
     Preempted,
     /// Died mid-run and is serving its exponential hold-off before the
     /// scheduler requeues it — the `Held(backoff)` state of the autonomic
@@ -144,11 +144,6 @@ pub struct JobRecord {
     pub preemptions: u32,
     /// Total ticks spent waiting in the queue.
     pub wait_ticks: u64,
-    /// Opaque checkpoint blob stored at preemption (for CG jobs, the
-    /// NERSC-style archive from `qcdoc_lattice::checkpoint`). The
-    /// scheduler never interprets it; it travels with the job to its
-    /// next placement.
-    pub checkpoint: Option<Vec<u8>>,
     /// Times this job was requeued after a failure (distinct from
     /// voluntary preemptions) — charged against
     /// [`crate::SchedConfig::retry_budget`].
@@ -160,8 +155,9 @@ pub struct JobRecord {
     /// The convicted failure domain of the last failure: node ids the
     /// next placement must not include.
     pub avoid: Vec<u32>,
-    /// `remaining` as of the newest stored checkpoint — the service
-    /// level a failure rolls the job back to. `None` means no checkpoint
+    /// `remaining` as of the newest checkpoint stored in the vault
+    /// ([`crate::Scheduler::store_checkpoint`]) — the service level a
+    /// failure rolls the job back to. `None` means no checkpoint
     /// exists and a failure restarts the job from scratch.
     pub checkpoint_remaining: Option<u64>,
 }

@@ -19,8 +19,8 @@
 //!   aging (zero starvation), and preemption of lower-priority work via
 //!   exact-bits checkpoints (the blob protocol of
 //!   `qcdoc_lattice::checkpoint` — opaque bytes at this layer);
-//! * [`vault`] — the [`CheckpointVault`] boundary for *durable* parking
-//!   of preempted jobs' blobs (the host implements it over its NFS
+//! * [`vault`] — the [`CheckpointVault`] boundary, the one home of
+//!   every checkpoint blob (the host implements it over its NFS
 //!   checkpoint store, so parked jobs survive a qdaemon restart);
 //! * [`state`] — the scheduler's own durable snapshot
 //!   ([`Scheduler::save_state`] / [`Scheduler::restore_state`]) plus

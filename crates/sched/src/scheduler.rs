@@ -20,8 +20,9 @@
 //!    it would fail again.
 //! 4. **Preemption** — a job that cannot fit may evict *strictly
 //!    lower* priority, preemptible jobs, fewest victims first. An
-//!    evicted job keeps its place in the accounting, its remaining
-//!    work, and its checkpoint blob; the resume placement may use a
+//!    evicted job keeps its place in the accounting and its remaining
+//!    work; its checkpoint blob waits in the [`CheckpointVault`]
+//!    ([`Scheduler::store_checkpoint`]). The resume placement may use a
 //!    different shape from its list, and the exact-bits checkpoint
 //!    protocol makes the result identical either way.
 //! 5. **No starvation** — once a job has aged past the threshold it
@@ -235,6 +236,16 @@ pub(crate) struct FitMemory {
     failed: BTreeMap<u64, (u64, usize, Vec<u32>)>,
 }
 
+/// The ledger of one registered tenant. Every job names one (admission
+/// refuses the rest), so the lookup cannot miss. A function of the map,
+/// not of the scheduler, so a caller may hold a job record meanwhile.
+fn stats_mut<'a>(
+    tenants: &'a mut BTreeMap<String, (TenantConfig, TenantStats)>,
+    tenant: &str,
+) -> &'a mut TenantStats {
+    &mut tenants.get_mut(tenant).expect("tenant exists").1
+}
+
 /// The multi-tenant job scheduler for one machine.
 ///
 /// Fields are crate-visible so the [`crate::state`] codec can snapshot
@@ -411,51 +422,31 @@ impl Scheduler {
         }
     }
 
-    /// Store a checkpoint blob with a job (the driver calls this when
-    /// it sees the job's `Preempted` event). The blob is opaque here.
-    pub fn store_checkpoint(&mut self, id: JobId, blob: Vec<u8>) {
-        if let Some(job) = self.jobs.get_mut(&id.0) {
-            self.flight.record(
-                HOST_NODE,
-                self.clock,
-                FlightKind::Checkpoint,
-                "sched_store",
-                id.0,
-                blob.len() as u64,
-            );
-            job.checkpoint = Some(blob);
-            // A failure now rolls the job back to this service level,
-            // not to scratch.
-            job.checkpoint_remaining = Some(job.remaining);
-        }
-    }
-
-    /// Take a job's checkpoint blob (the driver calls this when the
-    /// job's `Resumed` event arrives, to rebuild solver state).
-    pub fn take_checkpoint(&mut self, id: JobId) -> Option<Vec<u8>> {
-        self.jobs.get_mut(&id.0).and_then(|j| j.checkpoint.take())
-    }
-
-    /// Store a checkpoint blob with a job *and* park it in a durable
-    /// vault, so the blob outlives this scheduler process (the paper's
-    /// host-RAID operating model). The in-memory copy stays as the fast
-    /// path; the vault copy is what a restarted qdaemon recovers from.
-    pub fn store_checkpoint_durable(
+    /// Park a job's checkpoint blob in `vault` (the driver calls this when
+    /// it sees the job's `Preempted` event, and at its checkpoint rounds)
+    /// and return the vault's generation. The blob is opaque here and
+    /// lives only in the vault, where it outlives this scheduler process
+    /// (the paper's host-RAID operating model); the driver loads it back
+    /// when the job's `Resumed` event arrives. From now on a failure rolls
+    /// the job back to this service level, not to scratch.
+    pub fn store_checkpoint(
         &mut self,
         id: JobId,
-        blob: Vec<u8>,
+        blob: &[u8],
         vault: &mut dyn CheckpointVault,
     ) -> Result<u64, String> {
-        let gen = vault.store(id, &blob)?;
+        let gen = vault.store(id, blob)?;
         self.flight.record(
             HOST_NODE,
             self.clock,
             FlightKind::Checkpoint,
-            "sched_store_durable",
+            "sched_store",
             id.0,
             gen,
         );
-        self.store_checkpoint(id, blob);
+        if let Some(job) = self.jobs.get_mut(&id.0) {
+            job.checkpoint_remaining = Some(job.remaining);
+        }
         Ok(gen)
     }
 
@@ -475,9 +466,7 @@ impl Scheduler {
             return Err(AdmitError::UnknownTenant(spec.tenant));
         };
         let tcfg = *tcfg;
-        let reject = |tenants: &mut BTreeMap<String, (TenantConfig, TenantStats)>, t: &str| {
-            tenants.get_mut(t).expect("checked").1.rejected += 1;
-        };
+        let reject = |tenants: &mut _, t: &str| stats_mut(tenants, t).rejected += 1;
         if spec.shapes.is_empty() {
             reject(&mut self.tenants, &spec.tenant);
             return Err(AdmitError::NoShapes);
@@ -523,7 +512,7 @@ impl Scheduler {
 
         let id = JobId(self.next_id);
         self.next_id += 1;
-        let record = JobRecord {
+        let mut record = JobRecord {
             id,
             spec: JobSpec { shapes, ..spec },
             status: JobStatus::Queued,
@@ -536,19 +525,16 @@ impl Scheduler {
             shape_history: Vec::new(),
             preemptions: 0,
             wait_ticks: 0,
-            checkpoint: None,
             retries: 0,
             last_failure: None,
             held_until: 0,
             avoid: Vec::new(),
             checkpoint_remaining: None,
         };
-        let mut record = record;
         record.remaining = record.spec.work;
-        let tenant = record.spec.tenant.clone();
+        stats_mut(&mut self.tenants, &record.spec.tenant).submitted += 1;
         self.jobs.insert(id.0, record);
         self.pending.push(id.0);
-        self.tenants.get_mut(&tenant).expect("checked").1.submitted += 1;
         self.events.push(SchedEvent::Submitted {
             job: id,
             at: self.clock,
@@ -697,9 +683,8 @@ impl Scheduler {
             logical: placement.logical.clone(),
         });
         job.shape_history.push(placement.logical.clone());
-        let tenant = job.spec.tenant.clone();
         let jid = job.id;
-        let stats = &mut self.tenants.get_mut(&tenant).expect("tenant exists").1;
+        let stats = stats_mut(&mut self.tenants, &job.spec.tenant);
         stats.running_nodes += nodes;
         stats.max_running_nodes = stats.max_running_nodes.max(stats.running_nodes);
         self.pending.retain(|&p| p != id);
@@ -732,37 +717,49 @@ impl Scheduler {
         true
     }
 
+    /// Take a running job off the machine: release its partition to
+    /// `mesh` (a restored scheduler has none: its partitions died with the
+    /// old host), hand its nodes back to its tenant's headroom and drop it
+    /// from `running`. Returns the placement it held; what the job does
+    /// next is the caller's to say.
+    fn unplace(&mut self, id: u64, mesh: Option<&mut (dyn MeshHost + '_)>) -> GrantedPlacement {
+        let job = self.jobs.get_mut(&id).expect("running job exists");
+        let placement = job.placement.take().expect("running jobs are placed");
+        if let Some(mesh) = mesh {
+            mesh.vacate(placement.partition);
+        }
+        stats_mut(&mut self.tenants, &job.spec.tenant).running_nodes -=
+            placement.logical.node_count();
+        self.running.retain(|&r| r != id);
+        placement
+    }
+
     /// Evict `victim` in favour of `by`: release its partition, retain
     /// its remaining work, and requeue it behind the clock.
     fn evict(&mut self, mesh: &mut dyn MeshHost, occ: &mut OccupancyMap, victim: u64, by: JobId) {
+        let placement = self.unplace(victim, Some(mesh));
         let job = self.jobs.get_mut(&victim).expect("running job exists");
-        let placement = job.placement.take().expect("running jobs are placed");
-        let extents = job.spec.shapes[placement.shape_index].extents.clone();
-        let nodes = placement.logical.node_count();
+        occ.vacate_box(
+            placement.origin,
+            &job.spec.shapes[placement.shape_index].extents,
+        );
+        self.fits.generation += 1;
         job.status = JobStatus::Preempted;
         job.queued_since = self.clock;
         job.preemptions += 1;
-        let tenant = job.spec.tenant.clone();
-        let jid = job.id;
-        mesh.vacate(placement.partition);
-        occ.vacate_box(placement.origin, &extents);
-        self.fits.generation += 1;
-        let stats = &mut self.tenants.get_mut(&tenant).expect("tenant exists").1;
-        stats.running_nodes -= nodes;
-        stats.preemptions += 1;
+        stats_mut(&mut self.tenants, &job.spec.tenant).preemptions += 1;
         self.preemptions += 1;
-        self.running.retain(|&r| r != victim);
         self.pending.push(victim);
         self.flight.record(
             HOST_NODE,
             self.clock,
             FlightKind::Preemption,
             "evict",
-            jid.0,
+            victim,
             by.0,
         );
         self.events.push(SchedEvent::Preempted {
-            job: jid,
+            job: JobId(victim),
             at: self.clock,
             by,
         });
@@ -832,13 +829,8 @@ impl Scheduler {
             job.status = JobStatus::Queued;
             let jid = job.id;
             let retries = job.retries;
-            let tenant = job.spec.tenant.clone();
             self.requeues += 1;
-            self.tenants
-                .get_mut(&tenant)
-                .expect("tenant exists")
-                .1
-                .requeues += 1;
+            stats_mut(&mut self.tenants, &job.spec.tenant).requeues += 1;
             self.flight.record(
                 HOST_NODE,
                 self.clock,
@@ -943,11 +935,7 @@ impl Scheduler {
             job.remaining -= delivered;
             let nodes = job.held_nodes() as u64;
             self.busy_node_ticks += nodes * delivered;
-            self.tenants
-                .get_mut(&job.spec.tenant)
-                .expect("tenant exists")
-                .1
-                .node_ticks += nodes * delivered;
+            stats_mut(&mut self.tenants, &job.spec.tenant).node_ticks += nodes * delivered;
             if job.remaining == 0 {
                 completed.push(id);
             }
@@ -955,29 +943,17 @@ impl Scheduler {
         for &id in &self.pending {
             let job = self.jobs.get_mut(&id).expect("pending job exists");
             job.wait_ticks += ticks;
-            self.tenants
-                .get_mut(&job.spec.tenant)
-                .expect("tenant exists")
-                .1
-                .wait_ticks += ticks;
+            stats_mut(&mut self.tenants, &job.spec.tenant).wait_ticks += ticks;
         }
         for id in completed {
+            self.unplace(id, Some(&mut *mesh));
             let job = self.jobs.get_mut(&id).expect("completing job exists");
-            let placement = job.placement.take().expect("running jobs are placed");
-            let nodes = placement.logical.node_count();
             job.status = JobStatus::Completed;
             job.finished_at = Some(self.clock);
-            job.checkpoint = None;
             job.checkpoint_remaining = None;
-            let tenant = job.spec.tenant.clone();
-            let jid = job.id;
-            mesh.vacate(placement.partition);
-            let stats = &mut self.tenants.get_mut(&tenant).expect("tenant exists").1;
-            stats.running_nodes -= nodes;
-            stats.completed += 1;
-            self.running.retain(|&r| r != id);
+            stats_mut(&mut self.tenants, &job.spec.tenant).completed += 1;
             self.events.push(SchedEvent::Completed {
-                job: jid,
+                job: JobId(id),
                 at: self.clock,
             });
         }
@@ -987,37 +963,22 @@ impl Scheduler {
     /// Remove a job: dequeue it if waiting, evict-and-discard if
     /// running. Returns false for unknown or already-finished jobs.
     pub fn cancel(&mut self, id: JobId, mesh: &mut dyn MeshHost) -> bool {
-        let Some(job) = self.jobs.get_mut(&id.0) else {
+        let Some(status) = self.jobs.get(&id.0).map(|j| j.status) else {
             return false;
         };
-        match job.status {
+        match status {
             JobStatus::Queued | JobStatus::Preempted | JobStatus::Held => {
-                job.status = JobStatus::Canceled;
-                job.finished_at = Some(self.clock);
-                job.checkpoint = None;
-                let tenant = job.spec.tenant.clone();
                 self.pending.retain(|&p| p != id.0);
-                self.tenants
-                    .get_mut(&tenant)
-                    .expect("tenant exists")
-                    .1
-                    .canceled += 1;
             }
             JobStatus::Running => {
-                let placement = job.placement.take().expect("running jobs are placed");
-                let nodes = placement.logical.node_count();
-                job.status = JobStatus::Canceled;
-                job.finished_at = Some(self.clock);
-                job.checkpoint = None;
-                let tenant = job.spec.tenant.clone();
-                mesh.vacate(placement.partition);
-                let stats = &mut self.tenants.get_mut(&tenant).expect("tenant exists").1;
-                stats.running_nodes -= nodes;
-                stats.canceled += 1;
-                self.running.retain(|&r| r != id.0);
+                self.unplace(id.0, Some(&mut *mesh));
             }
             JobStatus::Completed | JobStatus::Canceled | JobStatus::Failed => return false,
         }
+        let job = self.jobs.get_mut(&id.0).expect("checked above");
+        job.status = JobStatus::Canceled;
+        job.finished_at = Some(self.clock);
+        stats_mut(&mut self.tenants, &job.spec.tenant).canceled += 1;
         self.events.push(SchedEvent::Canceled {
             job: id,
             at: self.clock,
@@ -1047,79 +1008,90 @@ impl Scheduler {
         avoid: &[u32],
         mesh: &mut dyn MeshHost,
     ) -> bool {
-        let Some(job) = self.jobs.get_mut(&id.0) else {
-            return false;
-        };
-        let was_running = match job.status {
-            JobStatus::Running => true,
-            JobStatus::Preempted => false,
-            _ => return false,
-        };
-        // Release the partition, if any. A preempted job was already
-        // released at eviction — taking placement only when running is
-        // what keeps the occupancy accounting single-entry (the retry
-        // seam the satellite audit covers).
-        let mut lost_nodes = 0u64;
-        if was_running {
-            let placement = job.placement.take().expect("running jobs are placed");
-            lost_nodes = placement.logical.node_count() as u64;
-            mesh.vacate(placement.partition);
+        match self.jobs.get(&id.0).map(|j| j.status) {
+            Some(JobStatus::Running | JobStatus::Preempted) => {
+                self.roll_back(id.0, class, avoid, true, "sched_fail", Some(mesh));
+                true
+            }
+            _ => false,
         }
-        // Roll back to the newest checkpoint; everything delivered past
-        // it is waste, not goodput.
+    }
+
+    /// The one rollback: a job lost its run (or, parked, its checkpoint's
+    /// store). A running job comes off the machine, the node·ticks it
+    /// delivered past its newest checkpoint are written off as waste, and
+    /// its remaining work rolls back to that checkpoint (or to scratch if
+    /// none exists). The failure charges the retry budget unless it is a
+    /// [`FailureClass::HostRestart`] — the machine's fault, not the job's.
+    /// Within the budget the job is held, behind an exponential hold-off
+    /// when `holdoff` is set, with `avoid` masked out of its next
+    /// placement; past it, it fails terminally. The rollback is logged as
+    /// `detail` in the flight ring and as a `Failed` event, and when a
+    /// `mesh` is given, a scheduling pass follows.
+    pub(crate) fn roll_back(
+        &mut self,
+        id: u64,
+        class: FailureClass,
+        avoid: &[u32],
+        holdoff: bool,
+        detail: &'static str,
+        mut mesh: Option<&mut dyn MeshHost>,
+    ) {
+        // A preempted job was already released at eviction: taking it off
+        // the machine only when running keeps the occupancy accounting
+        // single-entry.
+        let lost_nodes = match self.jobs[&id].status {
+            JobStatus::Running => self.unplace(id, mesh.as_deref_mut()).logical.node_count(),
+            _ => 0,
+        };
+        let job = self.jobs.get_mut(&id).expect("failed job exists");
+        // Everything delivered past the checkpoint is waste, not goodput.
         let target = job.checkpoint_remaining.unwrap_or(job.spec.work);
-        let lost_ticks = target.saturating_sub(job.remaining);
-        self.wasted_node_ticks += lost_nodes * lost_ticks;
+        self.wasted_node_ticks += lost_nodes as u64 * target.saturating_sub(job.remaining);
         job.remaining = target;
-        let charged = class != FailureClass::HostRestart;
-        if charged {
+        if class != FailureClass::HostRestart {
             job.retries += 1;
         }
         job.last_failure = Some(class);
         job.avoid = avoid.to_vec();
         job.queued_since = self.clock;
-        let terminal = job.retries > self.config.retry_budget;
-        if terminal {
+        if job.retries > self.config.retry_budget {
             job.status = JobStatus::Failed;
             job.finished_at = Some(self.clock);
-        } else {
-            // Exponential hold-off, capped at 64x base so a long-lived
-            // job cannot back off past the aging horizon forever.
-            let shift = job.retries.saturating_sub(1).min(6);
-            job.held_until = self.clock + (self.config.holdoff_base << shift);
-            job.status = JobStatus::Held;
-        }
-        let jid = job.id;
-        let retries = job.retries;
-        let tenant = job.spec.tenant.clone();
-        let stats = &mut self.tenants.get_mut(&tenant).expect("tenant exists").1;
-        if was_running {
-            stats.running_nodes -= lost_nodes as usize;
-        }
-        if terminal {
-            stats.failed += 1;
+            stats_mut(&mut self.tenants, &job.spec.tenant).failed += 1;
             self.failed_terminal += 1;
-            self.pending.retain(|&p| p != id.0);
-        } else if !self.pending.contains(&id.0) {
-            self.pending.push(id.0);
+            self.pending.retain(|&p| p != id);
+        } else {
+            job.held_until = self.clock;
+            if holdoff {
+                // Exponential hold-off, capped at 64x base so a long-lived
+                // job cannot back off past the aging horizon forever.
+                let shift = job.retries.saturating_sub(1).min(6);
+                job.held_until += self.config.holdoff_base << shift;
+            }
+            job.status = JobStatus::Held;
+            if !self.pending.contains(&id) {
+                self.pending.push(id);
+            }
         }
-        self.running.retain(|&r| r != id.0);
+        let retry = job.retries;
         self.flight.record(
             HOST_NODE,
             self.clock,
             FlightKind::Rollback,
-            "sched_fail",
-            jid.0,
+            detail,
+            id,
             class.code(),
         );
         self.events.push(SchedEvent::Failed {
-            job: jid,
+            job: JobId(id),
             at: self.clock,
             class,
-            retry: retries,
+            retry,
         });
-        self.schedule(mesh);
-        true
+        if let Some(mesh) = mesh {
+            self.schedule(mesh);
+        }
     }
 
     /// Manual requeue (`qcsh qretry`): release a held job's back-off
@@ -1253,6 +1225,7 @@ impl Scheduler {
 mod tests {
     use super::*;
     use crate::mesh::SimMesh;
+    use crate::vault::MemoryVault;
 
     fn machine() -> TorusShape {
         // 4 x 2 x 2 = 16 nodes.
@@ -1578,44 +1551,26 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_blobs_travel_with_the_job() {
-        let (mut s, mut mesh) = setup();
-        let scav = s
-            .submit(job("a", Priority::Scavenger, whole_shape(), 100))
-            .unwrap();
-        s.schedule(&mut mesh);
-        s.submit(job("b", Priority::Production, whole_shape(), 5))
-            .unwrap();
-        s.schedule(&mut mesh);
-        assert_eq!(s.job(scav).unwrap().status, JobStatus::Preempted);
-        s.store_checkpoint(scav, vec![1, 2, 3]);
-        assert_eq!(
-            s.job(scav).unwrap().checkpoint.as_deref(),
-            Some(&[1u8, 2, 3][..])
-        );
-        assert_eq!(s.take_checkpoint(scav), Some(vec![1, 2, 3]));
-        assert_eq!(s.take_checkpoint(scav), None);
-    }
-
-    #[test]
-    fn durable_checkpoints_survive_a_scheduler_restart() {
-        use crate::vault::MemoryVault;
+    fn checkpoints_live_in_the_vault() {
         let mut vault = MemoryVault::new();
         let (mut s, mut mesh) = setup();
         let scav = s
             .submit(job("a", Priority::Scavenger, whole_shape(), 100))
             .unwrap();
         s.schedule(&mut mesh);
+        s.advance(3, &mut mesh);
         s.submit(job("b", Priority::Production, whole_shape(), 5))
             .unwrap();
         s.schedule(&mut mesh);
         assert_eq!(s.job(scav).unwrap().status, JobStatus::Preempted);
-        s.store_checkpoint_durable(scav, vec![4, 5, 6], &mut vault)
-            .unwrap();
-        // Fast path: the in-memory copy answers first.
-        assert_eq!(s.take_checkpoint(scav), Some(vec![4, 5, 6]));
-        // A restarted qdaemon recovers from the vault copy.
+        assert_eq!(s.store_checkpoint(scav, &[1, 2, 3], &mut vault), Ok(0));
+        assert_eq!(s.store_checkpoint(scav, &[4, 5, 6], &mut vault), Ok(1));
+        // The driver loads the newest blob back when the job resumes; the
+        // scheduler keeps only the service level a failure rolls back to.
         assert_eq!(vault.load(scav), Ok(Some(vec![4, 5, 6])));
+        assert_eq!(s.job(scav).unwrap().checkpoint_remaining, Some(97));
+        // One flight event per store.
+        assert_eq!(s.flight_dump().matches("sched_store").count(), 2);
     }
 
     #[test]
@@ -1637,7 +1592,9 @@ mod tests {
             .unwrap();
         s.schedule(&mut mesh);
         s.advance(3, &mut mesh);
-        s.store_checkpoint(id, vec![7]); // remaining = 7
+        // Checkpoint at remaining = 7.
+        s.store_checkpoint(id, &[7], &mut MemoryVault::new())
+            .unwrap();
         s.advance(2, &mut mesh); // remaining = 5, 2 ticks uncheckpointed
         assert!(s.fail_job(id, FailureClass::DeadLink, &[], &mut mesh));
         let rec = s.job(id).unwrap();
@@ -1711,7 +1668,8 @@ mod tests {
             .unwrap();
         s.schedule(&mut mesh);
         s.advance(2, &mut mesh);
-        s.store_checkpoint(id, vec![1]);
+        s.store_checkpoint(id, &[1], &mut MemoryVault::new())
+            .unwrap();
         // Convict the half the job is running on (ids of its sub-box).
         let placed = s.job(id).unwrap().placement.clone().unwrap();
         let mach = s.machine().clone();
@@ -1762,8 +1720,10 @@ mod tests {
             .unwrap();
         s.schedule(&mut mesh);
         s.advance(5, &mut mesh);
-        s.store_checkpoint(victim, vec![1]); // remaining = 45
-                                             // Kill it: held, then requeued+resumed after the hold-off.
+        // Checkpoint at remaining = 45, then kill it: held, then
+        // requeued+resumed after the hold-off.
+        s.store_checkpoint(victim, &[1], &mut MemoryVault::new())
+            .unwrap();
         assert!(s.fail_job(victim, FailureClass::NodeCrash, &[], &mut mesh));
         while s.job(victim).unwrap().status != JobStatus::Running {
             assert_ne!(s.step(&mut mesh), StepOutcome::Stuck);

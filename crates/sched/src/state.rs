@@ -25,7 +25,7 @@ use crate::scheduler::{SchedConfig, SchedEvent, Scheduler};
 use crate::tenant::{TenantConfig, TenantStats};
 use qcdoc_fault::FailureClass;
 use qcdoc_geometry::{NodeCoord, TorusShape};
-use qcdoc_telemetry::{FlightKind, FlightRecorder, MetricsRegistry, HOST_NODE};
+use qcdoc_telemetry::{FlightRecorder, MetricsRegistry};
 use std::collections::BTreeMap;
 
 /// Reserved job id under which a qdaemon parks the scheduler snapshot
@@ -33,7 +33,9 @@ use std::collections::BTreeMap;
 /// the same faulty-NFS-hardened path as job checkpoints.
 pub const STATE_JOB: JobId = JobId(u64::MAX);
 
-const MAGIC: &[u8; 8] = b"QSCHEDv1";
+/// Version 2: job records carry no checkpoint blob (blobs live only in
+/// the vault). A version-1 archive is refused as [`StateError::BadMagic`].
+const MAGIC: &[u8; 8] = b"QSCHEDv2";
 
 /// Why a scheduler snapshot could not be restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -325,13 +327,6 @@ fn put_job(out: &mut Vec<u8>, job: &JobRecord) {
     }
     put_u64(out, job.preemptions as u64);
     put_u64(out, job.wait_ticks);
-    match &job.checkpoint {
-        Some(blob) => {
-            put_u8(out, 1);
-            put_bytes(out, blob);
-        }
-        None => put_u8(out, 0),
-    }
     put_u64(out, job.retries as u64);
     put_opt_u64(out, job.last_failure.map(|c| c.code()));
     put_u64(out, job.held_until);
@@ -389,7 +384,6 @@ fn read_job(r: &mut Reader) -> Result<JobRecord, StateError> {
     }
     let preemptions = r.u64()? as u32;
     let wait_ticks = r.u64()?;
-    let checkpoint = if r.u8()? == 1 { Some(r.bytes()?) } else { None };
     let retries = r.u64()? as u32;
     let last_failure = match r.opt_u64()? {
         Some(code) => Some(class_from(code)?),
@@ -421,7 +415,6 @@ fn read_job(r: &mut Reader) -> Result<JobRecord, StateError> {
         shape_history,
         preemptions,
         wait_ticks,
-        checkpoint,
         retries,
         last_failure,
         held_until,
@@ -701,49 +694,22 @@ impl Scheduler {
     /// when the old host died lost its partition. Roll each back to its
     /// newest checkpoint and requeue it as a held
     /// [`FailureClass::HostRestart`] failure — charged to the machine,
-    /// never to the job's retry budget. Returns the recovered job ids.
+    /// never to the job's retry budget, with no hold-off and no domain to
+    /// avoid: the same rollback as [`Scheduler::fail_job`]. Returns the
+    /// recovered job ids.
     pub fn recover_after_restart(&mut self) -> Vec<JobId> {
-        let running = std::mem::take(&mut self.running);
-        let mut recovered = Vec::new();
-        for id in running {
-            let job = self.jobs.get_mut(&id).expect("running job exists");
-            let placement = job.placement.take().expect("running jobs are placed");
-            let nodes = placement.logical.node_count() as u64;
-            let target = job.checkpoint_remaining.unwrap_or(job.spec.work);
-            let lost = target.saturating_sub(job.remaining);
-            self.wasted_node_ticks += nodes * lost;
-            job.remaining = target;
-            job.status = JobStatus::Held;
-            job.held_until = self.clock;
-            job.queued_since = self.clock;
-            job.last_failure = Some(FailureClass::HostRestart);
-            job.avoid.clear();
-            let jid = job.id;
-            let retries = job.retries;
-            let tenant = job.spec.tenant.clone();
-            self.tenants
-                .get_mut(&tenant)
-                .expect("tenant exists")
-                .1
-                .running_nodes -= nodes as usize;
-            self.pending.push(id);
-            self.flight.record(
-                HOST_NODE,
-                self.clock,
-                FlightKind::Rollback,
+        let running = self.running.clone();
+        for &id in &running {
+            self.roll_back(
+                id,
+                FailureClass::HostRestart,
+                &[],
+                false,
                 "sched_host_restart",
-                jid.0,
-                FailureClass::HostRestart.code(),
+                None,
             );
-            self.events.push(SchedEvent::Failed {
-                job: jid,
-                at: self.clock,
-                class: FailureClass::HostRestart,
-                retry: retries,
-            });
-            recovered.push(jid);
         }
-        recovered
+        running.into_iter().map(JobId).collect()
     }
 }
 
@@ -752,6 +718,7 @@ mod tests {
     use super::*;
     use crate::mesh::SimMesh;
     use crate::scheduler::StepOutcome;
+    use crate::vault::MemoryVault;
 
     fn machine() -> TorusShape {
         TorusShape::new(&[4, 2, 2])
@@ -796,7 +763,8 @@ mod tests {
             s.submit(spec).unwrap();
             s.advance(1, &mut mesh);
         }
-        s.store_checkpoint(JobId(0), vec![9, 9, 9]);
+        s.store_checkpoint(JobId(0), &[9, 9, 9], &mut MemoryVault::new())
+            .unwrap();
         s
     }
 
@@ -814,7 +782,10 @@ mod tests {
             format!("{:?}", s.events())
         );
         assert_eq!(restored.clock(), s.clock());
-        assert_eq!(restored.job(id).unwrap().checkpoint, Some(vec![9, 9, 9]));
+        assert_eq!(
+            restored.job(id).unwrap().checkpoint_remaining,
+            s.job(id).unwrap().checkpoint_remaining
+        );
     }
 
     #[test]
@@ -833,6 +804,14 @@ mod tests {
         bad[0] ^= 0xff;
         assert_eq!(
             Scheduler::restore_state(&bad).err(),
+            Some(StateError::BadMagic)
+        );
+        // A version-1 archive (job records carried checkpoint blobs) is
+        // refused, not misread.
+        let mut v1 = bytes.clone();
+        v1[..8].copy_from_slice(b"QSCHEDv1");
+        assert_eq!(
+            Scheduler::restore_state(&v1).err(),
             Some(StateError::BadMagic)
         );
         let mut truncated = bytes.clone();
@@ -917,7 +896,8 @@ mod tests {
         s.advance(4, &mut mesh);
         // Checkpoint at remaining=6, then deliver 2 more ticks that the
         // restart will roll back.
-        s.store_checkpoint(job, vec![1]);
+        s.store_checkpoint(job, &[1], &mut MemoryVault::new())
+            .unwrap();
         s.advance(2, &mut mesh);
         assert_eq!(s.job(job).unwrap().remaining, 4);
 

@@ -1,17 +1,18 @@
 //! Durable checkpoint storage at the scheduler boundary.
 //!
-//! PR 6's preemption protocol parks a preempted job's exact-bits CG
-//! checkpoint as an opaque blob in scheduler memory — which means a
-//! qdaemon restart loses every parked job. The paper's operating model
-//! (§3.2, §4) puts that state on the host RAID instead: checkpoints
-//! belong on disk, where they outlive the process that took them.
+//! A preempted job's exact-bits CG checkpoint is an opaque blob the
+//! scheduler never reads. The paper's operating model (§3.2, §4) puts
+//! that state on the host RAID, not in the daemon's memory: checkpoints
+//! belong on disk, where they outlive the process that took them. So a
+//! blob has exactly one home, the vault; the scheduler remembers only
+//! the service level it was taken at.
 //!
 //! [`CheckpointVault`] is the boundary trait: the scheduler stays
 //! storage-agnostic (blobs in, blobs out, `String` errors), the host
 //! crate implements it over its NFS server + durable `CheckpointStore`
 //! (atomic generations, verified restore), and [`MemoryVault`] is the
-//! in-process reference implementation for tests and for deployments
-//! that accept the old semantics.
+//! in-process reference implementation for tests and in-process
+//! drivers.
 
 use crate::job::JobId;
 use std::collections::HashMap;

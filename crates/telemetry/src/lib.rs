@@ -6,7 +6,7 @@
 //! Dslash iteration into local compute, nearest-neighbour comms and the
 //! global sum. This crate is the twin's version of both: a
 //! [`MetricsRegistry`] of named counters/gauges/histograms, cycle-stamped
-//! [`Span`] tracing through a pluggable [`TraceSink`], and exporters to
+//! [`Span`] tracing into a bounded [`RingSink`], and exporters to
 //! Chrome-trace JSON, Prometheus text, and a compact JSON summary.
 //!
 //! Two properties are load-bearing:
@@ -15,9 +15,10 @@
 //!   by the timing models (never wall time), and every exporter iterates
 //!   sorted maps, so identical runs produce byte-identical output.
 //! * **Compile-out cheap** — every instrumented call site first checks a
-//!   single `enabled` branch ([`NodeTelemetry::is_enabled`]); with the
-//!   default [`NullSink`] the whole layer costs a predictable branch per
-//!   event, verified by `benches/telemetry_overhead.rs`.
+//!   single `enabled` branch ([`NodeTelemetry::is_enabled`]: whether the
+//!   handle has a sink); on a disabled handle the whole layer costs a
+//!   predictable branch per event, verified by
+//!   `benches/telemetry_overhead.rs`.
 //!
 //! The crate deliberately has **zero dependencies** so every other crate
 //! in the workspace can depend on it without cycles.
@@ -36,7 +37,7 @@ pub use flight::{
 };
 pub use metrics::{Histogram, MetricKey, MetricValue, MetricsRegistry};
 pub use node::{NodeTelemetry, SpanToken};
-pub use trace::{NullSink, Phase, RingSink, Span, TraceSink};
+pub use trace::{Phase, RingSink, Span};
 
 /// Machine-level telemetry: the merge of every node's metrics (stamped
 /// with `node="N"` labels), spans, and flight-recorder events, as

@@ -4,7 +4,7 @@
 
 use crate::flight::{FlightEvent, FlightKind, FlightRecorder};
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::trace::{NullSink, Phase, RingSink, Span, TraceSink};
+use crate::trace::{Phase, RingSink, Span};
 
 /// Opaque marker returned by [`NodeTelemetry::begin`]; pass it back to
 /// [`NodeTelemetry::end_with`] to close the span it opened.
@@ -23,9 +23,10 @@ pub struct NodeTelemetry {
     node: u32,
     clock: u64,
     depth: u32,
-    enabled: bool,
     phase_override: Option<Phase>,
-    sink: Box<dyn TraceSink>,
+    /// Where closed spans go; `None` on a disabled handle, which is what
+    /// "disabled" means.
+    sink: Option<RingSink>,
     metrics: MetricsRegistry,
     /// The black box: always on, even on a disabled handle — flight
     /// events live on exceptional paths only, so the ring costs nothing
@@ -41,9 +42,8 @@ impl NodeTelemetry {
             node,
             clock: 0,
             depth: 0,
-            enabled: false,
             phase_override: None,
-            sink: Box::new(NullSink),
+            sink: None,
             metrics: MetricsRegistry::new(),
             flight: FlightRecorder::default(),
         }
@@ -51,20 +51,9 @@ impl NodeTelemetry {
 
     /// An enabled handle backed by a bounded [`RingSink`].
     pub fn with_ring(node: u32, capacity: usize) -> NodeTelemetry {
-        NodeTelemetry::with_sink(node, Box::new(RingSink::new(capacity)))
-    }
-
-    /// An enabled handle backed by an arbitrary sink.
-    fn with_sink(node: u32, sink: Box<dyn TraceSink>) -> NodeTelemetry {
         NodeTelemetry {
-            node,
-            clock: 0,
-            depth: 0,
-            enabled: true,
-            phase_override: None,
-            sink,
-            metrics: MetricsRegistry::new(),
-            flight: FlightRecorder::default(),
+            sink: Some(RingSink::new(capacity)),
+            ..NodeTelemetry::disabled(node)
         }
     }
 
@@ -72,7 +61,7 @@ impl NodeTelemetry {
     /// argument construction should check this first.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
     /// Node id this handle stamps onto spans.
@@ -90,7 +79,7 @@ impl NodeTelemetry {
     /// Move the logical clock forward by `cycles`.
     #[inline]
     pub fn advance(&mut self, cycles: u64) {
-        if self.enabled {
+        if self.is_enabled() {
             self.clock += cycles;
         }
     }
@@ -99,7 +88,7 @@ impl NodeTelemetry {
     /// [`NodeTelemetry::end_with`].
     #[inline]
     pub fn begin(&mut self) -> SpanToken {
-        if self.enabled {
+        if self.is_enabled() {
             self.depth += 1;
         }
         SpanToken { begin: self.clock }
@@ -115,9 +104,9 @@ impl NodeTelemetry {
         phase: Phase,
         arg: u64,
     ) -> u64 {
-        if !self.enabled {
+        let Some(sink) = self.sink.as_mut() else {
             return 0;
-        }
+        };
         self.depth = self.depth.saturating_sub(1);
         let span = Span {
             name,
@@ -128,7 +117,7 @@ impl NodeTelemetry {
             depth: self.depth,
             arg,
         };
-        self.sink.record(span);
+        sink.record(span);
         span.cycles()
     }
 
@@ -143,7 +132,7 @@ impl NodeTelemetry {
     /// Add to a node-local counter (no-op when disabled).
     #[inline]
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        if self.enabled {
+        if self.is_enabled() {
             self.metrics.counter_add(name, &[], v);
         }
     }
@@ -151,7 +140,7 @@ impl NodeTelemetry {
     /// Set a node-local gauge (no-op when disabled).
     #[inline]
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        if self.enabled {
+        if self.is_enabled() {
             self.metrics.gauge_set(name, &[], v);
         }
     }
@@ -159,7 +148,7 @@ impl NodeTelemetry {
     /// Record a node-local histogram observation (no-op when disabled).
     #[inline]
     pub fn observe(&mut self, name: &str, v: u64) {
-        if self.enabled {
+        if self.is_enabled() {
             self.metrics.observe(name, &[], v);
         }
     }
@@ -172,7 +161,7 @@ impl NodeTelemetry {
     /// Fold a pre-built histogram into a node-local histogram series
     /// (no-op when disabled).
     pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        if self.enabled {
+        if self.is_enabled() {
             self.metrics.histogram_merge(name, &[], h);
         }
     }
@@ -199,7 +188,7 @@ impl NodeTelemetry {
     /// it empty (and still enabled/disabled as before).
     pub fn take_parts(&mut self) -> (MetricsRegistry, Vec<Span>) {
         let metrics = std::mem::take(&mut self.metrics);
-        let spans = self.sink.drain();
+        let spans = self.sink.as_mut().map_or_else(Vec::new, RingSink::drain);
         (metrics, spans)
     }
 }
@@ -210,7 +199,7 @@ impl std::fmt::Debug for NodeTelemetry {
             .field("node", &self.node)
             .field("clock", &self.clock)
             .field("depth", &self.depth)
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.is_enabled())
             .field("phase_override", &self.phase_override)
             .finish_non_exhaustive()
     }

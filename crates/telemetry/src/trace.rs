@@ -73,38 +73,8 @@ impl Span {
     }
 }
 
-/// Destination for closed spans.
-///
-/// Implementations must be cheap when disabled: call sites check
-/// [`TraceSink::enabled`] before doing any work.
-pub trait TraceSink: Send {
-    /// Accept one closed span.
-    fn record(&mut self, span: Span);
-    /// Whether this sink wants spans at all. `false` lets instrumented
-    /// code skip span construction entirely.
-    fn enabled(&self) -> bool {
-        true
-    }
-    /// Remove and return everything recorded so far. Sinks that discard
-    /// spans return an empty vector.
-    fn drain(&mut self) -> Vec<Span> {
-        Vec::new()
-    }
-}
-
-/// A sink that drops everything — the compile-out-cheap fast path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _span: Span) {}
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Bounded-memory ring buffer sink: keeps the most recent `capacity`
-/// spans and counts the ones it had to evict.
+/// The span sink: a bounded-memory ring that keeps the most recent
+/// `capacity` spans and counts the ones it had to evict.
 #[derive(Debug, Default)]
 pub struct RingSink {
     capacity: usize,
@@ -136,10 +106,9 @@ impl RingSink {
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
-}
 
-impl TraceSink for RingSink {
-    fn record(&mut self, span: Span) {
+    /// Accept one closed span, evicting the oldest when full.
+    pub fn record(&mut self, span: Span) {
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -151,7 +120,8 @@ impl TraceSink for RingSink {
         self.buf.push_back(span);
     }
 
-    fn drain(&mut self) -> Vec<Span> {
+    /// Remove and return every span held, oldest first.
+    pub fn drain(&mut self) -> Vec<Span> {
         self.buf.drain(..).collect()
     }
 }
@@ -175,7 +145,6 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
         let mut ring = RingSink::new(2);
-        assert!(ring.enabled());
         for i in 0..5 {
             ring.record(span(i, i + 1));
         }
@@ -193,14 +162,6 @@ mod tests {
         ring.record(span(0, 1));
         assert_eq!(ring.dropped(), 1);
         assert!(ring.drain().is_empty());
-    }
-
-    #[test]
-    fn null_sink_is_disabled() {
-        let mut sink = NullSink;
-        assert!(!sink.enabled());
-        sink.record(span(0, 1));
-        assert!(sink.drain().is_empty());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use qcdoc_fault::{FaultEvent, FaultPlan};
 use qcdoc_geometry::TorusShape;
 use qcdoc_lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc_telemetry::{
-    bench_summary_json, chrome_trace, prometheus_text, MetricsRegistry, RingSink, TraceSink,
+    bench_summary_json, chrome_trace, prometheus_text, MetricsRegistry, RingSink,
 };
 
 /// One traced DES run, exported three ways.

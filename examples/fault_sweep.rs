@@ -32,7 +32,7 @@ use qcdoc::geometry::TorusShape;
 use qcdoc::lattice::checkpoint::CgCheckpoint;
 use qcdoc::lattice::counts::Action;
 use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
-use qcdoc::telemetry::{bench_summary_json, MetricsRegistry, RingSink, TraceSink};
+use qcdoc::telemetry::{bench_summary_json, MetricsRegistry, RingSink};
 
 fn main() {
     // Price one CG iteration with the paper-benchmark machine, then hand

@@ -66,7 +66,7 @@ stage "cargo doc (no deps, rustdoc warnings are errors)" \
 stage "cargo test (workspace: tier-1, every crate, doctests)" \
     cargo test -q --workspace
 
-stage "telemetry: overhead smoke (NullSink path < 5% on the Dslash hot loop)" \
+stage "telemetry: overhead smoke (disabled-handle path < 5% on the Dslash hot loop)" \
     cargo bench -p qcdoc-bench --bench telemetry_overhead
 
 stage "recovery: checkpoint overhead smoke (interval-0 CG within 5% of raw CG)" \
@@ -103,12 +103,16 @@ stage "full machine: 12,288-node partition-boot-solve on the sharded engine" \
 # fixed constants, so run each once (well under a second in release) to
 # keep them working, not just compiling. fault_sweep and bit_repro build
 # explicit fault plans on both engines, so a plan the machine refuses
-# fails here.
-stage "regenerators: self_sync, asic_tour, fault_sweep and bit_repro run once each" \
+# fails here. soak (E13) and chaos_soak (E17) drive the scheduler's whole
+# job lifecycle: soak through SimMesh with preemption, chaos_soak through
+# the checkpoint vault and the failure rollback.
+stage "regenerators: self_sync, asic_tour, fault_sweep, bit_repro, soak and chaos_soak run once each" \
     bash -c 'cargo run -q --release --example self_sync >/dev/null &&
         cargo run -q --release --example asic_tour >/dev/null &&
         cargo run -q --release --example fault_sweep >/dev/null &&
-        cargo run -q --release --example bit_repro >/dev/null'
+        cargo run -q --release --example bit_repro >/dev/null &&
+        cargo run -q --release --example soak >/dev/null &&
+        cargo run -q --release --example chaos_soak >/dev/null'
 
 # --locked: bench/e2e/Cargo.lock is frozen with the harness, so a change to
 # the workspace dependency graph fails here instead of rewriting the lock.

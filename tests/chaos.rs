@@ -128,6 +128,27 @@ fn killing_the_qdaemon_mid_soak_resumes_the_same_event_log() {
         Some(true),
         "the restored scheduler must carry the pre-kill event log: {report:?}"
     );
+    // What the restored scheduler decides is pinned too: every job the
+    // restart rolled back, when it resumed, and what the daemon saw.
+    assert_eq!(
+        (
+            report.event_digest,
+            report.event_count,
+            report.clock,
+            report.requeues,
+            report.goodput.to_bits(),
+            report.registry_digest,
+        ),
+        (
+            0x36c2_8a51_2d0a_c402,
+            78,
+            555,
+            14,
+            0x3fc9_cd42_e204_9cd4,
+            0x7896_8127_4dd3_7589
+        ),
+        "{report:?}"
+    );
     // The restart must not weaken any SLO: nothing lost, solves exact,
     // capacity recovered.
     assert!(report.drained, "{report:?}");

@@ -24,8 +24,8 @@ use qcdoc::lattice::field::{FermionField, GaugeField, Lattice};
 use qcdoc::lattice::solver::{resume_cgne, solve_cgne_checkpointed, CgParams};
 use qcdoc::lattice::wilson::WilsonDirac;
 use qcdoc::sched::{
-    JobId, JobSpec, JobStatus, Priority, SchedConfig, SchedEvent, Scheduler, ShapeRequest, SimMesh,
-    TenantConfig,
+    CheckpointVault, JobId, JobSpec, JobStatus, MemoryVault, Priority, SchedConfig, SchedEvent,
+    Scheduler, ShapeRequest, SimMesh, TenantConfig,
 };
 use qcdoc::telemetry::FlightDumpGuard;
 use rand::rngs::StdRng;
@@ -305,7 +305,10 @@ fn preempted_cg_resumes_on_a_different_shape_bit_identically() {
         .iter()
         .find(|c| c.iterations == delivered as usize)
         .expect("per-iteration sink has the boundary");
-    sched.store_checkpoint(cg, write_checkpoint(boundary));
+    let mut vault = MemoryVault::new();
+    sched
+        .store_checkpoint(cg, &write_checkpoint(boundary), &mut vault)
+        .unwrap();
 
     // Next pass: the whole-machine shape no longer exists (production
     // holds a half), so the job resumes on the *other* half — a
@@ -329,11 +332,13 @@ fn preempted_cg_resumes_on_a_different_shape_bit_identically() {
         .iter()
         .any(|e| matches!(e, SchedEvent::Resumed { job, .. } if *job == cg)));
 
-    // The driver answers the Resumed event by rebuilding solver state
-    // from the blob — validated resume, then run to convergence.
-    let blob = sched
-        .take_checkpoint(cg)
-        .expect("blob travels with the job");
+    // The driver answers the Resumed event by loading the blob back from
+    // the vault and rebuilding solver state — validated resume, then run
+    // to convergence.
+    let blob = vault
+        .load(cg)
+        .unwrap()
+        .expect("the vault holds the parked blob");
     let restored = read_checkpoint(&blob).unwrap();
     let template = FermionField::zero(lat);
     let (x_res, resumed_report) = resume_cgne(&op, &template, &restored, params).unwrap();
