@@ -2,7 +2,7 @@
 //!
 //! Every node of a (logical) machine owns a [`NodeMemory`] and an [`Scu`];
 //! each uni-directional wire is a single-producer/single-consumer queue
-//! of [`WireMsg`]s ([`crate::wire`]). All
+//! of [`WireMsg`]s ([`crate::wire`]), locked only between shards. All
 //! protocol behaviour — DMA descriptors, the three-in-the-air window, idle
 //! receive, parity rejects and resends, checksums, partition-interrupt
 //! flooding — is the real `qcdoc-scu` state machine; this module only
@@ -39,8 +39,8 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use crate::sharded::ShardSignal;
-use crate::wire::{wire, WireRx, WireTx};
+use crate::sharded::{shard_of, ShardSignal};
+use crate::wire::{wire, End, Slot, WireRx, WireTx};
 
 /// Per-node span ring-buffer capacity (bounded memory).
 const RING_CAPACITY: usize = 65_536;
@@ -116,9 +116,12 @@ const ALL_LINKS: u16 = (1 << LINKS) - 1;
 /// ([`TorusShape::wires`]) is `None`.
 #[derive(Default)]
 pub(crate) struct NodeWires {
-    tx: [Option<WireTx<WireMsg>>; LINKS],
-    rx: [Option<WireRx<WireMsg>>; LINKS],
+    tx: [Option<End<WireTx<WireMsg>>>; LINKS],
+    rx: [Option<End<WireRx<WireMsg>>>; LINKS],
 }
+
+/// One worker's nodes, each with its wire ends, and the signal they share.
+pub(crate) type Shard = (Vec<(usize, NodeWires)>, ShardSignal);
 
 /// Everything the engine needs to stamp out one node, minus the wires.
 pub(crate) struct NodeCtxConfig {
@@ -129,11 +132,6 @@ pub(crate) struct NodeCtxConfig {
 }
 
 impl NodeCtx {
-    /// Logical coordinate of the neighbour in `dir`.
-    pub fn neighbour(&self, dir: Direction) -> NodeId {
-        self.shape.rank_of(self.shape.neighbour(self.coord, dir))
-    }
-
     /// Start a DMA send toward `dir`. A wedged node refuses: its units
     /// were abandoned mid-transfer, and re-arming them would corrupt
     /// protocol state the health readout still needs.
@@ -217,7 +215,8 @@ impl NodeCtx {
             let Some(rx) = &self.wires.rx[link] else {
                 continue;
             };
-            if rx.drain(&mut self.inbox) == 0 {
+            rx.drain(&self.signal.inbound, &mut self.inbox);
+            if self.inbox.is_empty() {
                 continue;
             }
             moved = true;
@@ -290,7 +289,7 @@ impl NodeCtx {
                 moved = true;
             }
             let sent = self.inbox.len() as u64;
-            tx.send_all(&mut self.inbox);
+            tx.send_all(&self.signal.inbound, &mut self.inbox);
             self.signal.sent.set(self.signal.sent.get() + sent);
             if !self.scu.tx_pending(link) && !self.scu.send_unit(link).holding_backoff() {
                 self.active_links &= !(1 << link);
@@ -365,7 +364,7 @@ impl NodeCtx {
     /// since the last check into the flight ring. Exceptional paths only:
     /// a clean transfer leaves no trace.
     fn record_scu_flight(&mut self) {
-        let resends: u64 = (0..LINKS).map(|l| self.scu.send_unit(l).resends()).sum();
+        let (resends, block_rejects) = self.scu.retry_totals();
         if resends > self.flight_resends_seen {
             self.telem.flight(
                 FlightKind::Retry,
@@ -375,9 +374,6 @@ impl NodeCtx {
             );
             self.flight_resends_seen = resends;
         }
-        let block_rejects: u64 = (0..LINKS)
-            .map(|l| self.scu.recv_unit(l).block_rejects())
-            .sum();
         if block_rejects > self.flight_block_rejects_seen {
             self.telem.flight(
                 FlightKind::BlockReject,
@@ -607,22 +603,35 @@ pub(crate) async fn yield_once() {
     .await
 }
 
-/// Build the wire fabric for a logical shape: one [`wire`] per wire of
-/// [`TorusShape::wires`], its sending end in the node's slot for the link
-/// it leaves on and its receiving end in the far node's slot for the link
-/// it arrives on. Returns every node's ends in rank order.
-pub(crate) fn build_fabric(shape: &TorusShape) -> Vec<NodeWires> {
-    let mut fabric: Vec<NodeWires> = (0..shape.node_count())
-        .map(|_| NodeWires::default())
-        .collect();
-    for node in 0..fabric.len() {
+/// Build the wire fabric for `shape` on `workers` workers, split by
+/// [`shard_of`]: each wire of [`TorusShape::wires`], its ends in the links
+/// it leaves and arrives on, is the next slot of its shard's inbound table
+/// if its nodes share a shard (numbered receiver by receiver), else a
+/// [`wire`].
+pub(crate) fn build_fabric(shape: &TorusShape, workers: usize) -> Vec<Shard> {
+    let n = shape.node_count();
+    let mut ends: Vec<NodeWires> = (0..n).map(|_| NodeWires::default()).collect();
+    let mut shards: Vec<Shard> = (0..workers).map(|_| Default::default()).collect();
+    for node in 0..n {
+        let shard = shard_of(node, n, workers);
+        // The wire arriving on link `d` leaves `far` on link `far_d`.
         for (d, far, far_d) in shape.wires(NodeId(node as u32)) {
-            let (tx, rx) = wire();
-            fabric[node].tx[d.link_index()] = Some(tx);
-            fabric[far.index()].rx[far_d.link_index()] = Some(rx);
+            let (tx, rx) = if shard_of(far.index(), n, workers) == shard {
+                let inbound = &mut shards[shard].1.inbound;
+                inbound.push(Slot::default());
+                (End::Local(inbound.len() - 1), End::Local(inbound.len() - 1))
+            } else {
+                let (tx, rx) = wire();
+                (End::Cross(tx), End::Cross(rx))
+            };
+            ends[far.index()].tx[far_d.link_index()] = Some(tx);
+            ends[node].rx[d.link_index()] = Some(rx);
         }
     }
-    fabric
+    for (node, wires) in ends.into_iter().enumerate() {
+        shards[shard_of(node, n, workers)].0.push((node, wires));
+    }
+    shards
 }
 
 #[cfg(test)]
@@ -763,15 +772,15 @@ mod tests {
     fn neighbour_queries() {
         let machine = ShardedMachine::new(TorusShape::new(&[4, 2]));
         let results = machine.run(async |ctx| {
-            (
-                ctx.neighbour(Axis(0).plus()).0,
-                ctx.neighbour(Axis(1).minus()).0,
-            )
+            let far = |dir: Direction| {
+                let wire = ctx.shape.wires(ctx.id).find(|&(d, _, _)| d == dir);
+                wire.map(|(_, far, _)| far.0)
+            };
+            (far(Axis(0).plus()), far(Axis(1).minus()))
         });
         // Node 0 at (0,0): +x neighbour is (1,0) = rank 1; -y neighbour is
         // (0,1) = rank 4 (wrap on the 2-ring).
-        assert_eq!(results[0].0, 1);
-        assert_eq!(results[0].1, 4);
+        assert_eq!(results[0], (Some(1), Some(4)));
     }
 
     #[test]
@@ -976,26 +985,98 @@ mod tests {
         assert!(ledger.unhealthy_nodes().is_empty());
     }
 
+    /// How many wires `shape` has, and how many of them join two shards
+    /// at `workers` workers, counted from the wiring rule alone.
+    fn cross_shard_wires(shape: &TorusShape, workers: usize) -> (usize, usize) {
+        let n = shape.node_count();
+        let (mut wires, mut cross) = (0, 0);
+        for node in 0..n {
+            for (_, far, _) in shape.wires(NodeId(node as u32)) {
+                wires += 1;
+                cross +=
+                    usize::from(shard_of(node, n, workers) != shard_of(far.index(), n, workers));
+            }
+        }
+        (wires, cross)
+    }
+
+    #[test]
+    fn two_workers_keep_most_wires_in_their_shard() {
+        let counts = |dims: &[usize]| {
+            let shape = TorusShape::new(dims);
+            let fabric = build_fabric(&shape, 2);
+            let ends = fabric.iter().flat_map(|s| &s.0).flat_map(|(_, w)| &w.rx);
+            let cross = ends.filter(|e| matches!(e, Some(End::Cross(_)))).count();
+            let slots: usize = fabric.iter().map(|s| s.1.inbound.len()).sum();
+            assert_eq!((slots + cross, cross), cross_shard_wires(&shape, 2));
+            (slots + cross, cross)
+        };
+        assert_eq!(counts(&[8, 8, 8, 8]), (32_768, 2_048));
+        assert_eq!(counts(&[2, 2, 2, 2]), (128, 32));
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
 
         #[test]
-        fn the_fabric_lays_both_ends_of_every_wire(
+        fn the_fabric_lays_each_wire_in_its_shard_or_across(
             dims in proptest::collection::vec(1usize..=4, 1..=6),
+            workers in 1usize..=5,
         ) {
-            // One sending and one receiving end per wire, each in the slot
-            // the wiring rule names.
             let shape = TorusShape::new(&dims);
-            let fabric = build_fabric(&shape);
-            let wires = fabric.len() * shape.wires(NodeId(0)).count();
-            let tx: usize = fabric.iter().map(|w| w.tx.iter().flatten().count()).sum();
-            let rx: usize = fabric.iter().map(|w| w.rx.iter().flatten().count()).sum();
-            proptest::prop_assert_eq!((tx, rx), (wires, wires));
-            for (node, ends) in fabric.iter().enumerate() {
-                for (d, far, far_d) in shape.wires(NodeId(node as u32)) {
-                    proptest::prop_assert!(ends.tx[d.link_index()].is_some());
-                    proptest::prop_assert!(fabric[far.index()].rx[far_d.link_index()].is_some());
+            let n = shape.node_count();
+            let workers = workers.min(n);
+            let fabric = build_fabric(&shape, workers);
+            let mut ends: Vec<Option<&NodeWires>> = vec![None; n];
+            for (shard, part) in fabric.iter().enumerate() {
+                for (node, wires) in &part.0 {
+                    proptest::prop_assert_eq!(shard_of(*node, n, workers), shard);
+                    ends[*node] = Some(wires);
                 }
+            }
+            let ends: Vec<&NodeWires> = ends.into_iter().map(Option::unwrap).collect();
+            // One sending and one receiving end per wire, in the slots the
+            // wiring rule names: an own-shard wire is a slot of the
+            // receiver's table named by both ends, any other wire a locked
+            // queue.
+            let wires: Vec<_> = (0..n)
+                .flat_map(|node| {
+                    let wires = shape.wires(NodeId(node as u32));
+                    wires.map(move |(d, far, far_d)| (node, d, far.index(), far_d))
+                })
+                .collect();
+            let tx = ends.iter().map(|w| w.tx.iter().flatten().count()).sum::<usize>();
+            let rx = ends.iter().map(|w| w.rx.iter().flatten().count()).sum::<usize>();
+            proptest::prop_assert_eq!((tx, rx), (wires.len(), wires.len()));
+            let mut cross = 0;
+            for &(node, d, far, far_d) in &wires {
+                let same = shard_of(node, n, workers) == shard_of(far, n, workers);
+                let table = fabric[shard_of(far, n, workers)].1.inbound.len();
+                match (&ends[node].tx[d.link_index()], &ends[far].rx[far_d.link_index()]) {
+                    (Some(End::Local(a)), Some(End::Local(b))) => {
+                        proptest::prop_assert!(same && a == b && *b < table);
+                    }
+                    (Some(End::Cross(_)), Some(End::Cross(_))) => {
+                        proptest::prop_assert!(!same);
+                        cross += 1;
+                    }
+                    _ => proptest::prop_assert!(false, "wire {node} {d:?} has mismatched ends"),
+                }
+            }
+            proptest::prop_assert_eq!(cross, cross_shard_wires(&shape, workers).1);
+            // No two wires share a slot or a queue: send a message naming
+            // each wire on its sending end, then every receiving end must
+            // drain exactly its own.
+            for (id, &(node, d, _, _)) in wires.iter().enumerate() {
+                let table = &fabric[shard_of(node, n, workers)].1.inbound;
+                let end = ends[node].tx[d.link_index()].as_ref().unwrap();
+                end.send_all(table, &mut VecDeque::from([WireMsg::Ack(id as u64)]));
+            }
+            for (id, &(_, _, far, far_d)) in wires.iter().enumerate() {
+                let table = &fabric[shard_of(far, n, workers)].1.inbound;
+                let mut got = VecDeque::new();
+                ends[far].rx[far_d.link_index()].as_ref().unwrap().drain(table, &mut got);
+                proptest::prop_assert_eq!(got, VecDeque::from([WireMsg::Ack(id as u64)]));
             }
         }
     }

@@ -6,8 +6,9 @@
 //!   node memory plus the real SCU link protocol over [`wire`]s, with the
 //!   one cooperative wait loop every transfer goes through;
 //! * [`wire`] — the transport under it: one single-producer/single-consumer
-//!   queue per uni-directional link, lock-and-push to send, one atomic load
-//!   to poll an empty wire, no blocking and no wake-ups;
+//!   queue per uni-directional link, a slot of the shard's own table when
+//!   both nodes share a worker thread (no lock, no atomic) and a locked
+//!   queue only between shards; no blocking and no wake-ups;
 //! * [`sharded`] — the functional engine ([`ShardedMachine`]): node
 //!   programs are `async` and run as cooperative futures multiplexed onto
 //!   worker threads, from one node per worker at debug scale up to the

@@ -31,6 +31,7 @@
 use parking_lot::Mutex;
 use qcdoc_fault::{FaultClock, FaultPlan, HealthLedger, NodeHealth, PlanError};
 use qcdoc_geometry::TorusShape;
+use qcdoc_scu::scu::WireMsg;
 use qcdoc_scu::RetryPolicy;
 use qcdoc_telemetry::{FlightEvent, MachineTelemetry, MetricsRegistry, Span};
 use std::cell::Cell;
@@ -41,10 +42,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-use crate::functional::{
-    build_fabric, yield_once, NodeCtx, NodeCtxConfig, NodeWires, TelemetryConfig,
-};
+use crate::functional::{build_fabric, yield_once, NodeCtx, NodeCtxConfig, Shard, TelemetryConfig};
 use crate::recovery::Replacement;
+use crate::wire::Slot;
 
 /// What a run collects from each node: the program's result, the health
 /// snapshot, metrics and spans, and the flight ring. The snapshot is boxed
@@ -262,7 +262,7 @@ impl ShardedMachine {
     {
         let n = self.shape.node_count();
         let workers = self.workers.min(n).max(1);
-        let fabric = build_fabric(&self.shape);
+        let shards = build_fabric(&self.shape, workers);
         let results: Vec<Mutex<Option<NodeOutput<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cfg = NodeCtxConfig {
             shape: self.shape.clone(),
@@ -288,12 +288,7 @@ impl ShardedMachine {
         // the worker itself unwind would reach `thread::scope`'s generic
         // "a scoped thread panicked" and lose the payload).
         let panic_slot: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-        // Contiguous shard boundaries: worker w drives [w*n/W, (w+1)*n/W).
-        let mut shards: Vec<Vec<(usize, NodeWires)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (node, wires) in fabric.into_iter().enumerate() {
-            shards[node * workers / n].push((node, wires));
-        }
-        let drive = |worker: usize, shard: Vec<(usize, NodeWires)>| {
+        let drive = |worker: usize, shard| {
             let caught = drive_shard(
                 shard,
                 &app,
@@ -336,10 +331,17 @@ impl ShardedMachine {
     }
 }
 
-/// What the nodes of one shard tell their worker during a sweep; only the
-/// worker's thread touches it.
+/// The worker driving `rank` of `n`: worker `w` drives `[w·n/W, (w+1)·n/W)`.
+pub(crate) fn shard_of(rank: usize, n: usize, workers: usize) -> usize {
+    rank * workers / n
+}
+
+/// What the nodes of one shard share and tell their worker during a
+/// sweep; only the worker's thread touches it.
 #[derive(Default)]
 pub(crate) struct ShardSignal {
+    /// The wires between the shard's own nodes, one slot each.
+    pub(crate) inbound: Vec<Slot<WireMsg>>,
     /// A wire moved, or a link held in retry backoff.
     pub(crate) moved: Cell<bool>,
     /// Messages put on wires and not yet added to the machine-wide count.
@@ -413,7 +415,7 @@ impl Quiescence {
 /// `&mut NodeCtx` across await points — never need to be `Send`.
 #[allow(clippy::too_many_arguments)]
 fn drive_shard<F, R>(
-    shard: Vec<(usize, NodeWires)>,
+    (nodes, signal): Shard,
     app: &F,
     results: &[Mutex<Option<NodeOutput<R>>>],
     done: &AtomicUsize,
@@ -427,8 +429,8 @@ where
     F: AsyncFn(&mut NodeCtx) -> R + Sync,
     R: Send,
 {
-    let signal = Rc::new(ShardSignal::default());
-    let mut drivers: Vec<Option<Pin<Box<dyn Future<Output = ()> + '_>>>> = shard
+    let signal = Rc::new(signal);
+    let mut drivers: Vec<Option<Pin<Box<dyn Future<Output = ()> + '_>>>> = nodes
         .into_iter()
         .map(|(node, wires)| {
             let signal = Rc::clone(&signal);

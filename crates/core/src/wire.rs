@@ -1,15 +1,15 @@
 //! The wire between two SCUs: a single-producer/single-consumer queue.
 //!
-//! Every uni-directional link of the functional machine is one [`wire`]:
-//! the sending node's [`NodeCtx::progress`](crate::functional::NodeCtx::progress)
-//! pushes messages in, the receiving node's drains them out. The engine
-//! polls — no node ever blocks on a wire — so the transport needs neither
-//! a condition variable nor a disconnected state, and that is what makes it
-//! cheap. Both ends move batches: [`WireTx::send_all`] appends everything
-//! one link transmitted in a pump under one uncontended lock, never a
-//! syscall, and [`WireRx::drain`] takes everything that has arrived under
-//! another; polling an empty wire is one atomic load. A node polls eight
-//! wires per sweep and most are empty most of the time.
+//! Every uni-directional link of the functional machine is one wire: the
+//! sending node's [`NodeCtx::progress`](crate::functional::NodeCtx::progress)
+//! appends everything the link transmitted in a pump, the receiving node's
+//! drains everything that arrived. A wire between two nodes of one shard
+//! is a slot of the shard's inbound table, which only the shard's worker
+//! thread touches: no `Arc`, lock or atomic. Only a wire between shards
+//! (2,048 of `[8,8,8,8]`'s 32,768 at two workers, all at one worker per
+//! node) is a [`wire`]: a queue under an uncontended lock, whose empty poll
+//! is one atomic load. Nothing ever waits on either kind, so neither needs
+//! a condition variable or a disconnected state.
 //!
 //! Backpressure is the link protocol's three-in-the-air ack window, not the
 //! transport: the queue is unbounded but never holds more than a window of
@@ -18,6 +18,7 @@
 //! per frame, so a window of three frames costs one ack, not three.
 
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -78,6 +79,35 @@ impl<T> WireRx<T> {
     }
 }
 
+/// One end of a wire: a slot of its shard's inbound table, or one end of a [`wire`].
+pub(crate) enum End<W> {
+    Local(usize),
+    Cross(W),
+}
+
+/// One own-shard wire's queue, in a table laid out per receiving node.
+pub(crate) type Slot<T> = RefCell<Vec<T>>;
+
+impl<T> End<WireTx<T>> {
+    /// [`WireTx::send_all`] on either kind of end.
+    pub(crate) fn send_all(&self, inbound: &[Slot<T>], batch: &mut VecDeque<T>) {
+        match self {
+            End::Local(slot) => inbound[*slot].borrow_mut().extend(batch.drain(..)),
+            End::Cross(tx) => tx.send_all(batch),
+        }
+    }
+}
+
+impl<T> End<WireRx<T>> {
+    /// [`WireRx::drain`] on either kind of end.
+    pub(crate) fn drain(&self, inbound: &[Slot<T>], into: &mut VecDeque<T>) {
+        match self {
+            End::Local(slot) => into.extend(inbound[*slot].borrow_mut().drain(..)),
+            End::Cross(rx) => _ = rx.drain(into),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,6 +148,28 @@ mod tests {
         assert_eq!(rx.drain(&mut got), 1);
         assert_eq!(rx.drain(&mut got), 0, "a drained wire is empty again");
         assert_eq!(got, VecDeque::from([9, 1]));
+    }
+
+    #[test]
+    fn a_local_end_moves_batches_through_its_slot_alone() {
+        // Two own-shard wires side by side in one table: each drain takes
+        // its own slot's batches in order and leaves the neighbour's.
+        let inbound: Vec<RefCell<Vec<u64>>> = (0..2).map(|_| RefCell::default()).collect();
+        let (tx, rx) = (End::<WireTx<u64>>::Local(1), End::<WireRx<u64>>::Local(1));
+        End::<WireTx<u64>>::Local(0).send_all(&inbound, &mut VecDeque::from([9]));
+        let mut batch = VecDeque::from([0, 1, 2]);
+        tx.send_all(&inbound, &mut batch);
+        assert!(batch.is_empty(), "a sent batch is moved out");
+        tx.send_all(&inbound, &mut VecDeque::from([3]));
+        let mut got = VecDeque::new();
+        rx.drain(&inbound, &mut got);
+        rx.drain(&inbound, &mut got);
+        assert_eq!(
+            got,
+            (0..4).collect::<VecDeque<u64>>(),
+            "a drained slot is empty"
+        );
+        assert_eq!(*inbound[0].borrow(), [9]);
     }
 
     #[test]

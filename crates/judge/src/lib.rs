@@ -266,6 +266,16 @@ impl Finding {
         self.mode == Mode::Gate && matches!(self.verdict, Verdict::Regression | Verdict::Missing)
     }
 
+    /// The report table's verdict cell. Only a gated row can fail the
+    /// judge, so a report-only row that moved the wrong way reads
+    /// `worse (report)`, never `REGRESSION`.
+    pub fn tag(&self) -> &'static str {
+        match (self.verdict, self.mode) {
+            (Verdict::Regression, Mode::Report) => "worse (report)",
+            (verdict, _) => verdict.tag(),
+        }
+    }
+
     /// Whether the report table shows this finding.
     fn significant(&self) -> bool {
         !matches!(self.verdict, Verdict::Invariant | Verdict::New)
@@ -335,16 +345,22 @@ impl Judgement {
                     fmt_value(f.current),
                     f.ratio.map_or("—".to_string(), |r| format!("{r:.3}")),
                     f.policy,
-                    f.verdict.tag(),
+                    f.tag(),
                 );
             }
             out.push('\n');
         }
+        let gated_regressions = self
+            .findings
+            .iter()
+            .filter(|f| f.verdict == Verdict::Regression && f.mode == Mode::Gate)
+            .count();
         let _ = writeln!(
             out,
-            "{} regressions, {} missing, {} changed, {} improvements; \
+            "{} regressions, {} worse (report), {} missing, {} changed, {} improvements; \
              {} within noise and {} new metrics not shown.",
-            self.count(Verdict::Regression),
+            gated_regressions,
+            self.count(Verdict::Regression) - gated_regressions,
             self.count(Verdict::Missing),
             self.count(Verdict::Changed),
             self.count(Verdict::Improvement),
@@ -626,6 +642,27 @@ mod tests {
         );
         assert!(!j.failed());
         assert_eq!(j.count(Verdict::Regression), 1);
+    }
+
+    #[test]
+    fn a_report_row_never_renders_regression() {
+        // The same move, gated and report-only: only the gated row is a
+        // REGRESSION, in its cell and in the summary.
+        let m = manifest("x over lower 0.10 report\ny over lower 0.10 gate\n");
+        let base = [doc("x", &[("over", 1.0)]), doc("y", &[("over", 1.0)])];
+        let report_only = judge(&base[..1], &[doc("x", &[("over", 3.0)])], &m);
+        let text = report_only.render_markdown("b");
+        assert!(!text.contains("REGRESSION"), "{text}");
+        assert!(text.contains("| worse (report) |"), "{text}");
+        assert!(text.contains("0 regressions, 1 worse (report)"), "{text}");
+        let both = judge(
+            &base,
+            &[doc("x", &[("over", 3.0)]), doc("y", &[("over", 3.0)])],
+            &m,
+        );
+        let text = both.render_markdown("b");
+        assert_eq!(text.matches("REGRESSION").count(), 1, "{text}");
+        assert!(text.contains("1 regressions, 1 worse (report)"), "{text}");
     }
 
     #[test]

@@ -67,87 +67,85 @@ struct BlockSend {
     acked: bool,
 }
 
-/// The SCU of one node.
-#[derive(Debug)]
-pub struct Scu {
-    send: [SendUnit; LINKS],
-    recv: [RecvUnit; LINKS],
-    send_dma: [Option<DmaEngine>; LINKS],
-    /// Checked-block state per direction (`None` = plain send).
-    block_send: [Option<BlockSend>; LINKS],
+/// One link of the SCU, so that one link's pump touches one region of it.
+#[derive(Debug, Default)]
+struct Port {
+    send: SendUnit,
+    recv: RecvUnit,
+    send_dma: Option<DmaEngine>,
+    /// Checked-block state (`None` = plain send).
+    block_send: Option<BlockSend>,
     /// Block verdict `(trailer_seq, ok)` owed to the reverse wire.
-    outgoing_block: [Option<(u64, bool)>; LINKS],
+    outgoing_block: Option<(u64, bool)>,
+    /// Highest data sequence number owed an ack on the reverse wire. Acks
+    /// are cumulative, so one per pump carries every frame accepted since
+    /// the last.
+    outgoing_ack: Option<u64>,
+    outgoing_reject: Option<u64>,
+}
+
+/// The SCU of one node.
+#[derive(Debug, Default)]
+pub struct Scu {
+    ports: [Port; LINKS],
     /// Bits of partition interrupts already seen (forwarded once each,
     /// §2.2: "its SCU forwards this packet on to all of its neighbors if
     /// the packet contains an interrupt which had not been previously
     /// sent").
     irq_seen: u8,
-    /// Highest data sequence number owed an ack on the reverse wire. Acks
-    /// are cumulative, so one per link per pump carries every frame
-    /// accepted since the last.
-    outgoing_acks: [Option<u64>; LINKS],
-    outgoing_rejects: [Option<u64>; LINKS],
-}
-
-impl Default for Scu {
-    fn default() -> Self {
-        Scu::new()
-    }
+    /// Sums of every port's `resends()` and `block_rejects()`, kept where they move.
+    resends: u64,
+    block_rejects: u64,
 }
 
 impl Scu {
     /// A fresh SCU with all links untrained. Every unit is held inline,
     /// so a node's SCU costs no heap allocation until traffic needs one.
     pub fn new() -> Scu {
-        Scu {
-            send: std::array::from_fn(|_| SendUnit::new()),
-            recv: std::array::from_fn(|_| RecvUnit::new()),
-            send_dma: [None; LINKS],
-            block_send: [None; LINKS],
-            outgoing_block: [None; LINKS],
-            irq_seen: 0,
-            outgoing_acks: [None; LINKS],
-            outgoing_rejects: [None; LINKS],
-        }
+        Scu::default()
     }
 
     /// Complete HSSL training on every link (run-kernel initialization).
     pub fn train_all(&mut self) {
-        for s in &mut self.send {
-            s.train();
-        }
-        for r in &mut self.recv {
-            r.train();
+        for p in &mut self.ports {
+            p.send.train();
+            p.recv.train();
         }
     }
 
     /// Access the send unit of a direction (for statistics/checksums).
     pub fn send_unit(&self, link: usize) -> &SendUnit {
-        &self.send[link]
+        &self.ports[link].send
     }
 
     /// Install one retry discipline on every send unit.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        for s in &mut self.send {
-            s.set_retry_policy(policy);
+        for p in &mut self.ports {
+            p.send.set_retry_policy(policy);
         }
     }
 
     /// Access the receive unit of a direction.
     pub fn recv_unit(&self, link: usize) -> &RecvUnit {
-        &self.recv[link]
+        &self.ports[link].recv
+    }
+
+    /// Go-back-N resends and block-checksum rejects on all links, without visiting them.
+    pub fn retry_totals(&self) -> (u64, u64) {
+        (self.resends, self.block_rejects)
     }
 
     /// Begin a send: the DMA engine walks `desc` and feeds the send unit.
     /// Words are fetched from memory by the DMA as the link drains them
     /// (zero-copy: the descriptor points straight at the physics arrays).
     pub fn start_send(&mut self, link: usize, desc: DmaDescriptor) {
+        let p = &mut self.ports[link];
         debug_assert!(
-            self.send_dma[link].as_ref().is_none_or(|d| d.done()),
+            p.send_dma.as_ref().is_none_or(|d| d.done()),
             "send DMA busy"
         );
-        self.block_send[link] = None;
-        self.send_dma[link] = Some(DmaEngine::start(desc));
+        p.block_send = None;
+        p.send_dma = Some(DmaEngine::start(desc));
     }
 
     /// Begin an end-to-end *checked* send: after the descriptor's payload
@@ -159,9 +157,10 @@ impl Scu {
     /// [`Scu::start_recv_checked`].
     pub fn start_send_checked(&mut self, link: usize, desc: DmaDescriptor) {
         self.start_send(link, desc);
-        self.block_send[link] = Some(BlockSend {
+        let p = &mut self.ports[link];
+        p.block_send = Some(BlockSend {
             desc,
-            snapshot: self.send[link].checksum(),
+            snapshot: p.send.checksum(),
             sum: LinkChecksum::default(),
             trailer_fed: false,
             acked: false,
@@ -176,8 +175,9 @@ impl Scu {
         desc: DmaDescriptor,
         mem: &mut NodeMemory,
     ) -> Result<(), LinkError> {
-        self.recv[link].arm(desc, mem)?;
-        self.owe_acks(link);
+        let p = &mut self.ports[link];
+        p.recv.arm(desc, mem)?;
+        p.owe_acks();
         Ok(())
     }
 
@@ -192,30 +192,19 @@ impl Scu {
         desc: DmaDescriptor,
         mem: &mut NodeMemory,
     ) -> Result<(), LinkError> {
-        self.recv[link].arm_checked(desc, mem)?;
-        self.owe_acks(link);
-        if let Some(verdict) = self.recv[link].take_pending_block() {
-            self.outgoing_block[link] = Some(verdict);
+        let p = &mut self.ports[link];
+        p.recv.arm_checked(desc, mem)?;
+        p.owe_acks();
+        if let Some(verdict) = p.recv.take_pending_block() {
+            self.block_rejects += u64::from(!verdict.1);
+            p.outgoing_block = Some(verdict);
         }
         Ok(())
     }
 
-    /// Owe the reverse wire an ack covering `seq`.
-    fn owe_ack(&mut self, link: usize, seq: u64) {
-        let owed = &mut self.outgoing_acks[link];
-        *owed = Some(owed.map_or(seq, |s| s.max(seq)));
-    }
-
-    /// Owe the acks a late arm released from the idle-receive hold.
-    fn owe_acks(&mut self, link: usize) {
-        for seq in self.recv[link].take_pending_acks() {
-            self.owe_ack(link, seq);
-        }
-    }
-
     /// Send a supervisor word to the neighbour in direction `link`.
     pub fn send_supervisor(&mut self, link: usize, word: u64) {
-        self.send[link].enqueue_supervisor(word);
+        self.ports[link].send.enqueue_supervisor(word);
     }
 
     /// Raise a partition interrupt originating at this node: mark it seen
@@ -226,8 +215,8 @@ impl Scu {
             return;
         }
         self.irq_seen |= new;
-        for s in &mut self.send {
-            s.enqueue_irq(new);
+        for p in &mut self.ports {
+            p.send.enqueue_irq(new);
         }
     }
 
@@ -243,15 +232,16 @@ impl Scu {
         link: usize,
         mem: &mut NodeMemory,
     ) -> Result<Option<WireMsg>, LinkError> {
-        if let Some(seq) = self.outgoing_rejects[link].take() {
+        let p = &mut self.ports[link];
+        if let Some(seq) = p.outgoing_reject.take() {
             return Ok(Some(WireMsg::Reject(seq)));
         }
-        if let Some(seq) = self.outgoing_acks[link].take() {
+        if let Some(seq) = p.outgoing_ack.take() {
             return Ok(Some(WireMsg::Ack(seq)));
         }
         // Block verdicts go out after the trailer's own ack so the sender
         // drains its window before deciding to retire or replay the block.
-        if let Some((seq, ok)) = self.outgoing_block[link].take() {
+        if let Some((seq, ok)) = p.outgoing_block.take() {
             return Ok(Some(if ok {
                 WireMsg::BlockAck(seq)
             } else {
@@ -261,41 +251,43 @@ impl Scu {
         // Feed the send unit from its DMA engine: stage exactly one word,
         // and only when it can go straight onto the wire (queue empty and
         // window not full) — the DMA fetches lazily as the link drains.
-        if self.send[link].queue_empty() && self.send[link].window_len() < crate::link::WINDOW {
-            if let Some(engine) = self.send_dma[link].as_mut() {
+        if p.send.queue_empty() && p.send.window_len() < crate::link::WINDOW {
+            if let Some(engine) = p.send_dma.as_mut() {
                 if let Some(addr) = engine.peek() {
                     let word = mem
                         .read_word(addr)
                         .map_err(|e| LinkError::Memory(e.to_string()))?;
                     engine.next_address();
-                    if let Some(bs) = &mut self.block_send[link] {
+                    if let Some(bs) = &mut p.block_send {
                         bs.sum.update(word);
                     }
-                    self.send[link].enqueue_word(word);
-                } else if let Some(bs) = &mut self.block_send[link] {
+                    p.send.enqueue_word(word);
+                } else if let Some(bs) = &mut p.block_send {
                     // Payload exhausted: a checked send appends its
                     // trailing checksum word exactly once per attempt.
                     if !bs.trailer_fed && !bs.acked {
                         bs.trailer_fed = true;
                         let trailer = bs.sum.value();
-                        self.send[link].enqueue_word(trailer);
+                        p.send.enqueue_word(trailer);
                     }
                 }
             }
         }
-        self.send[link].next_frame().map(|f| f.map(WireMsg::Data))
+        let resends = p.send.resends();
+        let frame = p.send.next_frame();
+        self.resends += p.send.resends() - resends;
+        frame.map(|f| f.map(WireMsg::Data))
     }
 
     /// Whether this direction has anything left to transmit.
     pub fn tx_pending(&self, link: usize) -> bool {
-        self.outgoing_rejects[link].is_some()
-            || self.outgoing_acks[link].is_some()
-            || self.outgoing_block[link].is_some()
-            || !self.send[link].drained()
-            || self.send_dma[link].as_ref().is_some_and(|d| !d.done())
-            || self.block_send[link]
-                .as_ref()
-                .is_some_and(|b| !b.trailer_fed)
+        let p = &self.ports[link];
+        p.outgoing_reject.is_some()
+            || p.outgoing_ack.is_some()
+            || p.outgoing_block.is_some()
+            || !p.send.drained()
+            || p.send_dma.as_ref().is_some_and(|d| !d.done())
+            || p.block_send.as_ref().is_some_and(|b| !b.trailer_fed)
     }
 
     /// Handle a message arriving *from* direction `link`.
@@ -305,66 +297,68 @@ impl Scu {
         msg: WireMsg,
         mem: &mut NodeMemory,
     ) -> Result<Option<ScuEvent>, LinkError> {
+        let p = &mut self.ports[link];
         match msg {
             WireMsg::Ack(seq) => {
-                self.send[link].on_ack(seq);
+                p.send.on_ack(seq);
                 Ok(None)
             }
             WireMsg::Reject(seq) => {
-                self.send[link].on_reject(seq);
+                p.send.on_reject(seq);
                 Ok(None)
             }
             WireMsg::BlockAck(_) => {
-                if let Some(bs) = &mut self.block_send[link] {
+                if let Some(bs) = &mut p.block_send {
                     bs.acked = true;
-                    self.send[link].block_progress();
+                    p.send.block_progress();
                 }
                 Ok(None)
             }
             WireMsg::BlockReject(_) => {
-                if let Some(bs) = &mut self.block_send[link] {
+                if let Some(bs) = &mut p.block_send {
                     if !bs.acked {
                         // Whole-block replay: restore the end-of-run
                         // checksum to the block boundary, charge the retry
                         // budget, and (budget permitting) walk the
                         // descriptor again with fresh sequence numbers.
-                        self.send[link].restore_checksum(bs.snapshot);
-                        self.send[link].charge_block_retry();
-                        if !self.send[link].retry_exhausted() {
+                        p.send.restore_checksum(bs.snapshot);
+                        p.send.charge_block_retry();
+                        if !p.send.retry_exhausted() {
                             bs.sum = LinkChecksum::default();
                             bs.trailer_fed = false;
-                            self.send_dma[link] = Some(DmaEngine::start(bs.desc));
+                            p.send_dma = Some(DmaEngine::start(bs.desc));
                         }
                     }
                 }
                 Ok(None)
             }
-            WireMsg::Data(wf) => match self.recv[link].on_frame(&wf, mem)? {
+            WireMsg::Data(wf) => match p.recv.on_frame(&wf, mem)? {
                 RecvOutcome::Accepted | RecvOutcome::Duplicate => {
                     // Out-of-band frames (partition irqs ride seq u64::MAX)
                     // never enter the data window and must not be acked.
                     if wf.seq != u64::MAX {
-                        self.owe_ack(link, wf.seq);
+                        p.owe_ack(wf.seq);
                     }
                     Ok(None)
                 }
                 RecvOutcome::Held => Ok(None),
                 RecvOutcome::BlockOk => {
-                    self.owe_ack(link, wf.seq);
-                    self.outgoing_block[link] = Some((wf.seq, true));
+                    p.owe_ack(wf.seq);
+                    p.outgoing_block = Some((wf.seq, true));
                     Ok(None)
                 }
                 RecvOutcome::BlockCorrupt => {
-                    self.owe_ack(link, wf.seq);
-                    self.outgoing_block[link] = Some((wf.seq, false));
+                    p.owe_ack(wf.seq);
+                    p.outgoing_block = Some((wf.seq, false));
+                    self.block_rejects += 1;
                     Ok(None)
                 }
                 RecvOutcome::Rejected { seq } => {
-                    self.outgoing_rejects[link] = Some(seq);
+                    p.outgoing_reject = Some(seq);
                     Ok(None)
                 }
                 RecvOutcome::Supervisor(word) => {
-                    self.owe_ack(link, wf.seq);
+                    p.owe_ack(wf.seq);
                     Ok(Some(ScuEvent::SupervisorInterrupt(word)))
                 }
                 RecvOutcome::PartitionIrq(bits) => {
@@ -374,9 +368,9 @@ impl Scu {
                     }
                     self.irq_seen |= new;
                     // Forward to every link except the one it came from.
-                    for (i, s) in self.send.iter_mut().enumerate() {
+                    for (i, p) in self.ports.iter_mut().enumerate() {
                         if i != link {
-                            s.enqueue_irq(new);
+                            p.send.enqueue_irq(new);
                         }
                     }
                     Ok(Some(ScuEvent::PartitionInterrupt(new)))
@@ -388,14 +382,15 @@ impl Scu {
     /// Whether the send side of `link` has delivered and acked everything
     /// (and, for a checked send, the block acknowledgement arrived).
     pub fn send_complete(&self, link: usize) -> bool {
-        self.send[link].drained()
-            && self.send_dma[link].as_ref().is_none_or(|d| d.done())
-            && self.block_send[link].as_ref().is_none_or(|b| b.acked)
+        let p = &self.ports[link];
+        p.send.drained()
+            && p.send_dma.as_ref().is_none_or(|d| d.done())
+            && p.block_send.as_ref().is_none_or(|b| b.acked)
     }
 
     /// Whole-block replays performed on `link` (checked sends only).
     pub fn block_resends(&self, link: usize) -> u64 {
-        self.send[link].block_replays()
+        self.ports[link].send.block_replays()
     }
 
     /// Distribution of retry backoff delays across all 12 send units —
@@ -403,7 +398,7 @@ impl Scu {
     /// on. Empty on a clean wire.
     pub fn backoff_delay_histogram(&self) -> qcdoc_telemetry::Histogram {
         let mut merged = qcdoc_telemetry::Histogram::default();
-        for h in self.send.iter().filter_map(SendUnit::backoff_delays) {
+        for h in self.ports.iter().filter_map(|p| p.send.backoff_delays()) {
             merged.merge(h);
         }
         merged
@@ -411,7 +406,21 @@ impl Scu {
 
     /// Whether the armed receive of `link` has fully landed in memory.
     pub fn recv_complete(&self, link: usize) -> bool {
-        self.recv[link].complete()
+        self.ports[link].recv.complete()
+    }
+}
+
+impl Port {
+    /// Owe the reverse wire an ack covering `seq`.
+    fn owe_ack(&mut self, seq: u64) {
+        self.outgoing_ack = Some(self.outgoing_ack.map_or(seq, |s| s.max(seq)));
+    }
+
+    /// Owe the acks a late arm released from the idle-receive hold.
+    fn owe_acks(&mut self) {
+        for seq in self.recv.take_pending_acks() {
+            self.owe_ack(seq);
+        }
     }
 }
 
@@ -821,8 +830,97 @@ mod tests {
             (reject, acks)
         }
 
+        /// Whether `scu`'s node-wide retry totals equal the sums of its
+        /// per-link counters.
+        fn totals_match(scu: &Scu) -> bool {
+            let resends: u64 = (0..LINKS).map(|l| scu.send_unit(l).resends()).sum();
+            let block_rejects: u64 = (0..LINKS).map(|l| scu.recv_unit(l).block_rejects()).sum();
+            scu.retry_totals() == (resends, block_rejects)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The node-wide resend and block-reject totals equal the
+            /// per-link sums after every message, through transfers that
+            /// take random bit errors (frame rejects and go-back-N resends)
+            /// and parity-evading bursts (block rejects and replays on a
+            /// checked block, silent damage on an unchecked one), armed
+            /// before the data arrives or after it sits in the idle hold.
+            #[test]
+            fn node_retry_totals_are_the_per_link_sums(
+                transfers in prop::collection::vec((0usize..3, 1u32..=6, 0u8..8), 1..8),
+                fates in prop::collection::vec(0u8..6, 0..64),
+            ) {
+                let (mut a, mut am) = trained();
+                let (mut b, mut bm) = trained();
+                let mut fates = fates.into_iter();
+                for (pair, words, flags) in transfers {
+                    // Which way the block goes, whether it is checked, and
+                    // whether the receive is armed only once the sender
+                    // stalls on the idle hold.
+                    let (a_sends, checked, late_arm) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+                    // Link 2·pair on one node faces link 2·pair + 1 on the
+                    // other, the way a +axis wire meets its −axis end.
+                    let (tx, rx) = (2 * pair, 2 * pair + 1);
+                    let ((s, sm), (r, rm)) = if a_sends {
+                        ((&mut a, &mut am), (&mut b, &mut bm))
+                    } else {
+                        ((&mut b, &mut bm), (&mut a, &mut am))
+                    };
+                    let data: Vec<u64> = (0..words as u64).map(|w| w * 0x9E37 + 1).collect();
+                    sm.write_block(0x1000, &data).unwrap();
+                    let (send, recv) = (
+                        DmaDescriptor::contiguous(0x1000, words),
+                        DmaDescriptor::contiguous(0x8000, words),
+                    );
+                    let arm = |r: &mut Scu, rm: &mut NodeMemory| if checked {
+                        r.start_recv_checked(rx, recv, rm).unwrap();
+                    } else {
+                        r.start_recv(rx, recv, rm).unwrap();
+                    };
+                    if checked {
+                        s.start_send_checked(tx, send);
+                    } else {
+                        s.start_send(tx, send);
+                    }
+                    let mut armed = !late_arm;
+                    if armed {
+                        arm(r, rm);
+                    }
+                    loop {
+                        let mut moved = false;
+                        if let Some(mut msg) = s.tx_next(tx, sm).unwrap() {
+                            if let WireMsg::Data(wf) = &mut msg {
+                                match fates.next().unwrap_or(5) {
+                                    0 => wf.frame.corrupt_bit(12),
+                                    1 => {
+                                        wf.frame.corrupt_bit(8);
+                                        wf.frame.corrupt_bit(10);
+                                    }
+                                    _ => {}
+                                }
+                            }
+                            r.rx(rx, msg, rm).unwrap();
+                            moved = true;
+                        }
+                        prop_assert!(totals_match(s) && totals_match(r));
+                        if let Some(msg) = r.tx_next(rx, rm).unwrap() {
+                            s.rx(tx, msg, sm).unwrap();
+                            moved = true;
+                        }
+                        prop_assert!(totals_match(s) && totals_match(r));
+                        if !moved && !armed {
+                            arm(r, rm);
+                            armed = true;
+                            prop_assert!(totals_match(r));
+                        } else if !moved {
+                            break;
+                        }
+                    }
+                    prop_assert!(s.send_complete(tx) && r.recv_complete(rx));
+                }
+            }
 
             /// The coalesced ack is the per-frame ack sequence folded: a
             /// send unit fed the reject and then only the highest ack owed

@@ -1,37 +1,47 @@
 #!/usr/bin/env bash
-# Where does one end-to-end workload spend its CPU? Self and inclusive time
-# per repository frame, for hosts without `perf`.
+# Where does one end-to-end workload, or one example, spend its CPU? Self
+# and inclusive time per repository frame, for hosts without `perf`.
 #
 #   scripts/profile.sh <workload> [seconds]     (seconds of reps, default 5)
+#   scripts/profile.sh --example <name> [args...]
 #
-# Builds scripts/sampler.c into target/profile/ and the bench/e2e harness
-# with frame pointers and line tables into target/profile/target/, runs the
-# workload untraced under the sampler (LD_PRELOAD), and prints the timed
-# reps' share of the samples, then two tables with one row per (file,
-# function). Self: the share of samples whose
+# Builds scripts/sampler.c into target/profile/ and, with frame pointers and
+# line tables into target/profile/target/, either the bench/e2e harness or
+# the named example of examples/. It runs the workload untraced (or the
+# example with its arguments) under the sampler (LD_PRELOAD). For a workload
+# it prints the timed reps' share of the samples. Then come two tables with
+# one row per (file, function). Self: the share of samples whose
 # innermost frame in this repository — inlined frames included, std and libc
 # skipped — is that function. Inclusive: the share of samples with that
 # function anywhere on the stack. Needs cc and llvm-symbolizer. Not part of
 # scripts/verify.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=${1:?usage: scripts/profile.sh <workload> [seconds]}
-seconds=${2:-5}
+usage="usage: scripts/profile.sh <workload> [seconds] | --example <name> [args...]"
 out=target/profile
 mkdir -p "$out"
-
-cc -O2 -shared -fPIC -o "$out/libsampler.so" scripts/sampler.c
-RUSTFLAGS="-C force-frame-pointers=yes -C symbol-mangling-version=v0" \
-    CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR="$out/target" \
+export RUSTFLAGS="-C force-frame-pointers=yes -C symbol-mangling-version=v0"
+export CARGO_PROFILE_RELEASE_DEBUG=line-tables-only CARGO_TARGET_DIR="$out/target"
+if [ "${1:-}" = --example ]; then
+    example=${2:?$usage}
+    shift 2
+    cargo build --release --offline --locked --quiet --example "$example"
+    bin=$(realpath "$out/target/release/examples/$example")
+    run=("$bin" "$@")
+else
+    example=
+    workload=${1:?$usage}
     cargo build --release --offline --locked --quiet --manifest-path bench/e2e/Cargo.toml
-bin=$(realpath "$out/target/release/qcdoc-e2e")
+    bin=$(realpath "$out/target/release/qcdoc-e2e")
+    run=("$bin" --workload "$workload" --seconds "${2:-5}" --trace 0)
+fi
+cc -O2 -shared -fPIC -o "$out/libsampler.so" scripts/sampler.c
 
 rm -f "$out"/samples.*
-SAMPLER_OUT="$out/samples" LD_PRELOAD="$PWD/$out/libsampler.so" \
-    "$bin" --workload "$workload" --seconds "$seconds" --trace 0 >"$out/run.log"
+SAMPLER_OUT="$out/samples" LD_PRELOAD="$PWD/$out/libsampler.so" "${run[@]}" >"$out/run.log"
 samples=$(ls "$out"/samples.*)
 
-# Samples as addresses in the harness binary: the first mapping of the
+# Samples as addresses in the profiled binary: the first mapping of the
 # binary is its load base; return addresses step back into their call.
 awk -v bin="$bin" '
     function hex(s, v, i) {
@@ -99,8 +109,9 @@ table() {
         }' "$out/frames" FS=' ' "$out/stacks" | { IFS= read -r a; IFS= read -r b; echo "$a"; echo "$b"; sort -rn; } | awk 'NR <= 42'
 }
 # The timed reps' share of all samples (set-up and warm-up are the rest): a
-# row's share of a rep is its share here divided by this one.
-awk -F'\t' '
+# row's share of a rep is its share here divided by this one. An example has
+# no timed reps.
+[ -n "$example" ] || awk -F'\t' '
     FNR == NR {
         if ($3 ~ /measure::timed/) timed[$1] = 1
         if ($3 ~ /Workload>::setup/) setup[$1] = 1
