@@ -1062,17 +1062,21 @@ mod tests {
         // The layout contract, held by a test instead of a comment:
         // blocks → global checkpoint is `FermionField::to_bits` word for
         // word, and checkpoint → blocks is its inverse, whatever the
-        // decomposition.
+        // decomposition. It also pins the decomposition itself: every
+        // global site has exactly one owner, since the blocks hold
+        // `volume` sites between them and together rebuild every site.
         use qcdoc_lattice::solver::KrylovVector;
         let global = Lattice::new([4, 4, 2, 2]);
         let f = FermionField::gaussian(global, 91);
         let bits =
             |block: &[Spinor]| -> Vec<u64> { block.iter().flat_map(Spinor::to_words).collect() };
-        for dims in [&[2, 2, 2][..], &[2, 2], &[1]] {
+        for dims in [&[2, 2, 2, 2][..], &[2, 2, 2], &[4, 1], &[2, 2], &[1]] {
             let shape = TorusShape::new(dims);
             let blocks: Vec<Vec<Spinor>> = (0..shape.node_count())
                 .map(|n| BlockGeom::for_node(&shape, NodeId(n as u32), global).extract_fermion(&f))
                 .collect();
+            let sites: usize = blocks.iter().map(Vec::len).sum();
+            assert_eq!(sites, global.volume(), "shape {dims:?}");
             let outs: Vec<CgSegmentOut> = blocks
                 .iter()
                 .map(|block| CgSegmentOut {

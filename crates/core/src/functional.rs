@@ -19,9 +19,11 @@
 //!
 //! Nothing here keeps time. A node waiting on a dead wire wedges when the
 //! engine finds the whole machine quiescent — every unfinished node parked
-//! in [`NodeCtx::complete_async`], every wire empty, no link holding in
-//! retry backoff — so a wedge is a property of the fault plan, not of how
-//! fast the host runs.
+//! in [`NodeCtx::complete_async`] and every wire empty — so a wedge is a
+//! property of the fault plan, not of how fast the host runs. A wire that
+//! corrupts every frame goes quiet too: its send unit resends at once and
+//! gives up after [`RETRY_BUDGET`](qcdoc_scu::link::RETRY_BUDGET)
+//! consecutive failures.
 
 use qcdoc_asic::memory::NodeMemory;
 use qcdoc_fault::{FaultClock, Liveness, NodeHealth, NodeTap};
@@ -31,7 +33,7 @@ use qcdoc_scu::dma::DmaDescriptor;
 use qcdoc_scu::link::WireTap;
 use qcdoc_scu::scu::{Scu, ScuEvent, WireMsg};
 use qcdoc_scu::timing::transfer_cycles;
-use qcdoc_scu::{RetryPolicy, WireVerdict, LINKS};
+use qcdoc_scu::{WireVerdict, LINKS};
 use qcdoc_telemetry::{
     FlightEvent, FlightKind, MetricsRegistry, NodeTelemetry, Phase, Span, SpanToken,
 };
@@ -76,9 +78,7 @@ pub struct NodeCtx {
     /// is created — an armed send or receive, a drained wire on that link,
     /// a supervisor word, a raised or forwarded partition interrupt (all
     /// twelve) — and cleared after the link's transmit loop once the SCU
-    /// has nothing left to send there and the link holds no retry backoff.
-    /// A link in backoff must stay pumped, or its countdown never runs out:
-    /// `stuck_link_exhausts_its_retry_budget_and_escalates` guards that.
+    /// has nothing left to send there.
     active_links: u16,
     /// One link's messages in flight through [`NodeCtx::progress`]: in the
     /// receive half, those drained off its wire and not yet handed to the
@@ -127,7 +127,6 @@ pub(crate) type Shard = (Vec<(usize, NodeWires)>, ShardSignal);
 pub(crate) struct NodeCtxConfig {
     pub shape: TorusShape,
     pub telemetry: Option<TelemetryConfig>,
-    pub retry_policy: RetryPolicy,
     pub block_checksums: bool,
 }
 
@@ -206,9 +205,7 @@ impl NodeCtx {
     /// one cumulative ack and any reject it provokes — and the window slots
     /// its acks free — leave in this same pump; then each active link
     /// transmits until it stalls on its ack window, and what it sent goes
-    /// onto its wire in one batch. Returns whether anything moved; a link
-    /// holding in retry backoff counts, since its countdown is what lets it
-    /// resend later.
+    /// onto its wire in one batch. Returns whether a wire moved.
     pub fn progress(&mut self) -> bool {
         let mut moved = false;
         for link in 0..LINKS {
@@ -243,7 +240,6 @@ impl NodeCtx {
                 self.active_links &= !(1 << link);
                 continue;
             };
-            moved |= self.scu.send_unit(link).holding_backoff();
             while let Some(mut msg) = self
                 .scu
                 .tx_next(link, &mut self.mem)
@@ -291,7 +287,7 @@ impl NodeCtx {
             let sent = self.inbox.len() as u64;
             tx.send_all(&self.signal.inbound, &mut self.inbox);
             self.signal.sent.set(self.signal.sent.get() + sent);
-            if !self.scu.tx_pending(link) && !self.scu.send_unit(link).holding_backoff() {
+            if !self.scu.tx_pending(link) {
                 self.active_links &= !(1 << link);
             }
         }
@@ -467,7 +463,6 @@ impl NodeCtx {
                     send_checksum: send.checksum().value(),
                     recv_checksum: recv.checksum().value(),
                     checksum_ok: None,
-                    backoff_waits: send.backoff_waits(),
                     retry_exhausted: send.retry_exhausted(),
                     block_rejects: recv.block_rejects(),
                     block_resends: self.scu.block_resends(link),
@@ -479,8 +474,7 @@ impl NodeCtx {
         }
     }
 
-    /// Stamp out one node: SCU training, retry policy, tap, telemetry
-    /// wiring.
+    /// Stamp out one node: SCU training, tap, telemetry wiring.
     pub(crate) fn build(
         node: u32,
         cfg: &NodeCtxConfig,
@@ -490,7 +484,6 @@ impl NodeCtx {
     ) -> NodeCtx {
         let mut scu = Scu::new();
         scu.train_all();
-        scu.set_retry_policy(cfg.retry_policy);
         NodeCtx {
             id: NodeId(node),
             coord: cfg.shape.coord_of(NodeId(node)),
@@ -556,11 +549,6 @@ impl NodeCtx {
                     ms.ecc_corrected,
                 );
             }
-        }
-        let backoff = self.scu.backoff_delay_histogram();
-        if backoff.count() > 0 {
-            self.telem
-                .merge_histogram("scu_backoff_delay_rounds", &backoff);
         }
         if self.telem.is_enabled() {
             // EDRAM-vs-DDR hit gauges: the end-of-run memory profile the
@@ -801,36 +789,47 @@ mod tests {
     #[test]
     fn stuck_link_exhausts_its_retry_budget_and_escalates() {
         // Node 1's +x transmitter goes bad from the first frame: every
-        // transmission — resends included — is corrupted, so unlimited
-        // retries would resend forever. A bounded budget kills the link
-        // after a deterministic number of rewinds, the machine goes
-        // quiescent and wedges both endpoints, and the ledger pins the
-        // blame on node 1's hardware (not on the wedged bystanders). The
-        // backoff holds between rewinds are quiet wires too: a detector
-        // that took them for a dead machine would wedge node 1 before its
-        // budget ran out.
-        let plan = FaultPlan::new(7).with_event(FaultEvent::stuck_link(1, 0, 0));
-        let policy = RetryPolicy::bounded(4, 2, 64);
-        let machine = ShardedMachine::new(ring4())
-            .with_faults(plan)
-            .with_retry_policy(policy);
-        let (_, ledger) = machine.run_worker_sweep(async |ctx| {
-            for i in 0..4u64 {
-                ctx.mem
-                    .write_word(0x100 + i * 8, ctx.id.0 as u64 + i)
-                    .unwrap();
-            }
-            ctx.shift_async(
-                Axis(0).plus(),
-                DmaDescriptor::contiguous(0x100, 4),
-                DmaDescriptor::contiguous(0x200, 4),
-            )
-            .await;
+        // transmission — resends included — is corrupted, so a link that
+        // resent forever would livelock the machine. The default machine
+        // kills the link after a bounded number of rewinds, goes
+        // quiescent, wedges both endpoints, and the ledger pins the blame
+        // on node 1's hardware (not on the wedged bystanders). The run is
+        // on its own thread, so a regression fails as a livelock instead
+        // of hanging the suite.
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        let (done, verdict) = channel();
+        let run = std::thread::spawn(move || {
+            let plan = FaultPlan::new(7).with_event(FaultEvent::stuck_link(1, 0, 0));
+            let machine = ShardedMachine::new(ring4()).with_faults(plan);
+            let (_, ledger) = machine.run_worker_sweep(async |ctx| {
+                for i in 0..4u64 {
+                    ctx.mem
+                        .write_word(0x100 + i * 8, ctx.id.0 as u64 + i)
+                        .unwrap();
+                }
+                ctx.shift_async(
+                    Axis(0).plus(),
+                    DmaDescriptor::contiguous(0x100, 4),
+                    DmaDescriptor::contiguous(0x200, 4),
+                )
+                .await;
+            });
+            let _ = done.send(ledger);
         });
+        let ledger = match verdict.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(ledger) => ledger,
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("livelock: the stuck link never exhausted its retry budget")
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(run.join().unwrap_err())
+            }
+        };
         let bad = &ledger.nodes[1].links[0];
         assert!(bad.retry_exhausted, "the budget must exhaust");
+        let bound = (u64::from(qcdoc_scu::link::RETRY_BUDGET) + 1) * 3;
         assert!(
-            bad.resends <= 5 * 3,
+            bad.resends <= bound,
             "bounded resends per delivered word, got {}",
             bad.resends
         );

@@ -23,16 +23,14 @@
 //! silent backs off — yields first, then 20 µs sleeps.
 //!
 //! Wedging is a verdict, not a timeout: once every worker's latest sweep
-//! was idle (nothing moved, no link held in retry backoff, every unfinished
-//! node parked) and started at the current machine-wide sent-message count,
-//! no node can ever move again, and every node blocked in `complete_async`
-//! wedges and returns.
+//! was idle (nothing moved, every unfinished node parked) and started at
+//! the current machine-wide sent-message count, no node can ever move
+//! again, and every node blocked in `complete_async` wedges and returns.
 
 use parking_lot::Mutex;
 use qcdoc_fault::{FaultClock, FaultPlan, HealthLedger, NodeHealth, PlanError};
 use qcdoc_geometry::TorusShape;
 use qcdoc_scu::scu::WireMsg;
-use qcdoc_scu::RetryPolicy;
 use qcdoc_telemetry::{FlightEvent, MachineTelemetry, MetricsRegistry, Span};
 use std::cell::Cell;
 use std::future::Future;
@@ -89,7 +87,6 @@ pub struct ShardedMachine {
     /// The fault plan, compiled against `shape` when it was installed.
     clock: Arc<FaultClock>,
     telemetry: Option<TelemetryConfig>,
-    retry_policy: RetryPolicy,
     block_checksums: bool,
     workers: usize,
 }
@@ -105,7 +102,6 @@ impl ShardedMachine {
             shape,
             clock: Arc::default(),
             telemetry: None,
-            retry_policy: RetryPolicy::default(),
             block_checksums: false,
             workers,
         }
@@ -131,14 +127,6 @@ impl ShardedMachine {
         self
     }
 
-    /// Install a link retry policy on every send unit: a bounded budget of
-    /// consecutive no-progress rewinds (with exponential backoff) after
-    /// which a link declares itself dead instead of resending forever.
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> ShardedMachine {
-        self.retry_policy = policy;
-        self
-    }
-
     /// Enable per-node telemetry, collected by
     /// [`ShardedMachine::run_with_telemetry`].
     pub fn with_telemetry(mut self, cfg: TelemetryConfig) -> ShardedMachine {
@@ -160,8 +148,8 @@ impl ShardedMachine {
     }
 
     /// Swap the fabric under the machine — a recovery repartition: later
-    /// runs use the replacement shape and fault plan, keeping the retry
-    /// policy and telemetry configuration. A plan that does not fit the
+    /// runs use the replacement shape and fault plan, keeping the block
+    /// checksum and telemetry configuration. A plan that does not fit the
     /// replacement is refused, and the machine is left as it was.
     pub(crate) fn replace_fabric(&mut self, to: Replacement) -> Result<(), PlanError> {
         self.clock = Arc::new(FaultClock::resolve(&to.faults, &to.shape)?);
@@ -267,7 +255,6 @@ impl ShardedMachine {
         let cfg = NodeCtxConfig {
             shape: self.shape.clone(),
             telemetry: self.telemetry,
-            retry_policy: self.retry_policy,
             block_checksums: self.block_checksums,
         };
         // Global completion count: a node's driver keeps pumping its wires
@@ -342,7 +329,7 @@ pub(crate) fn shard_of(rank: usize, n: usize, workers: usize) -> usize {
 pub(crate) struct ShardSignal {
     /// The wires between the shard's own nodes, one slot each.
     pub(crate) inbound: Vec<Slot<WireMsg>>,
-    /// A wire moved, or a link held in retry backoff.
+    /// A wire moved.
     pub(crate) moved: Cell<bool>,
     /// Messages put on wires and not yet added to the machine-wide count.
     pub(crate) sent: Cell<u64>,

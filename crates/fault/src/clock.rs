@@ -151,11 +151,6 @@ impl FaultClock {
         Ok(clock)
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     fn key(&self, tag: u64, node: u32, link: usize, seq: u64) -> u64 {
         mix(self
             .seed

@@ -76,10 +76,8 @@ pub struct LinkHealth {
     /// Verdict after pairing with the far end of the wire; `None` until
     /// [`HealthLedger::finalize`] runs, or when the link is not a wire.
     pub checksum_ok: Option<bool>,
-    /// Pump rounds the send unit held the wire in retry backoff.
-    pub backoff_waits: u64,
     /// Whether the send unit exhausted its retry budget and went silent —
-    /// the link-level escalation verdict (`LinkVerdict::Dead`).
+    /// the link-level escalation verdict.
     pub retry_exhausted: bool,
     /// Checked DMA blocks whose end-to-end checksum failed at the receive
     /// unit (corruption that evaded the per-frame parity).
@@ -163,7 +161,6 @@ impl NodeHealth {
                 || l.injected > 0
                 || l.stall_cycles > 0
                 || l.dead
-                || l.backoff_waits > 0
                 || l.retry_exhausted
                 || l.block_rejects > 0
                 || l.block_resends > 0;
@@ -178,9 +175,6 @@ impl NodeHealth {
             reg.gauge_set("scu_link_injected", &labels, l.injected as f64);
             reg.gauge_set("scu_link_stall_cycles", &labels, l.stall_cycles as f64);
             reg.gauge_set("scu_link_dead", &labels, u64::from(l.dead) as f64);
-            if l.backoff_waits > 0 {
-                reg.gauge_set("scu_link_backoff_waits", &labels, l.backoff_waits as f64);
-            }
             if l.retry_exhausted {
                 reg.gauge_set("scu_link_retry_exhausted", &labels, 1.0);
             }
@@ -471,11 +465,11 @@ impl HealthLedger {
     /// replays. Resend/reject counters are excluded — with a threaded
     /// execution engine they depend on scheduling (an ack that arrives a
     /// frame later causes an extra, harmless rewind) while everything
-    /// hashed here does not. Backoff waits and retry-budget verdicts are
-    /// excluded for the same reason: they are functions of the resend
-    /// count. Block rejects *are* hashed: the payload bursts that cause
-    /// them strike fresh transmissions only, so their count is a pure
-    /// function of the fault plan. Two same-seed runs must produce equal
+    /// hashed here does not. Retry-budget verdicts are excluded for the
+    /// same reason: they are functions of the resend count. Block rejects
+    /// *are* hashed: the payload bursts that cause them strike fresh
+    /// transmissions only, so their count is a pure function of the fault
+    /// plan. Two same-seed runs must produce equal
     /// fingerprints. A node that never reported hashes as a quiet one, so
     /// the digest does not depend on which quiet nodes filed a report.
     pub fn fingerprint(&self) -> u64 {
@@ -686,16 +680,13 @@ mod tests {
         assert_eq!(reg.gauge("scu_link_block_rejects", &l), Some(1.0));
         assert_eq!(reg.gauge("scu_link_block_resends", &l), Some(1.0));
         assert_eq!(reg.gauge("machine_block_rejects", &[]), Some(1.0));
-        // … the other recovery-path series stay out of the registry until
-        // their wire is in retry backoff or has given up …
-        assert_eq!(reg.gauge("scu_link_backoff_waits", &l), None);
+        // … the retry-exhausted series stays out of the registry until
+        // the wire has given up …
         assert_eq!(reg.gauge("scu_link_retry_exhausted", &l), None);
         let mut retrying = ledger.clone();
-        retrying.node_mut(0).links[2].backoff_waits = 9;
         retrying.node_mut(0).links[2].retry_exhausted = true;
         let mut reg = MetricsRegistry::new();
         retrying.export_metrics(&mut reg);
-        assert_eq!(reg.gauge("scu_link_backoff_waits", &l), Some(9.0));
         assert_eq!(reg.gauge("scu_link_retry_exhausted", &l), Some(1.0));
         // … a caught-and-healed block does not condemn anyone …
         assert!(ledger.unhealthy_nodes().is_empty());
@@ -725,7 +716,6 @@ mod tests {
     fn retry_exhaustion_is_hardware_evidence() {
         let mut ledger = HealthLedger::new(3);
         ledger.node_mut(2).links[4].retry_exhausted = true;
-        ledger.node_mut(2).links[4].backoff_waits = 77;
         ledger.node_mut(0).liveness = Liveness::Crashed { iteration: 1 };
         assert_eq!(ledger.unhealthy_nodes(), vec![0, 2]);
         assert_eq!(ledger.culprit_nodes(), vec![0, 2]);
@@ -734,10 +724,8 @@ mod tests {
         ledger.export_metrics(&mut reg);
         let l = [("node", "2".to_string()), ("link", "4".to_string())];
         assert_eq!(reg.gauge("scu_link_retry_exhausted", &l), Some(1.0));
-        assert_eq!(reg.gauge("scu_link_backoff_waits", &l), Some(77.0));
         let mut bare = ledger.clone();
         bare.node_mut(2).links[4].retry_exhausted = false;
-        bare.node_mut(2).links[4].backoff_waits = 0;
         assert_eq!(ledger.fingerprint(), bare.fingerprint());
     }
 }

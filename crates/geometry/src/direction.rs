@@ -11,9 +11,6 @@ use std::fmt;
 pub struct Axis(pub u8);
 
 impl Axis {
-    /// All six machine axes in order.
-    pub const ALL: [Axis; 6] = [Axis(0), Axis(1), Axis(2), Axis(3), Axis(4), Axis(5)];
-
     /// Axis index as usize, for array indexing.
     #[inline]
     pub fn index(self) -> usize {
@@ -58,11 +55,6 @@ pub struct Direction {
 }
 
 impl Direction {
-    /// All 12 directions: plus then minus for each axis.
-    pub fn all() -> impl Iterator<Item = Direction> {
-        Axis::ALL.into_iter().flat_map(|a| [a.plus(), a.minus()])
-    }
-
     /// The opposite direction (same axis, flipped sense).
     #[inline]
     pub fn opposite(self) -> Direction {
@@ -79,16 +71,6 @@ impl Direction {
     pub fn link_index(self) -> usize {
         2 * self.axis.index() + usize::from(self.negative)
     }
-
-    /// Signed unit step along the axis: `+1` or `-1`.
-    #[inline]
-    pub fn step(self) -> isize {
-        if self.negative {
-            -1
-        } else {
-            1
-        }
-    }
 }
 
 impl fmt::Display for Direction {
@@ -101,9 +83,14 @@ impl fmt::Display for Direction {
 mod tests {
     use super::*;
 
+    /// All 12 directions: plus then minus for each of the six axes.
+    fn all() -> impl Iterator<Item = Direction> {
+        (0..6).flat_map(|a| [Axis(a).plus(), Axis(a).minus()])
+    }
+
     #[test]
     fn twelve_directions() {
-        let dirs: Vec<_> = Direction::all().collect();
+        let dirs: Vec<_> = all().collect();
         assert_eq!(dirs.len(), 12);
         // All distinct.
         for (i, a) in dirs.iter().enumerate() {
@@ -115,7 +102,7 @@ mod tests {
 
     #[test]
     fn opposite_is_involution() {
-        for d in Direction::all() {
+        for d in all() {
             assert_eq!(d.opposite().opposite(), d);
             assert_ne!(d.opposite(), d);
             assert_eq!(d.opposite().axis, d.axis);
@@ -125,16 +112,10 @@ mod tests {
     #[test]
     fn link_indices_are_distinct() {
         let mut seen = [false; 12];
-        for d in Direction::all() {
+        for d in all() {
             assert!(!seen[d.link_index()], "duplicate link index");
             seen[d.link_index()] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn step_signs() {
-        assert_eq!(Axis(0).plus().step(), 1);
-        assert_eq!(Axis(0).minus().step(), -1);
     }
 }

@@ -18,9 +18,7 @@
 //!   mechanism behind software partitioning;
 //! * [`partition`] — carving logical 1-D .. 6-D machines out of the physical
 //!   6-D torus with unit dilation (logical neighbours remain physical
-//!   neighbours);
-//! * [`mapping`] — block decomposition of a physics lattice onto a machine
-//!   partition (each node owns a local hyper-rectangle of sites).
+//!   neighbours).
 //!
 //! Everything here is pure, deterministic combinatorics; the network
 //! behaviour built on top of it lives in `qcdoc-scu` and `qcdoc-core`.
@@ -30,14 +28,12 @@
 pub mod coord;
 pub mod direction;
 pub mod fold;
-pub mod mapping;
 pub mod packing;
 pub mod partition;
 pub mod torus;
 
 pub use coord::{NodeCoord, NodeId};
 pub use direction::{Axis, Direction};
-pub use mapping::{LatticeMapping, LocalVolume};
 pub use packing::OccupancyMap;
 pub use partition::{Partition, PartitionError, PartitionSpec};
 pub use torus::TorusShape;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use qcdoc_geometry::fold::FoldCycle;
-use qcdoc_geometry::{LatticeMapping, NodeCoord, NodeId, Partition, PartitionSpec, TorusShape};
+use qcdoc_geometry::{NodeCoord, NodeId, Partition, PartitionSpec, TorusShape};
 
 /// Strategy: a torus shape of rank 1..=6 with small even-ish extents.
 fn torus_shape() -> impl Strategy<Value = TorusShape> {
@@ -196,24 +196,6 @@ proptest! {
         match map.best_fit(&extents) {
             Some(origin) => prop_assert!(fits.contains(&origin)),
             None => prop_assert!(fits.is_empty()),
-        }
-    }
-
-    #[test]
-    fn mapping_owner_consistent(lx in 1usize..4, lt in 1usize..4, mx in 1usize..4, mt in 1usize..4) {
-        let machine = TorusShape::new(&[mx, mt]);
-        let global = [lx * mx, lt * mt];
-        let m = LatticeMapping::new(&global, &machine).unwrap();
-        // Each node owns exactly local().sites() sites.
-        let mut counts = std::collections::HashMap::new();
-        for x in 0..global[0] {
-            for t in 0..global[1] {
-                *counts.entry(m.owner(&[x, t])).or_insert(0usize) += 1;
-            }
-        }
-        prop_assert_eq!(counts.len(), machine.node_count());
-        for &c in counts.values() {
-            prop_assert_eq!(c, m.local().sites());
         }
     }
 }

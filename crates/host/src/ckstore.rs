@@ -24,9 +24,8 @@
 //!   or bit-rotted generation is skipped — detected, recorded in the
 //!   flight ring — and the previous good one wins.
 //! * **Bounded retry + backoff** — transient I/O errors and server
-//!   crashes are retried under the same [`RetryPolicy`] discipline the
-//!   SCU links use (PR 3): a budget of consecutive failures and a
-//!   doubling, capped hold-off.
+//!   crashes are retried under the store's own discipline: a budget of
+//!   consecutive failures and a doubling, capped hold-off.
 //! * **Retention GC** — `retain` newest generations are kept,
 //!   oldest-first collection; a genuinely full disk sacrifices the
 //!   oldest surplus generation to make room for the new one.
@@ -39,7 +38,6 @@ use crate::nfs::{NfsError, NfsServer};
 use qcdoc_lattice::checkpoint::{read_checkpoint, CgCheckpoint};
 use qcdoc_lattice::io::IoError;
 use qcdoc_sched::{CheckpointVault, JobId};
-use qcdoc_scu::RetryPolicy;
 use qcdoc_telemetry::{FlightEvent, FlightKind, FlightRecorder, MetricsRegistry, HOST_NODE};
 use std::collections::HashMap;
 
@@ -70,10 +68,15 @@ pub struct StoreConfig {
     pub verify: VerifyMode,
 }
 
-/// Bounded retry + backoff for transient failures, the SCU links'
-/// discipline: up to 4 consecutive failures, a 2→16-tick doubling
-/// hold-off. A model choice; the paper prices no host retry.
-const RETRY: RetryPolicy = RetryPolicy::bounded(4, 2, 16);
+/// Consecutive transient failures a save or read retries; one more ends
+/// it. A model choice, like the hold-off: the paper prices no host retry.
+const RETRY_BUDGET: u32 = 4;
+
+/// Store ticks held after the `n`th consecutive failure (`n ≥ 1`): 2,
+/// doubling per failure, capped at 16.
+fn hold_off_ticks(n: u32) -> u64 {
+    2 << n.saturating_sub(1).min(3)
+}
 
 impl StoreConfig {
     /// Defaults: keep 3 generations of verified CG archives.
@@ -309,10 +312,10 @@ impl CheckpointStore {
         self.flight.drain()
     }
 
-    /// Simulated hold-off ([`RetryPolicy::hold_off`]) after the
-    /// `consecutive`th failure, accounted in store ticks.
+    /// Simulated hold-off ([`hold_off_ticks`]) after the `consecutive`th
+    /// failure, accounted in store ticks.
     fn hold_off(&mut self, consecutive: u32) {
-        let hold = RETRY.hold_off(consecutive);
+        let hold = hold_off_ticks(consecutive);
         self.backoff_held += hold;
         self.clock += hold + 1;
     }
@@ -401,8 +404,8 @@ impl CheckpointStore {
     /// Durably save one checkpoint blob; returns its generation number.
     ///
     /// Transient failures, server crashes, and stale handles are retried
-    /// under the store's [`RetryPolicy`]; a full disk collects the
-    /// oldest surplus generation and tries again.
+    /// up to four times in a row; a full disk collects the oldest surplus
+    /// generation and tries again.
     pub fn save(&mut self, nfs: &mut NfsServer, bytes: &[u8]) -> Result<u64, StoreError> {
         let gen = self.next_gen;
         let mut failures: u32 = 0;
@@ -435,7 +438,7 @@ impl CheckpointStore {
                             0,
                         );
                     }
-                    if failures > RETRY.budget {
+                    if failures > RETRY_BUDGET {
                         return Err(StoreError::Exhausted {
                             attempts: failures,
                             last: e,
@@ -465,7 +468,7 @@ impl CheckpointStore {
                         gen,
                         u64::from(failures),
                     );
-                    if failures > RETRY.budget {
+                    if failures > RETRY_BUDGET {
                         return Err(StoreError::VerifyFailed {
                             attempts: failures,
                             reason,
@@ -483,7 +486,7 @@ impl CheckpointStore {
         loop {
             match nfs.read(path) {
                 Ok(bytes) => return Ok(bytes),
-                Err(e) if e.retryable() && failures < RETRY.budget => {
+                Err(e) if e.retryable() && failures < RETRY_BUDGET => {
                     failures += 1;
                     self.retries += 1;
                     self.hold_off(failures);
@@ -769,6 +772,13 @@ mod tests {
             r: (0..32).map(|i| (i + iters) as u64).collect(),
             p: (0..32).map(|i| (i ^ iters) as u64).collect(),
         }
+    }
+
+    #[test]
+    fn hold_off_doubles_from_two_ticks_and_caps_at_sixteen() {
+        let holds: Vec<u64> = (1..=6).map(hold_off_ticks).collect();
+        assert_eq!(holds, [2, 4, 8, 16, 16, 16]);
+        assert_eq!(hold_off_ticks(u32::MAX), 16);
     }
 
     #[test]

@@ -1032,7 +1032,7 @@ mod tests {
                 let l = &mut links.node_mut(below(n) as u32).links[below(12)];
                 l.resends = 1 + below(9) as u64;
                 l.injected = below(3) as u64;
-                l.backoff_waits = below(2) as u64;
+                l.rejects = below(2) as u64;
             }
             ledgers.push(links);
             // A checksum mismatch that clears on the next sweep.

@@ -43,8 +43,6 @@ pub mod scu;
 pub mod timing;
 
 pub use dma::DmaDescriptor;
-pub use link::{
-    LinkError, LinkVerdict, NullTap, RecvUnit, RetryPolicy, SendUnit, WireTap, WireVerdict,
-};
+pub use link::{LinkError, NullTap, RecvUnit, SendUnit, WireTap, WireVerdict};
 pub use packet::{Frame, Packet};
 pub use scu::{Scu, ScuEvent, LINKS};

@@ -25,7 +25,6 @@
 use crate::dma::{DmaDescriptor, DmaEngine};
 use crate::packet::{Frame, Packet};
 use qcdoc_asic::memory::NodeMemory;
-use qcdoc_telemetry::Histogram;
 use std::collections::VecDeque;
 
 /// Maximum unacknowledged data words per link: the "three in the air"
@@ -134,77 +133,21 @@ impl LinkChecksum {
     }
 }
 
-/// Retry discipline of one send unit: how many consecutive go-back-N
-/// rewinds it tolerates without forward progress, and how hard it backs
-/// off between volleys.
+/// Consecutive failures a send unit survives before it declares itself
+/// dead: `RETRY_BUDGET` go-back-N rewinds with no acknowledged word in
+/// between, or as many whole-block replays with no verified block. One
+/// more and the unit stops transmitting.
 ///
-/// The real hardware resends forever — §2.2 sizes the parity-resend for
-/// error rates where a handful of rewinds per run is already pessimistic.
-/// A *broken* transmitter, though, corrupts every frame and turns the
-/// automatic resend into an infinite storm that never looks like a dead
-/// wire (frames keep moving, so the machine never goes quiet). The retry
-/// policy bounds that: each rewind without an intervening acknowledgement
-/// doubles a hold-off (counted in pump rounds), and once `budget`
-/// consecutive rewinds pass without progress the unit declares itself
-/// dead and stops transmitting — the diagnostics-network escalation path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Consecutive no-progress rewinds tolerated before the link is dead.
-    pub budget: u32,
-    /// Hold-off after the first rewind, in pump rounds; doubles per
-    /// consecutive rewind. Zero disables backoff (hardware behaviour).
-    pub backoff_base: u32,
-    /// Ceiling on the hold-off, in pump rounds.
-    pub backoff_cap: u32,
-}
-
-impl RetryPolicy {
-    /// The hardware discipline: resend forever, immediately.
-    pub fn unlimited() -> RetryPolicy {
-        RetryPolicy {
-            budget: u32::MAX,
-            backoff_base: 0,
-            backoff_cap: 0,
-        }
-    }
-
-    /// A bounded discipline for machines that must escalate instead of
-    /// livelock.
-    pub const fn bounded(budget: u32, backoff_base: u32, backoff_cap: u32) -> RetryPolicy {
-        RetryPolicy {
-            budget,
-            backoff_base,
-            backoff_cap,
-        }
-    }
-
-    /// The hold-off after the `n`th consecutive failure (`n ≥ 1`):
-    /// `backoff_base` doubled `n − 1` times, capped at `backoff_cap`; zero
-    /// when backoff is off. The doubling stops at 2³² × base, far above
-    /// any cap a `u32` can hold.
-    pub fn hold_off(&self, n: u32) -> u64 {
-        let doubled = u64::from(self.backoff_base) << n.saturating_sub(1).min(32);
-        doubled.min(u64::from(self.backoff_cap))
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::unlimited()
-    }
-}
-
-/// The health of one send unit as judged by its retry policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkVerdict {
-    /// No rewinds observed; the link is clean.
-    Healthy,
-    /// Rewinds happened but the link is still making progress.
-    Degraded,
-    /// The retry budget is exhausted; the unit has stopped transmitting
-    /// and the node must be quarantined.
-    Dead,
-}
+/// §2.2's hardware resends a rejected frame at once, and so does the send
+/// unit. A *broken* transmitter, though, corrupts every frame and turns
+/// that resend into a storm that never looks like a dead wire (frames keep
+/// moving, so the machine never goes quiet). The budget ends it: the wire
+/// goes silent, the nodes waiting on it wedge, and the health ledger names
+/// the link. Resend counts depend on poll order, so the budget sits far
+/// above what a bit-error run reaches (2 in a row outside the tests built
+/// to exhaust it, EXPERIMENTS E40); a per-frame error rate near ½ can
+/// still exhaust it.
+pub const RETRY_BUDGET: u32 = 16;
 
 /// A frame on the simulated wire, tagged with its data-sequence number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -265,20 +208,12 @@ pub struct SendUnit {
     checksum: LinkChecksum,
     sent_words: u64,
     resends: u64,
-    policy: RetryPolicy,
     /// Consecutive rewinds since the last acknowledged word.
     rewinds_since_progress: u32,
     /// Consecutive block-checksum replays since the last verified block.
     block_retries_since_ok: u32,
     /// Whole-block replays performed (sticky diagnostic counter).
     block_replays: u64,
-    /// Pump rounds the unit still holds off before retransmitting.
-    backoff_remaining: u64,
-    backoff_waits: u64,
-    /// Distribution of backoff delays granted (pump rounds per rewind) —
-    /// the tail of this histogram is what a flaky wire actually costs.
-    /// Allocated by the first hold-off, so a clean wire carries none.
-    backoff_delays: Option<Box<Histogram>>,
     dead: bool,
 }
 
@@ -302,25 +237,11 @@ impl SendUnit {
             checksum: LinkChecksum::default(),
             sent_words: 0,
             resends: 0,
-            policy: RetryPolicy::unlimited(),
             rewinds_since_progress: 0,
             block_retries_since_ok: 0,
             block_replays: 0,
-            backoff_remaining: 0,
-            backoff_waits: 0,
-            backoff_delays: None,
             dead: false,
         }
-    }
-
-    /// Install a retry discipline (default: [`RetryPolicy::unlimited`]).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
-    /// The installed retry discipline.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.policy
     }
 
     /// Complete HSSL training.
@@ -366,13 +287,6 @@ impl SendUnit {
         // A dead unit has given up: the wire goes quiet, the nodes waiting
         // on it wedge, and the health ledger carries the verdict.
         if self.dead {
-            return Ok(None);
-        }
-        // Exponential backoff after a rewind: hold the wire for a number
-        // of pump rounds before the next volley.
-        if self.backoff_remaining > 0 {
-            self.backoff_remaining -= 1;
-            self.backoff_waits += 1;
             return Ok(None);
         }
         // Retransmission of a window entry not currently in flight
@@ -424,9 +338,8 @@ impl SendUnit {
             popped = true;
         }
         if popped {
-            // Forward progress: the retry budget and backoff reset.
+            // Forward progress: the retry budget resets.
             self.rewinds_since_progress = 0;
-            self.backoff_remaining = 0;
         }
     }
 
@@ -450,49 +363,14 @@ impl SendUnit {
 
     fn register_rewind(&mut self) {
         self.rewinds_since_progress += 1;
-        if self.rewinds_since_progress > self.policy.budget {
+        if self.rewinds_since_progress > RETRY_BUDGET {
             self.dead = true;
-            self.backoff_remaining = 0;
-        } else if self.policy.backoff_base > 0 {
-            self.backoff_remaining = self.policy.hold_off(self.rewinds_since_progress);
-            self.backoff_delays
-                .get_or_insert_default()
-                .observe(self.backoff_remaining);
-        }
-    }
-
-    /// The retry policy's judgement of this unit.
-    pub fn verdict(&self) -> LinkVerdict {
-        if self.dead {
-            LinkVerdict::Dead
-        } else if self.resends > 0 || self.rewinds_since_progress > 0 || self.block_replays > 0 {
-            LinkVerdict::Degraded
-        } else {
-            LinkVerdict::Healthy
         }
     }
 
     /// Whether the retry budget is exhausted (the unit stopped sending).
     pub fn retry_exhausted(&self) -> bool {
         self.dead
-    }
-
-    /// Whether the unit is holding in retry backoff: its next
-    /// [`SendUnit::next_frame`] spends a pump round on the countdown.
-    pub fn holding_backoff(&self) -> bool {
-        self.backoff_remaining > 0
-    }
-
-    /// Pump rounds spent holding the wire in backoff.
-    pub fn backoff_waits(&self) -> u64 {
-        self.backoff_waits
-    }
-
-    /// Distribution of backoff delays granted by [`RetryPolicy`], one
-    /// observation per rewind that earned a hold-off; `None` until the
-    /// first one.
-    pub fn backoff_delays(&self) -> Option<&Histogram> {
-        self.backoff_delays.as_deref()
     }
 
     /// Whether the normal-data staging queue is empty.
@@ -556,13 +434,11 @@ impl SendUnit {
             return;
         }
         self.block_retries_since_ok += 1;
-        if self.block_retries_since_ok > self.policy.budget {
+        if self.block_retries_since_ok > RETRY_BUDGET {
             self.dead = true;
-            self.backoff_remaining = 0;
-            return;
+        } else {
+            self.block_replays += 1;
         }
-        self.block_replays += 1;
-        self.backoff_remaining = self.policy.hold_off(self.block_retries_since_ok);
     }
 
     /// A block verified end to end: reset the consecutive block-retry
@@ -1347,19 +1223,19 @@ mod tests {
 
     #[test]
     fn duplicate_rejects_with_cursor_at_zero_do_not_charge_the_budget() {
-        // Two stale rejects for the same seq arrive back to back; only the
-        // first actually rewinds. With a budget of 1, the second must not
-        // kill the link.
+        // Stale rejects for the same seq arrive back to back; only the
+        // first actually rewinds. With the budget already spent down to
+        // its last rewind, the duplicates must not kill the link.
         let (mut s, _r) = trained_pair();
-        s.set_retry_policy(RetryPolicy::bounded(1, 0, 0));
         for w in [1, 2, 3] {
             s.enqueue_word(w);
         }
-        while s.next_frame().unwrap().is_some() {}
-        s.on_reject(0);
+        for _ in 0..RETRY_BUDGET {
+            while s.next_frame().unwrap().is_some() {}
+            s.on_reject(0);
+        }
         s.on_reject(0); // cursor already at 0: no rewind, no charge
         s.on_reject(0);
-        assert_eq!(s.verdict(), LinkVerdict::Degraded);
         assert!(!s.retry_exhausted());
         // The resend volley still goes out in full.
         let volley: Vec<WireFrame> = std::iter::from_fn(|| s.next_frame().unwrap()).collect();
@@ -1370,21 +1246,22 @@ mod tests {
     #[test]
     fn ack_progress_resets_the_retry_budget() {
         let (mut s, mut r) = trained_pair();
-        s.set_retry_policy(RetryPolicy::bounded(2, 0, 0));
         let mut m = mem();
         r.arm(DmaDescriptor::contiguous(0x7100, 6), &mut m).unwrap();
         for w in [1, 2, 3, 4, 5, 6] {
             s.enqueue_word(w);
         }
-        // Three separate corrupt-then-heal cycles: each burns one rewind,
-        // but the ack in between resets the budget, so the link survives
-        // more total rewinds than its consecutive budget.
+        // Three separate corrupt-then-heal cycles: each burns the whole
+        // budget of rewinds, but the ack in between resets it, so the link
+        // survives more total rewinds than its consecutive budget.
         for round in 0..3 {
-            let mut wf = s.next_frame().unwrap().unwrap();
-            wf.frame.corrupt_bit(17);
-            match r.on_frame(&wf, &mut m).unwrap() {
-                RecvOutcome::Rejected { seq } => s.on_reject(seq),
-                other => panic!("round {round}: expected reject, got {other:?}"),
+            for _ in 0..RETRY_BUDGET {
+                let mut wf = s.next_frame().unwrap().unwrap();
+                wf.frame.corrupt_bit(17);
+                match r.on_frame(&wf, &mut m).unwrap() {
+                    RecvOutcome::Rejected { seq } => s.on_reject(seq),
+                    other => panic!("round {round}: expected reject, got {other:?}"),
+                }
             }
             let wf = s.next_frame().unwrap().unwrap();
             assert_eq!(r.on_frame(&wf, &mut m).unwrap(), RecvOutcome::Accepted);
@@ -1399,12 +1276,17 @@ mod tests {
     #[test]
     fn exhausted_budget_kills_the_link_deterministically() {
         let (mut s, mut r) = trained_pair();
-        s.set_retry_policy(RetryPolicy::bounded(4, 0, 0));
         let mut m = mem();
         r.arm(DmaDescriptor::contiguous(0x7200, 3), &mut m).unwrap();
         for w in [1, 2, 3] {
             s.enqueue_word(w);
         }
+        // The initial volley (3 frames), then RETRY_BUDGET tolerated
+        // rewinds. Each rewind happens after the first frame of a volley
+        // is rejected, and frames 2,3 of the volley are rejected as gaps
+        // against the already-rewound cursor (no extra charge), so each
+        // rewind costs at most a window of frames.
+        let bound = (RETRY_BUDGET as u64 + 1) * WINDOW as u64;
         // A broken transmitter: every frame arrives corrupt, every volley
         // is rejected. Count frames until the sender gives up.
         let mut frames = 0u64;
@@ -1421,20 +1303,13 @@ mod tests {
                     if s.retry_exhausted() {
                         break;
                     }
-                    // Backoff disabled and window non-empty: None without
+                    // No hold-off and a non-empty window: None without
                     // death would be a livelock bug.
                     panic!("sender idle without exhausting its budget");
                 }
             }
-            assert!(frames < 100, "resend storm must be bounded");
+            assert!(frames <= bound, "resend storm must be bounded");
         }
-        assert_eq!(s.verdict(), LinkVerdict::Dead);
-        // Budget 4 with a full window: the initial volley (3 frames), then
-        // 4 tolerated rewinds. Each rewind happens after the first frame of
-        // a volley is rejected, and frames 2,3 of the volley are rejected
-        // as gaps against the already-rewound cursor (no extra charge), so
-        // each rewind costs at most a window of frames.
-        assert!(frames <= 3 + 5 * WINDOW as u64);
         // Dead means silent: no more frames, ever.
         for _ in 0..8 {
             assert!(s.next_frame().unwrap().is_none());
@@ -1444,77 +1319,11 @@ mod tests {
     }
 
     #[test]
-    fn backoff_holds_the_wire_and_doubles_per_rewind() {
-        let (mut s, _r) = trained_pair();
-        s.set_retry_policy(RetryPolicy::bounded(u32::MAX, 2, 16));
-        for w in [1, 2, 3] {
-            s.enqueue_word(w);
-        }
-        while s.next_frame().unwrap().is_some() {}
-        // First rewind: hold-off of 2 pump rounds before the resend.
-        s.on_reject(0);
-        assert!(s.next_frame().unwrap().is_none());
-        assert!(s.next_frame().unwrap().is_none());
-        let wf = s.next_frame().unwrap().expect("backoff expired");
-        assert_eq!(wf.seq, 0);
-        while s.next_frame().unwrap().is_some() {}
-        // Second consecutive rewind: hold-off doubles to 4.
-        s.on_reject(0);
-        for i in 0..4 {
-            assert!(s.next_frame().unwrap().is_none(), "round {i} still held");
-        }
-        assert!(s.next_frame().unwrap().is_some());
-        assert_eq!(s.backoff_waits(), 6);
-        // Third: capped at 16, not 8*... unbounded growth.
-        while s.next_frame().unwrap().is_some() {}
-        for _ in 0..10 {
-            s.on_reject(0);
-            while s.next_frame().unwrap().is_none() && !s.retry_exhausted() {}
-        }
-        assert!(s.backoff_waits() <= 6 + 10 * 16);
-    }
-
-    #[test]
-    fn hold_off_is_one_capped_doubling_for_every_policy_in_use() {
-        let store = RetryPolicy::bounded(4, 2, 16);
-        let holds: Vec<u64> = (1..=6).map(|n| store.hold_off(n)).collect();
-        assert_eq!(holds, [2, 4, 8, 16, 16, 16]);
-        // The send unit capped its doubling at 20 shifts, the checkpoint
-        // store at 16; with every cap in use ≤ 64 both agree with the one
-        // formula at any failure count.
-        for p in [
-            RetryPolicy::unlimited(),
-            RetryPolicy::bounded(1_000, 1, 4),
-            RetryPolicy::bounded(u32::MAX, 2, 16),
-            RetryPolicy::bounded(8, 1, 64),
-            RetryPolicy::bounded(4, 2, 64),
-            store,
-        ] {
-            for n in 1..=40u32 {
-                let base = u64::from(p.backoff_base);
-                let cap = u64::from(p.backoff_cap);
-                for shifts in [20, 16] {
-                    assert_eq!(p.hold_off(n), (base << (n - 1).min(shifts)).min(cap));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn default_policy_is_the_hardware_discipline() {
-        let s = SendUnit::new();
-        assert_eq!(s.retry_policy(), RetryPolicy::unlimited());
-        assert_eq!(s.verdict(), LinkVerdict::Healthy);
-        assert_eq!(s.backoff_waits(), 0);
-    }
-
-    #[test]
-    fn bounded_policy_still_heals_a_one_shot_error_bit_identically() {
-        // The acceptance property in miniature: with a bounded policy, a
-        // transient corruption heals exactly as under the unlimited one —
-        // same landed data, agreeing checksums, bounded resends per word.
+    fn the_retry_budget_still_heals_a_one_shot_error_bit_identically() {
+        // The acceptance property in miniature: under the retry budget, a
+        // transient corruption heals — same landed data, agreeing
+        // checksums, bounded resends per word, and the link stays alive.
         let (mut s, mut r) = trained_pair();
-        s.set_retry_policy(RetryPolicy::bounded(8, 1, 64));
         let mut m = mem();
         r.arm(DmaDescriptor::contiguous(0x7300, 5), &mut m).unwrap();
         for w in [10, 20, 30, 40, 50] {
@@ -1526,7 +1335,7 @@ mod tests {
             rounds += 1;
             assert!(rounds < 200, "must terminate");
             let Some(mut wf) = s.next_frame().unwrap() else {
-                continue; // backing off
+                continue;
             };
             if !corrupted && wf.seq == 2 {
                 wf.frame.corrupt_bit(29);
@@ -1542,9 +1351,9 @@ mod tests {
         assert!(corrupted);
         assert_eq!(m.read_block(0x7300, 5).unwrap(), vec![10, 20, 30, 40, 50]);
         assert_eq!(s.checksum(), r.checksum());
-        assert_eq!(s.verdict(), LinkVerdict::Degraded);
+        assert!(!s.retry_exhausted());
         // Go-back-N bounds: one error rewinds at most a window's worth.
-        assert!(s.resends() <= WINDOW as u64);
+        assert!((1..=WINDOW as u64).contains(&s.resends()));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! everything protocol-level lives here.
 
 use crate::dma::{DmaDescriptor, DmaEngine};
-use crate::link::{
-    LinkChecksum, LinkError, RecvOutcome, RecvUnit, RetryPolicy, SendUnit, WireFrame,
-};
+use crate::link::{LinkChecksum, LinkError, RecvOutcome, RecvUnit, SendUnit, WireFrame};
 use qcdoc_asic::memory::NodeMemory;
 
 /// Number of link directions per node.
@@ -116,13 +114,6 @@ impl Scu {
     /// Access the send unit of a direction (for statistics/checksums).
     pub fn send_unit(&self, link: usize) -> &SendUnit {
         &self.ports[link].send
-    }
-
-    /// Install one retry discipline on every send unit.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        for p in &mut self.ports {
-            p.send.set_retry_policy(policy);
-        }
     }
 
     /// Access the receive unit of a direction.
@@ -391,17 +382,6 @@ impl Scu {
     /// Whole-block replays performed on `link` (checked sends only).
     pub fn block_resends(&self, link: usize) -> u64 {
         self.ports[link].send.block_replays()
-    }
-
-    /// Distribution of retry backoff delays across all 12 send units —
-    /// the per-node series the flight/judge pipeline gates tail latency
-    /// on. Empty on a clean wire.
-    pub fn backoff_delay_histogram(&self) -> qcdoc_telemetry::Histogram {
-        let mut merged = qcdoc_telemetry::Histogram::default();
-        for h in self.ports.iter().filter_map(|p| p.send.backoff_delays()) {
-            merged.merge(h);
-        }
-        merged
     }
 
     /// Whether the armed receive of `link` has fully landed in memory.
@@ -700,7 +680,6 @@ mod tests {
         // the link deterministically.
         let (mut a, mut am) = trained();
         let (mut b, mut bm) = trained();
-        a.set_retry_policy(RetryPolicy::bounded(2, 0, 0));
         am.write_block(0x0, &[7, 8, 9]).unwrap();
         a.start_send_checked(0, DmaDescriptor::contiguous(0x0, 3));
         b.start_recv_checked(1, DmaDescriptor::contiguous(0x100, 3), &mut bm)
@@ -727,11 +706,11 @@ mod tests {
             }
         }
         assert!(a.send_unit(0).retry_exhausted());
-        assert_eq!(a.send_unit(0).verdict(), crate::link::LinkVerdict::Dead);
         assert!(!a.send_complete(0), "the block was never delivered intact");
-        // Budget 2: two replays were allowed, the third reject kills.
-        assert_eq!(a.block_resends(0), 2);
-        assert_eq!(b.recv_unit(1).block_rejects(), 3);
+        // RETRY_BUDGET replays were allowed; the reject after them kills.
+        let budget = u64::from(crate::link::RETRY_BUDGET);
+        assert_eq!(a.block_resends(0), budget);
+        assert_eq!(b.recv_unit(1).block_rejects(), budget + 1);
     }
 
     #[test]
@@ -925,7 +904,7 @@ mod tests {
             /// The coalesced ack is the per-frame ack sequence folded: a
             /// send unit fed the reject and then only the highest ack owed
             /// ends every drain in the same state — window, in-flight
-            /// cursor, rewind count, backoff and its histogram — as one fed
+            /// cursor, rewind count — as one fed
             /// the reject and then every ack, under any mix of corrupt and
             /// duplicated frames.
             #[test]
@@ -933,10 +912,8 @@ mod tests {
                 words in 1u32..48,
                 schedule in prop::collection::vec(0u8..8, 0..96),
             ) {
-                let policy = RetryPolicy::bounded(1_000, 1, 4);
                 let mut per_frame = SendUnit::new();
                 per_frame.train();
-                per_frame.set_retry_policy(policy);
                 for w in 0..words as u64 {
                     per_frame.enqueue_word(w);
                 }

@@ -3,7 +3,7 @@
 //! branch when telemetry is disabled.
 
 use crate::flight::{FlightEvent, FlightKind, FlightRecorder};
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::trace::{Phase, RingSink, Span};
 
 /// Opaque marker returned by [`NodeTelemetry::begin`]; pass it back to
@@ -156,14 +156,6 @@ impl NodeTelemetry {
     /// Read-only view of the node-local metrics.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Fold a pre-built histogram into a node-local histogram series
-    /// (no-op when disabled).
-    pub fn merge_histogram(&mut self, name: &str, h: &Histogram) {
-        if self.is_enabled() {
-            self.metrics.histogram_merge(name, &[], h);
-        }
     }
 
     /// Record a flight-recorder event (black box; works even when the

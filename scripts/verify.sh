@@ -13,8 +13,22 @@ stage() {
     shift
     echo "== $what"
     local started=$SECONDS
+    current_stage=$what
     "$@"
     echo "   [$((SECONDS - started)) s] $what"
+}
+
+# within <seconds> <command...>: run a stage's command under a wall-clock
+# limit of about three times its warm time, so a livelocked machine fails
+# the gate, naming the stage, instead of hanging it.
+within() {
+    local limit=$1 rc=0
+    shift
+    timeout "$limit" "$@" || rc=$?
+    if ((rc == 124)); then
+        echo "   TIMED OUT after $limit s: $current_stage"
+    fi
+    return "$rc"
 }
 
 stage "cargo fmt --check" \
@@ -63,8 +77,11 @@ stage "cargo doc (no deps, rustdoc warnings are errors)" \
 #   durability: archive parser fuzz, typed errors only (-p qcdoc-lattice --test parser_fuzz)
 #   autonomic: failure classification + convicted-domain placement properties (--test failure_class)
 #   autonomic: chaos-soak acceptance — zero lost jobs, bit-identical solves, capacity recovery (--test chaos)
+# The build is its own stage, so the limit on the run prices running alone.
+stage "cargo test: build every test target" \
+    cargo test -q --workspace --no-run
 stage "cargo test (workspace: tier-1, every crate, doctests)" \
-    cargo test -q --workspace
+    within 150 cargo test -q --workspace
 
 stage "telemetry: overhead smoke (disabled-handle path < 5% on the Dslash hot loop)" \
     cargo bench -p qcdoc-bench --bench telemetry_overhead
@@ -123,7 +140,7 @@ stage "bench/e2e: frozen end-to-end harness unit tests" \
 # The harness exits 1 when an in-run check fails (distributed ≡ serial,
 # healed ≡ clean, tracked chaos solves exact, checkpoint-store round trip).
 stage "bench/e2e: each workload runs once with its in-run checks green" \
-    bash -c 'for w in torus_latency torus_bandwidth torus_faulty local_solve control_plane; do
+    within 45 bash -c 'for w in torus_latency torus_bandwidth torus_faulty local_solve control_plane; do
         out=$(cargo run --release --offline --locked --quiet --manifest-path bench/e2e/Cargo.toml \
             -- --workload "$w" --seconds 1) || { echo "$out"; exit 1; }
     done'

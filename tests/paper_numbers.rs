@@ -245,10 +245,16 @@ fn section_4_cost_and_price_performance() {
 /// 8,192 node machine."
 #[test]
 fn section_4_lattice_decomposition() {
-    let machine = qcdoc::geometry::TorusShape::new(&[8, 8, 8, 16]);
+    use qcdoc::core::distributed::BlockGeom;
+    use qcdoc::geometry::{NodeId, TorusShape};
+    use qcdoc::lattice::Lattice;
+    let machine = TorusShape::new(&[8, 8, 8, 16]);
     assert_eq!(machine.node_count(), 8192);
-    let m = qcdoc::geometry::LatticeMapping::new(&[32, 32, 32, 64], &machine).unwrap();
-    assert_eq!(m.local().dims(), &[4, 4, 4, 4]);
+    let global = Lattice::new([32, 32, 32, 64]);
+    for node in [0, 8191] {
+        let geom = BlockGeom::for_node(&machine, NodeId(node), global);
+        assert_eq!(geom.local.dims(), [4, 4, 4, 4]);
+    }
 }
 
 /// §4: clock ladder — 450 MHz benchmarks on buffered DIMMs; unbuffered
