@@ -22,9 +22,6 @@ impl Clock {
     pub const TUNED_420: Clock = Clock { mhz: 420 };
     /// 360 MHz — first reliable unbuffered-memory operation.
     pub const SAFE_360: Clock = Clock { mhz: 360 };
-    /// The ~40 MHz global clock distributed by the motherboard for partition
-    /// interrupts (§2.4).
-    pub const GLOBAL: Clock = Clock { mhz: 40 };
 
     /// Frequency in MHz.
     #[inline]
@@ -75,18 +72,6 @@ impl Cycles {
     #[inline]
     pub fn count(self) -> u64 {
         self.0
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.saturating_sub(rhs.0))
-    }
-
-    /// The larger of two cycle counts.
-    #[inline]
-    pub fn max(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0.max(rhs.0))
     }
 }
 
@@ -146,8 +131,6 @@ mod tests {
         assert_eq!(Cycles(5) + Cycles(3), Cycles(8));
         assert_eq!(Cycles(5) - Cycles(3), Cycles(2));
         assert_eq!(Cycles(5) * 3, Cycles(15));
-        assert_eq!(Cycles(3).saturating_sub(Cycles(5)), Cycles::ZERO);
-        assert_eq!(Cycles(3).max(Cycles(5)), Cycles(5));
     }
 
     #[test]

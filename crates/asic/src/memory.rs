@@ -28,11 +28,14 @@
 //! through [`crate::ecc`]: a single flipped bit is corrected in place and
 //! counted, a double flip latches a *machine check* — the access still
 //! completes (the DMA engines stream; the exception is imprecise) but the
-//! node is condemned through [`MemStats::machine_checks`] and
-//! [`NodeMemory::machine_check`], which the health machinery treats like a
-//! node casualty. A deterministic [`NodeMemory::scrub`] pass walks the
-//! written footprint the way the hardware scrubber walks refresh rows, so
-//! soft errors parked in rarely-read words are still found and classified.
+//! node is condemned: the health machinery reads the count in
+//! [`MemStats::machine_checks`] and treats a nonzero count like a node
+//! casualty. [`NodeMemory::machine_check`] keeps the address of the first
+//! uncorrectable word, the node's fault record, which the unit tests pin
+//! so that a change to the read path must latch the same word. A
+//! deterministic [`NodeMemory::scrub`] pass walks the written footprint
+//! the way the hardware scrubber walks refresh rows, so soft errors parked
+//! in rarely-read words are still found and classified.
 
 use crate::ecc::{self, EccVerdict};
 

@@ -61,11 +61,6 @@ impl Precision {
             Precision::Single => Prec::Single,
         }
     }
-
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        self.counts_width().name()
-    }
 }
 
 /// Extra issue cycles per FPU instruction (integer/branch overhead).

@@ -447,7 +447,7 @@ impl HealthLedger {
     }
 
     /// Publish the ledger into a [`MetricsRegistry`] — the single view the
-    /// host daemon serves from `Qdaemon::scrape()`.
+    /// host daemon keeps in its registry (`Qdaemon::metrics()`).
     ///
     /// Everything is exported as *gauges* holding absolute end-of-run
     /// values, so re-ingesting the same ledger is idempotent. This is the

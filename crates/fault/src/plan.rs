@@ -296,11 +296,6 @@ impl FaultPlan {
         self.events.push(event);
         self
     }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +309,6 @@ mod tests {
             .with_event(FaultEvent::dead_link(3, 1, 0));
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.events.len(), 2);
-        assert!(!plan.is_empty());
-        assert!(FaultPlan::new(0).is_empty());
+        assert!(FaultPlan::new(0).events.is_empty());
     }
 }

@@ -100,11 +100,6 @@ impl StorageFaultPlan {
         self.events.push(event);
         self
     }
-
-    /// Whether the plan schedules nothing.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
 }
 
 /// A [`StorageFaultPlan`] compiled for querying by the NFS server.
@@ -220,7 +215,7 @@ mod tests {
                 byte: 17,
                 bit: 3,
             });
-        assert!(!plan.is_empty());
+        assert_eq!(plan.events.len(), 5);
         let clock = StorageClock::resolve(&plan);
         assert_eq!(clock.torn_keep(3, 500), Some(100));
         assert_eq!(clock.torn_keep(2, 500), None);

@@ -87,12 +87,6 @@ impl FoldCycle {
         self.len == 0
     }
 
-    /// Extents of the folded box.
-    #[inline]
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
     /// Coordinate at position `pos` along the cycle (reflected mixed-radix
     /// Gray code, digit 0 fastest).
     ///

@@ -1,13 +1,12 @@
-//! Torus-aware partition packing: free-region search, placement scoring
-//! and fragmentation accounting over the physical mesh.
+//! Torus-aware partition packing: free-region search and placement
+//! scoring over the physical mesh.
 //!
 //! The paper's partitioning story (§2.2/§3.1) lets the host carve the
 //! 6-D machine into many concurrent logical partitions "without moving
 //! cables". Once several tenants compete for the same 12,288 nodes, the
 //! host needs more than the mapping math: it must know *where* a
-//! requested sub-box still fits, which of the feasible placements
-//! fragments the remaining free mesh least, and how shattered the free
-//! space has become. [`OccupancyMap`] is that layer — a plain busy/free
+//! requested sub-box still fits and which of the feasible placements
+//! fragments the remaining free mesh least. [`OccupancyMap`] is that layer — a plain busy/free
 //! mask over the physical torus with deterministic box search on top.
 //! The scheduler (`qcdoc-sched`) drives it; the map itself knows nothing
 //! about jobs or tenants.
@@ -352,27 +351,6 @@ impl OccupancyMap {
             }
         }
         best.map(|(_, origin)| origin)
-    }
-
-    /// How shattered the free mesh is with respect to a probe box:
-    /// `1 − packable / free`, where `packable` is the number of free
-    /// nodes covered by greedily best-fitting disjoint copies of the
-    /// probe until none fits. `0.0` means every free node is reachable
-    /// by some probe placement; `1.0` means none is (or nothing is
-    /// free). Deterministic for a given map.
-    pub fn fragmentation(&self, probe_extents: &[usize]) -> f64 {
-        let free = self.free_count();
-        if free == 0 {
-            return 1.0;
-        }
-        let volume: usize = probe_extents.iter().product();
-        let mut scratch = self.clone();
-        let mut packed = 0usize;
-        while let Some(origin) = scratch.best_fit(probe_extents) {
-            scratch.occupy_box(origin, probe_extents);
-            packed += volume;
-        }
-        1.0 - packed as f64 / free as f64
     }
 
     /// Whether the sub-box of a [`PartitionSpec`] is entirely free.
@@ -741,20 +719,6 @@ mod tests {
     fn whole_machine_placement_scores_zero() {
         let map = OccupancyMap::new(shape_442());
         assert_eq!(map.placement_score(NodeCoord::ORIGIN, &[4, 4, 2]), 0);
-    }
-
-    #[test]
-    fn fragmentation_sees_shattered_free_space() {
-        let mut map = OccupancyMap::new(TorusShape::new(&[4, 1]));
-        assert_eq!(map.fragmentation(&[2, 1]), 0.0);
-        // Take the two middle nodes: two isolated free nodes remain, and
-        // no 2-box fits (boxes do not wrap).
-        map.occupy_box(NodeCoord::from_slice(&[1, 0]), &[2, 1]);
-        assert_eq!(map.fragmentation(&[2, 1]), 1.0);
-        // Full machine: defined as fully fragmented.
-        map.occupy_box(NodeCoord::ORIGIN, &[1, 1]);
-        map.occupy_box(NodeCoord::from_slice(&[3, 0]), &[1, 1]);
-        assert_eq!(map.fragmentation(&[1, 1]), 1.0);
     }
 
     #[test]

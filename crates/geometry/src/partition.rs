@@ -222,11 +222,6 @@ impl Partition {
         &self.logical
     }
 
-    /// The physical machine this partition lives in.
-    pub fn machine_shape(&self) -> &TorusShape {
-        &self.machine
-    }
-
     /// The spec this partition was built from.
     pub fn spec(&self) -> &PartitionSpec {
         &self.spec

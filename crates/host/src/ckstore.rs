@@ -32,7 +32,7 @@
 //!
 //! Everything the store does on an exceptional path leaves a
 //! [`HOST_NODE`] flight event, and `export_metrics` publishes the
-//! `ckstore_*` counters the qdaemon scrape carries.
+//! `ckstore_*` counters the qdaemon's registry carries.
 
 use crate::nfs::{NfsError, NfsServer};
 use qcdoc_lattice::checkpoint::{read_checkpoint, CgCheckpoint};
@@ -300,11 +300,6 @@ impl CheckpointStore {
     /// Generation numbers currently on disk, oldest first.
     pub fn generations(&self, nfs: &NfsServer) -> Vec<u64> {
         self.committed(nfs).into_iter().map(|(g, _, _)| g).collect()
-    }
-
-    /// The store's flight ring ([`HOST_NODE`] events).
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// Drain flight events (for ingestion into the qdaemon's recorder).
@@ -800,7 +795,7 @@ mod tests {
         assert_eq!(restored.generation, 3);
         assert_eq!(restored.bytes, b"delta");
         assert!(restored.skipped.is_empty());
-        let dump = store.flight().dump(None);
+        let dump = store.flight.dump(None);
         assert!(dump.contains("checkpoint ckstore_commit"), "{dump}");
         assert!(dump.contains("info ckstore_gc"), "{dump}");
     }
@@ -830,7 +825,7 @@ mod tests {
         nfs.inject(&plan);
         store.save(&mut nfs, b"persist").unwrap();
         assert_eq!(store.retries(), 2);
-        assert!(store.flight().dump(None).contains("retry ckstore_retry"));
+        assert!(store.flight.dump(None).contains("retry ckstore_retry"));
         assert_eq!(store.restore(&mut nfs).unwrap().bytes, b"persist");
     }
 
@@ -872,7 +867,7 @@ mod tests {
         let restored = store.restore(&mut nfs).unwrap();
         assert_eq!(restored.generation, 1);
         assert_eq!(restored.bytes, b"good-gen-1");
-        assert!(store.flight().dump(None).contains("ckstore_torn_write"));
+        assert!(store.flight.dump(None).contains("ckstore_torn_write"));
     }
 
     #[test]
@@ -897,7 +892,7 @@ mod tests {
         assert_eq!(store.fallbacks(), 1);
         assert_eq!(store.rot_detected(), 1);
         assert!(store
-            .flight()
+            .flight
             .dump(None)
             .contains("rollback ckstore_fallback"));
     }
@@ -974,7 +969,7 @@ mod tests {
         // Third save: temp write hits real capacity, store frees gen 0.
         store.save(&mut nfs, &blob).unwrap();
         assert_eq!(store.generations(&nfs), vec![1, 2]);
-        assert!(store.flight().dump(None).contains("ckstore_gc_for_space"));
+        assert!(store.flight.dump(None).contains("ckstore_gc_for_space"));
         // With a single generation left and no surplus, a hopeless save
         // reports DiskFull instead of looping.
         let mut tiny = NfsServer::new(&["/data"], 32);
@@ -994,7 +989,7 @@ mod tests {
         let mut store = CheckpointStore::open(opaque_cfg("/data/ck"), &mut nfs);
         assert_eq!(store.torn_detected(), 1);
         assert!(nfs.stat("/data/ck/tmp.ckpt").is_err(), "temp cleared");
-        assert!(store.flight().dump(None).contains("ckstore_torn_leftover"));
+        assert!(store.flight.dump(None).contains("ckstore_torn_leftover"));
         // And the store still works.
         store.save(&mut nfs, b"fresh").unwrap();
         assert_eq!(store.restore(&mut nfs).unwrap().bytes, b"fresh");

@@ -333,11 +333,6 @@ impl NfsServer {
             .map(|d| d.len() as u64)
             .ok_or_else(|| NfsError::NoEntry(path.to_string()))
     }
-
-    /// Disk bytes used.
-    pub fn used(&self) -> u64 {
-        self.used
-    }
 }
 
 #[cfg(test)]
@@ -380,7 +375,7 @@ mod tests {
         let h = s.open("/data/f").unwrap();
         s.write(h, &[0u8; 10]).unwrap();
         assert_eq!(s.write(h, &[0u8; 1]), Err(NfsError::DiskFull));
-        assert_eq!(s.used(), 10);
+        assert_eq!(s.used, 10);
     }
 
     #[test]
@@ -394,12 +389,12 @@ mod tests {
             Err(NfsError::DiskFull)
         );
         assert_eq!(s.stat("/data/f").unwrap(), 0, "partial append leaked");
-        assert_eq!(s.used(), 0);
+        assert_eq!(s.used, 0);
         // And a prior append is preserved exactly across a failed one.
         s.write(h, b"safe").unwrap();
         assert_eq!(s.write(h, &[7u8; 12_000]), Err(NfsError::DiskFull));
         assert_eq!(s.read("/data/f").unwrap(), b"safe");
-        assert_eq!(s.used(), 4);
+        assert_eq!(s.used, 4);
     }
 
     #[test]
@@ -480,11 +475,11 @@ mod tests {
         s.write(h, b"new bytes").unwrap();
         let h2 = s.open("/data/final").unwrap();
         s.write(h2, b"old").unwrap();
-        assert_eq!(s.used(), 12);
+        assert_eq!(s.used, 12);
         s.rename("/data/tmp", "/data/final").unwrap();
         assert_eq!(s.read("/data/final").unwrap(), b"new bytes");
         assert!(matches!(s.read("/data/tmp"), Err(NfsError::NoEntry(_))));
-        assert_eq!(s.used(), 9, "replaced destination must refund its bytes");
+        assert_eq!(s.used, 9, "replaced destination must refund its bytes");
         assert_eq!(s.write(h2, b"x"), Err(NfsError::StaleHandle));
         assert!(matches!(
             s.rename("/data/nope", "/data/x"),
@@ -502,7 +497,7 @@ mod tests {
         let h = s.open("/data/f").unwrap();
         s.write(h, b"bytes").unwrap();
         s.remove("/data/f").unwrap();
-        assert_eq!(s.used(), 0);
+        assert_eq!(s.used, 0);
         assert_eq!(s.write(h, b"x"), Err(NfsError::StaleHandle));
         assert!(matches!(s.remove("/data/f"), Err(NfsError::NoEntry(_))));
     }

@@ -97,11 +97,6 @@ pub struct NodeCensus {
 }
 
 impl NodeCensus {
-    /// All nodes the daemon tracks.
-    pub fn total(&self) -> usize {
-        self.ready + self.spare + self.busy + self.faulty + self.blacklisted + self.unbooted
-    }
-
     /// Nodes the scheduler can actually place on right now.
     pub fn allocatable(&self) -> usize {
         self.ready + self.spare
@@ -465,7 +460,7 @@ impl Qdaemon {
         // so `hardware_report` reflects what the machine actually saw, and
         // fold the readout into the daemon's registry. Both are absolute
         // (the kernel merge is a max-merge, the export writes gauges), so
-        // re-ingesting a sweep changes nothing and the scrape shows one
+        // re-ingesting a sweep changes nothing and the registry shows one
         // consistent view of the machine. A quiet node merges nothing and
         // exports four zeros, so it is skipped once the registry holds
         // those zeros: the walk visits the nodes that reported and the
@@ -529,29 +524,6 @@ impl Qdaemon {
         census
     }
 
-    /// One Prometheus-style scrape of everything the daemon knows: the
-    /// node-state census, boot statistics, every ingested health-sweep
-    /// gauge and every ingested application metric (§3.1 — "keeping track
-    /// of the status of the nodes (including hardware problems)").
-    pub fn scrape(&mut self) -> String {
-        let census = self.census();
-        for (state, count) in [
-            ("ready", census.ready),
-            ("spare", census.spare),
-            ("busy", census.busy),
-            ("faulty", census.faulty),
-            ("blacklisted", census.blacklisted),
-            ("unbooted", census.unbooted),
-        ] {
-            self.metrics.gauge_set(
-                "qdaemon_nodes",
-                &[("state", state.to_string())],
-                count as f64,
-            );
-        }
-        qcdoc_telemetry::prometheus_text(&self.metrics)
-    }
-
     /// Read-only view of the daemon's metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -573,11 +545,6 @@ impl Qdaemon {
     /// Read-only view of the host's flight recorder.
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// Read-only view of a node's run kernel.
-    pub fn kernel(&self, node: NodeId) -> &RunKernel {
-        &self.kernels[node.index()]
     }
 
     /// Aggregate hardware status over an allocated partition — the §3.2
@@ -720,6 +687,7 @@ impl std::error::Error for AllocError {}
 mod tests {
     use super::*;
     use qcdoc_geometry::NodeCoord;
+    use qcdoc_telemetry::prometheus_text;
 
     fn small_machine() -> TorusShape {
         TorusShape::new(&[4, 2, 2, 2, 1, 1])
@@ -744,7 +712,6 @@ mod tests {
                 ..NodeCensus::default()
             }
         );
-        assert_eq!(census.total(), 32);
     }
 
     #[test]
@@ -937,10 +904,10 @@ mod tests {
         ledger.node_mut(8).links[0].block_rejects = 1;
         q.ingest_health(&ledger).unwrap();
         // Per-node kernels carry exactly what the sweep saw for them.
-        let s4 = q.kernel(NodeId(4)).hardware_status();
+        let s4 = q.kernels[4].hardware_status();
         assert_eq!((s4.link_errors, s4.ecc_corrections), (2, 5));
         assert!(s4.checksums_ok);
-        let s8 = q.kernel(NodeId(8)).hardware_status();
+        let s8 = q.kernels[8].hardware_status();
         assert_eq!((s8.link_errors, s8.ecc_corrections), (1, 0));
         // The partition aggregate sums counters over all members.
         let hw = q.hardware_report(id).unwrap();
@@ -954,7 +921,7 @@ mod tests {
     }
 
     #[test]
-    fn scrape_reports_census_boot_and_health_in_one_view() {
+    fn metrics_report_boot_and_health_in_one_view() {
         use qcdoc_fault::HealthLedger;
         let mut q = Qdaemon::new(small_machine());
         q.boot(&[]);
@@ -962,15 +929,14 @@ mod tests {
         ledger.node_mut(3).links[1].resends = 4;
         ledger.node_mut(3).links[1].injected = 4;
         q.ingest_health(&ledger).unwrap();
-        let first = q.scrape();
-        assert!(first.contains("qdaemon_nodes{state=\"ready\"} 32"));
+        let first = prometheus_text(q.metrics());
         assert!(first.contains("qdaemon_boot_packets"));
         assert!(first.contains("machine_total_resends 4"));
         assert!(first.contains("scu_link_resends{link=\"1\",node=\"3\"} 4"));
         // Re-ingesting the same sweep must not double-count: the gauges
-        // are absolute, so the scrape is byte-identical.
+        // are absolute, so the export is byte-identical.
         q.ingest_health(&ledger).unwrap();
-        let second = q.scrape();
+        let second = prometheus_text(q.metrics());
         let strip = |s: &str| {
             s.lines()
                 .filter(|l| !l.starts_with("qdaemon_health_sweeps"))
@@ -1100,7 +1066,7 @@ mod tests {
                 q.boot(&[]);
                 let first = q.ingest_health(ledger).unwrap().quarantined;
                 let second = q.ingest_health(ledger).unwrap().quarantined;
-                (first, second, q.scrape())
+                (first, second, prometheus_text(q.metrics()))
             };
             assert_eq!(ingest(&sparse), ingest(&full), "ledger {i}");
         }
@@ -1111,7 +1077,11 @@ mod tests {
         use qcdoc_fault::{HealthLedger, Liveness};
         let mut q = Qdaemon::new(small_machine());
         q.boot(&[]);
-        let before = (q.scrape(), q.census(), q.flight_dump(None), q.sweeps);
+        let view = |q: &Qdaemon| {
+            let registry = prometheus_text(q.metrics());
+            (registry, q.census(), q.flight_dump(None), q.sweeps)
+        };
+        let before = view(&q);
         // Larger: it names a node beyond the machine.
         let mut larger = HealthLedger::new(201);
         larger.node_mut(200).liveness = Liveness::Wedged;
@@ -1151,11 +1121,8 @@ mod tests {
         );
         assert_eq!(err.to_string(), "health ledger entry 4 reports on node 200");
         // Nothing moved: no quarantine, no kernel merge, no gauge, no sweep.
-        assert_eq!(
-            (q.scrape(), q.census(), q.flight_dump(None), q.sweeps),
-            before
-        );
-        assert_eq!(q.kernel(NodeId(7)).hardware_status().ecc_corrections, 0);
+        assert_eq!(view(&q), before);
+        assert_eq!(q.kernels[7].hardware_status().ecc_corrections, 0);
     }
 
     #[test]

@@ -144,14 +144,6 @@ impl Manifest {
             .iter()
             .find(|p| p.bench == bench && p.metric == metric)
     }
-
-    /// Benches named by at least one policy, deduplicated and sorted.
-    pub fn benches(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.policies.iter().map(|p| p.bench.clone()).collect();
-        names.sort();
-        names.dedup();
-        names
-    }
 }
 
 /// Parse the manifest format: `#` comments, blank lines,
@@ -695,7 +687,7 @@ mod tests {
         );
         assert_eq!(m.default_tolerance, 0.08);
         assert_eq!(m.policies.len(), 1);
-        assert_eq!(m.benches(), vec!["sched".to_string()]);
+        assert_eq!(m.policies[0].bench, "sched");
         assert!(parse_manifest("sched ratio sideways 0.1 gate").is_err());
         assert!(parse_manifest("sched ratio lower NaN-ish gate").is_err());
         assert!(parse_manifest("sched ratio lower 0.1").is_err());

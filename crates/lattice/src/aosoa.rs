@@ -212,11 +212,6 @@ impl<T: Real> FermionBlocks<T> {
         }
     }
 
-    /// The lattice this field lives on.
-    pub fn lattice(&self) -> Lattice {
-        self.lat
-    }
-
     /// Scatter back to the AoS layout — the exact inverse of
     /// [`FermionBlocks::from_field`].
     pub fn to_field(&self) -> FermionField<T> {
@@ -263,11 +258,6 @@ impl<T: Real> GaugeBlocks<T> {
             }
         }
         GaugeBlocks { lat, data }
-    }
-
-    /// The lattice this field lives on.
-    pub fn lattice(&self) -> Lattice {
-        self.lat
     }
 
     /// Scatter back to the AoS layout — the exact inverse of

@@ -28,9 +28,6 @@ pub type C64 = Complex<f64>;
 /// Single-precision complex number.
 pub type C32 = Complex<f32>;
 
-/// The imaginary unit (double precision).
-pub const I: C64 = C64 { re: 0.0, im: 1.0 };
-
 impl<T: Real> Complex<T> {
     /// Zero.
     pub const ZERO: Complex<T> = Complex {
@@ -264,9 +261,10 @@ mod tests {
     #[test]
     fn i_multiplication_shortcuts() {
         let a = C64::new(2.0, -3.0);
-        assert_eq!(a.mul_i(), a * I);
-        assert_eq!(a.mul_neg_i(), a * -I);
-        assert_eq!(I * I, -C64::ONE);
+        let i = C64::new(0.0, 1.0);
+        assert_eq!(a.mul_i(), a * i);
+        assert_eq!(a.mul_neg_i(), a * -i);
+        assert_eq!(i * i, -C64::ONE);
     }
 
     #[test]

@@ -32,14 +32,6 @@ impl Prec {
             Prec::Double => 16,
         }
     }
-
-    /// Short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Prec::Single => "single",
-            Prec::Double => "double",
-        }
-    }
 }
 /// Bytes of a half-spinor (6 complex) — the face-exchange payload of
 /// Wilson-type actions.

@@ -50,11 +50,6 @@ impl EoLayout {
         }
     }
 
-    /// The lattice.
-    pub fn lattice(&self) -> Lattice {
-        self.lat
-    }
-
     /// Sites per parity.
     fn half_volume(&self) -> usize {
         self.lat.volume() / 2
@@ -108,16 +103,6 @@ impl EoField {
         EoField {
             data: vec![Spinor::ZERO; half_volume],
         }
-    }
-
-    /// Site accessor.
-    pub fn site(&self, d: usize) -> &Spinor {
-        &self.data[d]
-    }
-
-    /// Mutable site accessor.
-    pub fn site_mut(&mut self, d: usize) -> &mut Spinor {
-        &mut self.data[d]
     }
 }
 
@@ -178,11 +163,6 @@ impl<'a> EoWilson<'a> {
             layout: EoLayout::new(gauge.lattice()),
             kappa,
         }
-    }
-
-    /// The layout.
-    pub fn layout(&self) -> &EoLayout {
-        &self.layout
     }
 
     /// The parity-changing hop: `out[target parity] = D in[source parity]`.
@@ -307,7 +287,7 @@ mod tests {
         for dd in 0..eo.layout.half_volume() {
             let x = eo.layout.site(1, dd);
             let want = full_out.site(x);
-            let got = hop_out.site(dd);
+            let got = &hop_out.data[dd];
             for s in 0..4 {
                 for c in 0..3 {
                     assert_eq!(got.0[s].0[c].re.to_bits(), want.0[s].0[c].re.to_bits());

@@ -323,14 +323,6 @@ impl<T: Real> FermionField<T> {
             self.data[i] = rhs.data[i].axpy(a, &self.data[i]);
         }
     }
-
-    /// Scale in place.
-    pub fn scale(&mut self, a: C64) {
-        let a = Complex::from_c64(a);
-        for s in &mut self.data {
-            *s = s.scale(a);
-        }
-    }
 }
 
 impl FermionField {

@@ -166,11 +166,6 @@ impl<T: Real> AsqtadLinks<T> {
         }
         AsqtadLinks { lat, fat, long }
     }
-
-    /// The lattice.
-    pub fn lattice(&self) -> Lattice {
-        self.lat
-    }
 }
 
 /// The ASQTAD staggered operator on precomputed fat/Naik links.

@@ -7,15 +7,6 @@
 
 use qcdoc_geometry::{Axis, NodeId, TorusShape};
 
-/// The networks of Figure 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Network {
-    /// The SCU 6-D mesh (physics traffic).
-    ScuMesh,
-    /// The Ethernet tree (boot, diagnostics, I/O).
-    Ethernet,
-}
-
 /// An edge of the machine graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Edge {

@@ -70,11 +70,6 @@ impl SimMesh {
     pub fn free_count(&self) -> usize {
         self.map.free_count()
     }
-
-    /// Specs of all live allocations, keyed by id.
-    pub fn live(&self) -> &HashMap<u32, PartitionSpec> {
-        &self.live
-    }
 }
 
 impl MeshHost for SimMesh {

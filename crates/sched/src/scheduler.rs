@@ -357,11 +357,6 @@ impl Scheduler {
         self.requeues
     }
 
-    /// Jobs that exhausted their retry budget and failed terminally.
-    pub fn failed_terminal(&self) -> u64 {
-        self.failed_terminal
-    }
-
     /// Node·ticks of service delivered and then rolled back by failures.
     pub fn wasted_node_ticks(&self) -> u64 {
         self.wasted_node_ticks
@@ -376,12 +371,6 @@ impl Scheduler {
     /// checkpoint stores, resumes, clock-stamped).
     pub fn flight_recorder(&self) -> &FlightRecorder {
         &self.flight
-    }
-
-    /// Deterministic dump of the scheduler's flight ring — the artifact a
-    /// failed soak run attaches via [`qcdoc_telemetry::FlightDumpGuard`].
-    pub fn flight_dump(&self) -> String {
-        self.flight.dump(None)
     }
 
     /// One job's record.
@@ -1172,7 +1161,7 @@ impl Scheduler {
 
     /// Refresh and expose the scheduler's metrics registry: per-tenant
     /// wait, usage, occupancy and preemption gauges (the telemetry the
-    /// qdaemon merges into its machine-wide scrape).
+    /// qdaemon merges into its machine-wide registry).
     pub fn export_metrics(&mut self) -> &MetricsRegistry {
         for (name, (_, stats)) in &self.tenants {
             let label = [("tenant", name.clone())];
@@ -1570,7 +1559,7 @@ mod tests {
         assert_eq!(vault.load(scav), Ok(Some(vec![4, 5, 6])));
         assert_eq!(s.job(scav).unwrap().checkpoint_remaining, Some(97));
         // One flight event per store.
-        assert_eq!(s.flight_dump().matches("sched_store").count(), 2);
+        assert_eq!(s.flight.dump(None).matches("sched_store").count(), 2);
     }
 
     #[test]
@@ -1615,8 +1604,8 @@ mod tests {
         assert!(log.contains("Failed"));
         assert!(log.contains("Requeued"));
         assert!(log.contains("Resumed"));
-        assert!(s.flight_dump().contains("sched_fail"));
-        assert!(s.flight_dump().contains("sched_requeue"));
+        assert!(s.flight.dump(None).contains("sched_fail"));
+        assert!(s.flight.dump(None).contains("sched_requeue"));
     }
 
     #[test]
@@ -1646,7 +1635,7 @@ mod tests {
             }
         }
         assert_eq!(s.job(id).unwrap().status, JobStatus::Failed);
-        assert_eq!(s.failed_terminal(), 1);
+        assert_eq!(s.failed_terminal, 1);
         assert_eq!(s.tenant_stats("a").unwrap().failed, 1);
         assert_eq!(mesh.free_count(), 16);
         // Terminal jobs don't block the drain and can't be re-failed or

@@ -77,11 +77,6 @@ impl DmaEngine {
         DmaEngine { desc, cursor: 0 }
     }
 
-    /// The descriptor being walked.
-    pub fn descriptor(&self) -> DmaDescriptor {
-        self.desc
-    }
-
     /// Address of the next word, or `None` when complete.
     pub fn peek(&self) -> Option<u64> {
         (self.cursor < self.desc.total_words()).then(|| self.desc.address_of(self.cursor))
@@ -92,16 +87,6 @@ impl DmaEngine {
         let a = self.peek()?;
         self.cursor += 1;
         Some(a)
-    }
-
-    /// Words already transferred.
-    pub fn transferred(&self) -> u64 {
-        self.cursor
-    }
-
-    /// Words remaining.
-    pub fn remaining(&self) -> u64 {
-        self.desc.total_words() - self.cursor
     }
 
     /// Whether the transfer is complete.
@@ -140,10 +125,10 @@ mod tests {
     fn engine_cursor_tracks_progress() {
         let d = DmaDescriptor::contiguous(0, 3);
         let mut e = DmaEngine::start(d);
-        assert_eq!(e.remaining(), 3);
+        assert_eq!(e.cursor, 0);
         assert_eq!(e.next_address(), Some(0));
         assert_eq!(e.next_address(), Some(8));
-        assert_eq!(e.transferred(), 2);
+        assert_eq!(e.cursor, 2);
         assert!(!e.done());
         assert_eq!(e.next_address(), Some(16));
         assert!(e.done());

@@ -119,13 +119,6 @@ pub fn dimension_ordered_sum(shape: &TorusShape, values: &[f64]) -> Vec<f64> {
     current
 }
 
-/// Broadcast from `root`: every node ends with the root's word. Functional
-/// model of the pass-through broadcast tree.
-pub fn broadcast(shape: &TorusShape, values: &[u64], root: usize) -> Vec<u64> {
-    assert_eq!(values.len(), shape.node_count());
-    vec![values[root]; values.len()]
-}
-
 /// Whether all per-node results of a global operation agree bitwise.
 pub fn all_nodes_agree(results: &[f64]) -> bool {
     results.windows(2).all(|w| w[0].to_bits() == w[1].to_bits())
@@ -202,13 +195,6 @@ mod tests {
             a.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn broadcast_replicates_root() {
-        let shape = TorusShape::new(&[2, 2]);
-        let values = vec![10, 20, 30, 40];
-        assert_eq!(broadcast(&shape, &values, 2), vec![30, 30, 30, 30]);
     }
 
     #[test]

@@ -249,11 +249,6 @@ impl SendUnit {
         self.trained = true;
     }
 
-    /// Whether training completed.
-    pub fn trained(&self) -> bool {
-        self.trained
-    }
-
     /// Queue a normal 64-bit data word.
     pub fn enqueue_word(&mut self, word: u64) {
         self.checksum.update(word);
@@ -381,13 +376,6 @@ impl SendUnit {
     /// Number of unacknowledged words in the window.
     pub fn window_len(&self) -> usize {
         self.window.len()
-    }
-
-    /// True when data is queued but the window is full and fully in flight.
-    pub fn stalled(&self) -> bool {
-        self.window.len() >= WINDOW
-            && self.in_flight == self.window.len()
-            && !(self.queue.is_empty() && self.supervisor_queue.is_empty())
     }
 
     /// Whether every queued word has been sent and acknowledged.
@@ -555,11 +543,6 @@ impl RecvUnit {
         self.trained = true;
     }
 
-    /// Whether training completed.
-    pub fn trained(&self) -> bool {
-        self.trained
-    }
-
     /// Arm the receive DMA with a destination descriptor. Words parked in
     /// the idle-receive register drain to memory immediately and their
     /// withheld acknowledgements become [`RecvUnit::take_pending_acks`].
@@ -650,11 +633,6 @@ impl RecvUnit {
     /// for a checked receive, the trailing block checksum verified).
     pub fn complete(&self) -> bool {
         self.dma.as_ref().is_some_and(|d| d.done()) && self.checked.is_none()
-    }
-
-    /// Whether the unit is in idle-receive mode (no DMA armed).
-    pub fn idle(&self) -> bool {
-        self.dma.is_none()
     }
 
     /// Acknowledgements released by a late [`RecvUnit::arm`].
@@ -920,7 +898,8 @@ mod tests {
             );
         }
         assert_eq!(sent, 3);
-        assert!(s.stalled());
+        assert_eq!((s.window.len(), s.in_flight), (WINDOW, WINDOW));
+        assert!(!s.queue.is_empty());
     }
 
     #[test]
@@ -999,7 +978,8 @@ mod tests {
         while let Some(wf) = s.next_frame().unwrap() {
             r.on_frame(&wf, &mut m).unwrap();
         }
-        assert!(s.stalled());
+        assert_eq!((s.window.len(), s.in_flight), (WINDOW, WINDOW));
+        assert!(!s.queue.is_empty());
         // An interrupt still gets through.
         s.enqueue_irq(0b0000_0001);
         let wf = s

@@ -55,19 +55,6 @@ impl Packet {
             Packet::Ack | Packet::Idle => 0,
         }
     }
-
-    /// Size of the framed packet on the wire, in bits (8-bit header plus
-    /// payload). A framed normal word is 72 bits — the origin of the
-    /// paper's 1.3 GB/s aggregate bandwidth and 3.3 µs 23-word tail.
-    pub fn wire_bits(self) -> u64 {
-        8 + 8 * self.payload_bytes() as u64
-    }
-
-    /// Whether this packet class carries user data that enters the link
-    /// checksum.
-    pub fn checksummed(self) -> bool {
-        matches!(self, Packet::Normal(_) | Packet::Supervisor(_))
-    }
 }
 
 /// Parity of the even- and odd-position bits of a payload: bit 0 is the
@@ -159,7 +146,9 @@ impl Frame {
         Ok(pkt)
     }
 
-    /// Size on the wire in bits.
+    /// Size on the wire in bits: 8-bit header plus payload. A framed
+    /// normal word is 72 bits — the origin of the paper's 1.3 GB/s
+    /// aggregate bandwidth and 3.3 µs 23-word tail.
     pub fn wire_bits(&self) -> u64 {
         8 * u64::from(self.len)
     }
@@ -249,7 +238,7 @@ mod tests {
         for (pkt, bytes) in golden {
             let f0 = Frame::encode(pkt);
             assert_eq!(f0.as_bytes(), bytes, "{pkt:?}");
-            assert_eq!(f0.wire_bits(), pkt.wire_bits(), "{pkt:?}");
+            assert_eq!(f0.wire_bits(), 8 * bytes.len() as u64, "{pkt:?}");
             assert_eq!(f0.decode(), Ok(pkt));
             for bit in 0..bytes.len() * 8 {
                 let mut f = f0;
@@ -262,8 +251,13 @@ mod tests {
     #[test]
     fn normal_frame_is_72_bits() {
         // 8-bit header + 64-bit word: the unit behind 1.3 GB/s and 3.3 us.
-        assert_eq!(Packet::Normal(0).wire_bits(), 72);
         assert_eq!(Frame::encode(Packet::Normal(7)).wire_bits(), 72);
+    }
+
+    #[test]
+    fn wire_bits_by_packet_kind() {
+        assert_eq!(Frame::encode(Packet::PartitionIrq(0)).wire_bits(), 16);
+        assert_eq!(Frame::encode(Packet::Ack).wire_bits(), 8);
     }
 
     #[test]
@@ -318,15 +312,6 @@ mod tests {
             len: 0,
         };
         assert_eq!(empty.decode(), Err(FrameError::Truncated));
-    }
-
-    #[test]
-    fn checksummed_classification() {
-        assert!(Packet::Normal(1).checksummed());
-        assert!(Packet::Supervisor(1).checksummed());
-        assert!(!Packet::Ack.checksummed());
-        assert!(!Packet::PartitionIrq(0).checksummed());
-        assert!(!Packet::Idle.checksummed());
     }
 
     /// The per-byte popcount parity the fold replaced.

@@ -13,7 +13,6 @@
 //!   serialization of the first word, receiver synchronization, receive DMA
 //!   store) totals 300 cycles = **600 ns** at 500 MHz.
 
-use crate::packet::Packet;
 use qcdoc_asic::clock::{Clock, Cycles};
 
 /// Wire bits of a framed normal data word: 8-bit header + 64-bit payload
@@ -64,11 +63,6 @@ pub const ETHERNET_BYTES_PER_SEC: f64 = 125.0e6;
 /// Baseline-network transfer time in nanoseconds for `bytes` of payload.
 pub fn ethernet_transfer_ns(bytes: u64) -> f64 {
     ETHERNET_STARTUP_NS + bytes as f64 / ETHERNET_BYTES_PER_SEC * 1e9
-}
-
-/// Serialization cycles for an arbitrary packet.
-pub fn wire_cycles(pkt: Packet) -> Cycles {
-    Cycles(pkt.wire_bits())
 }
 
 #[cfg(test)]
@@ -125,12 +119,5 @@ mod tests {
         let at_360 = transfer_ns(1, Clock::SAFE_360);
         let at_500 = transfer_ns(1, Clock::DESIGN);
         assert!((at_360 / at_500 - 500.0 / 360.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wire_cycles_by_packet_kind() {
-        assert_eq!(wire_cycles(Packet::Normal(0)), Cycles(72));
-        assert_eq!(wire_cycles(Packet::PartitionIrq(0)), Cycles(16));
-        assert_eq!(wire_cycles(Packet::Ack), Cycles(8));
     }
 }

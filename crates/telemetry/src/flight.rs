@@ -139,13 +139,12 @@ pub fn dump_events(events: &[FlightEvent], node: Option<u32>) -> String {
 
 /// Bounded ring of [`FlightEvent`]s: keeps the most recent `capacity`
 /// events (the ones *before* a failure are the ones that explain it, so
-/// eviction drops the oldest) and counts what it had to shed.
+/// eviction drops the oldest).
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
     buf: VecDeque<FlightEvent>,
     next_seq: u64,
-    dropped: u64,
 }
 
 impl Default for FlightRecorder {
@@ -167,7 +166,6 @@ impl FlightRecorder {
             capacity,
             buf: VecDeque::new(),
             next_seq: 0,
-            dropped: 0,
         }
     }
 
@@ -192,12 +190,10 @@ impl FlightRecorder {
         };
         self.next_seq += 1;
         if self.capacity == 0 {
-            self.dropped += 1;
             return;
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.dropped += 1;
         }
         self.buf.push_back(ev);
     }
@@ -219,11 +215,6 @@ impl FlightRecorder {
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
-    }
-
-    /// How many events were evicted (or refused by a zero-capacity ring).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// The retained events, oldest first.
@@ -268,11 +259,6 @@ impl FlightDumpGuard {
     pub fn extend(&mut self, events: &[FlightEvent]) {
         self.events.extend_from_slice(events);
     }
-
-    /// Events currently staged for a panic-time dump.
-    pub fn staged(&self) -> &[FlightEvent] {
-        &self.events
-    }
 }
 
 impl Drop for FlightDumpGuard {
@@ -297,7 +283,6 @@ mod tests {
         rec.record(0, 20, FlightKind::BlockReject, "block_checksum", 3, 1);
         rec.record(1, 30, FlightKind::Wedge, "silent_wire", 0, 0);
         assert_eq!(rec.len(), 2);
-        assert_eq!(rec.dropped(), 1);
         let seqs: Vec<u64> = rec.events().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2]);
         let dump = rec.dump(None);
@@ -334,7 +319,6 @@ mod tests {
         let mut rec = FlightRecorder::new(0);
         rec.record(0, 0, FlightKind::Info, "x", 0, 0);
         assert!(rec.is_empty());
-        assert_eq!(rec.dropped(), 1);
     }
 
     #[test]

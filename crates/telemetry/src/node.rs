@@ -64,12 +64,6 @@ impl NodeTelemetry {
         self.sink.is_some()
     }
 
-    /// Node id this handle stamps onto spans.
-    #[inline]
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
     /// Current logical clock value.
     #[inline]
     pub fn clock(&self) -> u64 {
@@ -166,11 +160,6 @@ impl NodeTelemetry {
             .record(self.node, self.clock, kind, detail, a, b);
     }
 
-    /// Read-only view of the node's flight ring.
-    pub fn flight_recorder(&self) -> &FlightRecorder {
-        &self.flight
-    }
-
     /// Drain the flight ring, oldest first.
     pub fn take_flight(&mut self) -> Vec<FlightEvent> {
         self.flight.drain()
@@ -263,13 +252,13 @@ mod tests {
         let mut t = NodeTelemetry::disabled(9);
         t.flight(FlightKind::Retry, "link_rewind", 4, 1);
         t.flight(FlightKind::Wedge, "silent_wire", 0, 0);
-        assert_eq!(t.flight_recorder().len(), 2);
+        assert_eq!(t.flight.len(), 2);
         let events = t.take_flight();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].node, 9);
         assert_eq!(events[0].kind, FlightKind::Retry);
         assert_eq!(events[1].detail, "silent_wire");
-        assert!(t.flight_recorder().is_empty());
+        assert!(t.flight.is_empty());
     }
 
     #[test]

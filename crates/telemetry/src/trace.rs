@@ -74,12 +74,11 @@ impl Span {
 }
 
 /// The span sink: a bounded-memory ring that keeps the most recent
-/// `capacity` spans and counts the ones it had to evict.
+/// `capacity` spans.
 #[derive(Debug, Default)]
 pub struct RingSink {
     capacity: usize,
     buf: VecDeque<Span>,
-    dropped: u64,
 }
 
 impl RingSink {
@@ -88,34 +87,16 @@ impl RingSink {
         RingSink {
             capacity,
             buf: VecDeque::with_capacity(capacity.min(4096)),
-            dropped: 0,
         }
-    }
-
-    /// How many spans were evicted to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of spans currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Accept one closed span, evicting the oldest when full.
     pub fn record(&mut self, span: Span) {
         if self.capacity == 0 {
-            self.dropped += 1;
             return;
         }
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
-            self.dropped += 1;
         }
         self.buf.push_back(span);
     }
@@ -143,24 +124,22 @@ mod tests {
     }
 
     #[test]
-    fn ring_evicts_oldest_and_counts_drops() {
+    fn ring_evicts_oldest() {
         let mut ring = RingSink::new(2);
         for i in 0..5 {
             ring.record(span(i, i + 1));
         }
-        assert_eq!(ring.dropped(), 3);
-        assert_eq!(ring.len(), 2);
         let spans = ring.drain();
+        assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].begin, 3);
         assert_eq!(spans[1].begin, 4);
-        assert!(ring.is_empty());
+        assert!(ring.drain().is_empty());
     }
 
     #[test]
     fn zero_capacity_ring_drops_everything() {
         let mut ring = RingSink::new(0);
         ring.record(span(0, 1));
-        assert_eq!(ring.dropped(), 1);
         assert!(ring.drain().is_empty());
     }
 

@@ -54,9 +54,12 @@ stage "bench coverage: every crates/bench [[bench]] runs in a verify stage" \
 stage "no Instant/SystemTime under crates/*/src outside crates/bench" \
     bash -c '! grep -rnwE "Instant|SystemTime" --include="*.rs" crates/*/src | grep -v "^crates/bench/"'
 
-# No `pub` item that nothing but its own definition line names.
-stage "pub audit: no dead pub items under crates/*/src" \
-    scripts/pub_audit.sh
+# No `pub` item whose every use, as the compiler resolves it, is in its own
+# file's unit tests. The audit checks an annotated copy under
+# target/pub_audit with its own target directory, so the builds of the
+# stages below stay warm; the limit also covers a cold check (~15 s).
+stage "pub audit: no pub item used only by its own unit tests" \
+    within 90 scripts/pub_audit.sh
 
 stage "cargo clippy (workspace, all targets, warnings are errors)" \
     cargo clippy --workspace --all-targets -- -D warnings
